@@ -62,7 +62,7 @@ def main():
     v_naive = np.zeros(net.n_links)
     v_naive[0], v_naive[1] = d[0], d[1]
     print("\nall-direct routing would leave a relative gap of %.4f" %
-          relative_gap(net, d, None, v_naive))
+          relative_gap(net, d, v_naive))
     print("equilibrium splits %.4f of commodity 2 onto the detour 1->2->3" %
           X[1, 0])
 

@@ -72,7 +72,7 @@ def main():
     # space of the optimality system at z (plus the sign constraints)
     mu = np.zeros(S.n_constraints)
     space = tangent_space(net, S, z)
-    r_tan = cauchy_direction(net, S, z, mu, cfg, space=space)
+    r_tan = cauchy_direction(net, S, z, mu, cfg, space)
     moved = StatePoint.from_vector(z.pack() + r_tan, S)
     print("\nprojected descent direction:")
     print("  |r_tan| = %.6f, demand components %s" %

@@ -12,7 +12,7 @@ from .driver import (DapResult, IRConfig, IterationRecord, STATUS_CONVERGED,
                      STATUS_MAX_OUTER, STATUS_STALLED, initial_state, solve_dap)
 from .errors import (DanglingReference, DimensionMismatch, DuplicateId,
                      InfeasibleTheta, InputError, MalformedInput, MaxIterations,
-                     NegativeCoefficient, NegativeCost, NoCandidate,
+                     NegativeCoefficient, NoCandidate,
                      OdAdjustError, ResidualTooLarge, SolverStalled, TooLarge,
                      Unreachable, UnreachableDestination)
 from .kkt import (ConstraintResidual, StatePoint, eval_C, eval_C_jacobian,
@@ -22,9 +22,8 @@ from .network import (Commodity, CostFunction, Link, Network,
                       StructureMatrices, aggregate_flows, build_structure,
                       parse_network, serialize_network)
 from .projection import TangentSpace, min_norm_solve, project
-from .tap import (ShortestPathResult, TapSolution, all_or_nothing,
-                  beckmann_objective, line_search_beckmann, relative_gap,
-                  shortest_paths, solve_tap)
+from .tap import (ShortestPathResult, TapSolution, beckmann_objective,
+                  relative_gap, solve_tap)
 
 __version__ = "0.1.0"
 
@@ -32,16 +31,16 @@ __all__ = [
     "Commodity", "ConstraintResidual", "CostFunction", "DapResult",
     "IRConfig", "IterationRecord", "Link", "Network", "ShortestPathResult",
     "StatePoint", "StructureMatrices", "TangentSpace", "TapSolution",
-    "aggregate_flows", "all_or_nothing", "beckmann_objective",
+    "aggregate_flows", "beckmann_objective",
     "build_structure", "eval_C", "eval_C_jacobian", "eval_F", "eval_F_grad",
-    "eval_L", "eval_L_grad", "initial_state", "line_search_beckmann",
+    "eval_L", "eval_L_grad", "initial_state",
     "min_norm_solve", "parse_network", "project", "recover_multipliers",
-    "relative_gap", "serialize_network", "shortest_paths", "solve_dap",
+    "relative_gap", "serialize_network", "solve_dap",
     "solve_tap", "tangent_space",
     "STATUS_CONVERGED", "STATUS_MAX_OUTER", "STATUS_STALLED",
     "OdAdjustError", "InputError", "MalformedInput", "DuplicateId",
     "DanglingReference", "NegativeCoefficient", "UnreachableDestination",
-    "DimensionMismatch", "NegativeCost", "Unreachable", "MaxIterations",
+    "DimensionMismatch", "Unreachable", "MaxIterations",
     "ResidualTooLarge", "SolverStalled", "NoCandidate", "InfeasibleTheta",
     "TooLarge",
 ]

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,21 +23,6 @@ from .tap import solve_tap
 _NUM_FMT = "%.9g"
 
 
-@dataclass
-class RunConfig:
-    """Everything one subcommand invocation needs."""
-
-    command: str
-    input_path: str
-    report_path: str | None = None
-    log_path: str | None = None
-    overrides: dict | None = None
-    initial_demand: list | None = None
-    demand: list | None = None
-    tol: float = 1e-8
-    max_iter: int = 50000
-
-
 def _fmt(x):
     return _NUM_FMT % float(x)
 
@@ -46,49 +31,71 @@ def _round9(x):
     return float(_NUM_FMT % float(x))
 
 
-def _parse_demand_string(text):
+def _parse_number(text, what):
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return float(text)
     except ValueError as exc:
-        raise InputError("cannot parse demand list %r" % text) from exc
-    if not vals:
-        raise InputError("empty demand list")
-    return vals
+        raise InputError("%s needs a numeric value, got %r" % (what, text)) from exc
+
+
+def _parse_demand_string(text):
+    return [_parse_number(tok, "demand list %r" % text)
+            for tok in text.split(",") if tok.strip() != ""]
 
 
 def _parse_set_overrides(pairs):
-    numeric = {f.name: f.type for f in fields(IRConfig)}
     out = {}
-    for pair in pairs or ():
+    for pair in pairs:
         if "=" not in pair:
             raise InputError("--set expects key=value, got %r" % pair)
         key, _, val = pair.partition("=")
         key = key.strip()
-        if key not in numeric:
-            raise InputError("unknown solver setting %r" % key)
-        try:
-            parsed = float(val)
-        except ValueError as exc:
-            raise InputError("setting %r needs a numeric value, got %r"
-                             % (key, val)) from exc
-        if key in ("tap_max_iter", "max_outer", "max_inner",
-                   "inner_point_cap", "inner_iter_cap"):
-            parsed = int(parsed)
-        out[key] = parsed
+        out[key] = _parse_number(val, "setting %r" % key)
     return out
 
 
-def _read_document(path):
+def _config(settings):
+    """IRConfig from outside settings; IRConfig checks every value."""
+    if not isinstance(settings, dict):
+        raise InputError("solver settings must be an object")
+    try:
+        return IRConfig(**settings)
+    except (TypeError, ValueError) as exc:
+        raise InputError("bad solver settings: %s" % exc) from exc
+
+
+def _demands(net, values, what):
+    """Demand vector from outside input: one finite, nonnegative number per commodity."""
+    if not isinstance(values, list) or len(values) != net.n_commodities:
+        raise InputError("%s needs a list of %d demands" % (what, net.n_commodities))
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in values):
+        raise InputError("%s must hold numbers, got %r" % (what, values))
+    d = np.array(values, dtype=float)
+    if not np.all(np.isfinite(d)) or np.any(d < 0.0):
+        raise InputError("%s must be finite and nonnegative, got %r" % (what, values))
+    return d
+
+
+def _load(path):
+    """Network, solver settings and initial demands of a document, all validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise InputError("cannot read input file %r: %s" % (path, exc)) from exc
+    net = parse_network(text)
+    doc = json.loads(text)
+    settings = doc.get("solver", {})
+    _config(settings)
+    d0 = doc.get("initial_demand")
+    if d0 is not None:
+        d0 = _demands(net, d0, "initial_demand")
+    return net, settings, d0
 
 
-def run_check(cfg):
+def run_check(args):
     """Validate the document and print instance dimensions."""
-    net = parse_network(_read_document(cfg.input_path))
+    net, _, _ = _load(args.input)
     S = build_structure(net)
     print("nodes: %d" % net.n_nodes)
     print("links: %d" % net.n_links)
@@ -99,19 +106,13 @@ def run_check(cfg):
     return 0
 
 
-def run_tap(cfg):
+def run_tap(args):
     """Solve one equilibrium assignment and print the link flows."""
-    net = parse_network(_read_document(cfg.input_path))
-    if cfg.demand is not None:
-        d = np.asarray(cfg.demand, dtype=float)
-        if d.shape != (net.n_commodities,):
-            raise InputError("expected %d demand values, got %d"
-                             % (net.n_commodities, d.size))
-        if np.any(d < 0.0):
-            raise InputError("demands must be nonnegative")
-    else:
-        d = net.target_demands
-    sol = solve_tap(net, d, tol=cfg.tol, max_iter=cfg.max_iter)
+    net, _, _ = _load(args.input)
+    d = (net.target_demands if args.demand is None
+         else _demands(net, _parse_demand_string(args.demand), "--demand"))
+    cfg = _config({"tap_tol": args.tol, "tap_max_iter": args.max_iter})
+    sol = solve_tap(net, d, tol=cfg.tap_tol, max_iter=cfg.tap_max_iter)
     for lk, flow in zip(net.links, sol.v):
         print("link %s: %s" % (lk.id, _fmt(flow)))
     print("beckmann: %s" % _fmt(sol.beckmann))
@@ -120,50 +121,36 @@ def run_tap(cfg):
     return 0 if sol.converged else 2
 
 
-def run_solve(cfg):
+def _log_row(rec):
+    row = []
+    for f in fields(rec):
+        val = getattr(rec, f.name)
+        if f.type is bool:
+            row.append("1" if val else "0")
+        elif f.type is int:
+            row.append("%d" % val)
+        else:
+            row.append(_fmt(val))
+    return "\t".join(row) + "\n"
+
+
+def run_solve(args):
     """Run the full demand adjustment and emit a JSON report."""
-    text = _read_document(cfg.input_path)
-    net = parse_network(text)
-    doc = json.loads(text)
-
-    overrides = dict(doc.get("solver", {}))
-    overrides.update(cfg.overrides or {})
-    try:
-        ircfg = IRConfig(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise InputError("bad solver settings: %s" % exc) from exc
-
-    if cfg.initial_demand is not None:
-        d0 = cfg.initial_demand
-    else:
-        d0 = doc.get("initial_demand")
-    if d0 is not None:
-        d0 = np.asarray(d0, dtype=float)
-        if d0.shape != (net.n_commodities,):
-            raise InputError("expected %d initial demands, got %d"
-                             % (net.n_commodities, d0.size))
-        if np.any(d0 < 0.0):
-            raise InputError("initial demands must be nonnegative")
+    net, settings, d0 = _load(args.input)
+    ircfg = _config({**settings, **_parse_set_overrides(args.set)})
+    if args.initial_demand is not None:
+        d0 = _demands(net, _parse_demand_string(args.initial_demand),
+                      "--initial-demand")
     s0 = initial_state(net, d0)
 
-    log_fh = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
+    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
         if log_fh:
-            log_fh.write("\t".join(IterationRecord.FIELDS) + "\n")
+            log_fh.write("\t".join(f.name for f in fields(IterationRecord)) + "\n")
 
         def sink(rec):
-            if log_fh is None:
-                return
-            row = []
-            for name in IterationRecord.FIELDS:
-                val = getattr(rec, name)
-                if name in ("k", "i"):
-                    row.append("%d" % val)
-                elif name == "accepted":
-                    row.append("1" if val else "0")
-                else:
-                    row.append(_fmt(val))
-            log_fh.write("\t".join(row) + "\n")
+            if log_fh is not None:
+                log_fh.write(_log_row(rec))
 
         t_start = time.perf_counter()
         res = solve_dap(net, ircfg, s0=s0, sink=sink)
@@ -179,7 +166,7 @@ def run_solve(cfg):
     f2 = float(e_dem @ e_dem)
 
     report = {
-        "input": cfg.input_path,
+        "input": args.input,
         "nodes": net.n_nodes,
         "links": net.n_links,
         "commodities": net.n_commodities,
@@ -200,8 +187,8 @@ def run_solve(cfg):
         "solver": {f.name: getattr(ircfg, f.name) for f in fields(IRConfig)},
     }
     text_out = json.dumps(report, indent=2)
-    if cfg.report_path:
-        with open(cfg.report_path, "w", encoding="utf-8") as fh:
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text_out + "\n")
     else:
         print(text_out)
@@ -231,7 +218,7 @@ def _build_parser():
     p_tap.add_argument("--demand", default=None, metavar="D1,D2,...",
                        help="demands to assign (defaults to the targets)")
     p_tap.add_argument("--tol", type=float, default=1e-8)
-    p_tap.add_argument("--max-iter", type=int, default=50000)
+    p_tap.add_argument("--max-iter", type=float, default=50000)
 
     p_check = sub.add_parser("check", help="validate a document and print sizes")
     p_check.add_argument("--input", required=True)
@@ -240,21 +227,9 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    run = {"check": run_check, "tap": run_tap, "solve": run_solve}[args.command]
     try:
-        if args.command == "check":
-            return run_check(RunConfig(command="check", input_path=args.input))
-        if args.command == "tap":
-            demand = (_parse_demand_string(args.demand)
-                      if args.demand is not None else None)
-            return run_tap(RunConfig(command="tap", input_path=args.input,
-                                     demand=demand, tol=args.tol,
-                                     max_iter=args.max_iter))
-        demand0 = (_parse_demand_string(args.initial_demand)
-                   if args.initial_demand is not None else None)
-        return run_solve(RunConfig(command="solve", input_path=args.input,
-                                   report_path=args.report, log_path=args.log,
-                                   overrides=_parse_set_overrides(args.set),
-                                   initial_demand=demand0))
+        return run(args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

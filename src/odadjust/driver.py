@@ -17,10 +17,9 @@ State vectors are ordered [d | X | alpha | beta]; multipliers follow the
 residual order [stationarity | conservation | complementarity].
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,19 +64,19 @@ class IRConfig:
         return self.omega0 * self.omega_ratio ** k
 
     def __post_init__(self):
-        if not 0.0 < self.theta_init < 1.0:
-            raise ValueError("theta_init must lie in (0, 1)")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        for name in ("eta", "M_bound", "delta0", "delta_min", "tau1", "tau2",
-                     "eps1", "eps2", "omega0", "omega_ratio", "tap_tol",
-                     "inner_gtol"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
-        for name in ("tap_max_iter", "max_outer", "max_inner",
-                     "inner_point_cap", "inner_iter_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be at least 1" % name)
+        # the annotations give the rules: every field is finite and positive,
+        # int fields are also integral; theta_init and shrink stay below 1
+        for f in fields(self):
+            val = getattr(self, f.name)
+            kind = "positive integer" if f.type is int else "finite positive number"
+            if (isinstance(val, bool) or not isinstance(val, numbers.Real)
+                    or not (math.isfinite(val) and val > 0)
+                    or (f.type is int and val != int(val))):
+                raise ValueError("%s must be a %s, got %r" % (f.name, kind, val))
+            setattr(self, f.name, f.type(val))
+        for name in ("theta_init", "shrink"):
+            if getattr(self, name) >= 1.0:
+                raise ValueError("%s must lie in (0, 1)" % name)
 
 
 @dataclass
@@ -97,9 +96,6 @@ class IterationRecord:
     accepted: bool
     F_value: float
     rtan_norm: float
-
-    FIELDS = ("k", "i", "normC_s", "normC_z", "L_s", "L_v", "theta", "delta",
-              "pred", "ared", "accepted", "F_value", "rtan_norm")
 
 
 @dataclass
@@ -138,13 +134,14 @@ def restore(net, S, s, cfg):
     return StatePoint(d=s.d.copy(), X=sol.X, alpha=alpha, beta=beta)
 
 
-def cauchy_direction(net, S, z, mu, cfg, space=None):
-    """Projected-gradient step of the Lagrangian within the tangent set at z."""
-    if space is None:
-        space = tangent_space(net, S, z)
-    zvec = z.pack()
-    g = eval_L_grad(net, S, z, mu)
-    return project(space, zvec - cfg.eta * g) - zvec
+def cauchy_direction(net, S, z, mu, cfg, space):
+    """Projected-gradient step of the Lagrangian within the tangent set at z.
+
+    space is tangent_space(net, S, z), possibly boxed; its Jacobian gives the
+    Lagrangian gradient at z.
+    """
+    g = grad_F_state(net, S, z) + space.J.T @ mu
+    return project(space, space.z - cfg.eta * g) - space.z
 
 
 def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
@@ -281,8 +278,8 @@ def solve_dap(net, cfg=None, s0=None, mu0=None, sink=None):
 
         svec = s.pack()
         zvec = z.pack()
-        space_free = tangent_space(net, S, z)
-        r_tan = cauchy_direction(net, S, z, mu, cfg, space=space_free)
+        space = tangent_space(net, S, z)
+        r_tan = cauchy_direction(net, S, z, mu, cfg, space)
         if check_stop(svec, zvec, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED
             break
@@ -298,8 +295,8 @@ def solve_dap(net, cfg=None, s0=None, mu0=None, sink=None):
             if rt_norm <= 1e-14 * (1.0 + float(np.linalg.norm(zvec))):
                 v, mu_trial = z, mu.copy()
             else:
-                space_box = tangent_space(net, S, z, box_radius=delta)
-                v = find_candidate(net, S, z, mu, r_tan, delta, cfg, space_box)
+                v = find_candidate(net, S, z, mu, r_tan, delta, cfg,
+                                   replace(space, box_radius=delta))
                 mu_trial = trial_multipliers(net, S, v, mu, cfg.M_bound)
 
             L_v_k = eval_L(net, S, v, mu)

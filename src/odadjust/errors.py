@@ -33,10 +33,6 @@ class DimensionMismatch(OdAdjustError):
     """A vector or matrix argument has the wrong shape."""
 
 
-class NegativeCost(OdAdjustError):
-    """Link costs handed to a shortest-path routine contain negative entries."""
-
-
 class Unreachable(OdAdjustError):
     """Positive demand cannot be routed because no path exists."""
 

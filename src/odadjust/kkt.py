@@ -115,7 +115,8 @@ def eval_C_jacobian(net, S, s):
     """Exact Jacobian of eval_C at s, sparse, rows and columns in block order."""
     c, a = S.n_commodities, S.n_links
     v = aggregate_flows(S, s.X)
-    Tp = S.R.T @ sp.diags(net.link_time_derivs(v)) @ S.R
+    # every commodity pair sees the same diagonal of link-time derivatives
+    Tp = sp.kron(np.ones((c, c)), sp.diags(net.link_time_derivs(v)), format="csr")
     I = sp.identity(c * a, format="csr")
     zero_d = sp.csr_matrix((c * a, c))
     J = sp.bmat(
@@ -144,7 +145,7 @@ def eval_L_grad(net, S, s, mu):
     return grad_F_state(net, S, s) + eval_C_jacobian(net, S, s).T @ mu
 
 
-def recover_multipliers(net, S, d, X, link_times, method="potentials"):
+def recover_multipliers(net, S, d, X, link_times):
     """Multipliers (alpha, beta) certifying an equilibrium flow X.
 
     With costs frozen at t = link_times, per-commodity node potentials are the
@@ -154,27 +155,10 @@ def recover_multipliers(net, S, d, X, link_times, method="potentials"):
     never look attractive.  Raises ResidualTooLarge when the complementarity
     slip |beta . X| exceeds 1e-6 * (1 + |X|_1), i.e. when X is not close enough
     to equilibrium for this construction to be valid.
-
-    method="lsq" instead fits (alpha, beta >= 0) by bounded least squares on
-    the stationarity and complementarity equations; a defensive fallback for
-    states that are not equilibria.
     """
-    d = np.asarray(d, dtype=float)
     X = np.asarray(X, dtype=float)
     t = np.asarray(link_times, dtype=float)
-    c, n, a = S.n_commodities, S.n_nodes, S.n_links
-
-    if method == "lsq":
-        from scipy.optimize import lsq_linear
-
-        big = sp.hstack([S.M.T, -sp.identity(c * a)], format="csr")
-        big = sp.vstack([big, sp.hstack([sp.csr_matrix((c * a, c * n)),
-                                         sp.diags(X)])], format="csr")
-        rhs = np.concatenate([-np.tile(t, c), np.zeros(c * a)])
-        lb = np.concatenate([np.full(c * n, -np.inf), np.zeros(c * a)])
-        ub = np.full(c * n + c * a, np.inf)
-        res = lsq_linear(big, rhs, bounds=(lb, ub), tol=1e-12)
-        return res.x[: c * n], res.x[c * n:]
+    c, n = S.n_commodities, S.n_nodes
 
     alpha = np.zeros(c * n)
     for i in range(c):
@@ -201,13 +185,16 @@ def recover_multipliers(net, S, d, X, link_times, method="potentials"):
     return alpha, beta
 
 
-def tangent_space(net, S, z, box_radius=None):
-    """Linearized feasible set at z: J(w-z)=0, sign constraints, optional box."""
+def tangent_space(net, S, z):
+    """Linearized feasible set at z: J(w-z)=0 and the sign constraints, no box.
+
+    The optimization phase boxes it with dataclasses.replace(space,
+    box_radius=delta), which reuses the Jacobian.
+    """
     lower = np.concatenate([
         np.zeros(S.n_commodities),
         np.zeros(S.n_commodities * S.n_links),
         np.full(S.n_commodities * S.n_nodes, -np.inf),
         np.zeros(S.n_commodities * S.n_links),
     ])
-    return TangentSpace(z=z.pack(), J=eval_C_jacobian(net, S, z),
-                        lower=lower, box_radius=box_radius)
+    return TangentSpace(z=z.pack(), J=eval_C_jacobian(net, S, z), lower=lower)

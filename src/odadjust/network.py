@@ -39,6 +39,8 @@ class CostFunction:
         cs = tuple(float(c) for c in self.coeffs)
         if len(cs) == 0:
             raise MalformedInput("cost function needs at least one coefficient")
+        if not np.all(np.isfinite(cs)):
+            raise MalformedInput("non-finite coefficient in cost polynomial %r" % (cs,))
         if any(c < 0.0 for c in cs):
             raise NegativeCoefficient("negative coefficient in cost polynomial %r" % (cs,))
         object.__setattr__(self, "coeffs", cs)
@@ -105,8 +107,9 @@ class Network:
         self.eta1 = float(eta1)
         self.eta2 = float(eta2)
 
-        if self.eta1 < 0.0 or self.eta2 < 0.0:
-            raise MalformedInput("objective weights must be nonnegative")
+        if not (np.isfinite(self.eta1) and np.isfinite(self.eta2)
+                and self.eta1 >= 0.0 and self.eta2 >= 0.0):
+            raise MalformedInput("objective weights must be finite and nonnegative")
 
         # id -> index maps, rejecting duplicates
         self.node_index = {}
@@ -270,14 +273,11 @@ class StructureMatrices:
     Gamma  od incidence, (n_commodities*n_nodes) x n_commodities, block-diagonal
            with -1 at the origin and +1 at the destination of each commodity
     M      block-diagonal repetition of A, one block per commodity
-    R      horizontal stack of n_commodities identity blocks; R @ X aggregates
-           commodity flows into total link flows
     """
 
     A: sp.csr_matrix
     Gamma: sp.csr_matrix
     M: sp.csr_matrix
-    R: sp.csr_matrix
     n_nodes: int
     n_links: int
     n_commodities: int
@@ -335,14 +335,13 @@ def build_structure(net):
     Gamma = sp.csr_matrix((gval, (grow, gcol)), shape=(c * n, c))
 
     M = sp.block_diag([A] * c, format="csr") if c else sp.csr_matrix((0, 0))
-    R = sp.hstack([sp.identity(a, format="csr")] * c, format="csr") if c else sp.csr_matrix((a, 0))
 
-    return StructureMatrices(A=A, Gamma=Gamma, M=M, R=R,
+    return StructureMatrices(A=A, Gamma=Gamma, M=M,
                              n_nodes=n, n_links=a, n_commodities=c)
 
 
 def aggregate_flows(S, X):
-    """Total link flows v = R @ X from commodity-disaggregated flows."""
+    """Total link flows v: the sum of the commodity blocks of X."""
     X = np.asarray(X, dtype=float)
     if X.shape != (S.n_commodities * S.n_links,):
         raise DimensionMismatch(
@@ -354,17 +353,23 @@ def aggregate_flows(S, X):
 
 # -- JSON input/output -------------------------------------------------------
 
+_NUMBER = (int, float)
+_ID = (int, str)
+
+
+def _is(val, kind):
+    """isinstance for JSON values; true and false are neither numbers nor ids."""
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
 def _require(doc, key, kind, where):
     if key not in doc:
         raise MalformedInput("missing key %r in %s" % (key, where))
     val = doc[key]
-    if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise MalformedInput("key %r in %s must be a number" % (key, where))
-        return float(val)
-    if not isinstance(val, kind):
-        raise MalformedInput("key %r in %s has wrong type" % (key, where))
-    return val
+    if not _is(val, kind):
+        raise MalformedInput("key %r in %s has wrong type %s"
+                             % (key, where, type(val).__name__))
+    return float(val) if kind is _NUMBER else val
 
 
 def parse_network(text):
@@ -389,17 +394,22 @@ def parse_network(text):
         raise MalformedInput("'observations' must be a list")
     if not isinstance(weights, dict):
         raise MalformedInput("'weights' must be an object")
+    for nid in nodes:
+        if not _is(nid, _ID):
+            raise MalformedInput("node id %r is neither an int nor a string" % (nid,))
 
     links = []
     for spec in link_specs:
         if not isinstance(spec, dict):
             raise MalformedInput("each link must be an object")
         coeffs = _require(spec, "coeffs", list, "link")
+        if not all(_is(x, _NUMBER) for x in coeffs):
+            raise MalformedInput("cost coefficients %r are not all numbers" % (coeffs,))
         links.append(
             Link(
-                id=_require(spec, "id", (int, str), "link"),
-                tail=_require(spec, "from", (int, str), "link"),
-                head=_require(spec, "to", (int, str), "link"),
+                id=_require(spec, "id", _ID, "link"),
+                tail=_require(spec, "from", _ID, "link"),
+                head=_require(spec, "to", _ID, "link"),
                 cost=CostFunction(tuple(coeffs)),
             )
         )
@@ -410,9 +420,9 @@ def parse_network(text):
             raise MalformedInput("each commodity must be an object")
         commodities.append(
             Commodity(
-                origin=_require(spec, "origin", (int, str), "commodity"),
-                destination=_require(spec, "destination", (int, str), "commodity"),
-                target_demand=_require(spec, "target", float, "commodity"),
+                origin=_require(spec, "origin", _ID, "commodity"),
+                destination=_require(spec, "destination", _ID, "commodity"),
+                target_demand=_require(spec, "target", _NUMBER, "commodity"),
             )
         )
 
@@ -420,15 +430,15 @@ def parse_network(text):
     for spec in obs_specs:
         if not isinstance(spec, dict):
             raise MalformedInput("each observation must be an object")
-        lid = _require(spec, "link", (int, str), "observation")
+        lid = _require(spec, "link", _ID, "observation")
         if lid in observations:
             raise DuplicateId("duplicate observation for link %r" % (lid,))
-        observations[lid] = _require(spec, "flow", float, "observation")
+        observations[lid] = _require(spec, "flow", _NUMBER, "observation")
 
     eta1 = weights.get("eta1", 1.0)
     eta2 = weights.get("eta2", 1.0)
     for name, val in (("eta1", eta1), ("eta2", eta2)):
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
+        if not _is(val, _NUMBER):
             raise MalformedInput("weight %r must be a number" % (name,))
 
     return Network(nodes, links, commodities, observations, eta1=eta1, eta2=eta2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MaxIterations, NegativeCost, Unreachable
+from .errors import DimensionMismatch, Unreachable
 
 _EPS_DEN = 1e-30  # guards relative-gap denominators on zero-cost networks
 
@@ -65,17 +65,6 @@ def _dijkstra(net, costs, origin_idx):
     return ShortestPathResult(dist=dist, pred=pred)
 
 
-def shortest_paths(net, link_costs, origin):
-    """One-to-all shortest paths from a node id under the given link costs."""
-    costs = np.asarray(link_costs, dtype=float)
-    if costs.shape != (net.n_links,):
-        raise DimensionMismatch("expected %d link costs, got shape %r"
-                                % (net.n_links, costs.shape))
-    if np.any(costs < 0.0) or not np.all(np.isfinite(costs)):
-        raise NegativeCost("link costs must be finite and nonnegative")
-    return _dijkstra(net, costs, net.node_index[origin])
-
-
 def _path_links(net, sp_res, origin_idx, dest_idx):
     """Link indices along the tree path origin -> dest, in travel order."""
     if dest_idx != origin_idx and sp_res.pred[dest_idx] < 0:
@@ -88,22 +77,6 @@ def _path_links(net, sp_res, origin_idx, dest_idx):
         u = net.tails[a]
     path.reverse()
     return path
-
-
-def all_or_nothing(net, link_costs, commodity_index, demand_value):
-    """Route one commodity's demand entirely along its current shortest path."""
-    com_flow = np.zeros(net.n_links)
-    d = float(demand_value)
-    if d == 0.0:
-        return com_flow
-    if d < 0.0:
-        raise DimensionMismatch("demand must be nonnegative")
-    sp_res = shortest_paths(net, link_costs, net.commodities[commodity_index].origin)
-    o = net.origin_idx[commodity_index]
-    t = net.destination_idx[commodity_index]
-    for a in _path_links(net, sp_res, o, t):
-        com_flow[a] += d
-    return com_flow
 
 
 def beckmann_objective(net, v):
@@ -141,16 +114,7 @@ def _exact_step(net, v, direction, lam_max):
     return 0.5 * (lo + hi)
 
 
-def line_search_beckmann(net, v, y):
-    """Exact step toward a target pattern: argmin of T(v + lam*(y-v)) on [0,1]."""
-    v = np.asarray(v, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if v.shape != y.shape or v.shape != (net.n_links,):
-        raise DimensionMismatch("flow vectors must both have length %d" % net.n_links)
-    return _exact_step(net, v, y - v, 1.0)
-
-
-def relative_gap(net, d, X, v):
+def relative_gap(net, d, v):
     """(t(v).v - sum_i d_i * sp_i) / t(v).v, the standard equilibrium gap."""
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -251,7 +215,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
         return X
 
     def gap_now():
-        return relative_gap(net, d, None, v)
+        return relative_gap(net, d, v)
 
     rgap = gap_now()
     iterations = 0
@@ -329,12 +293,3 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
     return TapSolution(X=X, v=v, beckmann=beckmann_objective(net, v),
                        rgap=rgap, iterations=iterations, converged=converged)
 
-
-def require_converged(sol):
-    """Raise MaxIterations when a TapSolution is flagged non-converged."""
-    if not sol.converged:
-        raise MaxIterations(
-            "assignment stopped at relative gap %.3e after %d iterations"
-            % (sol.rgap, sol.iterations)
-        )
-    return sol

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import TOY_TARGETS, TOY_V, toy_document
+from conftest import TOY_DOC, TOY_TARGETS, TOY_V, toy_document
 from odadjust.cli import main
 from odadjust.driver import IterationRecord
 
@@ -17,6 +18,27 @@ def _write(tmp_path, doc, name="net.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def _input_error(argv, capsys):
+    """main exits 1 with an error message and raises nothing."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == 1 and err.startswith("error:")
+
+
+# the values the mutation sweep puts in place of each document leaf
+LEAF_VALUES = (None, "x", [], {}, float("nan"), float("inf"), float("-inf"),
+               -1, True, 2.5)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _leaf_paths(node[key], path + (key,))
+    else:
+        yield path
 
 
 # -- check ----------------------------------------------------------------------
@@ -37,6 +59,46 @@ def test_check_rejects_bad_documents(tmp_path, capsys):
     doc = toy_document()
     doc["links"][0]["to"] = 99
     assert main(["check", "--input", _write(tmp_path, doc)]) == 1
+    nan = float("nan")
+    for key, where, value in [
+        ("nodes", 0, {"a": 1}),
+        ("nodes", 0, [4]),
+        ("links", 0, dict(TOY_DOC["links"][0], coeffs=["x", 1])),
+        ("links", 0, dict(TOY_DOC["links"][0], coeffs=[nan, 1.0])),
+        ("weights", "eta1", nan),
+        ("solver", None, {"max_outer": 2.5}),
+        ("solver", None, {"max_outer": True}),
+        ("solver", None, [1, 2]),
+        ("initial_demand", None, ["a", "b"]),
+    ]:
+        doc = toy_document()
+        if where is None:
+            doc[key] = value
+        else:
+            doc[key][where] = value
+        path = _write(tmp_path, doc)
+        for command in ("check", "solve", "tap"):
+            assert _input_error([command, "--input", path], capsys), (command, key, value)
+
+
+def test_check_survives_leaf_mutations(tmp_path, capsys):
+    base = toy_document()
+    base["solver"] = {"max_outer": 5, "eps1": 1e-5}
+    base["initial_demand"] = [1.0, 2.0]
+    codes = []
+    for path in _leaf_paths(base):
+        for value in LEAF_VALUES:
+            doc = json.loads(json.dumps(base))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            code = main(["check", "--input", _write(tmp_path, doc)])
+            err = capsys.readouterr().err
+            assert code in (0, 1), (path, value)
+            assert (code == 1) == err.startswith("error:"), (path, value, err)
+            codes.append(code)
+    assert len(codes) >= 200 and 0 in codes and 1 in codes
 
 
 # -- tap ------------------------------------------------------------------------
@@ -72,6 +134,9 @@ def test_tap_demand_validation(toy_file, capsys):
     assert main(["tap", "--input", toy_file, "--demand", "a,b"]) == 1
     assert main(["tap", "--input", toy_file, "--demand", ""]) == 1
     capsys.readouterr()
+    for extra in (["--demand", "1,nan"], ["--tol", "-1"], ["--tol", "nan"],
+                  ["--max-iter", "0"], ["--max-iter", "2.5"]):
+        assert _input_error(["tap", "--input", toy_file] + extra, capsys), extra
 
 
 def test_tap_budget_exit_code(toy_file, capsys):
@@ -141,6 +206,10 @@ def test_solve_set_validation(toy_file, capsys):
     assert main(["solve", "--input", toy_file, "--set", "eps1"]) == 1
     assert main(["solve", "--input", toy_file, "--set", "theta_init=2"]) == 1
     capsys.readouterr()
+    for setting in ("max_outer=nan", "max_outer=inf", "max_outer=2.5",
+                    "max_outer=0", "eta=nan", "eta=-inf"):
+        assert _input_error(["solve", "--input", toy_file, "--set", setting],
+                            capsys), setting
 
 
 def test_solve_writes_iteration_log(toy_file, tmp_path, capsys):
@@ -149,11 +218,12 @@ def test_solve_writes_iteration_log(toy_file, tmp_path, capsys):
     assert main(["solve", "--input", toy_file, "--report", str(report_path),
                  "--log", str(log_path), "--initial-demand", "1,2"]) == 0
     lines = log_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "\t".join(IterationRecord.FIELDS)
+    names = [f.name for f in fields(IterationRecord)]
+    assert lines[0] == "\t".join(names)
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert len(lines) - 1 == report["inner_attempts"]
     row = lines[1].split("\t")
-    assert len(row) == len(IterationRecord.FIELDS)
+    assert len(row) == len(names)
     int(row[0]), int(row[1])                 # k and i are integers
     assert row[10] in ("0", "1")             # accepted flag
     float(row[2])
@@ -182,3 +252,6 @@ def test_solve_initial_demand_validation(toy_file, capsys):
     assert main(["solve", "--input", toy_file,
                  "--initial-demand=-1,2"]) == 1
     capsys.readouterr()
+    for demand in ("nan,1", "1,inf", "a,1"):
+        assert _input_error(["solve", "--input", toy_file,
+                             "--initial-demand", demand], capsys), demand

@@ -1,6 +1,7 @@
 """Outer driver: restoration, penalty logic, trust box, full adjustments."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ def test_cauchy_direction_vanishes_at_optimum(net, S):
     # observations, so the projected objective gradient nearly vanishes
     z = restore(net, S, initial_state(net), cfg)
     mu = np.zeros(S.n_constraints)
-    r = cauchy_direction(net, S, z, mu, cfg)
+    r = cauchy_direction(net, S, z, mu, cfg, tangent_space(net, S, z))
     assert np.abs(r).max() <= 1e-5
 
 
@@ -159,7 +160,7 @@ def test_cauchy_direction_descends_away_from_optimum(net, S):
     cfg = IRConfig()
     z = restore(net, S, initial_state(net, np.array([1.0, 2.0])), cfg)
     mu = np.zeros(S.n_constraints)
-    r = cauchy_direction(net, S, z, mu, cfg)
+    r = cauchy_direction(net, S, z, mu, cfg, tangent_space(net, S, z))
     assert np.abs(r).max() > 1e-3
 
 
@@ -177,8 +178,8 @@ def test_find_candidate_respects_box_and_bound(net, S):
     z = restore(net, S, initial_state(net, np.array([1.0, 2.0])), cfg)
     mu = np.zeros(S.n_constraints)
     delta = 0.5
-    space = tangent_space(net, S, z, box_radius=delta)
-    r_tan = cauchy_direction(net, S, z, mu, cfg, space=space)
+    space = replace(tangent_space(net, S, z), box_radius=delta)
+    r_tan = cauchy_direction(net, S, z, mu, cfg, space)
     v = find_candidate(net, S, z, mu, r_tan, delta, cfg, space)
     zvec, vvec = z.pack(), v.pack()
     assert np.abs(vvec - zvec).max() <= delta + 1e-10

@@ -228,15 +228,6 @@ def test_recover_multipliers_at_equilibrium(net, S):
     assert np.abs(eval_C(net, S, s).pack()).max() <= 1e-12
 
 
-def test_recover_multipliers_least_squares_variant(net, S):
-    t = net.link_times(TOY_V)
-    alpha, beta = recover_multipliers(net, S, TOY_TARGETS, TOY_X, t,
-                                      method="lsq")
-    stationarity = np.tile(t, 2) + S.M.T @ alpha - beta
-    assert np.abs(stationarity).max() <= 1e-6
-    assert np.all(beta >= -1e-12)
-
-
 def test_recover_multipliers_rejects_non_equilibrium(net, S):
     # commodity 1 forced onto its long route, commodity 2 onto the congested
     # direct link: far from equilibrium, so complementarity cannot close
@@ -267,12 +258,11 @@ def test_recover_multipliers_with_unreachable_node():
 
 def test_tangent_space_layout(net, S):
     z = _equilibrium_state()
-    space = tangent_space(net, S, z, box_radius=0.5)
+    space = tangent_space(net, S, z)
     assert_array_equal(space.z, z.pack())
     assert space.J.shape == (22, 24)
     lower = space.lower
     assert_array_equal(lower[:10], np.zeros(10))          # d and X
     assert np.all(np.isneginf(lower[10:16]))              # alpha free
     assert_array_equal(lower[16:], np.zeros(8))           # beta
-    assert space.box_radius == 0.5
-    assert tangent_space(net, S, z).box_radius is None
+    assert space.box_radius is None

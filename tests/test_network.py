@@ -143,8 +143,7 @@ def test_structure_matrices_on_reference_instance():
     assert_array_equal(M[:3, :4], A_expect)
     assert_array_equal(M[3:, 4:], A_expect)
     assert_array_equal(M[:3, 4:], np.zeros((3, 4)))
-    R = S.R.toarray()
-    assert_array_equal(R, np.hstack([np.eye(4), np.eye(4)]))
+    assert_array_equal(aggregate_flows(S, np.arange(8.0)), [4.0, 6.0, 8.0, 10.0])
     assert S.state_dim == 24
     assert S.n_constraints == 22
 
@@ -203,6 +202,12 @@ def test_parse_defaults_and_extra_keys():
     lambda d: d.__setitem__("weights", [1, 2]),
     lambda d: d["commodities"][0].__setitem__("target", True),
     lambda d: d["weights"].__setitem__("eta1", "heavy"),
+    lambda d: d["nodes"].__setitem__(0, {"a": 1}),
+    lambda d: d["nodes"].__setitem__(0, [4]),
+    lambda d: d["links"][0].__setitem__("coeffs", ["x", 1]),
+    lambda d: d["links"][0].__setitem__("coeffs", [float("nan"), 1.0]),
+    lambda d: d["links"][0].__setitem__("coeffs", [0.0, float("inf")]),
+    lambda d: d["weights"].__setitem__("eta1", float("nan")),
 ])
 def test_parse_malformed_documents(mangle):
     doc = toy_document()

@@ -16,16 +16,15 @@ from conftest import (
     toy_document,
 )
 from odadjust import (
-    all_or_nothing,
+    aggregate_flows,
     beckmann_objective,
     build_structure,
     parse_network,
     relative_gap,
-    shortest_paths,
     solve_tap,
 )
-from odadjust.errors import DimensionMismatch, MaxIterations, NegativeCost
-from odadjust.tap import line_search_beckmann, require_converged
+from odadjust.errors import DimensionMismatch
+from odadjust.tap import _dijkstra, _exact_step
 
 
 @pytest.fixture
@@ -36,43 +35,24 @@ def net():
 # -- shortest paths ------------------------------------------------------------
 
 def test_shortest_paths_exact_tree(net):
-    res = shortest_paths(net, np.array([1.0, 3.0, 1.0, 1.0]), 1)
+    res = _dijkstra(net, np.array([1.0, 3.0, 1.0, 1.0]), net.node_index[1])
     assert_array_equal(res.dist, [0.0, 1.0, 2.0])
     assert_array_equal(res.pred, [-1, 0, 2])
 
 
 def test_shortest_paths_at_equilibrium_times(net):
-    res = shortest_paths(net, net.link_times(TOY_V), 1)
+    res = _dijkstra(net, net.link_times(TOY_V), net.node_index[1])
     assert_allclose(res.dist, [0.0, 19.0 / 12.0, 5.0 / 3.0], rtol=1e-12)
     assert res.pred[0] == -1
 
 
 def test_shortest_paths_deterministic(net):
     costs = np.array([1.0, 1.0, 0.0, 0.0])     # two equal-cost routes everywhere
-    first = shortest_paths(net, costs, 1)
+    first = _dijkstra(net, costs, net.node_index[1])
     for _ in range(5):
-        res = shortest_paths(net, costs, 1)
+        res = _dijkstra(net, costs, net.node_index[1])
         assert_array_equal(res.pred, first.pred)
         assert_array_equal(res.dist, first.dist)
-
-
-def test_shortest_paths_validation(net):
-    with pytest.raises(DimensionMismatch):
-        shortest_paths(net, np.zeros(3), 1)
-    with pytest.raises(NegativeCost):
-        shortest_paths(net, np.array([1.0, -0.1, 1.0, 1.0]), 1)
-    with pytest.raises(NegativeCost):
-        shortest_paths(net, np.array([1.0, np.inf, 1.0, 1.0]), 1)
-
-
-def test_all_or_nothing_routes_full_demand(net):
-    t0 = net.link_times(np.zeros(4))
-    flow = all_or_nothing(net, t0, 1, 1.75)
-    assert_array_equal(flow, [0.0, 1.75, 0.0, 0.0])
-    assert_array_equal(all_or_nothing(net, t0, 0, 0.0), np.zeros(4))
-    # expensive direct link pushes the demand through the two-link route
-    flow = all_or_nothing(net, np.array([1.0, 5.0, 1.0, 1.0]), 1, 2.0)
-    assert_array_equal(flow, [2.0, 0.0, 2.0, 0.0])
 
 
 # -- objective, line search, gap ------------------------------------------------
@@ -88,17 +68,17 @@ def test_line_search_quadratic_minimum(net):
     # |v + lam * (y - v)|^2 / 2 over [0, 1]
     v = np.array([1.0, 0.0, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0, 0.0])
-    assert_allclose(line_search_beckmann(net, v, y), 0.5, atol=1e-10)
+    assert_allclose(_exact_step(net, v, y - v, 1.0), 0.5, atol=1e-10)
     # already optimal: moving toward y cannot help
-    assert line_search_beckmann(net, y, y) == 0.0
+    assert _exact_step(net, y, y - y, 1.0) == 0.0
 
 
 def test_relative_gap_values(net):
     v_direct = np.array([1.5, 1.75, 0.0, 0.0])
-    assert_allclose(relative_gap(net, TOY_TARGETS, None, v_direct),
+    assert_allclose(relative_gap(net, TOY_TARGETS, v_direct),
                     TOY_RGAP_DIRECT, rtol=1e-14)
-    assert relative_gap(net, TOY_TARGETS, None, TOY_V) <= 1e-12
-    assert relative_gap(net, np.zeros(2), None, np.zeros(4)) == 0.0
+    assert relative_gap(net, TOY_TARGETS, TOY_V) <= 1e-12
+    assert relative_gap(net, np.zeros(2), np.zeros(4)) == 0.0
 
 
 # -- full solves -----------------------------------------------------------------
@@ -112,7 +92,7 @@ def test_solve_tap_reference_equilibrium(net):
     assert_allclose(sol.beckmann, TOY_BECKMANN, rtol=1e-10)
     S = build_structure(net)
     assert_allclose(S.M @ sol.X, S.Gamma @ TOY_TARGETS, atol=1e-12)
-    assert_allclose(S.R @ sol.X, sol.v, atol=1e-12)
+    assert_allclose(aggregate_flows(S, sol.X), sol.v, atol=1e-12)
 
 
 def test_solve_tap_zero_demand(net):
@@ -155,10 +135,6 @@ def test_solve_tap_budget_exhaustion(net):
     sol = solve_tap(net, TOY_TARGETS, tol=1e-30, max_iter=2)
     assert not sol.converged
     assert sol.iterations <= 2
-    with pytest.raises(MaxIterations):
-        require_converged(sol)
-    good = solve_tap(net, TOY_TARGETS, tol=1e-8)
-    assert require_converged(good) is good
 
 
 def test_solve_tap_random_instances_reach_gap():
