@@ -11,8 +11,7 @@ import json
 
 import numpy as np
 
-from odadjust import (IRConfig, eval_F, initial_state, parse_network,
-                      solve_dap, solve_tap)
+from odadjust import IRConfig, eval_F, parse_network, solve_dap, solve_tap
 
 # True demands are (1.5, 1.75); the counts below are the equilibrium flows
 # they induce on links 1 and 2.  The prior estimate is deliberately off.
@@ -62,8 +61,7 @@ def main():
                   (rec.k, rec.i, rec.normC_s, rec.normC_z, rec.pred, rec.ared,
                    rec.theta, "yes" if rec.accepted else "no"))
 
-    result = solve_dap(net, cfg=IRConfig(),
-                       s0=initial_state(net, d_prior), sink=sink)
+    result = solve_dap(net, cfg=IRConfig(), d0=d_prior, sink=sink)
     print("(%d attempts logged in total)" % len(records))
 
     print("\nstatus: %s after %d outer iterations"

@@ -12,9 +12,8 @@ import json
 
 import numpy as np
 
-from odadjust import (IRConfig, StatePoint, build_structure, eval_C, eval_F,
-                      initial_state, parse_network, project, recover_multipliers,
-                      solve_tap, tangent_space)
+from odadjust import (IRConfig, build_structure, eval_C, eval_F, parse_network,
+                      project, recover_multipliers, solve_tap, tangent_space)
 from odadjust.driver import cauchy_direction, restore
 
 DOC = {
@@ -41,29 +40,32 @@ def main():
     net = parse_network(json.dumps(DOC))
     S = build_structure(net)
     cfg = IRConfig()
+    # views of the blocks (d, X, alpha, beta) of a flat state vector
+    sl_d, sl_x, _, sl_b = S.slices
 
     # start with demands only; flows and multipliers still zero
-    s = initial_state(net)
-    r0 = eval_C(net, S, s).pack()
-    print("raw start  d = %s,  |C| = %.3e" % (s.d, np.abs(r0).max()))
+    s = np.zeros(S.state_dim)
+    s[sl_d] = net.target_demands
+    r0 = eval_C(net, S, s)
+    print("raw start  d = %s,  |C| = %.3e" % (s[sl_d], np.abs(r0).max()))
 
     # --- restoration phase -------------------------------------------------
     # equilibrium flows for the current demands, then multipliers that make
     # the stationarity rows vanish: alpha from shortest-path potentials,
     # beta as the resulting nonnegative slack
-    z = restore(net, S, s, cfg)
-    rz = eval_C(net, S, z).pack()
+    z = restore(net, S, s[sl_d], cfg)
+    rz = eval_C(net, S, z)
     print("\nafter restoration:")
     print("  |C(z)| = %.3e  (max over %d rows)" % (np.abs(rz).max(), rz.size))
     print("  aggregate flows %s" %
-          np.round(z.X.reshape(net.n_commodities, net.n_links).sum(axis=0), 6))
+          np.round(z[sl_x].reshape(net.n_commodities, net.n_links).sum(axis=0), 6))
     print("  beta >= 0: %s,  complementarity |beta*X| max = %.3e" %
-          (bool(z.beta.min() >= 0.0), np.abs(z.beta * z.X).max()))
+          (bool(z[sl_b].min() >= 0.0), np.abs(z[sl_b] * z[sl_x]).max()))
 
     # the same multipliers can be inspected directly
-    sol = solve_tap(net, z.d, tol=cfg.tap_tol)
+    sol = solve_tap(net, z[sl_d], tol=cfg.tap_tol)
     t = net.link_times(sol.v)
-    alpha, beta = recover_multipliers(net, S, z.d, sol.X, t)
+    alpha, beta = recover_multipliers(net, S, sol.X, t)
     print("  node potentials (commodity 1): %s" %
           np.round(-alpha[:net.n_nodes], 6))
 
@@ -72,19 +74,18 @@ def main():
     # space of the optimality system at z (plus the sign constraints)
     mu = np.zeros(S.n_constraints)
     space = tangent_space(net, S, z)
-    r_tan = cauchy_direction(net, S, z, mu, cfg, space)
-    moved = StatePoint.from_vector(z.pack() + r_tan, S)
+    r_tan = cauchy_direction(net, S, mu, cfg, space)
+    moved = z + r_tan
     print("\nprojected descent direction:")
     print("  |r_tan| = %.6f, demand components %s" %
           (np.linalg.norm(r_tan), np.round(r_tan[:net.n_commodities], 6)))
     print("  misfit F: %.6f at z  ->  %.6f after a unit tangential step" %
-          (eval_F(net, z.d, z.X), eval_F(net, moved.d, moved.X)))
+          (eval_F(net, z[sl_d], z[sl_x]), eval_F(net, moved[sl_d], moved[sl_x])))
 
     # the projection operator itself is exposed for experiments; feeding the
     # current point back returns it unchanged
-    same = project(space, z.pack())
-    print("  projection fixes z: max deviation %.3e" %
-          np.abs(same - z.pack()).max())
+    same = project(space, z)
+    print("  projection fixes z: max deviation %.3e" % np.abs(same - z).max())
 
 
 if __name__ == "__main__":

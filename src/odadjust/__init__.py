@@ -9,15 +9,14 @@ assignment.
 """
 
 from .driver import (DapResult, IRConfig, IterationRecord, STATUS_CONVERGED,
-                     STATUS_MAX_OUTER, STATUS_STALLED, initial_state, solve_dap)
+                     STATUS_MAX_OUTER, STATUS_STALLED, solve_dap)
 from .errors import (DanglingReference, DimensionMismatch, DuplicateId,
                      InfeasibleTheta, InputError, MalformedInput, MaxIterations,
                      NegativeCoefficient, NoCandidate,
                      OdAdjustError, ResidualTooLarge, SolverStalled, TooLarge,
                      Unreachable, UnreachableDestination)
-from .kkt import (ConstraintResidual, StatePoint, eval_C, eval_C_jacobian,
-                  eval_F, eval_F_grad, eval_L, eval_L_grad,
-                  recover_multipliers, tangent_space)
+from .kkt import (eval_C, eval_C_jacobian, eval_F, eval_F_grad, eval_L,
+                  eval_L_grad, recover_multipliers, tangent_space)
 from .network import (Commodity, CostFunction, Link, Network,
                       StructureMatrices, aggregate_flows, build_structure,
                       parse_network, serialize_network)
@@ -28,12 +27,12 @@ from .tap import (ShortestPathResult, TapSolution, beckmann_objective,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Commodity", "ConstraintResidual", "CostFunction", "DapResult",
+    "Commodity", "CostFunction", "DapResult",
     "IRConfig", "IterationRecord", "Link", "Network", "ShortestPathResult",
-    "StatePoint", "StructureMatrices", "TangentSpace", "TapSolution",
+    "StructureMatrices", "TangentSpace", "TapSolution",
     "aggregate_flows", "beckmann_objective",
     "build_structure", "eval_C", "eval_C_jacobian", "eval_F", "eval_F_grad",
-    "eval_L", "eval_L_grad", "initial_state",
+    "eval_L", "eval_L_grad",
     "min_norm_solve", "parse_network", "project", "recover_multipliers",
     "relative_gap", "serialize_network", "solve_dap",
     "solve_tap", "tangent_space",

@@ -1,6 +1,7 @@
 """Command line front end: solve / tap / check over a JSON network document.
 
-Exit codes: 0 success, 1 input problem, 2 solver did not converge.  All numbers
+Exit codes: 0 success, 1 input or usage problem, 2 solver did not converge.
+A failed solve still writes its report, with status "error".  All numbers
 written to reports and logs carry 9 significant digits so repeated runs produce
 byte-identical output.
 """
@@ -15,7 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .driver import STATUS_CONVERGED, IRConfig, IterationRecord, initial_state, solve_dap
+from .driver import STATUS_CONVERGED, IRConfig, IterationRecord, solve_dap
 from .errors import InputError, OdAdjustError
 from .network import build_structure, parse_network
 from .tap import solve_tap
@@ -77,7 +78,8 @@ def _demands(net, values, what):
 
 
 def _load(path):
-    """Network, solver settings and initial demands of a document, all validated."""
+    """Network, solver settings and initial demands (by default the targets) of
+    a document, all validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -88,8 +90,7 @@ def _load(path):
     settings = doc.get("solver", {})
     _config(settings)
     d0 = doc.get("initial_demand")
-    if d0 is not None:
-        d0 = _demands(net, d0, "initial_demand")
+    d0 = net.target_demands if d0 is None else _demands(net, d0, "initial_demand")
     return net, settings, d0
 
 
@@ -134,14 +135,37 @@ def _log_row(rec):
     return "\t".join(row) + "\n"
 
 
+def _write_report(args, report):
+    text_out = json.dumps(report, indent=2)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(text_out + "\n")
+    else:
+        print(text_out)
+
+
 def run_solve(args):
-    """Run the full demand adjustment and emit a JSON report."""
+    """Run the full demand adjustment and emit a JSON report.
+
+    When the solver raises, the report still carries the inputs and settings,
+    with status "error" and the reason, and the error propagates.
+    """
     net, settings, d0 = _load(args.input)
     ircfg = _config({**settings, **_parse_set_overrides(args.set)})
     if args.initial_demand is not None:
         d0 = _demands(net, _parse_demand_string(args.initial_demand),
                       "--initial-demand")
-    s0 = initial_state(net, d0)
+    report = {
+        "input": args.input,
+        "nodes": net.n_nodes,
+        "links": net.n_links,
+        "commodities": net.n_commodities,
+        "eta1": _round9(net.eta1),
+        "eta2": _round9(net.eta2),
+        "target_demand": [_round9(x) for x in net.target_demands],
+        "initial_demand": [_round9(x) for x in d0],
+    }
+    solver = {f.name: getattr(ircfg, f.name) for f in fields(IRConfig)}
 
     log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
@@ -153,8 +177,12 @@ def run_solve(args):
                 log_fh.write(_log_row(rec))
 
         t_start = time.perf_counter()
-        res = solve_dap(net, ircfg, s0=s0, sink=sink)
+        res = solve_dap(net, ircfg, d0=d0, sink=sink)
         wall = time.perf_counter() - t_start
+    except OdAdjustError as exc:
+        _write_report(args, {**report, "status": "error", "reason": str(exc),
+                             "solver": solver})
+        raise
     finally:
         if log_fh:
             log_fh.close()
@@ -165,15 +193,8 @@ def run_solve(args):
     f1 = float(e_obs @ e_obs)
     f2 = float(e_dem @ e_dem)
 
-    report = {
-        "input": args.input,
-        "nodes": net.n_nodes,
-        "links": net.n_links,
-        "commodities": net.n_commodities,
-        "eta1": _round9(net.eta1),
-        "eta2": _round9(net.eta2),
-        "target_demand": [_round9(x) for x in net.target_demands],
-        "initial_demand": [_round9(x) for x in s0.d],
+    _write_report(args, {
+        **report,
         "status": res.status,
         "outer_iterations": res.outer_iterations,
         "inner_attempts": len(res.history),
@@ -184,19 +205,21 @@ def run_solve(args):
         "F2": _round9(f2),
         "objective_check": _round9(net.eta1 * f1 + net.eta2 * f2),
         "wall_time_s": _round9(wall),
-        "solver": {f.name: getattr(ircfg, f.name) for f in fields(IRConfig)},
-    }
-    text_out = json.dumps(report, indent=2)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text_out + "\n")
-    else:
-        print(text_out)
+        "solver": solver,
+    })
     return 0 if res.status == STATUS_CONVERGED else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1); argparse's own code 2 is the
+    solver-failure code here."""
+
+    def error(self, message):
+        raise InputError("%s\n%s" % (message, self.format_usage().rstrip()))
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="odadjust",
         description="Adjust origin-destination demands to observed link flows "
                     "under user equilibrium.")
@@ -226,9 +249,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    run = {"check": run_check, "tap": run_tap, "solve": run_solve}[args.command]
     try:
+        args = _build_parser().parse_args(argv)
+        run = {"check": run_check, "tap": run_tap, "solve": run_solve}[args.command]
         return run(args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -13,8 +13,8 @@ Each outer iteration k:
   7. accept when the actual reduction reaches a tenth of the prediction,
      otherwise shrink the trust box and retry from step 4
 
-State vectors are ordered [d | X | alpha | beta]; multipliers follow the
-residual order [stationarity | conservation | complementarity].
+States are flat vectors laid out by StructureMatrices.slices; multipliers
+follow its residual_slices.
 """
 
 import math
@@ -23,10 +23,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import InfeasibleTheta, MaxIterations, NoCandidate
-from .kkt import (StatePoint, eval_C, eval_F, eval_L, eval_L_grad,
-                  grad_F_state, eval_C_jacobian, recover_multipliers,
-                  tangent_space)
+from .errors import DimensionMismatch, InfeasibleTheta, MaxIterations, NoCandidate
+from .kkt import (eval_C, eval_F, eval_L, eval_L_grad, grad_F_state,
+                  eval_C_jacobian, recover_multipliers, tangent_space)
 from .network import build_structure
 from .projection import min_norm_solve, project
 from .tap import solve_tap
@@ -109,38 +108,32 @@ class DapResult:
     outer_iterations: int = 0
 
 
-def initial_state(net, d0=None):
-    """Canonical start: chosen demands, everything else zero."""
-    d0 = net.target_demands.copy() if d0 is None else np.asarray(d0, dtype=float)
-    c, a, n = net.n_commodities, net.n_links, net.n_nodes
-    return StatePoint(d=d0, X=np.zeros(c * a),
-                      alpha=np.zeros(c * n), beta=np.zeros(c * a))
-
-
 def init_penalty(k, theta_history, omega_schedule):
     """theta_{k,-1} = min(1, min over history) + omega_k, capped at 1."""
     theta_min = min(1.0, min(theta_history))
     return min(1.0, theta_min + omega_schedule(k))
 
 
-def restore(net, S, s, cfg):
-    """Feasibility phase: equilibrium flows for s.d plus certifying multipliers."""
-    sol = solve_tap(net, s.d, tol=cfg.tap_tol, max_iter=cfg.tap_max_iter)
+def restore(net, S, d, cfg):
+    """Feasibility phase: equilibrium flows for demands d plus certifying multipliers."""
+    sol = solve_tap(net, d, tol=cfg.tap_tol, max_iter=cfg.tap_max_iter)
     if not sol.converged:
         raise MaxIterations(
             "restoration assignment stalled at relative gap %.3e" % sol.rgap)
-    t = net.link_times(sol.v)
-    alpha, beta = recover_multipliers(net, S, s.d, sol.X, t)
-    return StatePoint(d=s.d.copy(), X=sol.X, alpha=alpha, beta=beta)
+    alpha, beta = recover_multipliers(net, S, sol.X, net.link_times(sol.v))
+    z = np.empty(S.state_dim)
+    for sl, block in zip(S.slices, (d, sol.X, alpha, beta)):
+        z[sl] = block
+    return z
 
 
-def cauchy_direction(net, S, z, mu, cfg, space):
+def cauchy_direction(net, S, mu, cfg, space):
     """Projected-gradient step of the Lagrangian within the tangent set at z.
 
     space is tangent_space(net, S, z), possibly boxed; its Jacobian gives the
     Lagrangian gradient at z.
     """
-    g = grad_F_state(net, S, z) + space.J.T @ mu
+    g = grad_F_state(net, S, space.z) + space.J.T @ mu
     return project(space, space.z - cfg.eta * g) - space.z
 
 
@@ -151,7 +144,7 @@ def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
     return close and flat
 
 
-def trial_multipliers(net, S, v, mu_k, M_bound):
+def trial_multipliers(net, S, v, M_bound):
     """argmin_mu |grad F(v) + C'(v)^T mu|, minimum norm, clipped to the bound."""
     g = grad_F_state(net, S, v)
     Jt = eval_C_jacobian(net, S, v).T
@@ -185,22 +178,20 @@ def accept_step(ared, pred):
     return ared >= 0.1 * pred
 
 
-def find_candidate(net, S, z, mu, r_tan, delta, cfg, space):
-    """Optimization phase: a point of the boxed tangent set that does at least
-    as well as the broken Cauchy point in the Lagrangian.
+def find_candidate(net, S, mu, r_tan, cfg, space):
+    """Optimization phase: a point of the boxed tangent set around space.z that
+    does at least as well as the broken Cauchy point in the Lagrangian.
 
     Runs projected gradient on F (its projected direction is a descent
     direction for the Lagrangian on the tangent set) and returns the first
     trial whose Lagrangian passes the decrease test; the Cauchy point itself is
-    the fallback and always passes.
+    the fallback and always passes.  r_tan must be nonzero.
     """
-    zvec = z.pack()
+    zvec, delta = space.z, space.box_radius
     rt2 = float(np.linalg.norm(r_tan))
-    if rt2 <= 1e-14 * (1.0 + float(np.linalg.norm(zvec))):
-        return z
 
     def L_of(vec):
-        return eval_L(net, S, StatePoint.from_vector(vec, S), mu)
+        return eval_L(net, S, vec, mu)
 
     t_break = min(1.0, delta / rt2)
     cauchy_vec = zvec + t_break * r_tan
@@ -212,12 +203,11 @@ def find_candidate(net, S, z, mu, r_tan, delta, cfg, space):
     cur = zvec
     L_cur = L_z
     for _ in range(cfg.inner_iter_cap):
-        sp_cur = StatePoint.from_vector(cur, S)
-        g_f = grad_F_state(net, S, sp_cur)
+        g_f = grad_F_state(net, S, cur)
         r_v = project(space, cur - g_f) - cur
         if float(np.linalg.norm(r_v)) < cfg.inner_gtol:
             break
-        g_l = eval_L_grad(net, S, sp_cur, mu)
+        g_l = eval_L_grad(net, S, cur, mu)
         if float(r_v @ g_l) >= 0.0:
             break                      # descent property lost to roundoff
         step = 1.0
@@ -227,7 +217,7 @@ def find_candidate(net, S, z, mu, r_tan, delta, cfg, space):
             L_trial = L_of(trial)
             points += 1
             if L_trial <= bound:
-                return StatePoint.from_vector(trial, S)
+                return trial
             if L_trial < L_cur:
                 cur, L_cur = trial, L_trial
                 moved = True
@@ -237,19 +227,19 @@ def find_candidate(net, S, z, mu, r_tan, delta, cfg, space):
             break
 
     if L_cauchy <= bound:
-        return StatePoint.from_vector(cauchy_vec, S)
+        return cauchy_vec
     raise NoCandidate("no point passed the decrease test in the current box")
 
 
-def solve_dap(net, cfg=None, s0=None, mu0=None, sink=None):
+def solve_dap(net, cfg=None, d0=None, sink=None):
     """Adjust demands to observations subject to user equilibrium.
 
     Parameters
     ----------
     net : Network with observations and target demands
     cfg : IRConfig, defaults used when omitted
-    s0 : StatePoint start, defaults to (target demands, 0, 0, 0)
-    mu0 : initial multipliers, defaults to zero
+    d0 : starting demands, defaults to the target demands; the run starts from
+         the state (d0, 0, 0, 0) with zero multipliers
     sink : optional callable fed every IterationRecord as it is produced
 
     Returns a DapResult whose d_final/X_final blocks come from the last
@@ -258,56 +248,56 @@ def solve_dap(net, cfg=None, s0=None, mu0=None, sink=None):
     """
     cfg = cfg or IRConfig()
     S = build_structure(net)
-    s = s0.copy() if s0 is not None else initial_state(net)
-    if s.max_bound_violation() > 1e-10:
-        raise ValueError("initial state violates the sign constraints")
-    mu = (np.zeros(S.n_constraints) if mu0 is None
-          else np.asarray(mu0, dtype=float).copy())
+    sl_d, sl_x, _, _ = S.slices
+    d0 = net.target_demands if d0 is None else np.asarray(d0, dtype=float)
+    if d0.shape != (S.n_commodities,):
+        raise DimensionMismatch("expected %d initial demands, got %r"
+                                % (S.n_commodities, d0.shape))
+    if not np.all(np.isfinite(d0)) or np.any(d0 < 0.0):
+        raise ValueError("initial demands must be finite and nonnegative")
+    s = np.zeros(S.state_dim)
+    s[sl_d] = d0
+    mu = np.zeros(S.n_constraints)
 
     theta_hist = [cfg.theta_init]
     delta_prev = cfg.delta0
     history = []
     status = STATUS_MAX_OUTER
-    z = None
-    outer_done = 0
 
     for k in range(cfg.max_outer):
         theta_cur = init_penalty(k, theta_hist, cfg.omega)
-        z = restore(net, S, s, cfg)
-        outer_done = k + 1
+        z = restore(net, S, s[sl_d], cfg)
 
-        svec = s.pack()
-        zvec = z.pack()
         space = tangent_space(net, S, z)
-        r_tan = cauchy_direction(net, S, z, mu, cfg, space)
-        if check_stop(svec, zvec, r_tan, cfg.eps1, cfg.eps2):
+        r_tan = cauchy_direction(net, S, mu, cfg, space)
+        if check_stop(s, z, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED
             break
 
-        normC_s = float(np.linalg.norm(eval_C(net, S, s).pack()))
-        normC_z = float(np.linalg.norm(eval_C(net, S, z).pack()))
+        normC_s = float(np.linalg.norm(eval_C(net, S, s)))
+        normC_z = float(np.linalg.norm(eval_C(net, S, z)))
         L_s = eval_L(net, S, s, mu)
         rt_norm = float(np.linalg.norm(r_tan))
         delta = max(cfg.delta_min, delta_prev)
 
         accepted = False
         for i in range(cfg.max_inner):
-            if rt_norm <= 1e-14 * (1.0 + float(np.linalg.norm(zvec))):
+            if rt_norm <= 1e-14 * (1.0 + float(np.linalg.norm(z))):
                 v, mu_trial = z, mu.copy()
             else:
-                v = find_candidate(net, S, z, mu, r_tan, delta, cfg,
+                v = find_candidate(net, S, mu, r_tan, cfg,
                                    replace(space, box_radius=delta))
-                mu_trial = trial_multipliers(net, S, v, mu, cfg.M_bound)
+                mu_trial = trial_multipliers(net, S, v, cfg.M_bound)
 
             L_v_k = eval_L(net, S, v, mu)
-            a = L_s - L_v_k - float(eval_C(net, S, z).pack() @ (mu_trial - mu))
+            a = L_s - L_v_k - float(eval_C(net, S, z) @ (mu_trial - mu))
             b = normC_s - normC_z
             try:
                 theta_cur, pred = choose_theta(a, b, theta_cur)
                 ared = (theta_cur * (L_s - eval_L(net, S, v, mu_trial))
                         + (1.0 - theta_cur) * (normC_s
                                                - float(np.linalg.norm(
-                                                   eval_C(net, S, v).pack()))))
+                                                   eval_C(net, S, v)))))
                 ok = accept_step(ared, pred)
             except InfeasibleTheta:
                 pred = theta_cur * a + (1.0 - theta_cur) * b
@@ -317,7 +307,7 @@ def solve_dap(net, cfg=None, s0=None, mu0=None, sink=None):
             rec = IterationRecord(k=k, i=i, normC_s=normC_s, normC_z=normC_z,
                                   L_s=L_s, L_v=L_v_k, theta=theta_cur,
                                   delta=delta, pred=pred, ared=ared,
-                                  accepted=ok, F_value=eval_F(net, v.d, v.X),
+                                  accepted=ok, F_value=eval_F(net, v[sl_d], v[sl_x]),
                                   rtan_norm=rt_norm)
             history.append(rec)
             if sink is not None:
@@ -338,9 +328,9 @@ def solve_dap(net, cfg=None, s0=None, mu0=None, sink=None):
             status = STATUS_STALLED
             break
 
-    d_final = z.d.copy() if z is not None else s.d.copy()
-    X_final = z.X.copy() if z is not None else s.X.copy()
+    # max_outer >= 1, so z is the last restored point and k the last outer step
+    d_final, X_final = z[sl_d].copy(), z[sl_x].copy()
     return DapResult(d_final=d_final, X_final=X_final,
                      F_final=eval_F(net, d_final, X_final), status=status,
                      history=history, mu_final=mu.copy(),
-                     outer_iterations=outer_done)
+                     outer_iterations=k + 1)

@@ -14,8 +14,6 @@ user equilibrium for every commodity simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -25,50 +23,13 @@ from .projection import TangentSpace
 from .tap import _dijkstra
 
 
-@dataclass
-class StatePoint:
-    """One point of the lifted variable space, kept in named blocks."""
-
-    d: np.ndarray
-    X: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def pack(self):
-        return np.concatenate([self.d, self.X, self.alpha, self.beta])
-
-    @classmethod
-    def from_vector(cls, vec, S):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (S.state_dim,):
-            raise DimensionMismatch("expected state vector of length %d, got %r"
-                                    % (S.state_dim, vec.shape))
-        sl_d, sl_x, sl_a, sl_b = S.slices
-        return cls(d=vec[sl_d].copy(), X=vec[sl_x].copy(),
-                   alpha=vec[sl_a].copy(), beta=vec[sl_b].copy())
-
-    def copy(self):
-        return StatePoint(self.d.copy(), self.X.copy(),
-                          self.alpha.copy(), self.beta.copy())
-
-    def max_bound_violation(self):
-        """How far the sign-constrained blocks dip below zero."""
-        worst = 0.0
-        for block in (self.d, self.X, self.beta):
-            if block.size:
-                worst = max(worst, float(-block.min()))
-        return worst
-
-
-@dataclass
-class ConstraintResidual:
-    stationarity: np.ndarray
-    conservation: np.ndarray
-    complementarity: np.ndarray
-
-    def pack(self):
-        return np.concatenate([self.stationarity, self.conservation,
-                               self.complementarity])
+def _blocks(S, s):
+    """Views (d, X, alpha, beta) of a flat state vector, laid out by S.slices."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (S.state_dim,):
+        raise DimensionMismatch("expected state vector of length %d, got %r"
+                                % (S.state_dim, s.shape))
+    return tuple(s[sl] for sl in S.slices)
 
 
 def eval_F(net, d, X):
@@ -94,27 +55,31 @@ def eval_F_grad(net, d, X):
 
 
 def grad_F_state(net, S, s):
-    """eval_F gradient embedded in the full state layout."""
-    g_d, g_X = eval_F_grad(net, s.d, s.X)
-    return np.concatenate([g_d, g_X,
-                           np.zeros(S.n_commodities * S.n_nodes),
-                           np.zeros(S.n_commodities * S.n_links)])
+    """eval_F gradient at the flat state s, zero on alpha and beta."""
+    d, X, _, _ = _blocks(S, s)
+    sl_d, sl_x, _, _ = S.slices
+    g = np.zeros(S.state_dim)
+    g[sl_d], g[sl_x] = eval_F_grad(net, d, X)
+    return g
 
 
 def eval_C(net, S, s):
-    """Residual of the lifted equilibrium system at a state point."""
-    v = aggregate_flows(S, s.X)
-    t = net.link_times(v)
-    stationarity = np.tile(t, S.n_commodities) + S.M.T @ s.alpha - s.beta
-    conservation = S.Gamma @ s.d - S.M @ s.X
-    complementarity = s.beta * s.X
-    return ConstraintResidual(stationarity, conservation, complementarity)
+    """Flat residual of the lifted equilibrium system at the flat state s.
+
+    Its blocks are read through S.residual_slices.
+    """
+    d, X, alpha, beta = _blocks(S, s)
+    t = net.link_times(aggregate_flows(S, X))
+    return np.concatenate([np.tile(t, S.n_commodities) + S.M.T @ alpha - beta,
+                           S.Gamma @ d - S.M @ X,
+                           beta * X])
 
 
 def eval_C_jacobian(net, S, s):
     """Exact Jacobian of eval_C at s, sparse, rows and columns in block order."""
     c, a = S.n_commodities, S.n_links
-    v = aggregate_flows(S, s.X)
+    _, X, _, beta = _blocks(S, s)
+    v = aggregate_flows(S, X)
     # every commodity pair sees the same diagonal of link-time derivatives
     Tp = sp.kron(np.ones((c, c)), sp.diags(net.link_time_derivs(v)), format="csr")
     I = sp.identity(c * a, format="csr")
@@ -123,7 +88,7 @@ def eval_C_jacobian(net, S, s):
         [
             [zero_d, Tp, S.M.T, -I],
             [S.Gamma, -S.M, None, None],
-            [None, sp.diags(s.beta), None, sp.diags(s.X)],
+            [None, sp.diags(beta), None, sp.diags(X)],
         ],
         format="csr",
     )
@@ -136,7 +101,8 @@ def eval_L(net, S, s, mu):
     if mu.shape != (S.n_constraints,):
         raise DimensionMismatch("expected %d multipliers, got %r"
                                 % (S.n_constraints, mu.shape))
-    return eval_F(net, s.d, s.X) + float(eval_C(net, S, s).pack() @ mu)
+    d, X, _, _ = _blocks(S, s)
+    return eval_F(net, d, X) + float(eval_C(net, S, s) @ mu)
 
 
 def eval_L_grad(net, S, s, mu):
@@ -145,7 +111,7 @@ def eval_L_grad(net, S, s, mu):
     return grad_F_state(net, S, s) + eval_C_jacobian(net, S, s).T @ mu
 
 
-def recover_multipliers(net, S, d, X, link_times):
+def recover_multipliers(net, S, X, link_times):
     """Multipliers (alpha, beta) certifying an equilibrium flow X.
 
     With costs frozen at t = link_times, per-commodity node potentials are the
@@ -191,10 +157,4 @@ def tangent_space(net, S, z):
     The optimization phase boxes it with dataclasses.replace(space,
     box_radius=delta), which reuses the Jacobian.
     """
-    lower = np.concatenate([
-        np.zeros(S.n_commodities),
-        np.zeros(S.n_commodities * S.n_links),
-        np.full(S.n_commodities * S.n_nodes, -np.inf),
-        np.zeros(S.n_commodities * S.n_links),
-    ])
-    return TangentSpace(z=z.pack(), J=eval_C_jacobian(net, S, z), lower=lower)
+    return TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)

@@ -311,6 +311,14 @@ class StructureMatrices:
             slice(c * a + c * n, 2 * c * a + c * n),
         )
 
+    @property
+    def lower(self):
+        """Read-only lower bounds of the flat state: 0 on d, X and beta, -inf on alpha."""
+        lower = np.zeros(self.state_dim)
+        lower[self.slices[2]] = -np.inf
+        lower.flags.writeable = False
+        return lower
+
 
 def build_structure(net):
     """Assemble the sparse structure matrices of a network.
@@ -362,6 +370,13 @@ def _is(val, kind):
     return isinstance(val, kind) and not isinstance(val, bool)
 
 
+def _whole_number(text):
+    """A JSON integer literal; every number becomes a float, so it must fit one."""
+    if np.isinf(float(text)):
+        raise MalformedInput("whole number %s... is too large for a float" % text[:12])
+    return int(text)
+
+
 def _require(doc, key, kind, where):
     if key not in doc:
         raise MalformedInput("missing key %r in %s" % (key, where))
@@ -379,7 +394,7 @@ def parse_network(text):
     ignored so documents can carry solver settings alongside the instance.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_whole_number)
     except json.JSONDecodeError as exc:
         raise MalformedInput("invalid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):

@@ -70,6 +70,25 @@ def toy_file(tmp_path):
     return str(path)
 
 
+def state_vector(S, d, X, alpha, beta):
+    """Flat state with the given blocks, laid out by S.slices."""
+    s = np.empty(S.state_dim)
+    for sl, block in zip(S.slices, (d, X, alpha, beta)):
+        s[sl] = block
+    return s
+
+
+def random_state(rng, S):
+    """Random flat state: d, X and beta nonnegative, alpha free."""
+    return state_vector(
+        S,
+        rng.uniform(0.5, 3.0, size=S.n_commodities),
+        rng.uniform(0.0, 2.0, size=S.n_commodities * S.n_links),
+        rng.normal(size=S.n_commodities * S.n_nodes),
+        rng.uniform(0.0, 1.0, size=S.n_commodities * S.n_links),
+    )
+
+
 def random_network(rng):
     """Small strongly connected instance with strictly increasing costs.
 

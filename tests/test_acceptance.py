@@ -16,12 +16,12 @@ from conftest import (
     TOY_TARGETS,
     TOY_V,
     random_network,
+    random_state,
     random_tangent_instance,
     toy_document,
 )
 from odadjust import (
     IRConfig,
-    StatePoint,
     build_structure,
     eval_C,
     eval_C_jacobian,
@@ -32,7 +32,7 @@ from odadjust import (
     solve_tap,
 )
 from odadjust.cli import main as cli_main
-from odadjust.driver import STATUS_CONVERGED, initial_state, restore
+from odadjust.driver import STATUS_CONVERGED, restore
 from odadjust.kkt import eval_F, grad_F_state
 from odadjust.oracles import fd_gradient, oracle_project, oracle_tap
 from odadjust.projection import project
@@ -59,7 +59,7 @@ def _adjustment_runs():
         net = _toy()
         for d0 in ((1.0, 2.0), (1.0, 1.5), (1.8, 2.0)):
             t0 = time.perf_counter()
-            res = solve_dap(net, s0=initial_state(net, np.array(d0)))
+            res = solve_dap(net, d0=d0)
             _RUNS[d0] = (res, time.perf_counter() - t0)
     return _RUNS
 
@@ -89,7 +89,7 @@ def test_02_adjustment_outcome_band():
 
 def test_03_flat_start_termination():
     net = _toy()
-    res = solve_dap(net, s0=initial_state(net, np.array([1.0, 1.0])))
+    res = solve_dap(net, d0=[1.0, 1.0])
     ok = res.status == STATUS_CONVERGED and res.F_final <= 0.03
     _report(ok, "[3] flat start (1,1): %s via projected-gradient test, F %.1e"
             % (res.status, res.F_final))
@@ -104,10 +104,11 @@ def test_04_restoration_quality():
     beta_ok = True
     for _ in range(20):
         d = rng.uniform(0.5, 3.0, size=2)
-        z = restore(net, S, initial_state(net, d), cfg)
-        worst_c = max(worst_c, float(np.abs(eval_C(net, S, z).pack()).max()))
-        beta_ok = beta_ok and bool(np.all(z.beta >= 0.0))
-        slip = abs(float(z.beta @ z.X)) / (1.0 + np.abs(z.X).sum())
+        z = restore(net, S, d, cfg)
+        worst_c = max(worst_c, float(np.abs(eval_C(net, S, z)).max()))
+        X, beta = z[S.slices[1]], z[S.slices[3]]
+        beta_ok = beta_ok and bool(np.all(beta >= 0.0))
+        slip = abs(float(beta @ X)) / (1.0 + np.abs(X).sum())
         worst_slip = max(worst_slip, slip)
     ok = worst_c <= 1e-6 and beta_ok and worst_slip <= 1e-6
     _report(ok, "[4] restoration on 20 random demands: worst residual %.1e, "
@@ -136,32 +137,26 @@ def test_05_assignment_matches_oracle():
 
 def _gradient_case(net, rng):
     S = build_structure(net)
-    s = StatePoint(
-        d=rng.uniform(0.5, 3.0, size=S.n_commodities),
-        X=rng.uniform(0.0, 2.0, size=S.n_commodities * S.n_links),
-        alpha=rng.normal(size=S.n_commodities * S.n_nodes),
-        beta=rng.uniform(0.0, 1.0, size=S.n_commodities * S.n_links),
-    )
+    s = random_state(rng, S)
     mu = rng.normal(size=S.n_constraints)
 
     g_f = grad_F_state(net, S, s)
     fd_f = fd_gradient(
-        lambda vec: eval_F(net, vec[S.slices[0]], vec[S.slices[1]]), s.pack())
+        lambda vec: eval_F(net, vec[S.slices[0]], vec[S.slices[1]]), s)
     rel_f = np.abs(g_f - fd_f).max() / max(1.0, np.abs(g_f).max())
 
     g_l = eval_L_grad(net, S, s, mu)
     fd_l = fd_gradient(
-        lambda vec: eval_L(net, S, StatePoint.from_vector(vec, S), mu),
-        s.pack())
+        lambda vec: eval_L(net, S, vec, mu), s)
     rel_l = np.abs(g_l - fd_l).max() / max(1.0, np.abs(g_l).max())
 
     J = eval_C_jacobian(net, S, s)
-    c0 = eval_C(net, S, s).pack()
+    c0 = eval_C(net, S, s)
     w = rng.normal(size=S.state_dim)
     w /= np.linalg.norm(w)
 
     def residual(h):
-        c1 = eval_C(net, S, StatePoint.from_vector(s.pack() + h * w, S)).pack()
+        c1 = eval_C(net, S, s + h * w)
         return float(np.linalg.norm(c1 - c0 - h * (J @ w)))
 
     r1, r2 = residual(1e-3), residual(5e-4)

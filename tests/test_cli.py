@@ -29,7 +29,7 @@ def _input_error(argv, capsys):
 
 # the values the mutation sweep puts in place of each document leaf
 LEAF_VALUES = (None, "x", [], {}, float("nan"), float("inf"), float("-inf"),
-               -1, True, 2.5)
+               -1, True, 2.5, 10**400)
 
 
 def _leaf_paths(node, path=()):
@@ -70,6 +70,13 @@ def test_check_rejects_bad_documents(tmp_path, capsys):
         ("solver", None, {"max_outer": True}),
         ("solver", None, [1, 2]),
         ("initial_demand", None, ["a", "b"]),
+        # whole numbers too large for a float
+        ("links", 0, dict(TOY_DOC["links"][0], coeffs=[10**400, 1.0])),
+        ("commodities", 0, dict(TOY_DOC["commodities"][0], target=10**400)),
+        ("observations", 0, dict(TOY_DOC["observations"][0], flow=10**400)),
+        ("weights", "eta1", 10**400),
+        ("initial_demand", None, [10**400, 1.0]),
+        ("solver", None, {"eta": 10**400}),
     ]:
         doc = toy_document()
         if where is None:
@@ -99,6 +106,25 @@ def test_check_survives_leaf_mutations(tmp_path, capsys):
             assert (code == 1) == err.startswith("error:"), (path, value, err)
             codes.append(code)
     assert len(codes) >= 200 and 0 in codes and 1 in codes
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 1),                                         # no subcommand
+    (["check"], 1),                                  # missing --input
+    (["tap", "--input", "TOY", "--tol", "abc"], 1),
+    (["check", "--input", "TOY", "--bogus"], 1),     # unknown option
+    (["--help"], 0),
+    (["solve", "--help"], 0),
+])
+def test_usage_errors_exit_1(argv, code, toy_file, capsys):
+    argv = [toy_file if a == "TOY" else a for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith("error:") == (code == 1), err
 
 
 # -- tap ------------------------------------------------------------------------
@@ -166,6 +192,30 @@ def test_solve_report_content(toy_file, tmp_path, capsys):
     assert report["solver"]["max_outer"] == 200
     assert report["wall_time_s"] >= 0.0
     assert report["inner_attempts"] >= report["outer_iterations"] - 1
+
+
+def test_solve_failure_still_writes_report(toy_file, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    log_path = tmp_path / "trace.tsv"
+    code = main(["solve", "--input", toy_file, "--report", str(report_path),
+                 "--log", str(log_path), "--initial-demand", "1,2",
+                 "--set", "tap_max_iter=1", "--set", "tap_tol=1e-30"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "restoration" in err
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["status"] == "error"
+    assert report["reason"] in err
+    assert report["input"] == toy_file
+    assert (report["nodes"], report["links"], report["commodities"]) == (3, 4, 2)
+    assert (report["eta1"], report["eta2"]) == (0.5, 0.5)
+    assert report["target_demand"] == [1.5, 1.75]
+    assert report["initial_demand"] == [1.0, 2.0]
+    assert report["solver"]["tap_max_iter"] == 1
+    assert report["solver"]["tap_tol"] == 1e-30
+    assert "d_final" not in report
+    names = [f.name for f in fields(IterationRecord)]
+    assert log_path.read_text(encoding="utf-8") == "\t".join(names) + "\n"
 
 
 def test_solve_initial_demand_flag(toy_file, tmp_path):

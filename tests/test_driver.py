@@ -12,7 +12,6 @@ from odadjust import (
     DapResult,
     IRConfig,
     IterationRecord,
-    StatePoint,
     build_structure,
     eval_C,
     eval_F,
@@ -29,11 +28,10 @@ from odadjust.driver import (
     choose_theta,
     find_candidate,
     init_penalty,
-    initial_state,
     restore,
     trial_multipliers,
 )
-from odadjust.errors import InfeasibleTheta, MaxIterations
+from odadjust.errors import DimensionMismatch, InfeasibleTheta, MaxIterations
 from odadjust.kkt import eval_L, tangent_space
 import odadjust.driver as driver_module
 
@@ -73,12 +71,17 @@ def test_init_penalty_schedule():
     assert init_penalty(4, [0.5, 0.2, 0.3], cfg.omega) == pytest.approx(0.20625)
 
 
-def test_initial_state_defaults(net):
-    s = initial_state(net)
-    assert_array_equal(s.d, TOY_TARGETS)
-    assert not s.X.any() and not s.alpha.any() and not s.beta.any()
-    s2 = initial_state(net, np.array([1.0, 2.0]))
-    assert_array_equal(s2.d, [1.0, 2.0])
+def test_solve_dap_start_state(net, S):
+    # no d0 means the target demands
+    res, res_t = solve_dap(net), solve_dap(net, d0=TOY_TARGETS)
+    assert_array_equal(res.d_final, res_t.d_final)
+    assert res.history == res_t.history
+    # the first record is taken at (d0, 0, 0, 0) with zero multipliers
+    rec = solve_dap(net, IRConfig(max_outer=1), d0=[1.0, 2.0]).history[0]
+    s = np.zeros(S.state_dim)
+    s[S.slices[0]] = [1.0, 2.0]
+    assert rec.normC_s == float(np.linalg.norm(eval_C(net, S, s)))
+    assert rec.L_s == eval_F(net, [1.0, 2.0], np.zeros(8))
 
 
 # -- penalty weight -------------------------------------------------------------
@@ -111,27 +114,27 @@ def test_accept_step_threshold():
 
 def test_restore_reaches_feasibility(net, S):
     cfg = IRConfig()
-    z = restore(net, S, initial_state(net), cfg)
-    assert np.abs(eval_C(net, S, z).pack()).max() <= 1e-8
-    assert_array_equal(z.d, TOY_TARGETS)
-    assert_allclose(z.X, TOY_X, atol=1e-6)
-    assert np.all(z.beta >= 0.0)
+    z = restore(net, S, TOY_TARGETS, cfg)
+    assert np.abs(eval_C(net, S, z)).max() <= 1e-8
+    assert_array_equal(z[S.slices[0]], TOY_TARGETS)
+    assert_allclose(z[S.slices[1]], TOY_X, atol=1e-6)
+    assert np.all(z[S.slices[3]] >= 0.0)
 
 
 def test_restore_random_demands(net, S):
     cfg = IRConfig()
     rng = np.random.default_rng(31)
     for _ in range(5):
-        s = initial_state(net, rng.uniform(0.5, 3.0, size=2))
-        z = restore(net, S, s, cfg)
-        assert np.abs(eval_C(net, S, z).pack()).max() <= 1e-6
-        assert_array_equal(z.d, s.d)
+        d = rng.uniform(0.5, 3.0, size=2)
+        z = restore(net, S, d, cfg)
+        assert np.abs(eval_C(net, S, z)).max() <= 1e-6
+        assert_array_equal(z[S.slices[0]], d)
 
 
 def test_restore_propagates_budget_exhaustion(net, S):
     cfg = IRConfig(tap_tol=1e-30, tap_max_iter=1)
     with pytest.raises(MaxIterations):
-        restore(net, S, initial_state(net, np.array([1.0, 2.0])), cfg)
+        restore(net, S, np.array([1.0, 2.0]), cfg)
 
 
 # -- inner machinery ---------------------------------------------------------------
@@ -150,24 +153,24 @@ def test_cauchy_direction_vanishes_at_optimum(net, S):
     cfg = IRConfig()
     # restoring at the demand optimum gives an equilibrium matching the
     # observations, so the projected objective gradient nearly vanishes
-    z = restore(net, S, initial_state(net), cfg)
+    z = restore(net, S, TOY_TARGETS, cfg)
     mu = np.zeros(S.n_constraints)
-    r = cauchy_direction(net, S, z, mu, cfg, tangent_space(net, S, z))
+    r = cauchy_direction(net, S, mu, cfg, tangent_space(net, S, z))
     assert np.abs(r).max() <= 1e-5
 
 
 def test_cauchy_direction_descends_away_from_optimum(net, S):
     cfg = IRConfig()
-    z = restore(net, S, initial_state(net, np.array([1.0, 2.0])), cfg)
+    z = restore(net, S, np.array([1.0, 2.0]), cfg)
     mu = np.zeros(S.n_constraints)
-    r = cauchy_direction(net, S, z, mu, cfg, tangent_space(net, S, z))
+    r = cauchy_direction(net, S, mu, cfg, tangent_space(net, S, z))
     assert np.abs(r).max() > 1e-3
 
 
 def test_trial_multipliers_bounded(net, S):
     cfg = IRConfig()
-    z = restore(net, S, initial_state(net, np.array([1.0, 2.0])), cfg)
-    mu = trial_multipliers(net, S, z, np.zeros(S.n_constraints), cfg.M_bound)
+    z = restore(net, S, np.array([1.0, 2.0]), cfg)
+    mu = trial_multipliers(net, S, z, cfg.M_bound)
     assert mu.shape == (S.n_constraints,)
     assert np.all(np.isfinite(mu))
     assert np.abs(mu).max() <= cfg.M_bound
@@ -175,20 +178,19 @@ def test_trial_multipliers_bounded(net, S):
 
 def test_find_candidate_respects_box_and_bound(net, S):
     cfg = IRConfig()
-    z = restore(net, S, initial_state(net, np.array([1.0, 2.0])), cfg)
+    z = restore(net, S, np.array([1.0, 2.0]), cfg)
     mu = np.zeros(S.n_constraints)
     delta = 0.5
     space = replace(tangent_space(net, S, z), box_radius=delta)
-    r_tan = cauchy_direction(net, S, z, mu, cfg, space)
-    v = find_candidate(net, S, z, mu, r_tan, delta, cfg, space)
-    zvec, vvec = z.pack(), v.pack()
-    assert np.abs(vvec - zvec).max() <= delta + 1e-10
+    r_tan = cauchy_direction(net, S, mu, cfg, space)
+    v = find_candidate(net, S, mu, r_tan, cfg, space)
+    assert np.abs(v - z).max() <= delta + 1e-10
     J = space.J.toarray()
-    assert np.abs(J @ (vvec - zvec)).max() <= 1e-8
+    assert np.abs(J @ (v - z)).max() <= 1e-8
     L_z = eval_L(net, S, z, mu)
     rt2 = float(np.linalg.norm(r_tan))
     t_break = min(1.0, delta / rt2)
-    L_cauchy = eval_L(net, S, StatePoint.from_vector(zvec + t_break * r_tan, S), mu)
+    L_cauchy = eval_L(net, S, z + t_break * r_tan, mu)
     bound = max(L_cauchy, L_z - cfg.tau1 * delta, L_z - cfg.tau2)
     assert eval_L(net, S, v, mu) <= bound + 1e-12
 
@@ -204,7 +206,7 @@ def test_solve_dap_from_targets(net):
 
 
 def test_solve_dap_adjusts_perturbed_start(net):
-    res = solve_dap(net, s0=initial_state(net, np.array([1.0, 2.0])))
+    res = solve_dap(net, d0=[1.0, 2.0])
     assert res.status == STATUS_CONVERGED
     assert res.F_final <= 0.01
     assert np.abs(res.d_final - TOY_TARGETS).max() <= 0.05
@@ -213,35 +215,35 @@ def test_solve_dap_adjusts_perturbed_start(net):
 
 
 def test_solve_dap_rejects_infeasible_start(net):
-    bad = initial_state(net, np.array([1.0, 2.0]))
-    bad.X[0] = -1.0
-    with pytest.raises(ValueError):
-        solve_dap(net, s0=bad)
+    for d0 in ([-1.0, 2.0], [np.nan, 2.0]):
+        with pytest.raises(ValueError):
+            solve_dap(net, d0=d0)
+    with pytest.raises(DimensionMismatch):
+        solve_dap(net, d0=[1.0, 2.0, 3.0])
 
 
 def test_solve_dap_outer_budget(net):
     cfg = IRConfig(max_outer=1)
-    res = solve_dap(net, cfg, s0=initial_state(net, np.array([1.0, 2.0])))
+    res = solve_dap(net, cfg, d0=[1.0, 2.0])
     assert res.status == STATUS_MAX_OUTER
     assert res.outer_iterations == 1
     # the returned blocks still come from a restored point
     S = build_structure(net)
-    z = StatePoint.from_vector(
-        np.concatenate([res.d_final, res.X_final,
-                        np.zeros(6), np.zeros(8)]), S)
-    assert np.abs(eval_C(net, S, z).pack()[8:14]).max() <= 1e-10
+    z = np.zeros(S.state_dim)
+    z[S.slices[0]], z[S.slices[1]] = res.d_final, res.X_final
+    assert np.abs(eval_C(net, S, z)[S.residual_slices[1]]).max() <= 1e-10
 
 
 def test_solve_dap_stalls_when_nothing_accepted(net, monkeypatch):
     monkeypatch.setattr(driver_module, "accept_step", lambda ared, pred: False)
-    res = solve_dap(net, s0=initial_state(net, np.array([1.0, 2.0])))
+    res = solve_dap(net, d0=[1.0, 2.0])
     assert res.status == STATUS_STALLED
     assert all(not rec.accepted for rec in res.history)
 
 
 def test_solve_dap_history_bookkeeping(net):
     records = []
-    res = solve_dap(net, s0=initial_state(net, np.array([1.0, 2.0])),
+    res = solve_dap(net, d0=[1.0, 2.0],
                     sink=records.append)
     assert res.status == STATUS_CONVERGED
     assert records == res.history
@@ -264,7 +266,7 @@ def test_solve_dap_history_bookkeeping(net):
 
 def test_solve_dap_penalty_sequence_monotone_with_bump(net):
     cfg = IRConfig()
-    res = solve_dap(net, cfg, s0=initial_state(net, np.array([1.8, 2.0])))
+    res = solve_dap(net, cfg, d0=[1.8, 2.0])
     assert res.status == STATUS_CONVERGED
     prev = cfg.theta_init
     for rec in res.history:

@@ -12,10 +12,11 @@ from conftest import (
     TOY_TARGETS,
     TOY_V,
     TOY_X,
+    random_state,
+    state_vector,
     toy_document,
 )
 from odadjust import (
-    StatePoint,
     build_structure,
     eval_C,
     eval_C_jacobian,
@@ -43,41 +44,27 @@ def S(net):
     return build_structure(net)
 
 
-def _equilibrium_state():
-    return StatePoint(d=TOY_TARGETS.copy(), X=TOY_X.copy(),
-                      alpha=TOY_ALPHA.copy(), beta=TOY_BETA.copy())
+def _equilibrium_state(S):
+    return state_vector(S, TOY_TARGETS, TOY_X, TOY_ALPHA, TOY_BETA)
 
 
-def _random_state(rng, S):
-    return StatePoint(
-        d=rng.uniform(0.5, 3.0, size=S.n_commodities),
-        X=rng.uniform(0.0, 2.0, size=S.n_commodities * S.n_links),
-        alpha=rng.normal(size=S.n_commodities * S.n_nodes),
-        beta=rng.uniform(0.0, 1.0, size=S.n_commodities * S.n_links),
-    )
+# -- state layout -----------------------------------------------------------------
+
+def test_state_lower_bounds(S):
+    lower = S.lower
+    assert lower.shape == (S.state_dim,)
+    free = np.zeros(S.state_dim, dtype=bool)
+    free[S.slices[2]] = True
+    assert np.all(np.isneginf(lower[free]))               # alpha free
+    assert_array_equal(lower[~free], np.zeros(18))        # d, X and beta
+    with pytest.raises(ValueError):
+        lower[0] = 1.0                                    # read-only
 
 
-# -- state points ---------------------------------------------------------------
-
-def test_state_point_pack_round_trip(S):
-    rng = np.random.default_rng(0)
-    s = _random_state(rng, S)
-    again = StatePoint.from_vector(s.pack(), S)
-    assert_array_equal(again.d, s.d)
-    assert_array_equal(again.X, s.X)
-    assert_array_equal(again.alpha, s.alpha)
-    assert_array_equal(again.beta, s.beta)
-    with pytest.raises(DimensionMismatch):
-        StatePoint.from_vector(np.zeros(S.state_dim + 1), S)
-
-
-def test_state_point_bound_violation(S):
-    s = _equilibrium_state()
-    assert s.max_bound_violation() == 0.0
-    s.d[0] = -0.5
-    assert s.max_bound_violation() == 0.5
-    s.alpha[:] = -100.0            # alpha is unconstrained
-    assert s.max_bound_violation() == 0.5
+def test_state_functions_reject_wrong_length(net, S):
+    for fn in (eval_C, eval_C_jacobian, grad_F_state):
+        with pytest.raises(DimensionMismatch):
+            fn(net, S, np.zeros(S.state_dim + 1))
 
 
 # -- objective -------------------------------------------------------------------
@@ -115,50 +102,50 @@ def test_eval_F_grad_closed_form(net):
 def test_eval_F_grad_matches_finite_differences(net, S):
     rng = np.random.default_rng(11)
     for _ in range(5):
-        s = _random_state(rng, S)
+        s = random_state(rng, S)
         g = grad_F_state(net, S, s)
         g_fd = fd_gradient(
-            lambda vec: eval_F(net, vec[S.slices[0]], vec[S.slices[1]]),
-            s.pack())
+            lambda vec: eval_F(net, vec[S.slices[0]], vec[S.slices[1]]), s)
         assert_allclose(g, g_fd, atol=1e-7 * (1.0 + np.abs(g).max()))
 
 
 # -- constraint residual ----------------------------------------------------------
 
 def test_eval_C_vanishes_at_equilibrium(net, S):
-    res = eval_C(net, S, _equilibrium_state())
-    assert_allclose(res.stationarity, np.zeros(8), atol=1e-12)
-    assert_allclose(res.conservation, np.zeros(6), atol=1e-12)
-    assert_allclose(res.complementarity, np.zeros(8), atol=1e-12)
-    packed = res.pack()
-    assert packed.shape == (22,)
+    res = eval_C(net, S, _equilibrium_state(S))
+    assert res.shape == (22,)
+    stationarity, conservation, complementarity = (res[sl] for sl in S.residual_slices)
+    assert_allclose(stationarity, np.zeros(8), atol=1e-12)
+    assert_allclose(conservation, np.zeros(6), atol=1e-12)
+    assert_allclose(complementarity, np.zeros(8), atol=1e-12)
 
 
 def test_eval_C_block_structure(net, S):
-    s = _equilibrium_state()
-    s.beta[0] = 2.0                       # held flow 1.5 on link 1
+    sl_stat, sl_cons, sl_comp = S.residual_slices
+    s = _equilibrium_state(S)
+    s[S.slices[3]][0] = 2.0               # beta on link 1, which holds flow 1.5
     res = eval_C(net, S, s)
-    assert_allclose(res.complementarity[0], 3.0, rtol=1e-15)
+    assert_allclose(res[sl_comp][0], 3.0, rtol=1e-15)
     # stationarity of that same entry picks up the extra beta
-    assert_allclose(res.stationarity[0], -2.0, atol=1e-12)
-    s2 = _equilibrium_state()
-    s2.d[0] += 1.0                        # conservation unbalanced at commodity 1
+    assert_allclose(res[sl_stat][0], -2.0, atol=1e-12)
+    s2 = _equilibrium_state(S)
+    s2[S.slices[0]][0] += 1.0             # conservation unbalanced at commodity 1
     res2 = eval_C(net, S, s2)
-    assert_allclose(res2.conservation[0], -1.0, atol=1e-12)
-    assert_allclose(res2.conservation[1], 1.0, atol=1e-12)
+    assert_allclose(res2[sl_cons][0], -1.0, atol=1e-12)
+    assert_allclose(res2[sl_cons][1], 1.0, atol=1e-12)
 
 
 def test_eval_C_jacobian_matches_taylor(net, S):
     rng = np.random.default_rng(5)
-    s = _random_state(rng, S)
+    s = random_state(rng, S)
     J = eval_C_jacobian(net, S, s)
     assert J.shape == (22, 24)
-    c0 = eval_C(net, S, s).pack()
+    c0 = eval_C(net, S, s)
     w = rng.normal(size=S.state_dim)
     w /= np.linalg.norm(w)
 
     def residual(h):
-        c1 = eval_C(net, S, StatePoint.from_vector(s.pack() + h * w, S)).pack()
+        c1 = eval_C(net, S, s + h * w)
         return np.linalg.norm(c1 - c0 - h * (J @ w))
 
     r1, r2 = residual(1e-3), residual(5e-4)
@@ -175,15 +162,15 @@ def test_eval_C_jacobian_on_cubic_costs():
     )
     S = build_structure(net)
     rng = np.random.default_rng(13)
-    s = StatePoint(d=np.array([2.0]), X=rng.uniform(0.5, 2.0, size=3),
-                   alpha=rng.normal(size=3), beta=rng.uniform(0.0, 1.0, size=3))
+    s = state_vector(S, np.array([2.0]), rng.uniform(0.5, 2.0, size=3),
+                     rng.normal(size=3), rng.uniform(0.0, 1.0, size=3))
     J = eval_C_jacobian(net, S, s)
-    c0 = eval_C(net, S, s).pack()
+    c0 = eval_C(net, S, s)
     w = rng.normal(size=S.state_dim)
     w /= np.linalg.norm(w)
 
     def residual(h):
-        c1 = eval_C(net, S, StatePoint.from_vector(s.pack() + h * w, S)).pack()
+        c1 = eval_C(net, S, s + h * w)
         return np.linalg.norm(c1 - c0 - h * (J @ w))
 
     assert 3.0 <= residual(1e-3) / residual(5e-4) <= 5.0
@@ -193,11 +180,12 @@ def test_eval_C_jacobian_on_cubic_costs():
 
 def test_eval_L_consistency(net, S):
     rng = np.random.default_rng(21)
-    s = _random_state(rng, S)
+    s = random_state(rng, S)
     mu = rng.normal(size=S.n_constraints)
-    expect = eval_F(net, s.d, s.X) + float(eval_C(net, S, s).pack() @ mu)
+    F = eval_F(net, s[S.slices[0]], s[S.slices[1]])
+    expect = F + float(eval_C(net, S, s) @ mu)
     assert_allclose(eval_L(net, S, s, mu), expect, rtol=1e-14)
-    assert eval_L(net, S, s, np.zeros(22)) == eval_F(net, s.d, s.X)
+    assert eval_L(net, S, s, np.zeros(22)) == F
     with pytest.raises(DimensionMismatch):
         eval_L(net, S, s, np.zeros(21))
 
@@ -205,12 +193,11 @@ def test_eval_L_consistency(net, S):
 def test_eval_L_grad_matches_finite_differences(net, S):
     rng = np.random.default_rng(23)
     for _ in range(5):
-        s = _random_state(rng, S)
+        s = random_state(rng, S)
         mu = rng.normal(size=S.n_constraints)
         g = eval_L_grad(net, S, s, mu)
         g_fd = fd_gradient(
-            lambda vec: eval_L(net, S, StatePoint.from_vector(vec, S), mu),
-            s.pack())
+            lambda vec: eval_L(net, S, vec, mu), s)
         assert_allclose(g, g_fd, atol=1e-6 * (1.0 + np.abs(g).max()))
 
 
@@ -218,14 +205,14 @@ def test_eval_L_grad_matches_finite_differences(net, S):
 
 def test_recover_multipliers_at_equilibrium(net, S):
     t = net.link_times(TOY_V)
-    alpha, beta = recover_multipliers(net, S, TOY_TARGETS, TOY_X, t)
+    alpha, beta = recover_multipliers(net, S, TOY_X, t)
     assert_allclose(alpha, TOY_ALPHA, atol=1e-12)
     assert_allclose(beta, TOY_BETA, atol=1e-12)
     assert np.all(beta >= 0.0)
     assert abs(beta @ TOY_X) <= 1e-12
     # the recovered state zeroes the whole optimality system
-    s = StatePoint(d=TOY_TARGETS.copy(), X=TOY_X.copy(), alpha=alpha, beta=beta)
-    assert np.abs(eval_C(net, S, s).pack()).max() <= 1e-12
+    s = state_vector(S, TOY_TARGETS, TOY_X, alpha, beta)
+    assert np.abs(eval_C(net, S, s)).max() <= 1e-12
 
 
 def test_recover_multipliers_rejects_non_equilibrium(net, S):
@@ -235,7 +222,7 @@ def test_recover_multipliers_rejects_non_equilibrium(net, S):
                       0.0, 1.75, 0.0, 0.0])
     t = net.link_times(np.array([0.0, 3.25, 0.0, 1.5]))
     with pytest.raises(ResidualTooLarge):
-        recover_multipliers(net, S, TOY_TARGETS, X_bad, t)
+        recover_multipliers(net, S, X_bad, t)
 
 
 def test_recover_multipliers_with_unreachable_node():
@@ -248,7 +235,7 @@ def test_recover_multipliers_with_unreachable_node():
     S = build_structure(net)
     X = np.array([1.0, 0.0])
     t = net.link_times(X)
-    alpha, beta = recover_multipliers(net, S, np.array([1.0]), X, t)
+    alpha, beta = recover_multipliers(net, S, X, t)
     assert np.all(np.isfinite(alpha))
     assert np.all(beta >= 0.0)
     assert abs(beta @ X) <= 1e-12
@@ -257,9 +244,9 @@ def test_recover_multipliers_with_unreachable_node():
 # -- tangent space -----------------------------------------------------------------
 
 def test_tangent_space_layout(net, S):
-    z = _equilibrium_state()
+    z = _equilibrium_state(S)
     space = tangent_space(net, S, z)
-    assert_array_equal(space.z, z.pack())
+    assert_array_equal(space.z, z)
     assert space.J.shape == (22, 24)
     lower = space.lower
     assert_array_equal(lower[:10], np.zeros(10))          # d and X

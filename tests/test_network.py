@@ -208,6 +208,11 @@ def test_parse_defaults_and_extra_keys():
     lambda d: d["links"][0].__setitem__("coeffs", [float("nan"), 1.0]),
     lambda d: d["links"][0].__setitem__("coeffs", [0.0, float("inf")]),
     lambda d: d["weights"].__setitem__("eta1", float("nan")),
+    # whole numbers too large for a float
+    lambda d: d["links"][0].__setitem__("coeffs", [10**400, 1.0]),
+    lambda d: d["commodities"][0].__setitem__("target", 10**400),
+    lambda d: d["observations"][0].__setitem__("flow", 10**400),
+    lambda d: d["weights"].__setitem__("eta1", 10**400),
 ])
 def test_parse_malformed_documents(mangle):
     doc = toy_document()
