@@ -275,7 +275,8 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             break
 
         normC_s = float(np.linalg.norm(eval_C(net, S, s)))
-        normC_z = float(np.linalg.norm(eval_C(net, S, z)))
+        C_z = eval_C(net, S, z)
+        normC_z = float(np.linalg.norm(C_z))
         L_s = eval_L(net, S, s, mu)
         rt_norm = float(np.linalg.norm(r_tan))
         delta = max(cfg.delta_min, delta_prev)
@@ -289,15 +290,17 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
                                    replace(space, box_radius=delta))
                 mu_trial = trial_multipliers(net, S, v, cfg.M_bound)
 
-            L_v_k = eval_L(net, S, v, mu)
-            a = L_s - L_v_k - float(eval_C(net, S, z) @ (mu_trial - mu))
+            # one residual at v serves both Lagrangians, as eval_L computes them
+            F_v = eval_F(net, v[sl_d], v[sl_x])
+            C_v = eval_C(net, S, v)
+            L_v_k = F_v + float(C_v @ mu)
+            a = L_s - L_v_k - float(C_z @ (mu_trial - mu))
             b = normC_s - normC_z
             try:
                 theta_cur, pred = choose_theta(a, b, theta_cur)
-                ared = (theta_cur * (L_s - eval_L(net, S, v, mu_trial))
+                ared = (theta_cur * (L_s - (F_v + float(C_v @ mu_trial)))
                         + (1.0 - theta_cur) * (normC_s
-                                               - float(np.linalg.norm(
-                                                   eval_C(net, S, v)))))
+                                               - float(np.linalg.norm(C_v))))
                 ok = accept_step(ared, pred)
             except InfeasibleTheta:
                 pred = theta_cur * a + (1.0 - theta_cur) * b
@@ -307,7 +310,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             rec = IterationRecord(k=k, i=i, normC_s=normC_s, normC_z=normC_z,
                                   L_s=L_s, L_v=L_v_k, theta=theta_cur,
                                   delta=delta, pred=pred, ared=ared,
-                                  accepted=ok, F_value=eval_F(net, v[sl_d], v[sl_x]),
+                                  accepted=ok, F_value=F_v,
                                   rtan_norm=rt_norm)
             history.append(rec)
             if sink is not None:
