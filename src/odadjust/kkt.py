@@ -154,7 +154,8 @@ def recover_multipliers(net, S, X, link_times):
 def tangent_space(net, S, z):
     """Linearized feasible set at z: J(w-z)=0 and the sign constraints, no box.
 
-    The optimization phase boxes it with dataclasses.replace(space,
-    box_radius=delta), which reuses the Jacobian.
+    Building it takes one dense SVD of J for its null-space basis.  The
+    optimization phase boxes it with dataclasses.replace(space,
+    box_radius=delta), which reuses the Jacobian and that basis.
     """
     return TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)

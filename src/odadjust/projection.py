@@ -2,21 +2,39 @@
 
 The feasible set is an affine subspace J(w - z) = 0 intersected with lower
 bounds on part of the coordinates and, optionally, an infinity-norm box of
-radius delta around z.  project() runs a primal active-set method on the bound
-constraints; each equality-constrained step is a minimum-norm least-squares
-solve, so rank-deficient J (duplicated constraints, zero rows) is handled
-without fuss.  Anti-cycling follows Bland's rule: among eligible constraints
-always pick the smallest index.
+radius delta around z.  Its points are w = z + N u, where the columns of N
+are an orthonormal basis of null(J) that one dense SVD of J gives, once per
+TangentSpace.  project() runs a primal active-set method on the bounds in the
+reduced coordinates u.  It starts at u = 0 with an empty working set; each
+equality step is one minimum-norm solve with the working rows of N, which also
+gives the bound multipliers.  A bound enters only when the step moves its
+coordinate by more than roundoff, so the working rows of N stay linearly
+independent and the multipliers unique.  Ties in the ratio test and the
+choice of the bound to release follow Bland's rule: the smallest index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, SolverStalled
+
+# a singular value of J at most NULL_CUT * sigma_max spans a null direction,
+# and a row of N with norm at most NULL_CUT is a coordinate that J pins
+NULL_CUT = 1e-8
+
+
+def _null_basis(J):
+    """Orthonormal basis of null(J) as columns, with pinned rows set to zero."""
+    J = J.toarray() if sp.issparse(J) else np.asarray(J, dtype=float)
+    _, s, vt = np.linalg.svd(J)
+    rank = int(np.count_nonzero(s > NULL_CUT * s.max(initial=0.0)))
+    N = vt[rank:].T.copy()
+    N[np.linalg.norm(N, axis=1) <= NULL_CUT] = 0.0
+    return N
 
 
 @dataclass(frozen=True)
@@ -25,13 +43,16 @@ class TangentSpace:
 
     lower may contain -inf for unconstrained coordinates; box_radius None means
     no box.  z itself must be feasible, which holds by construction whenever z
-    comes out of the restoration phase.
+    comes out of the restoration phase.  N, the null-space basis of J, is
+    computed when omitted; dataclasses.replace(space, box_radius=delta) carries
+    it over, so boxing a space costs no second SVD.
     """
 
     z: np.ndarray
     J: object                 # sparse or dense matrix, shape (m, n)
     lower: np.ndarray
     box_radius: float | None = None
+    N: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
@@ -43,6 +64,8 @@ class TangentSpace:
         if self.J.shape[1] != z.size:
             raise DimensionMismatch("J has %d columns, state has %d coordinates"
                                     % (self.J.shape[1], z.size))
+        if self.N is None:
+            object.__setattr__(self, "N", _null_basis(self.J))
 
 
 def min_norm_solve(J, r):
@@ -66,14 +89,13 @@ def project(T, b):
     loop exceeds 50 * dimension iterations, which signals a cycling pathology
     rather than an infeasible problem (z is always feasible).
     """
-    z = T.z
+    z, N = T.z, T.N
     n = z.size
-    J = T.J.toarray() if sp.issparse(T.J) else np.asarray(T.J, dtype=float)
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise DimensionMismatch("expected point of length %d, got %r" % (n, b.shape))
 
-    # shift to y = w - z so the affine constraint reads J y = 0
+    # shift to y = w - z = N u, so the affine constraint holds for every u
     c = b - z
     lo = T.lower - z
     hi = np.full(n, np.inf)
@@ -83,72 +105,47 @@ def project(T, b):
         hi = np.full(n, delta)
     lo = np.minimum(lo, 0.0)      # z is feasible; clip roundoff so y=0 stays valid
 
-    y = np.zeros(n)
-    # -1: at lower bound, +1: at upper bound, 0: free
-    state = np.zeros(n, dtype=np.int8)
-    state[lo >= -1e-14] = -1
-
+    c_hat = N.T @ c               # min |N u - c|^2 is min |u - c_hat|^2
+    # unit rows for the working-set solves: a nearly pinned coordinate's row
+    # is short, and scaling it changes neither its constraint nor its sign
+    norms = np.linalg.norm(N, axis=1)
+    rows = N / np.where(norms > 0.0, norms, 1.0)[:, None]
+    u = np.zeros(N.shape[1])
+    # -1: working at lower bound, +1: working at upper bound, 0: free
+    side = np.zeros(n, dtype=np.int8)
     scale = 1.0 + float(np.abs(c).max(initial=0.0))
-    # under rank-deficient J the multiplier estimate is not unique and can flag
-    # a bound whose release the geometry immediately undoes; such indices are
-    # parked here and only reconsidered after the iterate genuinely moves
-    banned = set()
-    last_dropped = -1
     cap = 50 * max(n, 1)
     for _ in range(cap):
-        free = state == 0
-        fixed = ~free
-        rhs = -(J[:, fixed] @ y[fixed]) if fixed.any() else np.zeros(J.shape[0])
-        Jf = J[:, free]
-        cf = c[free]
-        # equality step: min |y_f - c_f| s.t. Jf y_f = rhs
-        q = min_norm_solve(Jf, rhs - Jf @ cf)
-        yhat = y.copy()
-        yhat[free] = cf + q
-        p = yhat - y
+        work = np.flatnonzero(side)
+        g = c_hat - u
+        # equality step: p = g minus its part in the span of the working rows
+        lam = min_norm_solve(rows[work].T, g)
+        p = g - rows[work].T @ lam
 
         if np.abs(p).max(initial=0.0) <= 1e-13 * scale:
-            # EQP optimum for this working set; check bound multipliers
-            nu = min_norm_solve(Jf.T, q) if free.any() else np.zeros(J.shape[0])
-            m = (y - c) - J.T @ nu
-            viol = np.where(((state == -1) & (m < -1e-10 * scale))
-                            | ((state == +1) & (m > 1e-10 * scale)))[0]
-            viol = [j for j in viol if j not in banned]
-            if not viol:
-                w = z + np.clip(y, lo, hi)
+            # optimal on the working set, where N_W' mu = u - c_hat, so mu = -lam;
+            # a lower bound needs mu >= 0 and an upper bound mu <= 0
+            wrong = work[side[work] * lam < -1e-10 * scale]
+            if not wrong.size:
+                w = z + np.clip(N @ u, lo, hi)
                 if T.box_radius is not None:
                     return np.clip(w, z - T.box_radius, z + T.box_radius)
                 return np.maximum(w, T.lower)
-            last_dropped = int(viol[0])
-            state[last_dropped] = 0
+            side[wrong[0]] = 0
             continue
 
-        # ratio test toward yhat on the inactive bounds
-        alpha = 1.0
-        blocker = -1
-        blocker_side = 0
-        idx = np.where(free)[0]
-        for j in idx:
-            if p[j] < 0.0 and np.isfinite(lo[j]):
-                aj = (lo[j] - y[j]) / p[j]
-                if aj < alpha - 1e-15:
-                    alpha, blocker, blocker_side = aj, j, -1
-            elif p[j] > 0.0 and np.isfinite(hi[j]):
-                aj = (hi[j] - y[j]) / p[j]
-                if aj < alpha - 1e-15:
-                    alpha, blocker, blocker_side = aj, j, +1
-        alpha = max(alpha, 0.0)
-        if blocker == last_dropped and blocker >= 0 and alpha <= 1e-12:
-            # the release was spurious: the step re-blocks instantly
-            state[blocker] = blocker_side
-            banned.add(blocker)
-            last_dropped = -1
-            continue
-        if alpha * np.abs(p).max(initial=0.0) > 1e-13 * scale:
-            banned.clear()
-        y = np.clip(y + alpha * p, lo, hi)
-        if blocker >= 0:
-            y[blocker] = lo[blocker] if blocker_side < 0 else hi[blocker]
-            state[blocker] = blocker_side
+        # ratio test toward u + p on the free bounds that p moves
+        y, q = N @ u, N @ p
+        moves = (side == 0) & (np.abs(q) > 1e-12 * np.abs(q).max())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(q < 0.0, lo - y, hi - y) / q
+        ratio = np.where(moves & np.isfinite(ratio), ratio, np.inf)
+        alpha = float(ratio.min(initial=np.inf))
+        if alpha < 1.0 - 1e-15:
+            blocker = int(np.flatnonzero(ratio <= alpha + 1e-15)[0])
+            side[blocker] = -1 if q[blocker] < 0.0 else +1
+            u = u + max(alpha, 0.0) * p
+        else:
+            u = u + p
 
     raise SolverStalled("active-set projection exceeded %d iterations" % cap)

@@ -1,12 +1,20 @@
 """Active-set projection onto {J(w-z)=0, w >= lower, |w-z|_inf <= box}."""
 
+import time
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_tangent_instance
+from odadjust import IRConfig, parse_network, projection, solve_dap
 from odadjust.errors import DimensionMismatch
+from odadjust.oracles import oracle_project
 from odadjust.projection import TangentSpace, min_norm_solve, project
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _feasibility(T, w):
@@ -95,3 +103,66 @@ def test_project_returns_feasible_z_for_far_point():
     assert _feasibility(T, w) <= 1e-8
     # first two coordinates must stay equal under the equality row
     assert abs((w[0] - 1.0) - (w[1] - 1.0)) <= 1e-10
+
+
+def test_boxing_reuses_null_basis():
+    rng = np.random.default_rng(303)
+    T, _ = random_tangent_instance(rng)
+    boxed = replace(T, box_radius=0.5)
+    assert boxed.N is T.N
+    assert boxed.box_radius == 0.5 and T.box_radius != 0.5
+
+
+def test_pinned_coordinate_never_enters_working_set(monkeypatch):
+    # J pins w0 = z0, whose lower bound sits at z0 while b pulls it down;
+    # coordinate 3 also starts on its bound and does block
+    z = np.array([0.0, 1.0, 2.0, 0.5])
+    J = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
+    lower = np.array([0.0, 0.0, -np.inf, 0.5])
+    T = TangentSpace(z=z, J=J, lower=lower)
+    assert not T.N[0].any()
+    solves = []
+    real = projection.min_norm_solve
+
+    def spy(A, r):
+        solves.append(np.asarray(A).copy())
+        return real(A, r)
+
+    monkeypatch.setattr(projection, "min_norm_solve", spy)
+    b = np.array([-3.0, -1.0, 4.0, 0.0])
+    w = project(T, b)
+    # the working rows enter the solves as unit columns; a pinned row would
+    # enter as a zero column
+    assert any(A.shape[1] for A in solves)
+    for A in solves:
+        assert_allclose(np.linalg.norm(A, axis=0), 1.0)
+    assert_allclose(w, oracle_project(z, J, lower, None, b), atol=1e-7)
+    assert w[0] == 0.0
+
+
+def test_near_null_singular_value_is_null():
+    # sigma_3 = 1e-13 sigma_max: within roundoff of zero, so the direction is free
+    rng = np.random.default_rng(404)
+    n = 6
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    J = U @ np.diag([2.0, 1.0, 2e-13]) @ V[:, :3].T
+    z = rng.normal(size=n)
+    lower = np.full(n, -np.inf)
+    lower[:3] = z[:3]
+    T = TangentSpace(z=z, J=J, lower=lower)
+    assert T.N.shape == (n, n - 2)
+    for box in (None, 0.7):
+        b = z + 3.0 * rng.normal(size=n)
+        w = project(replace(T, box_radius=box), b)
+        assert_allclose(w, oracle_project(z, J, lower, box, b), atol=1e-7)
+
+
+def test_grid_projection_does_not_stall():
+    # the first Cauchy projection on this 3x3 grid (24 links, 3 OD pairs) used
+    # to cycle until the active-set cap raised SolverStalled
+    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    start = time.perf_counter()
+    res = solve_dap(net, IRConfig(max_outer=1))
+    assert time.perf_counter() - start < 5.0
+    assert res.outer_iterations == 1 and res.history
