@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import fields
 
 import numpy as np
@@ -135,11 +136,21 @@ def _log_row(rec):
     return "\t".join(row) + "\n"
 
 
-def _write_report(args, report):
+def _open_output(outputs, path):
+    """path opened for writing and registered on the ExitStack, or None; a path
+    that cannot be written is an input error."""
+    if path is None:
+        return None
+    try:
+        return outputs.enter_context(open(path, "w", encoding="utf-8"))
+    except OSError as exc:
+        raise InputError("cannot write %r: %s" % (path, exc.strerror or exc)) from exc
+
+
+def _write_report(fh, report):
     text_out = json.dumps(report, indent=2)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text_out + "\n")
+    if fh is not None:
+        fh.write(text_out + "\n")
     else:
         print(text_out)
 
@@ -147,8 +158,9 @@ def _write_report(args, report):
 def run_solve(args):
     """Run the full demand adjustment and emit a JSON report.
 
-    When the solver raises, the report still carries the inputs and settings,
-    with status "error" and the reason, and the error propagates.
+    The report and log files are opened before the solve starts.  When the
+    solver raises, the report still carries the inputs and settings, with
+    status "error" and the reason, and the error propagates.
     """
     net, settings, d0 = _load(args.input)
     ircfg = _config({**settings, **_parse_set_overrides(args.set)})
@@ -167,8 +179,9 @@ def run_solve(args):
     }
     solver = {f.name: getattr(ircfg, f.name) for f in fields(IRConfig)}
 
-    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
-    try:
+    with ExitStack() as outputs:
+        report_fh = _open_output(outputs, args.report)
+        log_fh = _open_output(outputs, args.log)
         if log_fh:
             log_fh.write("\t".join(f.name for f in fields(IterationRecord)) + "\n")
 
@@ -177,36 +190,34 @@ def run_solve(args):
                 log_fh.write(_log_row(rec))
 
         t_start = time.perf_counter()
-        res = solve_dap(net, ircfg, d0=d0, sink=sink)
+        try:
+            res = solve_dap(net, ircfg, d0=d0, sink=sink)
+        except OdAdjustError as exc:
+            _write_report(report_fh, {**report, "status": "error",
+                                      "reason": str(exc), "solver": solver})
+            raise
         wall = time.perf_counter() - t_start
-    except OdAdjustError as exc:
-        _write_report(args, {**report, "status": "error", "reason": str(exc),
-                             "solver": solver})
-        raise
-    finally:
-        if log_fh:
-            log_fh.close()
 
-    v_final = res.X_final.reshape(net.n_commodities, net.n_links).sum(axis=0)
-    e_obs = v_final[net.obs_links] - net.obs_flows
-    e_dem = res.d_final - net.target_demands
-    f1 = float(e_obs @ e_obs)
-    f2 = float(e_dem @ e_dem)
+        v_final = res.X_final.reshape(net.n_commodities, net.n_links).sum(axis=0)
+        e_obs = v_final[net.obs_links] - net.obs_flows
+        e_dem = res.d_final - net.target_demands
+        f1 = float(e_obs @ e_obs)
+        f2 = float(e_dem @ e_dem)
 
-    _write_report(args, {
-        **report,
-        "status": res.status,
-        "outer_iterations": res.outer_iterations,
-        "inner_attempts": len(res.history),
-        "d_final": [_round9(x) for x in res.d_final],
-        "v_final": [_round9(x) for x in v_final],
-        "F_final": _round9(res.F_final),
-        "F1": _round9(f1),
-        "F2": _round9(f2),
-        "objective_check": _round9(net.eta1 * f1 + net.eta2 * f2),
-        "wall_time_s": _round9(wall),
-        "solver": solver,
-    })
+        _write_report(report_fh, {
+            **report,
+            "status": res.status,
+            "outer_iterations": res.outer_iterations,
+            "inner_attempts": len(res.history),
+            "d_final": [_round9(x) for x in res.d_final],
+            "v_final": [_round9(x) for x in v_final],
+            "F_final": _round9(res.F_final),
+            "F1": _round9(f1),
+            "F2": _round9(f2),
+            "objective_check": _round9(net.eta1 * f1 + net.eta2 * f2),
+            "wall_time_s": _round9(wall),
+            "solver": solver,
+        })
     return 0 if res.status == STATUS_CONVERGED else 2
 
 

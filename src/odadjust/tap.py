@@ -182,7 +182,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
         raise DimensionMismatch("expected %d demands, got shape %r"
                                 % (net.n_commodities, d.shape))
     if np.any(d < 0.0) or not np.all(np.isfinite(d)):
-        raise DimensionMismatch("demands must be finite and nonnegative")
+        raise ValueError("demands must be finite and nonnegative")
 
     n_links = net.n_links
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]

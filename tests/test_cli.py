@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import TOY_DOC, TOY_TARGETS, TOY_V, toy_document
+from odadjust import cli
 from odadjust.cli import main
 from odadjust.driver import IterationRecord
 
@@ -216,6 +217,31 @@ def test_solve_failure_still_writes_report(toy_file, tmp_path, capsys):
     assert "d_final" not in report
     names = [f.name for f in fields(IterationRecord)]
     assert log_path.read_text(encoding="utf-8") == "\t".join(names) + "\n"
+
+
+FAILING_SOLVE = ["--initial-demand", "1,2", "--set", "tap_max_iter=1",
+                 "--set", "tap_tol=1e-30"]
+
+
+@pytest.mark.parametrize("flag, where, extra", [
+    ("--report", "missing/report.json", []),
+    ("--log", "missing/trace.tsv", []),
+    ("--log", ".", []),
+    ("--report", "missing/report.json", FAILING_SOLVE),
+], ids=["report", "log", "log-directory", "report-of-failed-solve"])
+def test_solve_unwritable_output_exits_1(flag, where, extra, toy_file, tmp_path,
+                                         capsys, monkeypatch):
+    # the output paths are checked before the solver runs, also when the
+    # solve would fail and write an error report
+    calls = []
+    real = cli.solve_dap
+    monkeypatch.setattr(cli, "solve_dap",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    code = main(["solve", "--input", toy_file, flag, str(tmp_path / where)] + extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot write")
+    assert calls == []
 
 
 def test_solve_initial_demand_flag(toy_file, tmp_path):

@@ -110,9 +110,9 @@ def test_solve_tap_zero_demand(net):
 def test_solve_tap_validation(net):
     with pytest.raises(DimensionMismatch):
         solve_tap(net, np.zeros(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError):
         solve_tap(net, np.array([1.0, -1.0]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError):
         solve_tap(net, np.array([1.0, np.nan]))
 
 
