@@ -6,11 +6,12 @@ radius delta around z.  Its points are w = z + N u, where the columns of N
 are an orthonormal basis of null(J) that one dense SVD of J gives, once per
 TangentSpace.  project() runs a primal active-set method on the bounds in the
 reduced coordinates u.  It starts at u = 0 with an empty working set; each
-equality step is one minimum-norm solve with the working rows of N, which also
-gives the bound multipliers.  A bound enters only when the step moves its
-coordinate by more than roundoff, so the working rows of N stay linearly
-independent and the multipliers unique.  Ties in the ratio test and the
-choice of the bound to release follow Bland's rule: the smallest index.
+equality step is one minimum-norm solve with the working rows of N scaled to
+unit length, which also gives the bound multipliers.  A bound enters only
+when the step moves its coordinate by more than roundoff, so the working rows
+stay linearly independent and the multipliers unique.  Ties in the ratio test
+and the choice of the bound to release follow Bland's rule: the smallest
+index.
 """
 
 from __future__ import annotations
@@ -122,30 +123,29 @@ def project(T, b):
         lam = min_norm_solve(rows[work].T, g)
         p = g - rows[work].T @ lam
 
-        if np.abs(p).max(initial=0.0) <= 1e-13 * scale:
-            # optimal on the working set, where N_W' mu = u - c_hat, so mu = -lam;
-            # a lower bound needs mu >= 0 and an upper bound mu <= 0
-            wrong = work[side[work] * lam < -1e-10 * scale]
-            if not wrong.size:
-                w = z + np.clip(N @ u, lo, hi)
-                if T.box_radius is not None:
-                    return np.clip(w, z - T.box_radius, z + T.box_radius)
-                return np.maximum(w, T.lower)
-            side[wrong[0]] = 0
-            continue
-
-        # ratio test toward u + p on the free bounds that p moves
-        y, q = N @ u, N @ p
-        moves = (side == 0) & (np.abs(q) > 1e-12 * np.abs(q).max())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(q < 0.0, lo - y, hi - y) / q
-        ratio = np.where(moves & np.isfinite(ratio), ratio, np.inf)
-        alpha = float(ratio.min(initial=np.inf))
-        if alpha < 1.0 - 1e-15:
-            blocker = int(np.flatnonzero(ratio <= alpha + 1e-15)[0])
-            side[blocker] = -1 if q[blocker] < 0.0 else +1
-            u = u + max(alpha, 0.0) * p
-        else:
+        if np.abs(p).max(initial=0.0) > 1e-13 * scale:
+            # ratio test toward u + p on the free bounds that p moves
+            y, q = N @ u, N @ p
+            moves = (side == 0) & (np.abs(q) > 1e-12 * np.abs(q).max())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(q < 0.0, lo - y, hi - y) / q
+            ratio = np.where(moves & np.isfinite(ratio), ratio, np.inf)
+            alpha = float(ratio.min(initial=np.inf))
+            if alpha < 1.0 - 1e-15:
+                blocker = int(np.flatnonzero(ratio <= alpha + 1e-15)[0])
+                side[blocker] = -1 if q[blocker] < 0.0 else +1
+                u = u + max(alpha, 0.0) * p
+                continue
             u = u + p
+
+        # u now minimizes on the working set, where N_W' mu = u - c_hat, so
+        # mu = -lam; a lower bound needs mu >= 0 and an upper bound mu <= 0
+        wrong = work[side[work] * lam < -1e-10 * scale]
+        if not wrong.size:
+            w = z + np.clip(N @ u, lo, hi)
+            if T.box_radius is not None:
+                return np.clip(w, z - T.box_radius, z + T.box_radius)
+            return np.maximum(w, T.lower)
+        side[wrong[0]] = 0
 
     raise SolverStalled("active-set projection exceeded %d iterations" % cap)
