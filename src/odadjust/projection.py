@@ -2,16 +2,12 @@
 
 The feasible set is an affine subspace J(w - z) = 0 intersected with lower
 bounds on part of the coordinates and, optionally, an infinity-norm box of
-radius delta around z.  Its points are w = z + N u, where the columns of N
-are an orthonormal basis of null(J) that one dense SVD of J gives, once per
-TangentSpace.  project() runs a primal active-set method on the bounds in the
-reduced coordinates u.  It starts at u = 0 with an empty working set; each
-equality step is one minimum-norm solve with the working rows of N scaled to
-unit length, which also gives the bound multipliers.  A bound enters only
-when the step moves its coordinate by more than roundoff, so the working rows
-stay linearly independent and the multipliers unique.  Ties in the ratio test
-and the choice of the bound to release follow Bland's rule: the smallest
-index.
+radius delta around z.  Its points are w = z + N u, N an orthonormal basis of
+null(J) from one dense SVD per TangentSpace.  project() runs a primal active
+set on the bounds in u, from u = 0 and an empty working set; one minimum-norm
+solve with the working rows of N, scaled to unit length, gives each step and
+the bound multipliers.  Bland's rule (smallest index) breaks ratio-test ties
+and picks the bound to release.
 """
 
 from __future__ import annotations
@@ -23,19 +19,11 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, SolverStalled
 
-# a singular value of J at most NULL_CUT * sigma_max spans a null direction,
-# and a row of N with norm at most NULL_CUT is a coordinate that J pins
+# one cut for three roundoff decisions: a singular value of J at most NULL_CUT
+# times the largest spans null(J), a row of N at most NULL_CUT long is a
+# coordinate J pins, and a unit row within NULL_CUT of the working rows' span
+# is dependent on them
 NULL_CUT = 1e-8
-
-
-def _null_basis(J):
-    """Orthonormal basis of null(J) as columns, with pinned rows set to zero."""
-    J = J.toarray() if sp.issparse(J) else np.asarray(J, dtype=float)
-    _, s, vt = np.linalg.svd(J)
-    rank = int(np.count_nonzero(s > NULL_CUT * s.max(initial=0.0)))
-    N = vt[rank:].T.copy()
-    N[np.linalg.norm(N, axis=1) <= NULL_CUT] = 0.0
-    return N
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,12 @@ class TangentSpace:
             raise DimensionMismatch("J has %d columns, state has %d coordinates"
                                     % (self.J.shape[1], z.size))
         if self.N is None:
-            object.__setattr__(self, "N", _null_basis(self.J))
+            J = self.J
+            J = J.toarray() if sp.issparse(J) else np.asarray(J, dtype=float)
+            _, s, vt = np.linalg.svd(J)
+            N = vt[np.count_nonzero(s > NULL_CUT * s.max(initial=0.0)):].T.copy()
+            N[np.linalg.norm(N, axis=1) <= NULL_CUT] = 0.0
+            object.__setattr__(self, "N", N)
 
 
 def min_norm_solve(J, r):
@@ -107,32 +100,37 @@ def project(T, b):
     lo = np.minimum(lo, 0.0)      # z is feasible; clip roundoff so y=0 stays valid
 
     c_hat = N.T @ c               # min |N u - c|^2 is min |u - c_hat|^2
-    # unit rows for the working-set solves: a nearly pinned coordinate's row
-    # is short, and scaling it changes neither its constraint nor its sign
+    # a nearly pinned coordinate has a short row; unit rows keep the working
+    # solves well scaled and change neither a constraint nor a multiplier sign
     norms = np.linalg.norm(N, axis=1)
     rows = N / np.where(norms > 0.0, norms, 1.0)[:, None]
     u = np.zeros(N.shape[1])
-    # -1: working at lower bound, +1: working at upper bound, 0: free
-    side = np.zeros(n, dtype=np.int8)
+    side = np.zeros(n, dtype=np.int8)   # -1 / +1: working at lower / upper bound
     scale = 1.0 + float(np.abs(c).max(initial=0.0))
     cap = 50 * max(n, 1)
     for _ in range(cap):
         work = np.flatnonzero(side)
-        g = c_hat - u
-        # equality step: p = g minus its part in the span of the working rows
-        lam = min_norm_solve(rows[work].T, g)
-        p = g - rows[work].T @ lam
+        R, g = rows[work].T, c_hat - u
+        lam = min_norm_solve(R, g)
+        p = g - R @ lam           # the part of g orthogonal to the working rows
 
         if np.abs(p).max(initial=0.0) > 1e-13 * scale:
-            # ratio test toward u + p on the free bounds that p moves
+            # ratio test toward u + p on the free bounds that p moves; a bound
+            # whose row is dependent on the working rows moves by <= NULL_CUT|p|
             y, q = N @ u, N @ p
             moves = (side == 0) & (np.abs(q) > 1e-12 * np.abs(q).max())
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(q < 0.0, lo - y, hi - y) / q
             ratio = np.where(moves & np.isfinite(ratio), ratio, np.inf)
             alpha = float(ratio.min(initial=np.inf))
-            if alpha < 1.0 - 1e-15:
+            while alpha < 1.0 - 1e-15:
                 blocker = int(np.flatnonzero(ratio <= alpha + 1e-15)[0])
+                gap = rows[blocker] - R @ min_norm_solve(R, rows[blocker])
+                if np.linalg.norm(gap) > NULL_CUT:
+                    break
+                ratio[blocker] = np.inf
+                alpha = float(ratio.min(initial=np.inf))
+            if alpha < 1.0 - 1e-15:
                 side[blocker] = -1 if q[blocker] < 0.0 else +1
                 u = u + max(alpha, 0.0) * p
                 continue

@@ -158,10 +158,12 @@ def test_near_null_singular_value_is_null():
         assert_allclose(w, oracle_project(z, J, lower, box, b), atol=1e-7)
 
 
-def test_grid_projection_does_not_stall():
-    # the first Cauchy projection on this 3x3 grid (24 links, 3 OD pairs) used
-    # to cycle until the active-set cap raised SolverStalled
-    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("name", ["grid3x3_0.json", "grid4x4_1.json"])
+def test_grid_projection_does_not_stall(name):
+    # the first Cauchy projection on these grids (3x3 with 3 OD pairs, 4x4
+    # with 4) used to cycle until the active-set cap raised SolverStalled; on
+    # the 4x4 grid, bound rows within 1e-10 of the working rows' span did
+    net = parse_network((DATA / name).read_text(encoding="utf-8"))
     start = time.perf_counter()
     res = solve_dap(net, IRConfig(max_outer=1))
     assert time.perf_counter() - start < 5.0
