@@ -180,8 +180,8 @@ def run_solve(args):
     solver = {f.name: getattr(ircfg, f.name) for f in fields(IRConfig)}
 
     with ExitStack() as outputs:
-        report_fh = _open_output(outputs, args.report)
         log_fh = _open_output(outputs, args.log)
+        report_fh = _open_output(outputs, args.report)
         if log_fh:
             log_fh.write("\t".join(f.name for f in fields(IterationRecord)) + "\n")
 
