@@ -161,8 +161,8 @@ def test_near_null_singular_value_is_null():
 @pytest.mark.parametrize("name", ["grid3x3_0.json", "grid4x4_1.json"])
 def test_grid_projection_does_not_stall(name):
     # the first Cauchy projection on these grids (3x3 with 3 OD pairs, 4x4
-    # with 4) used to cycle until the active-set cap raised SolverStalled; on
-    # the 4x4 grid, bound rows within 1e-10 of the working rows' span did
+    # with 4) starts where many bounds are active; on the 4x4 grid some bound
+    # rows lie within 1e-10 of the span of the rows already in the working set
     net = parse_network((DATA / name).read_text(encoding="utf-8"))
     start = time.perf_counter()
     res = solve_dap(net, IRConfig(max_outer=1))
