@@ -19,7 +19,7 @@ import numpy as np
 
 from .driver import STATUS_CONVERGED, IRConfig, IterationRecord, solve_dap
 from .errors import InputError, OdAdjustError
-from .network import build_structure, parse_network
+from .network import aggregate_flows, build_structure, parse_network
 from .tap import solve_tap
 
 _NUM_FMT = "%.9g"
@@ -198,7 +198,7 @@ def run_solve(args):
             raise
         wall = time.perf_counter() - t_start
 
-        v_final = res.X_final.reshape(net.n_commodities, net.n_links).sum(axis=0)
+        v_final = aggregate_flows(net, res.X_final)
         e_obs = v_final[net.obs_links] - net.obs_flows
         e_dem = res.d_final - net.target_demands
         f1 = float(e_obs @ e_obs)

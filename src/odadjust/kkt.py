@@ -35,31 +35,21 @@ def _blocks(S, s):
 def eval_F(net, d, X):
     """Weighted fit eta1 * |(RX)_obs - vtilde|^2 + eta2 * |d - dtilde|^2."""
     d = np.asarray(d, dtype=float)
-    X = np.asarray(X, dtype=float)
-    v = X.reshape(net.n_commodities, net.n_links).sum(axis=0)
-    e_obs = v[net.obs_links] - net.obs_flows
+    e_obs = aggregate_flows(net, X)[net.obs_links] - net.obs_flows
     e_dem = d - net.target_demands
     return float(net.eta1 * (e_obs @ e_obs) + net.eta2 * (e_dem @ e_dem))
 
 
-def eval_F_grad(net, d, X):
-    """Gradient of eval_F in the (d, X) blocks; alpha and beta do not enter F."""
-    d = np.asarray(d, dtype=float)
-    X = np.asarray(X, dtype=float)
-    v = X.reshape(net.n_commodities, net.n_links).sum(axis=0)
-    g_link = np.zeros(net.n_links)
-    g_link[net.obs_links] = 2.0 * net.eta1 * (v[net.obs_links] - net.obs_flows)
-    g_X = np.tile(g_link, net.n_commodities)     # R' applied to the link gradient
-    g_d = 2.0 * net.eta2 * (d - net.target_demands)
-    return g_d, g_X
-
-
 def grad_F_state(net, S, s):
-    """eval_F gradient at the flat state s, zero on alpha and beta."""
+    """Gradient of eval_F at the flat state s; alpha and beta do not enter F."""
     d, X, _, _ = _blocks(S, s)
     sl_d, sl_x, _, _ = S.slices
+    v = aggregate_flows(S, X)
+    g_link = np.zeros(S.n_links)
+    g_link[net.obs_links] = 2.0 * net.eta1 * (v[net.obs_links] - net.obs_flows)
     g = np.zeros(S.state_dim)
-    g[sl_d], g[sl_x] = eval_F_grad(net, d, X)
+    g[sl_d] = 2.0 * net.eta2 * (d - net.target_demands)
+    g[sl_x] = np.tile(g_link, S.n_commodities)    # R' applied to the link gradient
     return g
 
 
@@ -76,23 +66,15 @@ def eval_C(net, S, s):
 
 
 def eval_C_jacobian(net, S, s):
-    """Exact Jacobian of eval_C at s, sparse, rows and columns in block order."""
-    c, a = S.n_commodities, S.n_links
+    """Exact Jacobian of eval_C at s, sparse, on the fixed layout of S.
+
+    Zeros stay stored, so all states of a network share one sparsity pattern.
+    """
     _, X, _, beta = _blocks(S, s)
-    v = aggregate_flows(S, X)
-    # every commodity pair sees the same diagonal of link-time derivatives
-    Tp = sp.kron(np.ones((c, c)), sp.diags(net.link_time_derivs(v)), format="csr")
-    I = sp.identity(c * a, format="csr")
-    zero_d = sp.csr_matrix((c * a, c))
-    J = sp.bmat(
-        [
-            [zero_d, Tp, S.M.T, -I],
-            [S.Gamma, -S.M, None, None],
-            [None, sp.diags(beta), None, sp.diags(X)],
-        ],
-        format="csr",
-    )
-    return J
+    t_prime = net.link_time_derivs(aggregate_flows(S, X))
+    data = np.concatenate([S.jac_fixed, t_prime[S.jac_links], beta, X])
+    return sp.csr_matrix((data, (S.jac_rows, S.jac_cols)),
+                         shape=(S.n_constraints, S.state_dim))
 
 
 def eval_L(net, S, s, mu):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,6 +91,15 @@ class Commodity:
             )
 
 
+def _horner(table, v):
+    """sum_j table[a, j] * v_a**j for every link a, by Horner's rule."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros_like(v)
+    for j in range(table.shape[1] - 1, -1, -1):
+        out = out * v + table[:, j]
+    return out
+
+
 class Network:
     """Validated road network with demands and (possibly partial) flow observations.
 
@@ -99,7 +108,7 @@ class Network:
     """
 
     def __init__(self, nodes, links, commodities, observations=None,
-                 eta1=1.0, eta2=1.0, allow_self_loops=False):
+                 eta1=1.0, eta2=1.0):
         self.nodes = tuple(nodes)
         self.links = tuple(links)
         self.commodities = tuple(commodities)
@@ -124,20 +133,16 @@ class Network:
             self.link_index[lk.id] = idx
 
         for lk in self.links:
-            if lk.tail not in self.node_index:
-                raise DanglingReference("link %r references unknown node %r" % (lk.id, lk.tail))
-            if lk.head not in self.node_index:
-                raise DanglingReference("link %r references unknown node %r" % (lk.id, lk.head))
-            if lk.tail == lk.head and not allow_self_loops:
+            for end in (lk.tail, lk.head):
+                if end not in self.node_index:
+                    raise DanglingReference("link %r references unknown node %r" % (lk.id, end))
+            if lk.tail == lk.head:
                 raise MalformedInput("link %r is a self-loop" % (lk.id,))
 
         for com in self.commodities:
-            if com.origin not in self.node_index:
-                raise DanglingReference("commodity references unknown node %r" % (com.origin,))
-            if com.destination not in self.node_index:
-                raise DanglingReference(
-                    "commodity references unknown node %r" % (com.destination,)
-                )
+            for end in (com.origin, com.destination):
+                if end not in self.node_index:
+                    raise DanglingReference("commodity references unknown node %r" % (end,))
 
         for lid, flow in self.observations.items():
             if lid not in self.link_index:
@@ -198,28 +203,16 @@ class Network:
     # -- vectorized cost evaluations ---------------------------------------
 
     def link_times(self, v):
-        """t_a(v_a) for every link, vectorized Horner evaluation."""
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for j in range(self._coeff.shape[1] - 1, -1, -1):
-            out = out * v + self._coeff[:, j]
-        return out
+        """t_a(v_a) for every link."""
+        return _horner(self._coeff, v)
 
     def link_time_derivs(self, v):
         """t_a'(v_a) for every link."""
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for j in range(self._dcoeff.shape[1] - 1, -1, -1):
-            out = out * v + self._dcoeff[:, j]
-        return out
+        return _horner(self._dcoeff, v)
 
     def link_time_integrals(self, v):
         """int_0^{v_a} t_a(u) du for every link."""
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for j in range(self._icoeff.shape[1] - 1, -1, -1):
-            out = out * v + self._icoeff[:, j]
-        return out * v
+        return _horner(self._icoeff, v) * v
 
     # -- misc ---------------------------------------------------------------
 
@@ -273,6 +266,11 @@ class StructureMatrices:
     Gamma  od incidence, (n_commodities*n_nodes) x n_commodities, block-diagonal
            with -1 at the origin and +1 at the destination of each commodity
     M      block-diagonal repetition of A, one block per commodity
+
+    jac_rows and jac_cols place every entry of J = C'(s), the lifted Jacobian:
+    the constant blocks Gamma, -M, M' and -I (values jac_fixed), the t'(v)
+    entries (jac_links: the link of each), then the complementarity rows'
+    beta and X diagonals.
     """
 
     A: sp.csr_matrix
@@ -281,6 +279,25 @@ class StructureMatrices:
     n_nodes: int
     n_links: int
     n_commodities: int
+    jac_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    jac_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    jac_fixed: np.ndarray = field(init=False, repr=False, compare=False)
+    jac_links: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c, a = self.n_commodities, self.n_links
+        (sl_d, sl_x, sl_alpha, sl_beta), (stat, cons, comp) = self.slices, self.residual_slices
+        I = sp.identity(c * a)
+        # t'_l joins stationarity row (i, l) and flow column (j, l), all i, j; Tp holds l
+        i, j, link = np.indices((c, c, a)).reshape(3, -1)
+        Tp = sp.coo_matrix((link, (i * a + link, j * a + link)), shape=I.shape)
+        blocks = [(sp.coo_matrix(B), r.start, col.start) for B, r, col in (
+            (self.Gamma, cons, sl_d), (-self.M, cons, sl_x), (self.M.T, stat, sl_alpha),
+            (-I, stat, sl_beta), (Tp, stat, sl_x), (I, comp, sl_x), (I, comp, sl_beta))]
+        object.__setattr__(self, "jac_rows", np.concatenate([B.row + r0 for B, r0, _ in blocks]))
+        object.__setattr__(self, "jac_cols", np.concatenate([B.col + c0 for B, _, c0 in blocks]))
+        object.__setattr__(self, "jac_fixed", np.concatenate([B.data for B, _, _ in blocks[:4]]))
+        object.__setattr__(self, "jac_links", link)
 
     @property
     def state_dim(self):
@@ -321,7 +338,7 @@ class StructureMatrices:
 
 
 def build_structure(net):
-    """Assemble the sparse structure matrices of a network.
+    """Assemble the sparse structure matrices of a network and J's layout.
 
     Deterministic: identical networks give identical matrices, entry for entry.
     """
@@ -332,15 +349,10 @@ def build_structure(net):
     vals = np.concatenate([-np.ones(a), np.ones(a)])
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, a))
 
-    grow, gcol, gval = [], [], []
-    for i in range(c):
-        grow.append(i * n + net.origin_idx[i])
-        gcol.append(i)
-        gval.append(-1.0)
-        grow.append(i * n + net.destination_idx[i])
-        gcol.append(i)
-        gval.append(1.0)
-    Gamma = sp.csr_matrix((gval, (grow, gcol)), shape=(c * n, c))
+    com = np.arange(c)
+    rows = np.concatenate([com * n + net.origin_idx, com * n + net.destination_idx])
+    vals = np.concatenate([-np.ones(c), np.ones(c)])
+    Gamma = sp.csr_matrix((vals, (rows, np.tile(com, 2))), shape=(c * n, c))
 
     M = sp.block_diag([A] * c, format="csr") if c else sp.csr_matrix((0, 0))
 
@@ -349,7 +361,10 @@ def build_structure(net):
 
 
 def aggregate_flows(S, X):
-    """Total link flows v: the sum of the commodity blocks of X."""
+    """Total link flows v: the sum of the commodity blocks of X.
+
+    S is a Network or a StructureMatrices; only their sizes are read.
+    """
     X = np.asarray(X, dtype=float)
     if X.shape != (S.n_commodities * S.n_links,):
         raise DimensionMismatch(

@@ -159,6 +159,8 @@ def oracle_project(z, J, lower, box_radius, b):
 
     Uses SLSQP on an orthonormalized basis of the constraint rows; the feasible
     set is identical, only better conditioned for the general-purpose solver.
+    A small-instance reference: on a 4x4 grid (about 450 states) SLSQP stops
+    short of the projection.
     """
     z = np.asarray(z, dtype=float)
     b = np.asarray(b, dtype=float)

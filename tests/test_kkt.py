@@ -21,7 +21,6 @@ from odadjust import (
     eval_C,
     eval_C_jacobian,
     eval_F,
-    eval_F_grad,
     eval_L,
     eval_L_grad,
     parse_network,
@@ -84,22 +83,26 @@ def test_eval_F_closed_form(net):
     assert_allclose(eval_F(net, TOY_TARGETS, X2), 0.5 * 2.0, rtol=1e-15)
 
 
-def test_eval_F_grad_closed_form(net):
+def test_grad_F_state_closed_form(net, S):
+    sl_d, sl_x, _, _ = S.slices
     X = np.zeros(8)
     X[0] = net.obs_flows[0]
     X[5] = net.obs_flows[1]
-    g_d, g_X = eval_F_grad(net, np.array([1.0, 2.0]), X)
-    assert_array_equal(g_d, [-0.5, 0.25])
-    assert_array_equal(g_X, np.zeros(8))
+    rng = np.random.default_rng(3)
+    alpha, beta = rng.normal(size=6), rng.uniform(size=8)
+    g = grad_F_state(net, S, state_vector(S, np.array([1.0, 2.0]), X, alpha, beta))
+    assert_array_equal(g[sl_d], [-0.5, 0.25])
+    assert_array_equal(g[sl_x], np.zeros(8))
+    assert_array_equal(g[sl_x.stop:], np.zeros(14))      # alpha and beta
     # observation error of +1 on link 1 gives 2*eta1 = 1.0, tiled per commodity
     X[0] += 1.0
-    _, g_X = eval_F_grad(net, np.array([1.0, 2.0]), X)
+    g = grad_F_state(net, S, state_vector(S, np.array([1.0, 2.0]), X, alpha, beta))
     expect = np.zeros(8)
     expect[0] = expect[4] = 1.0
-    assert_allclose(g_X, expect, rtol=1e-9)
+    assert_allclose(g[sl_x], expect, rtol=1e-9)
 
 
-def test_eval_F_grad_matches_finite_differences(net, S):
+def test_grad_F_state_matches_finite_differences(net, S):
     rng = np.random.default_rng(11)
     for _ in range(5):
         s = random_state(rng, S)
@@ -152,14 +155,18 @@ def test_eval_C_jacobian_matches_taylor(net, S):
     assert r1 <= 1e-14 or 3.0 <= r1 / max(r2, 1e-300) <= 5.0
 
 
-def test_eval_C_jacobian_on_cubic_costs():
-    net = Network(
+def _cubic_network():
+    return Network(
         [1, 2, 3],
         [Link(1, 1, 2, CostFunction((1.0, 0.5, 0.0, 0.2))),
          Link(2, 2, 3, CostFunction((0.5, 1.0))),
          Link(3, 1, 3, CostFunction((2.0, 0.0, 0.3)))],
         [Commodity(1, 3, 2.0)],
     )
+
+
+def test_eval_C_jacobian_on_cubic_costs():
+    net = _cubic_network()
     S = build_structure(net)
     rng = np.random.default_rng(13)
     s = state_vector(S, np.array([2.0]), rng.uniform(0.5, 2.0, size=3),
@@ -174,6 +181,66 @@ def test_eval_C_jacobian_on_cubic_costs():
         return np.linalg.norm(c1 - c0 - h * (J @ w))
 
     assert 3.0 <= residual(1e-3) / residual(5e-4) <= 5.0
+
+
+def _dense_jacobian(net, s):
+    """C'(s), differentiated block by block from the kkt module docstring, dense."""
+    n, a, c = net.n_nodes, net.n_links, net.n_commodities
+    S = build_structure(net)
+    _, X, _, beta = (s[sl] for sl in S.slices)
+    A = np.zeros((n, a))
+    A[net.tails, np.arange(a)] = -1.0
+    A[net.heads, np.arange(a)] = 1.0
+    Gamma = np.zeros((c * n, c))
+    Gamma[np.arange(c) * n + net.origin_idx, np.arange(c)] = -1.0
+    Gamma[np.arange(c) * n + net.destination_idx, np.arange(c)] = 1.0
+    M = np.kron(np.eye(c), A)
+    v = X.reshape(c, a).sum(axis=0)
+    # T(X) = R' t(R X) with R = [I ... I], so T'(X) = R' diag(t'(v)) R
+    Tp = np.kron(np.ones((c, c)), np.diag(net.link_time_derivs(v)))
+    ca, cn = c * a, c * n
+    return np.block([
+        [np.zeros((ca, c)), Tp, M.T, -np.eye(ca)],
+        [Gamma, -M, np.zeros((cn, cn)), np.zeros((cn, ca))],
+        [np.zeros((ca, c)), np.diag(beta), np.zeros((ca, cn)), np.diag(X)],
+    ])
+
+
+def test_eval_C_jacobian_matches_dense_reference(net, S):
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        s = random_state(rng, S)
+        assert_array_equal(eval_C_jacobian(net, S, s).toarray(),
+                           _dense_jacobian(net, s))
+    cubic = _cubic_network()
+    Sc = build_structure(cubic)
+    s = random_state(rng, Sc)
+    assert_array_equal(eval_C_jacobian(cubic, Sc, s).toarray(), _dense_jacobian(cubic, s))
+
+
+def test_eval_C_jacobian_pattern_is_fixed(net, S):
+    rng = np.random.default_rng(9)
+    s = random_state(rng, S)
+    J = eval_C_jacobian(net, S, s)
+    s0 = s.copy()
+    s0[S.slices[3]][[0, 3, 6]] = 0.0
+    s0[S.slices[1]][[1, 4]] = 0.0
+    J0 = eval_C_jacobian(net, S, s0)
+    assert J0.nnz == J.nnz == 76
+    assert_array_equal(J0.indptr, J.indptr)
+    assert_array_equal(J0.indices, J.indices)
+    assert_array_equal(J0.toarray(), _dense_jacobian(net, s0))
+    # at zero flow the cubic network's third link has t' = 0 as well
+    cubic = _cubic_network()
+    Sc = build_structure(cubic)
+    s = random_state(rng, Sc)
+    flat = s.copy()
+    flat[Sc.slices[1]] = 0.0
+    flat[Sc.slices[3]] = 0.0
+    Jc, Jf = eval_C_jacobian(cubic, Sc, s), eval_C_jacobian(cubic, Sc, flat)
+    assert_array_equal(Jf.indptr, Jc.indptr)
+    assert_array_equal(Jf.indices, Jc.indices)
+    assert_array_equal(Jf.toarray(), _dense_jacobian(cubic, flat))
 
 
 # -- Lagrangian -------------------------------------------------------------------

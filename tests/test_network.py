@@ -85,9 +85,6 @@ def test_dangling_references_rejected():
 def test_self_loops_and_weights():
     with pytest.raises(MalformedInput):
         Network([1, 2], [_lk(1, 1, 1), _lk(2, 1, 2)], [Commodity(1, 2, 1.0)])
-    net = Network([1, 2], [_lk(1, 1, 1), _lk(2, 1, 2)], [Commodity(1, 2, 1.0)],
-                  allow_self_loops=True)
-    assert net.n_links == 2
     with pytest.raises(MalformedInput):
         Network([1, 2], [_lk(1, 1, 2)], [Commodity(1, 2, 1.0)], eta1=-1.0)
     with pytest.raises(MalformedInput):

@@ -9,8 +9,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_tangent_instance
-from odadjust import IRConfig, parse_network, projection, solve_dap
+from scipy.optimize import lsq_linear
+
+from odadjust import (IRConfig, build_structure, parse_network, projection,
+                      solve_dap, tangent_space)
+from odadjust.driver import restore
 from odadjust.errors import DimensionMismatch
+from odadjust.kkt import grad_F_state
 from odadjust.oracles import oracle_project
 from odadjust.projection import TangentSpace, min_norm_solve, project
 
@@ -164,7 +169,28 @@ def test_grid_projection_does_not_stall(name):
     # with 4) starts where many bounds are active; on the 4x4 grid some bound
     # rows lie within 1e-10 of the span of the rows already in the working set
     net = parse_network((DATA / name).read_text(encoding="utf-8"))
+    cfg = IRConfig(max_outer=1)
     start = time.perf_counter()
-    res = solve_dap(net, IRConfig(max_outer=1))
+    res = solve_dap(net, cfg)
     assert time.perf_counter() - start < 5.0
     assert res.outer_iterations == 1 and res.history
+
+    # certify that first projection (mu = 0) without SLSQP: w is feasible and
+    # b - w = J' lam - sum of nu_i e_i over the bounds active at w, nu >= 0
+    S = build_structure(net)
+    z = restore(net, S, net.target_demands, cfg)
+    space = tangent_space(net, S, z)
+    b = z - cfg.eta * grad_F_state(net, S, z)
+    w = project(space, b)
+    tol = 1e-8 * (1.0 + np.abs(b - w).max())
+    J = space.J.toarray()
+    assert np.abs(J @ (w - z)).max() <= tol
+    assert np.all(w >= S.lower)
+    active = np.flatnonzero(w - S.lower <= tol)
+    Jt = J.T[:, np.abs(J).max(axis=1) > 0.0]      # zero rows of J carry nothing
+    E = np.zeros((w.size, active.size))
+    E[active, np.arange(active.size)] = -1.0
+    free = np.full(Jt.shape[1], -np.inf)
+    fit = lsq_linear(np.hstack([Jt, E]), b - w, method="bvls",
+                     bounds=(np.concatenate([free, np.zeros(active.size)]), np.inf))
+    assert np.abs(fit.fun).max() <= tol
