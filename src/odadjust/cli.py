@@ -19,7 +19,7 @@ import numpy as np
 
 from .driver import STATUS_CONVERGED, IRConfig, IterationRecord, solve_dap
 from .errors import InputError, OdAdjustError
-from .network import aggregate_flows, build_structure, parse_network
+from .network import _decode, aggregate_flows, build_structure, parse_network
 from .tap import solve_tap
 
 _NUM_FMT = "%.9g"
@@ -86,8 +86,8 @@ def _load(path):
             text = fh.read()
     except OSError as exc:
         raise InputError("cannot read input file %r: %s" % (path, exc)) from exc
-    net = parse_network(text)
-    doc = json.loads(text)
+    doc = _decode(text)
+    net = parse_network(doc)
     settings = doc.get("solver", {})
     _config(settings)
     d0 = doc.get("initial_demand")

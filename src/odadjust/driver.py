@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTheta, MaxIterations, NoCandidate
-from .kkt import (eval_C, eval_F, eval_L, eval_L_grad, grad_F_state,
-                  eval_C_jacobian, recover_multipliers, tangent_space)
+from .kkt import (eval_C, eval_F, eval_L, grad_F_state, eval_C_jacobian,
+                  recover_multipliers, tangent_space)
 from .network import build_structure
 from .projection import min_norm_solve, project
 from .tap import solve_tap
@@ -207,7 +207,7 @@ def find_candidate(net, S, mu, r_tan, cfg, space):
         r_v = project(space, cur - g_f) - cur
         if float(np.linalg.norm(r_v)) < cfg.inner_gtol:
             break
-        g_l = eval_L_grad(net, S, cur, mu)
+        g_l = g_f + eval_C_jacobian(net, S, cur).T @ mu
         if float(r_v @ g_l) >= 0.0:
             break                      # descent property lost to roundoff
         step = 1.0

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from .errors import DimensionMismatch, ResidualTooLarge
 from .network import aggregate_flows
 from .projection import TangentSpace
-from .tap import _dijkstra
+from .tap import _origin_trees
 
 
 def _blocks(S, s):
@@ -109,9 +109,9 @@ def recover_multipliers(net, S, X, link_times):
     c, n = S.n_commodities, S.n_nodes
 
     alpha = np.zeros(c * n)
+    trees = _origin_trees(net, t, range(c))
     for i in range(c):
-        sp_res = _dijkstra(net, t, net.origin_idx[i])
-        pi = sp_res.dist.copy()
+        pi = trees[net.origin_idx[i]].dist.copy()
         finite = np.isfinite(pi)
         if not finite.all():
             pi[~finite] = pi[finite].max() + 1.0

@@ -402,19 +402,26 @@ def _require(doc, key, kind, where):
     return float(val) if kind is _NUMBER else val
 
 
-def parse_network(text):
-    """Parse a JSON network document into a validated Network.
-
-    Top-level keys other than nodes/links/commodities/observations/weights are
-    ignored so documents can carry solver settings alongside the instance.
-    """
+def _decode(text):
+    """The top-level object of a JSON document; every integer fits a float."""
     try:
         doc = json.loads(text, parse_int=_whole_number)
     except json.JSONDecodeError as exc:
         raise MalformedInput("invalid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise MalformedInput("top-level JSON value must be an object")
+    return doc
 
+
+def parse_network(text):
+    """Parse a JSON network document into a validated Network.
+
+    text is the document, or the object _decode made of it, so that a caller
+    that also reads other keys decodes the document once.  Top-level keys
+    other than nodes/links/commodities/observations/weights are ignored so
+    documents can carry solver settings alongside the instance.
+    """
+    doc = text if isinstance(text, dict) else _decode(text)
     nodes = _require(doc, "nodes", list, "document")
     link_specs = _require(doc, "links", list, "document")
     com_specs = _require(doc, "commodities", list, "document")

@@ -1,11 +1,14 @@
 """User-equilibrium traffic assignment and its building blocks.
 
-solve_tap runs a commodity-disaggregated Frank-Wolfe scheme.  Each commodity
-keeps the set of all-or-nothing flow patterns generated so far and its current
-flow is a convex combination of them, which makes away steps available; plain
-Frank-Wolfe zigzags sublinearly once the optimum sits on a face of the feasible
-polytope and cannot reach tight relative gaps in reasonable time.  Conservation
-holds to roundoff at every iterate because every atom routes the full demand.
+solve_tap runs path-based gradient projection with a diagonal Newton step
+(Jayakrishnan et al., Transp. Res. Rec. 1443, 1994).  Each commodity keeps the
+paths it uses and the flow on each.  A sweep visits the commodities in order:
+it finds the commodity's shortest path under the current link times and moves
+flow to it from every other used path, by that path's excess cost over the
+summed cost derivatives of the links where the two paths differ, and at most
+all of its flow.  Only those links change, so only their times and derivatives
+are evaluated.  Conservation holds to roundoff at every iterate because a move
+keeps the commodity's total path flow.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, Unreachable
+from .network import aggregate_flows
 
 _EPS_DEN = 1e-30  # guards relative-gap denominators on zero-cost networks
+_EPS_SHIFT = 1e-15  # excess costs below this share of the compared times are roundoff
 
 
 @dataclass
@@ -43,26 +48,40 @@ class TapSolution:
     converged: bool
 
 
-def _dijkstra(net, costs, origin_idx):
-    """Label-setting shortest paths; ties settle the lowest node index first."""
+def _dijkstra(net, costs, origin_idx, dest_idx=None):
+    """Label-setting shortest paths; ties settle the lowest node index first.
+
+    With dest_idx the search stops once that node is settled: its distance
+    and the tree path to it are final, other labels may not be.
+    """
     n = net.n_nodes
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.intp)
+    costs = np.asarray(costs, dtype=float).tolist()
+    dist = [np.inf] * n
+    pred = [-1] * n
+    done = [False] * n
     dist[origin_idx] = 0.0
     heap = [(0.0, origin_idx)]
-    done = np.zeros(n, dtype=bool)
     while heap:
         du, u = heapq.heappop(heap)
         if done[u]:
             continue
         done[u] = True
+        if u == dest_idx:
+            break
         for link_idx, w in net.out_links[u]:
             nd = du + costs[link_idx]
             if nd < dist[w]:
                 dist[w] = nd
                 pred[w] = link_idx
                 heapq.heappush(heap, (nd, w))
-    return ShortestPathResult(dist=dist, pred=pred)
+    return ShortestPathResult(dist=np.array(dist), pred=np.array(pred, dtype=np.intp))
+
+
+def _origin_trees(net, costs, commodities):
+    """Shortest-path trees under costs, one per distinct origin of the given
+    commodities, keyed by origin index."""
+    origins = dict.fromkeys(int(net.origin_idx[i]) for i in commodities)
+    return {o: _dijkstra(net, costs, o) for o in origins}
 
 
 def _path_links(net, sp_res, origin_idx, dest_idx):
@@ -88,78 +107,40 @@ def beckmann_objective(net, v):
     return float(net.link_time_integrals(v).sum())
 
 
-def _exact_step(net, v, direction, lam_max):
-    """Minimize phi(lam) = T(v + lam*direction) over [0, lam_max].
-
-    phi is convex, so bisection on phi'(lam) = t(v+lam*dir) . dir suffices.
-    """
-    def dphi(lam):
-        vv = np.maximum(v + lam * direction, 0.0)
-        return float(net.link_times(vv) @ direction)
-
-    if dphi(0.0) >= 0.0:
-        return 0.0
-    if dphi(lam_max) <= 0.0:
-        return lam_max
-    lo, hi = 0.0, lam_max
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        dm = dphi(mid)
-        if abs(dm) <= 1e-12:
-            return mid
-        if dm > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def relative_gap(net, d, v):
     """(t(v).v - sum_i d_i * sp_i) / t(v).v, the standard equilibrium gap."""
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
     t = net.link_times(v)
     total = float(t @ v)
+    active = [i for i in range(net.n_commodities) if d[i] != 0.0]
+    trees = _origin_trees(net, t, active)
     best = 0.0
-    for i in range(net.n_commodities):
-        if d[i] == 0.0:
-            continue
-        sp_res = _dijkstra(net, t, net.origin_idx[i])
-        best += d[i] * sp_res.dist[net.destination_idx[i]]
+    for i in active:
+        best += d[i] * trees[net.origin_idx[i]].dist[net.destination_idx[i]]
     return (total - best) / max(total, _EPS_DEN)
 
 
-class _CommodityFlow:
-    """Convex combination of all-or-nothing patterns for one commodity."""
-
-    __slots__ = ("demand", "keys", "atoms", "weights", "flow")
-
-    def __init__(self, demand):
-        self.demand = demand
-        self.keys = []          # path signatures, insertion order
-        self.atoms = []         # flow vectors, one per key
-        self.weights = []
-        self.flow = None
-
-    def rebuild(self):
-        w = np.array(self.weights)
-        w = np.maximum(w, 0.0)
-        w /= w.sum()
-        self.weights = list(w)
-        self.flow = np.array(self.atoms).T @ w
-
-    def add_atom(self, key, atom):
-        self.keys.append(key)
-        self.atoms.append(atom)
-        self.weights.append(0.0)
-        return len(self.keys) - 1
-
-    def prune(self):
-        keep = [j for j, w in enumerate(self.weights) if w > 1e-14]
-        if len(keep) != len(self.keys):
-            self.keys = [self.keys[j] for j in keep]
-            self.atoms = [self.atoms[j] for j in keep]
-            self.weights = [self.weights[j] for j in keep]
+def _shift(net, v, flows, p, q):
+    """Move flow of one commodity from path p to path q by a diagonal Newton
+    step on the Beckmann objective, capped at p's flow; v follows.  Returns
+    whether any flow moved."""
+    q_set, p_set = set(q), set(p)
+    only_p = [a for a in p if a not in q_set]
+    only_q = [a for a in q if a not in p_set]
+    t_p = sum(net.links[a].cost.value(float(v[a])) for a in only_p)
+    t_q = sum(net.links[a].cost.value(float(v[a])) for a in only_q)
+    excess = t_p - t_q
+    if not excess > _EPS_SHIFT * (t_p + t_q):
+        return False
+    curv = sum(net.links[a].cost.derivative(float(v[a])) for a in only_p + only_q)
+    h = flows[p]
+    step = h if excess >= h * curv else excess / curv
+    flows[p] = h - step
+    flows[q] += step
+    v[only_p] -= step
+    v[only_q] += step
+    return True
 
 
 def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
@@ -170,9 +151,9 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
     net : Network
     d : array of per-commodity demands, nonnegative
     tol : target relative gap
-    max_iter : cap on improvement cycles over all commodities
+    max_iter : cap on sweeps over all commodities
     on_iteration : optional callback (iteration, X, v, beckmann, rgap), invoked
-        once per cycle; used by diagnostics and tests
+        once per sweep; used by diagnostics and tests
 
     Returns a TapSolution; `converged` is False when the budget ran out, in
     which case the best iterate found is returned rather than raising.
@@ -186,102 +167,45 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
 
     n_links = net.n_links
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]
-    if not active:
-        X = np.zeros(net.n_commodities * n_links)
-        v = np.zeros(n_links)
-        return TapSolution(X=X, v=v, beckmann=beckmann_objective(net, v),
-                           rgap=0.0, iterations=0, converged=True)
 
-    blocks = {}
-    t0 = net.link_times(np.zeros(n_links))
-    v = np.zeros(n_links)
-    for i in active:
-        blk = _CommodityFlow(d[i])
-        sp_res = _dijkstra(net, t0, net.origin_idx[i])
-        key = tuple(_path_links(net, sp_res, net.origin_idx[i], net.destination_idx[i]))
-        atom = np.zeros(n_links)
-        for a in key:
-            atom[a] += d[i]
-        j = blk.add_atom(key, atom)
-        blk.weights[j] = 1.0
-        blk.rebuild()
-        blocks[i] = blk
-        v = v + blk.flow
+    def shortest(i, t):
+        o = net.origin_idx[i]
+        dest = net.destination_idx[i]
+        return tuple(_path_links(net, _dijkstra(net, t, o, dest), o, dest))
 
     def assemble():
+        # X from the path flows; v is its exact per-link sum
         X = np.zeros(net.n_commodities * n_links)
         for i in active:
-            X[i * n_links:(i + 1) * n_links] = blocks[i].flow
-        return X
+            for p, h in paths[i].items():
+                X[i * n_links + np.array(p, dtype=np.intp)] += h
+        return X, aggregate_flows(net, X)
 
-    def gap_now():
-        return relative_gap(net, d, v)
-
-    rgap = gap_now()
+    t0 = net.link_times(np.zeros(n_links))
+    paths = {i: {shortest(i, t0): d[i]} for i in active}
+    X, v = assemble()
+    rgap = relative_gap(net, d, v)
     iterations = 0
     converged = rgap <= tol
     if on_iteration is not None:
-        on_iteration(0, assemble(), v.copy(), beckmann_objective(net, v), rgap)
+        on_iteration(0, X.copy(), v.copy(), beckmann_objective(net, v), rgap)
 
     while not converged and iterations < max_iter:
         iterations += 1
         moved = False
         for i in active:
-            blk = blocks[i]
-            t = net.link_times(v)
-            sp_res = _dijkstra(net, t, net.origin_idx[i])
-            key = tuple(_path_links(net, sp_res, net.origin_idx[i],
-                                    net.destination_idx[i]))
-            if key in blk.keys:
-                fw_idx = blk.keys.index(key)
-                fw_atom = blk.atoms[fw_idx]
-            else:
-                fw_atom = np.zeros(n_links)
-                for a in key:
-                    fw_atom[a] += blk.demand
-                fw_idx = None
+            q = shortest(i, net.link_times(v))
+            flows = paths[i]
+            flows.setdefault(q, 0.0)
+            for p in list(flows):
+                if p != q:
+                    moved = _shift(net, v, flows, p, q) or moved
+            paths[i] = {p: h for p, h in flows.items() if h > 0.0}
 
-            atom_costs = [float(t @ atom) for atom in blk.atoms]
-            away_j = int(np.argmax(atom_costs))
-            cur_cost = float(t @ blk.flow)
-            g_fw = float(t @ fw_atom) - cur_cost       # <= 0
-            g_aw = cur_cost - atom_costs[away_j]       # <= 0
-
-            scale = 1e-15 * (1.0 + abs(cur_cost))
-            use_away = g_aw < g_fw and len(blk.keys) > 1 and blk.weights[away_j] < 1.0
-            if use_away:
-                direction = blk.flow - blk.atoms[away_j]
-                w_a = blk.weights[away_j]
-                lam_max = min(w_a / (1.0 - w_a), 1e12)
-                gain = g_aw
-            else:
-                direction = fw_atom - blk.flow
-                lam_max = 1.0
-                gain = g_fw
-            if gain >= -scale or lam_max <= 0.0:
-                continue
-
-            lam = _exact_step(net, v, direction, lam_max)
-            if lam <= 0.0:
-                continue
-            moved = True
-            if use_away:
-                blk.weights = [w * (1.0 + lam) for w in blk.weights]
-                blk.weights[away_j] -= lam
-            else:
-                if fw_idx is None:
-                    fw_idx = blk.add_atom(key, fw_atom)
-                blk.weights = [w * (1.0 - lam) for w in blk.weights]
-                blk.weights[fw_idx] += lam
-            blk.prune()
-            blk.rebuild()
-            v = np.zeros(n_links)
-            for ii in active:
-                v = v + blocks[ii].flow
-
-        rgap = gap_now()
+        X, v = assemble()
+        rgap = relative_gap(net, d, v)
         if on_iteration is not None:
-            on_iteration(iterations, assemble(), v.copy(),
+            on_iteration(iterations, X.copy(), v.copy(),
                          beckmann_objective(net, v), rgap)
         if rgap <= tol:
             converged = True
@@ -289,7 +213,5 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
             # no commodity can improve; stuck at the attainable accuracy
             break
 
-    X = assemble()
     return TapSolution(X=X, v=v, beckmann=beckmann_objective(net, v),
                        rgap=rgap, iterations=iterations, converged=converged)
-

@@ -58,6 +58,19 @@ def toy_document():
     return json.loads(json.dumps(TOY_DOC))
 
 
+def quadratic_toy_document():
+    """The toy with t(x) = x + x^2 on every link.
+
+    One assignment sweep reaches the linear toy's equilibrium to roundoff, so a
+    test of an exhausted sweep budget needs curved costs: here one or two
+    sweeps leave a relative gap above 1e-8.
+    """
+    doc = toy_document()
+    for link in doc["links"]:
+        link["coeffs"] = [0.0, 1.0, 1.0]
+    return doc
+
+
 @pytest.fixture
 def toy_net():
     return parse_network(json.dumps(TOY_DOC))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import TOY_DOC, TOY_TARGETS, TOY_V, toy_document
+from conftest import (TOY_DOC, TOY_TARGETS, TOY_V, quadratic_toy_document,
+                      toy_document)
 from odadjust import cli
 from odadjust.cli import main
 from odadjust.driver import IterationRecord
@@ -166,9 +167,9 @@ def test_tap_demand_validation(toy_file, capsys):
         assert _input_error(["tap", "--input", toy_file] + extra, capsys), extra
 
 
-def test_tap_budget_exit_code(toy_file, capsys):
-    assert main(["tap", "--input", toy_file, "--tol", "1e-30",
-                 "--max-iter", "2"]) == 2
+def test_tap_budget_exit_code(tmp_path, capsys):
+    path = _write(tmp_path, quadratic_toy_document())
+    assert main(["tap", "--input", path, "--tol", "1e-30", "--max-iter", "2"]) == 2
     capsys.readouterr()
 
 
@@ -195,19 +196,24 @@ def test_solve_report_content(toy_file, tmp_path, capsys):
     assert report["inner_attempts"] >= report["outer_iterations"] - 1
 
 
-def test_solve_failure_still_writes_report(toy_file, tmp_path, capsys):
+# fails in the first restoration on the quadratic toy: one sweep leaves a gap
+FAILING_SOLVE = ["--initial-demand", "1,2", "--set", "tap_max_iter=1",
+                 "--set", "tap_tol=1e-30"]
+
+
+def test_solve_failure_still_writes_report(tmp_path, capsys):
+    path = _write(tmp_path, quadratic_toy_document())
     report_path = tmp_path / "report.json"
     log_path = tmp_path / "trace.tsv"
-    code = main(["solve", "--input", toy_file, "--report", str(report_path),
-                 "--log", str(log_path), "--initial-demand", "1,2",
-                 "--set", "tap_max_iter=1", "--set", "tap_tol=1e-30"])
+    code = main(["solve", "--input", path, "--report", str(report_path),
+                 "--log", str(log_path)] + FAILING_SOLVE)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "restoration" in err
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["status"] == "error"
     assert report["reason"] in err
-    assert report["input"] == toy_file
+    assert report["input"] == path
     assert (report["nodes"], report["links"], report["commodities"]) == (3, 4, 2)
     assert (report["eta1"], report["eta2"]) == (0.5, 0.5)
     assert report["target_demand"] == [1.5, 1.75]
@@ -219,25 +225,22 @@ def test_solve_failure_still_writes_report(toy_file, tmp_path, capsys):
     assert log_path.read_text(encoding="utf-8") == "\t".join(names) + "\n"
 
 
-FAILING_SOLVE = ["--initial-demand", "1,2", "--set", "tap_max_iter=1",
-                 "--set", "tap_tol=1e-30"]
-
-
 @pytest.mark.parametrize("flag, where, extra", [
     ("--report", "missing/report.json", []),
     ("--log", "missing/trace.tsv", []),
     ("--log", ".", []),
     ("--report", "missing/report.json", FAILING_SOLVE),
 ], ids=["report", "log", "log-directory", "report-of-failed-solve"])
-def test_solve_unwritable_output_exits_1(flag, where, extra, toy_file, tmp_path,
+def test_solve_unwritable_output_exits_1(flag, where, extra, tmp_path,
                                          capsys, monkeypatch):
     # the output paths are checked before the solver runs, also when the
     # solve would fail and write an error report
+    path = _write(tmp_path, quadratic_toy_document())
     calls = []
     real = cli.solve_dap
     monkeypatch.setattr(cli, "solve_dap",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    code = main(["solve", "--input", toy_file, flag, str(tmp_path / where)] + extra)
+    code = main(["solve", "--input", path, flag, str(tmp_path / where)] + extra)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: cannot write")

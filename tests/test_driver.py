@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import TOY_TARGETS, TOY_V, TOY_X, toy_document
+from conftest import (TOY_TARGETS, TOY_V, TOY_X, quadratic_toy_document,
+                      toy_document)
 from odadjust import (
     DapResult,
     IRConfig,
@@ -131,10 +132,11 @@ def test_restore_random_demands(net, S):
         assert_array_equal(z[S.slices[0]], d)
 
 
-def test_restore_propagates_budget_exhaustion(net, S):
+def test_restore_propagates_budget_exhaustion():
+    net = parse_network(json.dumps(quadratic_toy_document()))
     cfg = IRConfig(tap_tol=1e-30, tap_max_iter=1)
     with pytest.raises(MaxIterations):
-        restore(net, S, np.array([1.0, 2.0]), cfg)
+        restore(net, build_structure(net), np.array([1.0, 2.0]), cfg)
 
 
 # -- inner machinery ---------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Equilibrium assignment: shortest paths, line search, gap, full solves."""
+"""Equilibrium assignment: shortest paths, path shifts, gap, full solves."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     TOY_TARGETS,
     TOY_V,
     TOY_X,
+    quadratic_toy_document,
     random_network,
     toy_document,
 )
@@ -24,7 +26,9 @@ from odadjust import (
     solve_tap,
 )
 from odadjust.errors import DimensionMismatch
-from odadjust.tap import _dijkstra, _exact_step
+from odadjust.tap import _dijkstra, _path_links, _shift
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -55,7 +59,22 @@ def test_shortest_paths_deterministic(net):
         assert_array_equal(res.dist, first.dist)
 
 
-# -- objective, line search, gap ------------------------------------------------
+def test_shortest_paths_stop_at_destination():
+    # stopping once the destination settles keeps its distance and tree path,
+    # with distinct and with tied costs
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    rng = np.random.default_rng(5)
+    for costs in (rng.uniform(1.0, 2.0, gnet.n_links), np.ones(gnet.n_links)):
+        for o in range(gnet.n_nodes):
+            full = _dijkstra(gnet, costs, o)
+            for dest in range(gnet.n_nodes):
+                part = _dijkstra(gnet, costs, o, dest)
+                assert part.dist[dest] == full.dist[dest]
+                assert (_path_links(gnet, part, o, dest)
+                        == _path_links(gnet, full, o, dest))
+
+
+# -- objective, path shift, gap ---------------------------------------------------
 
 def test_beckmann_objective_closed_form(net):
     assert_allclose(beckmann_objective(net, TOY_V), TOY_BECKMANN, rtol=1e-15)
@@ -63,14 +82,30 @@ def test_beckmann_objective_closed_form(net):
         beckmann_objective(net, np.zeros(3))
 
 
-def test_line_search_quadratic_minimum(net):
-    # t(x) = x makes the restriction quadratic: minimizer of
-    # |v + lam * (y - v)|^2 / 2 over [0, 1]
-    v = np.array([1.0, 0.0, 0.0, 0.0])
-    y = np.array([0.0, 1.0, 0.0, 0.0])
-    assert_allclose(_exact_step(net, v, y - v, 1.0), 0.5, atol=1e-10)
-    # already optimal: moving toward y cannot help
-    assert _exact_step(net, y, y - y, 1.0) == 0.0
+def test_path_shift_lands_on_equal_costs(net):
+    # commodity 2 all on its direct link 1->3 (path (1,)); its other route
+    # 1->2->3 is (0, 2).  Linear costs make the diagonal Newton step exact:
+    # one shift of 1/12 equalizes both routes at 5/3.
+    v = np.array([1.5, 1.75, 0.0, 0.0])
+    flows = {(1,): 1.75, (0, 2): 0.0}
+    assert _shift(net, v, flows, (1,), (0, 2))
+    assert_allclose(flows[(0, 2)], 1.0 / 12.0, rtol=1e-15)
+    assert_allclose(flows[(1,)], 5.0 / 3.0, rtol=1e-15)
+    assert_allclose(v, TOY_V, rtol=1e-15, atol=1e-15)
+    t = net.link_times(v)
+    assert_allclose(t[1], t[0] + t[2], rtol=1e-15)
+    assert not _shift(net, v, flows, (1,), (0, 2))     # nothing left to gain
+
+
+def test_path_shift_capped_at_path_flow(net):
+    # commodity 1 has 0.1 on 1->3->2 (path (1, 3)); the Newton step 0.55/3
+    # exceeds it, so all of it moves to the direct link and the path empties
+    v = np.array([1.4, 1.85, 0.0, 0.1])
+    flows = {(0,): 1.4, (1, 3): 0.1}
+    assert _shift(net, v, flows, (1, 3), (0,))
+    assert flows[(1, 3)] == 0.0
+    assert_allclose(flows[(0,)], 1.5, rtol=1e-15)
+    assert_allclose(v, [1.5, 1.75, 0.0, 0.0], atol=1e-15)
 
 
 def test_relative_gap_values(net):
@@ -131,10 +166,33 @@ def test_solve_tap_iteration_callback(net):
         assert_allclose(X.reshape(2, 4).sum(axis=0), v, atol=1e-12)
 
 
-def test_solve_tap_budget_exhaustion(net):
-    sol = solve_tap(net, TOY_TARGETS, tol=1e-30, max_iter=2)
+def test_solve_tap_budget_exhaustion():
+    qnet = parse_network(json.dumps(quadratic_toy_document()))
+    sol = solve_tap(qnet, TOY_TARGETS, tol=1e-30, max_iter=2)
     assert not sol.converged
     assert sol.iterations <= 2
+
+
+def test_solve_tap_deterministic():
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    first = solve_tap(gnet, gnet.target_demands, tol=1e-8)
+    again = solve_tap(gnet, gnet.target_demands, tol=1e-8)
+    assert first.X.tobytes() == again.X.tobytes()
+    assert_array_equal(first.v, again.v)
+    assert first.iterations == again.iterations
+
+
+def test_solve_tap_grid_sweeps():
+    # the 3x3 grid of the benchmark generator, instance 0; the Frank-Wolfe
+    # loop this solver replaced took 237 sweeps
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
+    assert sol.converged and sol.rgap <= 1e-8
+    assert sol.iterations <= 150
+    S = build_structure(gnet)
+    assert_allclose(S.M @ sol.X, S.Gamma @ gnet.target_demands, rtol=0, atol=1e-10)
+    assert np.all(sol.X >= 0.0)
+    assert_array_equal(sol.v, aggregate_flows(S, sol.X))
 
 
 def test_solve_tap_random_instances_reach_gap():
