@@ -25,6 +25,7 @@ from odadjust.errors import (
     NegativeCoefficient,
     UnreachableDestination,
 )
+from odadjust.network import _decode
 
 
 # -- cost polynomials ---------------------------------------------------------
@@ -173,6 +174,7 @@ def test_parse_round_trip():
     net = parse_network(json.dumps(toy_document()))
     again = parse_network(serialize_network(net))
     assert again == net
+    assert parse_network(_decode(json.dumps(toy_document()))) == net
     assert again.eta1 == 0.5 and again.eta2 == 0.5
     assert_allclose(again.obs_flows, [1.5833333, 1.6666667])
     assert_array_equal(again.obs_links, [0, 1])

@@ -74,7 +74,7 @@ def test_shortest_paths_stop_at_destination():
                         == _path_links(gnet, full, o, dest))
 
 
-# -- objective, path shift, gap ---------------------------------------------------
+# -- objective, path shift, gap -------------------------------------------------
 
 def test_beckmann_objective_closed_form(net):
     assert_allclose(beckmann_objective(net, TOY_V), TOY_BECKMANN, rtol=1e-15)
@@ -183,8 +183,8 @@ def test_solve_tap_deterministic():
 
 
 def test_solve_tap_grid_sweeps():
-    # the 3x3 grid of the benchmark generator, instance 0; the Frank-Wolfe
-    # loop this solver replaced took 237 sweeps
+    # the benchmark generator's 3x3 grid, instance 0, takes 112 sweeps; a
+    # sweep count well above that means the path shifts lost their step
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
     assert sol.converged and sol.rgap <= 1e-8
