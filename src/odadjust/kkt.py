@@ -60,7 +60,7 @@ def eval_C(net, S, s):
     """
     d, X, alpha, beta = _blocks(S, s)
     t = net.link_times(aggregate_flows(S, X))
-    return np.concatenate([np.tile(t, S.n_commodities) + S.M.T @ alpha - beta,
+    return np.concatenate([np.tile(t, S.n_commodities) + S.Mt @ alpha - beta,
                            S.Gamma @ d - S.M @ X,
                            beta * X])
 
@@ -117,7 +117,7 @@ def recover_multipliers(net, S, X, link_times):
             pi[~finite] = pi[finite].max() + 1.0
         alpha[i * n:(i + 1) * n] = -pi
 
-    beta = np.tile(t, c) + S.M.T @ alpha
+    beta = np.tile(t, c) + S.Mt @ alpha
     worst = float(beta.min()) if beta.size else 0.0
     if worst < -1e-8:
         raise ResidualTooLarge(
@@ -136,8 +136,9 @@ def recover_multipliers(net, S, X, link_times):
 def tangent_space(net, S, z):
     """Linearized feasible set at z: J(w-z)=0 and the sign constraints, no box.
 
-    Building it takes one dense SVD of J for its null-space basis.  The
+    Building it finds the coordinates that single-entry rows of J pin and takes
+    one sparse LU of the KKT matrix of the rest (see projection).  The
     optimization phase boxes it with dataclasses.replace(space,
-    box_radius=delta), which reuses the Jacobian and that basis.
+    box_radius=delta), which reuses the Jacobian and that factorization.
     """
     return TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)

@@ -266,6 +266,7 @@ class StructureMatrices:
     Gamma  od incidence, (n_commodities*n_nodes) x n_commodities, block-diagonal
            with -1 at the origin and +1 at the destination of each commodity
     M      block-diagonal repetition of A, one block per commodity
+    Mt     M' in CSR, built once for the products M' alpha
 
     jac_rows and jac_cols place every entry of J = C'(s), the lifted Jacobian:
     the constant blocks Gamma, -M, M' and -I (values jac_fixed), the t'(v)
@@ -279,6 +280,7 @@ class StructureMatrices:
     n_nodes: int
     n_links: int
     n_commodities: int
+    Mt: sp.csr_matrix = field(init=False, repr=False, compare=False)
     jac_rows: np.ndarray = field(init=False, repr=False, compare=False)
     jac_cols: np.ndarray = field(init=False, repr=False, compare=False)
     jac_fixed: np.ndarray = field(init=False, repr=False, compare=False)
@@ -287,6 +289,7 @@ class StructureMatrices:
     def __post_init__(self):
         c, a = self.n_commodities, self.n_links
         (sl_d, sl_x, sl_alpha, sl_beta), (stat, cons, comp) = self.slices, self.residual_slices
+        object.__setattr__(self, "Mt", self.M.T.tocsr())
         I = sp.identity(c * a)
         # t'_l joins stationarity row (i, l) and flow column (j, l), all i, j; Tp holds l
         i, j, link = np.indices((c, c, a)).reshape(3, -1)

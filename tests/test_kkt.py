@@ -138,6 +138,13 @@ def test_eval_C_block_structure(net, S):
     assert_allclose(res2[sl_cons][1], 1.0, atol=1e-12)
 
 
+def test_transposed_incidence_built_once(S):
+    # eval_C and recover_multipliers use the stored M' instead of transposing M
+    assert_array_equal(S.Mt.toarray(), S.M.T.toarray())
+    alpha = np.random.default_rng(7).normal(size=S.Mt.shape[1])
+    assert_array_equal(S.Mt @ alpha, S.M.T @ alpha)
+
+
 def test_eval_C_jacobian_matches_taylor(net, S):
     rng = np.random.default_rng(5)
     s = random_state(rng, S)

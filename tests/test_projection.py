@@ -1,5 +1,6 @@
 """Active-set projection onto {J(w-z)=0, w >= lower, |w-z|_inf <= box}."""
 
+import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -11,11 +12,11 @@ from numpy.testing import assert_allclose
 from conftest import random_tangent_instance
 from scipy.optimize import lsq_linear
 
-from odadjust import (IRConfig, build_structure, parse_network, projection,
-                      solve_dap, tangent_space)
+from odadjust import (IRConfig, build_structure, parse_network, solve_dap,
+                      tangent_space)
 from odadjust.driver import restore
 from odadjust.errors import DimensionMismatch
-from odadjust.kkt import grad_F_state
+from odadjust.kkt import eval_C_jacobian, grad_F_state
 from odadjust.oracles import oracle_project
 from odadjust.projection import TangentSpace, min_norm_solve, project
 
@@ -110,39 +111,43 @@ def test_project_returns_feasible_z_for_far_point():
     assert abs((w[0] - 1.0) - (w[1] - 1.0)) <= 1e-10
 
 
-def test_boxing_reuses_null_basis():
+def test_boxing_reuses_factorization():
     rng = np.random.default_rng(303)
     T, _ = random_tangent_instance(rng)
     boxed = replace(T, box_radius=0.5)
-    assert boxed.N is T.N
+    assert boxed.lu is T.lu and boxed.free is T.free
     assert boxed.box_radius == 0.5 and T.box_radius != 0.5
 
 
-def test_pinned_coordinate_never_enters_working_set(monkeypatch):
+class _SpyLU:
+    """Forwards to a factorization and records the unit right-hand sides."""
+
+    def __init__(self, lu):
+        self.lu, self.shape, self.units = lu, lu.shape, []
+
+    def solve(self, r):
+        hit = np.flatnonzero(r)
+        if hit.size == 1 and r[hit[0]] == 1.0:
+            self.units.append(int(hit[0]))
+        return self.lu.solve(r)
+
+
+def test_pinned_coordinate_never_enters_working_set():
     # J pins w0 = z0, whose lower bound sits at z0 while b pulls it down;
     # coordinate 3 also starts on its bound and does block
     z = np.array([0.0, 1.0, 2.0, 0.5])
     J = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
     lower = np.array([0.0, 0.0, -np.inf, 0.5])
     T = TangentSpace(z=z, J=J, lower=lower)
-    assert not T.N[0].any()
-    solves = []
-    real = projection.min_norm_solve
-
-    def spy(A, r):
-        solves.append(np.asarray(A).copy())
-        return real(A, r)
-
-    monkeypatch.setattr(projection, "min_norm_solve", spy)
+    assert 0 not in T.free
+    spy = _SpyLU(T.lu)
     b = np.array([-3.0, -1.0, 4.0, 0.0])
-    w = project(T, b)
-    # the working rows enter the solves as unit columns; a pinned row would
-    # enter as a zero column
-    assert any(A.shape[1] for A in solves)
-    for A in solves:
-        assert_allclose(np.linalg.norm(A, axis=0), 1.0)
+    w = project(replace(T, lu=spy), b)
+    # a bound enters the working set through one solve with its unit vector
+    entered = set(T.free[spy.units].tolist())
+    assert 3 in entered and 0 not in entered
     assert_allclose(w, oracle_project(z, J, lower, None, b), atol=1e-7)
-    assert w[0] == 0.0
+    assert w[0] == z[0]
 
 
 def test_near_null_singular_value_is_null():
@@ -156,18 +161,44 @@ def test_near_null_singular_value_is_null():
     lower = np.full(n, -np.inf)
     lower[:3] = z[:3]
     T = TangentSpace(z=z, J=J, lower=lower)
-    assert T.N.shape == (n, n - 2)
     for box in (None, 0.7):
         b = z + 3.0 * rng.normal(size=n)
         w = project(replace(T, box_radius=box), b)
         assert_allclose(w, oracle_project(z, J, lower, box, b), atol=1e-7)
 
 
+def _certify(T, b, w):
+    """Check, without SLSQP, that w is the projection of b onto T's set.
+
+    w must be feasible, and b - w = J' lam - sum nu_i e_i over the lower
+    bounds active at w + sum nu_i e_i over the box's upper bounds active at w,
+    with lam free and nu >= 0, solved by bvls.  Feasibility, activity and the
+    residual share one tolerance, 1e-8 (1 + |b - w|_inf).
+    """
+    tol = 1e-8 * (1.0 + np.abs(b - w).max())
+    J = T.J.toarray() if hasattr(T.J, "toarray") else np.asarray(T.J, dtype=float)
+    lower, upper = T.lower, np.full(w.size, np.inf)
+    if T.box_radius is not None:
+        lower = np.maximum(lower, T.z - T.box_radius)
+        upper = T.z + T.box_radius
+    assert np.abs(J @ (w - T.z)).max(initial=0.0) <= tol
+    assert np.all(w >= lower) and np.all(w <= upper)
+    low, up = np.flatnonzero(w - lower <= tol), np.flatnonzero(upper - w <= tol)
+    Jt = J.T[:, np.abs(J).max(axis=1, initial=0.0) > 0.0]   # zero rows carry nothing
+    E = np.zeros((w.size, low.size + up.size))
+    E[low, np.arange(low.size)] = -1.0
+    E[up, low.size + np.arange(up.size)] = 1.0
+    free = np.full(Jt.shape[1], -np.inf)
+    fit = lsq_linear(np.hstack([Jt, E]), b - w, method="bvls",
+                     bounds=(np.concatenate([free, np.zeros(E.shape[1])]), np.inf))
+    assert np.abs(fit.fun).max() <= tol
+
+
 @pytest.mark.parametrize("name", ["grid3x3_0.json", "grid4x4_1.json"])
 def test_grid_projection_does_not_stall(name):
     # the first Cauchy projection on these grids (3x3 with 3 OD pairs, 4x4
-    # with 4) starts where many bounds are active; on the 4x4 grid some bound
-    # rows lie within 1e-10 of the span of the rows already in the working set
+    # with 4) starts where many bounds are active; on the 4x4 grid some of
+    # them depend on the bounds already in the working set
     net = parse_network((DATA / name).read_text(encoding="utf-8"))
     cfg = IRConfig(max_outer=1)
     start = time.perf_counter()
@@ -175,22 +206,22 @@ def test_grid_projection_does_not_stall(name):
     assert time.perf_counter() - start < 5.0
     assert res.outer_iterations == 1 and res.history
 
-    # certify that first projection (mu = 0) without SLSQP: w is feasible and
-    # b - w = J' lam - sum of nu_i e_i over the bounds active at w, nu >= 0
+    # certify that first projection (mu = 0)
     S = build_structure(net)
     z = restore(net, S, net.target_demands, cfg)
     space = tangent_space(net, S, z)
     b = z - cfg.eta * grad_F_state(net, S, z)
-    w = project(space, b)
-    tol = 1e-8 * (1.0 + np.abs(b - w).max())
-    J = space.J.toarray()
-    assert np.abs(J @ (w - z)).max() <= tol
-    assert np.all(w >= S.lower)
-    active = np.flatnonzero(w - S.lower <= tol)
-    Jt = J.T[:, np.abs(J).max(axis=1) > 0.0]      # zero rows of J carry nothing
-    E = np.zeros((w.size, active.size))
-    E[active, np.arange(active.size)] = -1.0
-    free = np.full(Jt.shape[1], -np.inf)
-    fit = lsq_linear(np.hstack([Jt, E]), b - w, method="bvls",
-                     bounds=(np.concatenate([free, np.zeros(active.size)]), np.inf))
-    assert np.abs(fit.fun).max() <= tol
+    _certify(space, b, project(space, b))
+
+
+def test_stalled_grid_projection_is_certified():
+    # the boxed projection that stalled a full run of 4x4 instance 0
+    # (IRConfig(max_outer=200)) after outer step 189: an active set run in the
+    # coordinates of a dense SVD basis of null(J) cycled until its cap
+    net = parse_network((DATA / "grid4x4_0.json").read_text(encoding="utf-8"))
+    case = json.loads((DATA / "grid4x4_0_stall.json").read_text(encoding="utf-8"))
+    S = build_structure(net)
+    z, b = np.array(case["z"]), np.array(case["b"])
+    space = TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower,
+                         box_radius=case["box_radius"])
+    _certify(space, b, project(space, b))
