@@ -15,8 +15,25 @@ Each outer iteration k:
 
 States are flat vectors laid out by StructureMatrices.slices; multipliers
 follow its residual_slices.
+
+The method's own constants; IRConfig holds only what a caller chooses:
+
+  THETA_INIT           theta_{-1}, the penalty weight before the first step
+  OMEGA0, OMEGA_RATIO  summable penalty bump omega_k = OMEGA0 * OMEGA_RATIO**k
+  DELTA0, DELTA_MIN    trust box radius of the first outer step, and its floor
+                       at the start of each outer step
+  SHRINK               radius factor after a rejected candidate; an outer step
+                       stalls once the radius falls below 1e-12 * DELTA0,
+                       within 40 rejections since it starts at most 1
+  TAU1, TAU2           radius-proportional and absolute sufficient-decrease
+                       margins of the optimization phase
+  M_BOUND              clip bound for trial multipliers
+  INNER_GTOL           projected-gradient stop inside find_candidate
+  INNER_POINT_CAP      trial points allowed per optimization phase
+  INNER_ITER_CAP       projected-gradient iterations per optimization phase
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -34,37 +51,33 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_OUTER = "max_outer"
 STATUS_STALLED = "stalled"
 
+THETA_INIT = 0.9
+OMEGA0 = 0.1
+OMEGA_RATIO = 0.5
+DELTA0 = 1.0
+DELTA_MIN = 0.1
+SHRINK = 0.5
+TAU1 = 1e-4
+TAU2 = 1e-4
+M_BOUND = 1e6
+INNER_GTOL = 1e-3
+INNER_POINT_CAP = 100
+INNER_ITER_CAP = 10
+
 
 @dataclass
 class IRConfig:
-    """Algorithm parameters; the defaults are the working set for small networks."""
+    """How exact the answer must be and how much work a run may spend."""
 
-    eta: float = 1.0            # step scale inside the projected-gradient map
-    M_bound: float = 1e6        # clip bound for trial multipliers
-    theta_init: float = 0.9     # theta_{-1}
-    delta0: float = 1.0         # initial trust box radius
-    delta_min: float = 0.1      # radius floor applied at the start of each outer step
-    tau1: float = 1e-4          # radius-proportional sufficient-decrease margin
-    tau2: float = 1e-4          # absolute sufficient-decrease margin
     eps1: float = 1e-5          # restoration displacement tolerance
     eps2: float = 1e-5          # projected-gradient tolerance
-    omega0: float = 0.1         # penalty bump schedule omega_k = omega0 * ratio**k
-    omega_ratio: float = 0.5
-    shrink: float = 0.5         # trust box shrink factor on rejection
     tap_tol: float = 1e-8       # relative gap demanded from the restoration solve
     tap_max_iter: int = 50000
     max_outer: int = 200
-    max_inner: int = 60         # rejected candidates tolerated per outer step
-    inner_gtol: float = 1e-3    # projected-gradient stop inside find_candidate
-    inner_point_cap: int = 100  # trial points allowed per optimization phase
-    inner_iter_cap: int = 10    # projected-gradient iterations per phase
-
-    def omega(self, k):
-        return self.omega0 * self.omega_ratio ** k
 
     def __post_init__(self):
         # the annotations give the rules: every field is finite and positive,
-        # int fields are also integral; theta_init and shrink stay below 1
+        # int fields are also integral
         for f in fields(self):
             val = getattr(self, f.name)
             kind = "positive integer" if f.type is int else "finite positive number"
@@ -73,9 +86,6 @@ class IRConfig:
                     or (f.type is int and val != int(val))):
                 raise ValueError("%s must be a %s, got %r" % (f.name, kind, val))
             setattr(self, f.name, f.type(val))
-        for name in ("theta_init", "shrink"):
-            if getattr(self, name) >= 1.0:
-                raise ValueError("%s must lie in (0, 1)" % name)
 
 
 @dataclass
@@ -108,10 +118,10 @@ class DapResult:
     outer_iterations: int = 0
 
 
-def init_penalty(k, theta_history, omega_schedule):
+def init_penalty(k, theta_history):
     """theta_{k,-1} = min(1, min over history) + omega_k, capped at 1."""
     theta_min = min(1.0, min(theta_history))
-    return min(1.0, theta_min + omega_schedule(k))
+    return min(1.0, theta_min + OMEGA0 * OMEGA_RATIO ** k)
 
 
 def restore(net, S, d, cfg):
@@ -127,14 +137,14 @@ def restore(net, S, d, cfg):
     return z
 
 
-def cauchy_direction(net, S, mu, cfg, space):
+def cauchy_direction(net, S, mu, space):
     """Projected-gradient step of the Lagrangian within the tangent set at z.
 
     space is tangent_space(net, S, z), possibly boxed; its Jacobian gives the
     Lagrangian gradient at z.
     """
     g = grad_F_state(net, S, space.z) + space.J.T @ mu
-    return project(space, space.z - cfg.eta * g) - space.z
+    return project(space, space.z - g) - space.z
 
 
 def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
@@ -144,12 +154,12 @@ def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
     return close and flat
 
 
-def trial_multipliers(net, S, v, M_bound):
+def trial_multipliers(net, S, v):
     """argmin_mu |grad F(v) + C'(v)^T mu|, minimum norm, clipped to the bound."""
     g = grad_F_state(net, S, v)
     Jt = eval_C_jacobian(net, S, v).T
     mu = min_norm_solve(Jt, -g)
-    return np.clip(mu, -M_bound, M_bound)
+    return np.clip(mu, -M_BOUND, M_BOUND)
 
 
 def choose_theta(a, b, theta_prev):
@@ -178,7 +188,7 @@ def accept_step(ared, pred):
     return ared >= 0.1 * pred
 
 
-def find_candidate(net, S, mu, r_tan, cfg, space):
+def find_candidate(net, S, mu, r_tan, space):
     """Optimization phase: a point of the boxed tangent set around space.z that
     does at least as well as the broken Cauchy point in the Lagrangian.
 
@@ -197,22 +207,22 @@ def find_candidate(net, S, mu, r_tan, cfg, space):
     cauchy_vec = zvec + t_break * r_tan
     L_z = L_of(zvec)
     L_cauchy = L_of(cauchy_vec)
-    bound = max(L_cauchy, L_z - cfg.tau1 * delta, L_z - cfg.tau2)
+    bound = max(L_cauchy, L_z - TAU1 * delta, L_z - TAU2)
 
     points = 0
     cur = zvec
     L_cur = L_z
-    for _ in range(cfg.inner_iter_cap):
+    for _ in range(INNER_ITER_CAP):
         g_f = grad_F_state(net, S, cur)
         r_v = project(space, cur - g_f) - cur
-        if float(np.linalg.norm(r_v)) < cfg.inner_gtol:
+        if float(np.linalg.norm(r_v)) < INNER_GTOL:
             break
         g_l = g_f + eval_C_jacobian(net, S, cur).T @ mu
         if float(r_v @ g_l) >= 0.0:
             break                      # descent property lost to roundoff
         step = 1.0
         moved = False
-        while points < cfg.inner_point_cap and step >= 1e-12:
+        while points < INNER_POINT_CAP and step >= 1e-12:
             trial = cur + step * r_v
             L_trial = L_of(trial)
             points += 1
@@ -223,7 +233,7 @@ def find_candidate(net, S, mu, r_tan, cfg, space):
                 moved = True
                 break
             step *= 0.5
-        if not moved or points >= cfg.inner_point_cap:
+        if not moved or points >= INNER_POINT_CAP:
             break
 
     if L_cauchy <= bound:
@@ -259,17 +269,17 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     s[sl_d] = d0
     mu = np.zeros(S.n_constraints)
 
-    theta_hist = [cfg.theta_init]
-    delta_prev = cfg.delta0
+    theta_hist = [THETA_INIT]
+    delta_prev = DELTA0
     history = []
     status = STATUS_MAX_OUTER
 
     for k in range(cfg.max_outer):
-        theta_cur = init_penalty(k, theta_hist, cfg.omega)
+        theta_cur = init_penalty(k, theta_hist)
         z = restore(net, S, s[sl_d], cfg)
 
         space = tangent_space(net, S, z)
-        r_tan = cauchy_direction(net, S, mu, cfg, space)
+        r_tan = cauchy_direction(net, S, mu, space)
         if check_stop(s, z, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED
             break
@@ -279,16 +289,16 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
         normC_z = float(np.linalg.norm(C_z))
         L_s = eval_L(net, S, s, mu)
         rt_norm = float(np.linalg.norm(r_tan))
-        delta = max(cfg.delta_min, delta_prev)
+        delta = max(DELTA_MIN, delta_prev)
 
         accepted = False
-        for i in range(cfg.max_inner):
+        for i in itertools.count():
             if rt_norm <= 1e-14 * (1.0 + float(np.linalg.norm(z))):
                 v, mu_trial = z, mu.copy()
             else:
-                v = find_candidate(net, S, mu, r_tan, cfg,
+                v = find_candidate(net, S, mu, r_tan,
                                    replace(space, box_radius=delta))
-                mu_trial = trial_multipliers(net, S, v, cfg.M_bound)
+                mu_trial = trial_multipliers(net, S, v)
 
             # one residual at v serves both Lagrangians, as eval_L computes them
             F_v = eval_F(net, v[sl_d], v[sl_x])
@@ -323,8 +333,8 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
                 delta_prev = delta
                 accepted = True
                 break
-            delta *= cfg.shrink
-            if delta < 1e-12 * cfg.delta0:
+            delta *= SHRINK
+            if delta < 1e-12 * DELTA0:
                 break
 
         if not accepted:

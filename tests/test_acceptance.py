@@ -32,7 +32,8 @@ from odadjust import (
     solve_tap,
 )
 from odadjust.cli import main as cli_main
-from odadjust.driver import STATUS_CONVERGED, restore
+from odadjust.driver import (OMEGA0, OMEGA_RATIO, STATUS_CONVERGED, THETA_INIT,
+                             restore)
 from odadjust.kkt import eval_F, grad_F_state
 from odadjust.oracles import fd_gradient, oracle_project, oracle_tap
 from odadjust.projection import project
@@ -224,18 +225,18 @@ def test_07_projection_properties():
 
 
 def test_08_merit_bookkeeping():
-    cfg = IRConfig()
     ok = True
     checked = 0
     for _, (res, _) in _adjustment_runs().items():
-        prev_theta = cfg.theta_init
+        prev_theta = THETA_INIT
         for rec in res.history:
             if not rec.accepted:
                 continue
             checked += 1
             ok = ok and rec.ared >= 0.1 * rec.pred - 1e-12
             ok = ok and rec.pred >= 0.5 * (rec.normC_s - rec.normC_z) - 1e-12
-            ok = ok and rec.theta <= min(1.0, prev_theta) + cfg.omega(rec.k) + 1e-12
+            omega = OMEGA0 * OMEGA_RATIO ** rec.k
+            ok = ok and rec.theta <= min(1.0, prev_theta) + omega + 1e-12
             prev_theta = rec.theta
     ok = ok and checked > 0
     _report(ok, "[8] merit bookkeeping: %d accepted steps satisfy the "

@@ -78,7 +78,7 @@ def test_check_rejects_bad_documents(tmp_path, capsys):
         ("observations", 0, dict(TOY_DOC["observations"][0], flow=10**400)),
         ("weights", "eta1", 10**400),
         ("initial_demand", None, [10**400, 1.0]),
-        ("solver", None, {"eta": 10**400}),
+        ("solver", None, {"eps2": 10**400}),
     ]:
         doc = toy_document()
         if where is None:
@@ -283,12 +283,29 @@ def test_solve_set_validation(toy_file, capsys):
     assert main(["solve", "--input", toy_file, "--set", "bogus=1"]) == 1
     assert main(["solve", "--input", toy_file, "--set", "eps1=abc"]) == 1
     assert main(["solve", "--input", toy_file, "--set", "eps1"]) == 1
-    assert main(["solve", "--input", toy_file, "--set", "theta_init=2"]) == 1
     capsys.readouterr()
     for setting in ("max_outer=nan", "max_outer=inf", "max_outer=2.5",
-                    "max_outer=0", "eta=nan", "eta=-inf"):
+                    "max_outer=0", "eps2=nan", "eps2=-inf"):
         assert _input_error(["solve", "--input", toy_file, "--set", setting],
                             capsys), setting
+
+
+def test_removed_settings_are_input_errors(toy_file, tmp_path, capsys):
+    # the method's constants live in odadjust.driver, not in IRConfig
+    assert main(["solve", "--input", toy_file, "--set", "eta=2"]) == 1
+    assert capsys.readouterr().err.startswith("error: bad solver settings")
+    doc = toy_document()
+    doc["solver"] = {"max_inner": 5}
+    path = _write(tmp_path, doc, "removed.json")
+    for command in ("check", "solve"):
+        assert main([command, "--input", path]) == 1
+        assert capsys.readouterr().err.startswith("error: bad solver settings")
+    report_path = tmp_path / "report.json"
+    main(["solve", "--input", toy_file, "--report", str(report_path),
+          "--set", "max_outer=1"])
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert sorted(report["solver"]) == [
+        "eps1", "eps2", "max_outer", "tap_max_iter", "tap_tol"]
 
 
 def test_solve_writes_iteration_log(toy_file, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Outer driver: restoration, penalty logic, trust box, full adjustments."""
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from odadjust.errors import DimensionMismatch, InfeasibleTheta, MaxIterations
 from odadjust.kkt import eval_L, tangent_space
 import odadjust.driver as driver_module
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 @pytest.fixture
 def net():
@@ -51,25 +55,29 @@ def S(net):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IRConfig(theta_init=1.5)
-    with pytest.raises(ValueError):
-        IRConfig(shrink=1.0)
-    with pytest.raises(ValueError):
-        IRConfig(tau1=-1.0)
+        IRConfig(eps1=-1.0)
     with pytest.raises(ValueError):
         IRConfig(max_outer=0)
-    cfg = IRConfig()
-    assert cfg.omega(0) == 0.1
-    assert cfg.omega(3) == 0.0125
+
+
+def test_readme_lists_the_config_fields():
+    # each setting appears in the README's "Solver settings" section as
+    # `name` (default); the list must match IRConfig, names and defaults
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Solver settings\n", 1)[1].split("\n## ", 1)[0]
+    listed = {name: float(default) for name, default
+              in re.findall(r"`(\w+)` \(([^)]+)\)", section)}
+    assert listed == {f.name: f.default for f in fields(IRConfig)}
 
 
 def test_init_penalty_schedule():
-    cfg = IRConfig()
-    assert init_penalty(0, [0.9], cfg.omega) == 1.0
-    assert init_penalty(1, [0.9, 0.4], cfg.omega) == pytest.approx(0.45)
+    # omega_k = 0.1 * 0.5**k
+    assert init_penalty(0, [0.9]) == 1.0
+    assert init_penalty(1, [0.9, 0.4]) == pytest.approx(0.45)
     # history values above one are capped before the bump
-    assert init_penalty(2, [2.0], cfg.omega) == 1.0
-    assert init_penalty(4, [0.5, 0.2, 0.3], cfg.omega) == pytest.approx(0.20625)
+    assert init_penalty(2, [2.0]) == 1.0
+    assert init_penalty(3, [0.5]) == 0.5125
+    assert init_penalty(4, [0.5, 0.2, 0.3]) == pytest.approx(0.20625)
 
 
 def test_solve_dap_start_state(net, S):
@@ -157,7 +165,7 @@ def test_cauchy_direction_vanishes_at_optimum(net, S):
     # observations, so the projected objective gradient nearly vanishes
     z = restore(net, S, TOY_TARGETS, cfg)
     mu = np.zeros(S.n_constraints)
-    r = cauchy_direction(net, S, mu, cfg, tangent_space(net, S, z))
+    r = cauchy_direction(net, S, mu, tangent_space(net, S, z))
     assert np.abs(r).max() <= 1e-5
 
 
@@ -165,17 +173,17 @@ def test_cauchy_direction_descends_away_from_optimum(net, S):
     cfg = IRConfig()
     z = restore(net, S, np.array([1.0, 2.0]), cfg)
     mu = np.zeros(S.n_constraints)
-    r = cauchy_direction(net, S, mu, cfg, tangent_space(net, S, z))
+    r = cauchy_direction(net, S, mu, tangent_space(net, S, z))
     assert np.abs(r).max() > 1e-3
 
 
 def test_trial_multipliers_bounded(net, S):
     cfg = IRConfig()
     z = restore(net, S, np.array([1.0, 2.0]), cfg)
-    mu = trial_multipliers(net, S, z, cfg.M_bound)
+    mu = trial_multipliers(net, S, z)
     assert mu.shape == (S.n_constraints,)
     assert np.all(np.isfinite(mu))
-    assert np.abs(mu).max() <= cfg.M_bound
+    assert np.abs(mu).max() <= driver_module.M_BOUND
 
 
 def test_find_candidate_respects_box_and_bound(net, S):
@@ -184,8 +192,8 @@ def test_find_candidate_respects_box_and_bound(net, S):
     mu = np.zeros(S.n_constraints)
     delta = 0.5
     space = replace(tangent_space(net, S, z), box_radius=delta)
-    r_tan = cauchy_direction(net, S, mu, cfg, space)
-    v = find_candidate(net, S, mu, r_tan, cfg, space)
+    r_tan = cauchy_direction(net, S, mu, space)
+    v = find_candidate(net, S, mu, r_tan, space)
     assert np.abs(v - z).max() <= delta + 1e-10
     J = space.J.toarray()
     assert np.abs(J @ (v - z)).max() <= 1e-8
@@ -193,7 +201,8 @@ def test_find_candidate_respects_box_and_bound(net, S):
     rt2 = float(np.linalg.norm(r_tan))
     t_break = min(1.0, delta / rt2)
     L_cauchy = eval_L(net, S, z + t_break * r_tan, mu)
-    bound = max(L_cauchy, L_z - cfg.tau1 * delta, L_z - cfg.tau2)
+    bound = max(L_cauchy, L_z - driver_module.TAU1 * delta,
+                L_z - driver_module.TAU2)
     assert eval_L(net, S, v, mu) <= bound + 1e-12
 
 
@@ -238,9 +247,16 @@ def test_solve_dap_outer_budget(net):
 
 def test_solve_dap_stalls_when_nothing_accepted(net, monkeypatch):
     monkeypatch.setattr(driver_module, "accept_step", lambda ared, pred: False)
-    res = solve_dap(net, d0=[1.0, 2.0])
+    res = solve_dap(net, IRConfig(max_outer=3), d0=[1, 2])
     assert res.status == STATUS_STALLED
     assert all(not rec.accepted for rec in res.history)
+    # the first radius is 1 and every rejection halves it, so the outer step
+    # ends after 40 attempts, once the radius drops below 1e-12
+    assert res.outer_iterations == 1
+    assert len(res.history) == 40
+    assert [rec.i for rec in res.history] == list(range(40))
+    assert res.history[0].delta == 1.0
+    assert res.history[-1].delta == 2.0 ** -39
 
 
 def test_solve_dap_history_bookkeeping(net):
@@ -270,10 +286,11 @@ def test_solve_dap_penalty_sequence_monotone_with_bump(net):
     cfg = IRConfig()
     res = solve_dap(net, cfg, d0=[1.8, 2.0])
     assert res.status == STATUS_CONVERGED
-    prev = cfg.theta_init
+    prev = driver_module.THETA_INIT
     for rec in res.history:
         if rec.accepted:
-            assert rec.theta <= min(1.0, prev) + cfg.omega(rec.k) + 1e-12
+            omega = driver_module.OMEGA0 * driver_module.OMEGA_RATIO ** rec.k
+            assert rec.theta <= min(1.0, prev) + omega + 1e-12
             prev = rec.theta
 
 

@@ -210,7 +210,7 @@ def test_grid_projection_does_not_stall(name):
     S = build_structure(net)
     z = restore(net, S, net.target_demands, cfg)
     space = tangent_space(net, S, z)
-    b = z - cfg.eta * grad_F_state(net, S, z)
+    b = z - grad_F_state(net, S, z)
     _certify(space, b, project(space, b))
 
 
