@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 input or usage problem, 2 solver did not converge.
 A failed solve still writes its report, with status "error".  All numbers
-written to reports and logs carry 9 significant digits, so repeated runs with
-the same BLAS thread count produce byte-identical output.
+written to reports and logs carry 9 significant digits, so repeated runs
+produce byte-identical output.
 """
 
 from __future__ import annotations

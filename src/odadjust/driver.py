@@ -7,7 +7,7 @@ Each outer iteration k:
   3. stop if z^k is close to s^k and the projected Lagrangian step vanishes
   4. optimization phase: find a candidate v in the linearized set near z^k that
      matches at least the decrease of the projected-gradient (Cauchy) point
-  5. trial multipliers at v by bounded minimum-norm least squares
+  5. trial multipliers at v by regularized least squares, clipped to a bound
   6. pick the largest penalty weight theta keeping the predicted reduction of
      the two-term merit at half the feasibility gain
   7. accept when the actual reduction reaches a tenth of the prediction,
@@ -155,7 +155,11 @@ def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
 
 
 def trial_multipliers(net, S, v):
-    """argmin_mu |grad F(v) + C'(v)^T mu|, minimum norm, clipped to the bound."""
+    """argmin_mu |grad F(v) + C'(v)^T mu|^2 + REG |mu|^2, clipped to the bound.
+
+    projection.min_norm_solve does it by one sparse LU; projection.REG damps
+    the directions in which C'(v)^T is nearly singular.
+    """
     g = grad_F_state(net, S, v)
     Jt = eval_C_jacobian(net, S, v).T
     mu = min_norm_solve(Jt, -g)
@@ -269,6 +273,11 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     s[sl_d] = d0
     mu = np.zeros(S.n_constraints)
 
+    # |C(s)| and L(s, mu) at the current point; an accepted step carries over
+    # the values it computed at v
+    normC_s = float(np.linalg.norm(eval_C(net, S, s)))
+    L_s = eval_L(net, S, s, mu)
+
     theta_hist = [THETA_INIT]
     delta_prev = DELTA0
     history = []
@@ -284,10 +293,8 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             status = STATUS_CONVERGED
             break
 
-        normC_s = float(np.linalg.norm(eval_C(net, S, s)))
         C_z = eval_C(net, S, z)
         normC_z = float(np.linalg.norm(C_z))
-        L_s = eval_L(net, S, s, mu)
         rt_norm = float(np.linalg.norm(r_tan))
         delta = max(DELTA_MIN, delta_prev)
 
@@ -304,13 +311,14 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             F_v = eval_F(net, v[sl_d], v[sl_x])
             C_v = eval_C(net, S, v)
             L_v_k = F_v + float(C_v @ mu)
+            L_v = F_v + float(C_v @ mu_trial)
+            normC_v = float(np.linalg.norm(C_v))
             a = L_s - L_v_k - float(C_z @ (mu_trial - mu))
             b = normC_s - normC_z
             try:
                 theta_cur, pred = choose_theta(a, b, theta_cur)
-                ared = (theta_cur * (L_s - (F_v + float(C_v @ mu_trial)))
-                        + (1.0 - theta_cur) * (normC_s
-                                               - float(np.linalg.norm(C_v))))
+                ared = (theta_cur * (L_s - L_v)
+                        + (1.0 - theta_cur) * (normC_s - normC_v))
                 ok = accept_step(ared, pred)
             except InfeasibleTheta:
                 pred = theta_cur * a + (1.0 - theta_cur) * b
@@ -329,6 +337,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             if ok:
                 s = v
                 mu = mu_trial
+                normC_s, L_s = normC_v, L_v
                 theta_hist.append(theta_cur)
                 delta_prev = delta
                 accepted = True

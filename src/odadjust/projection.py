@@ -16,15 +16,28 @@ absorb dependent rows of J and costs REG times a row's multiplier in
 J(w - z).
 
 project() runs a primal active set on the bounds of the free coordinates,
-from w = z and an empty working set.  A working bound fixes its coordinate and
-enters the KKT solve through a Schur complement on K: one sparse solve
-K^-1 e_i when it first enters, then one small dense min_norm_solve per step
-for the step and the bound multipliers.  A bound's Schur pivot is the squared
-length, at most 1, of the part of e_i that J_F and the working bounds leave
-free.  A pivot at most DEPENDENT = 1e-9 means the bound depends on them: a
-step toward b moves it by at most sqrt(DEPENDENT) |b - w|, by roundoff in
-practice, so it does not enter.  Bland's rule (smallest index) breaks
-ratio-test ties and picks the bound to release.
+from w = z and an empty working set W.  A working bound fixes its coordinate
+and enters the KKT solve through the Schur block V[W], V holding the sparse
+solves K^-1 e_i, each computed once, when its bound first blocks.  project
+keeps a Cholesky factor L of the symmetric part (V[W] + V[W]')/2 and solves
+for the bound multipliers by two triangular solves.  K^-1 is symmetric, but
+the LU's columns K^-1 e_i are not, by up to 8e-8 on the first projection of
+a 5x5 grid; there a factor grown from one triangle of V[W] let bounds enter
+and leave until the loop stalled.
+
+A blocking bound extends L by one row, whose diagonal squared is the bound's
+Schur pivot: the squared length, at most 1, of the part of e_i that J_F and
+the working bounds leave free.  A pivot at most DEPENDENT = 1e-9 means the
+bound depends on them: a step toward b moves it by at most
+sqrt(DEPENDENT) |b - w|, by roundoff in practice, so it does not enter.  A
+released bound's row is deleted and the rows after it are factored again.
+Bland's rule (smallest index) breaks ratio-test ties and picks the bound to
+release.
+
+min_norm_solve(A, r) solves the same kind of system, [[I, A], [A', -REG I]],
+by one sparse LU: a least-squares solution of A x = r whose components along
+directions where A is within about sqrt(REG) of singular are damped toward
+zero, as in a minimum-norm solution, instead of being blown up by them.
 """
 
 from __future__ import annotations
@@ -79,43 +92,61 @@ class TangentSpace:
 
 
 def _kkt_matrix(J):
-    """The free coordinates of J and K = [[I, J_F'], [J_F, -REG I]] in CSC.
+    """The free coordinates of J and K = [[I, J_F'], [J_F, -REG I]] in CSC."""
+    m, n = J.shape
+    r, c, v = _entries(J)
+    pins = np.bincount(r, minlength=m)[r] == 1
+    pinned = np.zeros(n, dtype=bool)
+    pinned[c[pins]] = True
+    at = np.cumsum(~pinned) - 1                   # position of a free column in K
+    e = ~pins & ~pinned[c]                        # the entries of J_F
+    nf = n - int(np.count_nonzero(pinned))
+    return np.flatnonzero(~pinned), _quasi_definite(nf, m, r[e], at[c[e]], v[e])
+
+
+def _entries(J):
+    """Row, column and value of every nonzero entry of J."""
+    J = sp.csr_matrix(J)
+    keep = J.data != 0.0
+    r = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))[keep]
+    return r, J.indices[keep], J.data[keep]
+
+
+def _quasi_definite(n, m, r, c, v):
+    """K = [[I_n, B'], [B, -REG I_m]] in CSC, B being m x n with entries (r, c, v).
 
     K is assembled from its entries directly, which costs a fraction of
     sp.bmat on the small systems of the optimization phase.
     """
-    J = sp.csr_matrix(J)
-    m, n = J.shape
-    keep = J.data != 0.0
-    r = np.repeat(np.arange(m), np.diff(J.indptr))[keep]
-    c, v = J.indices[keep], J.data[keep]
-    pins = np.bincount(r, minlength=m)[r] == 1
-    pinned = np.zeros(n, dtype=bool)
-    pinned[c[pins]] = True
-    nf = n - int(np.count_nonzero(pinned))
-    at = np.cumsum(~pinned) - 1                   # position of a free column in K
-    e = ~pins & ~pinned[c]                        # the entries of J_F
-    r, c, v = nf + r[e], at[c[e]], v[e]
-    diag = np.arange(nf + m)
-    rows, cols = np.concatenate([diag, r, c]), np.concatenate([diag, c, r])
+    diag = np.arange(n + m)
+    rows, cols = np.concatenate([diag, n + r, c]), np.concatenate([diag, c, n + r])
     order = np.lexsort((rows, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nf + m))])
-    data = np.concatenate([np.ones(nf), np.full(m, -REG), v, v])
-    return np.flatnonzero(~pinned), sp.csc_matrix(
-        (data[order], rows[order], indptr), shape=(nf + m, nf + m))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n + m))])
+    data = np.concatenate([np.ones(n), np.full(m, -REG), v, v])
+    return sp.csc_matrix((data[order], rows[order], indptr), shape=(n + m, n + m))
 
 
-def min_norm_solve(J, r):
-    """Minimum-norm least-squares solution of J x = r (SVD based)."""
-    if sp.issparse(J):
-        J = J.toarray()
-    J = np.asarray(J, dtype=float)
+def min_norm_solve(A, r):
+    """x minimizing |A x - r|^2 + REG |x|^2, by one sparse LU.
+
+    K [y; x] = [r; 0] with K = [[I, A], [A', -REG I]] gives y = r - A x and
+    (A'A + REG I) x = A'r.  Roundoff in forming that system perturbs REG
+    itself, so along A's null directions x is small rather than exactly zero:
+    a least-squares solution of nearly minimum norm.
+    """
+    from scipy.sparse.linalg import splu
+    if not sp.issparse(A):
+        A = np.asarray(A, dtype=float)
     r = np.asarray(r, dtype=float)
-    if J.shape[0] != r.shape[0]:
-        raise DimensionMismatch("J has %d rows, r has length %d"
-                                % (J.shape[0], r.shape[0]))
-    x, *_ = np.linalg.lstsq(J, r, rcond=None)
-    return x
+    n, k = A.shape
+    if r.shape != (n,):
+        raise DimensionMismatch("A has %d rows, r has shape %r" % (n, r.shape))
+    K = _quasi_definite(n, k, *_entries(A.T))
+    # a symmetric fill-reducing ordering, as K is symmetric; with splu's
+    # default COLAMD the solution of [1, 1] x = 2 is off by 4e-4 in A's null
+    # direction, with this one by roundoff
+    lu = splu(K, permc_spec="MMD_AT_PLUS_A")
+    return lu.solve(np.concatenate([r, np.zeros(k)]))[n:]
 
 
 def project(T, b):
@@ -126,6 +157,7 @@ def project(T, b):
     loop exceeds 50 * dimension iterations, which signals a cycling pathology
     rather than an infeasible problem (z is always feasible).
     """
+    from scipy.linalg.blas import dtrsv   # scipy.linalg came with T's splu
     z, free, lu = T.z, T.free, T.lu
     n = z.size
     b = np.asarray(b, dtype=float)
@@ -145,7 +177,7 @@ def project(T, b):
 
     nf = free.size
     rhs = np.zeros(lu.shape[0])
-    cols = {}                     # K^-1 e_i of every bound that has entered
+    cols = {}                     # K^-1 e_i of every bound that has blocked
 
     def column(i):
         if i not in cols:
@@ -156,19 +188,41 @@ def project(T, b):
 
     y = np.zeros(nf)
     side = np.zeros(nf, dtype=np.int8)  # -1 / +1: working at lower / upper bound
+    order = []                    # the working bounds W, in the order of L's rows
+    L = np.zeros((0, 0), order="F")   # Cholesky factor of (V[W] + V[W]')/2
+    VW = np.empty((8, rhs.size))  # rows: K^-1 e_i for i in order, then spare
+
+    def next_row(i):
+        """Row of bound i past L, and its Schur pivot: that row's diagonal squared."""
+        v = column(i)
+        if not order:
+            return np.zeros(0), v[i]
+        row = dtrsv(L, 0.5 * (v[order] + VW[:len(order), i]), lower=1)
+        return row, v[i] - row @ row
+
+    def enter(i, row, pivot):
+        nonlocal L, VW
+        k = len(order)
+        M = np.zeros((k + 1, k + 1), order="F")
+        M[:k, :k], M[k, :k], M[k, k] = L, row, np.sqrt(pivot)
+        if k == VW.shape[0]:
+            VW = np.concatenate([VW, np.empty_like(VW)])
+        L, VW[k] = M, column(i)
+        order.append(i)
+
     scale = 1.0 + float(np.abs(c).max(initial=0.0))
     cap = 50 * max(n, 1)
     for _ in range(cap):
         # the step p minimizes |y + p - c|^2 with J_F p = 0 and p = 0 on the
         # working set W: K x + E nu = (c - y, 0), E' x = 0, E = [e_i, i in W]
-        work = np.flatnonzero(side)
         rhs[:nf] = c_f - y
         x = lu.solve(rhs)
-        V = np.column_stack([np.zeros((rhs.size, 0))] + [column(i) for i in work])
-        nu = min_norm_solve(V[work], x[work])   # V[work] is the Schur block
-        x -= V @ nu
+        nu = np.zeros(0)
+        if order:                 # V[W] nu = x[W] by two triangular solves
+            nu = dtrsv(L, dtrsv(L, x[order], lower=1), lower=1, trans=1)
+            x -= nu @ VW[:len(order)]
         p = x[:nf]
-        p[work] = 0.0
+        p[order] = 0.0
 
         if np.abs(p).max(initial=0.0) > 1e-13 * scale:
             # ratio test toward y + p on the free bounds that p moves
@@ -179,26 +233,35 @@ def project(T, b):
             alpha = float(ratio.min(initial=np.inf))
             while alpha < 1.0 - 1e-15:
                 blocker = int(np.flatnonzero(ratio <= alpha + 1e-15)[0])
-                v = column(blocker)
-                if v[blocker] - v[work] @ min_norm_solve(V[work], v[work]) > DEPENDENT:
+                row, pivot = next_row(blocker)
+                if pivot > DEPENDENT:
                     break
                 ratio[blocker] = np.inf
                 alpha = float(ratio.min(initial=np.inf))
             if alpha < 1.0 - 1e-15:
                 side[blocker] = -1 if p[blocker] < 0.0 else +1
+                enter(blocker, row, pivot)
                 y = y + max(alpha, 0.0) * p
                 continue
             y = y + p
 
         # y now minimizes on the working set, where c - y = J_F' lam + E nu:
         # a lower bound needs nu <= 0 and an upper bound nu >= 0
-        wrong = work[side[work] * nu < -1e-10 * scale]
-        if not wrong.size:
+        wrong = [i for i, nu_i in zip(order, nu) if side[i] * nu_i < -1e-10 * scale]
+        if not wrong:
             w = z.copy()
             w[free] += np.clip(y, lo, hi)
             if T.box_radius is not None:
                 return np.clip(w, z - T.box_radius, z + T.box_radius)
             return np.maximum(w, T.lower)
-        side[wrong[0]] = 0
+        # release the smallest index: the rows of L before it stay, the rows
+        # after it are factored again without it
+        drop = order.index(min(wrong))
+        side[order[drop]] = 0
+        later = order[drop + 1:]
+        del order[drop:]
+        L = np.asfortranarray(L[:drop, :drop])
+        for i in later:
+            enter(i, *next_row(i))
 
     raise SolverStalled("active-set projection exceeded %d iterations" % cap)

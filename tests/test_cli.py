@@ -342,6 +342,16 @@ def test_console_entry_point(toy_file):
     assert "state dimension: 24" in proc.stdout
 
 
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # check and tap never factor a matrix, so `import odadjust` must not pay
+    # for loading scipy.linalg, scipy.sparse.linalg or scipy.optimize
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.optimize")
+    code = "import sys, odadjust; print(*[m for m in %r if m in sys.modules])" % (heavy,)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_solve_initial_demand_validation(toy_file, capsys):
     assert main(["solve", "--input", toy_file,
                  "--initial-demand", "1,2,3"]) == 1

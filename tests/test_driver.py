@@ -1,7 +1,10 @@
 """Outer driver: restoration, penalty logic, trust box, full adjustments."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -35,10 +38,13 @@ from odadjust.driver import (
     trial_multipliers,
 )
 from odadjust.errors import DimensionMismatch, InfeasibleTheta, MaxIterations
-from odadjust.kkt import eval_L, tangent_space
+from odadjust.kkt import eval_C_jacobian, eval_L, grad_F_state, tangent_space
+from odadjust.projection import REG
 import odadjust.driver as driver_module
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+DATA = ROOT / "tests" / "data"
 
 
 @pytest.fixture
@@ -186,6 +192,35 @@ def test_trial_multipliers_bounded(net, S):
     assert np.abs(mu).max() <= driver_module.M_BOUND
 
 
+def test_trial_multipliers_stay_off_the_clip(monkeypatch):
+    # the first trial point of 2x2 instance 1: J' has a singular value near
+    # 1e-12 that a truncated SVD least-squares solve keeps, giving |mu| near
+    # 7e9, far past M_BOUND; the regularized solve damps it
+    net = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
+    S = build_structure(net)
+
+    class FirstPoint(Exception):
+        pass
+
+    def first_point(net_, S_, v):
+        raise FirstPoint(v)
+
+    monkeypatch.setattr(driver_module, "trial_multipliers", first_point)
+    with pytest.raises(FirstPoint) as caught:
+        solve_dap(net, IRConfig(max_outer=1))
+    v = caught.value.args[0]
+    mu = trial_multipliers(net, S, v)
+    assert np.abs(mu).max() < driver_module.M_BOUND
+
+    # the optimum of |g + J' mu|^2 + REG |mu|^2, by a dense SVD
+    g = grad_F_state(net, S, v)
+    Jt = eval_C_jacobian(net, S, v).T.toarray()
+    U, sig, Vt = np.linalg.svd(Jt, full_matrices=False)
+    best = Vt.T @ (sig / (sig * sig + REG) * (U.T @ -g))
+    assert (abs(np.linalg.norm(g + Jt @ mu) - np.linalg.norm(g + Jt @ best))
+            <= 1e-8)
+
+
 def test_find_candidate_respects_box_and_bound(net, S):
     cfg = IRConfig()
     z = restore(net, S, np.array([1.0, 2.0]), cfg)
@@ -257,6 +292,38 @@ def test_solve_dap_stalls_when_nothing_accepted(net, monkeypatch):
     assert [rec.i for rec in res.history] == list(range(40))
     assert res.history[0].delta == 1.0
     assert res.history[-1].delta == 2.0 ** -39
+
+
+_RUN_HASH = """
+import hashlib, sys
+import numpy as np
+from odadjust import IRConfig, parse_network, solve_dap
+res = solve_dap(parse_network(open(sys.argv[1], encoding="utf-8").read()),
+                IRConfig(max_outer=3))
+h = hashlib.sha256()
+for a in (res.d_final, res.X_final, res.mu_final):
+    h.update(np.ascontiguousarray(a).tobytes())
+h.update(repr([tuple(vars(r).values()) for r in res.history]).encode())
+print(res.status, len(res.history), h.hexdigest())
+"""
+
+
+def test_solve_dap_independent_of_blas_threads():
+    # three outer steps on 4x4 instance 1 give the same d, X, mu and history
+    # with one BLAS thread and with two
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _RUN_HASH,
+                               str(DATA / "grid4x4_1.json")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("max_outer ")
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_dap_history_bookkeeping(net):

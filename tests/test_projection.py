@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from conftest import random_tangent_instance
@@ -42,6 +43,21 @@ def test_min_norm_solve_underdetermined():
     assert_allclose(x, [1.0, 1.0], rtol=1e-12)
     with pytest.raises(DimensionMismatch):
         min_norm_solve(np.eye(3), np.zeros(2))
+
+
+def test_min_norm_solve_rank_deficient():
+    # the first two columns are equal, so A has rank 2 and A x = r has many
+    # least-squares solutions; REG and roundoff leave at most a small part of
+    # x along the null direction (1, -1, 0)
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 3.0],
+                  [1.0, 1.0, 1.0]])
+    for r in (A @ np.array([1.0, 3.0, -1.0]), np.array([1.0, -2.0, 0.5, 4.0])):
+        best = np.linalg.pinv(A) @ r
+        for form in (A, sp.csr_matrix(A)):
+            x = min_norm_solve(form, r)
+            assert (abs(np.linalg.norm(A @ x - r) - np.linalg.norm(A @ best - r))
+                    <= 1e-12 * (1.0 + np.linalg.norm(r)))
+            assert np.linalg.norm(x - best) <= 1e-2 * np.linalg.norm(best)
 
 
 def test_tangent_space_validation():
@@ -194,11 +210,15 @@ def _certify(T, b, w):
     assert np.abs(fit.fun).max() <= tol
 
 
-@pytest.mark.parametrize("name", ["grid3x3_0.json", "grid4x4_1.json"])
+@pytest.mark.parametrize("name", ["grid3x3_0.json", "grid4x4_1.json",
+                                  "grid5x5_0.json"])
 def test_grid_projection_does_not_stall(name):
     # the first Cauchy projection on these grids (3x3 with 3 OD pairs, 4x4
-    # with 4) starts where many bounds are active; on the 4x4 grid some of
-    # them depend on the bounds already in the working set
+    # with 4, 5x5 with 6) starts where many bounds are active; on the 4x4
+    # grid some of them depend on the bounds already in the working set.  On
+    # the 5x5 grid K^-1 e_i is asymmetric by up to 8e-8, and a Schur factor
+    # extended from one triangle of V[W] let bounds enter and leave until the
+    # loop stalled
     net = parse_network((DATA / name).read_text(encoding="utf-8"))
     cfg = IRConfig(max_outer=1)
     start = time.perf_counter()
