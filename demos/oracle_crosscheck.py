@@ -92,8 +92,8 @@ def main():
         z = np.maximum(z, np.where(np.isfinite(lower), lower, z))
         box = 2.0 if trial % 2 == 0 else None
         b = z + rng.normal(size=n)
-        space = TangentSpace(z=z, J=J, lower=lower, box_radius=box)
-        w = project(space, b)
+        space = TangentSpace(z=z, J=J, lower=lower)
+        w = project(space, b, box)
         w_ref = oracle_project(z, J, lower, box, b)
         gap = float(np.abs(w - w_ref).max())
         worst = max(worst, gap)

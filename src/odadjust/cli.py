@@ -41,8 +41,7 @@ def _parse_number(text, what):
 
 
 def _parse_demand_string(text):
-    return [_parse_number(tok, "demand list %r" % text)
-            for tok in text.split(",") if tok.strip() != ""]
+    return [_parse_number(tok, "demand list %r" % text) for tok in text.split(",")]
 
 
 def _parse_set_overrides(pairs):

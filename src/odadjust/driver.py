@@ -36,7 +36,7 @@ The method's own constants; IRConfig holds only what a caller chooses:
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -140,8 +140,8 @@ def restore(net, S, d, cfg):
 def cauchy_direction(net, S, mu, space):
     """Projected-gradient step of the Lagrangian within the tangent set at z.
 
-    space is tangent_space(net, S, z), possibly boxed; its Jacobian gives the
-    Lagrangian gradient at z.
+    space is tangent_space(net, S, z), projected onto without a box; its
+    Jacobian gives the Lagrangian gradient at z.
     """
     g = grad_F_state(net, S, space.z) + space.J.T @ mu
     return project(space, space.z - g) - space.z
@@ -192,16 +192,18 @@ def accept_step(ared, pred):
     return ared >= 0.1 * pred
 
 
-def find_candidate(net, S, mu, r_tan, space):
-    """Optimization phase: a point of the boxed tangent set around space.z that
-    does at least as well as the broken Cauchy point in the Lagrangian.
+def find_candidate(net, S, mu, r_tan, space, delta):
+    """Optimization phase: a point of the tangent set in the box of radius
+    delta around space.z that does at least as well as the broken Cauchy point
+    in the Lagrangian.
 
     Runs projected gradient on F (its projected direction is a descent
     direction for the Lagrangian on the tangent set) and returns the first
     trial whose Lagrangian passes the decrease test; the Cauchy point itself is
-    the fallback and always passes.  r_tan must be nonzero.
+    the fallback and always passes.  r_tan, the unboxed Cauchy direction, must
+    be nonzero.
     """
-    zvec, delta = space.z, space.box_radius
+    zvec = space.z
     rt2 = float(np.linalg.norm(r_tan))
 
     def L_of(vec):
@@ -218,7 +220,7 @@ def find_candidate(net, S, mu, r_tan, space):
     L_cur = L_z
     for _ in range(INNER_ITER_CAP):
         g_f = grad_F_state(net, S, cur)
-        r_v = project(space, cur - g_f) - cur
+        r_v = project(space, cur - g_f, delta) - cur
         if float(np.linalg.norm(r_v)) < INNER_GTOL:
             break
         g_l = g_f + eval_C_jacobian(net, S, cur).T @ mu
@@ -303,8 +305,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             if rt_norm <= 1e-14 * (1.0 + float(np.linalg.norm(z))):
                 v, mu_trial = z, mu.copy()
             else:
-                v = find_candidate(net, S, mu, r_tan,
-                                   replace(space, box_radius=delta))
+                v = find_candidate(net, S, mu, r_tan, space, delta)
                 mu_trial = trial_multipliers(net, S, v)
 
             # one residual at v serves both Lagrangians, as eval_L computes them

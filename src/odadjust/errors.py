@@ -34,7 +34,7 @@ class DimensionMismatch(OdAdjustError):
 
 
 class Unreachable(OdAdjustError):
-    """Positive demand cannot be routed because no path exists."""
+    """Positive demand cannot be routed because no path has a finite cost."""
 
 
 class MaxIterations(OdAdjustError):

@@ -138,7 +138,7 @@ def tangent_space(net, S, z):
 
     Building it finds the coordinates that single-entry rows of J pin and takes
     one sparse LU of the KKT matrix of the rest (see projection).  The
-    optimization phase boxes it with dataclasses.replace(space,
-    box_radius=delta), which reuses the Jacobian and that factorization.
+    optimization phase passes its trust radius to project(space, b, delta),
+    which reuses the Jacobian and that factorization.
     """
     return TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)

@@ -1,11 +1,11 @@
 """Euclidean projection onto a linearized feasible set.
 
-The feasible set is an affine subspace J(w - z) = 0 intersected with lower
-bounds on part of the coordinates and, optionally, an infinity-norm box of
-radius delta around z.  A row of J with one nonzero value pins its coordinate
-at z.  The other, free coordinates share one sparse LU (splu) per
-TangentSpace of the quasi-definite KKT matrix (Vanderbei, SIAM J. Optim. 5,
-1995)
+A TangentSpace is the affine subspace J(w - z) = 0 intersected with lower
+bounds on part of the coordinates; project() may also intersect it with an
+infinity-norm box of a given radius around z.  A row of J with one nonzero
+value pins its coordinate at z.  The other, free coordinates share one sparse
+LU (splu) per TangentSpace, whatever the radius, of the quasi-definite KKT
+matrix (Vanderbei, SIAM J. Optim. 5, 1995)
 
     K = [[I, J_F'], [J_F, -REG I]],
 
@@ -42,8 +42,6 @@ zero, as in a minimum-norm solution, instead of being blown up by them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -53,42 +51,30 @@ REG = 1e-14
 DEPENDENT = 1e-9
 
 
-@dataclass(frozen=True)
 class TangentSpace:
-    """Feasible set {w : J(w-z) = 0, w >= lower, |w - z|_inf <= box_radius}.
+    """Linearized feasible set {w : J(w-z) = 0, w >= lower} at z.
 
-    lower may contain -inf for unconstrained coordinates; box_radius None means
-    no box.  z itself must be feasible, which holds by construction whenever z
-    comes out of the restoration phase.  free (the coordinates no row of J
-    pins) and lu (the sparse LU of K) are computed when omitted;
-    dataclasses.replace(space, box_radius=delta) carries them over, so boxing
-    a space costs no second factorization.
+    lower may contain -inf for unconstrained coordinates.  z itself must be
+    feasible, which holds by construction whenever z comes out of the
+    restoration phase.  Building the space finds free, the coordinates no row
+    of J pins, and takes the sparse LU of K once; every project() onto the
+    space, with or without a box, reuses them.
     """
 
-    z: np.ndarray
-    J: object                 # sparse or dense matrix, shape (m, n)
-    lower: np.ndarray
-    box_radius: float | None = None
-    free: np.ndarray | None = field(default=None, repr=False, compare=False)
-    lu: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        lower = np.asarray(self.lower, dtype=float)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "lower", lower)
+    def __init__(self, z, J, lower):
+        z = np.asarray(z, dtype=float)
+        lower = np.asarray(lower, dtype=float)
         if z.shape != lower.shape:
             raise DimensionMismatch("z and lower must have the same shape")
-        if self.J.shape[1] != z.size:
+        if J.shape[1] != z.size:
             raise DimensionMismatch("J has %d columns, state has %d coordinates"
-                                    % (self.J.shape[1], z.size))
-        if self.lu is None:
-            # imported on first use: scipy.sparse.linalg loads scipy.linalg,
-            # about 0.1 s, which the check and tap commands never need
-            from scipy.sparse.linalg import splu
-            free, K = _kkt_matrix(self.J)
-            object.__setattr__(self, "free", free)
-            object.__setattr__(self, "lu", splu(K))
+                                    % (J.shape[1], z.size))
+        # imported on first use: scipy.sparse.linalg loads scipy.linalg,
+        # about 0.1 s, which the check and tap commands never need
+        from scipy.sparse.linalg import splu
+        self.z, self.J, self.lower = z, J, lower
+        self.free, K = _kkt_matrix(J)
+        self.lu = splu(K)
 
 
 def _kkt_matrix(J):
@@ -149,13 +135,14 @@ def min_norm_solve(A, r):
     return lu.solve(np.concatenate([r, np.zeros(k)]))[n:]
 
 
-def project(T, b):
-    """Projection of b onto the feasible set of a TangentSpace.
+def project(T, b, radius=None):
+    """Projection of b onto a TangentSpace, boxed when radius is given.
 
     Returns the unique minimizer w of |w - b|^2 subject to J(w-z) = 0, the
-    lower bounds, and the optional box.  Raises SolverStalled if the active-set
-    loop exceeds 50 * dimension iterations, which signals a cycling pathology
-    rather than an infeasible problem (z is always feasible).
+    lower bounds and, unless radius is None, |w - z|_inf <= radius.  Raises
+    SolverStalled if the active-set loop exceeds 50 * dimension iterations,
+    which signals a cycling pathology rather than an infeasible problem (z is
+    always feasible).
     """
     from scipy.linalg.blas import dtrsv   # scipy.linalg came with T's splu
     z, free, lu = T.z, T.free, T.lu
@@ -168,8 +155,8 @@ def project(T, b):
     c = b - z
     lo = T.lower - z
     hi = np.full(n, np.inf)
-    if T.box_radius is not None:
-        delta = float(T.box_radius)
+    if radius is not None:
+        delta = float(radius)
         lo = np.maximum(lo, -delta)
         hi = np.full(n, delta)
     lo = np.minimum(lo, 0.0)      # z is feasible; clip roundoff so y=0 stays valid
@@ -251,8 +238,8 @@ def project(T, b):
         if not wrong:
             w = z.copy()
             w[free] += np.clip(y, lo, hi)
-            if T.box_radius is not None:
-                return np.clip(w, z - T.box_radius, z + T.box_radius)
+            if radius is not None:
+                return np.clip(w, z - radius, z + radius)
             return np.maximum(w, T.lower)
         # release the smallest index: the rows of L before it stay, the rows
         # after it are factored again without it

@@ -86,8 +86,10 @@ def _origin_trees(net, costs, commodities):
 
 def _path_links(net, sp_res, origin_idx, dest_idx):
     """Link indices along the tree path origin -> dest, in travel order."""
+    # Network rejects unreachable destinations: only non-finite costs get here
     if dest_idx != origin_idx and sp_res.pred[dest_idx] < 0:
-        raise Unreachable("destination not reachable under the given costs")
+        raise Unreachable("link travel times are not finite, so no path to "
+                          "the destination has a finite cost")
     path = []
     u = dest_idx
     while u != origin_idx:

@@ -15,12 +15,25 @@ Routing everything on the direct links instead gives a relative gap of 7/85.
 """
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from odadjust import parse_network
 from odadjust.projection import TangentSpace
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env(**extra):
+    """Environment for a subprocess that imports the package from this
+    checkout's src, not from an installed copy."""
+    path = [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                         if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
 
 TOY_DOC = {
     "nodes": [1, 2, 3],
@@ -140,7 +153,8 @@ def random_network(rng):
 
 
 def random_tangent_instance(rng, max_dim=30):
-    """A TangentSpace plus query point, mixing active, slack and free bounds.
+    """A TangentSpace, query point and box radius (None for no box), mixing
+    active, slack and free bounds.
 
     The base point z is feasible by construction; roughly a third of the
     bounded coordinates sit exactly on their bound, and one equality row is
@@ -160,7 +174,7 @@ def random_tangent_instance(rng, max_dim=30):
     lower[tie] = z[tie]
     box = float(np.abs(rng.normal()) * 2.0 + 0.5) if rng.random() < 0.5 else None
     b = z + rng.normal(size=n) * 2.0
-    return TangentSpace(z=z, J=J, lower=lower, box_radius=box), b
+    return TangentSpace(z=z, J=J, lower=lower), b, box
 
 
 ACCEPTANCE_LINES = []

@@ -201,21 +201,21 @@ def test_07_projection_properties():
     rng = np.random.default_rng(20240817)
     worst_oracle = worst_idem = worst_exp = worst_feas = 0.0
     for _ in range(50):
-        T, b = random_tangent_instance(rng)
-        w = project(T, b)
-        wo = oracle_project(T.z, T.J, T.lower, T.box_radius, b)
+        T, b, box = random_tangent_instance(rng)
+        w = project(T, b, box)
+        wo = oracle_project(T.z, T.J, T.lower, box, b)
         worst_oracle = max(worst_oracle, float(np.abs(w - wo).max()))
-        worst_idem = max(worst_idem, float(np.abs(project(T, w) - w).max()))
+        worst_idem = max(worst_idem, float(np.abs(project(T, w, box) - w).max()))
         b2 = b + rng.normal(size=b.size) * 0.5
-        w2 = project(T, b2)
+        w2 = project(T, b2, box)
         worst_exp = max(worst_exp, float(np.linalg.norm(w2 - w)
                                          - np.linalg.norm(b2 - b)))
         feas = float(np.abs(np.asarray(T.J) @ (w - T.z)).max(initial=0.0))
         finite = np.isfinite(T.lower)
         if finite.any():
             feas = max(feas, float((T.lower[finite] - w[finite]).max(initial=0.0)))
-        if T.box_radius is not None:
-            feas = max(feas, float(np.abs(w - T.z).max() - T.box_radius))
+        if box is not None:
+            feas = max(feas, float(np.abs(w - T.z).max() - box))
         worst_feas = max(worst_feas, feas)
     ok = (worst_oracle <= 1e-6 and worst_idem <= 1e-8
           and worst_exp <= 1e-10 and worst_feas <= 1e-8)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (TOY_DOC, TOY_TARGETS, TOY_V, quadratic_toy_document,
-                      toy_document)
+from conftest import (TOY_DOC, TOY_TARGETS, TOY_V, checkout_env,
+                      quadratic_toy_document, toy_document)
 from odadjust import cli
 from odadjust.cli import main
 from odadjust.driver import IterationRecord
@@ -162,7 +162,9 @@ def test_tap_demand_validation(toy_file, capsys):
     assert main(["tap", "--input", toy_file, "--demand", "a,b"]) == 1
     assert main(["tap", "--input", toy_file, "--demand", ""]) == 1
     capsys.readouterr()
-    for extra in (["--demand", "1,nan"], ["--tol", "-1"], ["--tol", "nan"],
+    for extra in (["--demand", "1,nan"], ["--demand", "1,,2"],
+                  ["--demand", ",1,2"], ["--demand", "1,2,"],
+                  ["--tol", "-1"], ["--tol", "nan"],
                   ["--max-iter", "0"], ["--max-iter", "2.5"]):
         assert _input_error(["tap", "--input", toy_file] + extra, capsys), extra
 
@@ -245,6 +247,26 @@ def test_solve_unwritable_output_exits_1(flag, where, extra, tmp_path,
     assert code == 1
     assert err.startswith("error: cannot write")
     assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_link_times_name_their_cause(tmp_path, capsys):
+    # the link's travel time overflows to inf at this demand, so no path
+    # has a finite cost although the destination is reachable
+    doc = {"nodes": [1, 2],
+           "links": [{"id": 1, "from": 1, "to": 2, "coeffs": [1e300, 1e300]}],
+           "commodities": [{"origin": 1, "destination": 2, "target": 1e10}],
+           "observations": [], "weights": {"eta1": 1, "eta2": 1}}
+    path = _write(tmp_path, doc)
+    assert main(["tap", "--input", path]) == 2
+    assert "travel times are not finite" in capsys.readouterr().err
+    report_path = tmp_path / "report.json"
+    assert main(["solve", "--input", path, "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["status"] == "error"
+    assert "travel times are not finite" in report["reason"]
+    assert report["reason"] in err
 
 
 def test_solve_initial_demand_flag(toy_file, tmp_path):
@@ -337,7 +359,7 @@ def test_solve_logs_are_deterministic(toy_file, tmp_path, capsys):
 def test_console_entry_point(toy_file):
     proc = subprocess.run([sys.executable, "-m", "odadjust.cli",
                            "check", "--input", toy_file],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0
     assert "state dimension: 24" in proc.stdout
 
@@ -347,7 +369,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     # for loading scipy.linalg, scipy.sparse.linalg or scipy.optimize
     heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.optimize")
     code = "import sys, odadjust; print(*[m for m in %r if m in sys.modules])" % (heavy,)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
 
@@ -358,6 +381,6 @@ def test_solve_initial_demand_validation(toy_file, capsys):
     assert main(["solve", "--input", toy_file,
                  "--initial-demand=-1,2"]) == 1
     capsys.readouterr()
-    for demand in ("nan,1", "1,inf", "a,1"):
+    for demand in ("nan,1", "1,inf", "a,1", "1,2,", "1,,2", ",1,2", ""):
         assert _input_error(["solve", "--input", toy_file,
                              "--initial-demand", demand], capsys), demand

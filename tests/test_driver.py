@@ -1,19 +1,18 @@
 """Outer driver: restoration, penalty logic, trust box, full adjustments."""
 
 import json
-import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import (TOY_TARGETS, TOY_V, TOY_X, quadratic_toy_document,
-                      toy_document)
+from conftest import (TOY_TARGETS, TOY_V, TOY_X, checkout_env,
+                      quadratic_toy_document, toy_document)
 from odadjust import (
     DapResult,
     IRConfig,
@@ -226,9 +225,9 @@ def test_find_candidate_respects_box_and_bound(net, S):
     z = restore(net, S, np.array([1.0, 2.0]), cfg)
     mu = np.zeros(S.n_constraints)
     delta = 0.5
-    space = replace(tangent_space(net, S, z), box_radius=delta)
+    space = tangent_space(net, S, z)
     r_tan = cauchy_direction(net, S, mu, space)
-    v = find_candidate(net, S, mu, r_tan, space)
+    v = find_candidate(net, S, mu, r_tan, space, delta)
     assert np.abs(v - z).max() <= delta + 1e-10
     J = space.J.toarray()
     assert np.abs(J @ (v - z)).max() <= 1e-8
@@ -313,10 +312,8 @@ def test_solve_dap_independent_of_blas_threads():
     # with one BLAS thread and with two
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        env = checkout_env(OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", _RUN_HASH,
                                str(DATA / "grid4x4_1.json")],
                               env=env, capture_output=True, text=True)

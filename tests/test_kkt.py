@@ -326,4 +326,3 @@ def test_tangent_space_layout(net, S):
     assert_array_equal(lower[:10], np.zeros(10))          # d and X
     assert np.all(np.isneginf(lower[10:16]))              # alpha free
     assert_array_equal(lower[16:], np.zeros(8))           # beta
-    assert space.box_radius is None

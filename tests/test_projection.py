@@ -2,7 +2,6 @@
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from conftest import random_tangent_instance
-from scipy.optimize import lsq_linear
+from scipy.optimize import nnls
 
 from odadjust import (IRConfig, build_structure, parse_network, solve_dap,
                       tangent_space)
@@ -24,7 +23,7 @@ from odadjust.projection import TangentSpace, min_norm_solve, project
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def _feasibility(T, w):
+def _feasibility(T, w, box):
     """Worst violation of the three constraint families at w."""
     res = 0.0
     if T.J.shape[0]:
@@ -33,8 +32,8 @@ def _feasibility(T, w):
     finite = np.isfinite(T.lower)
     if finite.any():
         res = max(res, float((T.lower[finite] - w[finite]).max(initial=0.0)))
-    if T.box_radius is not None:
-        res = max(res, float(np.abs(w - T.z).max() - T.box_radius))
+    if box is not None:
+        res = max(res, float(np.abs(w - T.z).max() - box))
     return res
 
 
@@ -74,8 +73,8 @@ def test_project_bounds_only():
 
 def test_project_box_only():
     T = TangentSpace(z=np.zeros(2), J=np.zeros((0, 2)),
-                     lower=np.full(2, -np.inf), box_radius=1.0)
-    assert_allclose(project(T, np.array([3.0, -0.2])), [1.0, -0.2])
+                     lower=np.full(2, -np.inf))
+    assert_allclose(project(T, np.array([3.0, -0.2]), 1.0), [1.0, -0.2])
 
 
 def test_project_onto_hyperplane():
@@ -101,38 +100,44 @@ def test_project_rank_deficient_rows():
 def test_project_idempotent_and_feasible():
     rng = np.random.default_rng(101)
     for _ in range(25):
-        T, b = random_tangent_instance(rng)
-        w = project(T, b)
-        assert _feasibility(T, w) <= 1e-8
-        w2 = project(T, w)
+        T, b, box = random_tangent_instance(rng)
+        w = project(T, b, box)
+        assert _feasibility(T, w, box) <= 1e-8
+        w2 = project(T, w, box)
         assert np.abs(w2 - w).max() <= 1e-9
 
 
 def test_project_nonexpansive():
     rng = np.random.default_rng(202)
     for _ in range(25):
-        T, b1 = random_tangent_instance(rng)
+        T, b1, box = random_tangent_instance(rng)
         b2 = b1 + rng.normal(size=b1.size)
-        w1, w2 = project(T, b1), project(T, b2)
+        w1, w2 = project(T, b1, box), project(T, b2, box)
         assert np.linalg.norm(w1 - w2) <= np.linalg.norm(b1 - b2) + 1e-10
 
 
 def test_project_returns_feasible_z_for_far_point():
     # pulling far along the infeasible cone must still land on the set
     T = TangentSpace(z=np.ones(4), J=np.array([[1.0, -1.0, 0.0, 0.0]]),
-                     lower=np.zeros(4), box_radius=2.0)
-    w = project(T, np.array([100.0, -100.0, 0.0, 0.0]))
-    assert _feasibility(T, w) <= 1e-8
+                     lower=np.zeros(4))
+    w = project(T, np.array([100.0, -100.0, 0.0, 0.0]), 2.0)
+    assert _feasibility(T, w, 2.0) <= 1e-8
     # first two coordinates must stay equal under the equality row
     assert abs((w[0] - 1.0) - (w[1] - 1.0)) <= 1e-10
 
 
-def test_boxing_reuses_factorization():
+def test_project_factorizes_nothing(monkeypatch):
+    # the space's one LU serves every radius; project takes no other
     rng = np.random.default_rng(303)
-    T, _ = random_tangent_instance(rng)
-    boxed = replace(T, box_radius=0.5)
-    assert boxed.lu is T.lu and boxed.free is T.free
-    assert boxed.box_radius == 0.5 and T.box_radius != 0.5
+    T, b, _ = random_tangent_instance(rng)
+    expected = [project(T, b, radius) for radius in (None, 0.5, 2.0)]
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("project factorized a matrix")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", no_splu)
+    for radius, w in zip((None, 0.5, 2.0), expected):
+        assert_allclose(project(T, b, radius), w, rtol=0, atol=0)
 
 
 class _SpyLU:
@@ -158,7 +163,8 @@ def test_pinned_coordinate_never_enters_working_set():
     assert 0 not in T.free
     spy = _SpyLU(T.lu)
     b = np.array([-3.0, -1.0, 4.0, 0.0])
-    w = project(replace(T, lu=spy), b)
+    T.lu = spy
+    w = project(T, b)
     # a bound enters the working set through one solve with its unit vector
     entered = set(T.free[spy.units].tolist())
     assert 3 in entered and 0 not in entered
@@ -179,35 +185,43 @@ def test_near_null_singular_value_is_null():
     T = TangentSpace(z=z, J=J, lower=lower)
     for box in (None, 0.7):
         b = z + 3.0 * rng.normal(size=n)
-        w = project(replace(T, box_radius=box), b)
+        w = project(T, b, box)
         assert_allclose(w, oracle_project(z, J, lower, box, b), atol=1e-7)
 
 
-def _certify(T, b, w):
-    """Check, without SLSQP, that w is the projection of b onto T's set.
+def _certify(T, b, box, w):
+    """Check, without SLSQP, that w is the projection of b onto T's set,
+    boxed by box unless it is None.
 
     w must be feasible, and b - w = J' lam - sum nu_i e_i over the lower
     bounds active at w + sum nu_i e_i over the box's upper bounds active at w,
-    with lam free and nu >= 0, solved by bvls.  Feasibility, activity and the
-    residual share one tolerance, 1e-8 (1 + |b - w|_inf).
+    with lam free and nu >= 0.  lam is eliminated by projecting onto the
+    complement of range(J'), spanned by the right singular vectors of J above
+    1e-12 sigma_max, and nu is fitted there by nnls.  Feasibility, activity
+    and the residual share one tolerance, 1e-8 (1 + |b - w|_inf).
     """
     tol = 1e-8 * (1.0 + np.abs(b - w).max())
     J = T.J.toarray() if hasattr(T.J, "toarray") else np.asarray(T.J, dtype=float)
     lower, upper = T.lower, np.full(w.size, np.inf)
-    if T.box_radius is not None:
-        lower = np.maximum(lower, T.z - T.box_radius)
-        upper = T.z + T.box_radius
+    if box is not None:
+        lower = np.maximum(lower, T.z - box)
+        upper = T.z + box
     assert np.abs(J @ (w - T.z)).max(initial=0.0) <= tol
     assert np.all(w >= lower) and np.all(w <= upper)
     low, up = np.flatnonzero(w - lower <= tol), np.flatnonzero(upper - w <= tol)
-    Jt = J.T[:, np.abs(J).max(axis=1, initial=0.0) > 0.0]   # zero rows carry nothing
     E = np.zeros((w.size, low.size + up.size))
     E[low, np.arange(low.size)] = -1.0
     E[up, low.size + np.arange(up.size)] = 1.0
-    free = np.full(Jt.shape[1], -np.inf)
-    fit = lsq_linear(np.hstack([Jt, E]), b - w, method="bvls",
-                     bounds=(np.concatenate([free, np.zeros(E.shape[1])]), np.inf))
-    assert np.abs(fit.fun).max() <= tol
+    _, sig, Vt = np.linalg.svd(J, full_matrices=False)
+    U = Vt[sig > 1e-12 * sig.max(initial=0.0)].T     # orthonormal basis of range(J')
+
+    def off_range(A):
+        return A - U @ (U.T @ A)
+
+    PE, r = off_range(E), off_range(b - w)
+    if E.shape[1]:
+        r = r - PE @ nnls(PE, r)[0]
+    assert np.abs(r).max() <= tol
 
 
 @pytest.mark.parametrize("name", ["grid3x3_0.json", "grid4x4_1.json",
@@ -231,7 +245,7 @@ def test_grid_projection_does_not_stall(name):
     z = restore(net, S, net.target_demands, cfg)
     space = tangent_space(net, S, z)
     b = z - grad_F_state(net, S, z)
-    _certify(space, b, project(space, b))
+    _certify(space, b, None, project(space, b))
 
 
 def test_stalled_grid_projection_is_certified():
@@ -242,6 +256,6 @@ def test_stalled_grid_projection_is_certified():
     case = json.loads((DATA / "grid4x4_0_stall.json").read_text(encoding="utf-8"))
     S = build_structure(net)
     z, b = np.array(case["z"]), np.array(case["b"])
-    space = TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower,
-                         box_radius=case["box_radius"])
-    _certify(space, b, project(space, b))
+    space = TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)
+    box = case["box_radius"]
+    _certify(space, b, box, project(space, b, box))
