@@ -19,22 +19,21 @@ from .kkt import (eval_C, eval_C_jacobian, eval_F, eval_L, eval_L_grad,
                   recover_multipliers, tangent_space)
 from .network import (Commodity, CostFunction, Link, Network,
                       StructureMatrices, aggregate_flows, build_structure,
-                      parse_network, serialize_network)
+                      parse_network)
 from .projection import TangentSpace, min_norm_solve, project
-from .tap import (ShortestPathResult, TapSolution, beckmann_objective,
-                  relative_gap, solve_tap)
+from .tap import TapSolution, beckmann_objective, relative_gap, solve_tap
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Commodity", "CostFunction", "DapResult",
-    "IRConfig", "IterationRecord", "Link", "Network", "ShortestPathResult",
+    "IRConfig", "IterationRecord", "Link", "Network",
     "StructureMatrices", "TangentSpace", "TapSolution",
     "aggregate_flows", "beckmann_objective",
     "build_structure", "eval_C", "eval_C_jacobian", "eval_F",
     "eval_L", "eval_L_grad",
     "min_norm_solve", "parse_network", "project", "recover_multipliers",
-    "relative_gap", "serialize_network", "solve_dap",
+    "relative_gap", "solve_dap",
     "solve_tap", "tangent_space",
     "STATUS_CONVERGED", "STATUS_MAX_OUTER", "STATUS_STALLED",
     "OdAdjustError", "InputError", "MalformedInput", "DuplicateId",

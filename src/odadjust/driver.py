@@ -274,6 +274,9 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     s = np.zeros(S.state_dim)
     s[sl_d] = d0
     mu = np.zeros(S.n_constraints)
+    # the first restoration comes before any residual at s, so link times
+    # that overflow stop the run as Unreachable before they reach a norm
+    z = restore(net, S, d0, cfg)
 
     # |C(s)| and L(s, mu) at the current point; an accepted step carries over
     # the values it computed at v
@@ -287,7 +290,8 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
 
     for k in range(cfg.max_outer):
         theta_cur = init_penalty(k, theta_hist)
-        z = restore(net, S, s[sl_d], cfg)
+        if k > 0:
+            z = restore(net, S, s[sl_d], cfg)
 
         space = tangent_space(net, S, z)
         r_tan = cauchy_direction(net, S, mu, space)

@@ -34,7 +34,9 @@ class DimensionMismatch(OdAdjustError):
 
 
 class Unreachable(OdAdjustError):
-    """Positive demand cannot be routed because no path has a finite cost."""
+    """Positive demand cannot be routed because no path has a finite cost:
+    a link travel time overflows at the flows an assignment reaches, or the
+    times along every path sum past the largest float."""
 
 
 class MaxIterations(OdAdjustError):

@@ -8,9 +8,10 @@ incidence and origin-destination incidence.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -237,18 +238,6 @@ class Network:
                     % (com.destination, com.origin)
                 )
 
-    def __eq__(self, other):
-        if not isinstance(other, Network):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.links == other.links
-            and self.commodities == other.commodities
-            and self.observations == other.observations
-            and self.eta1 == other.eta1
-            and self.eta2 == other.eta2
-        )
-
     def __repr__(self):
         return "Network(%d nodes, %d links, %d commodities, %d observed)" % (
             self.n_nodes,
@@ -258,15 +247,20 @@ class Network:
         )
 
 
-@dataclass(frozen=True)
 class StructureMatrices:
-    """Sparse structure matrices tying flows, demands and potentials together.
+    """Sparse structure matrices of a network and the layout of its lifted
+    system, all built once, by build_structure.
 
     A      node-link incidence, n_nodes x n_links, -1 at the tail, +1 at the head
     Gamma  od incidence, (n_commodities*n_nodes) x n_commodities, block-diagonal
            with -1 at the origin and +1 at the destination of each commodity
     M      block-diagonal repetition of A, one block per commodity
-    Mt     M' in CSR, built once for the products M' alpha
+    Mt     M' in CSR, for the products M' alpha
+
+    The state [d | X | alpha | beta] has length state_dim and blocks slices;
+    the residual [stationarity | conservation | complementarity] has length
+    n_constraints and blocks residual_slices.  lower is the read-only lower
+    bound of the state: 0 on d, X and beta, -inf on alpha.
 
     jac_rows and jac_cols place every entry of J = C'(s), the lifted Jacobian:
     the constant blocks Gamma, -M, M' and -I (values jac_fixed), the t'(v)
@@ -274,22 +268,31 @@ class StructureMatrices:
     beta and X diagonals.
     """
 
-    A: sp.csr_matrix
-    Gamma: sp.csr_matrix
-    M: sp.csr_matrix
-    n_nodes: int
-    n_links: int
-    n_commodities: int
-    Mt: sp.csr_matrix = field(init=False, repr=False, compare=False)
-    jac_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    jac_cols: np.ndarray = field(init=False, repr=False, compare=False)
-    jac_fixed: np.ndarray = field(init=False, repr=False, compare=False)
-    jac_links: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, net):
+        n, a, c = net.n_nodes, net.n_links, net.n_commodities
+        self.n_nodes, self.n_links, self.n_commodities = n, a, c
 
-    def __post_init__(self):
-        c, a = self.n_commodities, self.n_links
-        (sl_d, sl_x, sl_alpha, sl_beta), (stat, cons, comp) = self.slices, self.residual_slices
-        object.__setattr__(self, "Mt", self.M.T.tocsr())
+        rows = np.concatenate([net.tails, net.heads])
+        cols = np.concatenate([np.arange(a), np.arange(a)])
+        vals = np.concatenate([-np.ones(a), np.ones(a)])
+        self.A = sp.csr_matrix((vals, (rows, cols)), shape=(n, a))
+
+        com = np.arange(c)
+        rows = np.concatenate([com * n + net.origin_idx, com * n + net.destination_idx])
+        vals = np.concatenate([-np.ones(c), np.ones(c)])
+        self.Gamma = sp.csr_matrix((vals, (rows, np.tile(com, 2))), shape=(c * n, c))
+
+        self.M = sp.block_diag([self.A] * c, format="csr") if c else sp.csr_matrix((0, 0))
+        self.Mt = self.M.T.tocsr()
+
+        self.slices = sl_d, sl_x, sl_alpha, sl_beta = _partition(c, c * a, c * n, c * a)
+        self.state_dim = sl_beta.stop
+        self.residual_slices = stat, cons, comp = _partition(c * a, c * n, c * a)
+        self.n_constraints = comp.stop
+        self.lower = np.zeros(self.state_dim)
+        self.lower[sl_alpha] = -np.inf
+        self.lower.flags.writeable = False
+
         I = sp.identity(c * a)
         # t'_l joins stationarity row (i, l) and flow column (j, l), all i, j; Tp holds l
         i, j, link = np.indices((c, c, a)).reshape(3, -1)
@@ -297,70 +300,24 @@ class StructureMatrices:
         blocks = [(sp.coo_matrix(B), r.start, col.start) for B, r, col in (
             (self.Gamma, cons, sl_d), (-self.M, cons, sl_x), (self.M.T, stat, sl_alpha),
             (-I, stat, sl_beta), (Tp, stat, sl_x), (I, comp, sl_x), (I, comp, sl_beta))]
-        object.__setattr__(self, "jac_rows", np.concatenate([B.row + r0 for B, r0, _ in blocks]))
-        object.__setattr__(self, "jac_cols", np.concatenate([B.col + c0 for B, _, c0 in blocks]))
-        object.__setattr__(self, "jac_fixed", np.concatenate([B.data for B, _, _ in blocks[:4]]))
-        object.__setattr__(self, "jac_links", link)
+        self.jac_rows = np.concatenate([B.row + r0 for B, r0, _ in blocks])
+        self.jac_cols = np.concatenate([B.col + c0 for B, _, c0 in blocks])
+        self.jac_fixed = np.concatenate([B.data for B, _, _ in blocks[:4]])
+        self.jac_links = link
 
-    @property
-    def state_dim(self):
-        # state layout: [d | X | alpha | beta]
-        c, a, n = self.n_commodities, self.n_links, self.n_nodes
-        return c + c * a + c * n + c * a
 
-    @property
-    def n_constraints(self):
-        # residual layout: [stationarity | conservation | complementarity]
-        c, a, n = self.n_commodities, self.n_links, self.n_nodes
-        return 2 * c * a + c * n
-
-    @property
-    def slices(self):
-        """Block slices (d, X, alpha, beta) of the flat state vector."""
-        c, a, n = self.n_commodities, self.n_links, self.n_nodes
-        i0, i1, i2, i3 = c, c + c * a, c + c * a + c * n, c + 2 * c * a + c * n
-        return slice(0, i0), slice(i0, i1), slice(i1, i2), slice(i2, i3)
-
-    @property
-    def residual_slices(self):
-        """Block slices (stationarity, conservation, complementarity)."""
-        c, a, n = self.n_commodities, self.n_links, self.n_nodes
-        return (
-            slice(0, c * a),
-            slice(c * a, c * a + c * n),
-            slice(c * a + c * n, 2 * c * a + c * n),
-        )
-
-    @property
-    def lower(self):
-        """Read-only lower bounds of the flat state: 0 on d, X and beta, -inf on alpha."""
-        lower = np.zeros(self.state_dim)
-        lower[self.slices[2]] = -np.inf
-        lower.flags.writeable = False
-        return lower
+def _partition(*sizes):
+    """Consecutive slices of the given lengths, starting at 0."""
+    ends = list(itertools.accumulate(sizes, initial=0))
+    return tuple(map(slice, ends[:-1], ends[1:]))
 
 
 def build_structure(net):
-    """Assemble the sparse structure matrices of a network and J's layout.
+    """The StructureMatrices of a network.
 
     Deterministic: identical networks give identical matrices, entry for entry.
     """
-    n, a, c = net.n_nodes, net.n_links, net.n_commodities
-
-    rows = np.concatenate([net.tails, net.heads])
-    cols = np.concatenate([np.arange(a), np.arange(a)])
-    vals = np.concatenate([-np.ones(a), np.ones(a)])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, a))
-
-    com = np.arange(c)
-    rows = np.concatenate([com * n + net.origin_idx, com * n + net.destination_idx])
-    vals = np.concatenate([-np.ones(c), np.ones(c)])
-    Gamma = sp.csr_matrix((vals, (rows, np.tile(com, 2))), shape=(c * n, c))
-
-    M = sp.block_diag([A] * c, format="csr") if c else sp.csr_matrix((0, 0))
-
-    return StructureMatrices(A=A, Gamma=Gamma, M=M,
-                             n_nodes=n, n_links=a, n_commodities=c)
+    return StructureMatrices(net)
 
 
 def aggregate_flows(S, X):
@@ -377,7 +334,7 @@ def aggregate_flows(S, X):
     return X.reshape(S.n_commodities, S.n_links).sum(axis=0)
 
 
-# -- JSON input/output -------------------------------------------------------
+# -- JSON input --------------------------------------------------------------
 
 _NUMBER = (int, float)
 _ID = (int, str)
@@ -483,28 +440,3 @@ def parse_network(text):
 
     return Network(nodes, links, commodities, observations, eta1=eta1, eta2=eta2)
 
-
-def serialize_network(net):
-    """Inverse of parse_network; round-trips to an equal Network."""
-    doc = {
-        "nodes": list(net.nodes),
-        "links": [
-            {"id": lk.id, "from": lk.tail, "to": lk.head, "coeffs": list(lk.cost.coeffs)}
-            for lk in net.links
-        ],
-        "commodities": [
-            {
-                "origin": com.origin,
-                "destination": com.destination,
-                "target": com.target_demand,
-            }
-            for com in net.commodities
-        ],
-        "observations": [
-            {"link": lk.id, "flow": net.observations[lk.id]}
-            for lk in net.links
-            if lk.id in net.observations
-        ],
-        "weights": {"eta1": net.eta1, "eta2": net.eta2},
-    }
-    return json.dumps(doc, indent=2)

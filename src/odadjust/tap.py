@@ -86,10 +86,11 @@ def _origin_trees(net, costs, commodities):
 
 def _path_links(net, sp_res, origin_idx, dest_idx):
     """Link indices along the tree path origin -> dest, in travel order."""
-    # Network rejects unreachable destinations: only non-finite costs get here
+    # Network rejects unreachable destinations and _link_times infinite link
+    # times, so only a path cost that overflows as it sums leaves no tree path
     if dest_idx != origin_idx and sp_res.pred[dest_idx] < 0:
-        raise Unreachable("link travel times are not finite, so no path to "
-                          "the destination has a finite cost")
+        raise Unreachable("link travel times are too large: no path to the "
+                          "destination has a finite cost")
     path = []
     u = dest_idx
     while u != origin_idx:
@@ -98,6 +99,17 @@ def _path_links(net, sp_res, origin_idx, dest_idx):
         u = net.tails[a]
     path.reverse()
     return path
+
+
+def _link_times(net, v):
+    """t(v) for the path searches and the gap; a time that overflows raises
+    Unreachable, without a NumPy warning."""
+    with np.errstate(over="ignore"):
+        t = net.link_times(v)
+    if not t.max(initial=0.0) < np.inf:     # NaN fails as well
+        raise Unreachable("link travel times are not finite at these flows, so "
+                          "no path to the destination has a finite cost")
+    return t
 
 
 def beckmann_objective(net, v):
@@ -110,10 +122,13 @@ def beckmann_objective(net, v):
 
 
 def relative_gap(net, d, v):
-    """(t(v).v - sum_i d_i * sp_i) / t(v).v, the standard equilibrium gap."""
+    """(t(v).v - sum_i d_i * sp_i) / t(v).v, the standard equilibrium gap.
+
+    Raises Unreachable when a link time t(v) is not finite.
+    """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
-    t = net.link_times(v)
+    t = _link_times(net, v)
     total = float(t @ v)
     active = [i for i in range(net.n_commodities) if d[i] != 0.0]
     trees = _origin_trees(net, t, active)
@@ -145,7 +160,7 @@ def _shift(net, v, flows, p, q):
     return True
 
 
-def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
+def solve_tap(net, d, tol=1e-8, max_iter=50000):
     """Solve the user-equilibrium assignment for fixed demand d.
 
     Parameters
@@ -154,11 +169,11 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
     d : array of per-commodity demands, nonnegative
     tol : target relative gap
     max_iter : cap on sweeps over all commodities
-    on_iteration : optional callback (iteration, X, v, beckmann, rgap), invoked
-        once per sweep; used by diagnostics and tests
 
     Returns a TapSolution; `converged` is False when the budget ran out, in
     which case the best iterate found is returned rather than raising.
+    Every link time the sweep computes is checked before a path search or the
+    gap uses it: Unreachable is raised on the first that is not finite.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (net.n_commodities,):
@@ -189,14 +204,12 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
     rgap = relative_gap(net, d, v)
     iterations = 0
     converged = rgap <= tol
-    if on_iteration is not None:
-        on_iteration(0, X.copy(), v.copy(), beckmann_objective(net, v), rgap)
 
     while not converged and iterations < max_iter:
         iterations += 1
         moved = False
         for i in active:
-            q = shortest(i, net.link_times(v))
+            q = shortest(i, _link_times(net, v))
             flows = paths[i]
             flows.setdefault(q, 0.0)
             for p in list(flows):
@@ -206,9 +219,6 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, on_iteration=None):
 
         X, v = assemble()
         rgap = relative_gap(net, d, v)
-        if on_iteration is not None:
-            on_iteration(iterations, X.copy(), v.copy(),
-                         beckmann_objective(net, v), rgap)
         if rgap <= tol:
             converged = True
         elif not moved:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -249,20 +250,26 @@ def test_solve_unwritable_output_exits_1(flag, where, extra, tmp_path,
     assert calls == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_link_times_name_their_cause(tmp_path, capsys):
     # the link's travel time overflows to inf at this demand, so no path
-    # has a finite cost although the destination is reachable
+    # has a finite cost although the destination is reachable; the run stops
+    # with one error line and no NumPy warning
     doc = {"nodes": [1, 2],
            "links": [{"id": 1, "from": 1, "to": 2, "coeffs": [1e300, 1e300]}],
            "commodities": [{"origin": 1, "destination": 2, "target": 1e10}],
            "observations": [], "weights": {"eta1": 1, "eta2": 1}}
     path = _write(tmp_path, doc)
-    assert main(["tap", "--input", path]) == 2
-    assert "travel times are not finite" in capsys.readouterr().err
     report_path = tmp_path / "report.json"
-    assert main(["solve", "--input", path, "--report", str(report_path)]) == 2
-    err = capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["tap", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "travel times are not finite" in err
+        assert main(["solve", "--input", path, "--report", str(report_path)]) == 2
+        err = capsys.readouterr().err
+    assert caught == []
+    assert err.count("\n") == 1 and err.startswith("error: ")
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["status"] == "error"
     assert "travel times are not finite" in report["reason"]

@@ -25,7 +25,7 @@ from odadjust import (
     relative_gap,
     solve_tap,
 )
-from odadjust.errors import DimensionMismatch
+from odadjust.errors import DimensionMismatch, Unreachable
 from odadjust.tap import _dijkstra, _path_links, _shift
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -151,19 +151,31 @@ def test_solve_tap_validation(net):
         solve_tap(net, np.array([1.0, np.nan]))
 
 
-def test_solve_tap_iteration_callback(net):
-    seen = []
+def test_overflowing_path_cost_is_unreachable():
+    # each link time is finite, but the only path 1 -> 2 -> 3 costs more than
+    # a float holds, so the search leaves node 3 without a tree link
+    doc = {"nodes": [1, 2, 3],
+           "links": [{"id": 1, "from": 1, "to": 2, "coeffs": [1e308]},
+                     {"id": 2, "from": 2, "to": 3, "coeffs": [1e308]},
+                     {"id": 3, "from": 2, "to": 1, "coeffs": [1.0]}],
+           "commodities": [{"origin": 1, "destination": 3, "target": 1.0}]}
+    snet = parse_network(json.dumps(doc))
+    with pytest.raises(Unreachable, match="no path to the destination"):
+        solve_tap(snet, snet.target_demands)
 
-    def watch(iteration, X, v, beckmann, rgap):
-        seen.append((iteration, X.copy(), v.copy(), beckmann, rgap))
 
-    sol = solve_tap(net, TOY_TARGETS, tol=1e-10, on_iteration=watch)
+def test_solve_tap_beckmann_descends_across_budgets():
+    # the 3x3 grid takes 144 sweeps to 1e-10; the last budget converges
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    beck = []
+    for budget in [*range(25), 50, 100, 50000]:
+        sol = solve_tap(gnet, gnet.target_demands, tol=1e-10, max_iter=budget)
+        assert sol.iterations <= budget
+        assert_allclose(sol.X.reshape(gnet.n_commodities, -1).sum(axis=0), sol.v,
+                        rtol=0, atol=1e-12)
+        beck.append(sol.beckmann)
     assert sol.converged
-    assert seen[0][0] == 0 and seen[-1][0] == sol.iterations
-    beck = [rec[3] for rec in seen]
     assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(beck, beck[1:]))
-    for _, X, v, _, _ in seen:
-        assert_allclose(X.reshape(2, 4).sum(axis=0), v, atol=1e-12)
 
 
 def test_solve_tap_budget_exhaustion():
