@@ -74,7 +74,7 @@ def main():
     # space of the optimality system at z (plus the sign constraints)
     mu = np.zeros(S.n_constraints)
     space = tangent_space(net, S, z)
-    r_tan = cauchy_direction(net, S, mu, space)
+    r_tan, _, _ = cauchy_direction(net, S, mu, space)
     moved = z + r_tan
     print("\nprojected descent direction:")
     print("  |r_tan| = %.6f, demand components %s" %

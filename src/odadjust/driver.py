@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTheta, MaxIterations, NoCandidate
-from .kkt import (eval_C, eval_F, eval_L, grad_F_state, eval_C_jacobian,
+from .kkt import (eval_C, eval_F, grad_F_state, eval_C_jacobian,
                   recover_multipliers, tangent_space)
 from .network import build_structure
 from .projection import min_norm_solve, project
@@ -137,14 +137,28 @@ def restore(net, S, d, cfg):
     return z
 
 
+def _norm(x):
+    """2-norm of x, also where its entries are finite but their squares
+    overflow: then it is scaled by the largest entry, without a warning."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(x))
+    if out == math.inf:
+        big = float(np.abs(x).max())
+        if big < math.inf:
+            out = big * float(np.linalg.norm(x / big))
+    return out
+
+
 def cauchy_direction(net, S, mu, space):
-    """Projected-gradient step of the Lagrangian within the tangent set at z.
+    """Projected-gradient step of the Lagrangian within the tangent set at z,
+    and the gradients of F and of the Lagrangian at z it steps along.
 
     space is tangent_space(net, S, z), projected onto without a box; its
     Jacobian gives the Lagrangian gradient at z.
     """
-    g = grad_F_state(net, S, space.z) + space.J.T @ mu
-    return project(space, space.z - g) - space.z
+    g_F = grad_F_state(net, S, space.z)
+    g_L = g_F + space.J.T @ mu
+    return project(space, space.z - g_L) - space.z, g_F, g_L
 
 
 def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
@@ -192,48 +206,52 @@ def accept_step(ared, pred):
     return ared >= 0.1 * pred
 
 
-def find_candidate(net, S, mu, r_tan, space, delta):
-    """Optimization phase: a point of the tangent set in the box of radius
+def find_candidate(net, S, mu, r_tan, space, delta, at_z):
+    """Optimization phase: a point v of the tangent set in the box of radius
     delta around space.z that does at least as well as the broken Cauchy point
-    in the Lagrangian.
+    in the Lagrangian, returned with F(v) and C(v).
 
     Runs projected gradient on F (its projected direction is a descent
     direction for the Lagrangian on the tangent set) and returns the first
     trial whose Lagrangian passes the decrease test; the Cauchy point itself is
     the fallback and always passes.  r_tan, the unboxed Cauchy direction, must
-    be nonzero.
+    be nonzero.  at_z holds L(z, mu), grad F(z) and the Lagrangian gradient
+    at z, which every attempt of an outer step shares.
     """
+    sl_d, sl_x, _, _ = S.slices
     zvec = space.z
-    rt2 = float(np.linalg.norm(r_tan))
+    rt2 = _norm(r_tan)
 
-    def L_of(vec):
-        return eval_L(net, S, vec, mu)
+    def at(vec):
+        """L(vec, mu), F(vec) and C(vec), as eval_L computes the first."""
+        F, C = eval_F(net, vec[sl_d], vec[sl_x]), eval_C(net, S, vec)
+        return F + float(C @ mu), F, C
 
     t_break = min(1.0, delta / rt2)
     cauchy_vec = zvec + t_break * r_tan
-    L_z = L_of(zvec)
-    L_cauchy = L_of(cauchy_vec)
+    L_z, g_f, g_l = at_z
+    L_cauchy, *cauchy_FC = at(cauchy_vec)
     bound = max(L_cauchy, L_z - TAU1 * delta, L_z - TAU2)
 
     points = 0
     cur = zvec
     L_cur = L_z
     for _ in range(INNER_ITER_CAP):
-        g_f = grad_F_state(net, S, cur)
         r_v = project(space, cur - g_f, delta) - cur
-        if float(np.linalg.norm(r_v)) < INNER_GTOL:
+        if _norm(r_v) < INNER_GTOL:
             break
-        g_l = g_f + eval_C_jacobian(net, S, cur).T @ mu
+        if g_l is None:
+            g_l = g_f + eval_C_jacobian(net, S, cur).T @ mu
         if float(r_v @ g_l) >= 0.0:
             break                      # descent property lost to roundoff
         step = 1.0
         moved = False
         while points < INNER_POINT_CAP and step >= 1e-12:
             trial = cur + step * r_v
-            L_trial = L_of(trial)
+            L_trial, *trial_FC = at(trial)
             points += 1
             if L_trial <= bound:
-                return trial
+                return (trial, *trial_FC)
             if L_trial < L_cur:
                 cur, L_cur = trial, L_trial
                 moved = True
@@ -241,9 +259,10 @@ def find_candidate(net, S, mu, r_tan, space, delta):
             step *= 0.5
         if not moved or points >= INNER_POINT_CAP:
             break
+        g_f, g_l = grad_F_state(net, S, cur), None
 
     if L_cauchy <= bound:
-        return cauchy_vec
+        return (cauchy_vec, *cauchy_FC)
     raise NoCandidate("no point passed the decrease test in the current box")
 
 
@@ -280,8 +299,9 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
 
     # |C(s)| and L(s, mu) at the current point; an accepted step carries over
     # the values it computed at v
-    normC_s = float(np.linalg.norm(eval_C(net, S, s)))
-    L_s = eval_L(net, S, s, mu)
+    C_s = eval_C(net, S, s)
+    normC_s = _norm(C_s)
+    L_s = eval_F(net, s[sl_d], s[sl_x]) + float(C_s @ mu)
 
     theta_hist = [THETA_INIT]
     delta_prev = DELTA0
@@ -294,30 +314,30 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             z = restore(net, S, s[sl_d], cfg)
 
         space = tangent_space(net, S, z)
-        r_tan = cauchy_direction(net, S, mu, space)
+        r_tan, g_F, g_L = cauchy_direction(net, S, mu, space)
         if check_stop(s, z, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED
             break
 
-        C_z = eval_C(net, S, z)
-        normC_z = float(np.linalg.norm(C_z))
-        rt_norm = float(np.linalg.norm(r_tan))
+        # z's values, each computed once for every attempt of this step
+        F_z, C_z = eval_F(net, z[sl_d], z[sl_x]), eval_C(net, S, z)
+        at_z = (F_z + float(C_z @ mu), g_F, g_L)
+        normC_z = _norm(C_z)
+        rt_norm = _norm(r_tan)
         delta = max(DELTA_MIN, delta_prev)
 
         accepted = False
         for i in itertools.count():
-            if rt_norm <= 1e-14 * (1.0 + float(np.linalg.norm(z))):
-                v, mu_trial = z, mu.copy()
+            if rt_norm <= 1e-14 * (1.0 + _norm(z)):
+                v, mu_trial, F_v, C_v = z, mu.copy(), F_z, C_z
             else:
-                v = find_candidate(net, S, mu, r_tan, space, delta)
+                v, F_v, C_v = find_candidate(net, S, mu, r_tan, space, delta, at_z)
                 mu_trial = trial_multipliers(net, S, v)
 
             # one residual at v serves both Lagrangians, as eval_L computes them
-            F_v = eval_F(net, v[sl_d], v[sl_x])
-            C_v = eval_C(net, S, v)
             L_v_k = F_v + float(C_v @ mu)
             L_v = F_v + float(C_v @ mu_trial)
-            normC_v = float(np.linalg.norm(C_v))
+            normC_v = _norm(C_v)
             a = L_s - L_v_k - float(C_z @ (mu_trial - mu))
             b = normC_s - normC_z
             try:

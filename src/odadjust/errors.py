@@ -36,7 +36,9 @@ class DimensionMismatch(OdAdjustError):
 class Unreachable(OdAdjustError):
     """Positive demand cannot be routed because no path has a finite cost:
     a link travel time overflows at the flows an assignment reaches, or the
-    times along every path sum past the largest float."""
+    times along every path sum past the largest float.  Also raised when the
+    total travel time or the Beckmann integral of the flows overflows, as
+    then neither the gap nor the objective has a value."""
 
 
 class MaxIterations(OdAdjustError):

@@ -66,14 +66,15 @@ def eval_C(net, S, s):
 
 
 def eval_C_jacobian(net, S, s):
-    """Exact Jacobian of eval_C at s, sparse, on the fixed layout of S.
+    """Exact Jacobian of eval_C at s, in CSR on the fixed layout of S.
 
-    Zeros stay stored, so all states of a network share one sparsity pattern.
+    Only the values are computed: the index arrays are S's own, shared by
+    every state of the network, zeros included.
     """
     _, X, _, beta = _blocks(S, s)
     t_prime = net.link_time_derivs(aggregate_flows(S, X))
     data = np.concatenate([S.jac_fixed, t_prime[S.jac_links], beta, X])
-    return sp.csr_matrix((data, (S.jac_rows, S.jac_cols)),
+    return sp.csr_matrix((data[S.jac_order], S.jac_indices, S.jac_indptr),
                          shape=(S.n_constraints, S.state_dim))
 
 

@@ -262,10 +262,14 @@ class StructureMatrices:
     n_constraints and blocks residual_slices.  lower is the read-only lower
     bound of the state: 0 on d, X and beta, -inf on alpha.
 
-    jac_rows and jac_cols place every entry of J = C'(s), the lifted Jacobian:
-    the constant blocks Gamma, -M, M' and -I (values jac_fixed), the t'(v)
-    entries (jac_links: the link of each), then the complementarity rows'
-    beta and X diagonals.
+    J = C'(s), the lifted Jacobian, has one pattern at every state, built
+    here as CSR arrays: jac_indptr and jac_indices, in canonical order
+    (columns ascending within each row, no duplicates).  Its values are
+    listed block by block: the constant blocks Gamma, -M, M' and -I (values
+    jac_fixed), the t'(v) entries (jac_links: the link of each), then the
+    complementarity rows' beta and X diagonals.  jac_order takes that list
+    to CSR order: J's data at s is the list indexed by jac_order.  Entries
+    that are zero at s stay stored.
     """
 
     def __init__(self, net):
@@ -300,10 +304,17 @@ class StructureMatrices:
         blocks = [(sp.coo_matrix(B), r.start, col.start) for B, r, col in (
             (self.Gamma, cons, sl_d), (-self.M, cons, sl_x), (self.M.T, stat, sl_alpha),
             (-I, stat, sl_beta), (Tp, stat, sl_x), (I, comp, sl_x), (I, comp, sl_beta))]
-        self.jac_rows = np.concatenate([B.row + r0 for B, r0, _ in blocks])
-        self.jac_cols = np.concatenate([B.col + c0 for B, _, c0 in blocks])
+        rows = np.concatenate([B.row + r0 for B, r0, _ in blocks])
+        cols = np.concatenate([B.col + c0 for B, _, c0 in blocks])
         self.jac_fixed = np.concatenate([B.data for B, _, _ in blocks[:4]])
         self.jac_links = link
+        self.jac_order = np.lexsort((cols, rows))
+        # scipy picks the index dtype once here, so no call converts it again
+        layout = sp.csr_matrix(
+            (np.zeros(rows.size), cols[self.jac_order],
+             np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=comp.stop))])),
+            shape=(self.n_constraints, self.state_dim))
+        self.jac_indices, self.jac_indptr = layout.indices, layout.indptr
 
 
 def _partition(*sizes):

@@ -29,8 +29,11 @@ A blocking bound extends L by one row, whose diagonal squared is the bound's
 Schur pivot: the squared length, at most 1, of the part of e_i that J_F and
 the working bounds leave free.  A pivot at most DEPENDENT = 1e-9 means the
 bound depends on them: a step toward b moves it by at most
-sqrt(DEPENDENT) |b - w|, by roundoff in practice, so it does not enter.  A
-released bound's row is deleted and the rows after it are factored again.
+sqrt(DEPENDENT) |b - w|, by roundoff in practice, so it does not enter.
+While the working set only grows, its part of e_i only shrinks, so a bound
+found dependent stays dependent: its pivot is not tested again until the
+next release.  A released bound's row is deleted and the rows after it are
+factored again.
 Bland's rule (smallest index) breaks ratio-test ties and picks the bound to
 release.
 
@@ -91,25 +94,45 @@ def _kkt_matrix(J):
 
 
 def _entries(J):
-    """Row, column and value of every nonzero entry of J."""
+    """Row, column and value of every nonzero entry of J, in row-major order
+    with columns ascending within each row."""
     J = sp.csr_matrix(J)
+    if not J.has_sorted_indices:
+        J = J.sorted_indices()
     keep = J.data != 0.0
     r = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))[keep]
     return r, J.indices[keep], J.data[keep]
 
 
 def _quasi_definite(n, m, r, c, v):
-    """K = [[I_n, B'], [B, -REG I_m]] in CSC, B being m x n with entries (r, c, v).
+    """K = [[I_n, B'], [B, -REG I_m]] in CSC, B being m x n with entries (r, c, v)
+    in row-major order, columns ascending within each row.
 
-    K is assembled from its entries directly, which costs a fraction of
-    sp.bmat on the small systems of the optimization phase.
+    Column j < n of K holds the 1 of I_n, then column j of B; column n + i
+    holds row i of B, then -REG.  Both parts keep B's entry order, which
+    sorts K's rows within each column, so counts and offsets place every
+    entry without sorting K.  Indices are 32-bit, as splu takes them.
     """
-    diag = np.arange(n + m)
-    rows, cols = np.concatenate([diag, n + r, c]), np.concatenate([diag, c, n + r])
-    order = np.lexsort((rows, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n + m))])
-    data = np.concatenate([np.ones(n), np.full(m, -REG), v, v])
-    return sp.csc_matrix((data[order], rows[order], indptr), shape=(n + m, n + m))
+    nb = r.size
+    indptr = np.empty(n + m + 1, dtype=np.int32)
+    indptr[0] = 0
+    np.cumsum(np.bincount(c, minlength=n) + 1, out=indptr[1:n + 1])
+    np.cumsum(np.bincount(r, minlength=m) + 1, out=indptr[n + 1:])
+    indptr[n + 1:] += indptr[n]
+    rows = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    # B by columns: the t-th entry of the column-major order, in column j,
+    # follows the j + 1 ones of columns 0..j
+    by_col = np.argsort(c, kind="stable")
+    at = np.arange(1, nb + 1) + c[by_col]
+    rows[at], data[at] = n + r[by_col], v[by_col]
+    # B' by rows: entry k, in row i, follows the i values -REG of rows 0..i-1
+    at = indptr[n] + np.arange(nb) + r
+    rows[at], data[at] = c, v
+    ones, regs = indptr[:n], indptr[n + 1:] - 1
+    rows[ones], data[ones] = np.arange(n), 1.0
+    rows[regs], data[regs] = np.arange(n, n + m), -REG
+    return sp.csc_matrix((data, rows, indptr), shape=(n + m, n + m))
 
 
 def min_norm_solve(A, r):
@@ -176,16 +199,12 @@ def project(T, b, radius=None):
     y = np.zeros(nf)
     side = np.zeros(nf, dtype=np.int8)  # -1 / +1: working at lower / upper bound
     order = []                    # the working bounds W, in the order of L's rows
+    dependent = set()             # bounds found dependent since the last release
     L = np.zeros((0, 0), order="F")   # Cholesky factor of (V[W] + V[W]')/2
     VW = np.empty((8, rhs.size))  # rows: K^-1 e_i for i in order, then spare
 
     def next_row(i):
-        """Row of bound i past L, and its Schur pivot: that row's diagonal squared."""
-        v = column(i)
-        if not order:
-            return np.zeros(0), v[i]
-        row = dtrsv(L, 0.5 * (v[order] + VW[:len(order), i]), lower=1)
-        return row, v[i] - row @ row
+        return _schur_row(L, VW, order, column(i), i)
 
     def enter(i, row, pivot):
         nonlocal L, VW
@@ -220,9 +239,11 @@ def project(T, b, radius=None):
             alpha = float(ratio.min(initial=np.inf))
             while alpha < 1.0 - 1e-15:
                 blocker = int(np.flatnonzero(ratio <= alpha + 1e-15)[0])
-                row, pivot = next_row(blocker)
-                if pivot > DEPENDENT:
-                    break
+                if blocker not in dependent:
+                    row, pivot = next_row(blocker)
+                    if pivot > DEPENDENT:
+                        break
+                    dependent.add(blocker)
                 ratio[blocker] = np.inf
                 alpha = float(ratio.min(initial=np.inf))
             if alpha < 1.0 - 1e-15:
@@ -245,6 +266,7 @@ def project(T, b, radius=None):
         # after it are factored again without it
         drop = order.index(min(wrong))
         side[order[drop]] = 0
+        dependent.clear()
         later = order[drop + 1:]
         del order[drop:]
         L = np.asfortranarray(L[:drop, :drop])
@@ -252,3 +274,15 @@ def project(T, b, radius=None):
             enter(i, *next_row(i))
 
     raise SolverStalled("active-set projection exceeded %d iterations" % cap)
+
+
+def _schur_row(L, VW, order, v, i):
+    """Row of bound i past L, and its Schur pivot: that row's diagonal squared.
+
+    v is K^-1 e_i, and the first rows of VW hold K^-1 e_j for j in order.
+    """
+    if not order:
+        return np.zeros(0), v[i]
+    from scipy.linalg.blas import dtrsv
+    row = dtrsv(L, 0.5 * (v[order] + VW[:len(order), i]), lower=1)
+    return row, v[i] - row @ row

@@ -14,6 +14,7 @@ keeps the commodity's total path flow.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,28 +114,42 @@ def _link_times(net, v):
 
 
 def beckmann_objective(net, v):
-    """sum_a int_0^{v_a} t_a(u) du."""
+    """sum_a int_0^{v_a} t_a(u) du.
+
+    Raises Unreachable when the sum is not finite.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != (net.n_links,):
         raise DimensionMismatch("expected %d link flows, got shape %r"
                                 % (net.n_links, v.shape))
-    return float(net.link_time_integrals(v).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = float(net.link_time_integrals(v).sum())
+    if not math.isfinite(out):
+        raise Unreachable("link travel times are too large: the Beckmann "
+                          "integral of these flows is not finite")
+    return out
 
 
 def relative_gap(net, d, v):
     """(t(v).v - sum_i d_i * sp_i) / t(v).v, the standard equilibrium gap.
 
-    Raises Unreachable when a link time t(v) is not finite.
+    Raises Unreachable when a link time t(v), the total t(v).v or the sum of
+    the shortest-path costs is not finite.
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
     t = _link_times(net, v)
-    total = float(t @ v)
     active = [i for i in range(net.n_commodities) if d[i] != 0.0]
     trees = _origin_trees(net, t, active)
     best = 0.0
-    for i in active:
-        best += d[i] * trees[net.origin_idx[i]].dist[net.destination_idx[i]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(t @ v)
+        for i in active:
+            best += d[i] * trees[net.origin_idx[i]].dist[net.destination_idx[i]]
+        if not math.isfinite(total + best):
+            raise Unreachable("link travel times are too large: the total "
+                              "travel time of these flows, or of their "
+                              "shortest paths, is not finite")
     return (total - best) / max(total, _EPS_DEN)
 
 

@@ -250,30 +250,54 @@ def test_solve_unwritable_output_exits_1(flag, where, extra, tmp_path,
     assert calls == []
 
 
+def _parallel_links(big, target):
+    """Two parallel links of constant travel time big, one commodity."""
+    return {"nodes": [1, 2],
+            "links": [{"id": 1, "from": 1, "to": 2, "coeffs": [big]},
+                      {"id": 2, "from": 1, "to": 2, "coeffs": [big]}],
+            "commodities": [{"origin": 1, "destination": 2, "target": target}],
+            "observations": [], "weights": {"eta1": 1, "eta2": 1}}
+
+
 def test_overflowing_link_times_name_their_cause(tmp_path, capsys):
-    # the link's travel time overflows to inf at this demand, so no path
-    # has a finite cost although the destination is reachable; the run stops
-    # with one error line and no NumPy warning
-    doc = {"nodes": [1, 2],
-           "links": [{"id": 1, "from": 1, "to": 2, "coeffs": [1e300, 1e300]}],
-           "commodities": [{"origin": 1, "destination": 2, "target": 1e10}],
-           "observations": [], "weights": {"eta1": 1, "eta2": 1}}
-    path = _write(tmp_path, doc)
+    # a link's travel time overflows to inf at this demand, so no path has a
+    # finite cost although the destination is reachable; the run stops with
+    # one error line and no NumPy warning
+    one_link = {"nodes": [1, 2],
+                "links": [{"id": 1, "from": 1, "to": 2, "coeffs": [1e300, 1e300]}],
+                "commodities": [{"origin": 1, "destination": 2, "target": 1e10}],
+                "observations": [], "weights": {"eta1": 1, "eta2": 1}}
+    # each time is finite, but t.v and the Beckmann integral are not
+    too_much = _parallel_links(1e300, 1e10)
+    # the equilibrium is finite, but |C(s)| at the zero start overflows a
+    # plain 2-norm
+    finite = _parallel_links(1e300, 1.0)
     report_path = tmp_path / "report.json"
+    log_path = tmp_path / "log.tsv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["tap", "--input", path]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "travel times are not finite" in err
-        assert main(["solve", "--input", path, "--report", str(report_path)]) == 2
-        err = capsys.readouterr().err
+        for doc, cause in ((one_link, "travel times are not finite"),
+                           (too_much, "travel times are too large")):
+            path = _write(tmp_path, doc)
+            assert main(["tap", "--input", path]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert cause in err
+            assert main(["solve", "--input", path, "--report", str(report_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            report = json.loads(report_path.read_text(encoding="utf-8"))
+            assert report["status"] == "error"
+            assert cause in report["reason"]
+            assert report["reason"] in err
+        path = _write(tmp_path, finite)
+        assert main(["tap", "--input", path]) == 0
+        assert main(["solve", "--input", path, "--report", str(report_path),
+                     "--log", str(log_path)]) == 0
+        assert capsys.readouterr().err == ""
     assert caught == []
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    assert report["status"] == "error"
-    assert "travel times are not finite" in report["reason"]
-    assert report["reason"] in err
+    rows = log_path.read_text(encoding="utf-8").splitlines()
+    assert rows[1].split("\t")[2] == "1.41421356e+300"      # normC_s, sqrt(2)*1e300
 
 
 def test_solve_initial_demand_flag(toy_file, tmp_path):

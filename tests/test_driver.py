@@ -170,7 +170,7 @@ def test_cauchy_direction_vanishes_at_optimum(net, S):
     # observations, so the projected objective gradient nearly vanishes
     z = restore(net, S, TOY_TARGETS, cfg)
     mu = np.zeros(S.n_constraints)
-    r = cauchy_direction(net, S, mu, tangent_space(net, S, z))
+    r, _, _ = cauchy_direction(net, S, mu, tangent_space(net, S, z))
     assert np.abs(r).max() <= 1e-5
 
 
@@ -178,7 +178,7 @@ def test_cauchy_direction_descends_away_from_optimum(net, S):
     cfg = IRConfig()
     z = restore(net, S, np.array([1.0, 2.0]), cfg)
     mu = np.zeros(S.n_constraints)
-    r = cauchy_direction(net, S, mu, tangent_space(net, S, z))
+    r, _, _ = cauchy_direction(net, S, mu, tangent_space(net, S, z))
     assert np.abs(r).max() > 1e-3
 
 
@@ -226,8 +226,11 @@ def test_find_candidate_respects_box_and_bound(net, S):
     mu = np.zeros(S.n_constraints)
     delta = 0.5
     space = tangent_space(net, S, z)
-    r_tan = cauchy_direction(net, S, mu, space)
-    v = find_candidate(net, S, mu, r_tan, space, delta)
+    r_tan, g_F, g_L = cauchy_direction(net, S, mu, space)
+    v, F_v, C_v = find_candidate(net, S, mu, r_tan, space, delta,
+                                 (eval_L(net, S, z, mu), g_F, g_L))
+    assert F_v == eval_F(net, v[S.slices[0]], v[S.slices[1]])
+    assert_array_equal(C_v, eval_C(net, S, v))
     assert np.abs(v - z).max() <= delta + 1e-10
     J = space.J.toarray()
     assert np.abs(J @ (v - z)).max() <= 1e-8
@@ -238,6 +241,37 @@ def test_find_candidate_respects_box_and_bound(net, S):
     bound = max(L_cauchy, L_z - driver_module.TAU1 * delta,
                 L_z - driver_module.TAU2)
     assert eval_L(net, S, v, mu) <= bound + 1e-12
+
+
+def test_outer_step_evaluates_each_point_once(net, monkeypatch):
+    # an outer step whose first trial is accepted evaluates J once at the
+    # restored point z, for its tangent space, and once at the accepted v,
+    # for the trial multipliers; z's gradients and L(z, mu) are reused
+    from odadjust import kkt
+    jacobians, grads, found = [], [], []
+
+    def spy(fn, seen):
+        def wrapped(net, S, s, *args):
+            seen.append(s.copy())
+            return fn(net, S, s, *args)
+        return wrapped
+
+    for mod in (kkt, driver_module):
+        monkeypatch.setattr(mod, "eval_C_jacobian", spy(eval_C_jacobian, jacobians))
+        monkeypatch.setattr(mod, "grad_F_state", spy(grad_F_state, grads))
+    monkeypatch.setattr(driver_module, "find_candidate",
+                        lambda *args: found.append(find_candidate(*args)) or found[-1])
+    res = solve_dap(net, IRConfig(max_outer=1), d0=[1.0, 2.0])
+    assert [(rec.i, rec.accepted) for rec in res.history] == [(0, True)]
+    S = build_structure(net)
+    v = found[0][0]
+    assert len(jacobians) == len(grads) == 2
+    for at_z in (jacobians[0], grads[0]):
+        assert_array_equal(at_z[S.slices[0]], res.d_final)
+        assert_array_equal(at_z[S.slices[1]], res.X_final)
+    assert_array_equal(jacobians[1], v)
+    assert_array_equal(grads[1], v)
+    assert not np.array_equal(v, jacobians[0])
 
 
 # -- full runs ----------------------------------------------------------------------

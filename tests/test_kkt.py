@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
@@ -223,6 +224,53 @@ def test_eval_C_jacobian_matches_dense_reference(net, S):
     Sc = build_structure(cubic)
     s = random_state(rng, Sc)
     assert_array_equal(eval_C_jacobian(cubic, Sc, s).toarray(), _dense_jacobian(cubic, s))
+
+
+def _coo_jacobian(net, S, s):
+    """C'(s) assembled from its blocks in COO form and converted to CSR."""
+    a, c = S.n_links, S.n_commodities
+    _, X, _, beta = (s[sl] for sl in S.slices)
+    stat, cons, comp = S.residual_slices
+    sl_d, sl_x, sl_alpha, sl_beta = S.slices
+    I = sp.identity(c * a)
+
+    def diag(x):                                   # keeps zeros, as J does
+        return sp.coo_matrix((x, (np.arange(x.size), np.arange(x.size))))
+
+    i, j, link = np.indices((c, c, a)).reshape(3, -1)
+    t_prime = net.link_time_derivs(X.reshape(c, a).sum(axis=0))
+    Tp = sp.coo_matrix((t_prime[link], (i * a + link, j * a + link)), shape=I.shape)
+    blocks = [(sp.coo_matrix(B), r.start, col.start) for B, r, col in (
+        (S.Gamma, cons, sl_d), (-S.M, cons, sl_x), (S.M.T, stat, sl_alpha),
+        (-I, stat, sl_beta), (Tp, stat, sl_x), (diag(beta), comp, sl_x),
+        (diag(X), comp, sl_beta))]
+    rows = np.concatenate([B.row + r0 for B, r0, _ in blocks])
+    cols = np.concatenate([B.col + c0 for B, _, c0 in blocks])
+    data = np.concatenate([B.data for B, _, _ in blocks])
+    return sp.csr_matrix((data, (rows, cols)), shape=(S.n_constraints, S.state_dim))
+
+
+def test_eval_C_jacobian_layout_matches_coo_assembly(net, S):
+    # the CSR arrays built once per network give, at every state, the matrix
+    # a COO assembly converts to: same data, indices and indptr, canonical
+    rng = np.random.default_rng(11)
+    cubic = _cubic_network()
+    Sc = build_structure(cubic)
+    flat = random_state(rng, Sc)
+    flat[Sc.slices[1]] = 0.0
+    flat[Sc.slices[3]] = 0.0
+    cases = [(net, S, _equilibrium_state(S)), (net, S, random_state(rng, S)),
+             (cubic, Sc, random_state(rng, Sc)), (cubic, Sc, flat)]
+    for nt, St, s in cases:
+        J, ref = eval_C_jacobian(nt, St, s), _coo_jacobian(nt, St, s)
+        assert ref.has_canonical_format and J.has_canonical_format
+        assert J.shape == ref.shape
+        assert_array_equal(J.indptr, ref.indptr)
+        assert_array_equal(J.indices, ref.indices)
+        assert_array_equal(J.data, ref.data)
+        # the index arrays are S's, not copies
+        assert np.shares_memory(J.indices, St.jac_indices)
+        assert np.shares_memory(J.indptr, St.jac_indptr)
 
 
 def test_eval_C_jacobian_pattern_is_fixed(net, S):

@@ -18,7 +18,8 @@ from odadjust.driver import restore
 from odadjust.errors import DimensionMismatch
 from odadjust.kkt import eval_C_jacobian, grad_F_state
 from odadjust.oracles import oracle_project
-from odadjust.projection import TangentSpace, min_norm_solve, project
+from odadjust import projection
+from odadjust.projection import REG, TangentSpace, min_norm_solve, project
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -259,3 +260,67 @@ def test_stalled_grid_projection_is_certified():
     space = TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)
     box = case["box_radius"]
     _certify(space, b, box, project(space, b, box))
+
+
+def _lexsort_quasi_definite(n, m, r, c, v):
+    """K = [[I_n, B'], [B, -REG I_m]] in CSC, sorted by (column, row) with lexsort."""
+    diag = np.arange(n + m)
+    rows, cols = np.concatenate([diag, n + r, c]), np.concatenate([diag, c, n + r])
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n + m))])
+    data = np.concatenate([np.ones(n), np.full(m, -REG), v, v])
+    return sp.csc_matrix((data[order], rows[order], indptr), shape=(n + m, n + m))
+
+
+def test_quasi_definite_matches_lexsort_assembly():
+    # entry for entry, in the same order, so splu and every product with K
+    # sum in the same order; B has empty rows and columns, and m may be 0
+    rng = np.random.default_rng(505)
+    shapes = [(0, 4), (3, 0), (0, 0), (1, 1), (5, 7), (8, 3)]
+    shapes += [tuple(rng.integers(0, 9, size=2)) for _ in range(40)]
+    for m, n in shapes:
+        B = rng.normal(size=(m, n)) * (rng.random((m, n)) < rng.random())
+        B[:, rng.random(n) < 0.3] = 0.0            # empty columns
+        B[rng.random(m) < 0.3] = 0.0               # empty rows
+        r, c, v = projection._entries(B)
+        K = projection._quasi_definite(n, m, r, c, v)
+        ref = _lexsort_quasi_definite(n, m, r, c, v)
+        assert K.has_canonical_format
+        assert np.array_equal(K.indptr, ref.indptr)
+        assert np.array_equal(K.indices, ref.indices)
+        assert np.array_equal(K.data, ref.data)
+
+
+def test_dependent_bound_is_tested_once_between_releases(monkeypatch):
+    # the first Cauchy projection of the 4x4 grid meets bounds that depend on
+    # the working set; with the working set only growing they stay dependent,
+    # so no bound's Schur pivot is tested twice between two releases
+    net = parse_network((DATA / "grid4x4_1.json").read_text(encoding="utf-8"))
+    S = build_structure(net)
+    z = restore(net, S, net.target_demands, IRConfig())
+    space = tangent_space(net, S, z)
+    b = z - grad_F_state(net, S, z)
+    expected = project(space, b)
+
+    schur_row = projection._schur_row
+    calls = []                                     # (bound, factor L, pivot)
+
+    def spy(L, VW, order, v, i):
+        row, pivot = schur_row(L, VW, order, v, i)
+        calls.append((i, L, pivot))
+        return row, pivot
+
+    monkeypatch.setattr(projection, "_schur_row", spy)
+    assert_allclose(project(space, b), expected, rtol=0, atol=0)
+    # a bound's entry grows L; a release replaces it by a factor no larger,
+    # and the first test after a release sees that factor
+    tested, prev, releases = set(), None, 0
+    for i, L, _ in calls:
+        if prev is not None and L is not prev and L.shape[0] <= prev.shape[0]:
+            tested.clear()
+            releases += 1
+        assert i not in tested
+        tested.add(i)
+        prev = L
+    assert releases > 0
+    assert sum(pivot <= projection.DEPENDENT for _, _, pivot in calls) > 0

@@ -1,0 +1,110 @@
+"""Write the recorded numbers of the solver, for a byte-identity check.
+
+    python3 tools/identity.py OUT_DIR
+
+Runs, at seed 0 and with one BLAS thread, the 9 `odadjust solve` operations
+of the benchmark's dap-small workload and the dap-grid `solve_dap` run, all
+on the package in this checkout's src.  OUT_DIR receives:
+
+- `<op>.log` and `<op>.report.json` for each dap-small operation, the
+  report without `wall_time_s` and `input` (a time and a temporary path);
+- `exit_codes.txt`: one `<op> <code>` line per operation, in run order;
+- `dap-grid.txt`: the SHA-256 of d, X, mu, F, status and history of the
+  dap-grid run, then its F and status.
+
+Run it on two checkouts; `diff -r OUT_A OUT_B` is then the check that a
+change leaves every recorded number as it was.
+"""
+
+import os
+
+# one BLAS thread, fixed before numpy loads, as in the benchmark
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import numpy as np  # noqa: E402
+
+from instances import TOY_STARTS  # noqa: E402
+from workloads import DAP_GRID_OUTER, WORKLOADS  # noqa: E402
+
+SEED = 0
+VOLATILE = ("wall_time_s", "input")
+
+
+def dap_small(out_dir):
+    """Run the dap-small operations into out_dir; returns (label, code) pairs."""
+    from odadjust import cli
+
+    instances = WORKLOADS["dap-small"].instances(np.random.default_rng(SEED))
+    runs = [(instances[0], d0) for d0 in TOY_STARTS]
+    runs += [(inst, None) for inst in instances[1:]]
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for inst, d0 in runs:
+            start = inst.prior if d0 is None else d0
+            label = "%s@%s" % (inst.name, ",".join("%g" % x for x in start))
+            doc = os.path.join(tmp, label + ".json")
+            with open(doc, "w", encoding="utf-8") as fh:
+                fh.write(inst.text)
+            report = os.path.join(tmp, label + ".report.json")
+            log = os.path.join(out_dir, label + ".log")
+            argv = ["solve", "--input", doc, "--report", report, "--log", log]
+            if d0 is not None:
+                argv += ["--initial-demand", ",".join(repr(float(x)) for x in d0)]
+            with contextlib.redirect_stderr(io.StringIO()):
+                codes.append((label, cli.main(argv)))
+            with open(report, encoding="utf-8") as fh:
+                fields = json.load(fh)
+            for key in VOLATILE:
+                fields.pop(key, None)
+            with open(os.path.join(out_dir, label + ".report.json"), "w",
+                      encoding="utf-8") as fh:
+                json.dump(fields, fh, indent=2)
+                fh.write("\n")
+    return codes
+
+
+def dap_grid_digest():
+    """SHA-256 of the dap-grid result, its F and its status."""
+    from odadjust import IRConfig, parse_network, solve_dap
+
+    inst, = WORKLOADS["dap-grid"].instances(np.random.default_rng(SEED))
+    res = solve_dap(parse_network(inst.text), IRConfig(max_outer=DAP_GRID_OUTER))
+    h = hashlib.sha256()
+    for arr in (res.d_final, res.X_final, res.mu_final):
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    h.update(repr(float(res.F_final)).encode())
+    h.update(res.status.encode())
+    for rec in res.history:
+        h.update(repr(dataclasses.astuple(rec)).encode())
+    return h.hexdigest(), res.F_final, res.status
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", help="directory to write into; created if missing")
+    args = parser.parse_args()
+    os.makedirs(args.out_dir, exist_ok=True)
+    codes = dap_small(args.out_dir)
+    with open(os.path.join(args.out_dir, "exit_codes.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines("%s %d\n" % pair for pair in codes)
+    digest, F, status = dap_grid_digest()
+    with open(os.path.join(args.out_dir, "dap-grid.txt"), "w", encoding="utf-8") as fh:
+        fh.write("sha256 %s\nF_final %r\nstatus %s\n" % (digest, F, status))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
