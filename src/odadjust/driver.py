@@ -157,7 +157,7 @@ def cauchy_direction(net, S, mu, space):
     Jacobian gives the Lagrangian gradient at z.
     """
     g_F = grad_F_state(net, S, space.z)
-    g_L = g_F + space.J.T @ mu
+    g_L = g_F + S.Jt_dot(space.J, mu)
     return project(space, space.z - g_L) - space.z, g_F, g_L
 
 
@@ -241,7 +241,7 @@ def find_candidate(net, S, mu, r_tan, space, delta, at_z):
         if _norm(r_v) < INNER_GTOL:
             break
         if g_l is None:
-            g_l = g_f + eval_C_jacobian(net, S, cur).T @ mu
+            g_l = g_f + S.Jt_dot(eval_C_jacobian(net, S, cur), mu)
         if float(r_v @ g_l) >= 0.0:
             break                      # descent property lost to roundoff
         step = 1.0

@@ -10,12 +10,15 @@ written as the residual
 
 where T(X) = R' t(R X).  C(s) = 0 together with d, X, beta >= 0 characterizes
 user equilibrium for every commodity simultaneously.
+
+eval_C and recover_multipliers take their products from the index layouts of
+StructureMatrices, so neither loads scipy; scipy.sparse is imported on first
+use, by eval_C_jacobian, which the check and tap commands never call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, ResidualTooLarge
 from .network import aggregate_flows
@@ -60,8 +63,8 @@ def eval_C(net, S, s):
     """
     d, X, alpha, beta = _blocks(S, s)
     t = net.link_times(aggregate_flows(S, X))
-    return np.concatenate([np.tile(t, S.n_commodities) + S.Mt @ alpha - beta,
-                           S.Gamma @ d - S.M @ X,
+    return np.concatenate([np.tile(t, S.n_commodities) + S.Mt_dot(alpha) - beta,
+                           S.Gamma_dot(d) - S.M_dot(X),
                            beta * X])
 
 
@@ -71,6 +74,7 @@ def eval_C_jacobian(net, S, s):
     Only the values are computed: the index arrays are S's own, shared by
     every state of the network, zeros included.
     """
+    import scipy.sparse as sp
     _, X, _, beta = _blocks(S, s)
     t_prime = net.link_time_derivs(aggregate_flows(S, X))
     data = np.concatenate([S.jac_fixed, t_prime[S.jac_links], beta, X])
@@ -91,7 +95,7 @@ def eval_L(net, S, s, mu):
 def eval_L_grad(net, S, s, mu):
     """Gradient of the Lagrangian in the full state layout."""
     mu = np.asarray(mu, dtype=float)
-    return grad_F_state(net, S, s) + eval_C_jacobian(net, S, s).T @ mu
+    return grad_F_state(net, S, s) + S.Jt_dot(eval_C_jacobian(net, S, s), mu)
 
 
 def recover_multipliers(net, S, X, link_times):
@@ -118,7 +122,7 @@ def recover_multipliers(net, S, X, link_times):
             pi[~finite] = pi[finite].max() + 1.0
         alpha[i * n:(i + 1) * n] = -pi
 
-    beta = np.tile(t, c) + S.Mt @ alpha
+    beta = np.tile(t, c) + S.Mt_dot(alpha)
     worst = float(beta.min()) if beta.size else 0.0
     if worst < -1e-8:
         raise ResidualTooLarge(

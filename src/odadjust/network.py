@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DanglingReference,
@@ -248,14 +247,21 @@ class Network:
 
 
 class StructureMatrices:
-    """Sparse structure matrices of a network and the layout of its lifted
-    system, all built once, by build_structure.
+    """Index layouts of a network's structure matrices and of its lifted
+    system, all built once, by build_structure, with NumPy alone.
+
+    The structure matrices hold only -1 and +1:
 
     A      node-link incidence, n_nodes x n_links, -1 at the tail, +1 at the head
     Gamma  od incidence, (n_commodities*n_nodes) x n_commodities, block-diagonal
            with -1 at the origin and +1 at the destination of each commodity
     M      block-diagonal repetition of A, one block per commodity
-    Mt     M' in CSR, for the products M' alpha
+
+    None is stored as a matrix.  Each of M, M' and Gamma is kept as its
+    (row, column, value) entries sorted by row, then column, and M_dot,
+    Mt_dot and Gamma_dot sum each row's terms in that order, starting from
+    +0.0.  That is how a CSR matrix-vector product sums, so every product
+    equals scipy's bit for bit, signed zeros included.
 
     The state [d | X | alpha | beta] has length state_dim and blocks slices;
     the residual [stationarity | conservation | complementarity] has length
@@ -264,30 +270,31 @@ class StructureMatrices:
 
     J = C'(s), the lifted Jacobian, has one pattern at every state, built
     here as CSR arrays: jac_indptr and jac_indices, in canonical order
-    (columns ascending within each row, no duplicates).  Its values are
-    listed block by block: the constant blocks Gamma, -M, M' and -I (values
-    jac_fixed), the t'(v) entries (jac_links: the link of each), then the
-    complementarity rows' beta and X diagonals.  jac_order takes that list
-    to CSR order: J's data at s is the list indexed by jac_order.  Entries
-    that are zero at s stay stored.
+    (columns ascending within each row, no duplicates), 32-bit whenever
+    they fit, as scipy would pick them.  Its values are listed block by
+    block: the constant blocks Gamma, -M, M' and -I (values jac_fixed), the
+    t'(v) entries (jac_links: the link of each), then the complementarity
+    rows' beta and X diagonals.  jac_order takes that list to CSR order: J's
+    data at s is the list indexed by jac_order.  Entries that are zero at s
+    stay stored.  jac_entry_rows is the row of each entry in CSR order, for
+    Jt_dot.
     """
 
     def __init__(self, net):
         n, a, c = net.n_nodes, net.n_links, net.n_commodities
         self.n_nodes, self.n_links, self.n_commodities = n, a, c
 
-        rows = np.concatenate([net.tails, net.heads])
-        cols = np.concatenate([np.arange(a), np.arange(a)])
-        vals = np.concatenate([-np.ones(a), np.ones(a)])
-        self.A = sp.csr_matrix((vals, (rows, cols)), shape=(n, a))
-
-        com = np.arange(c)
-        rows = np.concatenate([com * n + net.origin_idx, com * n + net.destination_idx])
-        vals = np.concatenate([-np.ones(c), np.ones(c)])
-        self.Gamma = sp.csr_matrix((vals, (rows, np.tile(com, 2))), shape=(c * n, c))
-
-        self.M = sp.block_diag([self.A] * c, format="csr") if c else sp.csr_matrix((0, 0))
-        self.Mt = self.M.T.tocsr()
+        # A's entries, then one shifted copy per commodity: M, whose blocks
+        # follow each other in row order
+        com, link = np.arange(c), np.arange(a)
+        A = _by_rows(np.concatenate([net.tails, net.heads]), np.concatenate([link, link]),
+                     np.repeat([-1.0, 1.0], a))
+        self._M = M = ((com[:, None] * n + A[0]).ravel(), (com[:, None] * a + A[1]).ravel(),
+                       np.broadcast_to(A[2], (c, 2 * a)).ravel())
+        self._Mt = _by_rows(M[1], M[0], M[2])
+        self._Gamma = Gamma = _by_rows(
+            np.concatenate([com * n + net.origin_idx, com * n + net.destination_idx]),
+            np.concatenate([com, com]), np.repeat([-1.0, 1.0], c))
 
         self.slices = sl_d, sl_x, sl_alpha, sl_beta = _partition(c, c * a, c * n, c * a)
         self.state_dim = sl_beta.stop
@@ -297,24 +304,64 @@ class StructureMatrices:
         self.lower[sl_alpha] = -np.inf
         self.lower.flags.writeable = False
 
-        I = sp.identity(c * a)
-        # t'_l joins stationarity row (i, l) and flow column (j, l), all i, j; Tp holds l
+        # J's blocks (rows, columns, values) in the order of the value list;
+        # M' is listed in M's order, as the transpose of M's CSR lists it
+        diag = np.arange(c * a)
         i, j, link = np.indices((c, c, a)).reshape(3, -1)
-        Tp = sp.coo_matrix((link, (i * a + link, j * a + link)), shape=I.shape)
-        blocks = [(sp.coo_matrix(B), r.start, col.start) for B, r, col in (
-            (self.Gamma, cons, sl_d), (-self.M, cons, sl_x), (self.M.T, stat, sl_alpha),
-            (-I, stat, sl_beta), (Tp, stat, sl_x), (I, comp, sl_x), (I, comp, sl_beta))]
-        rows = np.concatenate([B.row + r0 for B, r0, _ in blocks])
-        cols = np.concatenate([B.col + c0 for B, _, c0 in blocks])
-        self.jac_fixed = np.concatenate([B.data for B, _, _ in blocks[:4]])
+        blocks = [(Gamma[0] + cons.start, Gamma[1] + sl_d.start, Gamma[2]),
+                  (M[0] + cons.start, M[1] + sl_x.start, -M[2]),
+                  (M[1] + stat.start, M[0] + sl_alpha.start, M[2]),
+                  (diag + stat.start, diag + sl_beta.start, np.full(c * a, -1.0)),
+                  # t'_l joins stationarity row (i, l) and flow column (j, l)
+                  (i * a + link + stat.start, j * a + link + sl_x.start, None),
+                  (diag + comp.start, diag + sl_x.start, None),
+                  (diag + comp.start, diag + sl_beta.start, None)]
+        rows = np.concatenate([r for r, _, _ in blocks])
+        cols = np.concatenate([col for _, col, _ in blocks])
+        self.jac_fixed = np.concatenate([v for _, _, v in blocks[:4]])
         self.jac_links = link
         self.jac_order = np.lexsort((cols, rows))
-        # scipy picks the index dtype once here, so no call converts it again
-        layout = sp.csr_matrix(
-            (np.zeros(rows.size), cols[self.jac_order],
-             np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=comp.stop))])),
-            shape=(self.n_constraints, self.state_dim))
-        self.jac_indices, self.jac_indptr = layout.indices, layout.indptr
+        self.jac_entry_rows = rows[self.jac_order]
+        index = (np.int32 if max(self.n_constraints, self.state_dim, rows.size)
+                 <= np.iinfo(np.int32).max else np.int64)
+        self.jac_indices = cols[self.jac_order].astype(index)
+        self.jac_indptr = np.zeros(self.n_constraints + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=self.n_constraints),
+                  out=self.jac_indptr[1:])
+
+    def M_dot(self, X):
+        """M X: per commodity, each node's inflow minus its outflow."""
+        return _row_sums(self._M, X, self.n_commodities * self.n_nodes)
+
+    def Mt_dot(self, alpha):
+        """M' alpha: per commodity, alpha at each link's head minus at its tail."""
+        return _row_sums(self._Mt, alpha, self.n_commodities * self.n_links)
+
+    def Gamma_dot(self, d):
+        """Gamma d: per commodity, -d at its origin and +d at its destination."""
+        return _row_sums(self._Gamma, d, self.n_commodities * self.n_nodes)
+
+    def Jt_dot(self, J, mu):
+        """J' mu, J being on this layout, as eval_C_jacobian returns it.
+
+        Each entry's term goes into its column's sum in CSR order, as scipy's
+        J.T @ mu adds them, so the two agree bit for bit.
+        """
+        return np.bincount(self.jac_indices, weights=J.data * mu[self.jac_entry_rows],
+                           minlength=self.state_dim)
+
+
+def _by_rows(rows, cols, vals):
+    """The entries (rows, cols, vals) sorted by row, then column."""
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
+
+
+def _row_sums(entries, x, m):
+    """The m-vector of a matrix's products with x, entries sorted by row,
+    then column: bincount adds the terms in the order listed, from +0.0."""
+    rows, cols, vals = entries
+    return np.bincount(rows, weights=vals * x[cols], minlength=m)
 
 
 def _partition(*sizes):

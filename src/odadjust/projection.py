@@ -41,12 +41,15 @@ min_norm_solve(A, r) solves the same kind of system, [[I, A], [A', -REG I]],
 by one sparse LU: a least-squares solution of A x = r whose components along
 directions where A is within about sqrt(REG) of singular are damped toward
 zero, as in a minimum-norm solution, instead of being blown up by them.
+
+scipy.sparse, scipy.sparse.linalg and scipy.linalg are imported on first
+use, inside the functions that need them: the check and tap commands import
+this module but never project, so they never load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, SolverStalled
 
@@ -72,8 +75,6 @@ class TangentSpace:
         if J.shape[1] != z.size:
             raise DimensionMismatch("J has %d columns, state has %d coordinates"
                                     % (J.shape[1], z.size))
-        # imported on first use: scipy.sparse.linalg loads scipy.linalg,
-        # about 0.1 s, which the check and tap commands never need
         from scipy.sparse.linalg import splu
         self.z, self.J, self.lower = z, J, lower
         self.free, K = _kkt_matrix(J)
@@ -93,15 +94,19 @@ def _kkt_matrix(J):
     return np.flatnonzero(~pinned), _quasi_definite(nf, m, r[e], at[c[e]], v[e])
 
 
-def _entries(J):
-    """Row, column and value of every nonzero entry of J, in row-major order
-    with columns ascending within each row."""
-    J = sp.csr_matrix(J)
-    if not J.has_sorted_indices:
-        J = J.sorted_indices()
-    keep = J.data != 0.0
-    r = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))[keep]
-    return r, J.indices[keep], J.data[keep]
+def _entries(A, fmt="csr"):
+    """Every nonzero entry of A in its compressed order, inner indices
+    ascending: (row, column, value) row by row for fmt "csr", and (column,
+    row, value) column by column for "csc", which are the row-major entries
+    of A'.  A sparse A already in fmt is read as it is, without a copy."""
+    import scipy.sparse as sp
+    if not (sp.issparse(A) and A.format == fmt):
+        A = sp.csr_matrix(A) if fmt == "csr" else sp.csc_matrix(A)
+    if not A.has_sorted_indices:
+        A = A.sorted_indices()
+    keep = A.data != 0.0
+    outer = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))[keep]
+    return outer, A.indices[keep], A.data[keep]
 
 
 def _quasi_definite(n, m, r, c, v):
@@ -113,6 +118,7 @@ def _quasi_definite(n, m, r, c, v):
     sorts K's rows within each column, so counts and offsets place every
     entry without sorting K.  Indices are 32-bit, as splu takes them.
     """
+    import scipy.sparse as sp
     nb = r.size
     indptr = np.empty(n + m + 1, dtype=np.int32)
     indptr[0] = 0
@@ -143,6 +149,7 @@ def min_norm_solve(A, r):
     itself, so along A's null directions x is small rather than exactly zero:
     a least-squares solution of nearly minimum norm.
     """
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
     if not sp.issparse(A):
         A = np.asarray(A, dtype=float)
@@ -150,7 +157,7 @@ def min_norm_solve(A, r):
     n, k = A.shape
     if r.shape != (n,):
         raise DimensionMismatch("A has %d rows, r has shape %r" % (n, r.shape))
-    K = _quasi_definite(n, k, *_entries(A.T))
+    K = _quasi_definite(n, k, *_entries(A, "csc"))
     # a symmetric fill-reducing ordering, as K is symmetric; with splu's
     # default COLAMD the solution of [1, 1] x = 2 is off by 4e-4 in A's null
     # direction, with this one by roundoff

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from odadjust import parse_network
 from odadjust.projection import TangentSpace
@@ -113,6 +114,21 @@ def random_state(rng, S):
         rng.normal(size=S.n_commodities * S.n_nodes),
         rng.uniform(0.0, 1.0, size=S.n_commodities * S.n_links),
     )
+
+
+def incidence_matrices(net):
+    """Gamma and M of a network as scipy CSR matrices, built from its links
+    and commodities: the reference for the products of StructureMatrices."""
+    n, a, c = net.n_nodes, net.n_links, net.n_commodities
+    link, com = np.arange(a), np.arange(c)
+    A = sp.csr_matrix((np.repeat([-1.0, 1.0], a),
+                       (np.concatenate([net.tails, net.heads]), np.tile(link, 2))),
+                      shape=(n, a))
+    Gamma = sp.csr_matrix(
+        (np.repeat([-1.0, 1.0], c),
+         (np.concatenate([com * n + net.origin_idx, com * n + net.destination_idx]),
+          np.tile(com, 2))), shape=(c * n, c))
+    return Gamma, sp.block_diag([A] * c, format="csr")
 
 
 def random_network(rng):

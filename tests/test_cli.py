@@ -395,15 +395,32 @@ def test_console_entry_point(toy_file):
     assert "state dimension: 24" in proc.stdout
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
-    # check and tap never factor a matrix, so `import odadjust` must not pay
-    # for loading scipy.linalg, scipy.sparse.linalg or scipy.optimize
-    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.optimize")
-    code = "import sys, odadjust; print(*[m for m in %r if m in sys.modules])" % (heavy,)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=checkout_env())
+def _scipy_modules_after(code):
+    """The scipy modules loaded once a fresh interpreter has run code."""
+    code += "\nprint('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.splitlines()[-1].split()[1:]
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded(toy_file):
+    # import, parsing, the structure layouts, assignment and multiplier
+    # recovery run on NumPy alone, so neither they nor the check and tap
+    # commands load any scipy module; solve loads scipy.sparse at its first
+    # Jacobian, but never the oracles' scipy.optimize
+    assert _scipy_modules_after(
+        "import odadjust\n"
+        "net = odadjust.parse_network(open(%r).read())\n"
+        "S = odadjust.build_structure(net)\n"
+        "sol = odadjust.solve_tap(net, net.target_demands)\n"
+        "odadjust.recover_multipliers(net, S, sol.X, net.link_times(sol.v))"
+        % toy_file) == []
+    run = "from odadjust.cli import main\nassert main(%r) == 0"
+    for command in ("check", "tap"):
+        assert _scipy_modules_after(run % [command, "--input", toy_file]) == [], command
+    solve = _scipy_modules_after(run % ["solve", "--input", toy_file])
+    assert "scipy.sparse" in solve and "scipy.optimize" not in solve
 
 
 def test_solve_initial_demand_validation(toy_file, capsys):

@@ -21,7 +21,7 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
     assert len(labels) == len(set(labels)) == 9
     assert all(line.rsplit(" ", 1)[1] in ("0", "2") for line in codes)
     assert sum(label.startswith("toy@") for label in labels) == 3
-    expected = {"exit_codes.txt", "dap-grid.txt"}
+    expected = {"exit_codes.txt", "dap-grid.txt", "tap-grid.txt"}
     expected |= {label + ext for label in labels for ext in (".log", ".report.json")}
     assert {p.name for p in out.iterdir()} == expected
     for label in labels:
@@ -32,3 +32,5 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
         assert log[0].startswith("k\ti\t") and len(log) == 1 + report["inner_attempts"]
     grid = (out / "dap-grid.txt").read_text(encoding="utf-8")
     assert re.fullmatch(r"sha256 [0-9a-f]{64}\nF_final \S+\nstatus \w+\n", grid)
+    tap = (out / "tap-grid.txt").read_text(encoding="utf-8")
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}\n(\S+ iterations \d+ rgap \S+\n){4}", tap)

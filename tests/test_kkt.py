@@ -1,6 +1,7 @@
 """Objective, lifted optimality system, multiplier recovery, derivatives."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     TOY_TARGETS,
     TOY_V,
     TOY_X,
+    incidence_matrices,
     random_state,
     state_vector,
     toy_document,
@@ -32,6 +34,8 @@ from odadjust.errors import DimensionMismatch, ResidualTooLarge
 from odadjust.kkt import grad_F_state
 from odadjust.network import Commodity, CostFunction, Link, Network
 from odadjust.oracles import fd_gradient
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -139,11 +143,33 @@ def test_eval_C_block_structure(net, S):
     assert_allclose(res2[sl_cons][1], 1.0, atol=1e-12)
 
 
-def test_transposed_incidence_built_once(S):
-    # eval_C and recover_multipliers use the stored M' instead of transposing M
-    assert_array_equal(S.Mt.toarray(), S.M.T.toarray())
-    alpha = np.random.default_rng(7).normal(size=S.Mt.shape[1])
-    assert_array_equal(S.Mt @ alpha, S.M.T @ alpha)
+def _signed_vector(rng, m, scale):
+    """m normal entries of the given scale, about a fifth of them +0.0 and a
+    fifth -0.0."""
+    x = rng.normal(size=m) * scale
+    x[rng.random(m) < 0.2] = 0.0
+    x[rng.random(m) < 0.2] = -0.0
+    return x
+
+
+def test_incidence_products_match_csr_bit_for_bit(net):
+    # S's products add each row's terms in CSR order, so they equal scipy's
+    # CSR products exactly, signed zeros included, and J' mu equals J.T @ mu
+    rng = np.random.default_rng(7)
+    grid = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    for nt in (net, _cubic_network(), grid):
+        St = build_structure(nt)
+        Gamma, M = incidence_matrices(nt)
+        Mt = M.T.tocsr()
+        for _ in range(20):
+            scale = 10.0 ** rng.uniform(-20.0, 20.0)
+            X, alpha, d, mu = (_signed_vector(rng, m, scale) for m in (
+                M.shape[1], M.shape[0], Gamma.shape[1], St.n_constraints))
+            J = eval_C_jacobian(nt, St, random_state(rng, St))
+            for got, ref in ((St.M_dot(X), M @ X), (St.Mt_dot(alpha), Mt @ alpha),
+                             (St.Gamma_dot(d), Gamma @ d), (St.Jt_dot(J, mu), J.T @ mu)):
+                assert got.dtype == ref.dtype == np.float64
+                assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_eval_C_jacobian_matches_taylor(net, S):
@@ -229,6 +255,7 @@ def test_eval_C_jacobian_matches_dense_reference(net, S):
 def _coo_jacobian(net, S, s):
     """C'(s) assembled from its blocks in COO form and converted to CSR."""
     a, c = S.n_links, S.n_commodities
+    Gamma, M = incidence_matrices(net)
     _, X, _, beta = (s[sl] for sl in S.slices)
     stat, cons, comp = S.residual_slices
     sl_d, sl_x, sl_alpha, sl_beta = S.slices
@@ -241,7 +268,7 @@ def _coo_jacobian(net, S, s):
     t_prime = net.link_time_derivs(X.reshape(c, a).sum(axis=0))
     Tp = sp.coo_matrix((t_prime[link], (i * a + link, j * a + link)), shape=I.shape)
     blocks = [(sp.coo_matrix(B), r.start, col.start) for B, r, col in (
-        (S.Gamma, cons, sl_d), (-S.M, cons, sl_x), (S.M.T, stat, sl_alpha),
+        (Gamma, cons, sl_d), (-M, cons, sl_x), (M.T, stat, sl_alpha),
         (-I, stat, sl_beta), (Tp, stat, sl_x), (diag(beta), comp, sl_x),
         (diag(X), comp, sl_beta))]
     rows = np.concatenate([B.row + r0 for B, r0, _ in blocks])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import TOY_TARGETS, TOY_V, TOY_X, toy_document
+from conftest import TOY_TARGETS, TOY_V, TOY_X, random_state, toy_document
 from odadjust import (
     Commodity,
     CostFunction,
@@ -14,6 +14,7 @@ from odadjust import (
     Network,
     aggregate_flows,
     build_structure,
+    eval_C_jacobian,
     parse_network,
 )
 from odadjust.errors import (
@@ -125,21 +126,31 @@ def test_mixed_degree_cost_table():
 def test_structure_matrices_on_reference_instance():
     net = parse_network(json.dumps(toy_document()))
     S = build_structure(net)
+    # J holds the structure matrices at any state: Gamma and -M in the
+    # conservation rows, M' in the stationarity rows
+    J = eval_C_jacobian(net, S, random_state(np.random.default_rng(2), S)).toarray()
+    stat, cons, _ = S.residual_slices
+    sl_d, sl_x, sl_alpha, _ = S.slices
     A_expect = np.array([[-1.0, -1.0, 0.0, 0.0],
                          [1.0, 0.0, -1.0, 1.0],
                          [0.0, 1.0, 1.0, -1.0]])
-    assert_array_equal(S.A.toarray(), A_expect)
     Gamma_expect = np.zeros((6, 2))
     Gamma_expect[0, 0] = -1.0
     Gamma_expect[1, 0] = 1.0
     Gamma_expect[3, 1] = -1.0
     Gamma_expect[5, 1] = 1.0
-    assert_array_equal(S.Gamma.toarray(), Gamma_expect)
-    M = S.M.toarray()
+    assert_array_equal(J[cons, sl_d], Gamma_expect)
+    M = -J[cons, sl_x]
     assert M.shape == (6, 8)
     assert_array_equal(M[:3, :4], A_expect)
     assert_array_equal(M[3:, 4:], A_expect)
     assert_array_equal(M[:3, 4:], np.zeros((3, 4)))
+    assert_array_equal(J[stat, sl_alpha], M.T)
+    # the products of S apply the same matrices
+    x = np.arange(8.0)
+    assert_array_equal(S.M_dot(x), M @ x)
+    assert_array_equal(S.Mt_dot(np.arange(6.0)), M.T @ np.arange(6.0))
+    assert_array_equal(S.Gamma_dot(np.array([1.0, 2.0])), Gamma_expect @ [1.0, 2.0])
     assert_array_equal(aggregate_flows(S, np.arange(8.0)), [4.0, 6.0, 8.0, 10.0])
     assert S.state_dim == 24
     assert S.n_constraints == 22
@@ -173,7 +184,7 @@ def test_aggregate_and_conservation_identities():
     S = build_structure(net)
     assert_allclose(aggregate_flows(S, TOY_X), TOY_V, rtol=1e-15)
     # the closed-form equilibrium satisfies per-commodity conservation
-    assert_allclose(S.M @ TOY_X, S.Gamma @ TOY_TARGETS, atol=1e-15)
+    assert_allclose(S.M_dot(TOY_X), S.Gamma_dot(TOY_TARGETS), atol=1e-15)
     with pytest.raises(DimensionMismatch):
         aggregate_flows(S, np.zeros(7))
 

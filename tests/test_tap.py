@@ -126,7 +126,7 @@ def test_solve_tap_reference_equilibrium(net):
     assert_allclose(sol.X, TOY_X, atol=1e-8)
     assert_allclose(sol.beckmann, TOY_BECKMANN, rtol=1e-10)
     S = build_structure(net)
-    assert_allclose(S.M @ sol.X, S.Gamma @ TOY_TARGETS, atol=1e-12)
+    assert_allclose(S.M_dot(sol.X), S.Gamma_dot(TOY_TARGETS), atol=1e-12)
     assert_allclose(aggregate_flows(S, sol.X), sol.v, atol=1e-12)
 
 
@@ -202,7 +202,7 @@ def test_solve_tap_grid_sweeps():
     assert sol.converged and sol.rgap <= 1e-8
     assert sol.iterations <= 150
     S = build_structure(gnet)
-    assert_allclose(S.M @ sol.X, S.Gamma @ gnet.target_demands, rtol=0, atol=1e-10)
+    assert_allclose(S.M_dot(sol.X), S.Gamma_dot(gnet.target_demands), rtol=0, atol=1e-10)
     assert np.all(sol.X >= 0.0)
     assert_array_equal(sol.v, aggregate_flows(S, sol.X))
 
@@ -215,5 +215,5 @@ def test_solve_tap_random_instances_reach_gap():
         assert sol.converged
         assert sol.rgap <= 1e-8
         S = build_structure(rnet)
-        assert_allclose(S.M @ sol.X, S.Gamma @ rnet.target_demands, atol=1e-10)
+        assert_allclose(S.M_dot(sol.X), S.Gamma_dot(rnet.target_demands), atol=1e-10)
         assert np.all(sol.X >= 0.0)

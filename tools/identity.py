@@ -3,14 +3,17 @@
     python3 tools/identity.py OUT_DIR
 
 Runs, at seed 0 and with one BLAS thread, the 9 `odadjust solve` operations
-of the benchmark's dap-small workload and the dap-grid `solve_dap` run, all
-on the package in this checkout's src.  OUT_DIR receives:
+of the benchmark's dap-small workload, the dap-grid `solve_dap` run and the
+4 tap-grid `solve_tap` calls, all on the package in this checkout's src.
+OUT_DIR receives:
 
 - `<op>.log` and `<op>.report.json` for each dap-small operation, the
   report without `wall_time_s` and `input` (a time and a temporary path);
 - `exit_codes.txt`: one `<op> <code>` line per operation, in run order;
 - `dap-grid.txt`: the SHA-256 of d, X, mu, F, status and history of the
-  dap-grid run, then its F and status.
+  dap-grid run, then its F and status;
+- `tap-grid.txt`: the SHA-256 of X, v, relative gap and sweep count of the
+  4 tap-grid `solve_tap` calls, then each call's sweeps and gap.
 
 Run it on two checkouts; `diff -r OUT_A OUT_B` is then the check that a
 change leaves every recorded number as it was.
@@ -37,7 +40,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import numpy as np  # noqa: E402
 
 from instances import TOY_STARTS  # noqa: E402
-from workloads import DAP_GRID_OUTER, WORKLOADS  # noqa: E402
+from workloads import DAP_GRID_OUTER, TAP_TOL, WORKLOADS  # noqa: E402
 
 SEED = 0
 VOLATILE = ("wall_time_s", "input")
@@ -92,6 +95,23 @@ def dap_grid_digest():
     return h.hexdigest(), res.F_final, res.status
 
 
+def tap_grid_digest():
+    """SHA-256 of the tap-grid solutions, and one line per call."""
+    from odadjust import parse_network, solve_tap
+
+    h = hashlib.sha256()
+    lines = []
+    for inst in WORKLOADS["tap-grid"].instances(np.random.default_rng(SEED)):
+        net = parse_network(inst.text)
+        sol = solve_tap(net, net.target_demands, tol=TAP_TOL)
+        for arr in (sol.X, sol.v):
+            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+        h.update(repr((float(sol.rgap), sol.iterations)).encode())
+        lines.append("%s iterations %d rgap %r\n"
+                     % (inst.name, sol.iterations, float(sol.rgap)))
+    return h.hexdigest(), lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory to write into; created if missing")
@@ -103,6 +123,10 @@ def main():
     digest, F, status = dap_grid_digest()
     with open(os.path.join(args.out_dir, "dap-grid.txt"), "w", encoding="utf-8") as fh:
         fh.write("sha256 %s\nF_final %r\nstatus %s\n" % (digest, F, status))
+    digest, lines = tap_grid_digest()
+    with open(os.path.join(args.out_dir, "tap-grid.txt"), "w", encoding="utf-8") as fh:
+        fh.write("sha256 %s\n" % digest)
+        fh.writelines(lines)
     return 0
 
 
