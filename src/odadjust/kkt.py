@@ -116,7 +116,7 @@ def recover_multipliers(net, S, X, link_times):
     alpha = np.zeros(c * n)
     trees = _origin_trees(net, t, range(c))
     for i in range(c):
-        pi = trees[net.origin_idx[i]].dist.copy()
+        pi = np.array(trees[net.origin_idx[i]].dist)
         finite = np.isfinite(pi)
         if not finite.all():
             pi[~finite] = pi[finite].max() + 1.0

@@ -6,9 +6,21 @@ paths it uses and the flow on each.  A sweep visits the commodities in order:
 it finds the commodity's shortest path under the current link times and moves
 flow to it from every other used path, by that path's excess cost over the
 summed cost derivatives of the links where the two paths differ, and at most
-all of its flow.  Only those links change, so only their times and derivatives
-are evaluated.  Conservation holds to roundoff at every iterate because a move
-keeps the commodity's total path flow.
+all of its flow.  Conservation holds to roundoff at every iterate because a
+move keeps the commodity's total path flow.
+
+Each sweep starts from the flows v assembled from the path flows, and takes
+the link times t(v) and derivatives t'(v) once, from net.link_times and
+net.link_time_derivs, as Python lists.  A move changes v only on the links
+where its two paths differ, and only those links' entries are re-evaluated,
+by Horner's rule in the same order, so the lists stay t and t' of the
+running flows bit for bit.  The lists are rebuilt from the assembled v at
+every sweep rather than carried over, as the running v and the assembled v
+differ in the last bits.  Flows stay Python floats, so a time that overflows
+is inf without a NumPy warning; it is caught just before the next path
+search or the gap reads it, not where it arises, since a later move of the
+same commodity can bring it back.  A path search stops as soon as the nodes
+it is asked for have settled, whose labels are then final.
 """
 
 from __future__ import annotations
@@ -24,19 +36,21 @@ from .network import aggregate_flows
 
 _EPS_DEN = 1e-30  # guards relative-gap denominators on zero-cost networks
 _EPS_SHIFT = 1e-15  # excess costs below this share of the compared times are roundoff
+_NOT_FINITE = ("link travel times are not finite at these flows, so no path "
+               "to the destination has a finite cost")
 
 
 @dataclass
 class ShortestPathResult:
     """Distances and predecessor links of a one-to-all shortest path tree.
 
-    dist is indexed by node position (np.inf where unreachable); pred holds the
-    index into net.links of the tree link entering each node, -1 at the origin
-    and at unreachable nodes.
+    Both are lists indexed by node position.  dist is inf where unreachable;
+    pred holds the index into net.links of the tree link entering each node,
+    -1 at the origin and at unreachable nodes.
     """
 
-    dist: np.ndarray
-    pred: np.ndarray
+    dist: list
+    pred: list
 
 
 @dataclass
@@ -49,46 +63,58 @@ class TapSolution:
     converged: bool
 
 
-def _dijkstra(net, costs, origin_idx, dest_idx=None):
+def _dijkstra(net, costs, origin_idx, targets=None):
     """Label-setting shortest paths; ties settle the lowest node index first.
 
-    With dest_idx the search stops once that node is settled: its distance
-    and the tree path to it are final, other labels may not be.
+    costs holds the link times, as a list or an array.  With targets, a
+    collection of node indices, the search stops once all of them have
+    settled.  Under nonnegative costs a settled label never changes, so
+    their distances and tree paths equal those of the full search bit for
+    bit; other labels may not be final.
     """
+    if isinstance(costs, np.ndarray):
+        costs = costs.tolist()
     n = net.n_nodes
-    costs = np.asarray(costs, dtype=float).tolist()
-    dist = [np.inf] * n
+    out_links, pop, push = net.out_links, heapq.heappop, heapq.heappush
+    dist = [math.inf] * n
     pred = [-1] * n
     done = [False] * n
+    wanted = [False] * n
+    for x in range(n) if targets is None else targets:
+        wanted[x] = True
+    left = wanted.count(True)
     dist[origin_idx] = 0.0
     heap = [(0.0, origin_idx)]
     while heap:
-        du, u = heapq.heappop(heap)
+        du, u = pop(heap)
         if done[u]:
             continue
         done[u] = True
-        if u == dest_idx:
-            break
-        for link_idx, w in net.out_links[u]:
+        if wanted[u]:
+            left -= 1
+            if not left:
+                break
+        for link_idx, w in out_links[u]:
             nd = du + costs[link_idx]
             if nd < dist[w]:
                 dist[w] = nd
                 pred[w] = link_idx
-                heapq.heappush(heap, (nd, w))
-    return ShortestPathResult(dist=np.array(dist), pred=np.array(pred, dtype=np.intp))
+                push(heap, (nd, w))
+    return ShortestPathResult(dist=dist, pred=pred)
 
 
 def _origin_trees(net, costs, commodities):
-    """Shortest-path trees under costs, one per distinct origin of the given
-    commodities, keyed by origin index."""
+    """Full shortest-path trees under costs, one per distinct origin of the
+    given commodities, keyed by origin index."""
     origins = dict.fromkeys(int(net.origin_idx[i]) for i in commodities)
     return {o: _dijkstra(net, costs, o) for o in origins}
 
 
 def _path_links(net, sp_res, origin_idx, dest_idx):
     """Link indices along the tree path origin -> dest, in travel order."""
-    # Network rejects unreachable destinations and _link_times infinite link
-    # times, so only a path cost that overflows as it sums leaves no tree path
+    # Network rejects unreachable destinations, and the sweep and the gap
+    # infinite link times, so only a path cost that overflows as it sums
+    # leaves no tree path
     if dest_idx != origin_idx and sp_res.pred[dest_idx] < 0:
         raise Unreachable("link travel times are too large: no path to the "
                           "destination has a finite cost")
@@ -102,14 +128,23 @@ def _path_links(net, sp_res, origin_idx, dest_idx):
     return path
 
 
+def _check_times(t):
+    """Raise Unreachable when a link time in the list t is not finite.
+
+    Flows are finite and cost coefficients nonnegative, so a time can
+    overflow to inf but never be NaN.
+    """
+    if not max(t, default=0.0) < math.inf:
+        raise Unreachable(_NOT_FINITE)
+
+
 def _link_times(net, v):
-    """t(v) for the path searches and the gap; a time that overflows raises
-    Unreachable, without a NumPy warning."""
+    """t(v) for the gap; a time that overflows raises Unreachable, without a
+    NumPy warning."""
     with np.errstate(over="ignore"):
         t = net.link_times(v)
     if not t.max(initial=0.0) < np.inf:     # NaN fails as well
-        raise Unreachable("link travel times are not finite at these flows, so "
-                          "no path to the destination has a finite cost")
+        raise Unreachable(_NOT_FINITE)
     return t
 
 
@@ -133,19 +168,24 @@ def beckmann_objective(net, v):
 def relative_gap(net, d, v):
     """(t(v).v - sum_i d_i * sp_i) / t(v).v, the standard equilibrium gap.
 
-    Raises Unreachable when a link time t(v), the total t(v).v or the sum of
-    the shortest-path costs is not finite.
+    Each origin's search stops once the destinations of its commodities with
+    nonzero demand have settled.  Raises Unreachable when a link time t(v),
+    the total t(v).v or the sum of the shortest-path costs is not finite.
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
     t = _link_times(net, v)
     active = [i for i in range(net.n_commodities) if d[i] != 0.0]
-    trees = _origin_trees(net, t, active)
+    targets = {}
+    for i in active:
+        targets.setdefault(int(net.origin_idx[i]), set()).add(int(net.destination_idx[i]))
+    costs = t.tolist()
+    dist = {o: _dijkstra(net, costs, o, dests).dist for o, dests in targets.items()}
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(t @ v)
         for i in active:
-            best += d[i] * trees[net.origin_idx[i]].dist[net.destination_idx[i]]
+            best += d[i] * dist[net.origin_idx[i]][net.destination_idx[i]]
         if not math.isfinite(total + best):
             raise Unreachable("link travel times are too large: the total "
                               "travel time of these flows, or of their "
@@ -153,25 +193,55 @@ def relative_gap(net, d, v):
     return (total - best) / max(total, _EPS_DEN)
 
 
-def _shift(net, v, flows, p, q):
+def _link_polys(net):
+    """Per link, the coefficients of t_a and of t'_a, highest degree first.
+
+    Horner's rule over them from 0.0 gives net.link_times and
+    net.link_time_derivs for that link bit for bit: those run the same
+    steps, after padding zeros that leave their sum at +0.0.
+    """
+    polys = []
+    for lk in net.links:
+        cs = lk.cost.coeffs
+        polys.append((cs[::-1], tuple(j * cs[j] for j in range(len(cs) - 1, 0, -1))))
+    return polys
+
+
+def _shift(polys, v, t, dt, flows, p, q):
     """Move flow of one commodity from path p to path q by a diagonal Newton
-    step on the Beckmann objective, capped at p's flow; v follows.  Returns
-    whether any flow moved."""
+    step on the Beckmann objective, capped at p's flow.  v, t and dt are
+    lists of the link flows, times and time derivatives; on a move v follows,
+    and t and dt are re-evaluated on the links where p and q differ.
+    Returns whether any flow moved."""
     q_set, p_set = set(q), set(p)
     only_p = [a for a in p if a not in q_set]
     only_q = [a for a in q if a not in p_set]
-    t_p = sum(net.links[a].cost.value(float(v[a])) for a in only_p)
-    t_q = sum(net.links[a].cost.value(float(v[a])) for a in only_q)
+    t_p = sum([t[a] for a in only_p])
+    t_q = sum([t[a] for a in only_q])
     excess = t_p - t_q
     if not excess > _EPS_SHIFT * (t_p + t_q):
         return False
-    curv = sum(net.links[a].cost.derivative(float(v[a])) for a in only_p + only_q)
+    changed = only_p + only_q
+    curv = sum([dt[a] for a in changed])
     h = flows[p]
     step = h if excess >= h * curv else excess / curv
     flows[p] = h - step
     flows[q] += step
-    v[only_p] -= step
-    v[only_q] += step
+    for a in only_p:
+        v[a] -= step
+    for a in only_q:
+        v[a] += step
+    for a in changed:
+        x = v[a]
+        tc, dc = polys[a]
+        out = 0.0
+        for c in tc:
+            out = out * x + c
+        t[a] = out
+        out = 0.0
+        for c in dc:
+            out = out * x + c
+        dt[a] = out
     return True
 
 
@@ -187,8 +257,11 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
 
     Returns a TapSolution; `converged` is False when the budget ran out, in
     which case the best iterate found is returned rather than raising.
-    Every link time the sweep computes is checked before a path search or the
-    gap uses it: Unreachable is raised on the first that is not finite.
+    Each sweep takes t(v) and t'(v) once as lists and keeps them current
+    through its path shifts; each commodity's path search stops once the
+    destination settles, and relative_gap runs once per sweep.  Every link
+    time is checked just before a path search or the gap reads it:
+    Unreachable is raised on the first that is not finite.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (net.n_commodities,):
@@ -199,22 +272,35 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
 
     n_links = net.n_links
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]
+    polys = _link_polys(net)
+    cols = {}       # (commodity, path) -> the path's positions in X
 
     def shortest(i, t):
-        o = net.origin_idx[i]
-        dest = net.destination_idx[i]
-        return tuple(_path_links(net, _dijkstra(net, t, o, dest), o, dest))
+        o = int(net.origin_idx[i])
+        dest = int(net.destination_idx[i])
+        return tuple(_path_links(net, _dijkstra(net, t, o, (dest,)), o, dest))
 
     def assemble():
-        # X from the path flows; v is its exact per-link sum
-        X = np.zeros(net.n_commodities * n_links)
+        # X from the path flows, each entry summed in path order from +0.0;
+        # v is its exact per-link sum
+        idx, h = [], []
         for i in active:
-            for p, h in paths[i].items():
-                X[i * n_links + np.array(p, dtype=np.intp)] += h
+            for p, flow in paths[i].items():
+                pos = cols.get((i, p))
+                if pos is None:
+                    pos = cols[i, p] = i * n_links + np.array(p, dtype=np.intp)
+                idx.append(pos)
+                h.append(flow)
+        size = net.n_commodities * n_links
+        if not idx:
+            X = np.zeros(size)
+        else:
+            X = np.bincount(np.concatenate(idx), np.repeat(h, [len(pos) for pos in idx]),
+                            size)
         return X, aggregate_flows(net, X)
 
-    t0 = net.link_times(np.zeros(n_links))
-    paths = {i: {shortest(i, t0): d[i]} for i in active}
+    t0 = net.link_times(np.zeros(n_links)).tolist()
+    paths = {i: {shortest(i, t0): float(d[i])} for i in active}
     X, v = assemble()
     rgap = relative_gap(net, d, v)
     iterations = 0
@@ -223,13 +309,19 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
     while not converged and iterations < max_iter:
         iterations += 1
         moved = False
+        # the running flows and their link times and derivatives, as lists
+        with np.errstate(over="ignore"):
+            t = net.link_times(v).tolist()
+            dt = net.link_time_derivs(v).tolist()
+        run_v = v.tolist()
         for i in active:
-            q = shortest(i, _link_times(net, v))
+            _check_times(t)
+            q = shortest(i, t)
             flows = paths[i]
             flows.setdefault(q, 0.0)
             for p in list(flows):
                 if p != q:
-                    moved = _shift(net, v, flows, p, q) or moved
+                    moved = _shift(polys, run_v, t, dt, flows, p, q) or moved
             paths[i] = {p: h for p, h in flows.items() if h > 0.0}
 
         X, v = assemble()

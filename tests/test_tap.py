@@ -1,6 +1,7 @@
 """Equilibrium assignment: shortest paths, path shifts, gap, full solves."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from odadjust import (
     solve_tap,
 )
 from odadjust.errors import DimensionMismatch, Unreachable
-from odadjust.tap import _dijkstra, _path_links, _shift
+from odadjust.tap import _dijkstra, _link_polys, _path_links, _shift
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -60,18 +61,26 @@ def test_shortest_paths_deterministic(net):
 
 
 def test_shortest_paths_stop_at_destination():
-    # stopping once the destination settles keeps its distance and tree path,
-    # with distinct and with tied costs
+    # stopping once the targets settle keeps their distances and tree paths
+    # bit for bit, with distinct and with tied costs: single destinations,
+    # each origin's destinations, and random node sets
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     rng = np.random.default_rng(5)
     for costs in (rng.uniform(1.0, 2.0, gnet.n_links), np.ones(gnet.n_links)):
         for o in range(gnet.n_nodes):
             full = _dijkstra(gnet, costs, o)
-            for dest in range(gnet.n_nodes):
-                part = _dijkstra(gnet, costs, o, dest)
-                assert part.dist[dest] == full.dist[dest]
-                assert (_path_links(gnet, part, o, dest)
-                        == _path_links(gnet, full, o, dest))
+            sets = [{dest} for dest in range(gnet.n_nodes)]
+            sets.append({int(dest) for org, dest in zip(gnet.origin_idx,
+                                                       gnet.destination_idx)
+                         if org == o})
+            sets += [set(rng.choice(gnet.n_nodes, size=k, replace=False).tolist())
+                     for k in (1, 2, 3, 5, gnet.n_nodes) for _ in range(3)]
+            for targets in sets:
+                part = _dijkstra(gnet, costs.tolist(), o, targets)
+                for dest in targets:
+                    assert part.dist[dest] == full.dist[dest]
+                    assert (_path_links(gnet, part, o, dest)
+                            == _path_links(gnet, full, o, dest))
 
 
 # -- objective, path shift, gap -------------------------------------------------
@@ -82,30 +91,64 @@ def test_beckmann_objective_closed_form(net):
         beckmann_objective(net, np.zeros(3))
 
 
+def _kept_lists(net, v):
+    """The flows, times and derivatives a sweep keeps, as lists."""
+    return (list(v), net.link_times(v).tolist(), net.link_time_derivs(v).tolist())
+
+
 def test_path_shift_lands_on_equal_costs(net):
     # commodity 2 all on its direct link 1->3 (path (1,)); its other route
     # 1->2->3 is (0, 2).  Linear costs make the diagonal Newton step exact:
     # one shift of 1/12 equalizes both routes at 5/3.
-    v = np.array([1.5, 1.75, 0.0, 0.0])
+    v, t, dt = _kept_lists(net, [1.5, 1.75, 0.0, 0.0])
+    polys = _link_polys(net)
     flows = {(1,): 1.75, (0, 2): 0.0}
-    assert _shift(net, v, flows, (1,), (0, 2))
+    assert _shift(polys, v, t, dt, flows, (1,), (0, 2))
     assert_allclose(flows[(0, 2)], 1.0 / 12.0, rtol=1e-15)
     assert_allclose(flows[(1,)], 5.0 / 3.0, rtol=1e-15)
     assert_allclose(v, TOY_V, rtol=1e-15, atol=1e-15)
     t = net.link_times(v)
     assert_allclose(t[1], t[0] + t[2], rtol=1e-15)
-    assert not _shift(net, v, flows, (1,), (0, 2))     # nothing left to gain
+    assert not _shift(polys, v, t, dt, flows, (1,), (0, 2))     # nothing left to gain
 
 
 def test_path_shift_capped_at_path_flow(net):
     # commodity 1 has 0.1 on 1->3->2 (path (1, 3)); the Newton step 0.55/3
     # exceeds it, so all of it moves to the direct link and the path empties
-    v = np.array([1.4, 1.85, 0.0, 0.1])
+    v, t, dt = _kept_lists(net, [1.4, 1.85, 0.0, 0.1])
     flows = {(0,): 1.4, (1, 3): 0.1}
-    assert _shift(net, v, flows, (1, 3), (0,))
+    assert _shift(_link_polys(net), v, t, dt, flows, (1, 3), (0,))
     assert flows[(1, 3)] == 0.0
     assert_allclose(flows[(0,)], 1.5, rtol=1e-15)
     assert_allclose(v, [1.5, 1.75, 0.0, 0.0], atol=1e-15)
+
+
+def test_path_shifts_keep_times_of_the_running_flows():
+    # after any series of shifts, the kept lists are t(v) and t'(v) of the
+    # shifted flows bit for bit, as net.link_times and link_time_derivs give;
+    # each shift moves flow between random nodes, from a random path to the
+    # shortest one under t
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    rng = np.random.default_rng(7)
+    polys = _link_polys(gnet)
+
+    def path(costs, o, dest):
+        return tuple(_path_links(gnet, _dijkstra(gnet, costs, o, {dest}), o, dest))
+
+    for _ in range(5):
+        v, t, dt = _kept_lists(gnet, rng.uniform(0.0, 6.0, gnet.n_links))
+        moves = 0
+        for _ in range(100):
+            o, dest = rng.choice(gnet.n_nodes, size=2, replace=False).tolist()
+            p = path(rng.uniform(1.0, 2.0, gnet.n_links), o, dest)
+            q = path(t, o, dest)
+            if p != q:
+                moves += _shift(polys, v, t, dt, {p: rng.uniform(0.0, 2.0), q: 0.0}, p, q)
+        assert moves > 20
+        va = np.array(v)
+        assert_array_equal(np.array(t).view(np.int64), gnet.link_times(va).view(np.int64))
+        assert_array_equal(np.array(dt).view(np.int64),
+                           gnet.link_time_derivs(va).view(np.int64))
 
 
 def test_relative_gap_values(net):
@@ -114,6 +157,30 @@ def test_relative_gap_values(net):
                     TOY_RGAP_DIRECT, rtol=1e-14)
     assert relative_gap(net, TOY_TARGETS, TOY_V) <= 1e-12
     assert relative_gap(net, np.zeros(2), np.zeros(4)) == 0.0
+
+
+def _full_tree_gap(net, d, v):
+    """relative_gap's value from full shortest-path trees."""
+    t = net.link_times(v)
+    best = 0.0
+    for i in range(net.n_commodities):
+        if d[i] != 0.0:
+            tree = _dijkstra(net, t, net.origin_idx[i])
+            best += d[i] * tree.dist[net.destination_idx[i]]
+    total = float(t @ v)
+    return (total - best) / max(total, 1e-30)
+
+
+def test_relative_gap_matches_full_trees():
+    # the gap's searches stop at each origin's destinations, and the gap is
+    # bit for bit the one read off full trees, also with a zero demand
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    one_off = gnet.target_demands.copy()
+    one_off[1] = 0.0
+    for d in (gnet.target_demands, one_off):
+        for sweeps in (0, 1, 5, 20):
+            v = solve_tap(gnet, d, tol=0.0, max_iter=sweeps).v
+            assert relative_gap(gnet, d, v) == _full_tree_gap(gnet, d, v)
 
 
 # -- full solves -----------------------------------------------------------------
@@ -162,6 +229,23 @@ def test_overflowing_path_cost_is_unreachable():
     snet = parse_network(json.dumps(doc))
     with pytest.raises(Unreachable, match="no path to the destination"):
         solve_tap(snet, snet.target_demands)
+
+
+def test_link_time_overflowing_mid_sweep_is_unreachable():
+    # the first commodity's shift loads the quartic link until its time
+    # overflows; the second commodity's search would read it, so the solve
+    # stops there with the cause named and no NumPy warning
+    doc = {"nodes": [1, 2],
+           "links": [{"id": 1, "from": 1, "to": 2, "coeffs": [1, 1]},
+                     {"id": 2, "from": 1, "to": 2, "coeffs": [2, 0, 0, 0, 1e305]}],
+           "commodities": [{"origin": 1, "destination": 2, "target": 10.0},
+                           {"origin": 1, "destination": 2, "target": 1.0}]}
+    snet = parse_network(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Unreachable, match="not finite"):
+            solve_tap(snet, snet.target_demands)
+    assert caught == []
 
 
 def test_solve_tap_beckmann_descends_across_budgets():
