@@ -12,7 +12,7 @@ from .driver import (DapResult, IRConfig, IterationRecord, STATUS_CONVERGED,
                      STATUS_MAX_OUTER, STATUS_STALLED, solve_dap)
 from .errors import (DanglingReference, DimensionMismatch, DuplicateId,
                      InfeasibleTheta, InputError, MalformedInput, MaxIterations,
-                     NegativeCoefficient, NoCandidate,
+                     NegativeCoefficient, NoCandidate, NonFiniteObjective,
                      OdAdjustError, ResidualTooLarge, SolverStalled, TooLarge,
                      Unreachable, UnreachableDestination)
 from .kkt import (eval_C, eval_C_jacobian, eval_F, eval_L, eval_L_grad,
@@ -39,6 +39,7 @@ __all__ = [
     "OdAdjustError", "InputError", "MalformedInput", "DuplicateId",
     "DanglingReference", "NegativeCoefficient", "UnreachableDestination",
     "DimensionMismatch", "Unreachable", "MaxIterations",
-    "ResidualTooLarge", "SolverStalled", "NoCandidate", "InfeasibleTheta",
+    "ResidualTooLarge", "SolverStalled", "NoCandidate", "NonFiniteObjective",
+    "InfeasibleTheta",
     "TooLarge",
 ]

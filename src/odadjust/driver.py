@@ -171,12 +171,12 @@ def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
 def trial_multipliers(net, S, v):
     """argmin_mu |grad F(v) + C'(v)^T mu|^2 + REG |mu|^2, clipped to the bound.
 
-    projection.min_norm_solve does it by one sparse LU; projection.REG damps
-    the directions in which C'(v)^T is nearly singular.
+    projection.min_norm_solve does it by one sparse LU, its K gathered from
+    C'(v)'s values through S.kkt_layout; projection.REG damps the directions
+    in which C'(v)^T is nearly singular.
     """
     g = grad_F_state(net, S, v)
-    Jt = eval_C_jacobian(net, S, v).T
-    mu = min_norm_solve(Jt, -g)
+    mu = min_norm_solve(eval_C_jacobian(net, S, v).data, -g, S.kkt_layout)
     return np.clip(mu, -M_BOUND, M_BOUND)
 
 

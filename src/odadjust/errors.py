@@ -41,6 +41,12 @@ class Unreachable(OdAdjustError):
     then neither the gap nor the objective has a value."""
 
 
+class NonFiniteObjective(OdAdjustError):
+    """The objective F or its gradient is not finite at a point the solver
+    reached: a weight, an observed flow or a flow is so large that F's
+    squares or products overflow."""
+
+
 class MaxIterations(OdAdjustError):
     """An iterative solver exhausted its iteration budget."""
 

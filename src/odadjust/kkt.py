@@ -18,9 +18,11 @@ use, by eval_C_jacobian, which the check and tap commands never call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionMismatch, ResidualTooLarge
+from .errors import DimensionMismatch, NonFiniteObjective, ResidualTooLarge
 from .network import aggregate_flows
 from .projection import TangentSpace
 from .tap import _origin_trees
@@ -36,23 +38,40 @@ def _blocks(S, s):
 
 
 def eval_F(net, d, X):
-    """Weighted fit eta1 * |(RX)_obs - vtilde|^2 + eta2 * |d - dtilde|^2."""
+    """Weighted fit eta1 * |(RX)_obs - vtilde|^2 + eta2 * |d - dtilde|^2.
+
+    Raises NonFiniteObjective, without a NumPy warning, when F overflows.
+    """
     d = np.asarray(d, dtype=float)
     e_obs = aggregate_flows(net, X)[net.obs_links] - net.obs_flows
     e_dem = d - net.target_demands
-    return float(net.eta1 * (e_obs @ e_obs) + net.eta2 * (e_dem @ e_dem))
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = float(net.eta1 * (e_obs @ e_obs) + net.eta2 * (e_dem @ e_dem))
+    if not math.isfinite(F):
+        raise NonFiniteObjective("the objective F is not finite: the weights, "
+                                 "observed flows or flows are too large")
+    return F
 
 
 def grad_F_state(net, S, s):
-    """Gradient of eval_F at the flat state s; alpha and beta do not enter F."""
+    """Gradient of eval_F at the flat state s; alpha and beta do not enter F.
+
+    Raises NonFiniteObjective, without a NumPy warning, when an entry
+    overflows.
+    """
     d, X, _, _ = _blocks(S, s)
     sl_d, sl_x, _, _ = S.slices
     v = aggregate_flows(S, X)
     g_link = np.zeros(S.n_links)
-    g_link[net.obs_links] = 2.0 * net.eta1 * (v[net.obs_links] - net.obs_flows)
     g = np.zeros(S.state_dim)
-    g[sl_d] = 2.0 * net.eta2 * (d - net.target_demands)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_link[net.obs_links] = 2.0 * net.eta1 * (v[net.obs_links] - net.obs_flows)
+        g[sl_d] = 2.0 * net.eta2 * (d - net.target_demands)
     g[sl_x] = np.tile(g_link, S.n_commodities)    # R' applied to the link gradient
+    if not np.isfinite(g).all():
+        raise NonFiniteObjective("the gradient of the objective F is not "
+                                 "finite: the weights, observed flows or "
+                                 "flows are too large")
     return g
 
 
@@ -142,8 +161,9 @@ def tangent_space(net, S, z):
     """Linearized feasible set at z: J(w-z)=0 and the sign constraints, no box.
 
     Building it finds the coordinates that single-entry rows of J pin and takes
-    one sparse LU of the KKT matrix of the rest (see projection).  The
-    optimization phase passes its trust radius to project(space, b, delta),
-    which reuses the Jacobian and that factorization.
+    one sparse LU of the KKT matrix of the rest, gathered through S.kkt_layout
+    (see projection).  The optimization phase passes its trust radius to
+    project(space, b, delta), which reuses the Jacobian and that factorization.
     """
-    return TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)
+    return TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower,
+                        layout=S.kkt_layout)

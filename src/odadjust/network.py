@@ -8,6 +8,7 @@ incidence and origin-destination incidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import deque
@@ -248,7 +249,8 @@ class Network:
 
 class StructureMatrices:
     """Index layouts of a network's structure matrices and of its lifted
-    system, all built once, by build_structure, with NumPy alone.
+    system, all built once, by build_structure, with NumPy alone; only
+    kkt_layout waits for its first use.
 
     The structure matrices hold only -1 and +1:
 
@@ -328,6 +330,14 @@ class StructureMatrices:
         self.jac_indptr = np.zeros(self.n_constraints + 1, dtype=index)
         np.cumsum(np.bincount(rows, minlength=self.n_constraints),
                   out=self.jac_indptr[1:])
+
+    @functools.cached_property
+    def kkt_layout(self):
+        """The projection.KKTLayout of J's pattern, built on first use: only
+        the optimization phase factors a KKT matrix, so check and tap never
+        build it."""
+        from .projection import KKTLayout
+        return KKTLayout(self.jac_indptr, self.jac_indices, self.state_dim)
 
     def M_dot(self, X):
         """M X: per commodity, each node's inflow minus its outflow."""
@@ -426,6 +436,9 @@ def _decode(text):
         doc = json.loads(text, parse_int=_whole_number)
     except json.JSONDecodeError as exc:
         raise MalformedInput("invalid JSON: %s" % exc) from exc
+    except RecursionError as exc:
+        raise MalformedInput("invalid JSON: arrays or objects nested too "
+                             "deeply") from exc
     if not isinstance(doc, dict):
         raise MalformedInput("top-level JSON value must be an object")
     return doc

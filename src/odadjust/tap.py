@@ -11,7 +11,10 @@ move keeps the commodity's total path flow.
 
 Each sweep starts from the flows v assembled from the path flows, and takes
 the link times t(v) and derivatives t'(v) once, from net.link_times and
-net.link_time_derivs, as Python lists.  A move changes v only on the links
+net.link_time_derivs, as Python lists.  The times are those relative_gap
+has just evaluated at the same v, and the first commodity's path comes from
+the gap's search out of its origin: that search settled the commodity's
+destination, so its path there is final.  A move changes v only on the links
 where its two paths differ, and only those links' entries are re-evaluated,
 by Horner's rule in the same order, so the lists stay t and t' of the
 running flows bit for bit.  The lists are rebuilt from the assembled v at
@@ -165,12 +168,15 @@ def beckmann_objective(net, v):
     return out
 
 
-def relative_gap(net, d, v):
+def relative_gap(net, d, v, work=None):
     """(t(v).v - sum_i d_i * sp_i) / t(v).v, the standard equilibrium gap.
 
     Each origin's search stops once the destinations of its commodities with
     nonzero demand have settled.  Raises Unreachable when a link time t(v),
     the total t(v).v or the sum of the shortest-path costs is not finite.
+    work, when given, is a dict that receives the gap's work for solve_tap's
+    next sweep: t(v) as a list under "times", and under "trees" each
+    origin's search, keyed by origin index.
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -180,12 +186,14 @@ def relative_gap(net, d, v):
     for i in active:
         targets.setdefault(int(net.origin_idx[i]), set()).add(int(net.destination_idx[i]))
     costs = t.tolist()
-    dist = {o: _dijkstra(net, costs, o, dests).dist for o, dests in targets.items()}
+    trees = {o: _dijkstra(net, costs, o, dests) for o, dests in targets.items()}
+    if work is not None:
+        work["times"], work["trees"] = costs, trees
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(t @ v)
         for i in active:
-            best += d[i] * dist[net.origin_idx[i]][net.destination_idx[i]]
+            best += d[i] * trees[net.origin_idx[i]].dist[net.destination_idx[i]]
         if not math.isfinite(total + best):
             raise Unreachable("link travel times are too large: the total "
                               "travel time of these flows, or of their "
@@ -259,7 +267,8 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
     which case the best iterate found is returned rather than raising.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
     through its path shifts; each commodity's path search stops once the
-    destination settles, and relative_gap runs once per sweep.  Every link
+    destination settles, and relative_gap runs once per sweep, lending the
+    next sweep its times and the first commodity's search.  Every link
     time is checked just before a path search or the gap reads it:
     Unreachable is raised on the first that is not finite.
     """
@@ -275,10 +284,12 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
     polys = _link_polys(net)
     cols = {}       # (commodity, path) -> the path's positions in X
 
-    def shortest(i, t):
+    def shortest(i, t, tree=None):
         o = int(net.origin_idx[i])
         dest = int(net.destination_idx[i])
-        return tuple(_path_links(net, _dijkstra(net, t, o, (dest,)), o, dest))
+        if tree is None:
+            tree = _dijkstra(net, t, o, (dest,))
+        return tuple(_path_links(net, tree, o, dest))
 
     def assemble():
         # X from the path flows, each entry summed in path order from +0.0;
@@ -302,21 +313,25 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
     t0 = net.link_times(np.zeros(n_links)).tolist()
     paths = {i: {shortest(i, t0): float(d[i])} for i in active}
     X, v = assemble()
-    rgap = relative_gap(net, d, v)
+    gap = {}
+    rgap = relative_gap(net, d, v, gap)
     iterations = 0
     converged = rgap <= tol
 
     while not converged and iterations < max_iter:
         iterations += 1
         moved = False
-        # the running flows and their link times and derivatives, as lists
+        # the running flows and their link times and derivatives, as lists;
+        # the times are the gap's, and so is the first search
+        t = gap["times"]
         with np.errstate(over="ignore"):
-            t = net.link_times(v).tolist()
             dt = net.link_time_derivs(v).tolist()
         run_v = v.tolist()
+        tree = gap["trees"][int(net.origin_idx[active[0]])] if active else None
         for i in active:
             _check_times(t)
-            q = shortest(i, t)
+            q = shortest(i, t, tree)
+            tree = None
             flows = paths[i]
             flows.setdefault(q, 0.0)
             for p in list(flows):
@@ -325,7 +340,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
             paths[i] = {p: h for p, h in flows.items() if h > 0.0}
 
         X, v = assemble()
-        rgap = relative_gap(net, d, v)
+        rgap = relative_gap(net, d, v, gap)
         if rgap <= tol:
             converged = True
         elif not moved:

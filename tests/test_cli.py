@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from conftest import (TOY_DOC, TOY_TARGETS, TOY_V, checkout_env,
 from odadjust import cli
 from odadjust.cli import main
 from odadjust.driver import IterationRecord
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _write(tmp_path, doc, name="net.json"):
@@ -298,6 +301,57 @@ def test_overflowing_link_times_name_their_cause(tmp_path, capsys):
     assert caught == []
     rows = log_path.read_text(encoding="utf-8").splitlines()
     assert rows[1].split("\t")[2] == "1.41421356e+300"      # normC_s, sqrt(2)*1e300
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError("non-strict JSON constant %s" % name)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_objective_overflow_is_a_stated_failure(tmp_path, capsys):
+    # on the 2x2 grid, a huge weight or observed flow makes F overflow at
+    # the start, so the run ends with exit 2 and its reason; huge costs
+    # overflow the projection's ratio test, which is harmless.  No run prints
+    # a NumPy warning or writes non-strict JSON
+    grid = json.loads((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
+    weight, flow, costs = (json.loads(json.dumps(grid)) for _ in range(3))
+    weight["weights"]["eta1"] = 1e308
+    flow["observations"][0]["flow"] = 1e308
+    costs["links"][0]["coeffs"] = [1e308, 1e308]
+    report_path = tmp_path / "report.json"
+    log_path = tmp_path / "log.tsv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for doc, stops in ((weight, True), (flow, True), (costs, False)):
+            code = main(["solve", "--input", _write(tmp_path, doc), "--set", "max_outer=3",
+                         "--report", str(report_path), "--log", str(log_path)])
+            err = capsys.readouterr().err
+            report = _strict_json(report_path.read_text(encoding="utf-8"))
+            assert code == 2
+            if stops:
+                assert report["status"] == "error"
+                assert "objective F is not finite" in report["reason"]
+                assert err == "error: %s\n" % report["reason"]
+            else:
+                assert report["status"] == "max_outer" and err == ""
+            assert "nan" not in log_path.read_text(encoding="utf-8")
+    assert caught == []
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    # json's decoder recurses once per nesting level, so this document
+    # raises RecursionError, which each command reports as malformed input
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    for command in ("check", "tap", "solve"):
+        proc = subprocess.run([sys.executable, "-m", "odadjust.cli", command,
+                               "--input", str(path)],
+                              capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == 1, command
+        assert proc.stderr.startswith("error:"), command
+        assert "Traceback" not in proc.stderr, command
 
 
 def test_solve_initial_demand_flag(toy_file, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (TOY_TARGETS, TOY_V, TOY_X, checkout_env,
-                      quadratic_toy_document, toy_document)
+                      quadratic_toy_document, random_state, toy_document)
 from odadjust import (
     DapResult,
     IRConfig,
@@ -38,7 +38,7 @@ from odadjust.driver import (
 )
 from odadjust.errors import DimensionMismatch, InfeasibleTheta, MaxIterations
 from odadjust.kkt import eval_C_jacobian, eval_L, grad_F_state, tangent_space
-from odadjust.projection import REG
+from odadjust.projection import REG, min_norm_solve
 import odadjust.driver as driver_module
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -218,6 +218,23 @@ def test_trial_multipliers_stay_off_the_clip(monkeypatch):
     best = Vt.T @ (sig / (sig * sig + REG) * (U.T @ -g))
     assert (abs(np.linalg.norm(g + Jt @ mu) - np.linalg.norm(g + Jt @ best))
             <= 1e-8)
+
+
+def test_trial_multipliers_match_the_dense_solve(net, S):
+    # the K gathered through S.kkt_layout is the K min_norm_solve builds
+    # from a dense C'(v)', stored zeros dropped, so the two agree bit for bit
+    grid = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
+    rng = np.random.default_rng(11)
+    for net_, S_ in ((net, S), (grid, build_structure(grid))):
+        points = [restore(net_, S_, net_.target_demands * f, IRConfig())
+                  for f in (1.0, 0.6)]
+        points += [random_state(rng, S_) for _ in range(3)]
+        for v in points:
+            g = grad_F_state(net_, S_, v)
+            dense = min_norm_solve(eval_C_jacobian(net_, S_, v).toarray().T, -g)
+            expected = np.clip(dense, -driver_module.M_BOUND, driver_module.M_BOUND)
+            assert_array_equal(trial_multipliers(net_, S_, v).view(np.int64),
+                               expected.view(np.int64))
 
 
 def test_find_candidate_respects_box_and_bound(net, S):

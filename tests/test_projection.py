@@ -272,9 +272,45 @@ def _lexsort_quasi_definite(n, m, r, c, v):
     return sp.csc_matrix((data[order], rows[order], indptr), shape=(n + m, n + m))
 
 
+def _reference_tangent(J):
+    """Free columns and K = [[I, J_F'], [J_F, -REG I]] by the rule of the
+    sorted assembly the layout replaced: a row with one nonzero pins its
+    column, which leaves K with that row's and column's entries; K is then
+    sorted by lexsort."""
+    m, n = J.shape
+    r, c = np.nonzero(J)                           # row-major order
+    v = J[r, c]
+    pins = np.bincount(r, minlength=m)[r] == 1
+    pinned = np.zeros(n, dtype=bool)
+    pinned[c[pins]] = True
+    at = np.cumsum(~pinned) - 1
+    e = ~pins & ~pinned[c]
+    nf = n - int(np.count_nonzero(pinned))
+    return np.flatnonzero(~pinned), _lexsort_quasi_definite(nf, m, r[e], at[c[e]], v[e])
+
+
+def _assert_same_csc(K, ref):
+    """K equals ref array for array, 32-bit indices included."""
+    assert K.has_canonical_format
+    assert K.shape == ref.shape
+    assert K.indptr.dtype == K.indices.dtype == np.int32
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert K.data.tobytes() == ref.data.tobytes()
+
+
+def _with_stored_zeros(rng, B):
+    """B in CSR with zeros stored at some places outside its support, as
+    StructureMatrices keeps every entry of J's pattern."""
+    stored = (B != 0.0) | (rng.random(B.shape) < 0.2)
+    r, c = np.nonzero(stored)
+    return sp.csr_matrix((B[r, c], (r, c)), shape=B.shape)
+
+
 def test_quasi_definite_matches_lexsort_assembly():
     # entry for entry, in the same order, so splu and every product with K
-    # sum in the same order; B has empty rows and columns, and m may be 0
+    # sum in the same order; B has empty rows and columns, m or n may be 0,
+    # and a pattern's stored zeros never enter K
     rng = np.random.default_rng(505)
     shapes = [(0, 4), (3, 0), (0, 0), (1, 1), (5, 7), (8, 3)]
     shapes += [tuple(rng.integers(0, 9, size=2)) for _ in range(40)]
@@ -282,13 +318,52 @@ def test_quasi_definite_matches_lexsort_assembly():
         B = rng.normal(size=(m, n)) * (rng.random((m, n)) < rng.random())
         B[:, rng.random(n) < 0.3] = 0.0            # empty columns
         B[rng.random(m) < 0.3] = 0.0               # empty rows
-        r, c, v = projection._entries(B)
-        K = projection._quasi_definite(n, m, r, c, v)
-        ref = _lexsort_quasi_definite(n, m, r, c, v)
-        assert K.has_canonical_format
-        assert np.array_equal(K.indptr, ref.indptr)
-        assert np.array_equal(K.indices, ref.indices)
-        assert np.array_equal(K.data, ref.data)
+        r, c = np.nonzero(B)
+        ref = _lexsort_quasi_definite(n, m, r, c, B[r, c])
+        layout, values = projection.KKTLayout.of(B, "csr")
+        _assert_same_csc(layout.system(values), ref)
+        padded = _with_stored_zeros(rng, B)
+        layout = projection.KKTLayout(padded.indptr, padded.indices, n)
+        _assert_same_csc(layout.system(padded.data), ref)
+
+
+def test_layout_tangent_matches_sorted_assembly():
+    # random patterns, many of them with single-entry rows, some of which
+    # pin the same column, on their own layout and on one with stored zeros
+    rng = np.random.default_rng(506)
+    for _ in range(60):
+        m, n = (int(k) for k in rng.integers(0, 10, size=2))
+        B = rng.normal(size=(m, n)) * (rng.random((m, n)) < rng.random())
+        if n:
+            for i in np.flatnonzero(rng.random(m) < 0.4):  # single-entry rows
+                B[i] = 0.0
+                B[i, rng.integers(n)] = rng.normal()
+        free_ref, ref = _reference_tangent(B)
+        for layout, values in (projection.KKTLayout.of(B, "csr"),
+                               projection.KKTLayout.of(_with_stored_zeros(rng, B), "csr")):
+            free, K = layout.tangent(values)
+            assert np.array_equal(free, free_ref)
+            _assert_same_csc(K, ref)
+
+
+def test_layout_tangent_matches_sorted_assembly_on_grid_states():
+    # restored grid states, whose Jacobians store zeros in beta and X, and
+    # whose complementarity rows with one nonzero pin X or beta
+    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    S = build_structure(net)
+    rng = np.random.default_rng(507)
+    for scale in (1.0, 0.5, 1.7):
+        d = net.target_demands * scale * rng.uniform(0.8, 1.2, size=S.n_commodities)
+        z = restore(net, S, d, IRConfig())
+        J = eval_C_jacobian(net, S, z)
+        assert np.count_nonzero(J.data == 0.0) > 0
+        free_ref, ref = _reference_tangent(J.toarray())
+        assert free_ref.size < S.state_dim
+        free, K = S.kkt_layout.tangent(J.data)
+        assert np.array_equal(free, free_ref)
+        _assert_same_csc(K, ref)
+        space = tangent_space(net, S, z)
+        assert np.array_equal(space.free, free_ref)
 
 
 def test_dependent_bound_is_tested_once_between_releases(monkeypatch):

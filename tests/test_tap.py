@@ -27,6 +27,7 @@ from odadjust import (
     solve_tap,
 )
 from odadjust.errors import DimensionMismatch, Unreachable
+from odadjust import tap
 from odadjust.tap import _dijkstra, _link_polys, _path_links, _shift
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -276,6 +277,21 @@ def test_solve_tap_deterministic():
     assert first.X.tobytes() == again.X.tobytes()
     assert_array_equal(first.v, again.v)
     assert first.iterations == again.iterations
+
+
+def test_sweep_takes_its_first_search_from_the_gap(monkeypatch):
+    # a sweep's first commodity takes its path from the search the gap made
+    # at the same flows, so the sweeps search once per further commodity,
+    # after one search per commodity for the starting paths
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    searches = []
+    monkeypatch.setattr(tap, "_dijkstra", lambda net_, costs, o, targets=None:
+                        searches.append(targets) or _dijkstra(net_, costs, o, targets))
+    sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
+    active = gnet.n_commodities
+    assert active >= 2 and sol.converged and sol.iterations > 0
+    assert (sum(isinstance(t, tuple) for t in searches)
+            == active + sol.iterations * (active - 1))
 
 
 def test_solve_tap_grid_sweeps():
