@@ -6,7 +6,11 @@ Each outer iteration k:
      multipliers, giving a feasible point z^k of the lifted system
   3. stop if z^k is close to s^k and the projected Lagrangian step vanishes
   4. optimization phase: find a candidate v in the linearized set near z^k that
-     matches at least the decrease of the projected-gradient (Cauchy) point
+     matches at least the decrease of the projected-gradient (Cauchy) point;
+     its projected-gradient steps on F are scaled by the spectral
+     (Barzilai-Borwein) factor sigma_k = s's / s'y, where s = z^k - z^{k-1}
+     and y is the change of the Lagrangian gradient between the two restored
+     points (sigma_0 = 1)
   5. trial multipliers at v by regularized least squares, clipped to a bound
   6. pick the largest penalty weight theta keeping the predicted reduction of
      the two-term merit at half the feasibility gain
@@ -28,6 +32,7 @@ The method's own constants; IRConfig holds only what a caller chooses:
   TAU1, TAU2           radius-proportional and absolute sufficient-decrease
                        margins of the optimization phase
   M_BOUND              clip bound for trial multipliers
+  SIGMA_MIN, SIGMA_MAX clip range of the spectral factor sigma_k
   INNER_GTOL           projected-gradient stop inside find_candidate
   INNER_POINT_CAP      trial points allowed per optimization phase
   INNER_ITER_CAP       projected-gradient iterations per optimization phase
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTheta, MaxIterations, NoCandidate
-from .kkt import (eval_C, eval_F, grad_F_state, eval_C_jacobian,
+from .kkt import (eval_C, eval_F, grad_F_state, eval_C_jacobian, jacobian_values,
                   recover_multipliers, tangent_space)
 from .network import build_structure
 from .projection import min_norm_solve, project
@@ -60,6 +65,8 @@ SHRINK = 0.5
 TAU1 = 1e-4
 TAU2 = 1e-4
 M_BOUND = 1e6
+SIGMA_MIN = 1e-3
+SIGMA_MAX = 1e3
 INNER_GTOL = 1e-3
 INNER_POINT_CAP = 100
 INNER_ITER_CAP = 10
@@ -161,6 +168,23 @@ def cauchy_direction(net, S, mu, space):
     return project(space, space.z - g_L) - space.z, g_F, g_L
 
 
+def spectral_factor(s, y):
+    """Barzilai-Borwein step length s's / s'y, clipped to [SIGMA_MIN, SIGMA_MAX].
+
+    s is the step between two restored points and y the change of the
+    Lagrangian gradient along it.  Each gradient is taken at its own step's
+    multipliers, so y also holds J_k' mu_k - J_{k-1}' mu_{k-1}, the change
+    of the multipliers' term.  Without curvature along s (s'y <= 0), or
+    when the ratio is not finite, the factor is 1: the unit step.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss, sy = np.dot(s, s), np.dot(s, y)
+        ratio = ss / sy if sy > 0.0 else math.nan
+    if not math.isfinite(ratio):
+        return 1.0
+    return float(min(max(ratio, SIGMA_MIN), SIGMA_MAX))
+
+
 def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
     """Joint restoration-displacement and projected-gradient test."""
     close = float(np.abs(z_vec - s_vec).max(initial=0.0)) < eps1
@@ -172,11 +196,11 @@ def trial_multipliers(net, S, v):
     """argmin_mu |grad F(v) + C'(v)^T mu|^2 + REG |mu|^2, clipped to the bound.
 
     projection.min_norm_solve does it by one sparse LU, its K gathered from
-    C'(v)'s values through S.kkt_layout; projection.REG damps the directions
-    in which C'(v)^T is nearly singular.
+    C'(v)'s values through S.kkt_layout, with no matrix formed for C'(v);
+    projection.REG damps the directions in which C'(v)^T is nearly singular.
     """
     g = grad_F_state(net, S, v)
-    mu = min_norm_solve(eval_C_jacobian(net, S, v).data, -g, S.kkt_layout)
+    mu = min_norm_solve(jacobian_values(net, S, v), -g, S.kkt_layout)
     return np.clip(mu, -M_BOUND, M_BOUND)
 
 
@@ -206,17 +230,20 @@ def accept_step(ared, pred):
     return ared >= 0.1 * pred
 
 
-def find_candidate(net, S, mu, r_tan, space, delta, at_z):
+def find_candidate(net, S, mu, r_tan, space, delta, at_z, sigma):
     """Optimization phase: a point v of the tangent set in the box of radius
     delta around space.z that does at least as well as the broken Cauchy point
     in the Lagrangian, returned with F(v) and C(v).
 
-    Runs projected gradient on F (its projected direction is a descent
-    direction for the Lagrangian on the tangent set) and returns the first
-    trial whose Lagrangian passes the decrease test; the Cauchy point itself is
-    the fallback and always passes.  r_tan, the unboxed Cauchy direction, must
-    be nonzero.  at_z holds L(z, mu), grad F(z) and the Lagrangian gradient
-    at z, which every attempt of an outer step shares.
+    Runs projected gradient on F, each iterate projecting cur - sigma grad F
+    (its projected direction is a descent direction for the Lagrangian on the
+    tangent set), and returns the first trial whose Lagrangian passes the
+    decrease test; the Cauchy point itself is the fallback and always passes.
+    r_tan, the unboxed Cauchy direction, must be nonzero.  at_z holds L(z, mu),
+    grad F(z) and the Lagrangian gradient at z, and sigma is the spectral
+    factor; every attempt of an outer step shares them.  The search stops
+    when the sigma-scaled step is shorter than INNER_GTOL, so a small sigma
+    stops it sooner than the unit step would.
     """
     sl_d, sl_x, _, _ = S.slices
     zvec = space.z
@@ -237,7 +264,7 @@ def find_candidate(net, S, mu, r_tan, space, delta, at_z):
     cur = zvec
     L_cur = L_z
     for _ in range(INNER_ITER_CAP):
-        r_v = project(space, cur - g_f, delta) - cur
+        r_v = project(space, cur - sigma * g_f, delta) - cur
         if _norm(r_v) < INNER_GTOL:
             break
         if g_l is None:
@@ -305,6 +332,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
 
     theta_hist = [THETA_INIT]
     delta_prev = DELTA0
+    prev = None          # the last restored point and its Lagrangian gradient
     history = []
     status = STATUS_MAX_OUTER
 
@@ -318,6 +346,8 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
         if check_stop(s, z, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED
             break
+        sigma = 1.0 if prev is None else spectral_factor(z - prev[0], g_L - prev[1])
+        prev = z, g_L
 
         # z's values, each computed once for every attempt of this step
         F_z, C_z = eval_F(net, z[sl_d], z[sl_x]), eval_C(net, S, z)
@@ -331,7 +361,8 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             if rt_norm <= 1e-14 * (1.0 + _norm(z)):
                 v, mu_trial, F_v, C_v = z, mu.copy(), F_z, C_z
             else:
-                v, F_v, C_v = find_candidate(net, S, mu, r_tan, space, delta, at_z)
+                v, F_v, C_v = find_candidate(net, S, mu, r_tan, space, delta,
+                                             at_z, sigma)
                 mu_trial = trial_multipliers(net, S, v)
 
             # one residual at v serves both Lagrangians, as eval_L computes them

@@ -87,17 +87,23 @@ def eval_C(net, S, s):
                            beta * X])
 
 
+def jacobian_values(net, S, s):
+    """The values of eval_C's Jacobian at s, in the CSR order of S's fixed
+    layout (S.jac_indptr, S.jac_indices), zeros included; no matrix is
+    formed."""
+    _, X, _, beta = _blocks(S, s)
+    t_prime = net.link_time_derivs(aggregate_flows(S, X))
+    return np.concatenate([S.jac_fixed, t_prime[S.jac_links], beta, X])[S.jac_order]
+
+
 def eval_C_jacobian(net, S, s):
     """Exact Jacobian of eval_C at s, in CSR on the fixed layout of S.
 
-    Only the values are computed: the index arrays are S's own, shared by
-    every state of the network, zeros included.
+    Only the values are computed, by jacobian_values: the index arrays are
+    S's own, shared by every state of the network, zeros included.
     """
     import scipy.sparse as sp
-    _, X, _, beta = _blocks(S, s)
-    t_prime = net.link_time_derivs(aggregate_flows(S, X))
-    data = np.concatenate([S.jac_fixed, t_prime[S.jac_links], beta, X])
-    return sp.csr_matrix((data[S.jac_order], S.jac_indices, S.jac_indptr),
+    return sp.csr_matrix((jacobian_values(net, S, s), S.jac_indices, S.jac_indptr),
                          shape=(S.n_constraints, S.state_dim))
 
 

@@ -35,7 +35,8 @@ found dependent stays dependent: its pivot is not tested again until the
 next release.  A released bound's row is deleted and the rows after it are
 factored again.
 Bland's rule (smallest index) breaks ratio-test ties and picks the bound to
-release.
+release.  A bound multiplier or step that is not finite ends the projection
+at once with SolverStalled: the iterates after it would all be nan.
 
 min_norm_solve(A, r) solves the same kind of system, [[I, A], [A', -REG I]],
 by one sparse LU: a least-squares solution of A x = r whose components along
@@ -226,7 +227,8 @@ def project(T, b, radius=None):
     lower bounds and, unless radius is None, |w - z|_inf <= radius.  Raises
     SolverStalled if the active-set loop exceeds 50 * dimension iterations,
     which signals a cycling pathology rather than an infeasible problem (z is
-    always feasible).
+    always feasible), and at once, without a NumPy warning, when a bound
+    multiplier or the step it gives is not finite.
     """
     from scipy.linalg.blas import dtrsv   # scipy.linalg came with T's splu
     z, free, lu = T.z, T.free, T.lu
@@ -279,7 +281,7 @@ def project(T, b, radius=None):
 
     scale = 1.0 + float(np.abs(c).max(initial=0.0))
     cap = 50 * max(n, 1)
-    for _ in range(cap):
+    for it in range(cap):
         # the step p minimizes |y + p - c|^2 with J_F p = 0 and p = 0 on the
         # working set W: K x + E nu = (c - y, 0), E' x = 0, E = [e_i, i in W]
         rhs[:nf] = c_f - y
@@ -287,7 +289,13 @@ def project(T, b, radius=None):
         nu = np.zeros(0)
         if order:                 # V[W] nu = x[W] by two triangular solves
             nu = dtrsv(L, dtrsv(L, x[order], lower=1), lower=1, trans=1)
-            x -= nu @ VW[:len(order)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x -= nu @ VW[:len(order)]
+        # an entry of nu that is not finite makes every entry of x so
+        if not np.isfinite(x).all():
+            raise SolverStalled("active-set projection broke down at iteration "
+                                "%d: a bound multiplier or the step is not "
+                                "finite" % it)
         p = x[:nf]
         p[order] = 0.0
 

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,10 +35,12 @@ from odadjust.driver import (
     find_candidate,
     init_penalty,
     restore,
+    spectral_factor,
     trial_multipliers,
 )
 from odadjust.errors import DimensionMismatch, InfeasibleTheta, MaxIterations
-from odadjust.kkt import eval_C_jacobian, eval_L, grad_F_state, tangent_space
+from odadjust.kkt import (eval_C_jacobian, eval_L, grad_F_state, jacobian_values,
+                          tangent_space)
 from odadjust.projection import REG, min_norm_solve
 import odadjust.driver as driver_module
 
@@ -245,7 +248,7 @@ def test_find_candidate_respects_box_and_bound(net, S):
     space = tangent_space(net, S, z)
     r_tan, g_F, g_L = cauchy_direction(net, S, mu, space)
     v, F_v, C_v = find_candidate(net, S, mu, r_tan, space, delta,
-                                 (eval_L(net, S, z, mu), g_F, g_L))
+                                 (eval_L(net, S, z, mu), g_F, g_L), 1.0)
     assert F_v == eval_F(net, v[S.slices[0]], v[S.slices[1]])
     assert_array_equal(C_v, eval_C(net, S, v))
     assert np.abs(v - z).max() <= delta + 1e-10
@@ -260,10 +263,59 @@ def test_find_candidate_respects_box_and_bound(net, S):
     assert eval_L(net, S, v, mu) <= bound + 1e-12
 
 
+def test_spectral_factor_ratio_and_clips():
+    s = np.array([1.0, 2.0])
+    assert spectral_factor(s, 0.5 * s) == 2.0                # s's / s'y = 5 / 2.5
+    assert spectral_factor(s, np.array([3.0, 1.0])) == 1.0   # 5 / 5
+    assert spectral_factor(s, 1e6 * s) == driver_module.SIGMA_MIN
+    assert spectral_factor(s, 1e-6 * s) == driver_module.SIGMA_MAX
+
+
+def test_spectral_factor_is_one_without_curvature():
+    s = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # s'y <= 0
+        for y in (-s, np.array([2.0, -1.0]), np.zeros(2)):
+            assert spectral_factor(s, y) == 1.0
+        assert spectral_factor(np.zeros(2), s) == 1.0
+        # the ratio is not finite: s's overflows, or an entry is nan
+        assert spectral_factor(np.full(2, 1e200), np.ones(2)) == 1.0
+        assert spectral_factor(s, np.array([np.nan, 1.0])) == 1.0
+        assert spectral_factor(np.array([np.inf, 1.0]), s) == 1.0
+
+
+def test_outer_steps_scale_by_the_spectral_factor(net, monkeypatch):
+    # the first outer step takes the unit factor; step k >= 1 takes the
+    # factor of the steps between the restored points z_{k-1} and z_k and
+    # of their Lagrangian gradients, as cauchy_direction returned them
+    restored, sigmas = [], []
+
+    def cauchy(net_, S_, mu, space):
+        out = cauchy_direction(net_, S_, mu, space)
+        restored.append((space.z, out[2]))
+        return out
+
+    def candidate(*args):
+        sigmas.append((len(restored) - 1, args[7]))
+        return find_candidate(*args)
+
+    monkeypatch.setattr(driver_module, "cauchy_direction", cauchy)
+    monkeypatch.setattr(driver_module, "find_candidate", candidate)
+    res = solve_dap(net, d0=[1.0, 2.0])
+    assert res.status == STATUS_CONVERGED
+    expected = [1.0] + [spectral_factor(z1 - z0, g1 - g0) for (z0, g0), (z1, g1)
+                        in zip(restored, restored[1:])]
+    assert sigmas[0] == (0, 1.0)
+    assert [sigma for _, sigma in sigmas] == [expected[k] for k, _ in sigmas]
+    assert any(sigma != 1.0 for _, sigma in sigmas)
+
+
 def test_outer_step_evaluates_each_point_once(net, monkeypatch):
     # an outer step whose first trial is accepted evaluates J once at the
     # restored point z, for its tangent space, and once at the accepted v,
-    # for the trial multipliers; z's gradients and L(z, mu) are reused
+    # for the trial multipliers; z's gradients and L(z, mu) are reused.
+    # jacobian_values is where J is evaluated, with or without a matrix
     from odadjust import kkt
     jacobians, grads, found = [], [], []
 
@@ -274,7 +326,7 @@ def test_outer_step_evaluates_each_point_once(net, monkeypatch):
         return wrapped
 
     for mod in (kkt, driver_module):
-        monkeypatch.setattr(mod, "eval_C_jacobian", spy(eval_C_jacobian, jacobians))
+        monkeypatch.setattr(mod, "jacobian_values", spy(jacobian_values, jacobians))
         monkeypatch.setattr(mod, "grad_F_state", spy(grad_F_state, grads))
     monkeypatch.setattr(driver_module, "find_candidate",
                         lambda *args: found.append(find_candidate(*args)) or found[-1])
@@ -308,6 +360,21 @@ def test_solve_dap_adjusts_perturbed_start(net):
     assert np.abs(res.d_final - TOY_TARGETS).max() <= 0.05
     assert res.outer_iterations <= 60
     assert res.mu_final.shape == (22,)
+
+
+@pytest.mark.parametrize("name, max_steps, F_ref", [
+    ("grid2x2_1.json", 199, None),       # max_outer with unit steps
+    ("grid3x3_0.json", 199, 0.787177),   # max_outer with unit steps, 2e-6 above F*
+    ("grid4x4_1.json", 157, None),       # converged in 158 steps with unit steps
+])
+def test_solve_dap_converges_on_grids(name, max_steps, F_ref):
+    # default settings; F_ref is the reference F*, a local minimum of
+    # F(d, v_eq(d)) over d >= 0
+    res = solve_dap(parse_network((DATA / name).read_text(encoding="utf-8")))
+    assert res.status == STATUS_CONVERGED
+    assert res.outer_iterations <= max_steps
+    if F_ref is not None:
+        assert abs(res.F_final - F_ref) <= 1e-3 * F_ref
 
 
 def test_solve_dap_rejects_infeasible_start(net):

@@ -1,0 +1,31 @@
+"""tools/ladder.py: the instance ladder behind ROADMAP's Baseline table."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import checkout_env
+
+LADDER = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
+
+
+def _ladder(*names):
+    return subprocess.run([sys.executable, str(LADDER), *names],
+                          env=checkout_env(), capture_output=True, text=True)
+
+
+def test_ladder_runs_one_row():
+    proc = _ladder("2x2-i1")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split() == ["instance", "status", "steps", "F", "seconds", "F*"]
+    name, status, steps, F, seconds, ref = row.split()
+    assert (name, status, ref) == ("2x2-i1", "converged", "-")
+    assert 1 <= int(steps) <= 200
+    assert float(F) > 0.0 and float(seconds) >= 0.0
+
+
+def test_ladder_rejects_an_unknown_row():
+    proc = _ladder("2x2-i9")
+    assert proc.returncode == 2
+    assert "no ladder row named 2x2-i9" in proc.stderr

@@ -15,7 +15,7 @@ from scipy.optimize import nnls
 from odadjust import (IRConfig, build_structure, parse_network, solve_dap,
                       tangent_space)
 from odadjust.driver import restore
-from odadjust.errors import DimensionMismatch
+from odadjust.errors import DimensionMismatch, SolverStalled
 from odadjust.kkt import eval_C_jacobian, grad_F_state
 from odadjust.oracles import oracle_project
 from odadjust import projection
@@ -253,13 +253,44 @@ def test_stalled_grid_projection_is_certified():
     # the boxed projection that stalled a full run of 4x4 instance 0
     # (IRConfig(max_outer=200)) after outer step 189: an active set run in the
     # coordinates of a dense SVD basis of null(J) cycled until its cap
-    net = parse_network((DATA / "grid4x4_0.json").read_text(encoding="utf-8"))
-    case = json.loads((DATA / "grid4x4_0_stall.json").read_text(encoding="utf-8"))
-    S = build_structure(net)
-    z, b = np.array(case["z"]), np.array(case["b"])
-    space = TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)
-    box = case["box_radius"]
+    space, b, box = _case_space("grid4x4_0.json", "grid4x4_0_stall.json")
     _certify(space, b, box, project(space, b, box))
+
+
+def _case_space(network, case):
+    """The TangentSpace, point and box of a projection saved from a full run."""
+    net = parse_network((DATA / network).read_text(encoding="utf-8"))
+    case = json.loads((DATA / case).read_text(encoding="utf-8"))
+    S, z = build_structure(net), np.array(case["z"])
+    space = TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)
+    return space, np.array(case["b"]), case["box_radius"]
+
+
+def test_projection_fails_fast_on_a_nonfinite_step(monkeypatch):
+    # a point b that is not finite gives a step that is not finite at the
+    # first iteration, which must not pass for a zero step that returns z
+    space, b, box = _case_space("grid4x4_0.json", "grid4x4_0_stall.json")
+    bad = b.copy()
+    bad[7] = np.inf
+    with pytest.raises(SolverStalled, match="iteration 0: .* not finite"):
+        project(space, bad, box)
+
+    # bound multipliers that overflow, as the second triangular solve of
+    # V[W] nu = x[W] is made to return them here; RuntimeWarning is an error
+    # under this suite's settings, so none may be emitted on the way
+    import scipy.linalg.blas as blas
+    real = blas.dtrsv
+
+    def overflowing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if kwargs.get("trans") == 1:
+            with np.errstate(over="ignore"):
+                out = out * 1e308
+        return out
+
+    monkeypatch.setattr(blas, "dtrsv", overflowing)
+    with pytest.raises(SolverStalled, match="not finite"):
+        project(space, b, box)
 
 
 def _lexsort_quasi_definite(n, m, r, c, v):
