@@ -3,17 +3,19 @@
 The demand adjustment driver alternates two phases.  Restoration takes an
 arbitrary demand estimate and rebuilds a point satisfying the equilibrium
 optimality system exactly (flows from an assignment solve, multipliers from
-shortest-path potentials).  The optimization phase then moves within the
-tangent space of that system to reduce the data misfit.  This script runs
-each phase once, by hand, and prints what the driver normally keeps inside.
+shortest-path potentials).  The optimization phase then steps in the
+demands along the piece of the equilibrium set on which the used paths stay
+used, lifting each demand step to the whole state by the equilibrium
+sensitivity dz/dd, to reduce the data misfit.  This script runs each phase
+once, by hand, and prints what the driver normally keeps inside.
 """
 
 import json
 
 import numpy as np
 
-from odadjust import (IRConfig, build_structure, eval_C, eval_F, parse_network,
-                      project, recover_multipliers, solve_tap, tangent_space)
+from odadjust import (IRConfig, build_structure, equilibrium_sensitivity, eval_C,
+                      eval_F, parse_network, recover_multipliers, solve_tap)
 from odadjust.driver import cauchy_direction, restore
 
 DOC = {
@@ -53,7 +55,8 @@ def main():
     # equilibrium flows for the current demands, then multipliers that make
     # the stationarity rows vanish: alpha from shortest-path potentials,
     # beta as the resulting nonnegative slack
-    z = restore(net, S, s[sl_d], cfg)
+    work = {}
+    z = restore(net, S, s[sl_d], cfg, work)
     rz = eval_C(net, S, z)
     print("\nafter restoration:")
     print("  |C(z)| = %.3e  (max over %d rows)" % (np.abs(rz).max(), rz.size))
@@ -70,22 +73,27 @@ def main():
           np.round(-alpha[:net.n_nodes], 6))
 
     # --- optimization phase ------------------------------------------------
-    # steepest-descent direction of the misfit, projected onto the tangent
-    # space of the optimality system at z (plus the sign constraints)
-    mu = np.zeros(S.n_constraints)
-    space = tangent_space(net, S, z)
-    r_tan, _, _ = cauchy_direction(net, S, mu, space)
-    moved = z + r_tan
-    print("\nprojected descent direction:")
-    print("  |r_tan| = %.6f, demand components %s" %
-          (np.linalg.norm(r_tan), np.round(r_tan[:net.n_commodities], 6)))
-    print("  misfit F: %.6f at z  ->  %.6f after a unit tangential step" %
+    # the used paths of each commodity, which the assignment kept
+    for i, paths in work["paths"].items():
+        print("  commodity %d uses %s" % (i + 1, {
+            "-".join(str(net.links[a].id) for a in p): round(h, 6)
+            for p, h in paths.items()}))
+
+    # dz/dd keeps the used paths used: the steepest-descent step of the
+    # misfit in the demands, clipped at d >= 0, lifted to the whole state
+    Z = equilibrium_sensitivity(net, S, z, work["paths"])
+    r_tan, g_d = cauchy_direction(net, S, z, Z)
+    moved = np.maximum(z + Z @ r_tan, S.lower)
+    print("\nprojected descent step in the demands:")
+    print("  reduced gradient %s, step %s" %
+          (np.round(g_d, 6), np.round(r_tan, 6)))
+    print("  misfit F: %.6f at z  ->  %.6f after the lifted step" %
           (eval_F(net, z[sl_d], z[sl_x]), eval_F(net, moved[sl_d], moved[sl_x])))
 
-    # the projection operator itself is exposed for experiments; feeding the
-    # current point back returns it unchanged
-    same = project(space, z)
-    print("  projection fixes z: max deviation %.3e" % np.abs(same - z).max())
+    # the lifted point leaves the equilibrium system only to second order,
+    # through the curvature of the link costs
+    print("  |C| after the lifted step: %.3e (max over rows)"
+          % np.abs(eval_C(net, S, moved)).max())
 
 
 if __name__ == "__main__":

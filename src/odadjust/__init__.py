@@ -15,8 +15,8 @@ from .errors import (DanglingReference, DimensionMismatch, DuplicateId,
                      NegativeCoefficient, NoCandidate, NonFiniteObjective,
                      OdAdjustError, ResidualTooLarge, SolverStalled, TooLarge,
                      Unreachable, UnreachableDestination)
-from .kkt import (eval_C, eval_C_jacobian, eval_F, eval_L, eval_L_grad,
-                  recover_multipliers, tangent_space)
+from .kkt import (equilibrium_sensitivity, eval_C, eval_C_jacobian, eval_F,
+                  eval_L, eval_L_grad, recover_multipliers, tangent_space)
 from .network import (Commodity, CostFunction, Link, Network,
                       StructureMatrices, aggregate_flows, build_structure,
                       parse_network)
@@ -30,8 +30,8 @@ __all__ = [
     "IRConfig", "IterationRecord", "Link", "Network",
     "StructureMatrices", "TangentSpace", "TapSolution",
     "aggregate_flows", "beckmann_objective",
-    "build_structure", "eval_C", "eval_C_jacobian", "eval_F",
-    "eval_L", "eval_L_grad",
+    "build_structure", "equilibrium_sensitivity", "eval_C",
+    "eval_C_jacobian", "eval_F", "eval_L", "eval_L_grad",
     "min_norm_solve", "parse_network", "project", "recover_multipliers",
     "relative_gap", "solve_dap",
     "solve_tap", "tangent_space",

@@ -3,14 +3,20 @@
 Each outer iteration k:
   1. refresh the penalty cap theta_{k,-1} from the history plus a summable bump
   2. restoration: solve the assignment for the current demand block and recover
-     multipliers, giving a feasible point z^k of the lifted system
-  3. stop if z^k is close to s^k and the projected Lagrangian step vanishes
-  4. optimization phase: find a candidate v in the linearized set near z^k that
-     matches at least the decrease of the projected-gradient (Cauchy) point;
-     its projected-gradient steps on F are scaled by the spectral
-     (Barzilai-Borwein) factor sigma_k = s's / s'y, where s = z^k - z^{k-1}
-     and y is the change of the Lagrangian gradient between the two restored
-     points (sigma_0 = 1)
+     multipliers, giving a feasible point z^k of the lifted system; while
+     |C(z^k)| > RESTORE_RATIO |C(s^k)|, restore again with a tighter
+     assignment tolerance, at most RESTORE_TIGHTENINGS times
+  3. the equilibrium sensitivity Z = dz/dd at z^k (kkt.equilibrium_sensitivity)
+     parametrizes by the demands d the piece of the equilibrium set on which
+     the used paths stay used; the reduced gradient is g_d = Z' grad F(z^k),
+     and the projected-gradient step in d is r_tan = max(d - g_d, 0) - d.
+     Stop if z^k is close to s^k and r_tan vanishes
+  4. optimization phase, in d: find a demand step in the trust box, lifted to
+     v = max(z^k + Z dd, lower), that matches at least the Lagrangian decrease
+     of the broken Cauchy point; the first trial is the spectral step
+     clip(d - sigma_k g_d) - d, with the Barzilai-Borwein factor
+     sigma_k = s's / s'y, s = d^k - d^{k-1} and y = g_d^k - g_d^{k-1}
+     (sigma_0 = 1)
   5. trial multipliers at v by regularized least squares, clipped to a bound
   6. pick the largest penalty weight theta keeping the predicted reduction of
      the two-term merit at half the feasibility gain
@@ -33,23 +39,26 @@ The method's own constants; IRConfig holds only what a caller chooses:
                        margins of the optimization phase
   M_BOUND              clip bound for trial multipliers
   SIGMA_MIN, SIGMA_MAX clip range of the spectral factor sigma_k
-  INNER_GTOL           projected-gradient stop inside find_candidate
-  INNER_POINT_CAP      trial points allowed per optimization phase
-  INNER_ITER_CAP       projected-gradient iterations per optimization phase
+  CAUCHY_ARMIJO        sufficient decrease of the broken Cauchy point
+  RESTORE_RATIO        a restored point must be at least this much closer to
+                       feasibility than the current point ...
+  RESTORE_TIGHTEN      ... or it is restored again, the assignment tolerance
+                       multiplied by this factor,
+  RESTORE_TIGHTENINGS  at most this many times per outer step
 """
 
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTheta, MaxIterations, NoCandidate
-from .kkt import (eval_C, eval_F, grad_F_state, eval_C_jacobian, jacobian_values,
-                  recover_multipliers, tangent_space)
+from .kkt import (eval_C, eval_F, equilibrium_sensitivity, grad_F_state,
+                  jacobian_values, recover_multipliers)
 from .network import build_structure
-from .projection import min_norm_solve, project
+from .projection import min_norm_solve
 from .tap import solve_tap
 
 STATUS_CONVERGED = "converged"
@@ -67,9 +76,10 @@ TAU2 = 1e-4
 M_BOUND = 1e6
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 1e3
-INNER_GTOL = 1e-3
-INNER_POINT_CAP = 100
-INNER_ITER_CAP = 10
+CAUCHY_ARMIJO = 0.1
+RESTORE_RATIO = 0.9
+RESTORE_TIGHTEN = 1e-2
+RESTORE_TIGHTENINGS = 2
 
 
 @dataclass
@@ -77,7 +87,7 @@ class IRConfig:
     """How exact the answer must be and how much work a run may spend."""
 
     eps1: float = 1e-5          # restoration displacement tolerance
-    eps2: float = 1e-5          # projected-gradient tolerance
+    eps2: float = 1e-5          # projected-gradient tolerance, on the demands
     tap_tol: float = 1e-8       # relative gap demanded from the restoration solve
     tap_max_iter: int = 50000
     max_outer: int = 200
@@ -131,8 +141,12 @@ def init_penalty(k, theta_history):
     return min(1.0, theta_min + OMEGA0 * OMEGA_RATIO ** k)
 
 
-def restore(net, S, d, cfg):
-    """Feasibility phase: equilibrium flows for demands d plus certifying multipliers."""
+def restore(net, S, d, cfg, work=None):
+    """Feasibility phase: equilibrium flows for demands d plus certifying multipliers.
+
+    work, when given, is a dict that receives the assignment's path flows
+    under "paths", as TapSolution.paths holds them.
+    """
     sol = solve_tap(net, d, tol=cfg.tap_tol, max_iter=cfg.tap_max_iter)
     if not sol.converged:
         raise MaxIterations(
@@ -141,7 +155,34 @@ def restore(net, S, d, cfg):
     z = np.empty(S.state_dim)
     for sl, block in zip(S.slices, (d, sol.X, alpha, beta)):
         z[sl] = block
+    if work is not None:
+        work["paths"] = sol.paths
     return z
+
+
+def _restore_closer(net, S, d, cfg, work, normC_s):
+    """restore(d), then restore again while |C(z)| > RESTORE_RATIO |C(s)|,
+    each time with the assignment tolerance RESTORE_TIGHTEN times smaller,
+    at most RESTORE_TIGHTENINGS times; returns z and C(z).
+
+    normC_s is |C(s)| at the current point s.  A restored point no closer
+    to feasibility than s leaves the predicted reduction to roundoff.  A
+    tightened assignment that cannot reach its tolerance keeps the last
+    restored point.
+    """
+    z = restore(net, S, d, cfg, work)
+    C_z = eval_C(net, S, z)
+    tol = cfg.tap_tol
+    for _ in range(RESTORE_TIGHTENINGS):
+        if _norm(C_z) <= RESTORE_RATIO * normC_s:
+            break
+        tol *= RESTORE_TIGHTEN
+        try:
+            z = restore(net, S, d, replace(cfg, tap_tol=tol), work)
+        except MaxIterations:
+            break
+        C_z = eval_C(net, S, z)
+    return z, C_z
 
 
 def _norm(x):
@@ -156,26 +197,27 @@ def _norm(x):
     return out
 
 
-def cauchy_direction(net, S, mu, space):
-    """Projected-gradient step of the Lagrangian within the tangent set at z,
-    and the gradients of F and of the Lagrangian at z it steps along.
+def cauchy_direction(net, S, z, Z):
+    """Projected-gradient step of the reduced objective in the demands at
+    the restored point z, and the reduced gradient it steps along.
 
-    space is tangent_space(net, S, z), projected onto without a box; its
-    Jacobian gives the Lagrangian gradient at z.
+    Z = dz/dd is the sensitivity of z (kkt.equilibrium_sensitivity).  The
+    reduced gradient is g_d = Z' grad F(z): along Z the linearized residual
+    stays zero, so the multipliers' term J' mu adds nothing to it.  The step
+    is max(d - g_d, 0) - d, the projection onto d >= 0 being a clip.
     """
-    g_F = grad_F_state(net, S, space.z)
-    g_L = g_F + S.Jt_dot(space.J, mu)
-    return project(space, space.z - g_L) - space.z, g_F, g_L
+    g_d = Z.T @ grad_F_state(net, S, z)
+    d = z[S.slices[0]]
+    return np.maximum(d - g_d, 0.0) - d, g_d
 
 
 def spectral_factor(s, y):
     """Barzilai-Borwein step length s's / s'y, clipped to [SIGMA_MIN, SIGMA_MAX].
 
-    s is the step between two restored points and y the change of the
-    Lagrangian gradient along it.  Each gradient is taken at its own step's
-    multipliers, so y also holds J_k' mu_k - J_{k-1}' mu_{k-1}, the change
-    of the multipliers' term.  Without curvature along s (s'y <= 0), or
-    when the ratio is not finite, the factor is 1: the unit step.
+    s is the step between the demands of two restored points and y the
+    change of the reduced gradient along it.  Without curvature along s
+    (s'y <= 0), or when the ratio is not finite, the factor is 1: the unit
+    step.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ss, sy = np.dot(s, s), np.dot(s, y)
@@ -230,66 +272,71 @@ def accept_step(ared, pred):
     return ared >= 0.1 * pred
 
 
-def find_candidate(net, S, mu, r_tan, space, delta, at_z, sigma):
-    """Optimization phase: a point v of the tangent set in the box of radius
-    delta around space.z that does at least as well as the broken Cauchy point
-    in the Lagrangian, returned with F(v) and C(v).
+def find_candidate(net, S, mu, z, Z, r_tan, delta, at_z, sigma):
+    """Optimization phase: a point v on the equilibrium piece of the restored
+    point z, its demands in the box of radius delta around z's, that does at
+    least as well as the broken Cauchy point in the Lagrangian, returned with
+    F(v) and C(v).
 
-    Runs projected gradient on F, each iterate projecting cur - sigma grad F
-    (its projected direction is a descent direction for the Lagrangian on the
-    tangent set), and returns the first trial whose Lagrangian passes the
-    decrease test; the Cauchy point itself is the fallback and always passes.
-    r_tan, the unboxed Cauchy direction, must be nonzero.  at_z holds L(z, mu),
-    grad F(z) and the Lagrangian gradient at z, and sigma is the spectral
-    factor; every attempt of an outer step shares them.  The search stops
-    when the sigma-scaled step is shorter than INNER_GTOL, so a small sigma
-    stops it sooner than the unit step would.
+    A demand step dd is lifted to max(z + Z dd, lower), Z = dz/dd.  The
+    first trial is the spectral step dd = clip(d - sigma g_d) - d, clipped
+    to the box and to d >= 0.  It is halved while its Lagrangian is above
+    max(L(cauchy), L(z) - TAU1 delta, L(z) - TAU2), down to the length of
+    the Cauchy step, which is the fallback and always passes.  The broken
+    Cauchy point (Martinez, J. Optim. Theory Appl. 111, 2001) steps t r_tan
+    from t = min(1, delta / |r_tan|_inf), halving t until L has fallen by
+    CAUCHY_ARMIJO t g_d'r_tan; it is evaluated only when a trial misses the
+    last two terms of the bound.  r_tan, the projected-gradient step in d,
+    must be nonzero.  at_z holds L(z, mu) and the reduced gradient g_d at
+    z, and sigma is the spectral factor; every attempt of an outer step
+    shares them.
     """
     sl_d, sl_x, _, _ = S.slices
-    zvec = space.z
-    rt2 = _norm(r_tan)
+    d = z[sl_d]
+    L_z, g_d = at_z
+    seen = {}
 
-    def at(vec):
-        """L(vec, mu), F(vec) and C(vec), as eval_L computes the first."""
-        F, C = eval_F(net, vec[sl_d], vec[sl_x]), eval_C(net, S, vec)
-        return F + float(C @ mu), F, C
+    def at(dd):
+        """The lifted point of dd, with L(vec, mu), F(vec) and C(vec), as
+        eval_L computes the first; each step is evaluated once."""
+        key = dd.tobytes()
+        if key not in seen:
+            vec = np.maximum(z + Z @ dd, S.lower)
+            F, C = eval_F(net, vec[sl_d], vec[sl_x]), eval_C(net, S, vec)
+            seen[key] = vec, F + float(C @ mu), F, C
+        return seen[key]
 
-    t_break = min(1.0, delta / rt2)
-    cauchy_vec = zvec + t_break * r_tan
-    L_z, g_f, g_l = at_z
-    L_cauchy, *cauchy_FC = at(cauchy_vec)
-    bound = max(L_cauchy, L_z - TAU1 * delta, L_z - TAU2)
+    floor = max(L_z - TAU1 * delta, L_z - TAU2)
+    dd = np.clip(d - sigma * g_d, np.maximum(d - delta, 0.0), d + delta) - d
 
-    points = 0
-    cur = zvec
-    L_cur = L_z
-    for _ in range(INNER_ITER_CAP):
-        r_v = project(space, cur - sigma * g_f, delta) - cur
-        if _norm(r_v) < INNER_GTOL:
+    def cauchy():
+        """The broken Cauchy step t r_tan and its at() values: t starts at
+        min(1, delta / |r_tan|_inf) and halves until L falls by at least
+        CAUCHY_ARMIJO t g_d'r_tan, or t is 1e-12 of its start."""
+        t = min(1.0, delta / float(np.abs(r_tan).max()))
+        slope, t_min = float(g_d @ r_tan), 1e-12 * t
+        while True:
+            out = at(t * r_tan)
+            if out[1] <= L_z + CAUCHY_ARMIJO * t * slope or t < t_min:
+                return t * r_tan, out
+            t *= 0.5
+
+    cauchy_dd = best = None
+    while True:
+        vec, L_v, F, C = at(dd)
+        if L_v <= floor:
+            return vec, F, C
+        if best is None:
+            cauchy_dd, best = cauchy()
+        if L_v <= best[1]:
+            return vec, F, C
+        dd = 0.5 * dd
+        if np.abs(dd).max() < np.abs(cauchy_dd).max():
             break
-        if g_l is None:
-            g_l = g_f + S.Jt_dot(eval_C_jacobian(net, S, cur), mu)
-        if float(r_v @ g_l) >= 0.0:
-            break                      # descent property lost to roundoff
-        step = 1.0
-        moved = False
-        while points < INNER_POINT_CAP and step >= 1e-12:
-            trial = cur + step * r_v
-            L_trial, *trial_FC = at(trial)
-            points += 1
-            if L_trial <= bound:
-                return (trial, *trial_FC)
-            if L_trial < L_cur:
-                cur, L_cur = trial, L_trial
-                moved = True
-                break
-            step *= 0.5
-        if not moved or points >= INNER_POINT_CAP:
-            break
-        g_f, g_l = grad_F_state(net, S, cur), None
 
-    if L_cauchy <= bound:
-        return (cauchy_vec, *cauchy_FC)
+    vec, L_cauchy, F, C = best
+    if not math.isnan(L_cauchy):
+        return vec, F, C
     raise NoCandidate("no point passed the decrease test in the current box")
 
 
@@ -322,7 +369,8 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     mu = np.zeros(S.n_constraints)
     # the first restoration comes before any residual at s, so link times
     # that overflow stop the run as Unreachable before they reach a norm
-    z = restore(net, S, d0, cfg)
+    work = {}
+    z = restore(net, S, d0, cfg, work)
 
     # |C(s)| and L(s, mu) at the current point; an accepted step carries over
     # the values it computed at v
@@ -332,36 +380,39 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
 
     theta_hist = [THETA_INIT]
     delta_prev = DELTA0
-    prev = None          # the last restored point and its Lagrangian gradient
+    prev = None          # the last restored demands and their reduced gradient
     history = []
     status = STATUS_MAX_OUTER
 
     for k in range(cfg.max_outer):
         theta_cur = init_penalty(k, theta_hist)
         if k > 0:
-            z = restore(net, S, s[sl_d], cfg)
+            z, C_z = _restore_closer(net, S, s[sl_d], cfg, work, normC_s)
+        else:
+            C_z = eval_C(net, S, z)
 
-        space = tangent_space(net, S, z)
-        r_tan, g_F, g_L = cauchy_direction(net, S, mu, space)
+        Z = equilibrium_sensitivity(net, S, z, work["paths"])
+        r_tan, g_d = cauchy_direction(net, S, z, Z)
         if check_stop(s, z, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED
             break
-        sigma = 1.0 if prev is None else spectral_factor(z - prev[0], g_L - prev[1])
-        prev = z, g_L
+        d = z[sl_d]
+        sigma = 1.0 if prev is None else spectral_factor(d - prev[0], g_d - prev[1])
+        prev = d, g_d
 
         # z's values, each computed once for every attempt of this step
-        F_z, C_z = eval_F(net, z[sl_d], z[sl_x]), eval_C(net, S, z)
-        at_z = (F_z + float(C_z @ mu), g_F, g_L)
+        F_z = eval_F(net, d, z[sl_x])
+        at_z = (F_z + float(C_z @ mu), g_d)
         normC_z = _norm(C_z)
         rt_norm = _norm(r_tan)
         delta = max(DELTA_MIN, delta_prev)
 
         accepted = False
         for i in itertools.count():
-            if rt_norm <= 1e-14 * (1.0 + _norm(z)):
+            if rt_norm <= 1e-14 * (1.0 + _norm(d)):
                 v, mu_trial, F_v, C_v = z, mu.copy(), F_z, C_z
             else:
-                v, F_v, C_v = find_candidate(net, S, mu, r_tan, space, delta,
+                v, F_v, C_v = find_candidate(net, S, mu, z, Z, r_tan, delta,
                                              at_z, sigma)
                 mu_trial = trial_multipliers(net, S, v)
 

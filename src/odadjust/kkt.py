@@ -11,9 +11,10 @@ written as the residual
 where T(X) = R' t(R X).  C(s) = 0 together with d, X, beta >= 0 characterizes
 user equilibrium for every commodity simultaneously.
 
-eval_C and recover_multipliers take their products from the index layouts of
-StructureMatrices, so neither loads scipy; scipy.sparse is imported on first
-use, by eval_C_jacobian, which the check and tap commands never call.
+eval_C, recover_multipliers and equilibrium_sensitivity take their products
+from the index layouts of StructureMatrices or from NumPy alone, so none of
+them loads scipy; scipy.sparse is imported on first use, by eval_C_jacobian,
+which the check and tap commands never call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteObjective, ResidualTooLarge
 from .network import aggregate_flows
 from .projection import TangentSpace
-from .tap import _origin_trees
+from .tap import _origin_trees, _path_links
 
 
 def _blocks(S, s):
@@ -161,6 +162,93 @@ def recover_multipliers(net, S, X, link_times):
             "complementarity slip %.3e too large; flow is not an equilibrium" % slip
         )
     return alpha, beta
+
+
+def _potential_derivs(net, tree, origin, link_dv):
+    """d pi / dd of the shortest-path distances of one origin's tree.
+
+    link_dv holds t'_a dv_a / dd, one row per link.  Along the tree,
+    dpi(head) = dpi(tail) + link_dv[a] for the tree link a entering head,
+    taken from the origin outward; an unreachable node follows the farthest
+    reachable one, whose distance plus one recover_multipliers gives it.
+    """
+    n = net.n_nodes
+    dpi = np.zeros((n, link_dv.shape[1]))
+    children = [[] for _ in range(n)]
+    for w, a in enumerate(tree.pred):
+        if a >= 0:
+            children[net.tails[a]].append(w)
+    order = [origin]
+    for u in order:
+        for w in children[u]:
+            dpi[w] = dpi[u] + link_dv[tree.pred[w]]
+            order.append(w)
+    dist = np.array(tree.dist)
+    finite = np.isfinite(dist)
+    if not finite.all():
+        dpi[~finite] = dpi[np.flatnonzero(finite)[np.argmax(dist[finite])]]
+    return dpi
+
+
+def equilibrium_sensitivity(net, S, z, paths):
+    """Z = dz/dd at a restored point z, of shape state_dim x c.
+
+    Z moves z with the demands on the piece of the equilibrium set where
+    each commodity's used paths stay used and its other paths unused
+    (Tobin & Friesz, Transp. Sci. 22, 1988).  paths maps a commodity to its
+    path flows, as solve_tap returns them; the used paths are those with
+    positive flow, and a commodity with none takes its shortest path.  With
+    Delta the link-path and E the commodity-path incidence of the used
+    paths, and D = diag t'(v), the path-flow derivatives H solve
+
+        [[Delta' D Delta, -E'], [E, 0]] [H; Pi] = [0; I_c]
+
+    by np.linalg.lstsq: the dense system of P + c rows is singular where
+    t' vanishes or used paths cost the same to every order, and lstsq takes
+    its minimum-norm solution.  Then dX_i = Delta_i H_i and dv = Delta H.
+    The potentials follow recover_multipliers' trees, dalpha_i = -dpi_i,
+    and dbeta_i = t' dv + dalpha_i[head] - dalpha_i[tail].
+    """
+    _, X, _, _ = _blocks(S, z)
+    c, a, n = S.n_commodities, S.n_links, S.n_nodes
+    v = aggregate_flows(S, X)
+    t = net.link_times(v)
+    t_prime = net.link_time_derivs(v)
+    trees = _origin_trees(net, t, range(c))
+
+    owner, cols = [], []
+    for i in range(c):
+        used = [p for p, h in paths.get(i, {}).items() if h > 0.0]
+        if not used:
+            o = int(net.origin_idx[i])
+            used = [tuple(_path_links(net, trees[o], o, int(net.destination_idx[i])))]
+        owner += [i] * len(used)
+        cols += used
+    P = len(cols)
+    Delta = np.zeros((a, P))
+    for j, p in enumerate(cols):
+        Delta[list(p), j] = 1.0
+    E = np.zeros((c, P))
+    E[owner, np.arange(P)] = 1.0
+    A = np.zeros((P + c, P + c))
+    A[:P, :P] = Delta.T @ (t_prime[:, None] * Delta)
+    A[:P, P:] = -E.T
+    A[P:, :P] = E
+    rhs = np.zeros((P + c, c))
+    rhs[P:] = np.eye(c)
+    H = np.linalg.lstsq(A, rhs, rcond=None)[0][:P]
+
+    dX = np.stack([Delta @ (E[i][:, None] * H) for i in range(c)])
+    dv = dX.sum(axis=0)
+    link_dv = t_prime[:, None] * dv
+    dpi = {o: _potential_derivs(net, tree, o, link_dv) for o, tree in trees.items()}
+    dalpha = np.stack([-dpi[int(net.origin_idx[i])] for i in range(c)])
+    dbeta = link_dv + dalpha[:, net.heads] - dalpha[:, net.tails]
+
+    Z = np.empty((S.state_dim, c))
+    for sl, block in zip(S.slices, (np.eye(c), dX, dalpha, dbeta)):
+        Z[sl] = block.reshape(-1, c)
+    return Z
 
 
 def tangent_space(net, S, z):

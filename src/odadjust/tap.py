@@ -64,6 +64,9 @@ class TapSolution:
     rgap: float
     iterations: int
     converged: bool
+    # per commodity with nonzero demand, its used paths (tuples of link
+    # indices, in travel order) and their flows
+    paths: dict
 
 
 def _dijkstra(net, costs, origin_idx, targets=None):
@@ -265,6 +268,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
 
     Returns a TapSolution; `converged` is False when the budget ran out, in
     which case the best iterate found is returned rather than raising.
+    Its `paths` are the path flows X is assembled from.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
     through its path shifts; each commodity's path search stops once the
     destination settles, and relative_gap runs once per sweep, lending the
@@ -348,4 +352,5 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
             break
 
     return TapSolution(X=X, v=v, beckmann=beckmann_objective(net, v),
-                       rgap=rgap, iterations=iterations, converged=converged)
+                       rgap=rgap, iterations=iterations, converged=converged,
+                       paths=paths)

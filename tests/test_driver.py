@@ -39,8 +39,8 @@ from odadjust.driver import (
     trial_multipliers,
 )
 from odadjust.errors import DimensionMismatch, InfeasibleTheta, MaxIterations
-from odadjust.kkt import (eval_C_jacobian, eval_L, grad_F_state, jacobian_values,
-                          tangent_space)
+from odadjust.kkt import (equilibrium_sensitivity, eval_C_jacobian, eval_L,
+                          grad_F_state, jacobian_values)
 from odadjust.projection import REG, min_norm_solve
 import odadjust.driver as driver_module
 
@@ -57,6 +57,13 @@ def net():
 @pytest.fixture
 def S(net):
     return build_structure(net)
+
+
+def _piece(net, S, d, cfg=None):
+    """The restored point at demands d and its sensitivity Z = dz/dd."""
+    work = {}
+    z = restore(net, S, np.asarray(d, dtype=float), cfg or IRConfig(), work)
+    return z, equilibrium_sensitivity(net, S, z, work["paths"])
 
 
 # -- configuration -------------------------------------------------------------
@@ -168,21 +175,22 @@ def test_check_stop_requires_both_conditions():
 
 
 def test_cauchy_direction_vanishes_at_optimum(net, S):
-    cfg = IRConfig()
     # restoring at the demand optimum gives an equilibrium matching the
-    # observations, so the projected objective gradient nearly vanishes
-    z = restore(net, S, TOY_TARGETS, cfg)
-    mu = np.zeros(S.n_constraints)
-    r, _, _ = cauchy_direction(net, S, mu, tangent_space(net, S, z))
+    # observations, so the reduced gradient and its projected step vanish
+    z, Z = _piece(net, S, TOY_TARGETS)
+    r, g_d = cauchy_direction(net, S, z, Z)
+    assert r.shape == g_d.shape == (S.n_commodities,)
     assert np.abs(r).max() <= 1e-5
+    assert np.abs(g_d).max() <= 1e-5
 
 
 def test_cauchy_direction_descends_away_from_optimum(net, S):
-    cfg = IRConfig()
-    z = restore(net, S, np.array([1.0, 2.0]), cfg)
-    mu = np.zeros(S.n_constraints)
-    r, _, _ = cauchy_direction(net, S, mu, tangent_space(net, S, z))
+    z, Z = _piece(net, S, [1.0, 2.0])
+    r, g_d = cauchy_direction(net, S, z, Z)
+    assert_array_equal(g_d, Z.T @ grad_F_state(net, S, z))
+    assert_array_equal(r, np.maximum(z[S.slices[0]] - g_d, 0.0) - z[S.slices[0]])
     assert np.abs(r).max() > 1e-3
+    assert float(r @ g_d) < 0.0
 
 
 def test_trial_multipliers_bounded(net, S):
@@ -241,26 +249,54 @@ def test_trial_multipliers_match_the_dense_solve(net, S):
 
 
 def test_find_candidate_respects_box_and_bound(net, S):
-    cfg = IRConfig()
-    z = restore(net, S, np.array([1.0, 2.0]), cfg)
+    z, Z = _piece(net, S, [1.0, 2.0])
     mu = np.zeros(S.n_constraints)
-    delta = 0.5
-    space = tangent_space(net, S, z)
-    r_tan, g_F, g_L = cauchy_direction(net, S, mu, space)
-    v, F_v, C_v = find_candidate(net, S, mu, r_tan, space, delta,
-                                 (eval_L(net, S, z, mu), g_F, g_L), 1.0)
-    assert F_v == eval_F(net, v[S.slices[0]], v[S.slices[1]])
-    assert_array_equal(C_v, eval_C(net, S, v))
-    assert np.abs(v - z).max() <= delta + 1e-10
-    J = space.J.toarray()
-    assert np.abs(J @ (v - z)).max() <= 1e-8
+    for sigma in (1.0, 1e-3, 10.0, 1e3):
+        _check_candidate(net, S, mu, z, Z, 0.5, sigma)
+
+
+def _check_candidate(net, S, mu, z, Z, delta, sigma):
+    sl_d = S.slices[0]
+    r_tan, g_d = cauchy_direction(net, S, z, Z)
     L_z = eval_L(net, S, z, mu)
-    rt2 = float(np.linalg.norm(r_tan))
-    t_break = min(1.0, delta / rt2)
-    L_cauchy = eval_L(net, S, z + t_break * r_tan, mu)
+    v, F_v, C_v = find_candidate(net, S, mu, z, Z, r_tan, delta, (L_z, g_d), sigma)
+    assert F_v == eval_F(net, v[sl_d], v[S.slices[1]])
+    assert_array_equal(C_v, eval_C(net, S, v))
+    # v is the lift of its demand step onto z's piece, in the box and d >= 0
+    dd = v[sl_d] - z[sl_d]
+    assert np.abs(dd).max() <= delta + 1e-12
+    assert v[sl_d].min() >= 0.0
+    assert_allclose(v, np.maximum(z + Z @ dd, S.lower), rtol=0.0, atol=1e-12)
+    # the broken Cauchy point: t halves from t_break until L falls by at
+    # least CAUCHY_ARMIJO t g_d'r_tan
+    t = min(1.0, delta / np.abs(r_tan).max())
+    while True:
+        L_cauchy = eval_L(net, S, np.maximum(z + Z @ (t * r_tan), S.lower), mu)
+        if L_cauchy <= L_z + driver_module.CAUCHY_ARMIJO * t * float(g_d @ r_tan):
+            break
+        t *= 0.5
     bound = max(L_cauchy, L_z - driver_module.TAU1 * delta,
                 L_z - driver_module.TAU2)
     assert eval_L(net, S, v, mu) <= bound + 1e-12
+    assert eval_L(net, S, v, mu) < L_z
+    # the linearized residual vanishes along the piece, so C(v) is of
+    # second order in the step
+    assert np.linalg.norm(C_v) <= 10.0 * np.abs(dd).max() ** 2
+
+
+def test_find_candidate_backtracks_the_cauchy_step():
+    # at the prior of 2x2 instance 1 the unit Cauchy step overshoots: its
+    # lifted point has L near 2.4 against 0.59 at z, and the spectral trial
+    # at sigma = 1 is no better; the broken Cauchy point backtracks to a
+    # decrease, and the candidate must match it
+    net = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
+    S = build_structure(net)
+    z, Z = _piece(net, S, net.target_demands)
+    mu = np.zeros(S.n_constraints)
+    r_tan, _ = cauchy_direction(net, S, z, Z)
+    unit = np.maximum(z + Z @ (r_tan / np.abs(r_tan).max()), S.lower)
+    assert eval_L(net, S, unit, mu) > 2.0 * eval_L(net, S, z, mu)
+    _check_candidate(net, S, mu, z, Z, 1.0, 1.0)
 
 
 def test_spectral_factor_ratio_and_clips():
@@ -287,24 +323,25 @@ def test_spectral_factor_is_one_without_curvature():
 
 def test_outer_steps_scale_by_the_spectral_factor(net, monkeypatch):
     # the first outer step takes the unit factor; step k >= 1 takes the
-    # factor of the steps between the restored points z_{k-1} and z_k and
-    # of their Lagrangian gradients, as cauchy_direction returned them
+    # factor of the step between the demands of the restored points z_{k-1}
+    # and z_k and of their reduced gradients, as cauchy_direction returned
+    # them
     restored, sigmas = [], []
 
-    def cauchy(net_, S_, mu, space):
-        out = cauchy_direction(net_, S_, mu, space)
-        restored.append((space.z, out[2]))
+    def cauchy(net_, S_, z, Z):
+        out = cauchy_direction(net_, S_, z, Z)
+        restored.append((z[S_.slices[0]].copy(), out[1]))
         return out
 
     def candidate(*args):
-        sigmas.append((len(restored) - 1, args[7]))
+        sigmas.append((len(restored) - 1, args[8]))
         return find_candidate(*args)
 
     monkeypatch.setattr(driver_module, "cauchy_direction", cauchy)
     monkeypatch.setattr(driver_module, "find_candidate", candidate)
     res = solve_dap(net, d0=[1.0, 2.0])
     assert res.status == STATUS_CONVERGED
-    expected = [1.0] + [spectral_factor(z1 - z0, g1 - g0) for (z0, g0), (z1, g1)
+    expected = [1.0] + [spectral_factor(d1 - d0, g1 - g0) for (d0, g0), (d1, g1)
                         in zip(restored, restored[1:])]
     assert sigmas[0] == (0, 1.0)
     assert [sigma for _, sigma in sigmas] == [expected[k] for k, _ in sigmas]
@@ -312,12 +349,13 @@ def test_outer_steps_scale_by_the_spectral_factor(net, monkeypatch):
 
 
 def test_outer_step_evaluates_each_point_once(net, monkeypatch):
-    # an outer step whose first trial is accepted evaluates J once at the
-    # restored point z, for its tangent space, and once at the accepted v,
-    # for the trial multipliers; z's gradients and L(z, mu) are reused.
-    # jacobian_values is where J is evaluated, with or without a matrix
+    # an outer step whose first trial is accepted evaluates the residual
+    # once at the start s, at the restored point z and at the accepted v,
+    # the gradient of F once at z, for the reduced gradient, and once at v,
+    # with J, for the trial multipliers.  jacobian_values is where J is
+    # evaluated, with or without a matrix
     from odadjust import kkt
-    jacobians, grads, found = [], [], []
+    jacobians, grads, residuals, found = [], [], [], []
 
     def spy(fn, seen):
         def wrapped(net, S, s, *args):
@@ -328,19 +366,23 @@ def test_outer_step_evaluates_each_point_once(net, monkeypatch):
     for mod in (kkt, driver_module):
         monkeypatch.setattr(mod, "jacobian_values", spy(jacobian_values, jacobians))
         monkeypatch.setattr(mod, "grad_F_state", spy(grad_F_state, grads))
+    monkeypatch.setattr(driver_module, "eval_C", spy(eval_C, residuals))
     monkeypatch.setattr(driver_module, "find_candidate",
                         lambda *args: found.append(find_candidate(*args)) or found[-1])
     res = solve_dap(net, IRConfig(max_outer=1), d0=[1.0, 2.0])
     assert [(rec.i, rec.accepted) for rec in res.history] == [(0, True)]
     S = build_structure(net)
     v = found[0][0]
-    assert len(jacobians) == len(grads) == 2
-    for at_z in (jacobians[0], grads[0]):
-        assert_array_equal(at_z[S.slices[0]], res.d_final)
-        assert_array_equal(at_z[S.slices[1]], res.X_final)
-    assert_array_equal(jacobians[1], v)
-    assert_array_equal(grads[1], v)
-    assert not np.array_equal(v, jacobians[0])
+    assert len(jacobians) == 1 and len(grads) == 2 and len(residuals) == 3
+    s0, z = residuals[0], grads[0]
+    assert_array_equal(s0[S.slices[0]], [1.0, 2.0])
+    assert not s0[S.slices[1]].any()
+    assert_array_equal(z[S.slices[0]], res.d_final)
+    assert_array_equal(z[S.slices[1]], res.X_final)
+    assert_array_equal(residuals[1], z)
+    for at_v in (jacobians[0], grads[1], residuals[2]):
+        assert_array_equal(at_v, v)
+    assert not np.array_equal(v, z)
 
 
 # -- full runs ----------------------------------------------------------------------
@@ -363,18 +405,81 @@ def test_solve_dap_adjusts_perturbed_start(net):
 
 
 @pytest.mark.parametrize("name, max_steps, F_ref", [
-    ("grid2x2_1.json", 199, None),       # max_outer with unit steps
-    ("grid3x3_0.json", 199, 0.787177),   # max_outer with unit steps, 2e-6 above F*
-    ("grid4x4_1.json", 157, None),       # converged in 158 steps with unit steps
+    ("grid2x2_1.json", 20, None),        # 41 steps in the lifted space
+    ("grid2x2_4.json", 20, 0.847134),    # max_outer at 1.122612 in the lifted space
+    ("grid3x3_0.json", 20, 0.787177),    # 83 steps in the lifted space
+    ("grid4x4_1.json", 20, None),        # 39 steps in the lifted space
+    ("grid5x5_0.json", 30, 1.981860),    # SolverStalled in the lifted space
 ])
 def test_solve_dap_converges_on_grids(name, max_steps, F_ref):
     # default settings; F_ref is the reference F*, a local minimum of
-    # F(d, v_eq(d)) over d >= 0
+    # F(d, v_eq(d)) over d >= 0, given to 6 decimals
     res = solve_dap(parse_network((DATA / name).read_text(encoding="utf-8")))
     assert res.status == STATUS_CONVERGED
     assert res.outer_iterations <= max_steps
     if F_ref is not None:
-        assert abs(res.F_final - F_ref) <= 1e-3 * F_ref
+        assert abs(res.F_final - F_ref) <= 1e-5 * F_ref
+
+
+def test_restoration_tightens_until_closer_than_the_last_point(monkeypatch):
+    # each outer step k >= 1 restores again, with the assignment tolerance
+    # RESTORE_TIGHTEN times smaller each time, while |C(z)| > RESTORE_RATIO
+    # |C(s)|, at most RESTORE_TIGHTENINGS times; s is the point accepted in
+    # step k - 1, the last candidate found before the restoration
+    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    S = build_structure(net)
+    cfg = IRConfig()
+    found, steps = [], []
+
+    def candidate(*args):
+        found.append(find_candidate(*args))
+        return found[-1]
+
+    def spy(net_, S_, d, cfg_, work=None):
+        z = restore(net_, S_, d, cfg_, work)
+        if found:
+            if cfg_.tap_tol == cfg.tap_tol:
+                steps.append((np.linalg.norm(eval_C(net_, S_, found[-1][0])), []))
+            steps[-1][1].append((cfg_.tap_tol, np.linalg.norm(eval_C(net_, S_, z))))
+        return z
+
+    monkeypatch.setattr(driver_module, "find_candidate", candidate)
+    monkeypatch.setattr(driver_module, "restore", spy)
+    res = solve_dap(net, cfg)
+    assert res.status == STATUS_CONVERGED
+    assert len(steps) == res.outer_iterations - 1
+    ratio, tighten = driver_module.RESTORE_RATIO, driver_module.RESTORE_TIGHTEN
+    cap = driver_module.RESTORE_TIGHTENINGS
+    tightened = 0
+    for normC_s, tries in steps:
+        assert [tol for tol, _ in tries] == [cfg.tap_tol * tighten ** j
+                                             for j in range(len(tries))]
+        assert len(tries) <= cap + 1
+        # every restoration but the accepted last one missed the condition
+        assert all(normC > ratio * normC_s for _, normC in tries[:-1])
+        assert tries[-1][1] <= ratio * normC_s or len(tries) == cap + 1
+        tightened += len(tries) > 1
+    assert tightened > 0
+
+
+def test_restoration_keeps_its_point_when_a_tightening_fails(monkeypatch):
+    # an assignment that cannot reach a tightened tolerance raises
+    # MaxIterations; the outer step goes on from the last restored point
+    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    cfg = IRConfig(max_outer=12)
+    failed = []
+
+    def spy(net_, S_, d, cfg_, work=None):
+        if cfg_.tap_tol < cfg.tap_tol:
+            failed.append(cfg_.tap_tol)
+            raise MaxIterations("tightened tolerance out of reach")
+        return restore(net_, S_, d, cfg_, work)
+
+    monkeypatch.setattr(driver_module, "restore", spy)
+    res = solve_dap(net, cfg)
+    assert failed and set(failed) == {cfg.tap_tol * driver_module.RESTORE_TIGHTEN}
+    assert res.outer_iterations > len(failed)
+    assert res.F_final <= 0.787177 * (1.0 + 1e-3)
 
 
 def test_solve_dap_rejects_infeasible_start(net):

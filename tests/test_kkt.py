@@ -31,8 +31,9 @@ from odadjust import (
     tangent_space,
 )
 from odadjust.errors import DimensionMismatch, ResidualTooLarge
-from odadjust.kkt import grad_F_state
-from odadjust.network import Commodity, CostFunction, Link, Network
+from odadjust.driver import IRConfig, restore
+from odadjust.kkt import equilibrium_sensitivity, grad_F_state
+from odadjust.network import Commodity, CostFunction, Link, Network, aggregate_flows
 from odadjust.oracles import fd_gradient
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -391,6 +392,88 @@ def test_recover_multipliers_with_unreachable_node():
 
 
 # -- tangent space -----------------------------------------------------------------
+
+# -- equilibrium sensitivity ----------------------------------------------------
+
+_TIGHT = IRConfig(tap_tol=1e-12)
+
+
+def _restored(net, S, d):
+    """The restored point at d, tap tolerance 1e-12, and its path flows."""
+    work = {}
+    z = restore(net, S, np.asarray(d, dtype=float), _TIGHT, work)
+    return z, work["paths"]
+
+
+def _used(paths):
+    return {i: set(flows) for i, flows in paths.items()}
+
+
+def _sensitivity_cases():
+    grid = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
+    toy = parse_network(json.dumps(toy_document()))
+    return [(toy, [1.0, 2.0]), (toy, TOY_TARGETS * 0.9),
+            (grid, grid.target_demands), (grid, grid.target_demands * 0.8)]
+
+
+def test_equilibrium_sensitivity_matches_central_differences():
+    # Z's d, v, alpha and beta rows against central differences of restore;
+    # the step is small enough that no used path set changes
+    h = 1e-6
+    for net_, d in _sensitivity_cases():
+        S_ = build_structure(net_)
+        sl_d, sl_x, sl_a, sl_b = S_.slices
+        z, paths = _restored(net_, S_, d)
+        Z = equilibrium_sensitivity(net_, S_, z, paths)
+        assert Z.shape == (S_.state_dim, S_.n_commodities)
+        for j in range(S_.n_commodities):
+            e = np.zeros(S_.n_commodities)
+            e[j] = h
+            zp, paths_p = _restored(net_, S_, d + e)
+            zm, paths_m = _restored(net_, S_, d - e)
+            assert _used(paths_p) == _used(paths) == _used(paths_m)
+            fd = (zp - zm) / (2.0 * h)
+            col = Z[:, j]
+            assert_array_equal(col[sl_d], e / h)
+            assert_allclose(aggregate_flows(S_, col[sl_x]),
+                            aggregate_flows(S_, fd[sl_x]), rtol=0.0, atol=1e-6)
+            assert_allclose(col[sl_a], fd[sl_a], rtol=0.0, atol=1e-6)
+            assert_allclose(col[sl_b], fd[sl_b], rtol=0.0, atol=1e-6)
+
+
+def test_reduced_gradient_matches_central_differences():
+    # g_d = Z' grad F(z) is the gradient of F(d, v_eq(d)) on the piece
+    h = 1e-6
+
+    def reduced_F(net_, S_, d):
+        z, _ = _restored(net_, S_, d)
+        return eval_F(net_, z[S_.slices[0]], z[S_.slices[1]])
+
+    for net_, d in _sensitivity_cases():
+        S_ = build_structure(net_)
+        z, paths = _restored(net_, S_, d)
+        g_d = equilibrium_sensitivity(net_, S_, z, paths).T @ grad_F_state(net_, S_, z)
+        fd = [(reduced_F(net_, S_, d + h * e) - reduced_F(net_, S_, d - h * e))
+              / (2.0 * h) for e in np.eye(S_.n_commodities)]
+        assert np.abs(g_d).max() > 1e-2
+        assert_allclose(g_d, fd, rtol=0.0, atol=1e-8)
+
+
+def test_equilibrium_sensitivity_at_zero_demand(net, S):
+    # a commodity without demand has no used path and takes its shortest
+    # one: its column is the one-sided derivative of restore
+    h = 1e-7
+    d = np.array([0.0, 2.0])
+    z, paths = _restored(net, S, d)
+    assert 0 not in paths
+    col = equilibrium_sensitivity(net, S, z, paths)[:, 0]
+    fd = (restore(net, S, d + [h, 0.0], _TIGHT) - z) / h
+    sl_d, sl_x, sl_a, sl_b = S.slices
+    assert_allclose(aggregate_flows(S, col[sl_x]), aggregate_flows(S, fd[sl_x]),
+                    rtol=0.0, atol=1e-5)
+    assert_allclose(col[sl_a], fd[sl_a], rtol=0.0, atol=1e-5)
+    assert_allclose(col[sl_b], fd[sl_b], rtol=0.0, atol=1e-5)
+
 
 def test_tangent_space_layout(net, S):
     z = _equilibrium_state(S)

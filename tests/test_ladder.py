@@ -20,9 +20,9 @@ def test_ladder_runs_one_row():
     header, row = proc.stdout.splitlines()
     assert header.split() == ["instance", "status", "steps", "F", "seconds", "F*"]
     name, status, steps, F, seconds, ref = row.split()
-    assert (name, status, ref) == ("2x2-i1", "converged", "-")
+    assert (name, status, ref) == ("2x2-i1", "converged", "0.297240")
     assert 1 <= int(steps) <= 200
-    assert float(F) > 0.0 and float(seconds) >= 0.0
+    assert abs(float(F) - float(ref)) <= 1e-6 and float(seconds) >= 0.0
 
 
 def test_ladder_rejects_an_unknown_row():

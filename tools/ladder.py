@@ -7,14 +7,15 @@ one BLAS thread, on:
 
 - the benchmark's toy from its three perturbed starts (`toy@1,2`, ...);
 - the grids `2x2-i0` ... `2x2-i5` (2 OD pairs), `3x3-i0` ... `3x3-i2`
-  (3 OD pairs) and `4x4-i0` ... `4x4-i2` (4 OD pairs), each from its prior,
-  as `bench/instances.grid_instance(k, n_od, i)` generates it, not
-  relabelled.
+  (3 OD pairs), `4x4-i0` ... `4x4-i2` (4 OD pairs) and `5x5-i0` (6 OD
+  pairs), each from its prior, as `bench/instances.grid_instance(k, n_od, i)`
+  generates it, not relabelled.
 
 Each row gives the name, the status (or the name of the exception a run
-raised), the outer steps, the final F, the seconds and the reference F* of
-ROADMAP's Baseline table, a local minimum of F(d, v_eq(d)) over d >= 0
-("-" where none is recorded).  NAME arguments run only those rows.
+raised), the outer steps, the final F, the seconds and the reference F*, a
+local minimum of F(d, v_eq(d)) over d >= 0 ("-" where none is recorded):
+Nelder-Mead on `bench/instances.equilibrium` for the 2x2 rows, ROADMAP's
+Baseline table for the larger ones.  NAME arguments run only those rows.
 """
 
 import os
@@ -34,10 +35,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 from instances import TOY_DOC, TOY_STARTS, Instance, grid_instance  # noqa: E402
 
 # grid side, OD pairs and instance numbers of each rung
-GRIDS = ((2, 2, range(6)), (3, 3, range(3)), (4, 4, range(3)))
+GRIDS = ((2, 2, range(6)), (3, 3, range(3)), (4, 4, range(3)), (5, 6, range(1)))
 REFERENCE_F = {
+    "2x2-i0": 0.275759, "2x2-i1": 0.297240, "2x2-i2": 0.130576,
+    "2x2-i3": 0.181222, "2x2-i4": 0.847134, "2x2-i5": 0.0,
     "3x3-i0": 0.787177, "3x3-i1": 0.213684, "3x3-i2": 0.695752,
     "4x4-i0": 0.308594, "4x4-i1": 1.098547, "4x4-i2": 0.640976,
+    "5x5-i0": 1.981860,
 }
 
 
