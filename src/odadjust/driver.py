@@ -237,12 +237,15 @@ def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
 def trial_multipliers(net, S, v):
     """argmin_mu |grad F(v) + C'(v)^T mu|^2 + REG |mu|^2, clipped to the bound.
 
-    projection.min_norm_solve does it by one sparse LU, its K gathered from
-    C'(v)'s values through S.kkt_layout, with no matrix formed for C'(v);
-    projection.REG damps the directions in which C'(v)^T is nearly singular.
+    projection.min_norm_solve does it by one sparse LU of a K assembled from
+    C'(v)^T, which is C'(v)'s CSR arrays read as CSC; projection.REG damps the
+    directions in which C'(v)^T is nearly singular.
     """
+    import scipy.sparse as sp
     g = grad_F_state(net, S, v)
-    mu = min_norm_solve(jacobian_values(net, S, v), -g, S.kkt_layout)
+    Jt = sp.csc_matrix((jacobian_values(net, S, v), S.jac_indices, S.jac_indptr),
+                       shape=(S.state_dim, S.n_constraints))
+    mu = min_norm_solve(Jt, -g)
     return np.clip(mu, -M_BOUND, M_BOUND)
 
 

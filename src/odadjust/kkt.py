@@ -121,7 +121,7 @@ def eval_L(net, S, s, mu):
 def eval_L_grad(net, S, s, mu):
     """Gradient of the Lagrangian in the full state layout."""
     mu = np.asarray(mu, dtype=float)
-    return grad_F_state(net, S, s) + S.Jt_dot(eval_C_jacobian(net, S, s), mu)
+    return grad_F_state(net, S, s) + eval_C_jacobian(net, S, s).T @ mu
 
 
 def recover_multipliers(net, S, X, link_times):
@@ -255,9 +255,9 @@ def tangent_space(net, S, z):
     """Linearized feasible set at z: J(w-z)=0 and the sign constraints, no box.
 
     Building it finds the coordinates that single-entry rows of J pin and takes
-    one sparse LU of the KKT matrix of the rest, gathered through S.kkt_layout
-    (see projection).  The optimization phase passes its trust radius to
-    project(space, b, delta), which reuses the Jacobian and that factorization.
+    one sparse LU of the KKT matrix of the rest, assembled from J's nonzero
+    entries (see projection).  project(space, b, radius) reuses the Jacobian
+    and that factorization for every point and radius; the solver itself
+    steps in reduced coordinates and builds no tangent space.
     """
-    return TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower,
-                        layout=S.kkt_layout)
+    return TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)

@@ -8,7 +8,6 @@ incidence and origin-destination incidence.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from collections import deque
@@ -249,8 +248,7 @@ class Network:
 
 class StructureMatrices:
     """Index layouts of a network's structure matrices and of its lifted
-    system, all built once, by build_structure, with NumPy alone; only
-    kkt_layout waits for its first use.
+    system, all built once, by build_structure, with NumPy alone.
 
     The structure matrices hold only -1 and +1:
 
@@ -278,8 +276,7 @@ class StructureMatrices:
     t'(v) entries (jac_links: the link of each), then the complementarity
     rows' beta and X diagonals.  jac_order takes that list to CSR order: J's
     data at s is the list indexed by jac_order.  Entries that are zero at s
-    stay stored.  jac_entry_rows is the row of each entry in CSR order, for
-    Jt_dot.
+    stay stored.
     """
 
     def __init__(self, net):
@@ -323,21 +320,12 @@ class StructureMatrices:
         self.jac_fixed = np.concatenate([v for _, _, v in blocks[:4]])
         self.jac_links = link
         self.jac_order = np.lexsort((cols, rows))
-        self.jac_entry_rows = rows[self.jac_order]
         index = (np.int32 if max(self.n_constraints, self.state_dim, rows.size)
                  <= np.iinfo(np.int32).max else np.int64)
         self.jac_indices = cols[self.jac_order].astype(index)
         self.jac_indptr = np.zeros(self.n_constraints + 1, dtype=index)
         np.cumsum(np.bincount(rows, minlength=self.n_constraints),
                   out=self.jac_indptr[1:])
-
-    @functools.cached_property
-    def kkt_layout(self):
-        """The projection.KKTLayout of J's pattern, built on first use: only
-        the optimization phase factors a KKT matrix, so check and tap never
-        build it."""
-        from .projection import KKTLayout
-        return KKTLayout(self.jac_indptr, self.jac_indices, self.state_dim)
 
     def M_dot(self, X):
         """M X: per commodity, each node's inflow minus its outflow."""
@@ -350,15 +338,6 @@ class StructureMatrices:
     def Gamma_dot(self, d):
         """Gamma d: per commodity, -d at its origin and +d at its destination."""
         return _row_sums(self._Gamma, d, self.n_commodities * self.n_nodes)
-
-    def Jt_dot(self, J, mu):
-        """J' mu, J being on this layout, as eval_C_jacobian returns it.
-
-        Each entry's term goes into its column's sum in CSR order, as scipy's
-        J.T @ mu adds them, so the two agree bit for bit.
-        """
-        return np.bincount(self.jac_indices, weights=J.data * mu[self.jac_entry_rows],
-                           minlength=self.state_dim)
 
 
 def _by_rows(rows, cols, vals):

@@ -43,17 +43,8 @@ by one sparse LU: a least-squares solution of A x = r whose components along
 directions where A is within about sqrt(REG) of singular are damped toward
 zero, as in a minimum-norm solution, instead of being blown up by them.
 
-Both assemble K through a KKTLayout: the CSC layout of [[I, J'], [J, -REG I]]
-over J's pattern (J = A' for min_norm_solve), which records, for each entry
-of K, its row and the source of its value: an entry of J in CSR order, the
-identity, or -REG.  A network's Jacobians share one pattern, so
-StructureMatrices.kkt_layout builds that layout once, on the first
-factorization; any other J or A gets a layout of its own pattern, used
-once.  Each factorization then masks and gathers: it drops J's entries that
-are zero at the point, and, for a tangent space, the pinned columns with
-their rows and J's entries in them; it renumbers the columns kept, gathers
-the values and counts each column's entries.  The result is the K a sorted
-assembly of the nonzero entries gives, array for array.
+Both assemble K when they factor it, from the nonzero entries of J (of A'
+for min_norm_solve) and the two diagonals, sorted by column and then row.
 
 scipy.sparse, scipy.sparse.linalg and scipy.linalg are imported on first
 use, inside the functions that need them: the check and tap commands import
@@ -77,12 +68,10 @@ class TangentSpace:
     feasible, which holds by construction whenever z comes out of the
     restoration phase.  Building the space finds free, the coordinates no row
     of J pins, and takes the sparse LU of K once; every project() onto the
-    space, with or without a box, reuses them.  layout is the KKTLayout of
-    J's pattern when the caller keeps one, J then being CSR on that pattern;
-    without it the space builds the layout of J's own pattern.
+    space, with or without a box, reuses them.
     """
 
-    def __init__(self, z, J, lower, layout=None):
+    def __init__(self, z, J, lower):
         z = np.asarray(z, dtype=float)
         lower = np.asarray(lower, dtype=float)
         if z.shape != lower.shape:
@@ -92,131 +81,66 @@ class TangentSpace:
                                     % (J.shape[1], z.size))
         from scipy.sparse.linalg import splu
         self.z, self.J, self.lower = z, J, lower
-        if layout is None:
-            layout, values = KKTLayout.of(J, "csr")
-        else:
-            values = J.data
-        self.free, K = layout.tangent(values)
-        self.lu = splu(K)
-
-
-class KKTLayout:
-    """Where each entry of K = [[I_n, J'], [J, -REG I_m]] comes from, for one
-    CSR pattern of the m x n matrix J: built once per pattern, so that a K
-    costs a mask and a gather of J's values.
-
-    K's entries are listed in CSC order, column j starting at ptr[j].
-    Column j < n holds the 1 of I_n, then column j of J, rows ascending;
-    column n + i holds row i of J, then -REG.  For each entry, rows gives
-    its row and src its value: an index into [J's values in CSR order |
-    n ones | -REG].  Renumbering the kept columns keeps every column's rows
-    ascending, so a masked K is in canonical CSC order without a sort.
-    """
-
-    def __init__(self, indptr, indices, n):
-        m, nnz = len(indptr) - 1, len(indices)
-        self.shape = (m, n)
-        self.entry_rows = r = np.repeat(np.arange(m), np.diff(indptr))
-        self.entry_cols = c = np.asarray(indices, dtype=np.intp)
-        self.ptr = ptr = np.zeros(n + m + 1, dtype=np.intp)
-        np.cumsum(np.bincount(c, minlength=n) + 1, out=ptr[1:n + 1])
-        np.cumsum(np.bincount(r, minlength=m) + 1, out=ptr[n + 1:])
-        ptr[n + 1:] += ptr[n]
-        self.rows = rows = np.empty(ptr[-1], dtype=np.intp)
-        self.src = src = np.empty(ptr[-1], dtype=np.intp)
-        # J by columns: the t-th entry of the column-major order, in column j,
-        # follows the j + 1 ones of columns 0..j
-        by_col = np.argsort(c, kind="stable")
-        at = np.arange(1, nnz + 1) + c[by_col]
-        rows[at], src[at] = n + r[by_col], by_col
-        # J by rows: entry k, in row i, follows the i values -REG of rows 0..i-1
-        at = ptr[n] + np.arange(nnz) + r
-        rows[at], src[at] = c, np.arange(nnz)
-        ones, regs = ptr[:n], ptr[n + 1:] - 1
-        rows[ones], src[ones] = np.arange(n), nnz + np.arange(n)
-        rows[regs], src[regs] = np.arange(n, n + m), nnz + n
-        self._fixed = np.concatenate([np.ones(n), [-REG]])  # after J's values
-        self._true = np.ones(n + m + 1, dtype=bool)         # sliced into masks
-
-    @classmethod
-    def of(cls, A, fmt):
-        """The layout of a dense or sparse A's own pattern, uncached, and A's
-        nonzero values in its order: for fmt "csr" the layout of A, for
-        "csc" that of A', whose CSR arrays are A's CSC ones.  A sparse A
-        already in fmt is read without a copy."""
-        import scipy.sparse as sp
-        if not (sp.issparse(A) and A.format == fmt):
-            A = sp.csr_matrix(A) if fmt == "csr" else sp.csc_matrix(A)
-        if not A.has_sorted_indices:
-            A = A.sorted_indices()
-        n = A.shape[1] if fmt == "csr" else A.shape[0]
-        return cls(A.indptr, A.indices, n), A.data
-
-    def tangent(self, values):
-        """The free columns and K on them, J having the given values.
-
-        A row of J with one nonzero value pins its column: K loses that
-        column's row and column, and J's entries in it, which empties the
-        pinning rows.  J's zero values never enter K.
-        """
-        m, n = self.shape
-        nz = values != 0.0
-        per_row = np.bincount(self.entry_rows[nz], minlength=m)
+        m, n = J.shape
+        r, c, v = _entries(J)
+        # a row with one nonzero pins its column; dropping the pinned columns
+        # empties those rows
         pinned = np.zeros(n, dtype=bool)
-        pinned[self.entry_cols[nz & (per_row[self.entry_rows] == 1)]] = True
-        free = ~pinned
-        return np.flatnonzero(free), self._gather(values, nz & free[self.entry_cols], free)
-
-    def system(self, values):
-        """K with every column, J having the given values; its zeros never
-        enter K."""
-        return self._gather(values, values != 0.0, self._true[:self.shape[1]])
-
-    def _gather(self, values, keep, free):
-        """K in CSC with J's entries where keep and I_n's columns where free.
-
-        Indices are 32-bit, as splu takes them.
-        """
-        import scipy.sparse as sp
-        m, _ = self.shape
-        true = self._true
-        use = np.concatenate([keep, free, true[:1]])[self.src]
-        # K keeps the free columns and every row of J; after a leading True,
-        # which starts K's first column at 0, kept[x + 1] tells whether full
-        # column x is kept and place[x + 1] is then its place in K
-        kept = np.concatenate([true[:1], free, true[:m]])
-        place = np.cumsum(kept, dtype=np.int32) - 2
-        ends = np.zeros(use.size + 1, dtype=np.int32)   # K's entries before each
-        np.cumsum(use, out=ends[1:])
-        size = int(place[-1]) + 1
-        data = np.concatenate([values, self._fixed])[self.src[use]]
-        return sp.csc_matrix((data, place[1:][self.rows[use]], ends[self.ptr[kept]]),
-                             shape=(size, size))
+        pinned[c[np.bincount(r, minlength=m)[r] == 1]] = True
+        at = np.cumsum(~pinned) - 1               # position of a free column in K
+        keep = ~pinned[c]
+        self.free = np.flatnonzero(~pinned)
+        self.lu = splu(_quasi_definite(self.free.size, m, r[keep], at[c[keep]], v[keep]))
 
 
-def min_norm_solve(A, r, layout=None):
+def _entries(A):
+    """(rows, columns, values) of the nonzero entries of a dense or sparse A,
+    in A's storage order; a sparse A holds no duplicate entries."""
+    import scipy.sparse as sp
+    if not (sp.issparse(A) and A.format in ("csr", "csc")):
+        A = sp.csr_matrix(A)
+    keep = A.data != 0.0
+    outer = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))[keep]
+    inner = A.indices[keep]
+    if A.format == "csr":
+        return outer, inner, A.data[keep]
+    return inner, outer, A.data[keep]
+
+
+def _quasi_definite(n, m, rows, cols, vals):
+    """K = [[I_n, B'], [B, -REG I_m]] in canonical CSC with 32-bit indices, as
+    splu takes them, B being m x n with entries (rows, cols, vals) in any
+    order: every entry of K, sorted by column and then row."""
+    import scipy.sparse as sp
+    diag = np.arange(n + m)
+    r = np.concatenate([diag, n + rows, cols])
+    c = np.concatenate([diag, cols, n + rows])
+    order = np.lexsort((r, c))
+    indptr = np.zeros(n + m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(c, minlength=n + m), out=indptr[1:])
+    data = np.concatenate([np.ones(n), np.full(m, -REG), vals, vals])
+    return sp.csc_matrix((data[order], r[order].astype(np.int32), indptr),
+                         shape=(n + m, n + m))
+
+
+def min_norm_solve(A, r):
     """x minimizing |A x - r|^2 + REG |x|^2, by one sparse LU.
 
     K [y; x] = [r; 0] with K = [[I, A], [A', -REG I]] gives y = r - A x and
     (A'A + REG I) x = A'r.  Roundoff in forming that system perturbs REG
     itself, so along A's null directions x is small rather than exactly zero:
-    a least-squares solution of nearly minimum norm.
-
-    A is dense or sparse.  A caller that keeps the KKTLayout of A' passes it
-    as layout and, as A, the values of A' in that layout's CSR order, so
-    that no matrix is formed.
+    a least-squares solution of nearly minimum norm.  A is dense or sparse.
     """
     from scipy.sparse.linalg import splu
-    if layout is None:
-        layout, A = KKTLayout.of(A, "csc")
     r = np.asarray(r, dtype=float)
-    k, n = layout.shape
+    n, k = np.shape(A)
     if r.shape != (n,):
         raise DimensionMismatch("A has %d rows, r has shape %r" % (n, r.shape))
+    rows, cols, vals = _entries(A)
     # a symmetric fill-reducing ordering, as K is symmetric; with splu's
     # default COLAMD the solution of [1, 1] x = 2 is off by 4e-4 in A's null
     # direction, with this one by roundoff
-    lu = splu(layout.system(A), permc_spec="MMD_AT_PLUS_A")
+    lu = splu(_quasi_definite(n, k, cols, rows, vals), permc_spec="MMD_AT_PLUS_A")
     return lu.solve(np.concatenate([r, np.zeros(k)]))[n:]
 
 

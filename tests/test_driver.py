@@ -232,8 +232,9 @@ def test_trial_multipliers_stay_off_the_clip(monkeypatch):
 
 
 def test_trial_multipliers_match_the_dense_solve(net, S):
-    # the K gathered through S.kkt_layout is the K min_norm_solve builds
-    # from a dense C'(v)', stored zeros dropped, so the two agree bit for bit
+    # trial_multipliers reads C'(v)' from J's CSR arrays, stored zeros
+    # included; min_norm_solve drops those zeros, so its K is the one a dense
+    # C'(v)' gives and the two agree bit for bit
     grid = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
     rng = np.random.default_rng(11)
     for net_, S_ in ((net, S), (grid, build_structure(grid))):

@@ -228,12 +228,14 @@ def _certify(T, b, box, w):
 @pytest.mark.parametrize("name", ["grid3x3_0.json", "grid4x4_1.json",
                                   "grid5x5_0.json"])
 def test_grid_projection_does_not_stall(name):
-    # the first Cauchy projection on these grids (3x3 with 3 OD pairs, 4x4
-    # with 4, 5x5 with 6) starts where many bounds are active; on the 4x4
-    # grid some of them depend on the bounds already in the working set.  On
-    # the 5x5 grid K^-1 e_i is asymmetric by up to 8e-8, and a Schur factor
-    # extended from one triangle of V[W] let bounds enter and leave until the
-    # loop stalled
+    # one outer step of solve_dap on these grids (3x3 with 3 OD pairs, 4x4
+    # with 4, 5x5 with 6) finishes in time; that step is taken in reduced
+    # coordinates and projects nothing.  The test certifies project at the
+    # first restored point z, on b = z - grad F(z), where many bounds are
+    # active; on the 4x4 grid some of them depend on the bounds already in
+    # the working set.  On the 5x5 grid K^-1 e_i is asymmetric by up to 8e-8,
+    # and a Schur factor extended from one triangle of V[W] let bounds enter
+    # and leave until the loop stalled
     net = parse_network((DATA / name).read_text(encoding="utf-8"))
     cfg = IRConfig(max_outer=1)
     start = time.perf_counter()
@@ -241,7 +243,7 @@ def test_grid_projection_does_not_stall(name):
     assert time.perf_counter() - start < 5.0
     assert res.outer_iterations == 1 and res.history
 
-    # certify that first projection (mu = 0)
+    # certify that projection
     S = build_structure(net)
     z = restore(net, S, net.target_demands, cfg)
     space = tangent_space(net, S, z)
@@ -305,9 +307,8 @@ def _lexsort_quasi_definite(n, m, r, c, v):
 
 def _reference_tangent(J):
     """Free columns and K = [[I, J_F'], [J_F, -REG I]] by the rule of the
-    sorted assembly the layout replaced: a row with one nonzero pins its
-    column, which leaves K with that row's and column's entries; K is then
-    sorted by lexsort."""
+    sorted assembly: a row with one nonzero pins its column, which leaves K
+    with that row's and column's entries; K is then sorted by lexsort."""
     m, n = J.shape
     r, c = np.nonzero(J)                           # row-major order
     v = J[r, c]
@@ -338,10 +339,40 @@ def _with_stored_zeros(rng, B):
     return sp.csr_matrix((B[r, c], (r, c)), shape=B.shape)
 
 
-def test_quasi_definite_matches_lexsort_assembly():
+def _unsorted(B):
+    """B in CSR with the column indices of each row in descending order."""
+    A = sp.csr_matrix(B)
+    indices, data = A.indices.copy(), A.data.copy()
+    for i in range(A.shape[0]):
+        row = slice(A.indptr[i], A.indptr[i + 1])
+        indices[row], data[row] = indices[row][::-1], data[row][::-1]
+    A = sp.csr_matrix((data, indices, A.indptr), shape=B.shape)
+    assert A.has_sorted_indices == (np.diff(A.indptr).max(initial=0) < 2)
+    return A
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The K of every splu call, in order; each LU solves to zeros."""
+    Ks = []
+
+    class Zero:
+        def solve(self, rhs):
+            return np.zeros_like(rhs)
+
+    def spy(K, *args, **kwargs):
+        Ks.append(K)
+        return Zero()
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
+    return Ks
+
+
+def test_quasi_definite_matches_lexsort_assembly(factored):
     # entry for entry, in the same order, so splu and every product with K
     # sum in the same order; B has empty rows and columns, m or n may be 0,
-    # and a pattern's stored zeros never enter K
+    # a pattern's stored zeros never enter K, and K is sorted whatever the
+    # order of A's indices
     rng = np.random.default_rng(505)
     shapes = [(0, 4), (3, 0), (0, 0), (1, 1), (5, 7), (8, 3)]
     shapes += [tuple(rng.integers(0, 9, size=2)) for _ in range(40)]
@@ -351,16 +382,15 @@ def test_quasi_definite_matches_lexsort_assembly():
         B[rng.random(m) < 0.3] = 0.0               # empty rows
         r, c = np.nonzero(B)
         ref = _lexsort_quasi_definite(n, m, r, c, B[r, c])
-        layout, values = projection.KKTLayout.of(B, "csr")
-        _assert_same_csc(layout.system(values), ref)
-        padded = _with_stored_zeros(rng, B)
-        layout = projection.KKTLayout(padded.indptr, padded.indices, n)
-        _assert_same_csc(layout.system(padded.data), ref)
+        for Bs in (B, _with_stored_zeros(rng, B), _unsorted(B)):
+            for A in (Bs.T, sp.csc_matrix(Bs.T), sp.csr_matrix(Bs.T)):
+                min_norm_solve(A, np.zeros(n))
+                _assert_same_csc(factored.pop(), ref)
 
 
-def test_layout_tangent_matches_sorted_assembly():
+def test_tangent_space_matches_sorted_assembly(factored):
     # random patterns, many of them with single-entry rows, some of which
-    # pin the same column, on their own layout and on one with stored zeros
+    # pin the same column: dense, with stored zeros and with unsorted indices
     rng = np.random.default_rng(506)
     for _ in range(60):
         m, n = (int(k) for k in rng.integers(0, 10, size=2))
@@ -370,14 +400,13 @@ def test_layout_tangent_matches_sorted_assembly():
                 B[i] = 0.0
                 B[i, rng.integers(n)] = rng.normal()
         free_ref, ref = _reference_tangent(B)
-        for layout, values in (projection.KKTLayout.of(B, "csr"),
-                               projection.KKTLayout.of(_with_stored_zeros(rng, B), "csr")):
-            free, K = layout.tangent(values)
-            assert np.array_equal(free, free_ref)
-            _assert_same_csc(K, ref)
+        for J in (B, _with_stored_zeros(rng, B), _unsorted(B)):
+            space = TangentSpace(np.zeros(n), J, np.zeros(n))
+            assert np.array_equal(space.free, free_ref)
+            _assert_same_csc(factored.pop(), ref)
 
 
-def test_layout_tangent_matches_sorted_assembly_on_grid_states():
+def test_tangent_space_matches_sorted_assembly_on_grid_states(factored):
     # restored grid states, whose Jacobians store zeros in beta and X, and
     # whose complementarity rows with one nonzero pin X or beta
     net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
@@ -390,11 +419,9 @@ def test_layout_tangent_matches_sorted_assembly_on_grid_states():
         assert np.count_nonzero(J.data == 0.0) > 0
         free_ref, ref = _reference_tangent(J.toarray())
         assert free_ref.size < S.state_dim
-        free, K = S.kkt_layout.tangent(J.data)
-        assert np.array_equal(free, free_ref)
-        _assert_same_csc(K, ref)
         space = tangent_space(net, S, z)
         assert np.array_equal(space.free, free_ref)
+        _assert_same_csc(factored.pop(), ref)
 
 
 def test_dependent_bound_is_tested_once_between_releases(monkeypatch):
