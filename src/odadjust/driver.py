@@ -5,7 +5,10 @@ Each outer iteration k:
   2. restoration: solve the assignment for the current demand block and recover
      multipliers, giving a feasible point z^k of the lifted system; while
      |C(z^k)| > RESTORE_RATIO |C(s^k)|, restore again with a tighter
-     assignment tolerance, at most RESTORE_TIGHTENINGS times
+     assignment tolerance, at most RESTORE_TIGHTENINGS times.  Every
+     assignment but the run's first starts from the path flows of the one
+     before it, so z^k stays close to s^k (Martinez's inexact restoration
+     asks for that) and equal-cost paths keep their split
   3. the equilibrium sensitivity Z = dz/dd at z^k (kkt.equilibrium_sensitivity)
      parametrizes by the demands d the piece of the equilibrium set on which
      the used paths stay used; the reduced gradient is g_d = Z' grad F(z^k),
@@ -145,9 +148,12 @@ def restore(net, S, d, cfg, work=None):
     """Feasibility phase: equilibrium flows for demands d plus certifying multipliers.
 
     work, when given, is a dict that receives the assignment's path flows
-    under "paths", as TapSolution.paths holds them.
+    under "paths", as TapSolution.paths holds them.  When it already holds
+    them, the assignment starts from them (solve_tap's start), warm;
+    otherwise it starts cold.
     """
-    sol = solve_tap(net, d, tol=cfg.tap_tol, max_iter=cfg.tap_max_iter)
+    start = work.get("paths") if work is not None else None
+    sol = solve_tap(net, d, tol=cfg.tap_tol, max_iter=cfg.tap_max_iter, start=start)
     if not sol.converged:
         raise MaxIterations(
             "restoration assignment stalled at relative gap %.3e" % sol.rgap)
@@ -168,7 +174,8 @@ def _restore_closer(net, S, d, cfg, work, normC_s):
     normC_s is |C(s)| at the current point s.  A restored point no closer
     to feasibility than s leaves the predicted reduction to roundoff.  A
     tightened assignment that cannot reach its tolerance keeps the last
-    restored point.
+    restored point.  Each restoration starts from the path flows in work,
+    those of the last assignment that converged, and leaves its own there.
     """
     z = restore(net, S, d, cfg, work)
     C_z = eval_C(net, S, z)

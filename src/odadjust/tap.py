@@ -6,8 +6,17 @@ paths it uses and the flow on each.  A sweep visits the commodities in order:
 it finds the commodity's shortest path under the current link times and moves
 flow to it from every other used path, by that path's excess cost over the
 summed cost derivatives of the links where the two paths differ, and at most
-all of its flow.  Conservation holds to roundoff at every iterate because a
-move keeps the commodity's total path flow.
+all of its flow.  The sweep then makes one restricted pass, which searches
+no path: each commodity with two or more used paths moves flow, by the same
+step, from every other used path to the cheapest of them under the running
+link times (Chen, Lee & Jayakrishnan, Math. Comput. Simul. 59, 2002).
+Conservation holds to roundoff at every iterate because a move keeps the
+commodity's total path flow.
+
+A solve starts cold, each commodity's demand on its shortest path under
+the zero-flow link times, or warm from the path flows of an earlier solve: a commodity with a
+positive total there starts from its paths, their flows scaled to its new
+demand.
 
 Each sweep starts from the flows v assembled from the path flows, and takes
 the link times t(v) and derivatives t'(v) once, from net.link_times and
@@ -22,8 +31,10 @@ every sweep rather than carried over, as the running v and the assembled v
 differ in the last bits.  Flows stay Python floats, so a time that overflows
 is inf without a NumPy warning; it is caught just before the next path
 search or the gap reads it, not where it arises, since a later move of the
-same commodity can bring it back.  A path search stops as soon as the nodes
-it is asked for have settled, whose labels are then final.
+same commodity can bring it back.  The restricted pass moves no flow off a
+path whose time is inf, so the gap that follows it raises.  A path search
+stops as soon as the nodes it is asked for have settled, whose labels are
+then final.
 """
 
 from __future__ import annotations
@@ -256,7 +267,17 @@ def _shift(polys, v, t, dt, flows, p, q):
     return True
 
 
-def solve_tap(net, d, tol=1e-8, max_iter=50000):
+def _shift_onto(polys, v, t, dt, flows, q):
+    """_shift every path of flows but q onto q, in the dict's order; returns
+    whether any flow moved, and flows without the paths it emptied."""
+    moved = False
+    for p in list(flows):
+        if p != q:
+            moved = _shift(polys, v, t, dt, flows, p, q) or moved
+    return moved, {p: h for p, h in flows.items() if h > 0.0}
+
+
+def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     """Solve the user-equilibrium assignment for fixed demand d.
 
     Parameters
@@ -265,16 +286,24 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
     d : array of per-commodity demands, nonnegative
     tol : target relative gap
     max_iter : cap on sweeps over all commodities
+    start : path flows shaped like TapSolution.paths, of this network, or
+        None; an active commodity with a positive total in start starts
+        from those paths, their flows scaled by d_i / total, and the others
+        start cold, all their demand on the shortest path under the
+        zero-flow link times
 
     Returns a TapSolution; `converged` is False when the budget ran out, in
     which case the best iterate found is returned rather than raising.
     Its `paths` are the path flows X is assembled from.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
     through its path shifts; each commodity's path search stops once the
-    destination settles, and relative_gap runs once per sweep, lending the
-    next sweep its times and the first commodity's search.  Every link
-    time is checked just before a path search or the gap reads it:
-    Unreachable is raised on the first that is not finite.
+    destination settles.  After the searches, one restricted pass shifts
+    each commodity's used paths onto the cheapest of them, their times
+    summed in path order, the first in the dict winning a tie.  relative_gap
+    runs once per sweep, lending the next sweep its times and the first
+    commodity's search.  Every link time is checked just before a path
+    search or the gap reads it: Unreachable is raised on the first that is
+    not finite.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (net.n_commodities,):
@@ -315,7 +344,15 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
         return X, aggregate_flows(net, X)
 
     t0 = net.link_times(np.zeros(n_links)).tolist()
-    paths = {i: {shortest(i, t0): float(d[i])} for i in active}
+    paths = {}
+    for i in active:
+        prev = (start or {}).get(i, {})
+        total = sum(prev.values())
+        if total > 0.0:
+            scale = float(d[i]) / total
+            paths[i] = {p: h * scale for p, h in prev.items()}
+        else:
+            paths[i] = {shortest(i, t0): float(d[i])}
     X, v = assemble()
     gap = {}
     rgap = relative_gap(net, d, v, gap)
@@ -336,12 +373,17 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000):
             _check_times(t)
             q = shortest(i, t, tree)
             tree = None
+            paths[i].setdefault(q, 0.0)
+            shifted, paths[i] = _shift_onto(polys, run_v, t, dt, paths[i], q)
+            moved = moved or shifted
+        # the restricted pass: each commodity's used paths shift onto the
+        # cheapest of them, with no search
+        for i in active:
             flows = paths[i]
-            flows.setdefault(q, 0.0)
-            for p in list(flows):
-                if p != q:
-                    moved = _shift(polys, run_v, t, dt, flows, p, q) or moved
-            paths[i] = {p: h for p, h in flows.items() if h > 0.0}
+            if len(flows) > 1:
+                q = min(flows, key=lambda p: sum([t[a] for a in p]))
+                shifted, paths[i] = _shift_onto(polys, run_v, t, dt, flows, q)
+                moved = moved or shifted
 
         X, v = assemble()
         rgap = relative_gap(net, d, v, gap)

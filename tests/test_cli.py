@@ -175,7 +175,7 @@ def test_tap_demand_validation(toy_file, capsys):
 
 def test_tap_budget_exit_code(tmp_path, capsys):
     path = _write(tmp_path, quadratic_toy_document())
-    assert main(["tap", "--input", path, "--tol", "1e-30", "--max-iter", "2"]) == 2
+    assert main(["tap", "--input", path, "--tol", "1e-30", "--max-iter", "1"]) == 2
     capsys.readouterr()
 
 

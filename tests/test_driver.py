@@ -23,6 +23,7 @@ from odadjust import (
     eval_F,
     parse_network,
     solve_dap,
+    solve_tap,
 )
 from odadjust.driver import (
     STATUS_CONVERGED,
@@ -409,6 +410,8 @@ def test_solve_dap_adjusts_perturbed_start(net):
     ("grid2x2_1.json", 20, None),        # 41 steps in the lifted space
     ("grid2x2_4.json", 20, 0.847134),    # max_outer at 1.122612 in the lifted space
     ("grid3x3_0.json", 20, 0.787177),    # 83 steps in the lifted space
+    ("grid4x4_0.json", 20, 0.308594),    # a kink at F*; stalled there in 17 steps
+                                         # with cold restorations and no restricted pass
     ("grid4x4_1.json", 20, None),        # 39 steps in the lifted space
     ("grid5x5_0.json", 30, 1.981860),    # SolverStalled in the lifted space
 ])
@@ -481,6 +484,25 @@ def test_restoration_keeps_its_point_when_a_tightening_fails(monkeypatch):
     assert failed and set(failed) == {cfg.tap_tol * driver_module.RESTORE_TIGHTEN}
     assert res.outer_iterations > len(failed)
     assert res.F_final <= 0.787177 * (1.0 + 1e-3)
+
+
+def test_restorations_start_from_the_last_path_flows(monkeypatch):
+    # the first restoration starts cold; every later one, tightened ones
+    # included, starts from the path flows of the one before it
+    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    calls = []
+
+    def spy(*args, start=None, **kwargs):
+        sol = solve_tap(*args, start=start, **kwargs)
+        calls.append((start, sol.paths))
+        return sol
+
+    monkeypatch.setattr(driver_module, "solve_tap", spy)
+    res = solve_dap(net)
+    assert res.status == STATUS_CONVERGED
+    assert len(calls) >= res.outer_iterations >= 2
+    assert calls[0][0] is None
+    assert all(start is paths for (start, _), (_, paths) in zip(calls[1:], calls))
 
 
 def test_solve_dap_rejects_infeasible_start(net):

@@ -25,6 +25,16 @@ def test_ladder_runs_one_row():
     assert abs(float(F) - float(ref)) <= 1e-6 and float(seconds) >= 0.0
 
 
+def test_ladder_converges_on_4x4_i0():
+    # commodity 3 has a tied path with zero flow at F*, a kink at which the
+    # reduced phase can stall
+    proc = _ladder("4x4-i0")
+    assert proc.returncode == 0, proc.stderr
+    name, status, steps, F, seconds, ref = proc.stdout.splitlines()[1].split()
+    assert (name, status, ref) == ("4x4-i0", "converged", "0.308594")
+    assert abs(float(F) - float(ref)) <= 1e-6
+
+
 def test_ladder_rejects_an_unknown_row():
     proc = _ladder("2x2-i9")
     assert proc.returncode == 2
