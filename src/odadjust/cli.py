@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -228,7 +229,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("%s\n%s" % (message, self.format_usage().rstrip()))
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, not even in the --set list, which argparse copies before
+    appending."""
     parser = _Parser(
         prog="odadjust",
         description="Adjust origin-destination demands to observed link flows "

@@ -20,21 +20,26 @@ demand.
 
 Each sweep starts from the flows v assembled from the path flows, and takes
 the link times t(v) and derivatives t'(v) once, from net.link_times and
-net.link_time_derivs, as Python lists.  The times are those relative_gap
-has just evaluated at the same v, and the first commodity's path comes from
-the gap's search out of its origin: that search settled the commodity's
-destination, so its path there is final.  A move changes v only on the links
-where its two paths differ, and only those links' entries are re-evaluated,
-by Horner's rule in the same order, so the lists stay t and t' of the
-running flows bit for bit.  The lists are rebuilt from the assembled v at
-every sweep rather than carried over, as the running v and the assembled v
-differ in the last bits.  Flows stay Python floats, so a time that overflows
-is inf without a NumPy warning; it is caught just before the next path
-search or the gap reads it, not where it arises, since a later move of the
-same commodity can bring it back.  The restricted pass moves no flow off a
-path whose time is inf, so the gap that follows it raises.  A path search
-stops as soon as the nodes it is asked for have settled, whose labels are
-then final.
+net.link_time_derivs, as Python lists.  The times are those the sweep's
+convergence test has just evaluated at the same v.  A move changes v only
+on the links where its two paths differ, and only those links' entries are
+re-evaluated, by Horner's rule in the same order, so the lists stay t and
+t' of the running flows bit for bit.  Which links those are is worked out
+once per pair of paths in a solve.  The lists are rebuilt from the
+assembled v at every sweep rather than carried over, as the running v and
+the assembled v differ in the last bits.  Flows stay Python floats, so a
+time that overflows is inf without a NumPy warning; it is caught just
+before the next path search or the convergence test reads it, not where it
+arises, since a later move of the same commodity can bring it back.  The
+restricted pass moves no flow off a path whose time is inf, so the test
+that follows it raises.  A path search stops as soon as the nodes it is
+asked for have settled, whose labels are then final.
+
+The convergence test first bounds the relative gap from below by the used
+paths alone, with no search: each commodity's cheapest used path stands in
+for its shortest path.  Only where that bound is within the tolerance does
+relative_gap search, so in most sweeps no gap search runs; a solve that
+stops on a bound takes the exact gap once at the end.
 """
 
 from __future__ import annotations
@@ -182,15 +187,14 @@ def beckmann_objective(net, v):
     return out
 
 
-def relative_gap(net, d, v, work=None):
+def relative_gap(net, d, v):
     """(t(v).v - sum_i d_i * sp_i) / t(v).v, the standard equilibrium gap.
 
     Each origin's search stops once the destinations of its commodities with
     nonzero demand have settled.  Raises Unreachable when a link time t(v),
     the total t(v).v or the sum of the shortest-path costs is not finite.
-    work, when given, is a dict that receives the gap's work for solve_tap's
-    next sweep: t(v) as a list under "times", and under "trees" each
-    origin's search, keyed by origin index.
+    solve_tap calls it only where _gap_bound, which needs no search, cannot
+    rule out that the gap is within the tolerance.
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -201,8 +205,6 @@ def relative_gap(net, d, v, work=None):
         targets.setdefault(int(net.origin_idx[i]), set()).add(int(net.destination_idx[i]))
     costs = t.tolist()
     trees = {o: _dijkstra(net, costs, o, dests) for o, dests in targets.items()}
-    if work is not None:
-        work["times"], work["trees"] = costs, trees
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(t @ v)
@@ -213,6 +215,37 @@ def relative_gap(net, d, v, work=None):
                               "travel time of these flows, or of their "
                               "shortest paths, is not finite")
     return (total - best) / max(total, _EPS_DEN)
+
+
+def _gap_bound(net, d, v, paths):
+    """A lower bound on relative_gap(net, d, v) from the used paths alone,
+    and t(v) as a list.
+
+    paths maps each commodity with nonzero demand, in index order, to the
+    paths it uses.  The bound is relative_gap's expression with each
+    shortest-path cost sp_i replaced by the cheapest used path's cost, each
+    path's times summed in travel order from 0.0.  A search's label is that
+    same in-order sum along its tree path, and rounding is monotone, so the
+    label is at most every path's sum, and the bound at most relative_gap,
+    bit for bit.  The bound is NaN or -inf, above no tolerance, where t(v).v
+    or a used path's cost overflows; raises Unreachable when a link time is
+    not finite.
+    """
+    t = _link_times(net, v)
+    costs = t.tolist()
+    best = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(t @ v)
+        for i, flows in paths.items():
+            cheapest = math.inf
+            for p in flows:
+                cost = 0.0
+                for a in p:
+                    cost += costs[a]
+                if cost < cheapest:
+                    cheapest = cost
+            best += d[i] * cheapest
+        return (total - best) / max(total, _EPS_DEN), costs
 
 
 def _link_polys(net):
@@ -229,21 +262,31 @@ def _link_polys(net):
     return polys
 
 
-def _shift(polys, v, t, dt, flows, p, q):
-    """Move flow of one commodity from path p to path q by a diagonal Newton
-    step on the Beckmann objective, capped at p's flow.  v, t and dt are
-    lists of the link flows, times and time derivatives; on a move v follows,
-    and t and dt are re-evaluated on the links where p and q differ.
-    Returns whether any flow moved."""
+def _pair_diff(p, q):
+    """The links of path p not on path q and those of q not on p, each in
+    its path's order, and the two joined: what _shift reads of a pair."""
     q_set, p_set = set(q), set(p)
     only_p = [a for a in p if a not in q_set]
     only_q = [a for a in q if a not in p_set]
+    return only_p, only_q, only_p + only_q
+
+
+def _shift(polys, v, t, dt, flows, p, q, pairs):
+    """Move flow of one commodity from path p to path q by a diagonal Newton
+    step on the Beckmann objective, capped at p's flow.  v, t and dt are
+    lists of the link flows, times and time derivatives; on a move v follows,
+    and t and dt are re-evaluated on the links where p and q differ.  pairs
+    is a dict of _pair_diff results keyed by (p, q); a pair missing from it
+    is added.  Returns whether any flow moved."""
+    diff = pairs.get((p, q))
+    if diff is None:
+        diff = pairs[p, q] = _pair_diff(p, q)
+    only_p, only_q, changed = diff
     t_p = sum([t[a] for a in only_p])
     t_q = sum([t[a] for a in only_q])
     excess = t_p - t_q
     if not excess > _EPS_SHIFT * (t_p + t_q):
         return False
-    changed = only_p + only_q
     curv = sum([dt[a] for a in changed])
     h = flows[p]
     step = h if excess >= h * curv else excess / curv
@@ -267,13 +310,13 @@ def _shift(polys, v, t, dt, flows, p, q):
     return True
 
 
-def _shift_onto(polys, v, t, dt, flows, q):
+def _shift_onto(polys, v, t, dt, flows, q, pairs):
     """_shift every path of flows but q onto q, in the dict's order; returns
     whether any flow moved, and flows without the paths it emptied."""
     moved = False
     for p in list(flows):
         if p != q:
-            moved = _shift(polys, v, t, dt, flows, p, q) or moved
+            moved = _shift(polys, v, t, dt, flows, p, q, pairs) or moved
     return moved, {p: h for p, h in flows.items() if h > 0.0}
 
 
@@ -294,16 +337,22 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
 
     Returns a TapSolution; `converged` is False when the budget ran out, in
     which case the best iterate found is returned rather than raising.
-    Its `paths` are the path flows X is assembled from.
+    Its `paths` are the path flows X is assembled from, and its `rgap` is
+    relative_gap at its v.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
     through its path shifts; each commodity's path search stops once the
     destination settles.  After the searches, one restricted pass shifts
     each commodity's used paths onto the cheapest of them, their times
-    summed in path order, the first in the dict winning a tie.  relative_gap
-    runs once per sweep, lending the next sweep its times and the first
-    commodity's search.  Every link time is checked just before a path
-    search or the gap reads it: Unreachable is raised on the first that is
-    not finite.
+    summed in path order, the first in the dict winning a tie.  The links
+    where two paths differ are found once per (p, q) pair and kept for the
+    rest of the solve.  At the start and after every sweep, _gap_bound
+    bounds the gap from the used paths; relative_gap runs only where the
+    bound is at most tol, as only there can the solve have converged, and
+    once at the end if the last bound was above tol.  The bound never
+    exceeds the gap, so the sweeps are those that a test of the exact gap
+    after every sweep would make.  Every link time is checked just before a
+    path search or the bound reads it: Unreachable is raised on the first
+    that is not finite.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (net.n_commodities,):
@@ -317,12 +366,10 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     polys = _link_polys(net)
     cols = {}       # (commodity, path) -> the path's positions in X
 
-    def shortest(i, t, tree=None):
+    def shortest(i, t):
         o = int(net.origin_idx[i])
         dest = int(net.destination_idx[i])
-        if tree is None:
-            tree = _dijkstra(net, t, o, (dest,))
-        return tuple(_path_links(net, tree, o, dest))
+        return tuple(_path_links(net, _dijkstra(net, t, o, (dest,)), o, dest))
 
     def assemble():
         # X from the path flows, each entry summed in path order from +0.0;
@@ -353,28 +400,27 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
             paths[i] = {p: h * scale for p, h in prev.items()}
         else:
             paths[i] = {shortest(i, t0): float(d[i])}
+    pairs = {}      # (p, q) -> _pair_diff(p, q), for every pair _shift meets
     X, v = assemble()
-    gap = {}
-    rgap = relative_gap(net, d, v, gap)
+    bound, t = _gap_bound(net, d, v, paths)
+    # the exact gap only where the bound cannot rule convergence out
+    rgap = None if bound > tol else relative_gap(net, d, v)
     iterations = 0
-    converged = rgap <= tol
+    converged = rgap is not None and rgap <= tol
 
     while not converged and iterations < max_iter:
         iterations += 1
         moved = False
         # the running flows and their link times and derivatives, as lists;
-        # the times are the gap's, and so is the first search
-        t = gap["times"]
+        # the times are the bound's
         with np.errstate(over="ignore"):
             dt = net.link_time_derivs(v).tolist()
         run_v = v.tolist()
-        tree = gap["trees"][int(net.origin_idx[active[0]])] if active else None
         for i in active:
             _check_times(t)
-            q = shortest(i, t, tree)
-            tree = None
+            q = shortest(i, t)
             paths[i].setdefault(q, 0.0)
-            shifted, paths[i] = _shift_onto(polys, run_v, t, dt, paths[i], q)
+            shifted, paths[i] = _shift_onto(polys, run_v, t, dt, paths[i], q, pairs)
             moved = moved or shifted
         # the restricted pass: each commodity's used paths shift onto the
         # cheapest of them, with no search
@@ -382,16 +428,19 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
             flows = paths[i]
             if len(flows) > 1:
                 q = min(flows, key=lambda p: sum([t[a] for a in p]))
-                shifted, paths[i] = _shift_onto(polys, run_v, t, dt, flows, q)
+                shifted, paths[i] = _shift_onto(polys, run_v, t, dt, flows, q, pairs)
                 moved = moved or shifted
 
         X, v = assemble()
-        rgap = relative_gap(net, d, v, gap)
-        if rgap <= tol:
+        bound, t = _gap_bound(net, d, v, paths)
+        rgap = None if bound > tol else relative_gap(net, d, v)
+        if rgap is not None and rgap <= tol:
             converged = True
         elif not moved:
             # no commodity can improve; stuck at the attainable accuracy
             break
+    if rgap is None:
+        rgap = relative_gap(net, d, v)
 
     return TapSolution(X=X, v=v, beckmann=beckmann_objective(net, v),
                        rgap=rgap, iterations=iterations, converged=converged,

@@ -397,6 +397,25 @@ def test_solve_set_validation(toy_file, capsys):
                             capsys), setting
 
 
+def test_parser_is_built_once_and_keeps_no_state(toy_file, tmp_path):
+    # main reuses one parser per process; a --set given to one call is not
+    # in the next call's arguments or settings
+    assert cli._build_parser() is cli._build_parser()
+    first = cli._build_parser().parse_args(["solve", "--input", toy_file,
+                                            "--set", "max_outer=1"])
+    again = cli._build_parser().parse_args(["solve", "--input", toy_file])
+    assert first.set == ["max_outer=1"] and again.set == []
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["solve", "--input", toy_file, "--report", str(r1),
+                 "--set", "max_outer=1"]) == 2
+    assert main(["solve", "--input", toy_file, "--report", str(r2)]) == 0
+    report1 = json.loads(r1.read_text(encoding="utf-8"))
+    report2 = json.loads(r2.read_text(encoding="utf-8"))
+    assert report1["solver"]["max_outer"] == 1
+    assert report2["solver"]["max_outer"] == 200
+    assert report2["status"] == "converged"
+
+
 def test_removed_settings_are_input_errors(toy_file, tmp_path, capsys):
     # the method's constants live in odadjust.driver, not in IRConfig
     assert main(["solve", "--input", toy_file, "--set", "eta=2"]) == 1

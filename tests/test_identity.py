@@ -33,4 +33,5 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
     grid = (out / "dap-grid.txt").read_text(encoding="utf-8")
     assert re.fullmatch(r"sha256 [0-9a-f]{64}\nF_final \S+\nstatus \w+\n", grid)
     tap = (out / "tap-grid.txt").read_text(encoding="utf-8")
-    assert re.fullmatch(r"sha256 [0-9a-f]{64}\n(\S+ iterations \d+ rgap \S+\n){4}", tap)
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}\n(\S+ iterations \d+ rgap \S+\n){4}"
+                        r"grid6x6-od10-s0 sha256 [0-9a-f]{64} iterations \d+ rgap \S+\n", tap)

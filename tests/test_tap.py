@@ -28,7 +28,7 @@ from odadjust import (
 )
 from odadjust.errors import DimensionMismatch, Unreachable
 from odadjust import tap
-from odadjust.tap import _dijkstra, _link_polys, _path_links, _shift
+from odadjust.tap import _dijkstra, _gap_bound, _link_polys, _path_links, _shift
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -104,13 +104,13 @@ def test_path_shift_lands_on_equal_costs(net):
     v, t, dt = _kept_lists(net, [1.5, 1.75, 0.0, 0.0])
     polys = _link_polys(net)
     flows = {(1,): 1.75, (0, 2): 0.0}
-    assert _shift(polys, v, t, dt, flows, (1,), (0, 2))
+    assert _shift(polys, v, t, dt, flows, (1,), (0, 2), {})
     assert_allclose(flows[(0, 2)], 1.0 / 12.0, rtol=1e-15)
     assert_allclose(flows[(1,)], 5.0 / 3.0, rtol=1e-15)
     assert_allclose(v, TOY_V, rtol=1e-15, atol=1e-15)
     t = net.link_times(v)
     assert_allclose(t[1], t[0] + t[2], rtol=1e-15)
-    assert not _shift(polys, v, t, dt, flows, (1,), (0, 2))     # nothing left to gain
+    assert not _shift(polys, v, t, dt, flows, (1,), (0, 2), {})     # nothing left to gain
 
 
 def test_path_shift_capped_at_path_flow(net):
@@ -118,7 +118,7 @@ def test_path_shift_capped_at_path_flow(net):
     # exceeds it, so all of it moves to the direct link and the path empties
     v, t, dt = _kept_lists(net, [1.4, 1.85, 0.0, 0.1])
     flows = {(0,): 1.4, (1, 3): 0.1}
-    assert _shift(_link_polys(net), v, t, dt, flows, (1, 3), (0,))
+    assert _shift(_link_polys(net), v, t, dt, flows, (1, 3), (0,), {})
     assert flows[(1, 3)] == 0.0
     assert_allclose(flows[(0,)], 1.5, rtol=1e-15)
     assert_allclose(v, [1.5, 1.75, 0.0, 0.0], atol=1e-15)
@@ -132,6 +132,7 @@ def test_path_shifts_keep_times_of_the_running_flows():
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     rng = np.random.default_rng(7)
     polys = _link_polys(gnet)
+    pairs = {}
 
     def path(costs, o, dest):
         return tuple(_path_links(gnet, _dijkstra(gnet, costs, o, {dest}), o, dest))
@@ -144,7 +145,8 @@ def test_path_shifts_keep_times_of_the_running_flows():
             p = path(rng.uniform(1.0, 2.0, gnet.n_links), o, dest)
             q = path(t, o, dest)
             if p != q:
-                moves += _shift(polys, v, t, dt, {p: rng.uniform(0.0, 2.0), q: 0.0}, p, q)
+                moves += _shift(polys, v, t, dt, {p: rng.uniform(0.0, 2.0), q: 0.0}, p, q,
+                                pairs)
         assert moves > 20
         va = np.array(v)
         assert_array_equal(np.array(t).view(np.int64), gnet.link_times(va).view(np.int64))
@@ -279,19 +281,109 @@ def test_solve_tap_deterministic():
     assert first.iterations == again.iterations
 
 
-def test_sweep_takes_its_first_search_from_the_gap(monkeypatch):
-    # a sweep's first commodity takes its path from the search the gap made
-    # at the same flows, so the sweeps search once per further commodity,
-    # after one search per commodity for the starting paths
+def test_sweep_searches_once_per_commodity(monkeypatch):
+    # one search per commodity for the starting paths and one per commodity
+    # in every sweep, each stopping at the commodity's destination; the
+    # exact gap searches once per origin, and runs twice: at the cold start,
+    # where each commodity has one path and the bound is 0 up to roundoff,
+    # and at the sweep that converges
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     searches = []
     monkeypatch.setattr(tap, "_dijkstra", lambda net_, costs, o, targets=None:
                         searches.append(targets) or _dijkstra(net_, costs, o, targets))
     sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
     active = gnet.n_commodities
+    origins = len(set(gnet.origin_idx.tolist()))
     assert active >= 2 and sol.converged and sol.iterations > 0
     assert (sum(isinstance(t, tuple) for t in searches)
-            == active + sol.iterations * (active - 1))
+            == active + sol.iterations * active)
+    assert sum(isinstance(t, set) for t in searches) == 2 * origins
+    assert len(searches) == active + sol.iterations * active + 2 * origins
+
+
+def _spy_gap_tests(monkeypatch):
+    """Record each bound solve_tap computes, with the gap at the same flows,
+    and each exact gap it runs, in call order."""
+    events = []
+
+    def bound(net_, d, v, paths):
+        b, costs = _gap_bound(net_, d, v, paths)
+        events.append(("bound", b, relative_gap(net_, d, v)))
+        return b, costs
+
+    def gap(net_, d, v):
+        events.append(("gap",))
+        return relative_gap(net_, d, v)
+
+    monkeypatch.setattr(tap, "_gap_bound", bound)
+    monkeypatch.setattr(tap, "relative_gap", gap)
+    return events
+
+
+@pytest.mark.parametrize("name", ["grid3x3_0.json", "grid5x5_0.json"])
+def test_gap_bound_never_exceeds_the_gap(name, monkeypatch):
+    # after every sweep, cold and warm-started from the paths of other
+    # demands (one commodity then starts cold), the bound from the used
+    # paths is at most the exact gap, bit for bit; it is a usable bound,
+    # above the tolerance in most sweeps
+    gnet = parse_network((DATA / name).read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    other = 0.8 * d
+    other[1] = 0.0
+    warm = solve_tap(gnet, other, tol=1e-8).paths
+    events = _spy_gap_tests(monkeypatch)
+    for start in (None, warm):
+        del events[:]
+        sol = solve_tap(gnet, d, tol=1e-10, start=start)
+        assert sol.converged and sol.iterations > 5
+        bounds = [e for e in events if e[0] == "bound"]
+        assert len(bounds) == sol.iterations + 1
+        assert all(b <= g for _, b, g in bounds)
+        assert sum(b > 1e-10 for _, b, _ in bounds) >= sol.iterations - 2
+
+
+def test_exact_gap_runs_only_where_the_bound_allows(monkeypatch):
+    # the exact gap runs right after each bound at or below the tolerance,
+    # never after one above it, and once more at the end when the last
+    # bound was above it: when the budget runs out and when no flow moves
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    events = _spy_gap_tests(monkeypatch)
+    for tol, budget in ((1e-8, 50000), (1e-8, 3), (0.0, 3), (1e-30, 50000)):
+        del events[:]
+        sol = solve_tap(gnet, d, tol=tol, max_iter=budget)
+        kinds = [e[0] for e in events]
+        assert kinds.count("bound") == sol.iterations + 1
+        for k, e in enumerate(events):
+            if e[0] == "bound":
+                follows = kinds[k + 1:k + 2] == ["gap"]
+                assert follows == (not e[1] > tol) or (follows and k == len(events) - 2)
+            else:
+                assert kinds[k - 1] == "bound"
+        assert kinds[-1] == "gap"
+        assert kinds.count("gap") <= sum(not e[1] > tol for e in events
+                                         if e[0] == "bound") + 1
+        assert sol.rgap == relative_gap(gnet, d, sol.v)
+        assert sol.converged == (sol.rgap <= tol)
+
+
+def test_path_pair_differences_once_per_solve(monkeypatch):
+    # the links where two paths differ are found once per distinct (p, q)
+    # pair a solve shifts between, and again by the next solve
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    diffs, shifts = [], []
+    pair_diff, shift = tap._pair_diff, tap._shift
+    monkeypatch.setattr(tap, "_pair_diff", lambda p, q:
+                        diffs.append((p, q)) or pair_diff(p, q))
+    monkeypatch.setattr(tap, "_shift", lambda *args:
+                        shifts.append(args[5:7]) or shift(*args))
+    first = solve_tap(gnet, gnet.target_demands, tol=1e-8)
+    assert len(shifts) > 2 * len(diffs) > 0
+    assert len(set(diffs)) == len(diffs) == len(set(shifts))
+    once = len(diffs)
+    again = solve_tap(gnet, gnet.target_demands, tol=1e-8)
+    assert len(diffs) == 2 * once
+    assert again.X.tobytes() == first.X.tobytes()
 
 
 def test_solve_tap_grid_sweeps():

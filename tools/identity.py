@@ -3,8 +3,10 @@
     python3 tools/identity.py OUT_DIR
 
 Runs, at seed 0 and with one BLAS thread, the 9 `odadjust solve` operations
-of the benchmark's dap-small workload, the dap-grid `solve_dap` run and the
-4 tap-grid `solve_tap` calls, all on the package in this checkout's src.
+of the benchmark's dap-small workload, the dap-grid `solve_dap` run, the
+4 tap-grid `solve_tap` calls and a cold `solve_tap` on the 6x6 grid with 10
+OD pairs (instance 0, not relabelled), all on the package in this
+checkout's src.
 OUT_DIR receives:
 
 - `<op>.log` and `<op>.report.json` for each dap-small operation, the
@@ -13,7 +15,8 @@ OUT_DIR receives:
 - `dap-grid.txt`: the SHA-256 of d, X, mu, F, status and history of the
   dap-grid run, then its F and status;
 - `tap-grid.txt`: the SHA-256 of X, v, relative gap and sweep count of the
-  4 tap-grid `solve_tap` calls, then each call's sweeps and gap.
+  4 tap-grid `solve_tap` calls, then each call's sweeps and gap, then one
+  line with the 6x6 call's own SHA-256 of the same, its sweeps and gap.
 
 Run it on two checkouts; `diff -r OUT_A OUT_B` is then the check that a
 change leaves every recorded number as it was.
@@ -39,7 +42,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 
-from instances import TOY_STARTS  # noqa: E402
+from instances import TOY_STARTS, grid_instance  # noqa: E402
 from workloads import DAP_GRID_OUTER, TAP_TOL, WORKLOADS  # noqa: E402
 
 SEED = 0
@@ -95,20 +98,29 @@ def dap_grid_digest():
     return h.hexdigest(), res.F_final, res.status
 
 
-def tap_grid_digest():
-    """SHA-256 of the tap-grid solutions, and one line per call."""
+def _tap_digest(h, inst):
+    """Solve inst cold at the benchmark's tolerance into the hash h; returns
+    the call's sweeps and gap as a line tail."""
     from odadjust import parse_network, solve_tap
 
+    net = parse_network(inst.text)
+    sol = solve_tap(net, net.target_demands, tol=TAP_TOL)
+    for arr in (sol.X, sol.v):
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    h.update(repr((float(sol.rgap), sol.iterations)).encode())
+    return "iterations %d rgap %r\n" % (sol.iterations, float(sol.rgap))
+
+
+def tap_grid_digest():
+    """SHA-256 of the tap-grid solutions, one line per call, and the line of
+    the 6x6 call."""
     h = hashlib.sha256()
-    lines = []
-    for inst in WORKLOADS["tap-grid"].instances(np.random.default_rng(SEED)):
-        net = parse_network(inst.text)
-        sol = solve_tap(net, net.target_demands, tol=TAP_TOL)
-        for arr in (sol.X, sol.v):
-            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-        h.update(repr((float(sol.rgap), sol.iterations)).encode())
-        lines.append("%s iterations %d rgap %r\n"
-                     % (inst.name, sol.iterations, float(sol.rgap)))
+    lines = ["%s %s" % (inst.name, _tap_digest(h, inst))
+             for inst in WORKLOADS["tap-grid"].instances(np.random.default_rng(SEED))]
+    large = hashlib.sha256()
+    inst = grid_instance(6, 10, 0)
+    tail = _tap_digest(large, inst)
+    lines.append("%s sha256 %s %s" % (inst.name, large.hexdigest(), tail))
     return h.hexdigest(), lines
 
 
