@@ -12,7 +12,7 @@ from .driver import (DapResult, IRConfig, IterationRecord, STATUS_CONVERGED,
                      STATUS_MAX_OUTER, STATUS_STALLED, solve_dap)
 from .errors import (DanglingReference, DimensionMismatch, DuplicateId,
                      InfeasibleTheta, InputError, MalformedInput, MaxIterations,
-                     NegativeCoefficient, NoCandidate, NonFiniteObjective,
+                     NegativeCoefficient, NonFiniteObjective,
                      OdAdjustError, ResidualTooLarge, SolverStalled, TooLarge,
                      Unreachable, UnreachableDestination)
 from .kkt import (equilibrium_sensitivity, eval_C, eval_C_jacobian, eval_F,
@@ -39,7 +39,7 @@ __all__ = [
     "OdAdjustError", "InputError", "MalformedInput", "DuplicateId",
     "DanglingReference", "NegativeCoefficient", "UnreachableDestination",
     "DimensionMismatch", "Unreachable", "MaxIterations",
-    "ResidualTooLarge", "SolverStalled", "NoCandidate", "NonFiniteObjective",
+    "ResidualTooLarge", "SolverStalled", "NonFiniteObjective",
     "InfeasibleTheta",
     "TooLarge",
 ]

@@ -15,19 +15,22 @@ Each outer iteration k:
      and the projected-gradient step in d is r_tan = max(d - g_d, 0) - d.
      Stop if z^k is close to s^k and r_tan vanishes
   4. optimization phase, in d: find a demand step in the trust box, lifted to
-     v = max(z^k + Z dd, lower), that matches at least the Lagrangian decrease
-     of the broken Cauchy point; the first trial is the spectral step
+     v = max(z^k + Z dd, lower), that matches at least the decrease of F
+     at the broken Cauchy point; the first trial is the spectral step
      clip(d - sigma_k g_d) - d, with the Barzilai-Borwein factor
      sigma_k = s's / s'y, s = d^k - d^{k-1} and y = g_d^k - g_d^{k-1}
      (sigma_0 = 1)
-  5. trial multipliers at v by regularized least squares, clipped to a bound
-  6. pick the largest penalty weight theta keeping the predicted reduction of
-     the two-term merit at half the feasibility gain
-  7. accept when the actual reduction reaches a tenth of the prediction,
+  5. pick the largest penalty weight theta keeping the predicted reduction of
+     the merit theta F + (1 - theta) |C| at half the feasibility gain
+  6. accept when the actual reduction reaches a tenth of the prediction,
      otherwise shrink the trust box and retry from step 4
 
-States are flat vectors laid out by StructureMatrices.slices; multipliers
-follow its residual_slices.
+Martinez's method takes any bounded multiplier estimate in its Lagrangian,
+and the stop test reads none, so the driver takes mu = 0: its Lagrangian is
+F, and an outer step evaluates no Jacobian and factors nothing.
+
+States are flat vectors laid out by StructureMatrices.slices; the mu of
+trial_multipliers follows its residual_slices.
 
 The method's own constants; IRConfig holds only what a caller chooses:
 
@@ -40,7 +43,8 @@ The method's own constants; IRConfig holds only what a caller chooses:
                        within 40 rejections since it starts at most 1
   TAU1, TAU2           radius-proportional and absolute sufficient-decrease
                        margins of the optimization phase
-  M_BOUND              clip bound for trial multipliers
+  M_BOUND              clip bound of trial_multipliers, which the solver no
+                       longer calls
   SIGMA_MIN, SIGMA_MAX clip range of the spectral factor sigma_k
   CAUCHY_ARMIJO        sufficient decrease of the broken Cauchy point
   RESTORE_RATIO        a restored point must be at least this much closer to
@@ -57,7 +61,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleTheta, MaxIterations, NoCandidate
+from .errors import DimensionMismatch, InfeasibleTheta, MaxIterations
 from .kkt import (eval_C, eval_F, equilibrium_sensitivity, grad_F_state,
                   jacobian_values, recover_multipliers)
 from .network import build_structure
@@ -134,7 +138,6 @@ class DapResult:
     F_final: float
     status: str
     history: list = field(default_factory=list)
-    mu_final: np.ndarray | None = None
     outer_iterations: int = 0
 
 
@@ -210,8 +213,8 @@ def cauchy_direction(net, S, z, Z):
 
     Z = dz/dd is the sensitivity of z (kkt.equilibrium_sensitivity).  The
     reduced gradient is g_d = Z' grad F(z): along Z the linearized residual
-    stays zero, so the multipliers' term J' mu adds nothing to it.  The step
-    is max(d - g_d, 0) - d, the projection onto d >= 0 being a clip.
+    stays zero.  The step is max(d - g_d, 0) - d, the projection onto
+    d >= 0 being a clip.
     """
     g_d = Z.T @ grad_F_state(net, S, z)
     d = z[S.slices[0]]
@@ -246,7 +249,8 @@ def trial_multipliers(net, S, v):
 
     projection.min_norm_solve does it by one sparse LU of a K assembled from
     C'(v)^T, which is C'(v)'s CSR arrays read as CSC; projection.REG damps the
-    directions in which C'(v)^T is nearly singular.
+    directions in which C'(v)^T is nearly singular.  solve_dap does not call
+    it: the solver takes mu = 0.
     """
     import scipy.sparse as sp
     g = grad_F_state(net, S, v)
@@ -259,7 +263,7 @@ def trial_multipliers(net, S, v):
 def choose_theta(a, b, theta_prev):
     """Largest theta in [0, theta_prev] with Pred(theta) >= b/2.
 
-    Pred(theta) = theta * a + (1 - theta) * b, where a is the Lagrangian part
+    Pred(theta) = theta * a + (1 - theta) * b, where a is the objective part
     of the predicted reduction and b the feasibility part.  Raises
     InfeasibleTheta when no admissible theta exists (only possible for b < 0,
     which is roundoff noise since restoration does not increase |C|).
@@ -282,72 +286,66 @@ def accept_step(ared, pred):
     return ared >= 0.1 * pred
 
 
-def find_candidate(net, S, mu, z, Z, r_tan, delta, at_z, sigma):
+def find_candidate(net, S, z, Z, r_tan, delta, at_z, sigma):
     """Optimization phase: a point v on the equilibrium piece of the restored
     point z, its demands in the box of radius delta around z's, that does at
-    least as well as the broken Cauchy point in the Lagrangian, returned with
-    F(v) and C(v).
+    least as well in F as the broken Cauchy point, returned with F(v) and
+    C(v).
 
     A demand step dd is lifted to max(z + Z dd, lower), Z = dz/dd.  The
     first trial is the spectral step dd = clip(d - sigma g_d) - d, clipped
-    to the box and to d >= 0.  It is halved while its Lagrangian is above
-    max(L(cauchy), L(z) - TAU1 delta, L(z) - TAU2), down to the length of
+    to the box and to d >= 0.  It is halved while its F is above
+    max(F(cauchy), F(z) - TAU1 delta, F(z) - TAU2), down to the length of
     the Cauchy step, which is the fallback and always passes.  The broken
     Cauchy point (Martinez, J. Optim. Theory Appl. 111, 2001) steps t r_tan
-    from t = min(1, delta / |r_tan|_inf), halving t until L has fallen by
+    from t = min(1, delta / |r_tan|_inf), halving t until F has fallen by
     CAUCHY_ARMIJO t g_d'r_tan; it is evaluated only when a trial misses the
     last two terms of the bound.  r_tan, the projected-gradient step in d,
-    must be nonzero.  at_z holds L(z, mu) and the reduced gradient g_d at
-    z, and sigma is the spectral factor; every attempt of an outer step
+    must be nonzero.  at_z holds F(z) and the reduced gradient g_d at z,
+    and sigma is the spectral factor; every attempt of an outer step
     shares them.
     """
     sl_d, sl_x, _, _ = S.slices
     d = z[sl_d]
-    L_z, g_d = at_z
+    F_z, g_d = at_z
     seen = {}
 
     def at(dd):
-        """The lifted point of dd, with L(vec, mu), F(vec) and C(vec), as
-        eval_L computes the first; each step is evaluated once."""
+        """The lifted point of dd, with F(vec) and C(vec); each step is
+        evaluated once."""
         key = dd.tobytes()
         if key not in seen:
             vec = np.maximum(z + Z @ dd, S.lower)
-            F, C = eval_F(net, vec[sl_d], vec[sl_x]), eval_C(net, S, vec)
-            seen[key] = vec, F + float(C @ mu), F, C
+            seen[key] = vec, eval_F(net, vec[sl_d], vec[sl_x]), eval_C(net, S, vec)
         return seen[key]
 
-    floor = max(L_z - TAU1 * delta, L_z - TAU2)
+    floor = max(F_z - TAU1 * delta, F_z - TAU2)
     dd = np.clip(d - sigma * g_d, np.maximum(d - delta, 0.0), d + delta) - d
 
     def cauchy():
         """The broken Cauchy step t r_tan and its at() values: t starts at
-        min(1, delta / |r_tan|_inf) and halves until L falls by at least
+        min(1, delta / |r_tan|_inf) and halves until F falls by at least
         CAUCHY_ARMIJO t g_d'r_tan, or t is 1e-12 of its start."""
         t = min(1.0, delta / float(np.abs(r_tan).max()))
         slope, t_min = float(g_d @ r_tan), 1e-12 * t
         while True:
             out = at(t * r_tan)
-            if out[1] <= L_z + CAUCHY_ARMIJO * t * slope or t < t_min:
+            if out[1] <= F_z + CAUCHY_ARMIJO * t * slope or t < t_min:
                 return t * r_tan, out
             t *= 0.5
 
     cauchy_dd = best = None
     while True:
-        vec, L_v, F, C = at(dd)
-        if L_v <= floor:
-            return vec, F, C
+        out = at(dd)
+        if out[1] <= floor:
+            return out
         if best is None:
             cauchy_dd, best = cauchy()
-        if L_v <= best[1]:
-            return vec, F, C
+        if out[1] <= best[1]:
+            return out
         dd = 0.5 * dd
         if np.abs(dd).max() < np.abs(cauchy_dd).max():
-            break
-
-    vec, L_cauchy, F, C = best
-    if not math.isnan(L_cauchy):
-        return vec, F, C
-    raise NoCandidate("no point passed the decrease test in the current box")
+            return best
 
 
 def solve_dap(net, cfg=None, d0=None, sink=None):
@@ -358,7 +356,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     net : Network with observations and target demands
     cfg : IRConfig, defaults used when omitted
     d0 : starting demands, defaults to the target demands; the run starts from
-         the state (d0, 0, 0, 0) with zero multipliers
+         the state (d0, 0, 0, 0)
     sink : optional callable fed every IterationRecord as it is produced
 
     Returns a DapResult whose d_final/X_final blocks come from the last
@@ -376,17 +374,15 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
         raise ValueError("initial demands must be finite and nonnegative")
     s = np.zeros(S.state_dim)
     s[sl_d] = d0
-    mu = np.zeros(S.n_constraints)
     # the first restoration comes before any residual at s, so link times
     # that overflow stop the run as Unreachable before they reach a norm
     work = {}
     z = restore(net, S, d0, cfg, work)
 
-    # |C(s)| and L(s, mu) at the current point; an accepted step carries over
+    # |C(s)| and F(s) at the current point; an accepted step carries over
     # the values it computed at v
-    C_s = eval_C(net, S, s)
-    normC_s = _norm(C_s)
-    L_s = eval_F(net, s[sl_d], s[sl_x]) + float(C_s @ mu)
+    normC_s = _norm(eval_C(net, S, s))
+    F_s = eval_F(net, s[sl_d], s[sl_x])
 
     theta_hist = [THETA_INIT]
     delta_prev = DELTA0
@@ -412,7 +408,6 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
 
         # z's values, each computed once for every attempt of this step
         F_z = eval_F(net, d, z[sl_x])
-        at_z = (F_z + float(C_z @ mu), g_d)
         normC_z = _norm(C_z)
         rt_norm = _norm(r_tan)
         delta = max(DELTA_MIN, delta_prev)
@@ -420,22 +415,17 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
         accepted = False
         for i in itertools.count():
             if rt_norm <= 1e-14 * (1.0 + _norm(d)):
-                v, mu_trial, F_v, C_v = z, mu.copy(), F_z, C_z
+                v, F_v, C_v = z, F_z, C_z
             else:
-                v, F_v, C_v = find_candidate(net, S, mu, z, Z, r_tan, delta,
-                                             at_z, sigma)
-                mu_trial = trial_multipliers(net, S, v)
+                v, F_v, C_v = find_candidate(net, S, z, Z, r_tan, delta,
+                                             (F_z, g_d), sigma)
 
-            # one residual at v serves both Lagrangians, as eval_L computes them
-            L_v_k = F_v + float(C_v @ mu)
-            L_v = F_v + float(C_v @ mu_trial)
             normC_v = _norm(C_v)
-            a = L_s - L_v_k - float(C_z @ (mu_trial - mu))
+            a = F_s - F_v
             b = normC_s - normC_z
             try:
                 theta_cur, pred = choose_theta(a, b, theta_cur)
-                ared = (theta_cur * (L_s - L_v)
-                        + (1.0 - theta_cur) * (normC_s - normC_v))
+                ared = theta_cur * a + (1.0 - theta_cur) * (normC_s - normC_v)
                 ok = accept_step(ared, pred)
             except InfeasibleTheta:
                 pred = theta_cur * a + (1.0 - theta_cur) * b
@@ -443,7 +433,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
                 ok = False
 
             rec = IterationRecord(k=k, i=i, normC_s=normC_s, normC_z=normC_z,
-                                  L_s=L_s, L_v=L_v_k, theta=theta_cur,
+                                  L_s=F_s, L_v=F_v, theta=theta_cur,
                                   delta=delta, pred=pred, ared=ared,
                                   accepted=ok, F_value=F_v,
                                   rtan_norm=rt_norm)
@@ -453,8 +443,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
 
             if ok:
                 s = v
-                mu = mu_trial
-                normC_s, L_s = normC_v, L_v
+                normC_s, F_s = normC_v, F_v
                 theta_hist.append(theta_cur)
                 delta_prev = delta
                 accepted = True
@@ -471,5 +460,4 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     d_final, X_final = z[sl_d].copy(), z[sl_x].copy()
     return DapResult(d_final=d_final, X_final=X_final,
                      F_final=eval_F(net, d_final, X_final), status=status,
-                     history=history, mu_final=mu.copy(),
-                     outer_iterations=k + 1)
+                     history=history, outer_iterations=k + 1)

@@ -59,10 +59,6 @@ class SolverStalled(OdAdjustError):
     """An iterative subproblem solver cycled beyond its iteration cap."""
 
 
-class NoCandidate(OdAdjustError):
-    """The optimization phase produced no point satisfying its decrease test."""
-
-
 class InfeasibleTheta(OdAdjustError):
     """No penalty weight achieves the required predicted reduction."""
 

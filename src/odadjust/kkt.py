@@ -13,8 +13,9 @@ user equilibrium for every commodity simultaneously.
 
 eval_C, recover_multipliers and equilibrium_sensitivity take their products
 from the index layouts of StructureMatrices or from NumPy alone, so none of
-them loads scipy; scipy.sparse is imported on first use, by eval_C_jacobian,
-which the check and tap commands never call.
+them loads scipy, and neither does the solver, which evaluates no Jacobian.
+scipy.sparse is imported on first use, by eval_C_jacobian (and so eval_L_grad
+and tangent_space), which no odadjust command calls.
 """
 
 from __future__ import annotations

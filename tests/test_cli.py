@@ -478,10 +478,10 @@ def _scipy_modules_after(code):
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded(toy_file):
-    # import, parsing, the structure layouts, assignment and multiplier
-    # recovery run on NumPy alone, so neither they nor the check and tap
-    # commands load any scipy module; solve loads scipy.sparse at its first
-    # Jacobian, but never the oracles' scipy.optimize
+    # import, parsing, the structure layouts, assignment, multiplier
+    # recovery and the solver's outer steps run on NumPy alone, so none of
+    # them, and none of the check, tap and solve commands, loads any scipy
+    # module
     assert _scipy_modules_after(
         "import odadjust\n"
         "net = odadjust.parse_network(open(%r).read())\n"
@@ -490,10 +490,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded(toy_file):
         "odadjust.recover_multipliers(net, S, sol.X, net.link_times(sol.v))"
         % toy_file) == []
     run = "from odadjust.cli import main\nassert main(%r) == 0"
-    for command in ("check", "tap"):
+    for command in ("check", "tap", "solve"):
         assert _scipy_modules_after(run % [command, "--input", toy_file]) == [], command
-    solve = _scipy_modules_after(run % ["solve", "--input", toy_file])
-    assert "scipy.sparse" in solve and "scipy.optimize" not in solve
 
 
 def test_solve_initial_demand_validation(toy_file, capsys):

@@ -40,8 +40,8 @@ from odadjust.driver import (
     trial_multipliers,
 )
 from odadjust.errors import DimensionMismatch, InfeasibleTheta, MaxIterations
-from odadjust.kkt import (equilibrium_sensitivity, eval_C_jacobian, eval_L,
-                          grad_F_state, jacobian_values)
+from odadjust.kkt import (equilibrium_sensitivity, eval_C_jacobian, grad_F_state,
+                          jacobian_values)
 from odadjust.projection import REG, min_norm_solve
 import odadjust.driver as driver_module
 
@@ -101,7 +101,7 @@ def test_solve_dap_start_state(net, S):
     res, res_t = solve_dap(net), solve_dap(net, d0=TOY_TARGETS)
     assert_array_equal(res.d_final, res_t.d_final)
     assert res.history == res_t.history
-    # the first record is taken at (d0, 0, 0, 0) with zero multipliers
+    # the first record is taken at (d0, 0, 0, 0); L_s reads F there
     rec = solve_dap(net, IRConfig(max_outer=1), d0=[1.0, 2.0]).history[0]
     s = np.zeros(S.state_dim)
     s[S.slices[0]] = [1.0, 2.0]
@@ -213,10 +213,10 @@ def test_trial_multipliers_stay_off_the_clip(monkeypatch):
     class FirstPoint(Exception):
         pass
 
-    def first_point(net_, S_, v):
-        raise FirstPoint(v)
+    def first_point(*args):
+        raise FirstPoint(find_candidate(*args)[0])
 
-    monkeypatch.setattr(driver_module, "trial_multipliers", first_point)
+    monkeypatch.setattr(driver_module, "find_candidate", first_point)
     with pytest.raises(FirstPoint) as caught:
         solve_dap(net, IRConfig(max_outer=1))
     v = caught.value.args[0]
@@ -252,17 +252,20 @@ def test_trial_multipliers_match_the_dense_solve(net, S):
 
 def test_find_candidate_respects_box_and_bound(net, S):
     z, Z = _piece(net, S, [1.0, 2.0])
-    mu = np.zeros(S.n_constraints)
     for sigma in (1.0, 1e-3, 10.0, 1e3):
-        _check_candidate(net, S, mu, z, Z, 0.5, sigma)
+        _check_candidate(net, S, z, Z, 0.5, sigma)
 
 
-def _check_candidate(net, S, mu, z, Z, delta, sigma):
+def _F(net, S, vec):
+    return eval_F(net, vec[S.slices[0]], vec[S.slices[1]])
+
+
+def _check_candidate(net, S, z, Z, delta, sigma):
     sl_d = S.slices[0]
     r_tan, g_d = cauchy_direction(net, S, z, Z)
-    L_z = eval_L(net, S, z, mu)
-    v, F_v, C_v = find_candidate(net, S, mu, z, Z, r_tan, delta, (L_z, g_d), sigma)
-    assert F_v == eval_F(net, v[sl_d], v[S.slices[1]])
+    F_z = _F(net, S, z)
+    v, F_v, C_v = find_candidate(net, S, z, Z, r_tan, delta, (F_z, g_d), sigma)
+    assert F_v == _F(net, S, v)
     assert_array_equal(C_v, eval_C(net, S, v))
     # v is the lift of its demand step onto z's piece, in the box and d >= 0
     dd = v[sl_d] - z[sl_d]
@@ -273,14 +276,14 @@ def _check_candidate(net, S, mu, z, Z, delta, sigma):
     # least CAUCHY_ARMIJO t g_d'r_tan
     t = min(1.0, delta / np.abs(r_tan).max())
     while True:
-        L_cauchy = eval_L(net, S, np.maximum(z + Z @ (t * r_tan), S.lower), mu)
-        if L_cauchy <= L_z + driver_module.CAUCHY_ARMIJO * t * float(g_d @ r_tan):
+        F_cauchy = _F(net, S, np.maximum(z + Z @ (t * r_tan), S.lower))
+        if F_cauchy <= F_z + driver_module.CAUCHY_ARMIJO * t * float(g_d @ r_tan):
             break
         t *= 0.5
-    bound = max(L_cauchy, L_z - driver_module.TAU1 * delta,
-                L_z - driver_module.TAU2)
-    assert eval_L(net, S, v, mu) <= bound + 1e-12
-    assert eval_L(net, S, v, mu) < L_z
+    bound = max(F_cauchy, F_z - driver_module.TAU1 * delta,
+                F_z - driver_module.TAU2)
+    assert F_v <= bound + 1e-12
+    assert F_v < F_z
     # the linearized residual vanishes along the piece, so C(v) is of
     # second order in the step
     assert np.linalg.norm(C_v) <= 10.0 * np.abs(dd).max() ** 2
@@ -294,11 +297,10 @@ def test_find_candidate_backtracks_the_cauchy_step():
     net = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
     S = build_structure(net)
     z, Z = _piece(net, S, net.target_demands)
-    mu = np.zeros(S.n_constraints)
     r_tan, _ = cauchy_direction(net, S, z, Z)
     unit = np.maximum(z + Z @ (r_tan / np.abs(r_tan).max()), S.lower)
-    assert eval_L(net, S, unit, mu) > 2.0 * eval_L(net, S, z, mu)
-    _check_candidate(net, S, mu, z, Z, 1.0, 1.0)
+    assert _F(net, S, unit) > 2.0 * _F(net, S, z)
+    _check_candidate(net, S, z, Z, 1.0, 1.0)
 
 
 def test_spectral_factor_ratio_and_clips():
@@ -336,7 +338,7 @@ def test_outer_steps_scale_by_the_spectral_factor(net, monkeypatch):
         return out
 
     def candidate(*args):
-        sigmas.append((len(restored) - 1, args[8]))
+        sigmas.append((len(restored) - 1, args[7]))
         return find_candidate(*args)
 
     monkeypatch.setattr(driver_module, "cauchy_direction", cauchy)
@@ -353,9 +355,9 @@ def test_outer_steps_scale_by_the_spectral_factor(net, monkeypatch):
 def test_outer_step_evaluates_each_point_once(net, monkeypatch):
     # an outer step whose first trial is accepted evaluates the residual
     # once at the start s, at the restored point z and at the accepted v,
-    # the gradient of F once at z, for the reduced gradient, and once at v,
-    # with J, for the trial multipliers.  jacobian_values is where J is
-    # evaluated, with or without a matrix
+    # and the gradient of F once at z, for the reduced gradient.  It
+    # evaluates no J: jacobian_values is where J is evaluated, with or
+    # without a matrix
     from odadjust import kkt
     jacobians, grads, residuals, found = [], [], [], []
 
@@ -375,15 +377,14 @@ def test_outer_step_evaluates_each_point_once(net, monkeypatch):
     assert [(rec.i, rec.accepted) for rec in res.history] == [(0, True)]
     S = build_structure(net)
     v = found[0][0]
-    assert len(jacobians) == 1 and len(grads) == 2 and len(residuals) == 3
+    assert not jacobians and len(grads) == 1 and len(residuals) == 3
     s0, z = residuals[0], grads[0]
     assert_array_equal(s0[S.slices[0]], [1.0, 2.0])
     assert not s0[S.slices[1]].any()
     assert_array_equal(z[S.slices[0]], res.d_final)
     assert_array_equal(z[S.slices[1]], res.X_final)
     assert_array_equal(residuals[1], z)
-    for at_v in (jacobians[0], grads[1], residuals[2]):
-        assert_array_equal(at_v, v)
+    assert_array_equal(residuals[2], v)
     assert not np.array_equal(v, z)
 
 
@@ -403,7 +404,6 @@ def test_solve_dap_adjusts_perturbed_start(net):
     assert res.F_final <= 0.01
     assert np.abs(res.d_final - TOY_TARGETS).max() <= 0.05
     assert res.outer_iterations <= 60
-    assert res.mu_final.shape == (22,)
 
 
 @pytest.mark.parametrize("name, max_steps, F_ref", [
@@ -414,6 +414,8 @@ def test_solve_dap_adjusts_perturbed_start(net):
                                          # with cold restorations and no restricted pass
     ("grid4x4_1.json", 20, None),        # 39 steps in the lifted space
     ("grid5x5_0.json", 30, 1.981860),    # SolverStalled in the lifted space
+    ("grid6x6_2.json", 20, None),        # 15 steps; 24 s with a sparse LU per
+                                         # attempt for trial multipliers
 ])
 def test_solve_dap_converges_on_grids(name, max_steps, F_ref):
     # default settings; F_ref is the reference F*, a local minimum of
@@ -546,7 +548,7 @@ from odadjust import IRConfig, parse_network, solve_dap
 res = solve_dap(parse_network(open(sys.argv[1], encoding="utf-8").read()),
                 IRConfig(max_outer=3))
 h = hashlib.sha256()
-for a in (res.d_final, res.X_final, res.mu_final):
+for a in (res.d_final, res.X_final):
     h.update(np.ascontiguousarray(a).tobytes())
 h.update(repr([tuple(vars(r).values()) for r in res.history]).encode())
 print(res.status, len(res.history), h.hexdigest())
@@ -554,7 +556,7 @@ print(res.status, len(res.history), h.hexdigest())
 
 
 def test_solve_dap_independent_of_blas_threads():
-    # three outer steps on 4x4 instance 1 give the same d, X, mu and history
+    # three outer steps on 4x4 instance 1 give the same d, X and history
     # with one BLAS thread and with two
     outputs = []
     for threads in ("1", "2"):

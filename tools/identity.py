@@ -12,8 +12,9 @@ OUT_DIR receives:
 - `<op>.log` and `<op>.report.json` for each dap-small operation, the
   report without `wall_time_s` and `input` (a time and a temporary path);
 - `exit_codes.txt`: one `<op> <code>` line per operation, in run order;
-- `dap-grid.txt`: the SHA-256 of d, X, mu, F, status and history of the
-  dap-grid run, then its F and status;
+- `dap-grid.txt`: the SHA-256 of d, X, F, status and history of the
+  dap-grid run, then its F and status; the solver keeps no multiplier
+  estimate, so no mu enters the hash;
 - `tap-grid.txt`: the SHA-256 of X, v, relative gap and sweep count of the
   4 tap-grid `solve_tap` calls, then each call's sweeps and gap, then one
   line with the 6x6 call's own SHA-256 of the same, its sweeps and gap.
@@ -89,7 +90,7 @@ def dap_grid_digest():
     inst, = WORKLOADS["dap-grid"].instances(np.random.default_rng(SEED))
     res = solve_dap(parse_network(inst.text), IRConfig(max_outer=DAP_GRID_OUTER))
     h = hashlib.sha256()
-    for arr in (res.d_final, res.X_final, res.mu_final):
+    for arr in (res.d_final, res.X_final):
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
     h.update(repr(float(res.F_final)).encode())
     h.update(res.status.encode())

@@ -7,9 +7,11 @@ one BLAS thread, on:
 
 - the benchmark's toy from its three perturbed starts (`toy@1,2`, ...);
 - the grids `2x2-i0` ... `2x2-i5` (2 OD pairs), `3x3-i0` ... `3x3-i2`
-  (3 OD pairs), `4x4-i0` ... `4x4-i2` (4 OD pairs) and `5x5-i0` (6 OD
-  pairs), each from its prior, as `bench/instances.grid_instance(k, n_od, i)`
-  generates it, not relabelled.
+  (3 OD pairs), `4x4-i0` ... `4x4-i2` (4 OD pairs), `5x5-i0` (6 OD
+  pairs), `6x6-i0` ... `6x6-i2` (10 OD pairs) and `8x8-i0` (20 OD pairs),
+  each from its prior, as `bench/instances.grid_instance(k, n_od, i)`
+  generates it, not relabelled.  The whole ladder takes about half a
+  minute, most of it in `8x8-i0`.
 
 Each row gives the name, the status (or the name of the exception a run
 raised), the outer steps, the final F, the seconds and the reference F*, a
@@ -35,13 +37,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 from instances import TOY_DOC, TOY_STARTS, Instance, grid_instance  # noqa: E402
 
 # grid side, OD pairs and instance numbers of each rung
-GRIDS = ((2, 2, range(6)), (3, 3, range(3)), (4, 4, range(3)), (5, 6, range(1)))
+GRIDS = ((2, 2, range(6)), (3, 3, range(3)), (4, 4, range(3)), (5, 6, range(1)),
+         (6, 10, range(3)), (8, 20, range(1)))
 REFERENCE_F = {
     "2x2-i0": 0.275759, "2x2-i1": 0.297240, "2x2-i2": 0.130576,
     "2x2-i3": 0.181222, "2x2-i4": 0.847134, "2x2-i5": 0.0,
     "3x3-i0": 0.787177, "3x3-i1": 0.213684, "3x3-i2": 0.695752,
     "4x4-i0": 0.308594, "4x4-i1": 1.098547, "4x4-i2": 0.640976,
-    "5x5-i0": 1.981860,
+    "5x5-i0": 1.981860, "6x6-i0": 1.739299, "8x8-i0": 5.539737,
 }
 
 
