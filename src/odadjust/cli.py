@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from contextlib import ExitStack
@@ -160,8 +161,13 @@ def run_solve(args):
 
     The report and log files are opened before the solve starts.  When the
     solver raises, the report still carries the inputs and settings, with
-    status "error" and the reason, and the error propagates.
+    status "error" and the reason, and the error propagates.  --report and
+    --log must name different files: two handles on one file overwrite
+    each other.
     """
+    if (args.report is not None and args.log is not None
+            and os.path.realpath(args.report) == os.path.realpath(args.log)):
+        raise InputError("--report and --log name the same file %r" % args.log)
     net, settings, d0 = _load(args.input)
     ircfg = _config({**settings, **_parse_set_overrides(args.set)})
     if args.initial_demand is not None:

@@ -62,8 +62,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTheta, MaxIterations
-from .kkt import (eval_C, eval_F, equilibrium_sensitivity, grad_F_state,
-                  jacobian_values, recover_multipliers)
+from .kkt import (eval_C, eval_C_jacobian, eval_F, equilibrium_sensitivity,
+                  grad_F_state, recover_multipliers)
 from .network import build_structure
 from .projection import min_norm_solve
 from .tap import solve_tap
@@ -248,15 +248,12 @@ def trial_multipliers(net, S, v):
     """argmin_mu |grad F(v) + C'(v)^T mu|^2 + REG |mu|^2, clipped to the bound.
 
     projection.min_norm_solve does it by one sparse LU of a K assembled from
-    C'(v)^T, which is C'(v)'s CSR arrays read as CSC; projection.REG damps the
-    directions in which C'(v)^T is nearly singular.  solve_dap does not call
-    it: the solver takes mu = 0.
+    C'(v)^T, kkt.eval_C_jacobian's CSR matrix transposed; projection.REG
+    damps the directions in which C'(v)^T is nearly singular.  solve_dap
+    does not call it: the solver takes mu = 0.
     """
-    import scipy.sparse as sp
     g = grad_F_state(net, S, v)
-    Jt = sp.csc_matrix((jacobian_values(net, S, v), S.jac_indices, S.jac_indptr),
-                       shape=(S.state_dim, S.n_constraints))
-    mu = min_norm_solve(Jt, -g)
+    mu = min_norm_solve(eval_C_jacobian(net, S, v).T, -g)
     return np.clip(mu, -M_BOUND, M_BOUND)
 
 

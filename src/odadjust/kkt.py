@@ -89,24 +89,32 @@ def eval_C(net, S, s):
                            beta * X])
 
 
-def jacobian_values(net, S, s):
-    """The values of eval_C's Jacobian at s, in the CSR order of S's fixed
-    layout (S.jac_indptr, S.jac_indices), zeros included; no matrix is
-    formed."""
-    _, X, _, beta = _blocks(S, s)
-    t_prime = net.link_time_derivs(aggregate_flows(S, X))
-    return np.concatenate([S.jac_fixed, t_prime[S.jac_links], beta, X])[S.jac_order]
-
-
 def eval_C_jacobian(net, S, s):
-    """Exact Jacobian of eval_C at s, in CSR on the fixed layout of S.
+    """Exact Jacobian of eval_C at s, in canonical CSR.
 
-    Only the values are computed, by jacobian_values: the index arrays are
-    S's own, shared by every state of the network, zeros included.
+    Its blocks are S's M, M' and Gamma entries, -I, the t'(v) entries that
+    join stationarity row (i, l) to flow column (j, l) for every pair of
+    commodities i, j, and the complementarity rows' beta and X diagonals.
+    Entries that are zero at s stay stored, so J has one pattern at every
+    state of the network.
     """
     import scipy.sparse as sp
-    return sp.csr_matrix((jacobian_values(net, S, s), S.jac_indices, S.jac_indptr),
-                         shape=(S.n_constraints, S.state_dim))
+    _, X, _, beta = _blocks(S, s)
+    t_prime = net.link_time_derivs(aggregate_flows(S, X))
+    c, a = S.n_commodities, S.n_links
+    d0, x0, alpha0, beta0 = (sl.start for sl in S.slices)
+    stat, cons, comp = (sl.start for sl in S.residual_slices)
+    diag = np.arange(c * a)
+    i, j, link = np.indices((c, c, a)).reshape(3, -1)
+    blocks = [(S.Gamma[0] + cons, S.Gamma[1] + d0, S.Gamma[2]),
+              (S.M[0] + cons, S.M[1] + x0, -S.M[2]),
+              (S.Mt[0] + stat, S.Mt[1] + alpha0, S.Mt[2]),
+              (diag + stat, diag + beta0, np.full(c * a, -1.0)),
+              (i * a + link + stat, j * a + link + x0, t_prime[link]),
+              (diag + comp, diag + x0, beta),
+              (diag + comp, diag + beta0, X)]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(S.n_constraints, S.state_dim))
 
 
 def eval_L(net, S, s, mu):
@@ -208,13 +216,19 @@ def equilibrium_sensitivity(net, S, z, paths):
     t' vanishes or used paths cost the same to every order, and lstsq takes
     its minimum-norm solution.  Then dX_i = Delta_i H_i and dv = Delta H.
     The potentials follow recover_multipliers' trees, dalpha_i = -dpi_i,
-    and dbeta_i = t' dv + dalpha_i[head] - dalpha_i[tail].
+    and dbeta_i = t' dv + dalpha_i[head] - dalpha_i[tail].  Raises
+    NonFiniteObjective, without a NumPy warning, when t'(v) is not finite.
     """
     _, X, _, _ = _blocks(S, z)
     c, a, n = S.n_commodities, S.n_links, S.n_nodes
     v = aggregate_flows(S, X)
     t = net.link_times(v)
-    t_prime = net.link_time_derivs(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_prime = net.link_time_derivs(v)
+    if not np.isfinite(t_prime).all():
+        raise NonFiniteObjective("a link's travel time derivative is not finite "
+                                 "at the restored flows, so the gradient of F "
+                                 "along the equilibrium set has no value")
     trees = _origin_trees(net, t, range(c))
 
     owner, cols = [], []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -30,7 +31,8 @@ class CostFunction:
     """Polynomial travel time t(x) = sum_j coeffs[j] * x**j.
 
     Nonnegative coefficients keep t nonnegative and non-decreasing on x >= 0,
-    which is all the equilibrium theory needs.
+    which is all the equilibrium theory needs.  Every coefficient, and every
+    coefficient j * coeffs[j] of t', must be a finite float.
     """
 
     coeffs: tuple
@@ -41,6 +43,9 @@ class CostFunction:
             raise MalformedInput("cost function needs at least one coefficient")
         if not np.all(np.isfinite(cs)):
             raise MalformedInput("non-finite coefficient in cost polynomial %r" % (cs,))
+        if not all(math.isfinite(j * c) for j, c in enumerate(cs)):
+            raise MalformedInput("cost polynomial %r has a derivative coefficient "
+                                 "j * c_j too large for a float" % (cs,))
         if any(c < 0.0 for c in cs):
             raise NegativeCoefficient("negative coefficient in cost polynomial %r" % (cs,))
         object.__setattr__(self, "coeffs", cs)
@@ -248,7 +253,7 @@ class Network:
 
 class StructureMatrices:
     """Index layouts of a network's structure matrices and of its lifted
-    system, all built once, by build_structure, with NumPy alone.
+    state and residual, all built once, by build_structure, with NumPy alone.
 
     The structure matrices hold only -1 and +1:
 
@@ -257,26 +262,17 @@ class StructureMatrices:
            with -1 at the origin and +1 at the destination of each commodity
     M      block-diagonal repetition of A, one block per commodity
 
-    None is stored as a matrix.  Each of M, M' and Gamma is kept as its
-    (row, column, value) entries sorted by row, then column, and M_dot,
-    Mt_dot and Gamma_dot sum each row's terms in that order, starting from
-    +0.0.  That is how a CSR matrix-vector product sums, so every product
-    equals scipy's bit for bit, signed zeros included.
+    None is stored as a matrix.  The attributes M, Mt and Gamma hold the
+    (row, column, value) entries of M, M' and Gamma, sorted by row, then
+    column, and M_dot, Mt_dot and Gamma_dot sum each row's terms in that
+    order, starting from +0.0.  That is how a CSR matrix-vector product
+    sums, so every product equals scipy's bit for bit, signed zeros
+    included.
 
     The state [d | X | alpha | beta] has length state_dim and blocks slices;
     the residual [stationarity | conservation | complementarity] has length
     n_constraints and blocks residual_slices.  lower is the read-only lower
     bound of the state: 0 on d, X and beta, -inf on alpha.
-
-    J = C'(s), the lifted Jacobian, has one pattern at every state, built
-    here as CSR arrays: jac_indptr and jac_indices, in canonical order
-    (columns ascending within each row, no duplicates), 32-bit whenever
-    they fit, as scipy would pick them.  Its values are listed block by
-    block: the constant blocks Gamma, -M, M' and -I (values jac_fixed), the
-    t'(v) entries (jac_links: the link of each), then the complementarity
-    rows' beta and X diagonals.  jac_order takes that list to CSR order: J's
-    data at s is the list indexed by jac_order.  Entries that are zero at s
-    stay stored.
     """
 
     def __init__(self, net):
@@ -288,56 +284,32 @@ class StructureMatrices:
         com, link = np.arange(c), np.arange(a)
         A = _by_rows(np.concatenate([net.tails, net.heads]), np.concatenate([link, link]),
                      np.repeat([-1.0, 1.0], a))
-        self._M = M = ((com[:, None] * n + A[0]).ravel(), (com[:, None] * a + A[1]).ravel(),
-                       np.broadcast_to(A[2], (c, 2 * a)).ravel())
-        self._Mt = _by_rows(M[1], M[0], M[2])
-        self._Gamma = Gamma = _by_rows(
+        self.M = M = ((com[:, None] * n + A[0]).ravel(), (com[:, None] * a + A[1]).ravel(),
+                      np.broadcast_to(A[2], (c, 2 * a)).ravel())
+        self.Mt = _by_rows(M[1], M[0], M[2])
+        self.Gamma = _by_rows(
             np.concatenate([com * n + net.origin_idx, com * n + net.destination_idx]),
             np.concatenate([com, com]), np.repeat([-1.0, 1.0], c))
 
-        self.slices = sl_d, sl_x, sl_alpha, sl_beta = _partition(c, c * a, c * n, c * a)
+        self.slices = _, _, sl_alpha, sl_beta = _partition(c, c * a, c * n, c * a)
         self.state_dim = sl_beta.stop
-        self.residual_slices = stat, cons, comp = _partition(c * a, c * n, c * a)
-        self.n_constraints = comp.stop
+        self.residual_slices = _partition(c * a, c * n, c * a)
+        self.n_constraints = self.residual_slices[-1].stop
         self.lower = np.zeros(self.state_dim)
         self.lower[sl_alpha] = -np.inf
         self.lower.flags.writeable = False
 
-        # J's blocks (rows, columns, values) in the order of the value list;
-        # M' is listed in M's order, as the transpose of M's CSR lists it
-        diag = np.arange(c * a)
-        i, j, link = np.indices((c, c, a)).reshape(3, -1)
-        blocks = [(Gamma[0] + cons.start, Gamma[1] + sl_d.start, Gamma[2]),
-                  (M[0] + cons.start, M[1] + sl_x.start, -M[2]),
-                  (M[1] + stat.start, M[0] + sl_alpha.start, M[2]),
-                  (diag + stat.start, diag + sl_beta.start, np.full(c * a, -1.0)),
-                  # t'_l joins stationarity row (i, l) and flow column (j, l)
-                  (i * a + link + stat.start, j * a + link + sl_x.start, None),
-                  (diag + comp.start, diag + sl_x.start, None),
-                  (diag + comp.start, diag + sl_beta.start, None)]
-        rows = np.concatenate([r for r, _, _ in blocks])
-        cols = np.concatenate([col for _, col, _ in blocks])
-        self.jac_fixed = np.concatenate([v for _, _, v in blocks[:4]])
-        self.jac_links = link
-        self.jac_order = np.lexsort((cols, rows))
-        index = (np.int32 if max(self.n_constraints, self.state_dim, rows.size)
-                 <= np.iinfo(np.int32).max else np.int64)
-        self.jac_indices = cols[self.jac_order].astype(index)
-        self.jac_indptr = np.zeros(self.n_constraints + 1, dtype=index)
-        np.cumsum(np.bincount(rows, minlength=self.n_constraints),
-                  out=self.jac_indptr[1:])
-
     def M_dot(self, X):
         """M X: per commodity, each node's inflow minus its outflow."""
-        return _row_sums(self._M, X, self.n_commodities * self.n_nodes)
+        return _row_sums(self.M, X, self.n_commodities * self.n_nodes)
 
     def Mt_dot(self, alpha):
         """M' alpha: per commodity, alpha at each link's head minus at its tail."""
-        return _row_sums(self._Mt, alpha, self.n_commodities * self.n_links)
+        return _row_sums(self.Mt, alpha, self.n_commodities * self.n_links)
 
     def Gamma_dot(self, d):
         """Gamma d: per commodity, -d at its origin and +d at its destination."""
-        return _row_sums(self._Gamma, d, self.n_commodities * self.n_nodes)
+        return _row_sums(self.Gamma, d, self.n_commodities * self.n_nodes)
 
 
 def _by_rows(rows, cols, vals):

@@ -48,7 +48,8 @@ directions where A is within about sqrt(REG) of singular are damped toward
 zero, as in a minimum-norm solution, instead of being blown up by them.
 
 Both assemble K when they factor it, from the nonzero entries of J (of A'
-for min_norm_solve) and the two diagonals, sorted by column and then row.
+for min_norm_solve) and the two diagonals, by scipy's conversion from
+COO, which sorts them by column and then row.
 
 scipy.sparse, scipy.sparse.linalg and scipy.linalg are imported on first
 use, inside the functions that need them: the check and tap commands import
@@ -99,32 +100,22 @@ class TangentSpace:
 
 def _entries(A):
     """(rows, columns, values) of the nonzero entries of a dense or sparse A,
-    in A's storage order; a sparse A holds no duplicate entries."""
+    which holds no duplicate entries."""
     import scipy.sparse as sp
-    if not (sp.issparse(A) and A.format in ("csr", "csc")):
-        A = sp.csr_matrix(A)
+    A = sp.coo_matrix(A)
     keep = A.data != 0.0
-    outer = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))[keep]
-    inner = A.indices[keep]
-    if A.format == "csr":
-        return outer, inner, A.data[keep]
-    return inner, outer, A.data[keep]
+    return A.row[keep], A.col[keep], A.data[keep]
 
 
 def _quasi_definite(n, m, rows, cols, vals):
-    """K = [[I_n, B'], [B, -REG I_m]] in canonical CSC with 32-bit indices, as
-    splu takes them, B being m x n with entries (rows, cols, vals) in any
-    order: every entry of K, sorted by column and then row."""
+    """K = [[I_n, B'], [B, -REG I_m]] in canonical CSC, as splu takes it, B
+    being m x n with entries (rows, cols, vals) in any order."""
     import scipy.sparse as sp
     diag = np.arange(n + m)
     r = np.concatenate([diag, n + rows, cols])
     c = np.concatenate([diag, cols, n + rows])
-    order = np.lexsort((r, c))
-    indptr = np.zeros(n + m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(c, minlength=n + m), out=indptr[1:])
     data = np.concatenate([np.ones(n), np.full(m, -REG), vals, vals])
-    return sp.csc_matrix((data[order], r[order].astype(np.int32), indptr),
-                         shape=(n + m, n + m))
+    return sp.csc_matrix((data, (r, c)), shape=(n + m, n + m))
 
 
 def min_norm_solve(A, r):

@@ -277,7 +277,8 @@ def _shift(polys, v, t, dt, flows, p, q, pairs):
     lists of the link flows, times and time derivatives; on a move v follows,
     and t and dt are re-evaluated on the links where p and q differ.  pairs
     is a dict of _pair_diff results keyed by (p, q); a pair missing from it
-    is added.  Returns whether any flow moved."""
+    is added.  Returns whether any flow moved: none does when the step is
+    0, as it is where t' is infinite on a link that p and q do not share."""
     diff = pairs.get((p, q))
     if diff is None:
         diff = pairs[p, q] = _pair_diff(p, q)
@@ -307,7 +308,7 @@ def _shift(polys, v, t, dt, flows, p, q, pairs):
         for c in dc:
             out = out * x + c
         dt[a] = out
-    return True
+    return step > 0.0
 
 
 def _shift_onto(polys, v, t, dt, flows, q, pairs):

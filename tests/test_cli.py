@@ -253,6 +253,22 @@ def test_solve_unwritable_output_exits_1(flag, where, extra, tmp_path,
     assert calls == []
 
 
+def test_solve_rejects_report_and_log_on_one_file(tmp_path, capsys, monkeypatch):
+    # two handles on one file would overwrite each other's output; the same
+    # file named twice, by another spelling or through a symlink, is an
+    # input error before the solve
+    path = _write(tmp_path, quadratic_toy_document())
+    out = tmp_path / "out.json"
+    (tmp_path / "link.json").symlink_to(out)
+    calls = []
+    monkeypatch.setattr(cli, "solve_dap", lambda *a, **kw: calls.append(1))
+    for log in (out, tmp_path / "." / "out.json", tmp_path / "link.json"):
+        assert main(["solve", "--input", path, "--report", str(out),
+                     "--log", str(log)]) == 1
+        assert capsys.readouterr().err.startswith("error: --report and --log")
+    assert calls == [] and not out.exists()
+
+
 def _parallel_links(big, target):
     """Two parallel links of constant travel time big, one commodity."""
     return {"nodes": [1, 2],
@@ -301,6 +317,28 @@ def test_overflowing_link_times_name_their_cause(tmp_path, capsys):
     assert caught == []
     rows = log_path.read_text(encoding="utf-8").splitlines()
     assert rows[1].split("\t")[2] == "1.41421356e+300"      # normC_s, sqrt(2)*1e300
+
+
+def test_infinite_link_time_derivative_is_a_stated_failure(tmp_path, capsys):
+    # t' overflows at the restored flow 0.5 although t does not, so the
+    # sensitivity of the restored point has no value: exit 2, the reason in
+    # the report, and no NumPy warning
+    doc = {"nodes": [1, 2],
+           "links": [{"id": "a", "from": 1, "to": 2, "coeffs": [0, 1e308, 8e307]}],
+           "commodities": [{"origin": 1, "destination": 2, "target": 0.5}],
+           "observations": [{"link": "a", "flow": 0.4}]}
+    report_path = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--input", _write(tmp_path, doc),
+                     "--report", str(report_path)])
+    err = capsys.readouterr().err
+    assert caught == []
+    assert code == 2
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["status"] == "error"
+    assert "derivative is not finite" in report["reason"]
+    assert err == "error: %s\n" % report["reason"]
 
 
 def _strict_json(text):

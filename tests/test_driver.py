@@ -40,8 +40,7 @@ from odadjust.driver import (
     trial_multipliers,
 )
 from odadjust.errors import DimensionMismatch, InfeasibleTheta, MaxIterations
-from odadjust.kkt import (equilibrium_sensitivity, eval_C_jacobian, grad_F_state,
-                          jacobian_values)
+from odadjust.kkt import equilibrium_sensitivity, eval_C_jacobian, grad_F_state
 from odadjust.projection import REG, min_norm_solve
 import odadjust.driver as driver_module
 
@@ -356,8 +355,7 @@ def test_outer_step_evaluates_each_point_once(net, monkeypatch):
     # an outer step whose first trial is accepted evaluates the residual
     # once at the start s, at the restored point z and at the accepted v,
     # and the gradient of F once at z, for the reduced gradient.  It
-    # evaluates no J: jacobian_values is where J is evaluated, with or
-    # without a matrix
+    # evaluates no J: eval_C_jacobian is where J is evaluated
     from odadjust import kkt
     jacobians, grads, residuals, found = [], [], [], []
 
@@ -368,7 +366,7 @@ def test_outer_step_evaluates_each_point_once(net, monkeypatch):
         return wrapped
 
     for mod in (kkt, driver_module):
-        monkeypatch.setattr(mod, "jacobian_values", spy(jacobian_values, jacobians))
+        monkeypatch.setattr(mod, "eval_C_jacobian", spy(eval_C_jacobian, jacobians))
         monkeypatch.setattr(mod, "grad_F_state", spy(grad_F_state, grads))
     monkeypatch.setattr(driver_module, "eval_C", spy(eval_C, residuals))
     monkeypatch.setattr(driver_module, "find_candidate",

@@ -21,7 +21,7 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
     assert len(labels) == len(set(labels)) == 9
     assert all(line.rsplit(" ", 1)[1] in ("0", "2") for line in codes)
     assert sum(label.startswith("toy@") for label in labels) == 3
-    expected = {"exit_codes.txt", "dap-grid.txt", "tap-grid.txt"}
+    expected = {"exit_codes.txt", "dap-grid.txt", "tap-grid.txt", "lifted.txt"}
     expected |= {label + ext for label in labels for ext in (".log", ".report.json")}
     assert {p.name for p in out.iterdir()} == expected
     for label in labels:
@@ -35,3 +35,8 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
     tap = (out / "tap-grid.txt").read_text(encoding="utf-8")
     assert re.fullmatch(r"sha256 [0-9a-f]{64}\n(\S+ iterations \d+ rgap \S+\n){4}"
                         r"grid6x6-od10-s0 sha256 [0-9a-f]{64} iterations \d+ rgap \S+\n", tap)
+    lifted = (out / "lifted.txt").read_text(encoding="utf-8")
+    names = ["jacobian.data float64", "jacobian.indices int32", "jacobian.indptr int32",
+             "trial_multipliers float64", "project float64", "project.box float64"]
+    assert re.fullmatch("".join(re.escape(name) + r" sha256 [0-9a-f]{64}\n"
+                                for name in names), lifted)

@@ -51,6 +51,19 @@ def test_cost_function_validation():
     assert CostFunction((1, 2)).coeffs == (1.0, 2.0)
 
 
+def test_overflowing_derivative_coefficient_rejected():
+    # 2 * 1e308 is not a float, so t' has no value even where no flow runs;
+    # 1 * 1e308 and 2 * 8e307 are floats
+    with pytest.raises(MalformedInput, match="derivative coefficient"):
+        CostFunction((5.0, 1e308, 1e308))
+    assert CostFunction((0.0, 1e308, 8e307)).coeffs == (0.0, 1e308, 8e307)
+    doc = {"nodes": [1, 2],
+           "links": [{"id": "a", "from": 1, "to": 2, "coeffs": [5, 1e308, 1e308]}],
+           "commodities": [{"origin": 1, "destination": 2, "target": 0.5}]}
+    with pytest.raises(MalformedInput, match="derivative coefficient"):
+        parse_network(json.dumps(doc))
+
+
 def test_commodity_validation():
     with pytest.raises(MalformedInput):
         Commodity(origin=1, destination=1, target_demand=1.0)

@@ -251,6 +251,20 @@ def test_link_time_overflowing_mid_sweep_is_unreachable():
     assert caught == []
 
 
+def test_infinite_derivative_ends_the_sweeps():
+    # t' overflows to inf on the loaded link, so the Newton step onto the
+    # cheap detour is 0: no flow moves, and the first sweep ends the solve
+    doc = {"nodes": [1, 2, 3],
+           "links": [{"id": "a", "from": 1, "to": 2, "coeffs": [0, 1e308, 8e307]},
+                     {"id": "b", "from": 1, "to": 3, "coeffs": [1]},
+                     {"id": "c", "from": 3, "to": 2, "coeffs": [1]}],
+           "commodities": [{"origin": 1, "destination": 2, "target": 0.5}]}
+    snet = parse_network(json.dumps(doc))
+    sol = solve_tap(snet, snet.target_demands)
+    assert sol.iterations == 1 and not sol.converged
+    assert_array_equal(sol.v, [0.5, 0.0, 0.0])
+
+
 def test_solve_tap_beckmann_descends_across_budgets():
     # the 3x3 grid takes 86 sweeps to 1e-10; the last budget converges
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))

@@ -17,7 +17,12 @@ OUT_DIR receives:
   estimate, so no mu enters the hash;
 - `tap-grid.txt`: the SHA-256 of X, v, relative gap and sweep count of the
   4 tap-grid `solve_tap` calls, then each call's sweeps and gap, then one
-  line with the 6x6 call's own SHA-256 of the same, its sweeps and gap.
+  line with the 6x6 call's own SHA-256 of the same, its sweeps and gap;
+- `lifted.txt`: at the dap-grid run's first restored point z, which the
+  solver's lifted code no longer reads, one `<name> <dtype> sha256 <hex>`
+  line each for the `data`, `indices` and `indptr` of `eval_C_jacobian`,
+  for `trial_multipliers`' mu, and for `project(tangent_space(z), b)`
+  without and with a box of radius 0.01, b = z - grad F(z); the box binds.
 
 Run it on two checkouts; `diff -r OUT_A OUT_B` is then the check that a
 change leaves every recorded number as it was.
@@ -125,6 +130,29 @@ def tap_grid_digest():
     return h.hexdigest(), lines
 
 
+def lifted_lines():
+    """The lifted.txt lines: hashes of J, mu and two projections at the
+    dap-grid run's first restored point."""
+    from odadjust import IRConfig, build_structure, eval_C_jacobian, parse_network
+    from odadjust.driver import restore, trial_multipliers
+    from odadjust.kkt import grad_F_state, tangent_space
+    from odadjust.projection import project
+
+    inst, = WORKLOADS["dap-grid"].instances(np.random.default_rng(SEED))
+    net = parse_network(inst.text)
+    S = build_structure(net)
+    z = restore(net, S, net.target_demands, IRConfig())
+    J = eval_C_jacobian(net, S, z)
+    space = tangent_space(net, S, z)
+    b = z - grad_F_state(net, S, z)
+    named = [("jacobian.data", J.data), ("jacobian.indices", J.indices),
+             ("jacobian.indptr", J.indptr),
+             ("trial_multipliers", trial_multipliers(net, S, z)),
+             ("project", project(space, b)), ("project.box", project(space, b, 0.01))]
+    return ["%s %s sha256 %s\n" % (name, arr.dtype, hashlib.sha256(arr.tobytes()).hexdigest())
+            for name, arr in named]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory to write into; created if missing")
@@ -140,6 +168,8 @@ def main():
     with open(os.path.join(args.out_dir, "tap-grid.txt"), "w", encoding="utf-8") as fh:
         fh.write("sha256 %s\n" % digest)
         fh.writelines(lines)
+    with open(os.path.join(args.out_dir, "lifted.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(lifted_lines())
     return 0
 
 
