@@ -55,8 +55,7 @@ def main():
     # equilibrium flows for the current demands, then multipliers that make
     # the stationarity rows vanish: alpha from shortest-path potentials,
     # beta as the resulting nonnegative slack
-    work = {}
-    z = restore(net, S, s[sl_d], cfg, work)
+    z, paths = restore(net, S, s[sl_d], cfg)
     rz = eval_C(net, S, z)
     print("\nafter restoration:")
     print("  |C(z)| = %.3e  (max over %d rows)" % (np.abs(rz).max(), rz.size))
@@ -74,14 +73,14 @@ def main():
 
     # --- optimization phase ------------------------------------------------
     # the used paths of each commodity, which the assignment kept
-    for i, paths in work["paths"].items():
+    for i, flows in paths.items():
         print("  commodity %d uses %s" % (i + 1, {
             "-".join(str(net.links[a].id) for a in p): round(h, 6)
-            for p, h in paths.items()}))
+            for p, h in flows.items()}))
 
     # dz/dd keeps the used paths used: the steepest-descent step of the
     # misfit in the demands, clipped at d >= 0, lifted to the whole state
-    Z = equilibrium_sensitivity(net, S, z, work["paths"])
+    Z = equilibrium_sensitivity(net, S, z, paths)
     r_tan, g_d = cauchy_direction(net, S, z, Z)
     moved = np.maximum(z + Z @ r_tan, S.lower)
     print("\nprojected descent step in the demands:")

@@ -2,13 +2,17 @@
 
 Each outer iteration k:
   1. refresh the penalty cap theta_{k,-1} from the history plus a summable bump
-  2. restoration: solve the assignment for the current demand block and recover
-     multipliers, giving a feasible point z^k of the lifted system; while
+  2. restoration, one _restore_closer call at every k, 0 included: solve
+     the assignment for the current demand block and recover multipliers,
+     giving a feasible point z^k of the lifted system; while
      |C(z^k)| > RESTORE_RATIO |C(s^k)|, restore again with a tighter
-     assignment tolerance, at most RESTORE_TIGHTENINGS times.  Every
-     assignment but the run's first starts from the path flows of the one
-     before it, so z^k stays close to s^k (Martinez's inexact restoration
-     asks for that) and equal-cost paths keep their split
+     assignment tolerance, at most RESTORE_TIGHTENINGS times.  The run's
+     first assignment starts cold; every later one starts from the path
+     flows the one before it returned, so z^k stays close to s^k
+     (Martinez's inexact restoration asks for that) and equal-cost paths
+     keep their split.  At k = 0, s^0 = (d^0, 0, 0, 0), whose residual
+     holds the free-flow times and Gamma d^0, so the first restoration
+     is nearly always closer at once
   3. the equilibrium sensitivity Z = dz/dd at z^k (kkt.equilibrium_sensitivity)
      parametrizes by the demands d the piece of the equilibrium set on which
      the used paths stay used; the reduced gradient is g_d = Z' grad F(z^k),
@@ -147,15 +151,14 @@ def init_penalty(k, theta_history):
     return min(1.0, theta_min + OMEGA0 * OMEGA_RATIO ** k)
 
 
-def restore(net, S, d, cfg, work=None):
-    """Feasibility phase: equilibrium flows for demands d plus certifying multipliers.
+def restore(net, S, d, cfg, start=None):
+    """Feasibility phase: equilibrium flows for demands d plus certifying
+    multipliers; returns the restored point z and the assignment's path
+    flows, as TapSolution.paths holds them.
 
-    work, when given, is a dict that receives the assignment's path flows
-    under "paths", as TapSolution.paths holds them.  When it already holds
-    them, the assignment starts from them (solve_tap's start), warm;
-    otherwise it starts cold.
+    start is the path flows of an earlier assignment, or None; the
+    assignment starts from them (solve_tap's start), warm, or else cold.
     """
-    start = work.get("paths") if work is not None else None
     sol = solve_tap(net, d, tol=cfg.tap_tol, max_iter=cfg.tap_max_iter, start=start)
     if not sol.converged:
         raise MaxIterations(
@@ -164,23 +167,22 @@ def restore(net, S, d, cfg, work=None):
     z = np.empty(S.state_dim)
     for sl, block in zip(S.slices, (d, sol.X, alpha, beta)):
         z[sl] = block
-    if work is not None:
-        work["paths"] = sol.paths
-    return z
+    return z, sol.paths
 
 
-def _restore_closer(net, S, d, cfg, work, normC_s):
+def _restore_closer(net, S, d, cfg, paths, normC_s):
     """restore(d), then restore again while |C(z)| > RESTORE_RATIO |C(s)|,
     each time with the assignment tolerance RESTORE_TIGHTEN times smaller,
-    at most RESTORE_TIGHTENINGS times; returns z and C(z).
+    at most RESTORE_TIGHTENINGS times; returns z, C(z) and z's path flows.
 
     normC_s is |C(s)| at the current point s.  A restored point no closer
     to feasibility than s leaves the predicted reduction to roundoff.  A
     tightened assignment that cannot reach its tolerance keeps the last
-    restored point.  Each restoration starts from the path flows in work,
-    those of the last assignment that converged, and leaves its own there.
+    restored point.  The first restoration starts from paths, the path
+    flows of the last assignment that converged (None: cold), and each
+    tightened one from those of the restoration before it.
     """
-    z = restore(net, S, d, cfg, work)
+    z, paths = restore(net, S, d, cfg, paths)
     C_z = eval_C(net, S, z)
     tol = cfg.tap_tol
     for _ in range(RESTORE_TIGHTENINGS):
@@ -188,11 +190,11 @@ def _restore_closer(net, S, d, cfg, work, normC_s):
             break
         tol *= RESTORE_TIGHTEN
         try:
-            z = restore(net, S, d, replace(cfg, tap_tol=tol), work)
+            z, paths = restore(net, S, d, replace(cfg, tap_tol=tol), paths)
         except MaxIterations:
             break
         C_z = eval_C(net, S, z)
-    return z, C_z
+    return z, C_z, paths
 
 
 def _norm(x):
@@ -371,10 +373,6 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
         raise ValueError("initial demands must be finite and nonnegative")
     s = np.zeros(S.state_dim)
     s[sl_d] = d0
-    # the first restoration comes before any residual at s, so link times
-    # that overflow stop the run as Unreachable before they reach a norm
-    work = {}
-    z = restore(net, S, d0, cfg, work)
 
     # |C(s)| and F(s) at the current point; an accepted step carries over
     # the values it computed at v
@@ -386,15 +384,13 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     prev = None          # the last restored demands and their reduced gradient
     history = []
     status = STATUS_MAX_OUTER
+    paths = None         # the path flows of the last restoration
 
     for k in range(cfg.max_outer):
         theta_cur = init_penalty(k, theta_hist)
-        if k > 0:
-            z, C_z = _restore_closer(net, S, s[sl_d], cfg, work, normC_s)
-        else:
-            C_z = eval_C(net, S, z)
+        z, C_z, paths = _restore_closer(net, S, s[sl_d], cfg, paths, normC_s)
 
-        Z = equilibrium_sensitivity(net, S, z, work["paths"])
+        Z = equilibrium_sensitivity(net, S, z, paths)
         r_tan, g_d = cauchy_direction(net, S, z, Z)
         if check_stop(s, z, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED

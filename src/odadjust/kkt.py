@@ -221,6 +221,8 @@ def equilibrium_sensitivity(net, S, z, paths):
     """
     _, X, _, _ = _blocks(S, z)
     c, a, n = S.n_commodities, S.n_links, S.n_nodes
+    if not c:
+        return np.zeros((S.state_dim, 0))     # no demand to move z with
     v = aggregate_flows(S, X)
     t = net.link_times(v)
     with np.errstate(over="ignore", invalid="ignore"):

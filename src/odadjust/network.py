@@ -188,6 +188,13 @@ class Network:
         self._coeff = cmat
         self._dcoeff = cmat[:, 1:] * np.arange(1, deg) if deg > 1 else np.zeros((len(self.links), 0))
         self._icoeff = cmat / np.arange(1, deg + 1)
+        # per link, the coefficients of t_a and of t'_a, highest degree first,
+        # for one link at a time: Horner's rule over them from 0.0 gives
+        # link_times and link_time_derivs bit for bit, since the tables'
+        # padding zeros leave their sums at +0.0
+        self.link_polys = tuple(
+            (cs[::-1], tuple(j * cs[j] for j in range(len(cs) - 1, 0, -1)))
+            for cs in (lk.cost.coeffs for lk in self.links))
 
         self._check_reachability()
 

@@ -248,20 +248,6 @@ def _gap_bound(net, d, v, paths):
         return (total - best) / max(total, _EPS_DEN), costs
 
 
-def _link_polys(net):
-    """Per link, the coefficients of t_a and of t'_a, highest degree first.
-
-    Horner's rule over them from 0.0 gives net.link_times and
-    net.link_time_derivs for that link bit for bit: those run the same
-    steps, after padding zeros that leave their sum at +0.0.
-    """
-    polys = []
-    for lk in net.links:
-        cs = lk.cost.coeffs
-        polys.append((cs[::-1], tuple(j * cs[j] for j in range(len(cs) - 1, 0, -1))))
-    return polys
-
-
 def _pair_diff(p, q):
     """The links of path p not on path q and those of q not on p, each in
     its path's order, and the two joined: what _shift reads of a pair."""
@@ -275,7 +261,8 @@ def _shift(polys, v, t, dt, flows, p, q, pairs):
     """Move flow of one commodity from path p to path q by a diagonal Newton
     step on the Beckmann objective, capped at p's flow.  v, t and dt are
     lists of the link flows, times and time derivatives; on a move v follows,
-    and t and dt are re-evaluated on the links where p and q differ.  pairs
+    and t and dt are re-evaluated on the links where p and q differ, by
+    Horner's rule over polys, the network's link_polys.  pairs
     is a dict of _pair_diff results keyed by (p, q); a pair missing from it
     is added.  Returns whether any flow moved: none does when the step is
     0, as it is where t' is infinite on a link that p and q do not share."""
@@ -364,8 +351,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
 
     n_links = net.n_links
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]
-    polys = _link_polys(net)
-    cols = {}       # (commodity, path) -> the path's positions in X
+    polys = net.link_polys
 
     def shortest(i, t):
         o = int(net.origin_idx[i])
@@ -373,22 +359,13 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         return tuple(_path_links(net, _dijkstra(net, t, o, (dest,)), o, dest))
 
     def assemble():
-        # X from the path flows, each entry summed in path order from +0.0;
-        # v is its exact per-link sum
-        idx, h = [], []
-        for i in active:
-            for p, flow in paths[i].items():
-                pos = cols.get((i, p))
-                if pos is None:
-                    pos = cols[i, p] = i * n_links + np.array(p, dtype=np.intp)
-                idx.append(pos)
-                h.append(flow)
+        # X from the path flows, each entry summed in (commodity, path, link)
+        # order from +0.0; v is its exact per-link sum
+        idx = [i * n_links + a for i in active for p in paths[i] for a in p]
+        h = [flow for i in active for p, flow in paths[i].items() for _ in p]
         size = net.n_commodities * n_links
-        if not idx:
-            X = np.zeros(size)
-        else:
-            X = np.bincount(np.concatenate(idx), np.repeat(h, [len(pos) for pos in idx]),
-                            size)
+        # bincount of no entries is an integer array
+        X = np.bincount(idx, h, size) if idx else np.zeros(size)
         return X, aggregate_flows(net, X)
 
     t0 = net.link_times(np.zeros(n_links)).tolist()

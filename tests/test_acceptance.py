@@ -105,7 +105,7 @@ def test_04_restoration_quality():
     beta_ok = True
     for _ in range(20):
         d = rng.uniform(0.5, 3.0, size=2)
-        z = restore(net, S, d, cfg)
+        z, _ = restore(net, S, d, cfg)
         worst_c = max(worst_c, float(np.abs(eval_C(net, S, z)).max()))
         X, beta = z[S.slices[1]], z[S.slices[3]]
         beta_ok = beta_ok and bool(np.all(beta >= 0.0))

@@ -202,6 +202,31 @@ def test_solve_report_content(toy_file, tmp_path, capsys):
     assert report["inner_attempts"] >= report["outer_iterations"] - 1
 
 
+def test_solve_without_commodities_converges(toy_file, tmp_path, capsys):
+    # with nothing to adjust, solve ends converged after one outer step,
+    # exits 0 and writes the report a toy run writes, with no demand
+    doc = {"nodes": [1, 2],
+           "links": [{"id": 1, "from": 1, "to": 2, "coeffs": [1.0, 1.0]}],
+           "commodities": [], "observations": [{"link": 1, "flow": 2.0}]}
+    path = _write(tmp_path, doc)
+    report_path, log_path = tmp_path / "report.json", tmp_path / "log.tsv"
+    toy_path = tmp_path / "toy.json"
+    assert main(["check", "--input", path]) == 0
+    assert main(["tap", "--input", path]) == 0
+    assert main(["solve", "--input", path, "--report", str(report_path),
+                 "--log", str(log_path)]) == 0
+    assert main(["solve", "--input", toy_file, "--report", str(toy_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report.keys() == json.loads(toy_path.read_text(encoding="utf-8")).keys()
+    assert report["status"] == "converged"
+    assert report["commodities"] == 0
+    assert report["outer_iterations"] == 1 and report["inner_attempts"] == 0
+    assert report["d_final"] == [] and report["v_final"] == [0.0]
+    assert report["F_final"] == report["F1"] == 4.0
+    assert len(log_path.read_text(encoding="utf-8").splitlines()) == 1   # the header
+
+
 # fails in the first restoration on the quadratic toy: one sweep leaves a gap
 FAILING_SOLVE = ["--initial-demand", "1,2", "--set", "tap_max_iter=1",
                  "--set", "tap_tol=1e-30"]

@@ -61,9 +61,8 @@ def S(net):
 
 def _piece(net, S, d, cfg=None):
     """The restored point at demands d and its sensitivity Z = dz/dd."""
-    work = {}
-    z = restore(net, S, np.asarray(d, dtype=float), cfg or IRConfig(), work)
-    return z, equilibrium_sensitivity(net, S, z, work["paths"])
+    z, paths = restore(net, S, np.asarray(d, dtype=float), cfg or IRConfig())
+    return z, equilibrium_sensitivity(net, S, z, paths)
 
 
 # -- configuration -------------------------------------------------------------
@@ -138,7 +137,7 @@ def test_accept_step_threshold():
 
 def test_restore_reaches_feasibility(net, S):
     cfg = IRConfig()
-    z = restore(net, S, TOY_TARGETS, cfg)
+    z, _ = restore(net, S, TOY_TARGETS, cfg)
     assert np.abs(eval_C(net, S, z)).max() <= 1e-8
     assert_array_equal(z[S.slices[0]], TOY_TARGETS)
     assert_allclose(z[S.slices[1]], TOY_X, atol=1e-6)
@@ -150,7 +149,7 @@ def test_restore_random_demands(net, S):
     rng = np.random.default_rng(31)
     for _ in range(5):
         d = rng.uniform(0.5, 3.0, size=2)
-        z = restore(net, S, d, cfg)
+        z, _ = restore(net, S, d, cfg)
         assert np.abs(eval_C(net, S, z)).max() <= 1e-6
         assert_array_equal(z[S.slices[0]], d)
 
@@ -195,7 +194,7 @@ def test_cauchy_direction_descends_away_from_optimum(net, S):
 
 def test_trial_multipliers_bounded(net, S):
     cfg = IRConfig()
-    z = restore(net, S, np.array([1.0, 2.0]), cfg)
+    z, _ = restore(net, S, np.array([1.0, 2.0]), cfg)
     mu = trial_multipliers(net, S, z)
     assert mu.shape == (S.n_constraints,)
     assert np.all(np.isfinite(mu))
@@ -238,7 +237,7 @@ def test_trial_multipliers_match_the_dense_solve(net, S):
     grid = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
     rng = np.random.default_rng(11)
     for net_, S_ in ((net, S), (grid, build_structure(grid))):
-        points = [restore(net_, S_, net_.target_demands * f, IRConfig())
+        points = [restore(net_, S_, net_.target_demands * f, IRConfig())[0]
                   for f in (1.0, 0.6)]
         points += [random_state(rng, S_) for _ in range(3)]
         for v in points:
@@ -439,13 +438,13 @@ def test_restoration_tightens_until_closer_than_the_last_point(monkeypatch):
         found.append(find_candidate(*args))
         return found[-1]
 
-    def spy(net_, S_, d, cfg_, work=None):
-        z = restore(net_, S_, d, cfg_, work)
+    def spy(net_, S_, d, cfg_, start=None):
+        z, paths = restore(net_, S_, d, cfg_, start)
         if found:
             if cfg_.tap_tol == cfg.tap_tol:
                 steps.append((np.linalg.norm(eval_C(net_, S_, found[-1][0])), []))
             steps[-1][1].append((cfg_.tap_tol, np.linalg.norm(eval_C(net_, S_, z))))
-        return z
+        return z, paths
 
     monkeypatch.setattr(driver_module, "find_candidate", candidate)
     monkeypatch.setattr(driver_module, "restore", spy)
@@ -473,11 +472,11 @@ def test_restoration_keeps_its_point_when_a_tightening_fails(monkeypatch):
     cfg = IRConfig(max_outer=12)
     failed = []
 
-    def spy(net_, S_, d, cfg_, work=None):
+    def spy(net_, S_, d, cfg_, start=None):
         if cfg_.tap_tol < cfg.tap_tol:
             failed.append(cfg_.tap_tol)
             raise MaxIterations("tightened tolerance out of reach")
-        return restore(net_, S_, d, cfg_, work)
+        return restore(net_, S_, d, cfg_, start)
 
     monkeypatch.setattr(driver_module, "restore", spy)
     res = solve_dap(net, cfg)
@@ -487,22 +486,35 @@ def test_restoration_keeps_its_point_when_a_tightening_fails(monkeypatch):
 
 
 def test_restorations_start_from_the_last_path_flows(monkeypatch):
-    # the first restoration starts cold; every later one, tightened ones
-    # included, starts from the path flows of the one before it
+    # every outer step, k = 0 included, restores by one _restore_closer
+    # call: cold at k = 0, then from the path flows the step before
+    # returned.  Every assignment but the first, tightened ones included,
+    # starts from the path flows of the one before it
     net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
-    calls = []
+    restore_closer = driver_module._restore_closer
+    steps, assignments = [], []
 
-    def spy(*args, start=None, **kwargs):
+    def closer(net_, S_, d, cfg_, paths, normC_s):
+        out = restore_closer(net_, S_, d, cfg_, paths, normC_s)
+        steps.append((paths, out[2]))
+        return out
+
+    def tap(*args, start=None, **kwargs):
         sol = solve_tap(*args, start=start, **kwargs)
-        calls.append((start, sol.paths))
+        assignments.append((start, sol.paths))
         return sol
 
-    monkeypatch.setattr(driver_module, "solve_tap", spy)
+    monkeypatch.setattr(driver_module, "_restore_closer", closer)
+    monkeypatch.setattr(driver_module, "solve_tap", tap)
     res = solve_dap(net)
     assert res.status == STATUS_CONVERGED
-    assert len(calls) >= res.outer_iterations >= 2
-    assert calls[0][0] is None
-    assert all(start is paths for (start, _), (_, paths) in zip(calls[1:], calls))
+    assert len(steps) == res.outer_iterations >= 2
+    assert steps[0][0] is None
+    assert all(start is paths for (start, _), (_, paths) in zip(steps[1:], steps))
+    assert len(assignments) > len(steps)
+    assert assignments[0][0] is None
+    assert all(start is paths for (start, _), (_, paths)
+               in zip(assignments[1:], assignments))
 
 
 def test_solve_dap_rejects_infeasible_start(net):

@@ -396,9 +396,7 @@ _TIGHT = IRConfig(tap_tol=1e-12)
 
 def _restored(net, S, d):
     """The restored point at d, tap tolerance 1e-12, and its path flows."""
-    work = {}
-    z = restore(net, S, np.asarray(d, dtype=float), _TIGHT, work)
-    return z, work["paths"]
+    return restore(net, S, np.asarray(d, dtype=float), _TIGHT)
 
 
 def _used(paths):
@@ -463,7 +461,7 @@ def test_equilibrium_sensitivity_at_zero_demand(net, S):
     z, paths = _restored(net, S, d)
     assert 0 not in paths
     col = equilibrium_sensitivity(net, S, z, paths)[:, 0]
-    fd = (restore(net, S, d + [h, 0.0], _TIGHT) - z) / h
+    fd = (restore(net, S, d + [h, 0.0], _TIGHT)[0] - z) / h
     sl_d, sl_x, sl_a, sl_b = S.slices
     assert_allclose(aggregate_flows(S, col[sl_x]), aggregate_flows(S, fd[sl_x]),
                     rtol=0.0, atol=1e-5)

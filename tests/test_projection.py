@@ -245,7 +245,7 @@ def test_grid_projection_does_not_stall(name):
 
     # certify that projection
     S = build_structure(net)
-    z = restore(net, S, net.target_demands, cfg)
+    z, _ = restore(net, S, net.target_demands, cfg)
     space = tangent_space(net, S, z)
     b = z - grad_F_state(net, S, z)
     _certify(space, b, None, project(space, b))
@@ -256,7 +256,7 @@ def test_projection_refines_the_linear_residual():
     # leaves J(w - z) at 1.4e-10 after its refinement solve, 3.6e-8 without
     net = parse_network((DATA / "grid5x5_0.json").read_text(encoding="utf-8"))
     S = build_structure(net)
-    z = restore(net, S, net.target_demands, IRConfig())
+    z, _ = restore(net, S, net.target_demands, IRConfig())
     space = tangent_space(net, S, z)
     b = z - grad_F_state(net, S, z)
     w = project(space, b)
@@ -426,7 +426,7 @@ def test_tangent_space_matches_sorted_assembly_on_grid_states(factored):
     rng = np.random.default_rng(507)
     for scale in (1.0, 0.5, 1.7):
         d = net.target_demands * scale * rng.uniform(0.8, 1.2, size=S.n_commodities)
-        z = restore(net, S, d, IRConfig())
+        z, _ = restore(net, S, d, IRConfig())
         J = eval_C_jacobian(net, S, z)
         assert np.count_nonzero(J.data == 0.0) > 0
         free_ref, ref = _reference_tangent(J.toarray())
@@ -442,7 +442,7 @@ def test_dependent_bound_is_tested_once_between_releases(monkeypatch):
     # so no bound's Schur pivot is tested twice between two releases
     net = parse_network((DATA / "grid4x4_1.json").read_text(encoding="utf-8"))
     S = build_structure(net)
-    z = restore(net, S, net.target_demands, IRConfig())
+    z, _ = restore(net, S, net.target_demands, IRConfig())
     space = tangent_space(net, S, z)
     b = z - grad_F_state(net, S, z)
     expected = project(space, b)

@@ -28,7 +28,7 @@ from odadjust import (
 )
 from odadjust.errors import DimensionMismatch, Unreachable
 from odadjust import tap
-from odadjust.tap import _dijkstra, _gap_bound, _link_polys, _path_links, _shift
+from odadjust.tap import _dijkstra, _gap_bound, _path_links, _shift
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -102,7 +102,7 @@ def test_path_shift_lands_on_equal_costs(net):
     # 1->2->3 is (0, 2).  Linear costs make the diagonal Newton step exact:
     # one shift of 1/12 equalizes both routes at 5/3.
     v, t, dt = _kept_lists(net, [1.5, 1.75, 0.0, 0.0])
-    polys = _link_polys(net)
+    polys = net.link_polys
     flows = {(1,): 1.75, (0, 2): 0.0}
     assert _shift(polys, v, t, dt, flows, (1,), (0, 2), {})
     assert_allclose(flows[(0, 2)], 1.0 / 12.0, rtol=1e-15)
@@ -118,7 +118,7 @@ def test_path_shift_capped_at_path_flow(net):
     # exceeds it, so all of it moves to the direct link and the path empties
     v, t, dt = _kept_lists(net, [1.4, 1.85, 0.0, 0.1])
     flows = {(0,): 1.4, (1, 3): 0.1}
-    assert _shift(_link_polys(net), v, t, dt, flows, (1, 3), (0,), {})
+    assert _shift(net.link_polys, v, t, dt, flows, (1, 3), (0,), {})
     assert flows[(1, 3)] == 0.0
     assert_allclose(flows[(0,)], 1.5, rtol=1e-15)
     assert_allclose(v, [1.5, 1.75, 0.0, 0.0], atol=1e-15)
@@ -131,7 +131,7 @@ def test_path_shifts_keep_times_of_the_running_flows():
     # shortest one under t
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     rng = np.random.default_rng(7)
-    polys = _link_polys(gnet)
+    polys = gnet.link_polys
     pairs = {}
 
     def path(costs, o, dest):
@@ -417,7 +417,8 @@ def test_solve_tap_grid_sweeps():
 def test_every_sweep_conserves_flow_cold_and_warm():
     # after every sweep, cold or warm-started from the paths of other
     # demands (one commodity then starts cold), each commodity's path flows
-    # sum to its demand and are positive, and X and v are assembled from them
+    # sum to its demand and are positive, and X and v are assembled from
+    # them: X bit for bit as np.add.at sums them, path by path in dict order
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     S = build_structure(gnet)
     d = gnet.target_demands
@@ -431,9 +432,13 @@ def test_every_sweep_conserves_flow_cold_and_warm():
             assert_allclose(S.M_dot(sol.X), S.Gamma_dot(d), rtol=0, atol=1e-10)
             assert np.all(sol.X >= 0.0)
             assert_array_equal(sol.v, aggregate_flows(S, sol.X))
+            X = np.zeros(S.n_commodities * S.n_links)
             for i, flows in sol.paths.items():
                 assert min(flows.values()) > 0.0
                 assert_allclose(sum(flows.values()), d[i], rtol=1e-14)
+                for p, h in flows.items():
+                    np.add.at(X, [i * S.n_links + a for a in p], h)
+            assert sol.X.tobytes() == X.tobytes()
 
 
 def test_warm_start_at_its_own_demands_takes_no_sweep():

@@ -141,7 +141,7 @@ def lifted_lines():
     inst, = WORKLOADS["dap-grid"].instances(np.random.default_rng(SEED))
     net = parse_network(inst.text)
     S = build_structure(net)
-    z = restore(net, S, net.target_demands, IRConfig())
+    z, _ = restore(net, S, net.target_demands, IRConfig())
     J = eval_C_jacobian(net, S, z)
     space = tangent_space(net, S, z)
     b = z - grad_F_state(net, S, z)
