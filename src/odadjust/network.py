@@ -8,6 +8,7 @@ incidence and origin-destination incidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,13 +33,14 @@ class CostFunction:
 
     Nonnegative coefficients keep t nonnegative and non-decreasing on x >= 0,
     which is all the equilibrium theory needs.  Every coefficient, and every
-    coefficient j * coeffs[j] of t', must be a finite float.
+    coefficient j * coeffs[j] of t', must be a finite float.  A coefficient
+    -0.0 is kept as +0.0, so that each zero coefficient is one value.
     """
 
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(float(c) for c in self.coeffs)
+        cs = tuple(float(c) + 0.0 for c in self.coeffs)
         if len(cs) == 0:
             raise MalformedInput("cost function needs at least one coefficient")
         if not np.all(np.isfinite(cs)):
@@ -105,11 +107,59 @@ def _horner(table, v):
     return out
 
 
+def _horner_source(name, nonzero):
+    """Python source of Horner's rule in x over the coefficients name0,
+    name1, ..., of which those with a true flag in nonzero are not zero.
+
+    The rule starts from the highest nonzero coefficient and leaves out the
+    additions of the zero ones, save the constant term.  Beside a product
+    y*x, the addition of +0.0 changes only -0.0 to +0.0, and so does the
+    constant term's addition, whatever the constant.  Down to the highest
+    nonzero coefficient c, Horner's rule from 0.0 holds +0.0 for a finite
+    x, and +0.0*x + c is c.  So for every finite x the source gives what
+    Horner's rule from 0.0 over a zero-padded table gives, bit for bit.
+    """
+    top = max((j for j, nz in enumerate(nonzero) if nz), default=0)
+    src = "%s%d" % (name, top)
+    for j in range(top - 1, -1, -1):
+        src += "*x"
+        if j == 0 or nonzero[j]:
+            src = "(%s + %s%d)" % (src, name, j)
+    return src
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluator_factory(nonzero):
+    """A function of the coefficient tuples (c, e) of t and t' that returns
+    a function of x giving (t(x), t'(x)), compiled for the zero pattern
+    nonzero of c; t' has the pattern shifted by one, since j * c_j is zero
+    only where c_j is.  The source holds names and indices only, no
+    coefficient value, so one compiled factory serves every network with
+    the pattern."""
+    e_nonzero = nonzero[1:] or (False,)
+    names = ["c%d = c[%d]" % (j, j) for j, nz in enumerate(nonzero) if nz or j == 0]
+    names += ["e%d = e[%d]" % (k, k) for k, nz in enumerate(e_nonzero) if nz or k == 0]
+    src = ("def make(c, e):\n    %s\n    def ev(x):\n        return %s, %s\n"
+           "    return ev\n" % ("\n    ".join(names), _horner_source("c", nonzero),
+                                _horner_source("e", e_nonzero)))
+    scope = {}
+    exec(compile(src, "<link evaluator>", "exec"), scope)
+    return scope["make"]
+
+
+def _link_evaluator(cs):
+    """The function x -> (t(x), t'(x)) of the cost coefficients cs, t' from
+    the coefficients j * c_j that link_time_derivs reads."""
+    make = _evaluator_factory(tuple(c != 0.0 for c in cs))
+    return make(cs, tuple(j * cs[j] for j in range(1, len(cs))) or (0.0,))
+
+
 class Network:
     """Validated road network with demands and (possibly partial) flow observations.
 
     Instances are treated as immutable after construction; every derived array
-    (incidence maps, padded coefficient tables) is built once here.
+    (incidence maps, padded coefficient tables) and the per-link evaluators
+    link_evals are built once here.
     """
 
     def __init__(self, nodes, links, commodities, observations=None,
@@ -188,13 +238,9 @@ class Network:
         self._coeff = cmat
         self._dcoeff = cmat[:, 1:] * np.arange(1, deg) if deg > 1 else np.zeros((len(self.links), 0))
         self._icoeff = cmat / np.arange(1, deg + 1)
-        # per link, the coefficients of t_a and of t'_a, highest degree first,
-        # for one link at a time: Horner's rule over them from 0.0 gives
-        # link_times and link_time_derivs bit for bit, since the tables'
-        # padding zeros leave their sums at +0.0
-        self.link_polys = tuple(
-            (cs[::-1], tuple(j * cs[j] for j in range(len(cs) - 1, 0, -1)))
-            for cs in (lk.cost.coeffs for lk in self.links))
+        # per link, a function of one flow x that returns (t_a(x), t_a'(x))
+        # bit for bit as link_times and link_time_derivs give them
+        self.link_evals = tuple(_link_evaluator(lk.cost.coeffs) for lk in self.links)
 
         self._check_reachability()
 

@@ -14,26 +14,34 @@ Conservation holds to roundoff at every iterate because a move keeps the
 commodity's total path flow.
 
 A solve starts cold, each commodity's demand on its shortest path under
-the zero-flow link times, or warm from the path flows of an earlier solve: a commodity with a
-positive total there starts from its paths, their flows scaled to its new
-demand.
+the zero-flow link times, or warm from the path flows of an earlier solve:
+a commodity with a positive total there starts from its paths, their flows
+scaled to its new demand, unless that scale overflows, as it does for a
+subnormal total.
+
+Within a solve each distinct path has a number, given the first time the
+path is met; path flows, the restricted pass and the pair differences are
+keyed by it.  TapSolution.paths and start are keyed by link tuples,
+converted once at entry and once at exit.  Path costs and summed
+derivatives are plain loops from 0.0, left to right in path order.
 
 Each sweep starts from the flows v assembled from the path flows, and takes
 the link times t(v) and derivatives t'(v) once, from net.link_times and
 net.link_time_derivs, as Python lists.  The times are those the sweep's
-convergence test has just evaluated at the same v.  A move changes v only
-on the links where its two paths differ, and only those links' entries are
-re-evaluated, by Horner's rule in the same order, so the lists stay t and
-t' of the running flows bit for bit.  Which links those are is worked out
-once per pair of paths in a solve.  The lists are rebuilt from the
-assembled v at every sweep rather than carried over, as the running v and
-the assembled v differ in the last bits.  Flows stay Python floats, so a
-time that overflows is inf without a NumPy warning; it is caught just
-before the next path search or the convergence test reads it, not where it
-arises, since a later move of the same commodity can bring it back.  The
-restricted pass moves no flow off a path whose time is inf, so the test
-that follows it raises.  A path search stops as soon as the nodes it is
-asked for have settled, whose labels are then final.
+convergence test has just evaluated at the same v.  A move changes v only on
+the links where its two paths differ, and only those links' entries are
+re-evaluated, one link at a time by net.link_evals, which agree with
+link_times and link_time_derivs, so the lists stay t and t' of the running
+flows bit for bit.  Which links those are is worked out once per pair of
+paths in a solve.  The lists are rebuilt from the assembled v at every sweep
+rather than carried over, as the running v and the assembled v differ in the
+last bits.  Flows stay Python floats, so a time that overflows is inf
+without a NumPy warning; it is caught just before the next path search or
+the convergence test reads it, not where it arises, since a later move of
+the same commodity can bring it back.  The restricted pass moves no flow off
+a path whose time is inf, so the test that follows it raises.  A path search
+stops as soon as the nodes it is asked for have settled, whose labels are
+then final; the sweep's search, _shortest_path, has one destination.
 
 The convergence test first bounds the relative gap from below by the used
 paths alone, with no search: each commodity's cheapest used path stands in
@@ -100,22 +108,16 @@ def _dijkstra(net, costs, origin_idx, targets=None):
     out_links, pop, push = net.out_links, heapq.heappop, heapq.heappush
     dist = [math.inf] * n
     pred = [-1] * n
-    done = [False] * n
-    wanted = [False] * n
-    for x in range(n) if targets is None else targets:
-        wanted[x] = True
-    left = wanted.count(True)
+    left = set(range(n) if targets is None else targets)
     dist[origin_idx] = 0.0
     heap = [(0.0, origin_idx)]
     while heap:
         du, u = pop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if wanted[u]:
-            left -= 1
-            if not left:
-                break
+        if du > dist[u]:
+            continue        # a stale entry: u settled at a lower label
+        left.discard(u)
+        if not left:
+            break
         for link_idx, w in out_links[u]:
             nd = du + costs[link_idx]
             if nd < dist[w]:
@@ -123,6 +125,35 @@ def _dijkstra(net, costs, origin_idx, targets=None):
                 pred[w] = link_idx
                 push(heap, (nd, w))
     return ShortestPathResult(dist=dist, pred=pred)
+
+
+def _shortest_path(net, costs, origin_idx, dest_idx):
+    """The links of the shortest path origin -> dest under costs, a list of
+    link times, as a tuple in travel order.
+
+    The search is _dijkstra's, with the same heap entries and so the same
+    ties, and stops once dest settles; the path is that of _dijkstra's
+    tree bit for bit.
+    """
+    n = net.n_nodes
+    out_links, pop, push = net.out_links, heapq.heappop, heapq.heappush
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[origin_idx] = 0.0
+    heap = [(0.0, origin_idx)]
+    while heap:
+        du, u = pop(heap)
+        if u == dest_idx:
+            break
+        if du > dist[u]:
+            continue
+        for link_idx, w in out_links[u]:
+            nd = du + costs[link_idx]
+            if nd < dist[w]:
+                dist[w] = nd
+                pred[w] = link_idx
+                push(heap, (nd, w))
+    return tuple(_path_links(net, ShortestPathResult(dist, pred), origin_idx, dest_idx))
 
 
 def _origin_trees(net, costs, commodities):
@@ -217,95 +248,108 @@ def relative_gap(net, d, v):
     return (total - best) / max(total, _EPS_DEN)
 
 
-def _gap_bound(net, d, v, paths):
+def _cheapest(flows, links, t):
+    """The first path number in flows whose link times t, summed over
+    links[p] in travel order from 0.0, are least, and that sum."""
+    best_p = best = None
+    for p in flows:
+        cost = 0.0
+        for a in links[p]:
+            cost += t[a]
+        if best is None or cost < best:
+            best_p, best = p, cost
+    return best_p, best
+
+
+def _gap_bound(net, d, v, flows, links):
     """A lower bound on relative_gap(net, d, v) from the used paths alone,
     and t(v) as a list.
 
-    paths maps each commodity with nonzero demand, in index order, to the
-    paths it uses.  The bound is relative_gap's expression with each
-    shortest-path cost sp_i replaced by the cheapest used path's cost, each
-    path's times summed in travel order from 0.0.  A search's label is that
-    same in-order sum along its tree path, and rounding is monotone, so the
-    label is at most every path's sum, and the bound at most relative_gap,
-    bit for bit.  The bound is NaN or -inf, above no tolerance, where t(v).v
-    or a used path's cost overflows; raises Unreachable when a link time is
-    not finite.
+    flows maps each commodity with nonzero demand, in index order, to the
+    numbers of the paths it uses, and links[p] is path p's links.  The
+    bound is relative_gap's expression with each shortest-path cost sp_i
+    replaced by the cheapest used path's cost, each path's times summed in
+    travel order from 0.0.  A search's label is that same in-order sum
+    along its tree path, and rounding is monotone, so the label is at most
+    every path's sum, and the bound at most relative_gap, bit for bit.  The
+    bound is NaN or -inf, above no tolerance, where t(v).v or a used path's
+    cost overflows; raises Unreachable when a link time is not finite.
     """
     t = _link_times(net, v)
     costs = t.tolist()
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(t @ v)
-        for i, flows in paths.items():
-            cheapest = math.inf
-            for p in flows:
-                cost = 0.0
-                for a in p:
-                    cost += costs[a]
-                if cost < cheapest:
-                    cheapest = cost
-            best += d[i] * cheapest
+        for i, paths in flows.items():
+            best += d[i] * _cheapest(paths, links, costs)[1]
         return (total - best) / max(total, _EPS_DEN), costs
 
 
 def _pair_diff(p, q):
     """The links of path p not on path q and those of q not on p, each in
-    its path's order, and the two joined: what _shift reads of a pair."""
+    its path's order, and the two joined: what _shift_onto reads of a
+    pair."""
     q_set, p_set = set(q), set(p)
     only_p = [a for a in p if a not in q_set]
     only_q = [a for a in q if a not in p_set]
     return only_p, only_q, only_p + only_q
 
 
-def _shift(polys, v, t, dt, flows, p, q, pairs):
-    """Move flow of one commodity from path p to path q by a diagonal Newton
-    step on the Beckmann objective, capped at p's flow.  v, t and dt are
-    lists of the link flows, times and time derivatives; on a move v follows,
-    and t and dt are re-evaluated on the links where p and q differ, by
-    Horner's rule over polys, the network's link_polys.  pairs
-    is a dict of _pair_diff results keyed by (p, q); a pair missing from it
-    is added.  Returns whether any flow moved: none does when the step is
-    0, as it is where t' is infinite on a link that p and q do not share."""
-    diff = pairs.get((p, q))
-    if diff is None:
-        diff = pairs[p, q] = _pair_diff(p, q)
-    only_p, only_q, changed = diff
-    t_p = sum([t[a] for a in only_p])
-    t_q = sum([t[a] for a in only_q])
-    excess = t_p - t_q
-    if not excess > _EPS_SHIFT * (t_p + t_q):
-        return False
-    curv = sum([dt[a] for a in changed])
-    h = flows[p]
-    step = h if excess >= h * curv else excess / curv
-    flows[p] = h - step
-    flows[q] += step
-    for a in only_p:
-        v[a] -= step
-    for a in only_q:
-        v[a] += step
-    for a in changed:
-        x = v[a]
-        tc, dc = polys[a]
-        out = 0.0
-        for c in tc:
-            out = out * x + c
-        t[a] = out
-        out = 0.0
-        for c in dc:
-            out = out * x + c
-        dt[a] = out
-    return step > 0.0
+def _shift_onto(evals, v, t, dt, flows, q, links, diffs):
+    """Move one commodity's flow from each of its used paths but q onto q,
+    in the dict's order, by a diagonal Newton step on the Beckmann
+    objective, capped at the path's flow.
 
-
-def _shift_onto(polys, v, t, dt, flows, q, pairs):
-    """_shift every path of flows but q onto q, in the dict's order; returns
-    whether any flow moved, and flows without the paths it emptied."""
+    flows maps path numbers to flows, links[p] is path p's links and diffs
+    the dict of _pair_diff(links[p], links[q]) keyed by p; a missing entry
+    is added.  v, t and dt are lists of the link flows, times and time
+    derivatives; on a move v follows, and t and dt are re-evaluated by
+    evals, the network's link_evals, on the links where the two paths
+    differ.  Costs and curvatures are summed in path order from 0.0.
+    Returns whether any flow moved, and the path flows without the paths
+    emptied, in the same order.  No flow moves where the step is 0, as it
+    is where t' is infinite on a link that the two paths do not share.
+    """
     moved = False
-    for p in list(flows):
-        if p != q:
-            moved = _shift(polys, v, t, dt, flows, p, q, pairs) or moved
-    return moved, {p: h for p, h in flows.items() if h > 0.0}
+    hq = flows[q]
+    out = {}
+    for p, h in flows.items():
+        if p == q:
+            out[q] = hq         # its final flow is set below
+            continue
+        diff = diffs.get(p)
+        if diff is None:
+            diff = diffs[p] = _pair_diff(links[p], links[q])
+        only_p, only_q, changed = diff
+        t_p = 0.0
+        for a in only_p:
+            t_p += t[a]
+        t_q = 0.0
+        for a in only_q:
+            t_q += t[a]
+        excess = t_p - t_q
+        if excess > _EPS_SHIFT * (t_p + t_q):
+            curv = 0.0
+            for a in changed:
+                curv += dt[a]
+            step = h if excess >= h * curv else excess / curv
+            h -= step
+            hq += step
+            for a in only_p:
+                v[a] -= step
+            for a in only_q:
+                v[a] += step
+            for a in changed:
+                t[a], dt[a] = evals[a](v[a])
+            if step > 0.0:
+                moved = True
+        if h > 0.0:
+            out[p] = h
+    if hq > 0.0:
+        out[q] = hq
+    else:
+        del out[q]
+    return moved, out
 
 
 def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
@@ -319,28 +363,28 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     max_iter : cap on sweeps over all commodities
     start : path flows shaped like TapSolution.paths, of this network, or
         None; an active commodity with a positive total in start starts
-        from those paths, their flows scaled by d_i / total, and the others
-        start cold, all their demand on the shortest path under the
-        zero-flow link times
+        from those paths, their flows scaled by d_i / total, and the others,
+        and those whose d_i / total overflows, start cold, all their demand
+        on the shortest path under the zero-flow link times
 
     Returns a TapSolution; `converged` is False when the budget ran out, in
     which case the best iterate found is returned rather than raising.
     Its `paths` are the path flows X is assembled from, and its `rgap` is
     relative_gap at its v.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
-    through its path shifts; each commodity's path search stops once the
-    destination settles.  After the searches, one restricted pass shifts
-    each commodity's used paths onto the cheapest of them, their times
-    summed in path order, the first in the dict winning a tie.  The links
-    where two paths differ are found once per (p, q) pair and kept for the
-    rest of the solve.  At the start and after every sweep, _gap_bound
-    bounds the gap from the used paths; relative_gap runs only where the
-    bound is at most tol, as only there can the solve have converged, and
-    once at the end if the last bound was above tol.  The bound never
-    exceeds the gap, so the sweeps are those that a test of the exact gap
-    after every sweep would make.  Every link time is checked just before a
-    path search or the bound reads it: Unreachable is raised on the first
-    that is not finite.
+    through its path shifts, one link at a time by net.link_evals; each
+    commodity's path search stops once the destination settles.  After the
+    searches, one restricted pass shifts each commodity's used paths onto the
+    cheapest of them, their times summed in path order, the first in the dict
+    winning a tie.  Paths are numbered once per solve, and the links where two
+    paths differ are found once per (p, q) pair of numbers and kept for the
+    rest of the solve.  At the start and after every sweep, _gap_bound bounds
+    the gap from the used paths; relative_gap runs only where the bound is at
+    most tol, as only there can the solve have converged, and once at the end
+    if the last bound was above tol.  The bound never exceeds the gap, so the
+    sweeps are those that a test of the exact gap after every sweep would make.
+    Every link time is checked just before a path search or the bound reads it:
+    Unreachable is raised on the first that is not finite.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (net.n_commodities,):
@@ -351,36 +395,49 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
 
     n_links = net.n_links
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]
-    polys = net.link_polys
+    evals = net.link_evals
+    # each distinct path is numbered once: ids maps its links to its
+    # number p, links[p] holds its links, and diffs[q] the _pair_diff
+    # results of the pairs (p, q) met, keyed by p
+    ids, links, diffs = {}, [], []
+
+    def number(path):
+        p = ids.get(path)
+        if p is None:
+            p = ids[path] = len(links)
+            links.append(path)
+            diffs.append({})
+        return p
 
     def shortest(i, t):
         o = int(net.origin_idx[i])
-        dest = int(net.destination_idx[i])
-        return tuple(_path_links(net, _dijkstra(net, t, o, (dest,)), o, dest))
+        return number(_shortest_path(net, t, o, int(net.destination_idx[i])))
 
     def assemble():
         # X from the path flows, each entry summed in (commodity, path, link)
         # order from +0.0; v is its exact per-link sum
-        idx = [i * n_links + a for i in active for p in paths[i] for a in p]
-        h = [flow for i in active for p, flow in paths[i].items() for _ in p]
+        idx = [i * n_links + a for i in active for p in flows[i] for a in links[p]]
+        h = [flow for i in active for p, flow in flows[i].items() for _ in links[p]]
         size = net.n_commodities * n_links
         # bincount of no entries is an integer array
         X = np.bincount(idx, h, size) if idx else np.zeros(size)
         return X, aggregate_flows(net, X)
 
     t0 = net.link_times(np.zeros(n_links)).tolist()
-    paths = {}
+    flows = {}      # per active commodity, its path numbers and their flows
     for i in active:
         prev = (start or {}).get(i, {})
-        total = sum(prev.values())
-        if total > 0.0:
-            scale = float(d[i]) / total
-            paths[i] = {p: h * scale for p, h in prev.items()}
+        total = 0.0
+        for h in prev.values():
+            total += h
+        # a total that is 0, or so small that d_i / total overflows, starts cold
+        scale = float(d[i]) / total if total > 0.0 else math.inf
+        if scale < math.inf:
+            flows[i] = {number(p): h * scale for p, h in prev.items()}
         else:
-            paths[i] = {shortest(i, t0): float(d[i])}
-    pairs = {}      # (p, q) -> _pair_diff(p, q), for every pair _shift meets
+            flows[i] = {shortest(i, t0): float(d[i])}
     X, v = assemble()
-    bound, t = _gap_bound(net, d, v, paths)
+    bound, t = _gap_bound(net, d, v, flows, links)
     # the exact gap only where the bound cannot rule convergence out
     rgap = None if bound > tol else relative_gap(net, d, v)
     iterations = 0
@@ -397,20 +454,22 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         for i in active:
             _check_times(t)
             q = shortest(i, t)
-            paths[i].setdefault(q, 0.0)
-            shifted, paths[i] = _shift_onto(polys, run_v, t, dt, paths[i], q, pairs)
+            paths = flows[i]
+            paths.setdefault(q, 0.0)
+            shifted, flows[i] = _shift_onto(evals, run_v, t, dt, paths, q, links, diffs[q])
             moved = moved or shifted
         # the restricted pass: each commodity's used paths shift onto the
         # cheapest of them, with no search
         for i in active:
-            flows = paths[i]
-            if len(flows) > 1:
-                q = min(flows, key=lambda p: sum([t[a] for a in p]))
-                shifted, paths[i] = _shift_onto(polys, run_v, t, dt, flows, q, pairs)
+            paths = flows[i]
+            if len(paths) > 1:
+                q, _ = _cheapest(paths, links, t)
+                shifted, flows[i] = _shift_onto(evals, run_v, t, dt, paths, q, links,
+                                                diffs[q])
                 moved = moved or shifted
 
         X, v = assemble()
-        bound, t = _gap_bound(net, d, v, paths)
+        bound, t = _gap_bound(net, d, v, flows, links)
         rgap = None if bound > tol else relative_gap(net, d, v)
         if rgap is not None and rgap <= tol:
             converged = True
@@ -420,6 +479,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     if rgap is None:
         rgap = relative_gap(net, d, v)
 
+    paths = {i: {links[p]: h for p, h in flows[i].items()} for i in active}
     return TapSolution(X=X, v=v, beckmann=beckmann_objective(net, v),
                        rgap=rgap, iterations=iterations, converged=converged,
                        paths=paths)

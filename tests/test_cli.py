@@ -227,6 +227,25 @@ def test_solve_without_commodities_converges(toy_file, tmp_path, capsys):
     assert len(log_path.read_text(encoding="utf-8").splitlines()) == 1   # the header
 
 
+def test_solve_from_a_subnormal_target_converges(tmp_path, capsys):
+    # commodity 0's target 1e-320 is the start; its restored path flows sum
+    # to a subnormal total, which a warm start must not divide the next
+    # demands by
+    doc = toy_document()
+    doc["commodities"][0]["target"] = 1e-320
+    path = _write(tmp_path, doc)
+    report_path = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--input", path, "--report", str(report_path),
+                     "--log", str(tmp_path / "log.tsv")])
+    assert caught == []
+    assert code == 0 and capsys.readouterr().err == ""
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["status"] == "converged"
+    assert all(np.isfinite(report["d_final"])) and all(np.isfinite(report["v_final"]))
+
+
 # fails in the first restoration on the quadratic toy: one sweep leaves a gap
 FAILING_SOLVE = ["--initial-demand", "1,2", "--set", "tap_max_iter=1",
                  "--set", "tap_tol=1e-30"]

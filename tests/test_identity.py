@@ -33,8 +33,10 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
     grid = (out / "dap-grid.txt").read_text(encoding="utf-8")
     assert re.fullmatch(r"sha256 [0-9a-f]{64}\nF_final \S+\nstatus \w+\n", grid)
     tap = (out / "tap-grid.txt").read_text(encoding="utf-8")
-    assert re.fullmatch(r"sha256 [0-9a-f]{64}\n(\S+ iterations \d+ rgap \S+\n){4}"
-                        r"grid6x6-od10-s0 sha256 [0-9a-f]{64} iterations \d+ rgap \S+\n", tap)
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}\npaths sha256 [0-9a-f]{64}\n"
+                        r"(\S+ iterations \d+ rgap \S+\n){4}"
+                        r"grid6x6-od10-s0 sha256 [0-9a-f]{64} paths [0-9a-f]{64} "
+                        r"iterations \d+ rgap \S+\n", tap)
     lifted = (out / "lifted.txt").read_text(encoding="utf-8")
     names = ["jacobian.data float64", "jacobian.indices int32", "jacobian.indptr int32",
              "trial_multipliers float64", "project float64", "project.box float64"]

@@ -134,6 +134,41 @@ def test_mixed_degree_cost_table():
     assert_allclose(net.link_time_integrals(v), [4.0, 1.5 + 2.0 * 9.0])
 
 
+# the cost shapes the per-link evaluators compile for: constant, linear,
+# quartic, pure powers, interior zeros, a zero constant term, a trailing
+# zero and a coefficient -0.0
+EVALUATOR_COSTS = [(2.0,), (0.0,), (-0.0,), (0.0, 1.0), (1.5, 2.0), (1.0, 0.0, 0.0, 0.0, 0.05),
+                   (1.0, 0.5, 0.25, 0.125, 0.0625), (0.0, 0.0, 0.0, 0.0, 3.0),
+                   (0.0, 0.0, 2.0), (1.0, 0.0, 2.0, 0.0, 3.0), (0.0, 1.0, 0.0, 1.0),
+                   (1.0, 2.0, 0.0), (1.0, -0.0, 0.0, 0.7)]
+EVALUATOR_FLOWS = [0.0, -0.0, -1e-17, -1e-80, 1e-80, 5e-324, -5e-324, 2.2e-310, 1e-17,
+                   0.3, 1.0, -2.5, 7.25, 1e60, 1e76, 1.3e77, -1.3e77, 1.3e154, 1e300,
+                   -1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("costs", [EVALUATOR_COSTS, EVALUATOR_COSTS[:5]])
+def test_link_evaluators_match_the_tables_bit_for_bit(costs):
+    # on a network padded to degree 4 and on one of degree at most 1, each
+    # link's evaluator gives link_times and link_time_derivs with the same
+    # bytes, signed zeros, subnormals and overflows to inf included
+    net = Network([1, 2], [_lk(a, 1, 2, cs) for a, cs in enumerate(costs)],
+                  [Commodity(1, 2, 1.0)])
+    for x in EVALUATOR_FLOWS:
+        v = np.full(net.n_links, x)
+        with np.errstate(over="ignore"):
+            t, dt = net.link_times(v), net.link_time_derivs(v)
+        pairs = [ev(x) for ev in net.link_evals]
+        assert all(type(a) is float and type(b) is float for a, b in pairs)
+        assert np.array([a for a, _ in pairs]).tobytes() == t.tobytes(), x
+        assert np.array([b for _, b in pairs]).tobytes() == dt.tobytes(), x
+
+
+def test_negative_zero_coefficient_is_stored_as_zero():
+    cs = CostFunction((-0.0, 1.0, -0.0)).coeffs
+    assert cs == (0.0, 1.0, 0.0)
+    assert all(np.copysign(1.0, c) == 1.0 for c in cs)
+
+
 # -- structure matrices -------------------------------------------------------
 
 def test_structure_matrices_on_reference_instance():

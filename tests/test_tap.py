@@ -28,7 +28,7 @@ from odadjust import (
 )
 from odadjust.errors import DimensionMismatch, Unreachable
 from odadjust import tap
-from odadjust.tap import _dijkstra, _gap_bound, _path_links, _shift
+from odadjust.tap import _dijkstra, _gap_bound, _path_links, _shift_onto, _shortest_path
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -64,7 +64,8 @@ def test_shortest_paths_deterministic(net):
 def test_shortest_paths_stop_at_destination():
     # stopping once the targets settle keeps their distances and tree paths
     # bit for bit, with distinct and with tied costs: single destinations,
-    # each origin's destinations, and random node sets
+    # each origin's destinations, and random node sets; the sweep's
+    # one-destination search finds the full tree's path
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     rng = np.random.default_rng(5)
     for costs in (rng.uniform(1.0, 2.0, gnet.n_links), np.ones(gnet.n_links)):
@@ -82,6 +83,9 @@ def test_shortest_paths_stop_at_destination():
                     assert part.dist[dest] == full.dist[dest]
                     assert (_path_links(gnet, part, o, dest)
                             == _path_links(gnet, full, o, dest))
+            for dest in range(gnet.n_nodes):
+                assert (_shortest_path(gnet, costs.tolist(), o, dest)
+                        == tuple(_path_links(gnet, full, o, dest)))
 
 
 # -- objective, path shift, gap -------------------------------------------------
@@ -98,30 +102,34 @@ def _kept_lists(net, v):
 
 
 def test_path_shift_lands_on_equal_costs(net):
-    # commodity 2 all on its direct link 1->3 (path (1,)); its other route
-    # 1->2->3 is (0, 2).  Linear costs make the diagonal Newton step exact:
-    # one shift of 1/12 equalizes both routes at 5/3.
+    # commodity 2 all on its direct link 1->3 (path 0, links (1,)); its other
+    # route 1->2->3 is path 1, links (0, 2).  Linear costs make the diagonal
+    # Newton step exact: one shift of 1/12 equalizes both routes at 5/3.
     v, t, dt = _kept_lists(net, [1.5, 1.75, 0.0, 0.0])
-    polys = net.link_polys
-    flows = {(1,): 1.75, (0, 2): 0.0}
-    assert _shift(polys, v, t, dt, flows, (1,), (0, 2), {})
-    assert_allclose(flows[(0, 2)], 1.0 / 12.0, rtol=1e-15)
-    assert_allclose(flows[(1,)], 5.0 / 3.0, rtol=1e-15)
+    evals, links = net.link_evals, [(1,), (0, 2)]
+    moved, flows = _shift_onto(evals, v, t, dt, {0: 1.75, 1: 0.0}, 1, links, {})
+    assert moved and list(flows) == [0, 1]
+    assert_allclose(flows[1], 1.0 / 12.0, rtol=1e-15)
+    assert_allclose(flows[0], 5.0 / 3.0, rtol=1e-15)
     assert_allclose(v, TOY_V, rtol=1e-15, atol=1e-15)
     t = net.link_times(v)
     assert_allclose(t[1], t[0] + t[2], rtol=1e-15)
-    assert not _shift(polys, v, t, dt, flows, (1,), (0, 2), {})     # nothing left to gain
+    again = _shift_onto(evals, v, t, dt, dict(flows), 1, links, {})
+    assert again == (False, flows)      # nothing left to gain
 
 
 def test_path_shift_capped_at_path_flow(net):
-    # commodity 1 has 0.1 on 1->3->2 (path (1, 3)); the Newton step 0.55/3
-    # exceeds it, so all of it moves to the direct link and the path empties
+    # commodity 1 has 0.1 on 1->3->2 (path 1, links (1, 3)); the Newton step
+    # 0.55/3 exceeds it, so all of it moves to the direct link (path 0) and
+    # the path empties, leaving the flows
     v, t, dt = _kept_lists(net, [1.4, 1.85, 0.0, 0.1])
-    flows = {(0,): 1.4, (1, 3): 0.1}
-    assert _shift(net.link_polys, v, t, dt, flows, (1, 3), (0,), {})
-    assert flows[(1, 3)] == 0.0
-    assert_allclose(flows[(0,)], 1.5, rtol=1e-15)
+    diffs = {}
+    moved, flows = _shift_onto(net.link_evals, v, t, dt, {0: 1.4, 1: 0.1}, 0,
+                               [(0,), (1, 3)], diffs)
+    assert moved and list(flows) == [0]
+    assert_allclose(flows[0], 1.5, rtol=1e-15)
     assert_allclose(v, [1.5, 1.75, 0.0, 0.0], atol=1e-15)
+    assert diffs == {1: ([1, 3], [0], [1, 3, 0])}
 
 
 def test_path_shifts_keep_times_of_the_running_flows():
@@ -131,11 +139,15 @@ def test_path_shifts_keep_times_of_the_running_flows():
     # shortest one under t
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     rng = np.random.default_rng(7)
-    polys = gnet.link_polys
-    pairs = {}
+    ids, links, diffs = {}, [], []
 
     def path(costs, o, dest):
-        return tuple(_path_links(gnet, _dijkstra(gnet, costs, o, {dest}), o, dest))
+        p = tuple(_path_links(gnet, _dijkstra(gnet, costs, o, {dest}), o, dest))
+        if p not in ids:
+            ids[p] = len(links)
+            links.append(p)
+            diffs.append({})
+        return ids[p]
 
     for _ in range(5):
         v, t, dt = _kept_lists(gnet, rng.uniform(0.0, 6.0, gnet.n_links))
@@ -145,8 +157,9 @@ def test_path_shifts_keep_times_of_the_running_flows():
             p = path(rng.uniform(1.0, 2.0, gnet.n_links), o, dest)
             q = path(t, o, dest)
             if p != q:
-                moves += _shift(polys, v, t, dt, {p: rng.uniform(0.0, 2.0), q: 0.0}, p, q,
-                                pairs)
+                moves += _shift_onto(gnet.link_evals, v, t, dt,
+                                     {p: rng.uniform(0.0, 2.0), q: 0.0}, q, links,
+                                     diffs[q])[0]
         assert moves > 20
         va = np.array(v)
         assert_array_equal(np.array(t).view(np.int64), gnet.link_times(va).view(np.int64))
@@ -298,18 +311,20 @@ def test_solve_tap_deterministic():
 def test_sweep_searches_once_per_commodity(monkeypatch):
     # one search per commodity for the starting paths and one per commodity
     # in every sweep, each stopping at the commodity's destination; the
-    # exact gap searches once per origin, and runs twice: at the cold start,
-    # where each commodity has one path and the bound is 0 up to roundoff,
-    # and at the sweep that converges
+    # exact gap searches once per origin, for its set of destinations, and
+    # runs twice: at the cold start, where each commodity has one path and
+    # the bound is 0 up to roundoff, and at the sweep that converges
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     searches = []
     monkeypatch.setattr(tap, "_dijkstra", lambda net_, costs, o, targets=None:
                         searches.append(targets) or _dijkstra(net_, costs, o, targets))
+    monkeypatch.setattr(tap, "_shortest_path", lambda net_, costs, o, dest:
+                        searches.append(dest) or _shortest_path(net_, costs, o, dest))
     sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
     active = gnet.n_commodities
     origins = len(set(gnet.origin_idx.tolist()))
     assert active >= 2 and sol.converged and sol.iterations > 0
-    assert (sum(isinstance(t, tuple) for t in searches)
+    assert (sum(isinstance(t, int) for t in searches)
             == active + sol.iterations * active)
     assert sum(isinstance(t, set) for t in searches) == 2 * origins
     assert len(searches) == active + sol.iterations * active + 2 * origins
@@ -320,8 +335,8 @@ def _spy_gap_tests(monkeypatch):
     and each exact gap it runs, in call order."""
     events = []
 
-    def bound(net_, d, v, paths):
-        b, costs = _gap_bound(net_, d, v, paths)
+    def bound(net_, d, v, flows, links):
+        b, costs = _gap_bound(net_, d, v, flows, links)
         events.append(("bound", b, relative_gap(net_, d, v)))
         return b, costs
 
@@ -386,11 +401,15 @@ def test_path_pair_differences_once_per_solve(monkeypatch):
     # pair a solve shifts between, and again by the next solve
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     diffs, shifts = [], []
-    pair_diff, shift = tap._pair_diff, tap._shift
+    pair_diff, shift_onto = tap._pair_diff, tap._shift_onto
+
+    def spy(evals, v, t, dt, flows, q, links, pair_diffs):
+        shifts.extend((links[p], links[q]) for p in flows if p != q)
+        return shift_onto(evals, v, t, dt, flows, q, links, pair_diffs)
+
     monkeypatch.setattr(tap, "_pair_diff", lambda p, q:
                         diffs.append((p, q)) or pair_diff(p, q))
-    monkeypatch.setattr(tap, "_shift", lambda *args:
-                        shifts.append(args[5:7]) or shift(*args))
+    monkeypatch.setattr(tap, "_shift_onto", spy)
     first = solve_tap(gnet, gnet.target_demands, tol=1e-8)
     assert len(shifts) > 2 * len(diffs) > 0
     assert len(set(diffs)) == len(diffs) == len(set(shifts))
@@ -452,6 +471,23 @@ def test_warm_start_at_its_own_demands_takes_no_sweep():
     assert again.converged and again.iterations == 0
     assert_allclose(again.X, sol.X, rtol=0, atol=1e-12)
     assert solve_tap(gnet, d, tol=1e-8, start={}).X.tobytes() == sol.X.tobytes()
+
+
+def test_warm_start_from_a_subnormal_total_starts_cold(net):
+    # commodity 0's earlier paths carry 1e-320 in all, so d_0 / total
+    # overflows: it starts cold, bit for bit as with no earlier paths, and
+    # commodity 1 starts warm
+    earlier = solve_tap(net, np.array([1e-320, 1.75]), tol=1e-8).paths
+    assert sum(earlier[0].values()) == 1e-320
+    d = np.array([0.5, 1.75])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_tap(net, d, tol=1e-8, start=earlier)
+    assert caught == []
+    assert sol.converged and np.all(np.isfinite(sol.X))
+    cold_0 = solve_tap(net, d, tol=1e-8, start={1: earlier[1]})
+    assert sol.X.tobytes() == cold_0.X.tobytes()
+    assert sol.paths == cold_0.paths
 
 
 def test_solve_tap_random_instances_reach_gap():

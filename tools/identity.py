@@ -16,8 +16,10 @@ OUT_DIR receives:
   dap-grid run, then its F and status; the solver keeps no multiplier
   estimate, so no mu enters the hash;
 - `tap-grid.txt`: the SHA-256 of X, v, relative gap and sweep count of the
-  4 tap-grid `solve_tap` calls, then each call's sweeps and gap, then one
-  line with the 6x6 call's own SHA-256 of the same, its sweeps and gap;
+  4 tap-grid `solve_tap` calls, then the SHA-256 of their `paths`
+  (commodities, path tuples and flows, in dict order), then each call's
+  sweeps and gap, then one line with the 6x6 call's own two SHA-256s of
+  the same, its sweeps and gap;
 - `lifted.txt`: at the dap-grid run's first restored point z, which the
   solver's lifted code no longer reads, one `<name> <dtype> sha256 <hex>`
   line each for the `data`, `indices` and `indptr` of `eval_C_jacobian`,
@@ -104,9 +106,9 @@ def dap_grid_digest():
     return h.hexdigest(), res.F_final, res.status
 
 
-def _tap_digest(h, inst):
-    """Solve inst cold at the benchmark's tolerance into the hash h; returns
-    the call's sweeps and gap as a line tail."""
+def _tap_digest(h, hp, inst):
+    """Solve inst cold at the benchmark's tolerance into the hash h, and its
+    path flows into hp; returns the call's sweeps and gap as a line tail."""
     from odadjust import parse_network, solve_tap
 
     net = parse_network(inst.text)
@@ -114,20 +116,22 @@ def _tap_digest(h, inst):
     for arr in (sol.X, sol.v):
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
     h.update(repr((float(sol.rgap), sol.iterations)).encode())
+    hp.update(repr([(i, list(flows.items())) for i, flows in sol.paths.items()]).encode())
     return "iterations %d rgap %r\n" % (sol.iterations, float(sol.rgap))
 
 
 def tap_grid_digest():
-    """SHA-256 of the tap-grid solutions, one line per call, and the line of
-    the 6x6 call."""
-    h = hashlib.sha256()
-    lines = ["%s %s" % (inst.name, _tap_digest(h, inst))
+    """SHA-256s of the tap-grid solutions and of their path flows, one line
+    per call, and the line of the 6x6 call."""
+    h, hp = hashlib.sha256(), hashlib.sha256()
+    lines = ["%s %s" % (inst.name, _tap_digest(h, hp, inst))
              for inst in WORKLOADS["tap-grid"].instances(np.random.default_rng(SEED))]
-    large = hashlib.sha256()
+    large, large_paths = hashlib.sha256(), hashlib.sha256()
     inst = grid_instance(6, 10, 0)
-    tail = _tap_digest(large, inst)
-    lines.append("%s sha256 %s %s" % (inst.name, large.hexdigest(), tail))
-    return h.hexdigest(), lines
+    tail = _tap_digest(large, large_paths, inst)
+    lines.append("%s sha256 %s paths %s %s" % (inst.name, large.hexdigest(),
+                                               large_paths.hexdigest(), tail))
+    return h.hexdigest(), hp.hexdigest(), lines
 
 
 def lifted_lines():
@@ -164,9 +168,9 @@ def main():
     digest, F, status = dap_grid_digest()
     with open(os.path.join(args.out_dir, "dap-grid.txt"), "w", encoding="utf-8") as fh:
         fh.write("sha256 %s\nF_final %r\nstatus %s\n" % (digest, F, status))
-    digest, lines = tap_grid_digest()
+    digest, paths_digest, lines = tap_grid_digest()
     with open(os.path.join(args.out_dir, "tap-grid.txt"), "w", encoding="utf-8") as fh:
-        fh.write("sha256 %s\n" % digest)
+        fh.write("sha256 %s\npaths sha256 %s\n" % (digest, paths_digest))
         fh.writelines(lines)
     with open(os.path.join(args.out_dir, "lifted.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(lifted_lines())
