@@ -42,9 +42,13 @@ def _blocks(S, s):
 def eval_F(net, d, X):
     """Weighted fit eta1 * |(RX)_obs - vtilde|^2 + eta2 * |d - dtilde|^2.
 
-    Raises NonFiniteObjective, without a NumPy warning, when F overflows.
+    Raises DimensionMismatch unless d holds one demand per commodity, and
+    NonFiniteObjective, without a NumPy warning, when F overflows.
     """
     d = np.asarray(d, dtype=float)
+    if d.shape != (net.n_commodities,):
+        raise DimensionMismatch("expected %d demands, got shape %r"
+                                % (net.n_commodities, d.shape))
     e_obs = aggregate_flows(net, X)[net.obs_links] - net.obs_flows
     e_dem = d - net.target_demands
     with np.errstate(over="ignore", invalid="ignore"):
@@ -142,11 +146,16 @@ def recover_multipliers(net, S, X, link_times):
     nodes get a potential one unit beyond the largest finite distance so they
     never look attractive.  Raises ResidualTooLarge when the complementarity
     slip |beta . X| exceeds 1e-6 * (1 + |X|_1), i.e. when X is not close enough
-    to equilibrium for this construction to be valid.
+    to equilibrium for this construction to be valid, DimensionMismatch
+    unless X holds one flow per commodity and link and link_times one time
+    per link, and ValueError when a link time is negative or NaN.
     """
     X = np.asarray(X, dtype=float)
     t = np.asarray(link_times, dtype=float)
     c, n = S.n_commodities, S.n_nodes
+    if X.shape != (c * S.n_links,) or t.shape != (S.n_links,):
+        raise DimensionMismatch("expected %d flows and %d link times, got %r and %r"
+                                % (c * S.n_links, S.n_links, X.shape, t.shape))
 
     alpha = np.zeros(c * n)
     trees = _origin_trees(net, t, range(c))
@@ -238,7 +247,7 @@ def equilibrium_sensitivity(net, S, z, paths):
         used = [p for p, h in paths.get(i, {}).items() if h > 0.0]
         if not used:
             o = int(net.origin_idx[i])
-            used = [tuple(_path_links(net, trees[o], o, int(net.destination_idx[i])))]
+            used = [_path_links(net, trees[o], o, int(net.destination_idx[i]))]
         owner += [i] * len(used)
         cols += used
     P = len(cols)

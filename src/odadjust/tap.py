@@ -39,9 +39,10 @@ last bits.  Flows stay Python floats, so a time that overflows is inf
 without a NumPy warning; it is caught just before the next path search or
 the convergence test reads it, not where it arises, since a later move of
 the same commodity can bring it back.  The restricted pass moves no flow off
-a path whose time is inf, so the test that follows it raises.  A path search
-stops as soon as the nodes it is asked for have settled, whose labels are
-then final; the sweep's search, _shortest_path, has one destination.
+a path whose time is inf, so the test that follows it raises.  One loop,
+_dijkstra, makes every path search: the sweep's stops once its destination
+settles, whose label and tree path are then final, and the exact gap and
+kkt's multipliers take full trees.
 
 The convergence test first bounds the relative gap from below by the used
 paths alone, with no search: each commodity's cheapest used path stands in
@@ -69,11 +70,13 @@ _NOT_FINITE = ("link travel times are not finite at these flows, so no path "
 
 @dataclass
 class ShortestPathResult:
-    """Distances and predecessor links of a one-to-all shortest path tree.
+    """Distances and predecessor links of a shortest path tree from one
+    origin, full or stopped once a destination settled.
 
-    Both are lists indexed by node position.  dist is inf where unreachable;
-    pred holds the index into net.links of the tree link entering each node,
-    -1 at the origin and at unreachable nodes.
+    Both are lists indexed by node position.  dist is inf where no label was
+    reached; pred holds the index into net.links of the tree link entering
+    each node, -1 at the origin and at nodes with no label.  In a stopped
+    tree only the settled nodes' entries are final.
     """
 
     dist: list
@@ -93,47 +96,14 @@ class TapSolution:
     paths: dict
 
 
-def _dijkstra(net, costs, origin_idx, targets=None):
-    """Label-setting shortest paths; ties settle the lowest node index first.
+def _dijkstra(net, costs, origin_idx, dest_idx=-1):
+    """Label-setting shortest paths from the origin under costs, a list of
+    link times; ties settle the lowest node index first.
 
-    costs holds the link times, as a list or an array.  With targets, a
-    collection of node indices, the search stops once all of them have
-    settled.  Under nonnegative costs a settled label never changes, so
-    their distances and tree paths equal those of the full search bit for
+    The search stops once dest_idx settles, or with -1 builds the full
+    tree.  Under nonnegative costs a settled label and its tree path never
+    change, so dest_idx's distance and path equal the full tree's bit for
     bit; other labels may not be final.
-    """
-    if isinstance(costs, np.ndarray):
-        costs = costs.tolist()
-    n = net.n_nodes
-    out_links, pop, push = net.out_links, heapq.heappop, heapq.heappush
-    dist = [math.inf] * n
-    pred = [-1] * n
-    left = set(range(n) if targets is None else targets)
-    dist[origin_idx] = 0.0
-    heap = [(0.0, origin_idx)]
-    while heap:
-        du, u = pop(heap)
-        if du > dist[u]:
-            continue        # a stale entry: u settled at a lower label
-        left.discard(u)
-        if not left:
-            break
-        for link_idx, w in out_links[u]:
-            nd = du + costs[link_idx]
-            if nd < dist[w]:
-                dist[w] = nd
-                pred[w] = link_idx
-                push(heap, (nd, w))
-    return ShortestPathResult(dist=dist, pred=pred)
-
-
-def _shortest_path(net, costs, origin_idx, dest_idx):
-    """The links of the shortest path origin -> dest under costs, a list of
-    link times, as a tuple in travel order.
-
-    The search is _dijkstra's, with the same heap entries and so the same
-    ties, and stops once dest settles; the path is that of _dijkstra's
-    tree bit for bit.
     """
     n = net.n_nodes
     out_links, pop, push = net.out_links, heapq.heappop, heapq.heappush
@@ -144,27 +114,33 @@ def _shortest_path(net, costs, origin_idx, dest_idx):
     while heap:
         du, u = pop(heap)
         if u == dest_idx:
-            break
+            break           # its first entry is never stale
         if du > dist[u]:
-            continue
+            continue        # a stale entry: u settled at a lower label
         for link_idx, w in out_links[u]:
             nd = du + costs[link_idx]
             if nd < dist[w]:
                 dist[w] = nd
                 pred[w] = link_idx
                 push(heap, (nd, w))
-    return tuple(_path_links(net, ShortestPathResult(dist, pred), origin_idx, dest_idx))
+    return ShortestPathResult(dist=dist, pred=pred)
 
 
-def _origin_trees(net, costs, commodities):
-    """Full shortest-path trees under costs, one per distinct origin of the
-    given commodities, keyed by origin index."""
+def _origin_trees(net, t, commodities):
+    """Full shortest-path trees under t, a NumPy array of link times, one
+    per distinct origin of the given commodities, keyed by origin index.
+    Raises ValueError when a time is negative or NaN, as a settled label is
+    then not final and a cycle of negative cost would never end a search.
+    """
+    if not t.min(initial=0.0) >= 0.0:
+        raise ValueError("link travel times must be nonnegative")
+    costs = t.tolist()
     origins = dict.fromkeys(int(net.origin_idx[i]) for i in commodities)
     return {o: _dijkstra(net, costs, o) for o in origins}
 
 
 def _path_links(net, sp_res, origin_idx, dest_idx):
-    """Link indices along the tree path origin -> dest, in travel order."""
+    """Links along the tree path origin -> dest, a tuple in travel order."""
     # Network rejects unreachable destinations, and the sweep and the gap
     # infinite link times, so only a path cost that overflows as it sums
     # leaves no tree path
@@ -178,7 +154,7 @@ def _path_links(net, sp_res, origin_idx, dest_idx):
         path.append(a)
         u = net.tails[a]
     path.reverse()
-    return path
+    return tuple(path)
 
 
 def _check_times(t):
@@ -201,15 +177,36 @@ def _link_times(net, v):
     return t
 
 
-def beckmann_objective(net, v):
-    """sum_a int_0^{v_a} t_a(u) du.
+def _demands(net, d):
+    """d as a float array; raises DimensionMismatch unless it holds one
+    demand per commodity, and ValueError unless they are finite and
+    nonnegative."""
+    d = np.asarray(d, dtype=float)
+    if d.shape != (net.n_commodities,):
+        raise DimensionMismatch("expected %d demands, got shape %r"
+                                % (net.n_commodities, d.shape))
+    if np.any(d < 0.0) or not np.all(np.isfinite(d)):
+        raise ValueError("demands must be finite and nonnegative")
+    return d
 
-    Raises Unreachable when the sum is not finite.
-    """
+
+def _link_flows(net, v):
+    """v as a float array; raises DimensionMismatch unless it holds one
+    flow per link."""
     v = np.asarray(v, dtype=float)
     if v.shape != (net.n_links,):
         raise DimensionMismatch("expected %d link flows, got shape %r"
                                 % (net.n_links, v.shape))
+    return v
+
+
+def beckmann_objective(net, v):
+    """sum_a int_0^{v_a} t_a(u) du.
+
+    Raises DimensionMismatch unless v holds one flow per link, and
+    Unreachable when the sum is not finite.
+    """
+    v = _link_flows(net, v)
     with np.errstate(over="ignore", invalid="ignore"):
         out = float(net.link_time_integrals(v).sum())
     if not math.isfinite(out):
@@ -221,21 +218,19 @@ def beckmann_objective(net, v):
 def relative_gap(net, d, v):
     """(t(v).v - sum_i d_i * sp_i) / t(v).v, the standard equilibrium gap.
 
-    Each origin's search stops once the destinations of its commodities with
-    nonzero demand have settled.  Raises Unreachable when a link time t(v),
-    the total t(v).v or the sum of the shortest-path costs is not finite.
-    solve_tap calls it only where _gap_bound, which needs no search, cannot
-    rule out that the gap is within the tolerance.
+    sp_i is read off the full tree of i's origin.  Raises DimensionMismatch
+    unless d holds one demand per commodity and v one flow per link,
+    ValueError unless the demands are finite and nonnegative or when a
+    negative flow makes a link time negative, and Unreachable when a link
+    time t(v), the total t(v).v or the sum of the shortest-path costs is not
+    finite.  solve_tap calls it only where _gap_bound, which needs no
+    search, cannot rule out that the gap is within the tolerance.
     """
-    d = np.asarray(d, dtype=float)
-    v = np.asarray(v, dtype=float)
+    d = _demands(net, d)
+    v = _link_flows(net, v)
     t = _link_times(net, v)
-    active = [i for i in range(net.n_commodities) if d[i] != 0.0]
-    targets = {}
-    for i in active:
-        targets.setdefault(int(net.origin_idx[i]), set()).add(int(net.destination_idx[i]))
-    costs = t.tolist()
-    trees = {o: _dijkstra(net, costs, o, dests) for o, dests in targets.items()}
+    active = [i for i in range(net.n_commodities) if d[i] > 0.0]
+    trees = _origin_trees(net, t, active)
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(t @ v)
@@ -373,7 +368,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     relative_gap at its v.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
     through its path shifts, one link at a time by net.link_evals; each
-    commodity's path search stops once the destination settles.  After the
+    commodity's _dijkstra search stops once its destination settles.  After the
     searches, one restricted pass shifts each commodity's used paths onto the
     cheapest of them, their times summed in path order, the first in the dict
     winning a tie.  Paths are numbered once per solve, and the links where two
@@ -386,13 +381,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     Every link time is checked just before a path search or the bound reads it:
     Unreachable is raised on the first that is not finite.
     """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (net.n_commodities,):
-        raise DimensionMismatch("expected %d demands, got shape %r"
-                                % (net.n_commodities, d.shape))
-    if np.any(d < 0.0) or not np.all(np.isfinite(d)):
-        raise ValueError("demands must be finite and nonnegative")
-
+    d = _demands(net, d)
     n_links = net.n_links
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]
     evals = net.link_evals
@@ -410,8 +399,8 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         return p
 
     def shortest(i, t):
-        o = int(net.origin_idx[i])
-        return number(_shortest_path(net, t, o, int(net.destination_idx[i])))
+        o, dest = int(net.origin_idx[i]), int(net.destination_idx[i])
+        return number(_path_links(net, _dijkstra(net, t, o, dest), o, dest))
 
     def assemble():
         # X from the path flows, each entry summed in (commodity, path, link)

@@ -89,6 +89,14 @@ def test_eval_F_closed_form(net):
     assert_allclose(eval_F(net, TOY_TARGETS, X2), 0.5 * 2.0, rtol=1e-15)
 
 
+def test_eval_F_rejects_wrong_demand_shape(net):
+    # one demand per commodity: a scalar or a vector of another length does
+    # not broadcast against the two targets
+    for d in (1.0, [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+        with pytest.raises(DimensionMismatch):
+            eval_F(net, d, np.zeros(8))
+
+
 def test_grad_F_state_closed_form(net, S):
     sl_d, sl_x, _, _ = S.slices
     X = np.zeros(8)
@@ -369,6 +377,20 @@ def test_recover_multipliers_rejects_non_equilibrium(net, S):
     t = net.link_times(np.array([0.0, 3.25, 0.0, 1.5]))
     with pytest.raises(ResidualTooLarge):
         recover_multipliers(net, S, X_bad, t)
+
+
+def test_recover_multipliers_validation(net, S):
+    # X holds one flow per commodity and link, link_times one nonnegative
+    # time per link; the toy's links 2->3 and 3->2 form a cycle, which
+    # negative times would make a full search go round for ever
+    t = net.link_times(TOY_V)
+    for X, times in ((TOY_X[:-1], t), (np.append(TOY_X, 0.0), t), (TOY_X.reshape(2, 4), t),
+                     (TOY_X, t[:-1]), (TOY_X, np.append(t, 1.0))):
+        with pytest.raises(DimensionMismatch):
+            recover_multipliers(net, S, X, times)
+    for times in (-t, np.full(4, np.nan)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            recover_multipliers(net, S, TOY_X, times)
 
 
 def test_recover_multipliers_with_unreachable_node():

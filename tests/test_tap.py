@@ -28,7 +28,7 @@ from odadjust import (
 )
 from odadjust.errors import DimensionMismatch, Unreachable
 from odadjust import tap
-from odadjust.tap import _dijkstra, _gap_bound, _path_links, _shift_onto, _shortest_path
+from odadjust.tap import _dijkstra, _gap_bound, _path_links, _shift_onto
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -41,19 +41,19 @@ def net():
 # -- shortest paths ------------------------------------------------------------
 
 def test_shortest_paths_exact_tree(net):
-    res = _dijkstra(net, np.array([1.0, 3.0, 1.0, 1.0]), net.node_index[1])
+    res = _dijkstra(net, [1.0, 3.0, 1.0, 1.0], net.node_index[1])
     assert_array_equal(res.dist, [0.0, 1.0, 2.0])
     assert_array_equal(res.pred, [-1, 0, 2])
 
 
 def test_shortest_paths_at_equilibrium_times(net):
-    res = _dijkstra(net, net.link_times(TOY_V), net.node_index[1])
+    res = _dijkstra(net, net.link_times(TOY_V).tolist(), net.node_index[1])
     assert_allclose(res.dist, [0.0, 19.0 / 12.0, 5.0 / 3.0], rtol=1e-12)
     assert res.pred[0] == -1
 
 
 def test_shortest_paths_deterministic(net):
-    costs = np.array([1.0, 1.0, 0.0, 0.0])     # two equal-cost routes everywhere
+    costs = [1.0, 1.0, 0.0, 0.0]     # two equal-cost routes everywhere
     first = _dijkstra(net, costs, net.node_index[1])
     for _ in range(5):
         res = _dijkstra(net, costs, net.node_index[1])
@@ -62,30 +62,19 @@ def test_shortest_paths_deterministic(net):
 
 
 def test_shortest_paths_stop_at_destination():
-    # stopping once the targets settle keeps their distances and tree paths
-    # bit for bit, with distinct and with tied costs: single destinations,
-    # each origin's destinations, and random node sets; the sweep's
-    # one-destination search finds the full tree's path
+    # a search that stops once its destination settles keeps that label and
+    # its tree path bit for bit, for every origin and destination, with
+    # distinct and with tied costs
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     rng = np.random.default_rng(5)
-    for costs in (rng.uniform(1.0, 2.0, gnet.n_links), np.ones(gnet.n_links)):
+    for costs in (rng.uniform(1.0, 2.0, gnet.n_links).tolist(), [1.0] * gnet.n_links):
         for o in range(gnet.n_nodes):
             full = _dijkstra(gnet, costs, o)
-            sets = [{dest} for dest in range(gnet.n_nodes)]
-            sets.append({int(dest) for org, dest in zip(gnet.origin_idx,
-                                                       gnet.destination_idx)
-                         if org == o})
-            sets += [set(rng.choice(gnet.n_nodes, size=k, replace=False).tolist())
-                     for k in (1, 2, 3, 5, gnet.n_nodes) for _ in range(3)]
-            for targets in sets:
-                part = _dijkstra(gnet, costs.tolist(), o, targets)
-                for dest in targets:
-                    assert part.dist[dest] == full.dist[dest]
-                    assert (_path_links(gnet, part, o, dest)
-                            == _path_links(gnet, full, o, dest))
             for dest in range(gnet.n_nodes):
-                assert (_shortest_path(gnet, costs.tolist(), o, dest)
-                        == tuple(_path_links(gnet, full, o, dest)))
+                part = _dijkstra(gnet, costs, o, dest)
+                assert part.dist[dest] == full.dist[dest]
+                assert (_path_links(gnet, part, o, dest)
+                        == _path_links(gnet, full, o, dest))
 
 
 # -- objective, path shift, gap -------------------------------------------------
@@ -142,7 +131,7 @@ def test_path_shifts_keep_times_of_the_running_flows():
     ids, links, diffs = {}, [], []
 
     def path(costs, o, dest):
-        p = tuple(_path_links(gnet, _dijkstra(gnet, costs, o, {dest}), o, dest))
+        p = _path_links(gnet, _dijkstra(gnet, costs, o, dest), o, dest)
         if p not in ids:
             ids[p] = len(links)
             links.append(p)
@@ -154,7 +143,7 @@ def test_path_shifts_keep_times_of_the_running_flows():
         moves = 0
         for _ in range(100):
             o, dest = rng.choice(gnet.n_nodes, size=2, replace=False).tolist()
-            p = path(rng.uniform(1.0, 2.0, gnet.n_links), o, dest)
+            p = path(rng.uniform(1.0, 2.0, gnet.n_links).tolist(), o, dest)
             q = path(t, o, dest)
             if p != q:
                 moves += _shift_onto(gnet.link_evals, v, t, dt,
@@ -175,21 +164,36 @@ def test_relative_gap_values(net):
     assert relative_gap(net, np.zeros(2), np.zeros(4)) == 0.0
 
 
+def test_relative_gap_validation(net):
+    # shapes and demands are checked as solve_tap and beckmann_objective
+    # check them; negative flows on the toy's cycle 2->3->2 give negative
+    # times, around which a full search would not end
+    with pytest.raises(DimensionMismatch):
+        relative_gap(net, [1.0], TOY_V)
+    with pytest.raises(DimensionMismatch):
+        relative_gap(net, TOY_TARGETS, TOY_V[:3])
+    for d in ([np.nan, 1.0], [np.inf, 1.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            relative_gap(net, d, TOY_V)
+    with pytest.raises(ValueError, match="times must be nonnegative"):
+        relative_gap(net, TOY_TARGETS, [0.0, 0.0, -5.0, -5.0])
+
+
 def _full_tree_gap(net, d, v):
     """relative_gap's value from full shortest-path trees."""
     t = net.link_times(v)
     best = 0.0
     for i in range(net.n_commodities):
         if d[i] != 0.0:
-            tree = _dijkstra(net, t, net.origin_idx[i])
+            tree = _dijkstra(net, t.tolist(), net.origin_idx[i])
             best += d[i] * tree.dist[net.destination_idx[i]]
     total = float(t @ v)
     return (total - best) / max(total, 1e-30)
 
 
 def test_relative_gap_matches_full_trees():
-    # the gap's searches stop at each origin's destinations, and the gap is
-    # bit for bit the one read off full trees, also with a zero demand
+    # the gap is bit for bit the one read off a full tree per commodity,
+    # also with a zero demand
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     one_off = gnet.target_demands.copy()
     one_off[1] = 0.0
@@ -311,22 +315,19 @@ def test_solve_tap_deterministic():
 def test_sweep_searches_once_per_commodity(monkeypatch):
     # one search per commodity for the starting paths and one per commodity
     # in every sweep, each stopping at the commodity's destination; the
-    # exact gap searches once per origin, for its set of destinations, and
-    # runs twice: at the cold start, where each commodity has one path and
-    # the bound is 0 up to roundoff, and at the sweep that converges
+    # exact gap builds one full tree per origin and runs twice: at the cold
+    # start, where each commodity has one path and the bound is 0 up to
+    # roundoff, and at the sweep that converges
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     searches = []
-    monkeypatch.setattr(tap, "_dijkstra", lambda net_, costs, o, targets=None:
-                        searches.append(targets) or _dijkstra(net_, costs, o, targets))
-    monkeypatch.setattr(tap, "_shortest_path", lambda net_, costs, o, dest:
-                        searches.append(dest) or _shortest_path(net_, costs, o, dest))
+    monkeypatch.setattr(tap, "_dijkstra", lambda net_, costs, o, dest=-1:
+                        searches.append(dest) or _dijkstra(net_, costs, o, dest))
     sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
     active = gnet.n_commodities
     origins = len(set(gnet.origin_idx.tolist()))
     assert active >= 2 and sol.converged and sol.iterations > 0
-    assert (sum(isinstance(t, int) for t in searches)
-            == active + sol.iterations * active)
-    assert sum(isinstance(t, set) for t in searches) == 2 * origins
+    assert sum(dest >= 0 for dest in searches) == active + sol.iterations * active
+    assert searches.count(-1) == 2 * origins
     assert len(searches) == active + sol.iterations * active + 2 * origins
 
 
