@@ -14,8 +14,8 @@ import json
 
 import numpy as np
 
-from odadjust import (IRConfig, build_structure, equilibrium_sensitivity, eval_C,
-                      eval_F, parse_network, recover_multipliers, solve_tap)
+from odadjust import (IRConfig, equilibrium_sensitivity, eval_C, eval_F,
+                      parse_network, recover_multipliers, solve_tap)
 from odadjust.driver import cauchy_direction, restore
 
 DOC = {
@@ -40,23 +40,23 @@ DOC = {
 
 def main():
     net = parse_network(json.dumps(DOC))
-    S = build_structure(net)
     cfg = IRConfig()
-    # views of the blocks (d, X, alpha, beta) of a flat state vector
-    sl_d, sl_x, _, sl_b = S.slices
+    # the network carries the layout of the lifted state: views of the
+    # blocks (d, X, alpha, beta) of a flat state vector
+    sl_d, sl_x, _, sl_b = net.slices
 
     # start with demands only; flows and multipliers still zero
-    s = np.zeros(S.state_dim)
+    s = np.zeros(net.state_dim)
     s[sl_d] = net.target_demands
-    r0 = eval_C(net, S, s)
+    r0 = eval_C(net, s)
     print("raw start  d = %s,  |C| = %.3e" % (s[sl_d], np.abs(r0).max()))
 
     # --- restoration phase -------------------------------------------------
     # equilibrium flows for the current demands, then multipliers that make
     # the stationarity rows vanish: alpha from shortest-path potentials,
     # beta as the resulting nonnegative slack
-    z, paths = restore(net, S, s[sl_d], cfg)
-    rz = eval_C(net, S, z)
+    z, paths = restore(net, s[sl_d], cfg)
+    rz = eval_C(net, z)
     print("\nafter restoration:")
     print("  |C(z)| = %.3e  (max over %d rows)" % (np.abs(rz).max(), rz.size))
     print("  aggregate flows %s" %
@@ -67,7 +67,7 @@ def main():
     # the same multipliers can be inspected directly
     sol = solve_tap(net, z[sl_d], tol=cfg.tap_tol)
     t = net.link_times(sol.v)
-    alpha, beta = recover_multipliers(net, S, sol.X, t)
+    alpha, beta = recover_multipliers(net, sol.X, t)
     print("  node potentials (commodity 1): %s" %
           np.round(-alpha[:net.n_nodes], 6))
 
@@ -80,9 +80,9 @@ def main():
 
     # dz/dd keeps the used paths used: the steepest-descent step of the
     # misfit in the demands, clipped at d >= 0, lifted to the whole state
-    Z = equilibrium_sensitivity(net, S, z, paths)
-    r_tan, g_d = cauchy_direction(net, S, z, Z)
-    moved = np.maximum(z + Z @ r_tan, S.lower)
+    Z = equilibrium_sensitivity(net, z, paths)
+    r_tan, g_d = cauchy_direction(net, z, Z)
+    moved = np.maximum(z + Z @ r_tan, net.lower)
     print("\nprojected descent step in the demands:")
     print("  reduced gradient %s, step %s" %
           (np.round(g_d, 6), np.round(r_tan, 6)))
@@ -92,7 +92,7 @@ def main():
     # the lifted point leaves the equilibrium system only to second order,
     # through the curvature of the link costs
     print("  |C| after the lifted step: %.3e (max over rows)"
-          % np.abs(eval_C(net, S, moved)).max())
+          % np.abs(eval_C(net, moved)).max())
 
 
 if __name__ == "__main__":

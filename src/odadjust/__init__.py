@@ -17,9 +17,8 @@ from .errors import (DanglingReference, DimensionMismatch, DuplicateId,
                      Unreachable, UnreachableDestination)
 from .kkt import (equilibrium_sensitivity, eval_C, eval_C_jacobian, eval_F,
                   eval_L, eval_L_grad, recover_multipliers, tangent_space)
-from .network import (Commodity, CostFunction, Link, Network,
-                      StructureMatrices, aggregate_flows, build_structure,
-                      parse_network)
+from .network import (Commodity, CostFunction, Link, Network, aggregate_flows,
+                      build_structure, parse_network)
 from .projection import TangentSpace, min_norm_solve, project
 from .tap import TapSolution, beckmann_objective, relative_gap, solve_tap
 
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Commodity", "CostFunction", "DapResult",
     "IRConfig", "IterationRecord", "Link", "Network",
-    "StructureMatrices", "TangentSpace", "TapSolution",
+    "TangentSpace", "TapSolution",
     "aggregate_flows", "beckmann_objective",
     "build_structure", "equilibrium_sensitivity", "eval_C",
     "eval_C_jacobian", "eval_F", "eval_L", "eval_L_grad",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .driver import STATUS_CONVERGED, IRConfig, IterationRecord, solve_dap
 from .errors import InputError, OdAdjustError
-from .network import _decode, aggregate_flows, build_structure, parse_network
+from .network import _decode, aggregate_flows, parse_network
 from .tap import solve_tap
 
 _NUM_FMT = "%.9g"
@@ -99,13 +99,12 @@ def _load(path):
 def run_check(args):
     """Validate the document and print instance dimensions."""
     net, _, _ = _load(args.input)
-    S = build_structure(net)
     print("nodes: %d" % net.n_nodes)
     print("links: %d" % net.n_links)
     print("commodities: %d" % net.n_commodities)
     print("observed links: %d" % len(net.observations))
-    print("state dimension: %d" % S.state_dim)
-    print("constraint dimension: %d" % S.n_constraints)
+    print("state dimension: %d" % net.state_dim)
+    print("constraint dimension: %d" % net.n_constraints)
     return 0
 
 

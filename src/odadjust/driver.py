@@ -33,7 +33,7 @@ Martinez's method takes any bounded multiplier estimate in its Lagrangian,
 and the stop test reads none, so the driver takes mu = 0: its Lagrangian is
 F, and an outer step evaluates no Jacobian and factors nothing.
 
-States are flat vectors laid out by StructureMatrices.slices; the mu of
+States are flat vectors laid out by the network's slices; the mu of
 trial_multipliers follows its residual_slices.
 
 The method's own constants; IRConfig holds only what a caller chooses:
@@ -65,12 +65,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleTheta, MaxIterations
+from .errors import InfeasibleTheta, MaxIterations
 from .kkt import (eval_C, eval_C_jacobian, eval_F, equilibrium_sensitivity,
                   grad_F_state, recover_multipliers)
-from .network import build_structure
 from .projection import min_norm_solve
-from .tap import solve_tap
+from .tap import _demands, solve_tap
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_OUTER = "max_outer"
@@ -151,7 +150,7 @@ def init_penalty(k, theta_history):
     return min(1.0, theta_min + OMEGA0 * OMEGA_RATIO ** k)
 
 
-def restore(net, S, d, cfg, start=None):
+def restore(net, d, cfg, start=None):
     """Feasibility phase: equilibrium flows for demands d plus certifying
     multipliers; returns the restored point z and the assignment's path
     flows, as TapSolution.paths holds them.
@@ -163,14 +162,14 @@ def restore(net, S, d, cfg, start=None):
     if not sol.converged:
         raise MaxIterations(
             "restoration assignment stalled at relative gap %.3e" % sol.rgap)
-    alpha, beta = recover_multipliers(net, S, sol.X, net.link_times(sol.v))
-    z = np.empty(S.state_dim)
-    for sl, block in zip(S.slices, (d, sol.X, alpha, beta)):
+    alpha, beta = recover_multipliers(net, sol.X, net.link_times(sol.v))
+    z = np.empty(net.state_dim)
+    for sl, block in zip(net.slices, (d, sol.X, alpha, beta)):
         z[sl] = block
     return z, sol.paths
 
 
-def _restore_closer(net, S, d, cfg, paths, normC_s):
+def _restore_closer(net, d, cfg, paths, normC_s):
     """restore(d), then restore again while |C(z)| > RESTORE_RATIO |C(s)|,
     each time with the assignment tolerance RESTORE_TIGHTEN times smaller,
     at most RESTORE_TIGHTENINGS times; returns z, C(z) and z's path flows.
@@ -182,18 +181,18 @@ def _restore_closer(net, S, d, cfg, paths, normC_s):
     flows of the last assignment that converged (None: cold), and each
     tightened one from those of the restoration before it.
     """
-    z, paths = restore(net, S, d, cfg, paths)
-    C_z = eval_C(net, S, z)
+    z, paths = restore(net, d, cfg, paths)
+    C_z = eval_C(net, z)
     tol = cfg.tap_tol
     for _ in range(RESTORE_TIGHTENINGS):
         if _norm(C_z) <= RESTORE_RATIO * normC_s:
             break
         tol *= RESTORE_TIGHTEN
         try:
-            z, paths = restore(net, S, d, replace(cfg, tap_tol=tol), paths)
+            z, paths = restore(net, d, replace(cfg, tap_tol=tol), paths)
         except MaxIterations:
             break
-        C_z = eval_C(net, S, z)
+        C_z = eval_C(net, z)
     return z, C_z, paths
 
 
@@ -209,7 +208,7 @@ def _norm(x):
     return out
 
 
-def cauchy_direction(net, S, z, Z):
+def cauchy_direction(net, z, Z):
     """Projected-gradient step of the reduced objective in the demands at
     the restored point z, and the reduced gradient it steps along.
 
@@ -218,8 +217,8 @@ def cauchy_direction(net, S, z, Z):
     stays zero.  The step is max(d - g_d, 0) - d, the projection onto
     d >= 0 being a clip.
     """
-    g_d = Z.T @ grad_F_state(net, S, z)
-    d = z[S.slices[0]]
+    g_d = Z.T @ grad_F_state(net, z)
+    d = z[net.slices[0]]
     return np.maximum(d - g_d, 0.0) - d, g_d
 
 
@@ -246,7 +245,7 @@ def check_stop(s_vec, z_vec, r_tan, eps1, eps2):
     return close and flat
 
 
-def trial_multipliers(net, S, v):
+def trial_multipliers(net, v):
     """argmin_mu |grad F(v) + C'(v)^T mu|^2 + REG |mu|^2, clipped to the bound.
 
     projection.min_norm_solve does it by one sparse LU of a K assembled from
@@ -254,8 +253,8 @@ def trial_multipliers(net, S, v):
     damps the directions in which C'(v)^T is nearly singular.  solve_dap
     does not call it: the solver takes mu = 0.
     """
-    g = grad_F_state(net, S, v)
-    mu = min_norm_solve(eval_C_jacobian(net, S, v).T, -g)
+    g = grad_F_state(net, v)
+    mu = min_norm_solve(eval_C_jacobian(net, v).T, -g)
     return np.clip(mu, -M_BOUND, M_BOUND)
 
 
@@ -285,7 +284,7 @@ def accept_step(ared, pred):
     return ared >= 0.1 * pred
 
 
-def find_candidate(net, S, z, Z, r_tan, delta, at_z, sigma):
+def find_candidate(net, z, Z, r_tan, delta, at_z, sigma):
     """Optimization phase: a point v on the equilibrium piece of the restored
     point z, its demands in the box of radius delta around z's, that does at
     least as well in F as the broken Cauchy point, returned with F(v) and
@@ -304,7 +303,7 @@ def find_candidate(net, S, z, Z, r_tan, delta, at_z, sigma):
     and sigma is the spectral factor; every attempt of an outer step
     shares them.
     """
-    sl_d, sl_x, _, _ = S.slices
+    sl_d, sl_x, _, _ = net.slices
     d = z[sl_d]
     F_z, g_d = at_z
     seen = {}
@@ -314,8 +313,8 @@ def find_candidate(net, S, z, Z, r_tan, delta, at_z, sigma):
         evaluated once."""
         key = dd.tobytes()
         if key not in seen:
-            vec = np.maximum(z + Z @ dd, S.lower)
-            seen[key] = vec, eval_F(net, vec[sl_d], vec[sl_x]), eval_C(net, S, vec)
+            vec = np.maximum(z + Z @ dd, net.lower)
+            seen[key] = vec, eval_F(net, vec[sl_d], vec[sl_x]), eval_C(net, vec)
         return seen[key]
 
     floor = max(F_z - TAU1 * delta, F_z - TAU2)
@@ -355,7 +354,9 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     net : Network with observations and target demands
     cfg : IRConfig, defaults used when omitted
     d0 : starting demands, defaults to the target demands; the run starts from
-         the state (d0, 0, 0, 0)
+         the state (d0, 0, 0, 0).  Checked as solve_tap checks its demands:
+         DimensionMismatch unless one per commodity, ValueError unless finite
+         and nonnegative
     sink : optional callable fed every IterationRecord as it is produced
 
     Returns a DapResult whose d_final/X_final blocks come from the last
@@ -363,20 +364,14 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     accuracy regardless of how the run ended.
     """
     cfg = cfg or IRConfig()
-    S = build_structure(net)
-    sl_d, sl_x, _, _ = S.slices
-    d0 = net.target_demands if d0 is None else np.asarray(d0, dtype=float)
-    if d0.shape != (S.n_commodities,):
-        raise DimensionMismatch("expected %d initial demands, got %r"
-                                % (S.n_commodities, d0.shape))
-    if not np.all(np.isfinite(d0)) or np.any(d0 < 0.0):
-        raise ValueError("initial demands must be finite and nonnegative")
-    s = np.zeros(S.state_dim)
+    sl_d, sl_x, _, _ = net.slices
+    d0 = _demands(net, net.target_demands if d0 is None else d0)
+    s = np.zeros(net.state_dim)
     s[sl_d] = d0
 
     # |C(s)| and F(s) at the current point; an accepted step carries over
     # the values it computed at v
-    normC_s = _norm(eval_C(net, S, s))
+    normC_s = _norm(eval_C(net, s))
     F_s = eval_F(net, s[sl_d], s[sl_x])
 
     theta_hist = [THETA_INIT]
@@ -388,10 +383,10 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
 
     for k in range(cfg.max_outer):
         theta_cur = init_penalty(k, theta_hist)
-        z, C_z, paths = _restore_closer(net, S, s[sl_d], cfg, paths, normC_s)
+        z, C_z, paths = _restore_closer(net, s[sl_d], cfg, paths, normC_s)
 
-        Z = equilibrium_sensitivity(net, S, z, paths)
-        r_tan, g_d = cauchy_direction(net, S, z, Z)
+        Z = equilibrium_sensitivity(net, z, paths)
+        r_tan, g_d = cauchy_direction(net, z, Z)
         if check_stop(s, z, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED
             break
@@ -410,7 +405,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             if rt_norm <= 1e-14 * (1.0 + _norm(d)):
                 v, F_v, C_v = z, F_z, C_z
             else:
-                v, F_v, C_v = find_candidate(net, S, z, Z, r_tan, delta,
+                v, F_v, C_v = find_candidate(net, z, Z, r_tan, delta,
                                              (F_z, g_d), sigma)
 
             normC_v = _norm(C_v)

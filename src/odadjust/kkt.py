@@ -11,11 +11,13 @@ written as the residual
 where T(X) = R' t(R X).  C(s) = 0 together with d, X, beta >= 0 characterizes
 user equilibrium for every commodity simultaneously.
 
-eval_C, recover_multipliers and equilibrium_sensitivity take their products
-from the index layouts of StructureMatrices or from NumPy alone, so none of
-them loads scipy, and neither does the solver, which evaluates no Jacobian.
-scipy.sparse is imported on first use, by eval_C_jacobian (and so eval_L_grad
-and tangent_space), which no odadjust command calls.
+Every function takes the network alone: it carries the layout of s and of
+C(s), net.slices and net.residual_slices, and the entries of M, M' and
+Gamma.  eval_C, recover_multipliers and equilibrium_sensitivity take their
+products from those entries or from NumPy alone, so none of them loads
+scipy, and neither does the solver, which evaluates no Jacobian.
+scipy.sparse is imported on first use, by eval_C_jacobian (and so
+eval_L_grad and tangent_space), which no odadjust command calls.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from .projection import TangentSpace
 from .tap import _origin_trees, _path_links
 
 
-def _blocks(S, s):
-    """Views (d, X, alpha, beta) of a flat state vector, laid out by S.slices."""
+def _blocks(net, s):
+    """Views (d, X, alpha, beta) of a flat state vector, laid out by net.slices."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (S.state_dim,):
+    if s.shape != (net.state_dim,):
         raise DimensionMismatch("expected state vector of length %d, got %r"
-                                % (S.state_dim, s.shape))
-    return tuple(s[sl] for sl in S.slices)
+                                % (net.state_dim, s.shape))
+    return tuple(s[sl] for sl in net.slices)
 
 
 def eval_F(net, d, X):
@@ -59,21 +61,21 @@ def eval_F(net, d, X):
     return F
 
 
-def grad_F_state(net, S, s):
+def grad_F_state(net, s):
     """Gradient of eval_F at the flat state s; alpha and beta do not enter F.
 
     Raises NonFiniteObjective, without a NumPy warning, when an entry
     overflows.
     """
-    d, X, _, _ = _blocks(S, s)
-    sl_d, sl_x, _, _ = S.slices
-    v = aggregate_flows(S, X)
-    g_link = np.zeros(S.n_links)
-    g = np.zeros(S.state_dim)
+    d, X, _, _ = _blocks(net, s)
+    sl_d, sl_x, _, _ = net.slices
+    v = aggregate_flows(net, X)
+    g_link = np.zeros(net.n_links)
+    g = np.zeros(net.state_dim)
     with np.errstate(over="ignore", invalid="ignore"):
         g_link[net.obs_links] = 2.0 * net.eta1 * (v[net.obs_links] - net.obs_flows)
         g[sl_d] = 2.0 * net.eta2 * (d - net.target_demands)
-    g[sl_x] = np.tile(g_link, S.n_commodities)    # R' applied to the link gradient
+    g[sl_x] = np.tile(g_link, net.n_commodities)  # R' applied to the link gradient
     if not np.isfinite(g).all():
         raise NonFiniteObjective("the gradient of the objective F is not "
                                  "finite: the weights, observed flows or "
@@ -81,63 +83,64 @@ def grad_F_state(net, S, s):
     return g
 
 
-def eval_C(net, S, s):
+def eval_C(net, s):
     """Flat residual of the lifted equilibrium system at the flat state s.
 
-    Its blocks are read through S.residual_slices.
+    Its blocks are read through net.residual_slices.
     """
-    d, X, alpha, beta = _blocks(S, s)
-    t = net.link_times(aggregate_flows(S, X))
-    return np.concatenate([np.tile(t, S.n_commodities) + S.Mt_dot(alpha) - beta,
-                           S.Gamma_dot(d) - S.M_dot(X),
+    d, X, alpha, beta = _blocks(net, s)
+    t = net.link_times(aggregate_flows(net, X))
+    return np.concatenate([np.tile(t, net.n_commodities) + net.Mt_dot(alpha) - beta,
+                           net.Gamma_dot(d) - net.M_dot(X),
                            beta * X])
 
 
-def eval_C_jacobian(net, S, s):
+def eval_C_jacobian(net, s):
     """Exact Jacobian of eval_C at s, in canonical CSR.
 
-    Its blocks are S's M, M' and Gamma entries, -I, the t'(v) entries that
-    join stationarity row (i, l) to flow column (j, l) for every pair of
-    commodities i, j, and the complementarity rows' beta and X diagonals.
+    Its blocks are the network's M, M' and Gamma entries, -I, the t'(v)
+    entries that join stationarity row (i, l) to flow column (j, l) for
+    every pair of commodities i, j, and the complementarity rows' beta and
+    X diagonals.
     Entries that are zero at s stay stored, so J has one pattern at every
     state of the network.
     """
     import scipy.sparse as sp
-    _, X, _, beta = _blocks(S, s)
-    t_prime = net.link_time_derivs(aggregate_flows(S, X))
-    c, a = S.n_commodities, S.n_links
-    d0, x0, alpha0, beta0 = (sl.start for sl in S.slices)
-    stat, cons, comp = (sl.start for sl in S.residual_slices)
+    _, X, _, beta = _blocks(net, s)
+    t_prime = net.link_time_derivs(aggregate_flows(net, X))
+    c, a = net.n_commodities, net.n_links
+    d0, x0, alpha0, beta0 = (sl.start for sl in net.slices)
+    stat, cons, comp = (sl.start for sl in net.residual_slices)
     diag = np.arange(c * a)
     i, j, link = np.indices((c, c, a)).reshape(3, -1)
-    blocks = [(S.Gamma[0] + cons, S.Gamma[1] + d0, S.Gamma[2]),
-              (S.M[0] + cons, S.M[1] + x0, -S.M[2]),
-              (S.Mt[0] + stat, S.Mt[1] + alpha0, S.Mt[2]),
+    blocks = [(net.Gamma[0] + cons, net.Gamma[1] + d0, net.Gamma[2]),
+              (net.M[0] + cons, net.M[1] + x0, -net.M[2]),
+              (net.Mt[0] + stat, net.Mt[1] + alpha0, net.Mt[2]),
               (diag + stat, diag + beta0, np.full(c * a, -1.0)),
               (i * a + link + stat, j * a + link + x0, t_prime[link]),
               (diag + comp, diag + x0, beta),
               (diag + comp, diag + beta0, X)]
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(S.n_constraints, S.state_dim))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(net.n_constraints, net.state_dim))
 
 
-def eval_L(net, S, s, mu):
+def eval_L(net, s, mu):
     """Lagrangian F(s) + mu . C(s)."""
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (S.n_constraints,):
+    if mu.shape != (net.n_constraints,):
         raise DimensionMismatch("expected %d multipliers, got %r"
-                                % (S.n_constraints, mu.shape))
-    d, X, _, _ = _blocks(S, s)
-    return eval_F(net, d, X) + float(eval_C(net, S, s) @ mu)
+                                % (net.n_constraints, mu.shape))
+    d, X, _, _ = _blocks(net, s)
+    return eval_F(net, d, X) + float(eval_C(net, s) @ mu)
 
 
-def eval_L_grad(net, S, s, mu):
+def eval_L_grad(net, s, mu):
     """Gradient of the Lagrangian in the full state layout."""
     mu = np.asarray(mu, dtype=float)
-    return grad_F_state(net, S, s) + eval_C_jacobian(net, S, s).T @ mu
+    return grad_F_state(net, s) + eval_C_jacobian(net, s).T @ mu
 
 
-def recover_multipliers(net, S, X, link_times):
+def recover_multipliers(net, X, link_times):
     """Multipliers (alpha, beta) certifying an equilibrium flow X.
 
     With costs frozen at t = link_times, per-commodity node potentials are the
@@ -152,10 +155,10 @@ def recover_multipliers(net, S, X, link_times):
     """
     X = np.asarray(X, dtype=float)
     t = np.asarray(link_times, dtype=float)
-    c, n = S.n_commodities, S.n_nodes
-    if X.shape != (c * S.n_links,) or t.shape != (S.n_links,):
+    c, n = net.n_commodities, net.n_nodes
+    if X.shape != (c * net.n_links,) or t.shape != (net.n_links,):
         raise DimensionMismatch("expected %d flows and %d link times, got %r and %r"
-                                % (c * S.n_links, S.n_links, X.shape, t.shape))
+                                % (c * net.n_links, net.n_links, X.shape, t.shape))
 
     alpha = np.zeros(c * n)
     trees = _origin_trees(net, t, range(c))
@@ -166,7 +169,7 @@ def recover_multipliers(net, S, X, link_times):
             pi[~finite] = pi[finite].max() + 1.0
         alpha[i * n:(i + 1) * n] = -pi
 
-    beta = np.tile(t, c) + S.Mt_dot(alpha)
+    beta = np.tile(t, c) + net.Mt_dot(alpha)
     worst = float(beta.min()) if beta.size else 0.0
     if worst < -1e-8:
         raise ResidualTooLarge(
@@ -208,7 +211,7 @@ def _potential_derivs(net, tree, origin, link_dv):
     return dpi
 
 
-def equilibrium_sensitivity(net, S, z, paths):
+def equilibrium_sensitivity(net, z, paths):
     """Z = dz/dd at a restored point z, of shape state_dim x c.
 
     Z moves z with the demands on the piece of the equilibrium set where
@@ -228,11 +231,11 @@ def equilibrium_sensitivity(net, S, z, paths):
     and dbeta_i = t' dv + dalpha_i[head] - dalpha_i[tail].  Raises
     NonFiniteObjective, without a NumPy warning, when t'(v) is not finite.
     """
-    _, X, _, _ = _blocks(S, z)
-    c, a, n = S.n_commodities, S.n_links, S.n_nodes
+    _, X, _, _ = _blocks(net, z)
+    c, a, n = net.n_commodities, net.n_links, net.n_nodes
     if not c:
-        return np.zeros((S.state_dim, 0))     # no demand to move z with
-    v = aggregate_flows(S, X)
+        return np.zeros((net.state_dim, 0))   # no demand to move z with
+    v = aggregate_flows(net, X)
     t = net.link_times(v)
     with np.errstate(over="ignore", invalid="ignore"):
         t_prime = net.link_time_derivs(v)
@@ -271,13 +274,13 @@ def equilibrium_sensitivity(net, S, z, paths):
     dalpha = np.stack([-dpi[int(net.origin_idx[i])] for i in range(c)])
     dbeta = link_dv + dalpha[:, net.heads] - dalpha[:, net.tails]
 
-    Z = np.empty((S.state_dim, c))
-    for sl, block in zip(S.slices, (np.eye(c), dX, dalpha, dbeta)):
+    Z = np.empty((net.state_dim, c))
+    for sl, block in zip(net.slices, (np.eye(c), dX, dalpha, dbeta)):
         Z[sl] = block.reshape(-1, c)
     return Z
 
 
-def tangent_space(net, S, z):
+def tangent_space(net, z):
     """Linearized feasible set at z: J(w-z)=0 and the sign constraints, no box.
 
     Building it finds the coordinates that single-entry rows of J pin and takes
@@ -286,4 +289,4 @@ def tangent_space(net, S, z):
     and that factorization for every point and radius; the solver itself
     steps in reduced coordinates and builds no tangent space.
     """
-    return TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)
+    return TangentSpace(z=z, J=eval_C_jacobian(net, z), lower=net.lower)

@@ -1,9 +1,12 @@
-"""Network model: directed graph, polynomial link costs, commodities, observations.
+"""Network model: directed graph, polynomial link costs, commodities, observations,
+and the layout of the lifted equilibrium system.
 
 The commodity-disaggregated flow vector X is laid out commodity-major: the block
 X[i*n_links:(i+1)*n_links] holds commodity i's flow on every link.  All structure
 matrices follow the sign convention "-1 leaves, +1 enters" for both node-link
-incidence and origin-destination incidence.
+incidence and origin-destination incidence.  A Network carries its lifted
+layout (state and residual slices, the entries of M, M' and Gamma), so every
+function of the lifted system takes the network alone.
 """
 
 from __future__ import annotations
@@ -158,8 +161,27 @@ class Network:
     """Validated road network with demands and (possibly partial) flow observations.
 
     Instances are treated as immutable after construction; every derived array
-    (incidence maps, padded coefficient tables) and the per-link evaluators
-    link_evals are built once here.
+    (incidence maps, padded coefficient tables, the lifted layout) and the
+    per-link evaluators link_evals are built once here, with NumPy alone.
+
+    The lifted layout.  The structure matrices hold only -1 and +1:
+
+    A      node-link incidence, n_nodes x n_links, -1 at the tail, +1 at the head
+    Gamma  od incidence, (n_commodities*n_nodes) x n_commodities, block-diagonal
+           with -1 at the origin and +1 at the destination of each commodity
+    M      block-diagonal repetition of A, one block per commodity
+
+    None is stored as a matrix.  The attributes M, Mt and Gamma hold the
+    (row, column, value) entries of M, M' and Gamma, sorted by row, then
+    column, and M_dot, Mt_dot and Gamma_dot sum each row's terms in that
+    order, starting from +0.0.  That is how a CSR matrix-vector product
+    sums, so every product equals scipy's bit for bit, signed zeros
+    included.
+
+    The state [d | X | alpha | beta] has length state_dim and blocks slices;
+    the residual [stationarity | conservation | complementarity] has length
+    n_constraints and blocks residual_slices.  lower is the read-only lower
+    bound of the state: 0 on d, X and beta, -inf on alpha.
     """
 
     def __init__(self, nodes, links, commodities, observations=None,
@@ -244,6 +266,26 @@ class Network:
 
         self._check_reachability()
 
+        # the lifted layout: A's entries, then one shifted copy per
+        # commodity, M, whose blocks follow each other in row order
+        n, a, c = self.n_nodes, self.n_links, self.n_commodities
+        com, link = np.arange(c), np.arange(a)
+        A = _by_rows(np.concatenate([self.tails, self.heads]), np.concatenate([link, link]),
+                     np.repeat([-1.0, 1.0], a))
+        self.M = M = ((com[:, None] * n + A[0]).ravel(), (com[:, None] * a + A[1]).ravel(),
+                      np.broadcast_to(A[2], (c, 2 * a)).ravel())
+        self.Mt = _by_rows(M[1], M[0], M[2])
+        self.Gamma = _by_rows(
+            np.concatenate([com * n + self.origin_idx, com * n + self.destination_idx]),
+            np.concatenate([com, com]), np.repeat([-1.0, 1.0], c))
+        self.slices = _, _, sl_alpha, sl_beta = _partition(c, c * a, c * n, c * a)
+        self.state_dim = sl_beta.stop
+        self.residual_slices = _partition(c * a, c * n, c * a)
+        self.n_constraints = self.residual_slices[-1].stop
+        self.lower = np.zeros(self.state_dim)
+        self.lower[sl_alpha] = -np.inf
+        self.lower.flags.writeable = False
+
     # -- derived sizes ------------------------------------------------------
 
     @property
@@ -271,6 +313,20 @@ class Network:
     def link_time_integrals(self, v):
         """int_0^{v_a} t_a(u) du for every link."""
         return _horner(self._icoeff, v) * v
+
+    # -- products of the structure matrices --------------------------------
+
+    def M_dot(self, X):
+        """M X: per commodity, each node's inflow minus its outflow."""
+        return _row_sums(self.M, X, self.n_commodities * self.n_nodes)
+
+    def Mt_dot(self, alpha):
+        """M' alpha: per commodity, alpha at each link's head minus at its tail."""
+        return _row_sums(self.Mt, alpha, self.n_commodities * self.n_links)
+
+    def Gamma_dot(self, d):
+        """Gamma d: per commodity, -d at its origin and +d at its destination."""
+        return _row_sums(self.Gamma, d, self.n_commodities * self.n_nodes)
 
     # -- misc ---------------------------------------------------------------
 
@@ -304,67 +360,6 @@ class Network:
         )
 
 
-class StructureMatrices:
-    """Index layouts of a network's structure matrices and of its lifted
-    state and residual, all built once, by build_structure, with NumPy alone.
-
-    The structure matrices hold only -1 and +1:
-
-    A      node-link incidence, n_nodes x n_links, -1 at the tail, +1 at the head
-    Gamma  od incidence, (n_commodities*n_nodes) x n_commodities, block-diagonal
-           with -1 at the origin and +1 at the destination of each commodity
-    M      block-diagonal repetition of A, one block per commodity
-
-    None is stored as a matrix.  The attributes M, Mt and Gamma hold the
-    (row, column, value) entries of M, M' and Gamma, sorted by row, then
-    column, and M_dot, Mt_dot and Gamma_dot sum each row's terms in that
-    order, starting from +0.0.  That is how a CSR matrix-vector product
-    sums, so every product equals scipy's bit for bit, signed zeros
-    included.
-
-    The state [d | X | alpha | beta] has length state_dim and blocks slices;
-    the residual [stationarity | conservation | complementarity] has length
-    n_constraints and blocks residual_slices.  lower is the read-only lower
-    bound of the state: 0 on d, X and beta, -inf on alpha.
-    """
-
-    def __init__(self, net):
-        n, a, c = net.n_nodes, net.n_links, net.n_commodities
-        self.n_nodes, self.n_links, self.n_commodities = n, a, c
-
-        # A's entries, then one shifted copy per commodity: M, whose blocks
-        # follow each other in row order
-        com, link = np.arange(c), np.arange(a)
-        A = _by_rows(np.concatenate([net.tails, net.heads]), np.concatenate([link, link]),
-                     np.repeat([-1.0, 1.0], a))
-        self.M = M = ((com[:, None] * n + A[0]).ravel(), (com[:, None] * a + A[1]).ravel(),
-                      np.broadcast_to(A[2], (c, 2 * a)).ravel())
-        self.Mt = _by_rows(M[1], M[0], M[2])
-        self.Gamma = _by_rows(
-            np.concatenate([com * n + net.origin_idx, com * n + net.destination_idx]),
-            np.concatenate([com, com]), np.repeat([-1.0, 1.0], c))
-
-        self.slices = _, _, sl_alpha, sl_beta = _partition(c, c * a, c * n, c * a)
-        self.state_dim = sl_beta.stop
-        self.residual_slices = _partition(c * a, c * n, c * a)
-        self.n_constraints = self.residual_slices[-1].stop
-        self.lower = np.zeros(self.state_dim)
-        self.lower[sl_alpha] = -np.inf
-        self.lower.flags.writeable = False
-
-    def M_dot(self, X):
-        """M X: per commodity, each node's inflow minus its outflow."""
-        return _row_sums(self.M, X, self.n_commodities * self.n_nodes)
-
-    def Mt_dot(self, alpha):
-        """M' alpha: per commodity, alpha at each link's head minus at its tail."""
-        return _row_sums(self.Mt, alpha, self.n_commodities * self.n_links)
-
-    def Gamma_dot(self, d):
-        """Gamma d: per commodity, -d at its origin and +d at its destination."""
-        return _row_sums(self.Gamma, d, self.n_commodities * self.n_nodes)
-
-
 def _by_rows(rows, cols, vals):
     """The entries (rows, cols, vals) sorted by row, then column."""
     order = np.lexsort((cols, rows))
@@ -385,25 +380,19 @@ def _partition(*sizes):
 
 
 def build_structure(net):
-    """The StructureMatrices of a network.
-
-    Deterministic: identical networks give identical matrices, entry for entry.
-    """
-    return StructureMatrices(net)
+    """The network itself, whose lifted layout Network builds once."""
+    return net
 
 
-def aggregate_flows(S, X):
-    """Total link flows v: the sum of the commodity blocks of X.
-
-    S is a Network or a StructureMatrices; only their sizes are read.
-    """
+def aggregate_flows(net, X):
+    """Total link flows v: the sum of the commodity blocks of X."""
     X = np.asarray(X, dtype=float)
-    if X.shape != (S.n_commodities * S.n_links,):
+    if X.shape != (net.n_commodities * net.n_links,):
         raise DimensionMismatch(
             "expected disaggregated flow vector of length %d, got shape %r"
-            % (S.n_commodities * S.n_links, X.shape)
+            % (net.n_commodities * net.n_links, X.shape)
         )
-    return X.reshape(S.n_commodities, S.n_links).sum(axis=0)
+    return X.reshape(net.n_commodities, net.n_links).sum(axis=0)
 
 
 # -- JSON input --------------------------------------------------------------

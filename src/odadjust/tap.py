@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,30 @@ def _demands(net, d):
     if np.any(d < 0.0) or not np.all(np.isfinite(d)):
         raise ValueError("demands must be finite and nonnegative")
     return d
+
+
+def _check_start(net, start):
+    """Raise DimensionMismatch for a key of start that is no commodity of
+    the network or a path with a link index out of range, and ValueError
+    for a path that does not lead from its commodity's origin to its
+    destination or a flow that is negative or not finite."""
+    for i, paths in start.items():
+        if not (isinstance(i, numbers.Integral) and 0 <= i < net.n_commodities):
+            raise DimensionMismatch("start has paths for %r, which is not a "
+                                    "commodity of the network" % (i,))
+        for p, h in paths.items():
+            if not all(isinstance(a, numbers.Integral) and 0 <= a < net.n_links for a in p):
+                raise DimensionMismatch("start path %r of commodity %d has a link "
+                                        "index out of range" % (p, i))
+            node = net.origin_idx[i]
+            for a in p:
+                node = net.heads[a] if net.tails[a] == node else -1
+            if node != net.destination_idx[i]:
+                raise ValueError("start path %r of commodity %d does not lead from "
+                                 "its origin to its destination" % (p, i))
+            if not 0.0 <= h < math.inf:
+                raise ValueError("start path %r of commodity %d has flow %r, which "
+                                 "is not finite and nonnegative" % (p, i, h))
 
 
 def _link_flows(net, v):
@@ -360,7 +385,8 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         None; an active commodity with a positive total in start starts
         from those paths, their flows scaled by d_i / total, and the others,
         and those whose d_i / total overflows, start cold, all their demand
-        on the shortest path under the zero-flow link times
+        on the shortest path under the zero-flow link times, which are
+        evaluated only then.  Every entry is checked by _check_start
 
     Returns a TapSolution; `converged` is False when the budget ran out, in
     which case the best iterate found is returned rather than raising.
@@ -382,6 +408,8 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     Unreachable is raised on the first that is not finite.
     """
     d = _demands(net, d)
+    start = start or {}
+    _check_start(net, start)
     n_links = net.n_links
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]
     evals = net.link_evals
@@ -412,10 +440,10 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         X = np.bincount(idx, h, size) if idx else np.zeros(size)
         return X, aggregate_flows(net, X)
 
-    t0 = net.link_times(np.zeros(n_links)).tolist()
+    t0 = None       # the zero-flow link times, once a commodity starts cold
     flows = {}      # per active commodity, its path numbers and their flows
     for i in active:
-        prev = (start or {}).get(i, {})
+        prev = start.get(i, {})
         total = 0.0
         for h in prev.values():
             total += h
@@ -424,6 +452,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         if scale < math.inf:
             flows[i] = {number(p): h * scale for p, h in prev.items()}
         else:
+            t0 = t0 or net.link_times(np.zeros(n_links)).tolist()
             flows[i] = {shortest(i, t0): float(d[i])}
     X, v = assemble()
     bound, t = _gap_bound(net, d, v, flows, links)

@@ -97,28 +97,28 @@ def toy_file(tmp_path):
     return str(path)
 
 
-def state_vector(S, d, X, alpha, beta):
-    """Flat state with the given blocks, laid out by S.slices."""
-    s = np.empty(S.state_dim)
-    for sl, block in zip(S.slices, (d, X, alpha, beta)):
+def state_vector(net, d, X, alpha, beta):
+    """Flat state with the given blocks, laid out by net.slices."""
+    s = np.empty(net.state_dim)
+    for sl, block in zip(net.slices, (d, X, alpha, beta)):
         s[sl] = block
     return s
 
 
-def random_state(rng, S):
+def random_state(rng, net):
     """Random flat state: d, X and beta nonnegative, alpha free."""
     return state_vector(
-        S,
-        rng.uniform(0.5, 3.0, size=S.n_commodities),
-        rng.uniform(0.0, 2.0, size=S.n_commodities * S.n_links),
-        rng.normal(size=S.n_commodities * S.n_nodes),
-        rng.uniform(0.0, 1.0, size=S.n_commodities * S.n_links),
+        net,
+        rng.uniform(0.5, 3.0, size=net.n_commodities),
+        rng.uniform(0.0, 2.0, size=net.n_commodities * net.n_links),
+        rng.normal(size=net.n_commodities * net.n_nodes),
+        rng.uniform(0.0, 1.0, size=net.n_commodities * net.n_links),
     )
 
 
 def incidence_matrices(net):
     """Gamma and M of a network as scipy CSR matrices, built from its links
-    and commodities: the reference for the products of StructureMatrices."""
+    and commodities: the reference for the network's M_dot, Mt_dot and Gamma_dot."""
     n, a, c = net.n_nodes, net.n_links, net.n_commodities
     link, com = np.arange(a), np.arange(c)
     A = sp.csr_matrix((np.repeat([-1.0, 1.0], a),

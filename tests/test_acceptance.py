@@ -22,7 +22,6 @@ from conftest import (
 )
 from odadjust import (
     IRConfig,
-    build_structure,
     eval_C,
     eval_C_jacobian,
     eval_L,
@@ -98,16 +97,15 @@ def test_03_flat_start_termination():
 
 def test_04_restoration_quality():
     net = _toy()
-    S = build_structure(net)
     cfg = IRConfig()
     rng = np.random.default_rng(2024)
     worst_c = worst_slip = 0.0
     beta_ok = True
     for _ in range(20):
         d = rng.uniform(0.5, 3.0, size=2)
-        z, _ = restore(net, S, d, cfg)
-        worst_c = max(worst_c, float(np.abs(eval_C(net, S, z)).max()))
-        X, beta = z[S.slices[1]], z[S.slices[3]]
+        z, _ = restore(net, d, cfg)
+        worst_c = max(worst_c, float(np.abs(eval_C(net, z)).max()))
+        X, beta = z[net.slices[1]], z[net.slices[3]]
         beta_ok = beta_ok and bool(np.all(beta >= 0.0))
         slip = abs(float(beta @ X)) / (1.0 + np.abs(X).sum())
         worst_slip = max(worst_slip, slip)
@@ -137,27 +135,26 @@ def test_05_assignment_matches_oracle():
 
 
 def _gradient_case(net, rng):
-    S = build_structure(net)
-    s = random_state(rng, S)
-    mu = rng.normal(size=S.n_constraints)
+    s = random_state(rng, net)
+    mu = rng.normal(size=net.n_constraints)
 
-    g_f = grad_F_state(net, S, s)
+    g_f = grad_F_state(net, s)
     fd_f = fd_gradient(
-        lambda vec: eval_F(net, vec[S.slices[0]], vec[S.slices[1]]), s)
+        lambda vec: eval_F(net, vec[net.slices[0]], vec[net.slices[1]]), s)
     rel_f = np.abs(g_f - fd_f).max() / max(1.0, np.abs(g_f).max())
 
-    g_l = eval_L_grad(net, S, s, mu)
+    g_l = eval_L_grad(net, s, mu)
     fd_l = fd_gradient(
-        lambda vec: eval_L(net, S, vec, mu), s)
+        lambda vec: eval_L(net, vec, mu), s)
     rel_l = np.abs(g_l - fd_l).max() / max(1.0, np.abs(g_l).max())
 
-    J = eval_C_jacobian(net, S, s)
-    c0 = eval_C(net, S, s)
-    w = rng.normal(size=S.state_dim)
+    J = eval_C_jacobian(net, s)
+    c0 = eval_C(net, s)
+    w = rng.normal(size=net.state_dim)
     w /= np.linalg.norm(w)
 
     def residual(h):
-        c1 = eval_C(net, S, s + h * w)
+        c1 = eval_C(net, s + h * w)
         return float(np.linalg.norm(c1 - c0 - h * (J @ w)))
 
     r1, r2 = residual(1e-3), residual(5e-4)

@@ -560,16 +560,15 @@ def _scipy_modules_after(code):
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded(toy_file):
-    # import, parsing, the structure layouts, assignment, multiplier
+    # import, parsing with the lifted layout, assignment, multiplier
     # recovery and the solver's outer steps run on NumPy alone, so none of
     # them, and none of the check, tap and solve commands, loads any scipy
     # module
     assert _scipy_modules_after(
         "import odadjust\n"
         "net = odadjust.parse_network(open(%r).read())\n"
-        "S = odadjust.build_structure(net)\n"
         "sol = odadjust.solve_tap(net, net.target_demands)\n"
-        "odadjust.recover_multipliers(net, S, sol.X, net.link_times(sol.v))"
+        "odadjust.recover_multipliers(net, sol.X, net.link_times(sol.v))"
         % toy_file) == []
     run = "from odadjust.cli import main\nassert main(%r) == 0"
     for command in ("check", "tap", "solve"):

@@ -18,7 +18,6 @@ from odadjust import (
     DapResult,
     IRConfig,
     IterationRecord,
-    build_structure,
     eval_C,
     eval_F,
     parse_network,
@@ -54,15 +53,10 @@ def net():
     return parse_network(json.dumps(toy_document()))
 
 
-@pytest.fixture
-def S(net):
-    return build_structure(net)
-
-
-def _piece(net, S, d, cfg=None):
+def _piece(net, d, cfg=None):
     """The restored point at demands d and its sensitivity Z = dz/dd."""
-    z, paths = restore(net, S, np.asarray(d, dtype=float), cfg or IRConfig())
-    return z, equilibrium_sensitivity(net, S, z, paths)
+    z, paths = restore(net, np.asarray(d, dtype=float), cfg or IRConfig())
+    return z, equilibrium_sensitivity(net, z, paths)
 
 
 # -- configuration -------------------------------------------------------------
@@ -94,16 +88,16 @@ def test_init_penalty_schedule():
     assert init_penalty(4, [0.5, 0.2, 0.3]) == pytest.approx(0.20625)
 
 
-def test_solve_dap_start_state(net, S):
+def test_solve_dap_start_state(net):
     # no d0 means the target demands
     res, res_t = solve_dap(net), solve_dap(net, d0=TOY_TARGETS)
     assert_array_equal(res.d_final, res_t.d_final)
     assert res.history == res_t.history
     # the first record is taken at (d0, 0, 0, 0); L_s reads F there
     rec = solve_dap(net, IRConfig(max_outer=1), d0=[1.0, 2.0]).history[0]
-    s = np.zeros(S.state_dim)
-    s[S.slices[0]] = [1.0, 2.0]
-    assert rec.normC_s == float(np.linalg.norm(eval_C(net, S, s)))
+    s = np.zeros(net.state_dim)
+    s[net.slices[0]] = [1.0, 2.0]
+    assert rec.normC_s == float(np.linalg.norm(eval_C(net, s)))
     assert rec.L_s == eval_F(net, [1.0, 2.0], np.zeros(8))
 
 
@@ -135,30 +129,30 @@ def test_accept_step_threshold():
 
 # -- restoration ------------------------------------------------------------------
 
-def test_restore_reaches_feasibility(net, S):
+def test_restore_reaches_feasibility(net):
     cfg = IRConfig()
-    z, _ = restore(net, S, TOY_TARGETS, cfg)
-    assert np.abs(eval_C(net, S, z)).max() <= 1e-8
-    assert_array_equal(z[S.slices[0]], TOY_TARGETS)
-    assert_allclose(z[S.slices[1]], TOY_X, atol=1e-6)
-    assert np.all(z[S.slices[3]] >= 0.0)
+    z, _ = restore(net, TOY_TARGETS, cfg)
+    assert np.abs(eval_C(net, z)).max() <= 1e-8
+    assert_array_equal(z[net.slices[0]], TOY_TARGETS)
+    assert_allclose(z[net.slices[1]], TOY_X, atol=1e-6)
+    assert np.all(z[net.slices[3]] >= 0.0)
 
 
-def test_restore_random_demands(net, S):
+def test_restore_random_demands(net):
     cfg = IRConfig()
     rng = np.random.default_rng(31)
     for _ in range(5):
         d = rng.uniform(0.5, 3.0, size=2)
-        z, _ = restore(net, S, d, cfg)
-        assert np.abs(eval_C(net, S, z)).max() <= 1e-6
-        assert_array_equal(z[S.slices[0]], d)
+        z, _ = restore(net, d, cfg)
+        assert np.abs(eval_C(net, z)).max() <= 1e-6
+        assert_array_equal(z[net.slices[0]], d)
 
 
 def test_restore_propagates_budget_exhaustion():
     net = parse_network(json.dumps(quadratic_toy_document()))
     cfg = IRConfig(tap_tol=1e-30, tap_max_iter=1)
     with pytest.raises(MaxIterations):
-        restore(net, build_structure(net), np.array([1.0, 2.0]), cfg)
+        restore(net, np.array([1.0, 2.0]), cfg)
 
 
 # -- inner machinery ---------------------------------------------------------------
@@ -173,30 +167,30 @@ def test_check_stop_requires_both_conditions():
     assert not check_stop(s, z + 1.0, small, 1e-5, 1e-5)
 
 
-def test_cauchy_direction_vanishes_at_optimum(net, S):
+def test_cauchy_direction_vanishes_at_optimum(net):
     # restoring at the demand optimum gives an equilibrium matching the
     # observations, so the reduced gradient and its projected step vanish
-    z, Z = _piece(net, S, TOY_TARGETS)
-    r, g_d = cauchy_direction(net, S, z, Z)
-    assert r.shape == g_d.shape == (S.n_commodities,)
+    z, Z = _piece(net, TOY_TARGETS)
+    r, g_d = cauchy_direction(net, z, Z)
+    assert r.shape == g_d.shape == (net.n_commodities,)
     assert np.abs(r).max() <= 1e-5
     assert np.abs(g_d).max() <= 1e-5
 
 
-def test_cauchy_direction_descends_away_from_optimum(net, S):
-    z, Z = _piece(net, S, [1.0, 2.0])
-    r, g_d = cauchy_direction(net, S, z, Z)
-    assert_array_equal(g_d, Z.T @ grad_F_state(net, S, z))
-    assert_array_equal(r, np.maximum(z[S.slices[0]] - g_d, 0.0) - z[S.slices[0]])
+def test_cauchy_direction_descends_away_from_optimum(net):
+    z, Z = _piece(net, [1.0, 2.0])
+    r, g_d = cauchy_direction(net, z, Z)
+    assert_array_equal(g_d, Z.T @ grad_F_state(net, z))
+    assert_array_equal(r, np.maximum(z[net.slices[0]] - g_d, 0.0) - z[net.slices[0]])
     assert np.abs(r).max() > 1e-3
     assert float(r @ g_d) < 0.0
 
 
-def test_trial_multipliers_bounded(net, S):
+def test_trial_multipliers_bounded(net):
     cfg = IRConfig()
-    z, _ = restore(net, S, np.array([1.0, 2.0]), cfg)
-    mu = trial_multipliers(net, S, z)
-    assert mu.shape == (S.n_constraints,)
+    z, _ = restore(net, np.array([1.0, 2.0]), cfg)
+    mu = trial_multipliers(net, z)
+    assert mu.shape == (net.n_constraints,)
     assert np.all(np.isfinite(mu))
     assert np.abs(mu).max() <= driver_module.M_BOUND
 
@@ -206,7 +200,6 @@ def test_trial_multipliers_stay_off_the_clip(monkeypatch):
     # 1e-12 that a truncated SVD least-squares solve keeps, giving |mu| near
     # 7e9, far past M_BOUND; the regularized solve damps it
     net = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
-    S = build_structure(net)
 
     class FirstPoint(Exception):
         pass
@@ -218,63 +211,63 @@ def test_trial_multipliers_stay_off_the_clip(monkeypatch):
     with pytest.raises(FirstPoint) as caught:
         solve_dap(net, IRConfig(max_outer=1))
     v = caught.value.args[0]
-    mu = trial_multipliers(net, S, v)
+    mu = trial_multipliers(net, v)
     assert np.abs(mu).max() < driver_module.M_BOUND
 
     # the optimum of |g + J' mu|^2 + REG |mu|^2, by a dense SVD
-    g = grad_F_state(net, S, v)
-    Jt = eval_C_jacobian(net, S, v).T.toarray()
+    g = grad_F_state(net, v)
+    Jt = eval_C_jacobian(net, v).T.toarray()
     U, sig, Vt = np.linalg.svd(Jt, full_matrices=False)
     best = Vt.T @ (sig / (sig * sig + REG) * (U.T @ -g))
     assert (abs(np.linalg.norm(g + Jt @ mu) - np.linalg.norm(g + Jt @ best))
             <= 1e-8)
 
 
-def test_trial_multipliers_match_the_dense_solve(net, S):
+def test_trial_multipliers_match_the_dense_solve(net):
     # trial_multipliers reads C'(v)' from J's CSR arrays, stored zeros
     # included; min_norm_solve drops those zeros, so its K is the one a dense
     # C'(v)' gives and the two agree bit for bit
     grid = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
     rng = np.random.default_rng(11)
-    for net_, S_ in ((net, S), (grid, build_structure(grid))):
-        points = [restore(net_, S_, net_.target_demands * f, IRConfig())[0]
+    for net_ in (net, grid):
+        points = [restore(net_, net_.target_demands * f, IRConfig())[0]
                   for f in (1.0, 0.6)]
-        points += [random_state(rng, S_) for _ in range(3)]
+        points += [random_state(rng, net_) for _ in range(3)]
         for v in points:
-            g = grad_F_state(net_, S_, v)
-            dense = min_norm_solve(eval_C_jacobian(net_, S_, v).toarray().T, -g)
+            g = grad_F_state(net_, v)
+            dense = min_norm_solve(eval_C_jacobian(net_, v).toarray().T, -g)
             expected = np.clip(dense, -driver_module.M_BOUND, driver_module.M_BOUND)
-            assert_array_equal(trial_multipliers(net_, S_, v).view(np.int64),
+            assert_array_equal(trial_multipliers(net_, v).view(np.int64),
                                expected.view(np.int64))
 
 
-def test_find_candidate_respects_box_and_bound(net, S):
-    z, Z = _piece(net, S, [1.0, 2.0])
+def test_find_candidate_respects_box_and_bound(net):
+    z, Z = _piece(net, [1.0, 2.0])
     for sigma in (1.0, 1e-3, 10.0, 1e3):
-        _check_candidate(net, S, z, Z, 0.5, sigma)
+        _check_candidate(net, z, Z, 0.5, sigma)
 
 
-def _F(net, S, vec):
-    return eval_F(net, vec[S.slices[0]], vec[S.slices[1]])
+def _F(net, vec):
+    return eval_F(net, vec[net.slices[0]], vec[net.slices[1]])
 
 
-def _check_candidate(net, S, z, Z, delta, sigma):
-    sl_d = S.slices[0]
-    r_tan, g_d = cauchy_direction(net, S, z, Z)
-    F_z = _F(net, S, z)
-    v, F_v, C_v = find_candidate(net, S, z, Z, r_tan, delta, (F_z, g_d), sigma)
-    assert F_v == _F(net, S, v)
-    assert_array_equal(C_v, eval_C(net, S, v))
+def _check_candidate(net, z, Z, delta, sigma):
+    sl_d = net.slices[0]
+    r_tan, g_d = cauchy_direction(net, z, Z)
+    F_z = _F(net, z)
+    v, F_v, C_v = find_candidate(net, z, Z, r_tan, delta, (F_z, g_d), sigma)
+    assert F_v == _F(net, v)
+    assert_array_equal(C_v, eval_C(net, v))
     # v is the lift of its demand step onto z's piece, in the box and d >= 0
     dd = v[sl_d] - z[sl_d]
     assert np.abs(dd).max() <= delta + 1e-12
     assert v[sl_d].min() >= 0.0
-    assert_allclose(v, np.maximum(z + Z @ dd, S.lower), rtol=0.0, atol=1e-12)
+    assert_allclose(v, np.maximum(z + Z @ dd, net.lower), rtol=0.0, atol=1e-12)
     # the broken Cauchy point: t halves from t_break until L falls by at
     # least CAUCHY_ARMIJO t g_d'r_tan
     t = min(1.0, delta / np.abs(r_tan).max())
     while True:
-        F_cauchy = _F(net, S, np.maximum(z + Z @ (t * r_tan), S.lower))
+        F_cauchy = _F(net, np.maximum(z + Z @ (t * r_tan), net.lower))
         if F_cauchy <= F_z + driver_module.CAUCHY_ARMIJO * t * float(g_d @ r_tan):
             break
         t *= 0.5
@@ -293,12 +286,11 @@ def test_find_candidate_backtracks_the_cauchy_step():
     # at sigma = 1 is no better; the broken Cauchy point backtracks to a
     # decrease, and the candidate must match it
     net = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
-    S = build_structure(net)
-    z, Z = _piece(net, S, net.target_demands)
-    r_tan, _ = cauchy_direction(net, S, z, Z)
-    unit = np.maximum(z + Z @ (r_tan / np.abs(r_tan).max()), S.lower)
-    assert _F(net, S, unit) > 2.0 * _F(net, S, z)
-    _check_candidate(net, S, z, Z, 1.0, 1.0)
+    z, Z = _piece(net, net.target_demands)
+    r_tan, _ = cauchy_direction(net, z, Z)
+    unit = np.maximum(z + Z @ (r_tan / np.abs(r_tan).max()), net.lower)
+    assert _F(net, unit) > 2.0 * _F(net, z)
+    _check_candidate(net, z, Z, 1.0, 1.0)
 
 
 def test_spectral_factor_ratio_and_clips():
@@ -330,13 +322,13 @@ def test_outer_steps_scale_by_the_spectral_factor(net, monkeypatch):
     # them
     restored, sigmas = [], []
 
-    def cauchy(net_, S_, z, Z):
-        out = cauchy_direction(net_, S_, z, Z)
-        restored.append((z[S_.slices[0]].copy(), out[1]))
+    def cauchy(net_, z, Z):
+        out = cauchy_direction(net_, z, Z)
+        restored.append((z[net_.slices[0]].copy(), out[1]))
         return out
 
     def candidate(*args):
-        sigmas.append((len(restored) - 1, args[7]))
+        sigmas.append((len(restored) - 1, args[6]))
         return find_candidate(*args)
 
     monkeypatch.setattr(driver_module, "cauchy_direction", cauchy)
@@ -359,9 +351,9 @@ def test_outer_step_evaluates_each_point_once(net, monkeypatch):
     jacobians, grads, residuals, found = [], [], [], []
 
     def spy(fn, seen):
-        def wrapped(net, S, s, *args):
+        def wrapped(net, s, *args):
             seen.append(s.copy())
-            return fn(net, S, s, *args)
+            return fn(net, s, *args)
         return wrapped
 
     for mod in (kkt, driver_module):
@@ -372,14 +364,13 @@ def test_outer_step_evaluates_each_point_once(net, monkeypatch):
                         lambda *args: found.append(find_candidate(*args)) or found[-1])
     res = solve_dap(net, IRConfig(max_outer=1), d0=[1.0, 2.0])
     assert [(rec.i, rec.accepted) for rec in res.history] == [(0, True)]
-    S = build_structure(net)
     v = found[0][0]
     assert not jacobians and len(grads) == 1 and len(residuals) == 3
     s0, z = residuals[0], grads[0]
-    assert_array_equal(s0[S.slices[0]], [1.0, 2.0])
-    assert not s0[S.slices[1]].any()
-    assert_array_equal(z[S.slices[0]], res.d_final)
-    assert_array_equal(z[S.slices[1]], res.X_final)
+    assert_array_equal(s0[net.slices[0]], [1.0, 2.0])
+    assert not s0[net.slices[1]].any()
+    assert_array_equal(z[net.slices[0]], res.d_final)
+    assert_array_equal(z[net.slices[1]], res.X_final)
     assert_array_equal(residuals[1], z)
     assert_array_equal(residuals[2], v)
     assert not np.array_equal(v, z)
@@ -430,7 +421,6 @@ def test_restoration_tightens_until_closer_than_the_last_point(monkeypatch):
     # |C(s)|, at most RESTORE_TIGHTENINGS times; s is the point accepted in
     # step k - 1, the last candidate found before the restoration
     net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
-    S = build_structure(net)
     cfg = IRConfig()
     found, steps = [], []
 
@@ -438,12 +428,12 @@ def test_restoration_tightens_until_closer_than_the_last_point(monkeypatch):
         found.append(find_candidate(*args))
         return found[-1]
 
-    def spy(net_, S_, d, cfg_, start=None):
-        z, paths = restore(net_, S_, d, cfg_, start)
+    def spy(net_, d, cfg_, start=None):
+        z, paths = restore(net_, d, cfg_, start)
         if found:
             if cfg_.tap_tol == cfg.tap_tol:
-                steps.append((np.linalg.norm(eval_C(net_, S_, found[-1][0])), []))
-            steps[-1][1].append((cfg_.tap_tol, np.linalg.norm(eval_C(net_, S_, z))))
+                steps.append((np.linalg.norm(eval_C(net_, found[-1][0])), []))
+            steps[-1][1].append((cfg_.tap_tol, np.linalg.norm(eval_C(net_, z))))
         return z, paths
 
     monkeypatch.setattr(driver_module, "find_candidate", candidate)
@@ -472,11 +462,11 @@ def test_restoration_keeps_its_point_when_a_tightening_fails(monkeypatch):
     cfg = IRConfig(max_outer=12)
     failed = []
 
-    def spy(net_, S_, d, cfg_, start=None):
+    def spy(net_, d, cfg_, start=None):
         if cfg_.tap_tol < cfg.tap_tol:
             failed.append(cfg_.tap_tol)
             raise MaxIterations("tightened tolerance out of reach")
-        return restore(net_, S_, d, cfg_, start)
+        return restore(net_, d, cfg_, start)
 
     monkeypatch.setattr(driver_module, "restore", spy)
     res = solve_dap(net, cfg)
@@ -494,8 +484,8 @@ def test_restorations_start_from_the_last_path_flows(monkeypatch):
     restore_closer = driver_module._restore_closer
     steps, assignments = [], []
 
-    def closer(net_, S_, d, cfg_, paths, normC_s):
-        out = restore_closer(net_, S_, d, cfg_, paths, normC_s)
+    def closer(net_, d, cfg_, paths, normC_s):
+        out = restore_closer(net_, d, cfg_, paths, normC_s)
         steps.append((paths, out[2]))
         return out
 
@@ -531,10 +521,9 @@ def test_solve_dap_outer_budget(net):
     assert res.status == STATUS_MAX_OUTER
     assert res.outer_iterations == 1
     # the returned blocks still come from a restored point
-    S = build_structure(net)
-    z = np.zeros(S.state_dim)
-    z[S.slices[0]], z[S.slices[1]] = res.d_final, res.X_final
-    assert np.abs(eval_C(net, S, z)[S.residual_slices[1]]).max() <= 1e-10
+    z = np.zeros(net.state_dim)
+    z[net.slices[0]], z[net.slices[1]] = res.d_final, res.X_final
+    assert np.abs(eval_C(net, z)[net.residual_slices[1]]).max() <= 1e-10
 
 
 def test_solve_dap_stalls_when_nothing_accepted(net, monkeypatch):

@@ -20,7 +20,6 @@ from conftest import (
     toy_document,
 )
 from odadjust import (
-    build_structure,
     eval_C,
     eval_C_jacobian,
     eval_F,
@@ -44,32 +43,27 @@ def net():
     return parse_network(json.dumps(toy_document()))
 
 
-@pytest.fixture
-def S(net):
-    return build_structure(net)
-
-
-def _equilibrium_state(S):
-    return state_vector(S, TOY_TARGETS, TOY_X, TOY_ALPHA, TOY_BETA)
+def _equilibrium_state(net):
+    return state_vector(net, TOY_TARGETS, TOY_X, TOY_ALPHA, TOY_BETA)
 
 
 # -- state layout -----------------------------------------------------------------
 
-def test_state_lower_bounds(S):
-    lower = S.lower
-    assert lower.shape == (S.state_dim,)
-    free = np.zeros(S.state_dim, dtype=bool)
-    free[S.slices[2]] = True
+def test_state_lower_bounds(net):
+    lower = net.lower
+    assert lower.shape == (net.state_dim,)
+    free = np.zeros(net.state_dim, dtype=bool)
+    free[net.slices[2]] = True
     assert np.all(np.isneginf(lower[free]))               # alpha free
     assert_array_equal(lower[~free], np.zeros(18))        # d, X and beta
     with pytest.raises(ValueError):
         lower[0] = 1.0                                    # read-only
 
 
-def test_state_functions_reject_wrong_length(net, S):
+def test_state_functions_reject_wrong_length(net):
     for fn in (eval_C, eval_C_jacobian, grad_F_state):
         with pytest.raises(DimensionMismatch):
-            fn(net, S, np.zeros(S.state_dim + 1))
+            fn(net, np.zeros(net.state_dim + 1))
 
 
 # -- objective -------------------------------------------------------------------
@@ -97,57 +91,57 @@ def test_eval_F_rejects_wrong_demand_shape(net):
             eval_F(net, d, np.zeros(8))
 
 
-def test_grad_F_state_closed_form(net, S):
-    sl_d, sl_x, _, _ = S.slices
+def test_grad_F_state_closed_form(net):
+    sl_d, sl_x, _, _ = net.slices
     X = np.zeros(8)
     X[0] = net.obs_flows[0]
     X[5] = net.obs_flows[1]
     rng = np.random.default_rng(3)
     alpha, beta = rng.normal(size=6), rng.uniform(size=8)
-    g = grad_F_state(net, S, state_vector(S, np.array([1.0, 2.0]), X, alpha, beta))
+    g = grad_F_state(net, state_vector(net, np.array([1.0, 2.0]), X, alpha, beta))
     assert_array_equal(g[sl_d], [-0.5, 0.25])
     assert_array_equal(g[sl_x], np.zeros(8))
     assert_array_equal(g[sl_x.stop:], np.zeros(14))      # alpha and beta
     # observation error of +1 on link 1 gives 2*eta1 = 1.0, tiled per commodity
     X[0] += 1.0
-    g = grad_F_state(net, S, state_vector(S, np.array([1.0, 2.0]), X, alpha, beta))
+    g = grad_F_state(net, state_vector(net, np.array([1.0, 2.0]), X, alpha, beta))
     expect = np.zeros(8)
     expect[0] = expect[4] = 1.0
     assert_allclose(g[sl_x], expect, rtol=1e-9)
 
 
-def test_grad_F_state_matches_finite_differences(net, S):
+def test_grad_F_state_matches_finite_differences(net):
     rng = np.random.default_rng(11)
     for _ in range(5):
-        s = random_state(rng, S)
-        g = grad_F_state(net, S, s)
+        s = random_state(rng, net)
+        g = grad_F_state(net, s)
         g_fd = fd_gradient(
-            lambda vec: eval_F(net, vec[S.slices[0]], vec[S.slices[1]]), s)
+            lambda vec: eval_F(net, vec[net.slices[0]], vec[net.slices[1]]), s)
         assert_allclose(g, g_fd, atol=1e-7 * (1.0 + np.abs(g).max()))
 
 
 # -- constraint residual ----------------------------------------------------------
 
-def test_eval_C_vanishes_at_equilibrium(net, S):
-    res = eval_C(net, S, _equilibrium_state(S))
+def test_eval_C_vanishes_at_equilibrium(net):
+    res = eval_C(net, _equilibrium_state(net))
     assert res.shape == (22,)
-    stationarity, conservation, complementarity = (res[sl] for sl in S.residual_slices)
+    stationarity, conservation, complementarity = (res[sl] for sl in net.residual_slices)
     assert_allclose(stationarity, np.zeros(8), atol=1e-12)
     assert_allclose(conservation, np.zeros(6), atol=1e-12)
     assert_allclose(complementarity, np.zeros(8), atol=1e-12)
 
 
-def test_eval_C_block_structure(net, S):
-    sl_stat, sl_cons, sl_comp = S.residual_slices
-    s = _equilibrium_state(S)
-    s[S.slices[3]][0] = 2.0               # beta on link 1, which holds flow 1.5
-    res = eval_C(net, S, s)
+def test_eval_C_block_structure(net):
+    sl_stat, sl_cons, sl_comp = net.residual_slices
+    s = _equilibrium_state(net)
+    s[net.slices[3]][0] = 2.0             # beta on link 1, which holds flow 1.5
+    res = eval_C(net, s)
     assert_allclose(res[sl_comp][0], 3.0, rtol=1e-15)
     # stationarity of that same entry picks up the extra beta
     assert_allclose(res[sl_stat][0], -2.0, atol=1e-12)
-    s2 = _equilibrium_state(S)
-    s2[S.slices[0]][0] += 1.0             # conservation unbalanced at commodity 1
-    res2 = eval_C(net, S, s2)
+    s2 = _equilibrium_state(net)
+    s2[net.slices[0]][0] += 1.0           # conservation unbalanced at commodity 1
+    res2 = eval_C(net, s2)
     assert_allclose(res2[sl_cons][0], -1.0, atol=1e-12)
     assert_allclose(res2[sl_cons][1], 1.0, atol=1e-12)
 
@@ -162,35 +156,34 @@ def _signed_vector(rng, m, scale):
 
 
 def test_incidence_products_match_csr_bit_for_bit(net):
-    # S's products add each row's terms in CSR order, so they equal scipy's
-    # CSR products exactly, signed zeros included
+    # the network's products add each row's terms in CSR order, so they
+    # equal scipy's CSR products exactly, signed zeros included
     rng = np.random.default_rng(7)
     grid = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     for nt in (net, _cubic_network(), grid):
-        St = build_structure(nt)
         Gamma, M = incidence_matrices(nt)
         Mt = M.T.tocsr()
         for _ in range(20):
             scale = 10.0 ** rng.uniform(-20.0, 20.0)
             X, alpha, d = (_signed_vector(rng, m, scale) for m in (
                 M.shape[1], M.shape[0], Gamma.shape[1]))
-            for got, ref in ((St.M_dot(X), M @ X), (St.Mt_dot(alpha), Mt @ alpha),
-                             (St.Gamma_dot(d), Gamma @ d)):
+            for got, ref in ((nt.M_dot(X), M @ X), (nt.Mt_dot(alpha), Mt @ alpha),
+                             (nt.Gamma_dot(d), Gamma @ d)):
                 assert got.dtype == ref.dtype == np.float64
                 assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
-def test_eval_C_jacobian_matches_taylor(net, S):
+def test_eval_C_jacobian_matches_taylor(net):
     rng = np.random.default_rng(5)
-    s = random_state(rng, S)
-    J = eval_C_jacobian(net, S, s)
+    s = random_state(rng, net)
+    J = eval_C_jacobian(net, s)
     assert J.shape == (22, 24)
-    c0 = eval_C(net, S, s)
-    w = rng.normal(size=S.state_dim)
+    c0 = eval_C(net, s)
+    w = rng.normal(size=net.state_dim)
     w /= np.linalg.norm(w)
 
     def residual(h):
-        c1 = eval_C(net, S, s + h * w)
+        c1 = eval_C(net, s + h * w)
         return np.linalg.norm(c1 - c0 - h * (J @ w))
 
     r1, r2 = residual(1e-3), residual(5e-4)
@@ -209,17 +202,16 @@ def _cubic_network():
 
 def test_eval_C_jacobian_on_cubic_costs():
     net = _cubic_network()
-    S = build_structure(net)
     rng = np.random.default_rng(13)
-    s = state_vector(S, np.array([2.0]), rng.uniform(0.5, 2.0, size=3),
+    s = state_vector(net, np.array([2.0]), rng.uniform(0.5, 2.0, size=3),
                      rng.normal(size=3), rng.uniform(0.0, 1.0, size=3))
-    J = eval_C_jacobian(net, S, s)
-    c0 = eval_C(net, S, s)
-    w = rng.normal(size=S.state_dim)
+    J = eval_C_jacobian(net, s)
+    c0 = eval_C(net, s)
+    w = rng.normal(size=net.state_dim)
     w /= np.linalg.norm(w)
 
     def residual(h):
-        c1 = eval_C(net, S, s + h * w)
+        c1 = eval_C(net, s + h * w)
         return np.linalg.norm(c1 - c0 - h * (J @ w))
 
     assert 3.0 <= residual(1e-3) / residual(5e-4) <= 5.0
@@ -228,8 +220,7 @@ def test_eval_C_jacobian_on_cubic_costs():
 def _dense_jacobian(net, s):
     """C'(s), differentiated block by block from the kkt module docstring, dense."""
     n, a, c = net.n_nodes, net.n_links, net.n_commodities
-    S = build_structure(net)
-    _, X, _, beta = (s[sl] for sl in S.slices)
+    _, X, _, beta = (s[sl] for sl in net.slices)
     A = np.zeros((n, a))
     A[net.tails, np.arange(a)] = -1.0
     A[net.heads, np.arange(a)] = 1.0
@@ -248,25 +239,24 @@ def _dense_jacobian(net, s):
     ])
 
 
-def test_eval_C_jacobian_matches_dense_reference(net, S):
+def test_eval_C_jacobian_matches_dense_reference(net):
     rng = np.random.default_rng(7)
     for _ in range(3):
-        s = random_state(rng, S)
-        assert_array_equal(eval_C_jacobian(net, S, s).toarray(),
+        s = random_state(rng, net)
+        assert_array_equal(eval_C_jacobian(net, s).toarray(),
                            _dense_jacobian(net, s))
     cubic = _cubic_network()
-    Sc = build_structure(cubic)
-    s = random_state(rng, Sc)
-    assert_array_equal(eval_C_jacobian(cubic, Sc, s).toarray(), _dense_jacobian(cubic, s))
+    s = random_state(rng, cubic)
+    assert_array_equal(eval_C_jacobian(cubic, s).toarray(), _dense_jacobian(cubic, s))
 
 
-def _coo_jacobian(net, S, s):
+def _coo_jacobian(net, s):
     """C'(s) assembled from its blocks in COO form and converted to CSR."""
-    a, c = S.n_links, S.n_commodities
+    a, c = net.n_links, net.n_commodities
     Gamma, M = incidence_matrices(net)
-    _, X, _, beta = (s[sl] for sl in S.slices)
-    stat, cons, comp = S.residual_slices
-    sl_d, sl_x, sl_alpha, sl_beta = S.slices
+    _, X, _, beta = (s[sl] for sl in net.slices)
+    stat, cons, comp = net.residual_slices
+    sl_d, sl_x, sl_alpha, sl_beta = net.slices
     I = sp.identity(c * a)
 
     def diag(x):                                   # keeps zeros, as J does
@@ -282,22 +272,21 @@ def _coo_jacobian(net, S, s):
     rows = np.concatenate([B.row + r0 for B, r0, _ in blocks])
     cols = np.concatenate([B.col + c0 for B, _, c0 in blocks])
     data = np.concatenate([B.data for B, _, _ in blocks])
-    return sp.csr_matrix((data, (rows, cols)), shape=(S.n_constraints, S.state_dim))
+    return sp.csr_matrix((data, (rows, cols)), shape=(net.n_constraints, net.state_dim))
 
 
-def test_eval_C_jacobian_layout_matches_coo_assembly(net, S):
+def test_eval_C_jacobian_layout_matches_coo_assembly(net):
     # at every state, J is the matrix a COO assembly of its blocks converts
     # to: same data, indices and indptr, canonical
     rng = np.random.default_rng(11)
     cubic = _cubic_network()
-    Sc = build_structure(cubic)
-    flat = random_state(rng, Sc)
-    flat[Sc.slices[1]] = 0.0
-    flat[Sc.slices[3]] = 0.0
-    cases = [(net, S, _equilibrium_state(S)), (net, S, random_state(rng, S)),
-             (cubic, Sc, random_state(rng, Sc)), (cubic, Sc, flat)]
-    for nt, St, s in cases:
-        J, ref = eval_C_jacobian(nt, St, s), _coo_jacobian(nt, St, s)
+    flat = random_state(rng, cubic)
+    flat[cubic.slices[1]] = 0.0
+    flat[cubic.slices[3]] = 0.0
+    cases = [(net, _equilibrium_state(net)), (net, random_state(rng, net)),
+             (cubic, random_state(rng, cubic)), (cubic, flat)]
+    for nt, s in cases:
+        J, ref = eval_C_jacobian(nt, s), _coo_jacobian(nt, s)
         assert ref.has_canonical_format and J.has_canonical_format
         assert J.shape == ref.shape
         assert_array_equal(J.indptr, ref.indptr)
@@ -305,26 +294,25 @@ def test_eval_C_jacobian_layout_matches_coo_assembly(net, S):
         assert_array_equal(J.data, ref.data)
 
 
-def test_eval_C_jacobian_pattern_is_fixed(net, S):
+def test_eval_C_jacobian_pattern_is_fixed(net):
     rng = np.random.default_rng(9)
-    s = random_state(rng, S)
-    J = eval_C_jacobian(net, S, s)
+    s = random_state(rng, net)
+    J = eval_C_jacobian(net, s)
     s0 = s.copy()
-    s0[S.slices[3]][[0, 3, 6]] = 0.0
-    s0[S.slices[1]][[1, 4]] = 0.0
-    J0 = eval_C_jacobian(net, S, s0)
+    s0[net.slices[3]][[0, 3, 6]] = 0.0
+    s0[net.slices[1]][[1, 4]] = 0.0
+    J0 = eval_C_jacobian(net, s0)
     assert J0.nnz == J.nnz == 76
     assert_array_equal(J0.indptr, J.indptr)
     assert_array_equal(J0.indices, J.indices)
     assert_array_equal(J0.toarray(), _dense_jacobian(net, s0))
     # at zero flow the cubic network's third link has t' = 0 as well
     cubic = _cubic_network()
-    Sc = build_structure(cubic)
-    s = random_state(rng, Sc)
+    s = random_state(rng, cubic)
     flat = s.copy()
-    flat[Sc.slices[1]] = 0.0
-    flat[Sc.slices[3]] = 0.0
-    Jc, Jf = eval_C_jacobian(cubic, Sc, s), eval_C_jacobian(cubic, Sc, flat)
+    flat[cubic.slices[1]] = 0.0
+    flat[cubic.slices[3]] = 0.0
+    Jc, Jf = eval_C_jacobian(cubic, s), eval_C_jacobian(cubic, flat)
     assert_array_equal(Jf.indptr, Jc.indptr)
     assert_array_equal(Jf.indices, Jc.indices)
     assert_array_equal(Jf.toarray(), _dense_jacobian(cubic, flat))
@@ -332,54 +320,54 @@ def test_eval_C_jacobian_pattern_is_fixed(net, S):
 
 # -- Lagrangian -------------------------------------------------------------------
 
-def test_eval_L_consistency(net, S):
+def test_eval_L_consistency(net):
     rng = np.random.default_rng(21)
-    s = random_state(rng, S)
-    mu = rng.normal(size=S.n_constraints)
-    F = eval_F(net, s[S.slices[0]], s[S.slices[1]])
-    expect = F + float(eval_C(net, S, s) @ mu)
-    assert_allclose(eval_L(net, S, s, mu), expect, rtol=1e-14)
-    assert eval_L(net, S, s, np.zeros(22)) == F
+    s = random_state(rng, net)
+    mu = rng.normal(size=net.n_constraints)
+    F = eval_F(net, s[net.slices[0]], s[net.slices[1]])
+    expect = F + float(eval_C(net, s) @ mu)
+    assert_allclose(eval_L(net, s, mu), expect, rtol=1e-14)
+    assert eval_L(net, s, np.zeros(22)) == F
     with pytest.raises(DimensionMismatch):
-        eval_L(net, S, s, np.zeros(21))
+        eval_L(net, s, np.zeros(21))
 
 
-def test_eval_L_grad_matches_finite_differences(net, S):
+def test_eval_L_grad_matches_finite_differences(net):
     rng = np.random.default_rng(23)
     for _ in range(5):
-        s = random_state(rng, S)
-        mu = rng.normal(size=S.n_constraints)
-        g = eval_L_grad(net, S, s, mu)
+        s = random_state(rng, net)
+        mu = rng.normal(size=net.n_constraints)
+        g = eval_L_grad(net, s, mu)
         g_fd = fd_gradient(
-            lambda vec: eval_L(net, S, vec, mu), s)
+            lambda vec: eval_L(net, vec, mu), s)
         assert_allclose(g, g_fd, atol=1e-6 * (1.0 + np.abs(g).max()))
 
 
 # -- multiplier recovery ------------------------------------------------------------
 
-def test_recover_multipliers_at_equilibrium(net, S):
+def test_recover_multipliers_at_equilibrium(net):
     t = net.link_times(TOY_V)
-    alpha, beta = recover_multipliers(net, S, TOY_X, t)
+    alpha, beta = recover_multipliers(net, TOY_X, t)
     assert_allclose(alpha, TOY_ALPHA, atol=1e-12)
     assert_allclose(beta, TOY_BETA, atol=1e-12)
     assert np.all(beta >= 0.0)
     assert abs(beta @ TOY_X) <= 1e-12
     # the recovered state zeroes the whole optimality system
-    s = state_vector(S, TOY_TARGETS, TOY_X, alpha, beta)
-    assert np.abs(eval_C(net, S, s)).max() <= 1e-12
+    s = state_vector(net, TOY_TARGETS, TOY_X, alpha, beta)
+    assert np.abs(eval_C(net, s)).max() <= 1e-12
 
 
-def test_recover_multipliers_rejects_non_equilibrium(net, S):
+def test_recover_multipliers_rejects_non_equilibrium(net):
     # commodity 1 forced onto its long route, commodity 2 onto the congested
     # direct link: far from equilibrium, so complementarity cannot close
     X_bad = np.array([0.0, 1.5, 0.0, 1.5,
                       0.0, 1.75, 0.0, 0.0])
     t = net.link_times(np.array([0.0, 3.25, 0.0, 1.5]))
     with pytest.raises(ResidualTooLarge):
-        recover_multipliers(net, S, X_bad, t)
+        recover_multipliers(net, X_bad, t)
 
 
-def test_recover_multipliers_validation(net, S):
+def test_recover_multipliers_validation(net):
     # X holds one flow per commodity and link, link_times one nonnegative
     # time per link; the toy's links 2->3 and 3->2 form a cycle, which
     # negative times would make a full search go round for ever
@@ -387,10 +375,10 @@ def test_recover_multipliers_validation(net, S):
     for X, times in ((TOY_X[:-1], t), (np.append(TOY_X, 0.0), t), (TOY_X.reshape(2, 4), t),
                      (TOY_X, t[:-1]), (TOY_X, np.append(t, 1.0))):
         with pytest.raises(DimensionMismatch):
-            recover_multipliers(net, S, X, times)
+            recover_multipliers(net, X, times)
     for times in (-t, np.full(4, np.nan)):
         with pytest.raises(ValueError, match="nonnegative"):
-            recover_multipliers(net, S, TOY_X, times)
+            recover_multipliers(net, TOY_X, times)
 
 
 def test_recover_multipliers_with_unreachable_node():
@@ -400,10 +388,9 @@ def test_recover_multipliers_with_unreachable_node():
          Link(2, 3, 1, CostFunction((0.0, 1.0)))],
         [Commodity(1, 2, 1.0)],
     )
-    S = build_structure(net)
     X = np.array([1.0, 0.0])
     t = net.link_times(X)
-    alpha, beta = recover_multipliers(net, S, X, t)
+    alpha, beta = recover_multipliers(net, X, t)
     assert np.all(np.isfinite(alpha))
     assert np.all(beta >= 0.0)
     assert abs(beta @ X) <= 1e-12
@@ -416,9 +403,9 @@ def test_recover_multipliers_with_unreachable_node():
 _TIGHT = IRConfig(tap_tol=1e-12)
 
 
-def _restored(net, S, d):
+def _restored(net, d):
     """The restored point at d, tap tolerance 1e-12, and its path flows."""
-    return restore(net, S, np.asarray(d, dtype=float), _TIGHT)
+    return restore(net, np.asarray(d, dtype=float), _TIGHT)
 
 
 def _used(paths):
@@ -437,22 +424,21 @@ def test_equilibrium_sensitivity_matches_central_differences():
     # the step is small enough that no used path set changes
     h = 1e-6
     for net_, d in _sensitivity_cases():
-        S_ = build_structure(net_)
-        sl_d, sl_x, sl_a, sl_b = S_.slices
-        z, paths = _restored(net_, S_, d)
-        Z = equilibrium_sensitivity(net_, S_, z, paths)
-        assert Z.shape == (S_.state_dim, S_.n_commodities)
-        for j in range(S_.n_commodities):
-            e = np.zeros(S_.n_commodities)
+        sl_d, sl_x, sl_a, sl_b = net_.slices
+        z, paths = _restored(net_, d)
+        Z = equilibrium_sensitivity(net_, z, paths)
+        assert Z.shape == (net_.state_dim, net_.n_commodities)
+        for j in range(net_.n_commodities):
+            e = np.zeros(net_.n_commodities)
             e[j] = h
-            zp, paths_p = _restored(net_, S_, d + e)
-            zm, paths_m = _restored(net_, S_, d - e)
+            zp, paths_p = _restored(net_, d + e)
+            zm, paths_m = _restored(net_, d - e)
             assert _used(paths_p) == _used(paths) == _used(paths_m)
             fd = (zp - zm) / (2.0 * h)
             col = Z[:, j]
             assert_array_equal(col[sl_d], e / h)
-            assert_allclose(aggregate_flows(S_, col[sl_x]),
-                            aggregate_flows(S_, fd[sl_x]), rtol=0.0, atol=1e-6)
+            assert_allclose(aggregate_flows(net_, col[sl_x]),
+                            aggregate_flows(net_, fd[sl_x]), rtol=0.0, atol=1e-6)
             assert_allclose(col[sl_a], fd[sl_a], rtol=0.0, atol=1e-6)
             assert_allclose(col[sl_b], fd[sl_b], rtol=0.0, atol=1e-6)
 
@@ -461,39 +447,38 @@ def test_reduced_gradient_matches_central_differences():
     # g_d = Z' grad F(z) is the gradient of F(d, v_eq(d)) on the piece
     h = 1e-6
 
-    def reduced_F(net_, S_, d):
-        z, _ = _restored(net_, S_, d)
-        return eval_F(net_, z[S_.slices[0]], z[S_.slices[1]])
+    def reduced_F(net_, d):
+        z, _ = _restored(net_, d)
+        return eval_F(net_, z[net_.slices[0]], z[net_.slices[1]])
 
     for net_, d in _sensitivity_cases():
-        S_ = build_structure(net_)
-        z, paths = _restored(net_, S_, d)
-        g_d = equilibrium_sensitivity(net_, S_, z, paths).T @ grad_F_state(net_, S_, z)
-        fd = [(reduced_F(net_, S_, d + h * e) - reduced_F(net_, S_, d - h * e))
-              / (2.0 * h) for e in np.eye(S_.n_commodities)]
+        z, paths = _restored(net_, d)
+        g_d = equilibrium_sensitivity(net_, z, paths).T @ grad_F_state(net_, z)
+        fd = [(reduced_F(net_, d + h * e) - reduced_F(net_, d - h * e))
+              / (2.0 * h) for e in np.eye(net_.n_commodities)]
         assert np.abs(g_d).max() > 1e-2
         assert_allclose(g_d, fd, rtol=0.0, atol=1e-8)
 
 
-def test_equilibrium_sensitivity_at_zero_demand(net, S):
+def test_equilibrium_sensitivity_at_zero_demand(net):
     # a commodity without demand has no used path and takes its shortest
     # one: its column is the one-sided derivative of restore
     h = 1e-7
     d = np.array([0.0, 2.0])
-    z, paths = _restored(net, S, d)
+    z, paths = _restored(net, d)
     assert 0 not in paths
-    col = equilibrium_sensitivity(net, S, z, paths)[:, 0]
-    fd = (restore(net, S, d + [h, 0.0], _TIGHT)[0] - z) / h
-    sl_d, sl_x, sl_a, sl_b = S.slices
-    assert_allclose(aggregate_flows(S, col[sl_x]), aggregate_flows(S, fd[sl_x]),
+    col = equilibrium_sensitivity(net, z, paths)[:, 0]
+    fd = (restore(net, d + [h, 0.0], _TIGHT)[0] - z) / h
+    sl_d, sl_x, sl_a, sl_b = net.slices
+    assert_allclose(aggregate_flows(net, col[sl_x]), aggregate_flows(net, fd[sl_x]),
                     rtol=0.0, atol=1e-5)
     assert_allclose(col[sl_a], fd[sl_a], rtol=0.0, atol=1e-5)
     assert_allclose(col[sl_b], fd[sl_b], rtol=0.0, atol=1e-5)
 
 
-def test_tangent_space_layout(net, S):
-    z = _equilibrium_state(S)
-    space = tangent_space(net, S, z)
+def test_tangent_space_layout(net):
+    z = _equilibrium_state(net)
+    space = tangent_space(net, z)
     assert_array_equal(space.z, z)
     assert space.J.shape == (22, 24)
     lower = space.lower

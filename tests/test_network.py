@@ -16,6 +16,7 @@ from odadjust import (
     build_structure,
     eval_C_jacobian,
     parse_network,
+    solve_dap,
 )
 from odadjust.errors import (
     DanglingReference,
@@ -25,6 +26,7 @@ from odadjust.errors import (
     NegativeCoefficient,
     UnreachableDestination,
 )
+from odadjust import network as network_module
 from odadjust.network import _decode
 
 
@@ -173,12 +175,11 @@ def test_negative_zero_coefficient_is_stored_as_zero():
 
 def test_structure_matrices_on_reference_instance():
     net = parse_network(json.dumps(toy_document()))
-    S = build_structure(net)
     # J holds the structure matrices at any state: Gamma and -M in the
     # conservation rows, M' in the stationarity rows
-    J = eval_C_jacobian(net, S, random_state(np.random.default_rng(2), S)).toarray()
-    stat, cons, _ = S.residual_slices
-    sl_d, sl_x, sl_alpha, _ = S.slices
+    J = eval_C_jacobian(net, random_state(np.random.default_rng(2), net)).toarray()
+    stat, cons, _ = net.residual_slices
+    sl_d, sl_x, sl_alpha, _ = net.slices
     A_expect = np.array([[-1.0, -1.0, 0.0, 0.0],
                          [1.0, 0.0, -1.0, 1.0],
                          [0.0, 1.0, 1.0, -1.0]])
@@ -194,47 +195,60 @@ def test_structure_matrices_on_reference_instance():
     assert_array_equal(M[3:, 4:], A_expect)
     assert_array_equal(M[:3, 4:], np.zeros((3, 4)))
     assert_array_equal(J[stat, sl_alpha], M.T)
-    # the products of S apply the same matrices
+    # the network's products apply the same matrices
     x = np.arange(8.0)
-    assert_array_equal(S.M_dot(x), M @ x)
-    assert_array_equal(S.Mt_dot(np.arange(6.0)), M.T @ np.arange(6.0))
-    assert_array_equal(S.Gamma_dot(np.array([1.0, 2.0])), Gamma_expect @ [1.0, 2.0])
-    assert_array_equal(aggregate_flows(S, np.arange(8.0)), [4.0, 6.0, 8.0, 10.0])
-    assert S.state_dim == 24
-    assert S.n_constraints == 22
+    assert_array_equal(net.M_dot(x), M @ x)
+    assert_array_equal(net.Mt_dot(np.arange(6.0)), M.T @ np.arange(6.0))
+    assert_array_equal(net.Gamma_dot(np.array([1.0, 2.0])), Gamma_expect @ [1.0, 2.0])
+    assert_array_equal(aggregate_flows(net, np.arange(8.0)), [4.0, 6.0, 8.0, 10.0])
+    assert net.state_dim == 24
+    assert net.n_constraints == 22
 
 
 def test_state_slices_partition():
     net = parse_network(json.dumps(toy_document()))
-    S = build_structure(net)
-    sl_d, sl_x, sl_a, sl_b = S.slices
+    sl_d, sl_x, sl_a, sl_b = net.slices
     assert (sl_d.stop - sl_d.start, sl_x.stop - sl_x.start) == (2, 8)
     assert (sl_a.stop - sl_a.start, sl_b.stop - sl_b.start) == (6, 8)
-    assert sl_b.stop == S.state_dim
-    r_st, r_co, r_cm = S.residual_slices
+    assert sl_b.stop == net.state_dim
+    r_st, r_co, r_cm = net.residual_slices
     assert (r_st.stop - r_st.start, r_co.stop - r_co.start) == (8, 6)
-    assert r_cm.stop == S.n_constraints
+    assert r_cm.stop == net.n_constraints
 
 
 def test_structure_layout_is_built_once():
-    S = build_structure(parse_network(json.dumps(toy_document())))
-    assert S.lower is S.lower
-    assert S.slices is S.slices and S.residual_slices is S.residual_slices
+    net = parse_network(json.dumps(toy_document()))
+    assert net.lower is net.lower
+    assert net.slices is net.slices and net.residual_slices is net.residual_slices
     with pytest.raises(ValueError):
-        S.lower[0] = 1.0
-    for blocks, size in ((S.slices, S.state_dim), (S.residual_slices, S.n_constraints)):
+        net.lower[0] = 1.0
+    for blocks, size in ((net.slices, net.state_dim), (net.residual_slices, net.n_constraints)):
         covered = np.concatenate([np.arange(size)[sl] for sl in blocks])
         assert_array_equal(covered, np.arange(size))
 
 
+def test_parse_network_builds_the_one_layout(monkeypatch):
+    # the network builds its lifted layout once, when it is made: solve_dap
+    # builds none, and build_structure returns the network itself
+    net = parse_network(json.dumps(toy_document()))
+    by_rows, calls = network_module._by_rows, []
+    monkeypatch.setattr(network_module, "_by_rows",
+                        lambda *args: calls.append(args) or by_rows(*args))
+    for _ in range(2):
+        solve_dap(net)
+    assert not calls
+    assert build_structure(net) is net
+    parse_network(json.dumps(toy_document()))
+    assert calls
+
+
 def test_aggregate_and_conservation_identities():
     net = parse_network(json.dumps(toy_document()))
-    S = build_structure(net)
-    assert_allclose(aggregate_flows(S, TOY_X), TOY_V, rtol=1e-15)
+    assert_allclose(aggregate_flows(net, TOY_X), TOY_V, rtol=1e-15)
     # the closed-form equilibrium satisfies per-commodity conservation
-    assert_allclose(S.M_dot(TOY_X), S.Gamma_dot(TOY_TARGETS), atol=1e-15)
+    assert_allclose(net.M_dot(TOY_X), net.Gamma_dot(TOY_TARGETS), atol=1e-15)
     with pytest.raises(DimensionMismatch):
-        aggregate_flows(S, np.zeros(7))
+        aggregate_flows(net, np.zeros(7))
 
 
 # -- JSON parsing --------------------------------------------------------------

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from conftest import random_tangent_instance
 from scipy.optimize import nnls
 
-from odadjust import (IRConfig, build_structure, parse_network, solve_dap,
+from odadjust import (IRConfig, parse_network, solve_dap,
                       tangent_space)
 from odadjust.driver import restore
 from odadjust.errors import DimensionMismatch, SolverStalled
@@ -244,10 +244,9 @@ def test_grid_projection_does_not_stall(name):
     assert res.outer_iterations == 1 and res.history
 
     # certify that projection
-    S = build_structure(net)
-    z, _ = restore(net, S, net.target_demands, cfg)
-    space = tangent_space(net, S, z)
-    b = z - grad_F_state(net, S, z)
+    z, _ = restore(net, net.target_demands, cfg)
+    space = tangent_space(net, z)
+    b = z - grad_F_state(net, z)
     _certify(space, b, None, project(space, b))
 
 
@@ -255,10 +254,9 @@ def test_projection_refines_the_linear_residual():
     # the projection at the first restored point of the 5x5 grid, as above,
     # leaves J(w - z) at 1.4e-10 after its refinement solve, 3.6e-8 without
     net = parse_network((DATA / "grid5x5_0.json").read_text(encoding="utf-8"))
-    S = build_structure(net)
-    z, _ = restore(net, S, net.target_demands, IRConfig())
-    space = tangent_space(net, S, z)
-    b = z - grad_F_state(net, S, z)
+    z, _ = restore(net, net.target_demands, IRConfig())
+    space = tangent_space(net, z)
+    b = z - grad_F_state(net, z)
     w = project(space, b)
     assert np.abs(space.J @ (w - z)).max() <= 1e-9 * (1.0 + np.abs(b - w).max())
 
@@ -275,8 +273,8 @@ def _case_space(network, case):
     """The TangentSpace, point and box of a projection saved from a full run."""
     net = parse_network((DATA / network).read_text(encoding="utf-8"))
     case = json.loads((DATA / case).read_text(encoding="utf-8"))
-    S, z = build_structure(net), np.array(case["z"])
-    space = TangentSpace(z=z, J=eval_C_jacobian(net, S, z), lower=S.lower)
+    z = np.array(case["z"])
+    space = TangentSpace(z=z, J=eval_C_jacobian(net, z), lower=net.lower)
     return space, np.array(case["b"]), case["box_radius"]
 
 
@@ -345,7 +343,7 @@ def _assert_same_csc(K, ref):
 
 def _with_stored_zeros(rng, B):
     """B in CSR with zeros stored at some places outside its support, as
-    StructureMatrices keeps every entry of J's pattern."""
+    eval_C_jacobian keeps every entry of J's pattern."""
     stored = (B != 0.0) | (rng.random(B.shape) < 0.2)
     r, c = np.nonzero(stored)
     return sp.csr_matrix((B[r, c], (r, c)), shape=B.shape)
@@ -422,16 +420,15 @@ def test_tangent_space_matches_sorted_assembly_on_grid_states(factored):
     # restored grid states, whose Jacobians store zeros in beta and X, and
     # whose complementarity rows with one nonzero pin X or beta
     net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
-    S = build_structure(net)
     rng = np.random.default_rng(507)
     for scale in (1.0, 0.5, 1.7):
-        d = net.target_demands * scale * rng.uniform(0.8, 1.2, size=S.n_commodities)
-        z, _ = restore(net, S, d, IRConfig())
-        J = eval_C_jacobian(net, S, z)
+        d = net.target_demands * scale * rng.uniform(0.8, 1.2, size=net.n_commodities)
+        z, _ = restore(net, d, IRConfig())
+        J = eval_C_jacobian(net, z)
         assert np.count_nonzero(J.data == 0.0) > 0
         free_ref, ref = _reference_tangent(J.toarray())
-        assert free_ref.size < S.state_dim
-        space = tangent_space(net, S, z)
+        assert free_ref.size < net.state_dim
+        space = tangent_space(net, z)
         assert np.array_equal(space.free, free_ref)
         _assert_same_csc(factored.pop(), ref)
 
@@ -441,10 +438,9 @@ def test_dependent_bound_is_tested_once_between_releases(monkeypatch):
     # the working set; with the working set only growing they stay dependent,
     # so no bound's Schur pivot is tested twice between two releases
     net = parse_network((DATA / "grid4x4_1.json").read_text(encoding="utf-8"))
-    S = build_structure(net)
-    z, _ = restore(net, S, net.target_demands, IRConfig())
-    space = tangent_space(net, S, z)
-    b = z - grad_F_state(net, S, z)
+    z, _ = restore(net, net.target_demands, IRConfig())
+    space = tangent_space(net, z)
+    b = z - grad_F_state(net, z)
     expected = project(space, b)
 
     schur_row = projection._schur_row

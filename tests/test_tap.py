@@ -21,7 +21,6 @@ from conftest import (
 from odadjust import (
     aggregate_flows,
     beckmann_objective,
-    build_structure,
     parse_network,
     relative_gap,
     solve_tap,
@@ -212,9 +211,8 @@ def test_solve_tap_reference_equilibrium(net):
     assert_allclose(sol.v, TOY_V, atol=1e-8)
     assert_allclose(sol.X, TOY_X, atol=1e-8)
     assert_allclose(sol.beckmann, TOY_BECKMANN, rtol=1e-10)
-    S = build_structure(net)
-    assert_allclose(S.M_dot(sol.X), S.Gamma_dot(TOY_TARGETS), atol=1e-12)
-    assert_allclose(aggregate_flows(S, sol.X), sol.v, atol=1e-12)
+    assert_allclose(net.M_dot(sol.X), net.Gamma_dot(TOY_TARGETS), atol=1e-12)
+    assert_allclose(aggregate_flows(net, sol.X), sol.v, atol=1e-12)
 
 
 def test_solve_tap_zero_demand(net):
@@ -428,10 +426,9 @@ def test_solve_tap_grid_sweeps():
     sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
     assert sol.converged and sol.rgap <= 1e-8
     assert sol.iterations <= 80
-    S = build_structure(gnet)
-    assert_allclose(S.M_dot(sol.X), S.Gamma_dot(gnet.target_demands), rtol=0, atol=1e-10)
+    assert_allclose(gnet.M_dot(sol.X), gnet.Gamma_dot(gnet.target_demands), rtol=0, atol=1e-10)
     assert np.all(sol.X >= 0.0)
-    assert_array_equal(sol.v, aggregate_flows(S, sol.X))
+    assert_array_equal(sol.v, aggregate_flows(gnet, sol.X))
 
 
 def test_every_sweep_conserves_flow_cold_and_warm():
@@ -440,7 +437,6 @@ def test_every_sweep_conserves_flow_cold_and_warm():
     # sum to its demand and are positive, and X and v are assembled from
     # them: X bit for bit as np.add.at sums them, path by path in dict order
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
-    S = build_structure(gnet)
     d = gnet.target_demands
     other = 0.8 * d
     other[1] = 0.0
@@ -449,15 +445,15 @@ def test_every_sweep_conserves_flow_cold_and_warm():
         for sweeps in range(12):
             sol = solve_tap(gnet, d, tol=0.0, max_iter=sweeps, start=start)
             assert sol.iterations == sweeps
-            assert_allclose(S.M_dot(sol.X), S.Gamma_dot(d), rtol=0, atol=1e-10)
+            assert_allclose(gnet.M_dot(sol.X), gnet.Gamma_dot(d), rtol=0, atol=1e-10)
             assert np.all(sol.X >= 0.0)
-            assert_array_equal(sol.v, aggregate_flows(S, sol.X))
-            X = np.zeros(S.n_commodities * S.n_links)
+            assert_array_equal(sol.v, aggregate_flows(gnet, sol.X))
+            X = np.zeros(gnet.n_commodities * gnet.n_links)
             for i, flows in sol.paths.items():
                 assert min(flows.values()) > 0.0
                 assert_allclose(sum(flows.values()), d[i], rtol=1e-14)
                 for p, h in flows.items():
-                    np.add.at(X, [i * S.n_links + a for a in p], h)
+                    np.add.at(X, [i * gnet.n_links + a for a in p], h)
             assert sol.X.tobytes() == X.tobytes()
 
 
@@ -472,6 +468,40 @@ def test_warm_start_at_its_own_demands_takes_no_sweep():
     assert again.converged and again.iterations == 0
     assert_allclose(again.X, sol.X, rtol=0, atol=1e-12)
     assert solve_tap(gnet, d, tol=1e-8, start={}).X.tobytes() == sol.X.tobytes()
+
+
+def test_start_path_off_its_commodity_is_rejected(net):
+    # link index 2 runs from node 2 to node 3: no path of commodity 0, which
+    # runs from node 1 to node 2
+    with pytest.raises(ValueError, match=r"\(2,\) of commodity 0"):
+        solve_tap(net, TOY_TARGETS, start={0: {(2,): 1.0}})
+
+
+def test_start_outside_the_network_is_rejected(net):
+    with pytest.raises(DimensionMismatch, match=r"\(99,\) of commodity 0"):
+        solve_tap(net, TOY_TARGETS, start={0: {(99,): 1.0}})
+    for key in (2, -1, "0"):
+        with pytest.raises(DimensionMismatch, match="not a commodity"):
+            solve_tap(net, TOY_TARGETS, start={key: {(0,): 1.0}})
+
+
+def test_start_flow_must_be_finite_and_nonnegative(net):
+    for h in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"\(0,\) of commodity 0"):
+            solve_tap(net, TOY_TARGETS, start={0: {(0,): h}})
+
+
+def test_warm_solve_evaluates_no_zero_flow_times(monkeypatch):
+    # the zero-flow link times are taken only where a commodity starts cold
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    paths = solve_tap(gnet, d, tol=1e-8).paths
+    link_times, flows = gnet.link_times, []
+    monkeypatch.setattr(gnet, "link_times", lambda v: flows.append(v) or link_times(v))
+    solve_tap(gnet, d * 0.9, tol=1e-8, start=paths)
+    assert flows and all(v.any() for v in flows)
+    solve_tap(gnet, d * 0.9, tol=1e-8)
+    assert not all(v.any() for v in flows)      # the cold solve's
 
 
 def test_warm_start_from_a_subnormal_total_starts_cold(net):
@@ -498,6 +528,5 @@ def test_solve_tap_random_instances_reach_gap():
         sol = solve_tap(rnet, rnet.target_demands, tol=1e-8)
         assert sol.converged
         assert sol.rgap <= 1e-8
-        S = build_structure(rnet)
-        assert_allclose(S.M_dot(sol.X), S.Gamma_dot(rnet.target_demands), atol=1e-10)
+        assert_allclose(rnet.M_dot(sol.X), rnet.Gamma_dot(rnet.target_demands), atol=1e-10)
         assert np.all(sol.X >= 0.0)

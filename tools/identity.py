@@ -137,21 +137,20 @@ def tap_grid_digest():
 def lifted_lines():
     """The lifted.txt lines: hashes of J, mu and two projections at the
     dap-grid run's first restored point."""
-    from odadjust import IRConfig, build_structure, eval_C_jacobian, parse_network
+    from odadjust import IRConfig, eval_C_jacobian, parse_network
     from odadjust.driver import restore, trial_multipliers
     from odadjust.kkt import grad_F_state, tangent_space
     from odadjust.projection import project
 
     inst, = WORKLOADS["dap-grid"].instances(np.random.default_rng(SEED))
     net = parse_network(inst.text)
-    S = build_structure(net)
-    z, _ = restore(net, S, net.target_demands, IRConfig())
-    J = eval_C_jacobian(net, S, z)
-    space = tangent_space(net, S, z)
-    b = z - grad_F_state(net, S, z)
+    z, _ = restore(net, net.target_demands, IRConfig())
+    J = eval_C_jacobian(net, z)
+    space = tangent_space(net, z)
+    b = z - grad_F_state(net, z)
     named = [("jacobian.data", J.data), ("jacobian.indices", J.indices),
              ("jacobian.indptr", J.indptr),
-             ("trial_multipliers", trial_multipliers(net, S, z)),
+             ("trial_multipliers", trial_multipliers(net, z)),
              ("project", project(space, b)), ("project.box", project(space, b, 0.01))]
     return ["%s %s sha256 %s\n" % (name, arr.dtype, hashlib.sha256(arr.tobytes()).hexdigest())
             for name, arr in named]
