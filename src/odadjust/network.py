@@ -46,7 +46,7 @@ class CostFunction:
         cs = tuple(float(c) + 0.0 for c in self.coeffs)
         if len(cs) == 0:
             raise MalformedInput("cost function needs at least one coefficient")
-        if not np.all(np.isfinite(cs)):
+        if not all(map(math.isfinite, cs)):
             raise MalformedInput("non-finite coefficient in cost polynomial %r" % (cs,))
         if not all(math.isfinite(j * c) for j, c in enumerate(cs)):
             raise MalformedInput("cost polynomial %r has a derivative coefficient "
@@ -94,7 +94,7 @@ class Commodity:
             raise MalformedInput(
                 "commodity origin and destination coincide (%r)" % (self.origin,)
             )
-        if not np.isfinite(self.target_demand) or self.target_demand < 0.0:
+        if not math.isfinite(self.target_demand) or self.target_demand < 0.0:
             raise MalformedInput(
                 "commodity %r -> %r has invalid target demand %r"
                 % (self.origin, self.destination, self.target_demand)
@@ -193,8 +193,7 @@ class Network:
         self.eta1 = float(eta1)
         self.eta2 = float(eta2)
 
-        if not (np.isfinite(self.eta1) and np.isfinite(self.eta2)
-                and self.eta1 >= 0.0 and self.eta2 >= 0.0):
+        if not (0.0 <= self.eta1 < math.inf and 0.0 <= self.eta2 < math.inf):
             raise MalformedInput("objective weights must be finite and nonnegative")
 
         # id -> index maps, rejecting duplicates
@@ -224,16 +223,18 @@ class Network:
         for lid, flow in self.observations.items():
             if lid not in self.link_index:
                 raise DanglingReference("observation references unknown link %r" % (lid,))
-            if not np.isfinite(flow) or flow < 0.0:
+            if not math.isfinite(flow) or flow < 0.0:
                 raise MalformedInput("observed flow on link %r is invalid: %r" % (lid, flow))
 
-        self.tails = np.array([self.node_index[lk.tail] for lk in self.links], dtype=np.intp)
-        self.heads = np.array([self.node_index[lk.head] for lk in self.links], dtype=np.intp)
+        tails = [self.node_index[lk.tail] for lk in self.links]
+        heads = [self.node_index[lk.head] for lk in self.links]
+        self.tails = np.array(tails, dtype=np.intp)
+        self.heads = np.array(heads, dtype=np.intp)
 
         # adjacency: per node, the outgoing (link index, head index) pairs in link order
         out = [[] for _ in self.nodes]
-        for a in range(len(self.links)):
-            out[self.tails[a]].append((a, int(self.heads[a])))
+        for a, (u, w) in enumerate(zip(tails, heads)):
+            out[u].append((a, w))
         self.out_links = tuple(tuple(row) for row in out)
 
         self.target_demands = np.array(
@@ -335,7 +336,7 @@ class Network:
         for com in self.commodities:
             o = self.node_index[com.origin]
             if o not in reach_cache:
-                seen = np.zeros(self.n_nodes, dtype=bool)
+                seen = [False] * self.n_nodes
                 seen[o] = True
                 queue = deque([o])
                 while queue:
@@ -408,7 +409,7 @@ def _is(val, kind):
 
 def _whole_number(text):
     """A JSON integer literal; every number becomes a float, so it must fit one."""
-    if np.isinf(float(text)):
+    if math.isinf(float(text)):
         raise MalformedInput("whole number %s... is too large for a float" % text[:12])
     return int(text)
 

@@ -16,6 +16,8 @@ Routing everything on the direct links instead gives a relative gap of 7/85.
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,15 @@ def checkout_env(**extra):
     path = [str(SRC)] + ([os.environ["PYTHONPATH"]]
                          if os.environ.get("PYTHONPATH") else [])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def scipy_modules_after(code):
+    """The scipy modules loaded once a fresh interpreter has run code."""
+    code += "\nprint('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()[1:]
 
 
 TOY_DOC = {

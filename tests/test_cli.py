@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (TOY_DOC, TOY_TARGETS, TOY_V, checkout_env,
-                      quadratic_toy_document, toy_document)
+                      quadratic_toy_document, scipy_modules_after, toy_document)
 from odadjust import cli
 from odadjust.cli import main
 from odadjust.driver import IterationRecord
@@ -550,21 +550,12 @@ def test_console_entry_point(toy_file):
     assert "state dimension: 24" in proc.stdout
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded once a fresh interpreter has run code."""
-    code += "\nprint('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
-                          capture_output=True, text=True, env=checkout_env())
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1].split()[1:]
-
-
 def test_import_leaves_heavy_scipy_modules_unloaded(toy_file):
     # import, parsing with the lifted layout, assignment, multiplier
     # recovery and the solver's outer steps run on NumPy alone, so none of
     # them, and none of the check, tap and solve commands, loads any scipy
     # module
-    assert _scipy_modules_after(
+    assert scipy_modules_after(
         "import odadjust\n"
         "net = odadjust.parse_network(open(%r).read())\n"
         "sol = odadjust.solve_tap(net, net.target_demands)\n"
@@ -572,7 +563,7 @@ def test_import_leaves_heavy_scipy_modules_unloaded(toy_file):
         % toy_file) == []
     run = "from odadjust.cli import main\nassert main(%r) == 0"
     for command in ("check", "tap", "solve"):
-        assert _scipy_modules_after(run % [command, "--input", toy_file]) == [], command
+        assert scipy_modules_after(run % [command, "--input", toy_file]) == [], command
 
 
 def test_solve_initial_demand_validation(toy_file, capsys):

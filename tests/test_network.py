@@ -304,6 +304,46 @@ def test_parse_malformed_documents(mangle):
         parse_network(json.dumps(doc))
 
 
+def _toy_with(edit):
+    doc = toy_document()
+    edit(doc)
+    return parse_network(json.dumps(doc))   # json writes and reads NaN, Infinity
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    # a non-finite coefficient is reported before a negative one
+    (lambda: CostFunction((-1.0, INF)),
+     "non-finite coefficient in cost polynomial (-1.0, inf)"),
+    (lambda: CostFunction((NAN, -1.0)),
+     "non-finite coefficient in cost polynomial (nan, -1.0)"),
+    (lambda: CostFunction((5.0, 1e308, 1e308)),
+     "cost polynomial (5.0, 1e+308, 1e+308) has a derivative coefficient "
+     "j * c_j too large for a float"),
+    (lambda: Commodity(1, 2, NAN),
+     "commodity 1 -> 2 has invalid target demand nan"),
+    (lambda: _toy_with(lambda d: d["observations"][0].update(flow=NAN)),
+     "observed flow on link 1 is invalid: nan"),
+    (lambda: _toy_with(lambda d: d["observations"][0].update(flow=INF)),
+     "observed flow on link 1 is invalid: inf"),
+    (lambda: _toy_with(lambda d: d["observations"][0].update(flow=-1.0)),
+     "observed flow on link 1 is invalid: -1.0"),
+    (lambda: _toy_with(lambda d: d["weights"].update(eta1=NAN)),
+     "objective weights must be finite and nonnegative"),
+    (lambda: _toy_with(lambda d: d["weights"].update(eta2=INF)),
+     "objective weights must be finite and nonnegative"),
+    (lambda: _toy_with(lambda d: d["nodes"].__setitem__(0, int("9" * 400))),
+     "whole number 999999999999... is too large for a float"),
+])
+def test_value_checks_decide_and_report(build, message):
+    # each check's decision, and which check fires first, pinned by message
+    with pytest.raises(MalformedInput) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 def test_parse_bad_json_and_duplicates():
     with pytest.raises(MalformedInput):
         parse_network("{not json")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import TOY_TARGETS, TOY_V, random_network, toy_document
+from conftest import (TOY_TARGETS, TOY_V, random_network, scipy_modules_after,
+                      toy_document)
 from odadjust import parse_network
 from odadjust.errors import TooLarge
 from odadjust.oracles import (
@@ -92,6 +93,29 @@ def test_oracle_project_analytic_cases():
     w = oracle_project(np.zeros(3), np.zeros((0, 3)), np.zeros(3), None,
                        np.array([1.0, -2.0, 0.5]))
     assert_allclose(w, [1.0, 0.0, 0.5], atol=1e-7)
+
+
+def test_only_oracle_project_loads_scipy(toy_file):
+    # path enumeration, the path-based equilibrium, its path costs and
+    # finite differences run on NumPy alone; SLSQP loads on first use
+    oracles = (
+        "import numpy as np\n"
+        "from odadjust import parse_network\n"
+        "from odadjust.oracles import (enumerate_paths, fd_gradient,\n"
+        "                              oracle_path_costs, oracle_project, oracle_tap)\n"
+        "net = parse_network(open(%r).read())\n"
+        "assert enumerate_paths(net, 1, 3) == [(0, 2), (1,)]\n"
+        "v = oracle_tap(net, net.target_demands)\n"
+        "assert np.allclose(v, %r, atol=1e-6)\n"
+        "oracle_path_costs(net, net.target_demands)\n"
+        "g = fd_gradient(lambda x: float(net.link_time_integrals(x).sum()), v)\n"
+        "assert np.allclose(g, net.link_times(v), atol=1e-6)\n"
+        % (toy_file, TOY_V.tolist()))
+    assert scipy_modules_after(oracles) == []
+    project = ("w = oracle_project(np.zeros(2), np.array([[1.0, 1.0]]),\n"
+               "                   np.full(2, -np.inf), None, np.array([1.0, 0.0]))\n"
+               "assert np.allclose(w, [0.5, -0.5], atol=1e-7), w\n")
+    assert "scipy.optimize" in scipy_modules_after(oracles + project)
 
 
 def test_fd_gradient_on_quadratic():
