@@ -67,7 +67,7 @@ def _config(settings):
         raise InputError("bad solver settings: %s" % exc) from exc
 
 
-def _demands(net, values, what):
+def _given_demands(net, values, what):
     """Demand vector from outside input: one finite, nonnegative number per commodity."""
     if not isinstance(values, list) or len(values) != net.n_commodities:
         raise InputError("%s needs a list of %d demands" % (what, net.n_commodities))
@@ -92,7 +92,7 @@ def _load(path):
     settings = doc.get("solver", {})
     _config(settings)
     d0 = doc.get("initial_demand")
-    d0 = net.target_demands if d0 is None else _demands(net, d0, "initial_demand")
+    d0 = net.target_demands if d0 is None else _given_demands(net, d0, "initial_demand")
     return net, settings, d0
 
 
@@ -112,7 +112,7 @@ def run_tap(args):
     """Solve one equilibrium assignment and print the link flows."""
     net, _, _ = _load(args.input)
     d = (net.target_demands if args.demand is None
-         else _demands(net, _parse_demand_string(args.demand), "--demand"))
+         else _given_demands(net, _parse_demand_string(args.demand), "--demand"))
     cfg = _config({"tap_tol": args.tol, "tap_max_iter": args.max_iter})
     sol = solve_tap(net, d, tol=cfg.tap_tol, max_iter=cfg.tap_max_iter)
     for lk, flow in zip(net.links, sol.v):
@@ -170,8 +170,8 @@ def run_solve(args):
     net, settings, d0 = _load(args.input)
     ircfg = _config({**settings, **_parse_set_overrides(args.set)})
     if args.initial_demand is not None:
-        d0 = _demands(net, _parse_demand_string(args.initial_demand),
-                      "--initial-demand")
+        d0 = _given_demands(net, _parse_demand_string(args.initial_demand),
+                            "--initial-demand")
     report = {
         "input": args.input,
         "nodes": net.n_nodes,

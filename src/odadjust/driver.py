@@ -68,8 +68,9 @@ import numpy as np
 from .errors import InfeasibleTheta, MaxIterations
 from .kkt import (eval_C, eval_C_jacobian, eval_F, equilibrium_sensitivity,
                   grad_F_state, recover_multipliers)
+from .network import _demands
 from .projection import min_norm_solve
-from .tap import _demands, solve_tap
+from .tap import solve_tap
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_OUTER = "max_outer"

@@ -26,18 +26,14 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteObjective, ResidualTooLarge
-from .network import aggregate_flows
+from .errors import NonFiniteObjective, ResidualTooLarge
+from .network import _origin_trees, _path_links, _vector, aggregate_flows
 from .projection import TangentSpace
-from .tap import _origin_trees, _path_links
 
 
 def _blocks(net, s):
     """Views (d, X, alpha, beta) of a flat state vector, laid out by net.slices."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (net.state_dim,):
-        raise DimensionMismatch("expected state vector of length %d, got %r"
-                                % (net.state_dim, s.shape))
+    s = _vector(s, net.state_dim, "state coordinates")
     return tuple(s[sl] for sl in net.slices)
 
 
@@ -47,10 +43,7 @@ def eval_F(net, d, X):
     Raises DimensionMismatch unless d holds one demand per commodity, and
     NonFiniteObjective, without a NumPy warning, when F overflows.
     """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (net.n_commodities,):
-        raise DimensionMismatch("expected %d demands, got shape %r"
-                                % (net.n_commodities, d.shape))
+    d = _vector(d, net.n_commodities, "demands")
     e_obs = aggregate_flows(net, X)[net.obs_links] - net.obs_flows
     e_dem = d - net.target_demands
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,17 +119,14 @@ def eval_C_jacobian(net, s):
 
 def eval_L(net, s, mu):
     """Lagrangian F(s) + mu . C(s)."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (net.n_constraints,):
-        raise DimensionMismatch("expected %d multipliers, got %r"
-                                % (net.n_constraints, mu.shape))
+    mu = _vector(mu, net.n_constraints, "multipliers")
     d, X, _, _ = _blocks(net, s)
     return eval_F(net, d, X) + float(eval_C(net, s) @ mu)
 
 
 def eval_L_grad(net, s, mu):
     """Gradient of the Lagrangian in the full state layout."""
-    mu = np.asarray(mu, dtype=float)
+    mu = _vector(mu, net.n_constraints, "multipliers")
     return grad_F_state(net, s) + eval_C_jacobian(net, s).T @ mu
 
 
@@ -153,12 +143,9 @@ def recover_multipliers(net, X, link_times):
     unless X holds one flow per commodity and link and link_times one time
     per link, and ValueError when a link time is negative or NaN.
     """
-    X = np.asarray(X, dtype=float)
-    t = np.asarray(link_times, dtype=float)
     c, n = net.n_commodities, net.n_nodes
-    if X.shape != (c * net.n_links,) or t.shape != (net.n_links,):
-        raise DimensionMismatch("expected %d flows and %d link times, got %r and %r"
-                                % (c * net.n_links, net.n_links, X.shape, t.shape))
+    X = _vector(X, c * net.n_links, "disaggregated link flows")
+    t = _vector(link_times, net.n_links, "link times")
 
     alpha = np.zeros(c * n)
     trees = _origin_trees(net, t, range(c))

@@ -6,16 +6,19 @@ X[i*n_links:(i+1)*n_links] holds commodity i's flow on every link.  All structur
 matrices follow the sign convention "-1 leaves, +1 enters" for both node-link
 incidence and origin-destination incidence.  A Network carries its lifted
 layout (state and residual slices, the entries of M, M' and Gamma), so every
-function of the lifted system takes the network alone.
+function of the lifted system takes the network alone.  The module also
+holds what its siblings share, and imports none of them but errors:
+_dijkstra, the one loop of every graph search, and _vector, the one check of
+a vector's length.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +29,25 @@ from .errors import (
     DuplicateId,
     MalformedInput,
     NegativeCoefficient,
+    Unreachable,
+    UnreachableDestination,
 )
-from .errors import UnreachableDestination
+
+
+# real numbers, tested faster than by numbers.Real; a document's are int or float
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _real(val):
+    """val as a float if it is a Python or NumPy int or float other than a
+    bool, an integer too large for a float as inf of its sign; anything
+    else as NaN, which the constructors' checks for finite values reject."""
+    if not _is(val, _REAL):
+        return math.nan
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf if val > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -43,11 +63,11 @@ class CostFunction:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(float(c) + 0.0 for c in self.coeffs)
+        cs = tuple(_real(c) + 0.0 for c in self.coeffs)
         if len(cs) == 0:
             raise MalformedInput("cost function needs at least one coefficient")
         if not all(map(math.isfinite, cs)):
-            raise MalformedInput("non-finite coefficient in cost polynomial %r" % (cs,))
+            raise MalformedInput("non-finite coefficient in cost polynomial %r" % (self.coeffs,))
         if not all(math.isfinite(j * c) for j, c in enumerate(cs)):
             raise MalformedInput("cost polynomial %r has a derivative coefficient "
                                  "j * c_j too large for a float" % (cs,))
@@ -94,7 +114,7 @@ class Commodity:
             raise MalformedInput(
                 "commodity origin and destination coincide (%r)" % (self.origin,)
             )
-        if not math.isfinite(self.target_demand) or self.target_demand < 0.0:
+        if not 0.0 <= _real(self.target_demand) < math.inf:
             raise MalformedInput(
                 "commodity %r -> %r has invalid target demand %r"
                 % (self.origin, self.destination, self.target_demand)
@@ -163,6 +183,8 @@ class Network:
     Instances are treated as immutable after construction; every derived array
     (incidence maps, padded coefficient tables, the lifted layout) and the
     per-link evaluators link_evals are built once here, with NumPy alone.
+    Each destination must be reachable from its origin: finite in its
+    origin's tree from _origin_trees under zero link times.
 
     The lifted layout.  The structure matrices hold only -1 and +1:
 
@@ -190,8 +212,8 @@ class Network:
         self.links = tuple(links)
         self.commodities = tuple(commodities)
         self.observations = dict(observations or {})
-        self.eta1 = float(eta1)
-        self.eta2 = float(eta2)
+        self.eta1 = _real(eta1)
+        self.eta2 = _real(eta2)
 
         if not (0.0 <= self.eta1 < math.inf and 0.0 <= self.eta2 < math.inf):
             raise MalformedInput("objective weights must be finite and nonnegative")
@@ -223,7 +245,7 @@ class Network:
         for lid, flow in self.observations.items():
             if lid not in self.link_index:
                 raise DanglingReference("observation references unknown link %r" % (lid,))
-            if not math.isfinite(flow) or flow < 0.0:
+            if not 0.0 <= _real(flow) < math.inf:
                 raise MalformedInput("observed flow on link %r is invalid: %r" % (lid, flow))
 
         tails = [self.node_index[lk.tail] for lk in self.links]
@@ -332,21 +354,9 @@ class Network:
     # -- misc ---------------------------------------------------------------
 
     def _check_reachability(self):
-        reach_cache = {}
-        for com in self.commodities:
-            o = self.node_index[com.origin]
-            if o not in reach_cache:
-                seen = [False] * self.n_nodes
-                seen[o] = True
-                queue = deque([o])
-                while queue:
-                    u = queue.popleft()
-                    for _, w in self.out_links[u]:
-                        if not seen[w]:
-                            seen[w] = True
-                            queue.append(w)
-                reach_cache[o] = seen
-            if not reach_cache[o][self.node_index[com.destination]]:
+        trees = _origin_trees(self, np.zeros(self.n_links), range(self.n_commodities))
+        for i, com in enumerate(self.commodities):
+            if trees[self.origin_idx[i]].dist[self.destination_idx[i]] == math.inf:
                 raise UnreachableDestination(
                     "destination %r not reachable from origin %r"
                     % (com.destination, com.origin)
@@ -385,20 +395,111 @@ def build_structure(net):
     return net
 
 
+def _vector(x, n, what):
+    """x as a float array; raises DimensionMismatch, naming what x holds,
+    unless its shape is (n,)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DimensionMismatch("expected %d %s, got shape %r" % (n, what, x.shape))
+    return x
+
+
+def _demands(net, d):
+    """d as a float array; raises DimensionMismatch unless it holds one
+    demand per commodity, and ValueError unless they are finite and
+    nonnegative."""
+    d = _vector(d, net.n_commodities, "demands")
+    if np.any(d < 0.0) or not np.all(np.isfinite(d)):
+        raise ValueError("demands must be finite and nonnegative")
+    return d
+
+
 def aggregate_flows(net, X):
     """Total link flows v: the sum of the commodity blocks of X."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (net.n_commodities * net.n_links,):
-        raise DimensionMismatch(
-            "expected disaggregated flow vector of length %d, got shape %r"
-            % (net.n_commodities * net.n_links, X.shape)
-        )
+    X = _vector(X, net.n_commodities * net.n_links, "disaggregated link flows")
     return X.reshape(net.n_commodities, net.n_links).sum(axis=0)
+
+
+# -- shortest paths ------------------------------------------------------------
+
+@dataclass
+class ShortestPathResult:
+    """Distances and predecessor links of a shortest path tree from one
+    origin, full or stopped once a destination settled.
+
+    Both are lists indexed by node position.  dist is inf where no label was
+    reached; pred holds the index into net.links of the tree link entering
+    each node, -1 at the origin and at nodes with no label.  In a stopped
+    tree only the settled nodes' entries are final.
+    """
+
+    dist: list
+    pred: list
+
+
+def _dijkstra(net, costs, origin_idx, dest_idx=-1):
+    """Label-setting shortest paths from the origin under costs, a list of
+    link times; ties settle the lowest node index first.
+
+    The search stops once dest_idx settles, or with -1 builds the full
+    tree.  Under nonnegative costs a settled label and its tree path never
+    change, so dest_idx's distance and path equal the full tree's bit for
+    bit; other labels may not be final.
+    """
+    n = net.n_nodes
+    out_links, pop, push = net.out_links, heapq.heappop, heapq.heappush
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[origin_idx] = 0.0
+    heap = [(0.0, origin_idx)]
+    while heap:
+        du, u = pop(heap)
+        if u == dest_idx:
+            break           # its first entry is never stale
+        if du > dist[u]:
+            continue        # a stale entry: u settled at a lower label
+        for link_idx, w in out_links[u]:
+            nd = du + costs[link_idx]
+            if nd < dist[w]:
+                dist[w] = nd
+                pred[w] = link_idx
+                push(heap, (nd, w))
+    return ShortestPathResult(dist=dist, pred=pred)
+
+
+def _origin_trees(net, t, commodities):
+    """Full shortest-path trees under t, a NumPy array of link times, one
+    per distinct origin of the given commodities, keyed by origin index.
+    Raises ValueError when a time is negative or NaN, as a settled label is
+    then not final and a cycle of negative cost would never end a search.
+    """
+    if not t.min(initial=0.0) >= 0.0:
+        raise ValueError("link travel times must be nonnegative")
+    costs = t.tolist()
+    origins = dict.fromkeys(int(net.origin_idx[i]) for i in commodities)
+    return {o: _dijkstra(net, costs, o) for o in origins}
+
+
+def _path_links(net, sp_res, origin_idx, dest_idx):
+    """Links along the tree path origin -> dest, a tuple in travel order."""
+    # Network rejects unreachable destinations, and the sweep and the gap
+    # infinite link times, so only a path cost that overflows as it sums
+    # leaves no tree path
+    if dest_idx != origin_idx and sp_res.pred[dest_idx] < 0:
+        raise Unreachable("link travel times are too large: no path to the "
+                          "destination has a finite cost")
+    path = []
+    u = dest_idx
+    while u != origin_idx:
+        a = sp_res.pred[u]
+        path.append(a)
+        u = net.tails[a]
+    path.reverse()
+    return tuple(path)
 
 
 # -- JSON input --------------------------------------------------------------
 
-_NUMBER = (int, float)
 _ID = (int, str)
 
 
@@ -421,7 +522,7 @@ def _require(doc, key, kind, where):
     if not _is(val, kind):
         raise MalformedInput("key %r in %s has wrong type %s"
                              % (key, where, type(val).__name__))
-    return float(val) if kind is _NUMBER else val
+    return float(val) if kind is _REAL else val
 
 
 def _decode(text):
@@ -465,7 +566,7 @@ def parse_network(text):
         if not isinstance(spec, dict):
             raise MalformedInput("each link must be an object")
         coeffs = _require(spec, "coeffs", list, "link")
-        if not all(_is(x, _NUMBER) for x in coeffs):
+        if not all(_is(x, _REAL) for x in coeffs):
             raise MalformedInput("cost coefficients %r are not all numbers" % (coeffs,))
         links.append(
             Link(
@@ -484,7 +585,7 @@ def parse_network(text):
             Commodity(
                 origin=_require(spec, "origin", _ID, "commodity"),
                 destination=_require(spec, "destination", _ID, "commodity"),
-                target_demand=_require(spec, "target", _NUMBER, "commodity"),
+                target_demand=_require(spec, "target", _REAL, "commodity"),
             )
         )
 
@@ -495,12 +596,12 @@ def parse_network(text):
         lid = _require(spec, "link", _ID, "observation")
         if lid in observations:
             raise DuplicateId("duplicate observation for link %r" % (lid,))
-        observations[lid] = _require(spec, "flow", _NUMBER, "observation")
+        observations[lid] = _require(spec, "flow", _REAL, "observation")
 
     eta1 = weights.get("eta1", 1.0)
     eta2 = weights.get("eta2", 1.0)
     for name, val in (("eta1", eta1), ("eta2", eta2)):
-        if not _is(val, _NUMBER):
+        if not _is(val, _REAL):
             raise MalformedInput("weight %r must be a number" % (name,))
 
     return Network(nodes, links, commodities, observations, eta1=eta1, eta2=eta2)

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import TooLarge, Unreachable
 
 _MAX_ORACLE_NODES = 8
+_PG_TOL = 1e-10          # oracle_tap's stopping size of the projected gradient
+_MAX_PG_ITER = 1000000   # oracle_tap's cap on projected-gradient steps
+_FD_STEP = 1e-6          # fd_gradient's central-difference step
 
 
 def enumerate_paths(net, origin, destination):
@@ -64,13 +67,14 @@ def _project_simplex(y, total):
     return np.maximum(y - lam, 0.0)
 
 
-def oracle_tap(net, d, pg_tol=1e-10, max_iter=1000000):
+def oracle_tap(net, d):
     """Equilibrium aggregate link flows by projected gradient over path flows.
 
     Enumerates every simple path per commodity and minimizes the Beckmann
     objective over the product of scaled simplices.  Steps are spectral
     (Barzilai-Borwein) safeguarded by nonmonotone Armijo backtracking; the
-    loop stops when the unit-step projected gradient is below pg_tol.
+    loop stops when the unit-step projected gradient is below _PG_TOL, or
+    after _MAX_PG_ITER steps.
     """
     d = np.asarray(d, dtype=float)
     paths = []
@@ -117,8 +121,8 @@ def oracle_tap(net, d, pg_tol=1e-10, max_iter=1000000):
     g = gradient(h)
     recent = [obj]
     step = 1.0
-    for _ in range(max_iter):
-        if np.abs(project(h - g) - h).max(initial=0.0) <= pg_tol:
+    for _ in range(_MAX_PG_ITER):
+        if np.abs(project(h - g) - h).max(initial=0.0) <= _PG_TOL:
             break
         delta = project(h - step * g) - h
         if not np.any(delta):
@@ -201,12 +205,12 @@ def oracle_project(z, J, lower, box_radius, b):
     return res.x
 
 
-def fd_gradient(f, x, h=1e-6):
-    """Central-difference gradient of a scalar function."""
+def fd_gradient(f, x):
+    """Central-difference gradient of a scalar function, step _FD_STEP."""
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
     for j in range(x.size):
         e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2.0 * h)
+        e[j] = _FD_STEP
+        g[j] = (f(x + e) - f(x - e)) / (2.0 * _FD_STEP)
     return g

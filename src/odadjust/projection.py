@@ -61,6 +61,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, SolverStalled
+from .network import _vector
 
 REG = 1e-14
 DEPENDENT = 1e-9
@@ -127,10 +128,8 @@ def min_norm_solve(A, r):
     a least-squares solution of nearly minimum norm.  A is dense or sparse.
     """
     from scipy.sparse.linalg import splu
-    r = np.asarray(r, dtype=float)
     n, k = np.shape(A)
-    if r.shape != (n,):
-        raise DimensionMismatch("A has %d rows, r has shape %r" % (n, r.shape))
+    r = _vector(r, n, "entries of r, one per row of A")
     rows, cols, vals = _entries(A)
     # a symmetric fill-reducing ordering, as K is symmetric; with splu's
     # default COLAMD the solution of [1, 1] x = 2 is off by 4e-4 in A's null
@@ -154,9 +153,7 @@ def project(T, b, radius=None):
     from scipy.linalg.blas import dtrsv   # scipy.linalg came with T's splu
     z, free, lu = T.z, T.free, T.lu
     n = z.size
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise DimensionMismatch("expected point of length %d, got %r" % (n, b.shape))
+    b = _vector(b, n, "point coordinates")
 
     # shift to y = w - z on the free coordinates; the pinned ones keep y = 0
     c = b - z

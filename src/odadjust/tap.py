@@ -39,10 +39,10 @@ last bits.  Flows stay Python floats, so a time that overflows is inf
 without a NumPy warning; it is caught just before the next path search or
 the convergence test reads it, not where it arises, since a later move of
 the same commodity can bring it back.  The restricted pass moves no flow off
-a path whose time is inf, so the test that follows it raises.  One loop,
-_dijkstra, makes every path search: the sweep's stops once its destination
-settles, whose label and tree path are then final, and the exact gap and
-kkt's multipliers take full trees.
+a path whose time is inf, so the test that follows it raises.  Every path
+search runs network's one loop, _dijkstra: the sweep's stops once its
+destination settles, whose label and tree path are then final, and the
+exact gap takes full trees from _origin_trees.
 
 The convergence test first bounds the relative gap from below by the used
 paths alone, with no search: each commodity's cheapest used path stands in
@@ -53,7 +53,6 @@ stops on a bound takes the exact gap once at the end.
 
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -61,27 +60,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, Unreachable
-from .network import aggregate_flows
+from .network import (_demands, _dijkstra, _origin_trees, _path_links, _vector,
+                      aggregate_flows)
 
 _EPS_DEN = 1e-30  # guards relative-gap denominators on zero-cost networks
 _EPS_SHIFT = 1e-15  # excess costs below this share of the compared times are roundoff
 _NOT_FINITE = ("link travel times are not finite at these flows, so no path "
                "to the destination has a finite cost")
-
-
-@dataclass
-class ShortestPathResult:
-    """Distances and predecessor links of a shortest path tree from one
-    origin, full or stopped once a destination settled.
-
-    Both are lists indexed by node position.  dist is inf where no label was
-    reached; pred holds the index into net.links of the tree link entering
-    each node, -1 at the origin and at nodes with no label.  In a stopped
-    tree only the settled nodes' entries are final.
-    """
-
-    dist: list
-    pred: list
 
 
 @dataclass
@@ -95,67 +80,6 @@ class TapSolution:
     # per commodity with nonzero demand, its used paths (tuples of link
     # indices, in travel order) and their flows
     paths: dict
-
-
-def _dijkstra(net, costs, origin_idx, dest_idx=-1):
-    """Label-setting shortest paths from the origin under costs, a list of
-    link times; ties settle the lowest node index first.
-
-    The search stops once dest_idx settles, or with -1 builds the full
-    tree.  Under nonnegative costs a settled label and its tree path never
-    change, so dest_idx's distance and path equal the full tree's bit for
-    bit; other labels may not be final.
-    """
-    n = net.n_nodes
-    out_links, pop, push = net.out_links, heapq.heappop, heapq.heappush
-    dist = [math.inf] * n
-    pred = [-1] * n
-    dist[origin_idx] = 0.0
-    heap = [(0.0, origin_idx)]
-    while heap:
-        du, u = pop(heap)
-        if u == dest_idx:
-            break           # its first entry is never stale
-        if du > dist[u]:
-            continue        # a stale entry: u settled at a lower label
-        for link_idx, w in out_links[u]:
-            nd = du + costs[link_idx]
-            if nd < dist[w]:
-                dist[w] = nd
-                pred[w] = link_idx
-                push(heap, (nd, w))
-    return ShortestPathResult(dist=dist, pred=pred)
-
-
-def _origin_trees(net, t, commodities):
-    """Full shortest-path trees under t, a NumPy array of link times, one
-    per distinct origin of the given commodities, keyed by origin index.
-    Raises ValueError when a time is negative or NaN, as a settled label is
-    then not final and a cycle of negative cost would never end a search.
-    """
-    if not t.min(initial=0.0) >= 0.0:
-        raise ValueError("link travel times must be nonnegative")
-    costs = t.tolist()
-    origins = dict.fromkeys(int(net.origin_idx[i]) for i in commodities)
-    return {o: _dijkstra(net, costs, o) for o in origins}
-
-
-def _path_links(net, sp_res, origin_idx, dest_idx):
-    """Links along the tree path origin -> dest, a tuple in travel order."""
-    # Network rejects unreachable destinations, and the sweep and the gap
-    # infinite link times, so only a path cost that overflows as it sums
-    # leaves no tree path
-    if dest_idx != origin_idx and sp_res.pred[dest_idx] < 0:
-        raise Unreachable("link travel times are too large: no path to the "
-                          "destination has a finite cost")
-    path = []
-    u = dest_idx
-    while u != origin_idx:
-        a = sp_res.pred[u]
-        path.append(a)
-        u = net.tails[a]
-    path.reverse()
-    return tuple(path)
 
 
 def _check_times(t):
@@ -176,19 +100,6 @@ def _link_times(net, v):
     if not t.max(initial=0.0) < np.inf:     # NaN fails as well
         raise Unreachable(_NOT_FINITE)
     return t
-
-
-def _demands(net, d):
-    """d as a float array; raises DimensionMismatch unless it holds one
-    demand per commodity, and ValueError unless they are finite and
-    nonnegative."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (net.n_commodities,):
-        raise DimensionMismatch("expected %d demands, got shape %r"
-                                % (net.n_commodities, d.shape))
-    if np.any(d < 0.0) or not np.all(np.isfinite(d)):
-        raise ValueError("demands must be finite and nonnegative")
-    return d
 
 
 def _check_start(net, start):
@@ -215,23 +126,13 @@ def _check_start(net, start):
                                  "is not finite and nonnegative" % (p, i, h))
 
 
-def _link_flows(net, v):
-    """v as a float array; raises DimensionMismatch unless it holds one
-    flow per link."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (net.n_links,):
-        raise DimensionMismatch("expected %d link flows, got shape %r"
-                                % (net.n_links, v.shape))
-    return v
-
-
 def beckmann_objective(net, v):
     """sum_a int_0^{v_a} t_a(u) du.
 
     Raises DimensionMismatch unless v holds one flow per link, and
     Unreachable when the sum is not finite.
     """
-    v = _link_flows(net, v)
+    v = _vector(v, net.n_links, "link flows")
     with np.errstate(over="ignore", invalid="ignore"):
         out = float(net.link_time_integrals(v).sum())
     if not math.isfinite(out):
@@ -252,7 +153,7 @@ def relative_gap(net, d, v):
     search, cannot rule out that the gap is within the tolerance.
     """
     d = _demands(net, d)
-    v = _link_flows(net, v)
+    v = _vector(v, net.n_links, "link flows")
     t = _link_times(net, v)
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]
     trees = _origin_trees(net, t, active)

@@ -328,8 +328,9 @@ def test_eval_L_consistency(net):
     expect = F + float(eval_C(net, s) @ mu)
     assert_allclose(eval_L(net, s, mu), expect, rtol=1e-14)
     assert eval_L(net, s, np.zeros(22)) == F
-    with pytest.raises(DimensionMismatch):
-        eval_L(net, s, np.zeros(21))
+    for fn in (eval_L, eval_L_grad):
+        with pytest.raises(DimensionMismatch):
+            fn(net, s, np.zeros(21))
 
 
 def test_eval_L_grad_matches_finite_differences(net):

@@ -112,6 +112,18 @@ def test_unreachable_destination_rejected():
     # only 2 -> 1 exists, so commodity 1 -> 2 cannot be routed
     with pytest.raises(UnreachableDestination):
         Network([1, 2], [_lk(1, 2, 1)], [Commodity(1, 2, 1.0)])
+    # each commodity is decided on its own, in order: of two that share an
+    # origin, the second is the one reported
+    with pytest.raises(UnreachableDestination,
+                       match="^destination 3 not reachable from origin 1$"):
+        Network([1, 2, 3], [_lk(1, 1, 2)], [Commodity(1, 2, 1.0), Commodity(1, 3, 1.0)])
+    # reached only along a chain whose nodes come in decreasing index order
+    chain = Network([1, 2, 3, 4], [_lk(1, 4, 3), _lk(2, 3, 2), _lk(3, 2, 1)],
+                    [Commodity(4, 1, 1.0)])
+    assert chain.n_commodities == 1
+    # and each from its own origin
+    Network([1, 2, 3, 4], [_lk(1, 1, 2), _lk(2, 3, 4)],
+            [Commodity(1, 2, 1.0), Commodity(3, 4, 1.0)])
 
 
 def test_vectorized_costs_match_scalar():
@@ -311,6 +323,11 @@ def _toy_with(edit):
 
 
 NAN, INF = float("nan"), float("inf")
+BIG = 10 ** 400     # an integer too large for a float
+
+
+def _one_link(**kwargs):
+    return Network([1, 2], [_lk("a", 1, 2)], [Commodity(1, 2, 1.0)], **kwargs)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -336,6 +353,21 @@ NAN, INF = float("nan"), float("inf")
      "objective weights must be finite and nonnegative"),
     (lambda: _toy_with(lambda d: d["nodes"].__setitem__(0, int("9" * 400))),
      "whole number 999999999999... is too large for a float"),
+    # the Python constructors take only real numbers that are not bools and
+    # fit a float, as documents do
+    pytest.param(lambda: Commodity(1, 2, BIG),
+                 "commodity 1 -> 2 has invalid target demand %d" % BIG, id="target-big"),
+    (lambda: Commodity(1, 2, "1"), "commodity 1 -> 2 has invalid target demand '1'"),
+    (lambda: Commodity(1, 2, True), "commodity 1 -> 2 has invalid target demand True"),
+    (lambda: _one_link(observations={"a": "1"}), "observed flow on link 'a' is invalid: '1'"),
+    pytest.param(lambda: _one_link(observations={"a": BIG}),
+                 "observed flow on link 'a' is invalid: %d" % BIG, id="flow-big"),
+    (lambda: _one_link(eta1="x"), "objective weights must be finite and nonnegative"),
+    (lambda: _one_link(eta1="1"), "objective weights must be finite and nonnegative"),
+    (lambda: _one_link(eta1=BIG), "objective weights must be finite and nonnegative"),
+    (lambda: CostFunction(("1", 2)), "non-finite coefficient in cost polynomial ('1', 2)"),
+    pytest.param(lambda: CostFunction((BIG,)),
+                 "non-finite coefficient in cost polynomial (%d,)" % BIG, id="coefficient-big"),
 ])
 def test_value_checks_decide_and_report(build, message):
     # each check's decision, and which check fires first, pinned by message

@@ -26,8 +26,9 @@ from odadjust import (
     solve_tap,
 )
 from odadjust.errors import DimensionMismatch, Unreachable
-from odadjust import tap
-from odadjust.tap import _dijkstra, _gap_bound, _path_links, _shift_onto
+from odadjust import network, tap
+from odadjust.network import _dijkstra, _path_links
+from odadjust.tap import _gap_bound, _shift_onto
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -318,8 +319,14 @@ def test_sweep_searches_once_per_commodity(monkeypatch):
     # roundoff, and at the sweep that converges
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     searches = []
-    monkeypatch.setattr(tap, "_dijkstra", lambda net_, costs, o, dest=-1:
-                        searches.append(dest) or _dijkstra(net_, costs, o, dest))
+
+    def spy(net_, costs, o, dest=-1):
+        searches.append(dest)
+        return _dijkstra(net_, costs, o, dest)
+
+    # the sweep calls tap's binding, the gap's full trees network's own
+    monkeypatch.setattr(tap, "_dijkstra", spy)
+    monkeypatch.setattr(network, "_dijkstra", spy)
     sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
     active = gnet.n_commodities
     origins = len(set(gnet.origin_idx.tolist()))
