@@ -11,10 +11,10 @@ assignment.
 from .driver import (DapResult, IRConfig, IterationRecord, STATUS_CONVERGED,
                      STATUS_MAX_OUTER, STATUS_STALLED, solve_dap)
 from .errors import (DanglingReference, DimensionMismatch, DuplicateId,
-                     InfeasibleTheta, InputError, MalformedInput, MaxIterations,
-                     NegativeCoefficient, NonFiniteObjective,
-                     OdAdjustError, ResidualTooLarge, SolverStalled, TooLarge,
-                     Unreachable, UnreachableDestination)
+                     InputError, MalformedInput, MaxIterations,
+                     NegativeCoefficient, NonFiniteObjective, OdAdjustError,
+                     ResidualTooLarge, SolverStalled, TooLarge, Unreachable,
+                     UnreachableDestination)
 from .kkt import (equilibrium_sensitivity, eval_C, eval_C_jacobian, eval_F,
                   eval_L, eval_L_grad, recover_multipliers, tangent_space)
 from .network import (Commodity, CostFunction, Link, Network, aggregate_flows,
@@ -38,7 +38,5 @@ __all__ = [
     "OdAdjustError", "InputError", "MalformedInput", "DuplicateId",
     "DanglingReference", "NegativeCoefficient", "UnreachableDestination",
     "DimensionMismatch", "Unreachable", "MaxIterations",
-    "ResidualTooLarge", "SolverStalled", "NonFiniteObjective",
-    "InfeasibleTheta",
-    "TooLarge",
+    "ResidualTooLarge", "SolverStalled", "NonFiniteObjective", "TooLarge",
 ]

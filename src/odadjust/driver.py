@@ -1,7 +1,7 @@
 """Inexact restoration driver for the bilevel demand adjustment problem.
 
 Each outer iteration k:
-  1. refresh the penalty cap theta_{k,-1} from the history plus a summable bump
+  1. refresh the penalty cap theta_{k,-1}: the least theta so far plus a bump
   2. restoration, one _restore_closer call at every k, 0 included: solve
      the assignment for the current demand block and recover multipliers,
      giving a feasible point z^k of the lifted system; while
@@ -24,8 +24,9 @@ Each outer iteration k:
      clip(d - sigma_k g_d) - d, with the Barzilai-Borwein factor
      sigma_k = s's / s'y, s = d^k - d^{k-1} and y = g_d^k - g_d^{k-1}
      (sigma_0 = 1)
-  5. pick the largest penalty weight theta keeping the predicted reduction of
-     the merit theta F + (1 - theta) |C| at half the feasibility gain
+  5. merit_test: the largest penalty weight theta keeping the predicted
+     reduction of the merit theta F + (1 - theta) |C| at half the feasibility
+     gain |C(s)| - |C(z)|; where none does, the attempt keeps theta and fails
   6. accept when the actual reduction reaches a tenth of the prediction,
      otherwise shrink the trust box and retry from step 4
 
@@ -65,7 +66,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import InfeasibleTheta, MaxIterations
+from .errors import MaxIterations
 from .kkt import (eval_C, eval_C_jacobian, eval_F, equilibrium_sensitivity,
                   grad_F_state, recover_multipliers)
 from .network import _demands
@@ -145,10 +146,10 @@ class DapResult:
     outer_iterations: int = 0
 
 
-def init_penalty(k, theta_history):
-    """theta_{k,-1} = min(1, min over history) + omega_k, capped at 1."""
-    theta_min = min(1.0, min(theta_history))
-    return min(1.0, theta_min + OMEGA0 * OMEGA_RATIO ** k)
+def init_penalty(k, theta_min):
+    """theta_{k,-1} = min(1, theta_min) + omega_k, capped at 1; theta_min is
+    the smallest of THETA_INIT and every accepted theta so far."""
+    return min(1.0, min(1.0, theta_min) + OMEGA0 * OMEGA_RATIO ** k)
 
 
 def restore(net, d, cfg, start=None):
@@ -173,7 +174,7 @@ def restore(net, d, cfg, start=None):
 def _restore_closer(net, d, cfg, paths, normC_s):
     """restore(d), then restore again while |C(z)| > RESTORE_RATIO |C(s)|,
     each time with the assignment tolerance RESTORE_TIGHTEN times smaller,
-    at most RESTORE_TIGHTENINGS times; returns z, C(z) and z's path flows.
+    at most RESTORE_TIGHTENINGS times; returns z, |C(z)| and z's path flows.
 
     normC_s is |C(s)| at the current point s.  A restored point no closer
     to feasibility than s leaves the predicted reduction to roundoff.  A
@@ -183,18 +184,18 @@ def _restore_closer(net, d, cfg, paths, normC_s):
     tightened one from those of the restoration before it.
     """
     z, paths = restore(net, d, cfg, paths)
-    C_z = eval_C(net, z)
+    normC_z = _norm(eval_C(net, z))
     tol = cfg.tap_tol
     for _ in range(RESTORE_TIGHTENINGS):
-        if _norm(C_z) <= RESTORE_RATIO * normC_s:
+        if normC_z <= RESTORE_RATIO * normC_s:
             break
         tol *= RESTORE_TIGHTEN
         try:
             z, paths = restore(net, d, replace(cfg, tap_tol=tol), paths)
         except MaxIterations:
             break
-        C_z = eval_C(net, z)
-    return z, C_z, paths
+        normC_z = _norm(eval_C(net, z))
+    return z, normC_z, paths
 
 
 def _norm(x):
@@ -259,37 +260,35 @@ def trial_multipliers(net, v):
     return np.clip(mu, -M_BOUND, M_BOUND)
 
 
-def choose_theta(a, b, theta_prev):
-    """Largest theta in [0, theta_prev] with Pred(theta) >= b/2.
+def merit_test(a, b, b_v, theta_prev):
+    """(theta, pred, ared, accepted) of one attempt's merit test.
 
-    Pred(theta) = theta * a + (1 - theta) * b, where a is the objective part
-    of the predicted reduction and b the feasibility part.  Raises
-    InfeasibleTheta when no admissible theta exists (only possible for b < 0,
-    which is roundoff noise since restoration does not increase |C|).
+    a = F(s) - F(v), b = |C(s)| - |C(z)| and b_v = |C(s)| - |C(v)|.  theta
+    is the largest weight in [0, theta_prev] with Pred(theta) = theta a +
+    (1 - theta) b >= b/2, pred = Pred(theta), ared = theta a + (1 - theta)
+    b_v, and the attempt is accepted when ared >= pred / 10.  Where no theta
+    is admissible (b < 0: the restored point is no closer to feasibility
+    than s), theta stays theta_prev, ared is NaN and the attempt fails.
     """
-    pred_prev = theta_prev * a + (1.0 - theta_prev) * b
-    if pred_prev >= b / 2.0:
-        return theta_prev, pred_prev
-    # Pred(theta) = b + theta*(a-b); a >= b makes it nondecreasing, so falling
-    # short at theta_prev means every smaller theta falls short too (b < 0);
-    # a < b makes it decreasing and the crossing Pred(theta) = b/2 is the max
-    if a >= b or b < 0.0:
-        raise InfeasibleTheta("no penalty weight reaches the required reduction "
-                              "(a=%.3e, b=%.3e)" % (a, b))
-    theta = min(max(b / (2.0 * (b - a)), 0.0), theta_prev)
-    return theta, theta * a + (1.0 - theta) * b
-
-
-def accept_step(ared, pred):
-    """Armijo-like acceptance of the merit decrease."""
-    return ared >= 0.1 * pred
+    pred = theta_prev * a + (1.0 - theta_prev) * b
+    theta = theta_prev
+    if pred < b / 2.0:
+        # Pred(theta) = b + theta*(a-b); a >= b makes it nondecreasing, so
+        # falling short at theta_prev means every smaller theta does (b < 0);
+        # a < b makes it decreasing and the crossing Pred = b/2 is the max
+        if a >= b or b < 0.0:
+            return theta_prev, pred, math.nan, False
+        theta = min(max(b / (2.0 * (b - a)), 0.0), theta_prev)
+        pred = theta * a + (1.0 - theta) * b
+    ared = theta * a + (1.0 - theta) * b_v
+    return theta, pred, ared, ared >= 0.1 * pred
 
 
 def find_candidate(net, z, Z, r_tan, delta, at_z, sigma):
     """Optimization phase: a point v on the equilibrium piece of the restored
     point z, its demands in the box of radius delta around z's, that does at
     least as well in F as the broken Cauchy point, returned with F(v) and
-    C(v).
+    |C(v)|.
 
     A demand step dd is lifted to max(z + Z dd, lower), Z = dz/dd.  The
     first trial is the spectral step dd = clip(d - sigma g_d) - d, clipped
@@ -310,12 +309,13 @@ def find_candidate(net, z, Z, r_tan, delta, at_z, sigma):
     seen = {}
 
     def at(dd):
-        """The lifted point of dd, with F(vec) and C(vec); each step is
+        """The lifted point of dd, with F(vec) and |C(vec)|; each step is
         evaluated once."""
         key = dd.tobytes()
         if key not in seen:
             vec = np.maximum(z + Z @ dd, net.lower)
-            seen[key] = vec, eval_F(net, vec[sl_d], vec[sl_x]), eval_C(net, vec)
+            seen[key] = (vec, eval_F(net, vec[sl_d], vec[sl_x]),
+                         _norm(eval_C(net, vec)))
         return seen[key]
 
     floor = max(F_z - TAU1 * delta, F_z - TAU2)
@@ -375,7 +375,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     normC_s = _norm(eval_C(net, s))
     F_s = eval_F(net, s[sl_d], s[sl_x])
 
-    theta_hist = [THETA_INIT]
+    theta_min = THETA_INIT   # the least of THETA_INIT and every accepted theta
     delta_prev = DELTA0
     prev = None          # the last restored demands and their reduced gradient
     history = []
@@ -383,8 +383,8 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     paths = None         # the path flows of the last restoration
 
     for k in range(cfg.max_outer):
-        theta_cur = init_penalty(k, theta_hist)
-        z, C_z, paths = _restore_closer(net, s[sl_d], cfg, paths, normC_s)
+        theta_cur = init_penalty(k, theta_min)
+        z, normC_z, paths = _restore_closer(net, s[sl_d], cfg, paths, normC_s)
 
         Z = equilibrium_sensitivity(net, z, paths)
         r_tan, g_d = cauchy_direction(net, z, Z)
@@ -397,29 +397,19 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
 
         # z's values, each computed once for every attempt of this step
         F_z = eval_F(net, d, z[sl_x])
-        normC_z = _norm(C_z)
         rt_norm = _norm(r_tan)
         delta = max(DELTA_MIN, delta_prev)
 
         accepted = False
         for i in itertools.count():
             if rt_norm <= 1e-14 * (1.0 + _norm(d)):
-                v, F_v, C_v = z, F_z, C_z
+                v, F_v, normC_v = z, F_z, normC_z
             else:
-                v, F_v, C_v = find_candidate(net, z, Z, r_tan, delta,
-                                             (F_z, g_d), sigma)
+                v, F_v, normC_v = find_candidate(net, z, Z, r_tan, delta,
+                                                 (F_z, g_d), sigma)
 
-            normC_v = _norm(C_v)
-            a = F_s - F_v
-            b = normC_s - normC_z
-            try:
-                theta_cur, pred = choose_theta(a, b, theta_cur)
-                ared = theta_cur * a + (1.0 - theta_cur) * (normC_s - normC_v)
-                ok = accept_step(ared, pred)
-            except InfeasibleTheta:
-                pred = theta_cur * a + (1.0 - theta_cur) * b
-                ared = math.nan
-                ok = False
+            theta_cur, pred, ared, ok = merit_test(
+                F_s - F_v, normC_s - normC_z, normC_s - normC_v, theta_cur)
 
             rec = IterationRecord(k=k, i=i, normC_s=normC_s, normC_z=normC_z,
                                   L_s=F_s, L_v=F_v, theta=theta_cur,
@@ -433,7 +423,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
             if ok:
                 s = v
                 normC_s, F_s = normC_v, F_v
-                theta_hist.append(theta_cur)
+                theta_min = min(theta_min, theta_cur)
                 delta_prev = delta
                 accepted = True
                 break

@@ -59,9 +59,5 @@ class SolverStalled(OdAdjustError):
     """An iterative subproblem solver cycled beyond its iteration cap."""
 
 
-class InfeasibleTheta(OdAdjustError):
-    """No penalty weight achieves the required predicted reduction."""
-
-
 class TooLarge(OdAdjustError):
     """Instance exceeds the size limits of a brute-force oracle."""

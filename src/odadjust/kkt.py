@@ -137,9 +137,13 @@ def recover_multipliers(net, X, link_times):
     shortest-path distances from the commodity origin: alpha_i = -pi_i, and
     beta = T(X) + M' alpha collects the nonnegative reduced costs.  Unreachable
     nodes get a potential one unit beyond the largest finite distance so they
-    never look attractive.  Raises ResidualTooLarge when the complementarity
-    slip |beta . X| exceeds 1e-6 * (1 + |X|_1), i.e. when X is not close enough
-    to equilibrium for this construction to be valid, DimensionMismatch
+    never look attractive.  Raises ResidualTooLarge when X is not close
+    enough to equilibrium for this construction to be valid: a reduced cost
+    dips below -1e-8 max(1, max|alpha|), more than a rounding of the
+    potentials, or the complementarity slip |beta . X| (t . v less the
+    demands times their shortest-path costs) exceeds 1e-6 t . |X|, a
+    relative gap of about 1e-6.  Both tests are relative, so scaling every
+    cost leaves their outcome as it was.  Raises DimensionMismatch
     unless X holds one flow per commodity and link and link_times one time
     per link, and ValueError when a link time is negative or NaN.
     """
@@ -156,16 +160,17 @@ def recover_multipliers(net, X, link_times):
             pi[~finite] = pi[finite].max() + 1.0
         alpha[i * n:(i + 1) * n] = -pi
 
-    beta = np.tile(t, c) + net.Mt_dot(alpha)
+    t_i = np.tile(t, c)   # t for every commodity
+    beta = t_i + net.Mt_dot(alpha)
     worst = float(beta.min()) if beta.size else 0.0
-    if worst < -1e-8:
+    if worst < -1e-8 * float(np.abs(alpha).max(initial=1.0)):
         raise ResidualTooLarge(
             "reduced cost dips to %.3e; potentials do not certify this flow" % worst
         )
     beta = np.maximum(beta, 0.0)
 
     slip = abs(float(beta @ X))
-    if slip > 1e-6 * (1.0 + np.abs(X).sum()):
+    if slip > 1e-6 * float(t_i @ np.abs(X)):
         raise ResidualTooLarge(
             "complementarity slip %.3e too large; flow is not an equilibrium" % slip
         )

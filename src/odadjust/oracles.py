@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TooLarge, Unreachable
+from .errors import DimensionMismatch, TooLarge, Unreachable
 
 _MAX_ORACLE_NODES = 8
 _PG_TOL = 1e-10          # oracle_tap's stopping size of the projected gradient
@@ -74,9 +74,13 @@ def oracle_tap(net, d):
     objective over the product of scaled simplices.  Steps are spectral
     (Barzilai-Borwein) safeguarded by nonmonotone Armijo backtracking; the
     loop stops when the unit-step projected gradient is below _PG_TOL, or
-    after _MAX_PG_ITER steps.
+    after _MAX_PG_ITER steps.  Raises DimensionMismatch unless d holds one
+    demand per commodity.
     """
     d = np.asarray(d, dtype=float)
+    if d.shape != (net.n_commodities,):
+        raise DimensionMismatch("expected %d demands, got shape %s"
+                                % (net.n_commodities, d.shape))
     paths = []
     owner = []
     for i, com in enumerate(net.commodities):

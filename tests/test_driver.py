@@ -28,17 +28,16 @@ from odadjust.driver import (
     STATUS_CONVERGED,
     STATUS_MAX_OUTER,
     STATUS_STALLED,
-    accept_step,
     cauchy_direction,
     check_stop,
-    choose_theta,
     find_candidate,
     init_penalty,
+    merit_test,
     restore,
     spectral_factor,
     trial_multipliers,
 )
-from odadjust.errors import DimensionMismatch, InfeasibleTheta, MaxIterations
+from odadjust.errors import DimensionMismatch, MaxIterations
 from odadjust.kkt import equilibrium_sensitivity, eval_C_jacobian, grad_F_state
 from odadjust.projection import REG, min_norm_solve
 import odadjust.driver as driver_module
@@ -79,13 +78,13 @@ def test_readme_lists_the_config_fields():
 
 
 def test_init_penalty_schedule():
-    # omega_k = 0.1 * 0.5**k
-    assert init_penalty(0, [0.9]) == 1.0
-    assert init_penalty(1, [0.9, 0.4]) == pytest.approx(0.45)
-    # history values above one are capped before the bump
-    assert init_penalty(2, [2.0]) == 1.0
-    assert init_penalty(3, [0.5]) == 0.5125
-    assert init_penalty(4, [0.5, 0.2, 0.3]) == pytest.approx(0.20625)
+    # omega_k = 0.1 * 0.5**k, added to the smallest theta so far
+    assert init_penalty(0, 0.9) == 1.0
+    assert init_penalty(1, min(0.9, 0.4)) == pytest.approx(0.45)
+    # a smallest theta above one is capped before the bump
+    assert init_penalty(2, 2.0) == 1.0
+    assert init_penalty(3, 0.5) == 0.5125
+    assert init_penalty(4, min(0.5, 0.2, 0.3)) == pytest.approx(0.20625)
 
 
 def test_solve_dap_start_state(net):
@@ -103,28 +102,35 @@ def test_solve_dap_start_state(net):
 
 # -- penalty weight -------------------------------------------------------------
 
-def test_choose_theta_keeps_previous_when_admissible():
-    theta, pred = choose_theta(a=5.0, b=2.0, theta_prev=0.9)
+def test_merit_test_keeps_theta_when_admissible():
+    theta, pred, ared, ok = merit_test(a=5.0, b=2.0, b_v=2.0, theta_prev=0.9)
     assert theta == 0.9
     assert pred == pytest.approx(4.7)
+    assert ared == pred and ok
 
 
-def test_choose_theta_moves_to_crossing():
-    theta, pred = choose_theta(a=-1.0, b=2.0, theta_prev=0.9)
+def test_merit_test_moves_theta_to_crossing():
+    theta, pred, ared, ok = merit_test(a=-1.0, b=2.0, b_v=2.0, theta_prev=0.9)
     assert theta == pytest.approx(1.0 / 3.0)
     assert pred == pytest.approx(1.0)          # exactly b / 2
+    assert ared == pred and ok
 
 
-def test_choose_theta_infeasible():
-    with pytest.raises(InfeasibleTheta):
-        choose_theta(a=-1.0, b=-0.5, theta_prev=0.9)
+def test_merit_test_without_admissible_theta_rejects():
+    # b < 0: every theta falls short of b/2; theta and Pred(theta_prev) stay
+    theta, pred, ared, ok = merit_test(a=-1.0, b=-0.5, b_v=-0.5, theta_prev=0.9)
+    assert theta == 0.9
+    assert pred == 0.9 * -1.0 + (1.0 - 0.9) * -0.5
+    assert np.isnan(ared) and ok is False
 
 
-def test_accept_step_threshold():
-    assert accept_step(1.0, 2.0)
-    assert accept_step(0.2, 2.0)
-    assert not accept_step(0.19, 2.0)
-    assert accept_step(0.0, 0.0)
+@pytest.mark.parametrize("b, b_v, accepted", [
+    (2.0, 1.0, True), (2.0, 0.2, True), (2.0, 0.19, False), (0.0, 0.0, True)])
+def test_merit_test_acceptance_threshold(b, b_v, accepted):
+    # at theta = 0, pred is b and ared is b_v: accepted when ared >= pred / 10
+    theta, pred, ared, ok = merit_test(a=0.0, b=b, b_v=b_v, theta_prev=0.0)
+    assert (theta, pred, ared) == (0.0, b, b_v)
+    assert ok is accepted
 
 
 # -- restoration ------------------------------------------------------------------
@@ -255,9 +261,9 @@ def _check_candidate(net, z, Z, delta, sigma):
     sl_d = net.slices[0]
     r_tan, g_d = cauchy_direction(net, z, Z)
     F_z = _F(net, z)
-    v, F_v, C_v = find_candidate(net, z, Z, r_tan, delta, (F_z, g_d), sigma)
+    v, F_v, normC_v = find_candidate(net, z, Z, r_tan, delta, (F_z, g_d), sigma)
     assert F_v == _F(net, v)
-    assert_array_equal(C_v, eval_C(net, v))
+    assert normC_v == np.linalg.norm(eval_C(net, v))
     # v is the lift of its demand step onto z's piece, in the box and d >= 0
     dd = v[sl_d] - z[sl_d]
     assert np.abs(dd).max() <= delta + 1e-12
@@ -277,7 +283,7 @@ def _check_candidate(net, z, Z, delta, sigma):
     assert F_v < F_z
     # the linearized residual vanishes along the piece, so C(v) is of
     # second order in the step
-    assert np.linalg.norm(C_v) <= 10.0 * np.abs(dd).max() ** 2
+    assert normC_v <= 10.0 * np.abs(dd).max() ** 2
 
 
 def test_find_candidate_backtracks_the_cauchy_step():
@@ -415,6 +421,22 @@ def test_solve_dap_converges_on_grids(name, max_steps, F_ref):
         assert abs(res.F_final - F_ref) <= 1e-5 * F_ref
 
 
+@pytest.mark.parametrize("name, F_ref", [("grid3x3_0.json", 0.787177),
+                                         ("grid4x4_0.json", 0.308594)])
+def test_solve_dap_independent_of_cost_units(name, F_ref):
+    # every cost times kappa leaves the equilibria and F* as they were; the
+    # restoration's certificate is relative, so at kappa = 100 the first
+    # restoration is not refused, and the run converges at F*
+    doc = json.loads((DATA / name).read_text(encoding="utf-8"))
+    for kappa in (1e-6, 100.0, 1e4):
+        scaled = json.loads(json.dumps(doc))
+        for link in scaled["links"]:
+            link["coeffs"] = [kappa * c for c in link["coeffs"]]
+        res = solve_dap(parse_network(json.dumps(scaled)))
+        assert res.status == STATUS_CONVERGED
+        assert abs(res.F_final - F_ref) <= 1e-5 * F_ref
+
+
 def test_restoration_tightens_until_closer_than_the_last_point(monkeypatch):
     # each outer step k >= 1 restores again, with the assignment tolerance
     # RESTORE_TIGHTEN times smaller each time, while |C(z)| > RESTORE_RATIO
@@ -527,7 +549,8 @@ def test_solve_dap_outer_budget(net):
 
 
 def test_solve_dap_stalls_when_nothing_accepted(net, monkeypatch):
-    monkeypatch.setattr(driver_module, "accept_step", lambda ared, pred: False)
+    monkeypatch.setattr(driver_module, "merit_test",
+                        lambda *args: merit_test(*args)[:3] + (False,))
     res = solve_dap(net, IRConfig(max_outer=3), d0=[1, 2])
     assert res.status == STATUS_STALLED
     assert all(not rec.accepted for rec in res.history)
@@ -538,6 +561,32 @@ def test_solve_dap_stalls_when_nothing_accepted(net, monkeypatch):
     assert [rec.i for rec in res.history] == list(range(40))
     assert res.history[0].delta == 1.0
     assert res.history[-1].delta == 2.0 ** -39
+
+
+def test_attempt_without_admissible_theta_fails(net, monkeypatch):
+    # every restored point has beta shifted by 10, so it is farther from
+    # feasibility than s = (d0, 0, 0, 0): b = |C(s)| - |C(z)| < 0, and at
+    # d0 = 10 x the targets F rises by more than |b| / 2 on the way to the
+    # equilibrium, so no theta reaches Pred(theta) >= b / 2.  Each attempt is
+    # logged with ared NaN, rejected with theta unchanged, and the trust
+    # radius halves, until the outer step stalls
+    def far(net_, d, cfg_, start=None):
+        z, paths = restore(net_, d, cfg_, start)
+        z[net_.slices[3]] += 10.0
+        return z, paths
+
+    monkeypatch.setattr(driver_module, "restore", far)
+    res = solve_dap(net, IRConfig(max_outer=3), d0=10.0 * TOY_TARGETS)
+    assert res.status == STATUS_STALLED and res.outer_iterations == 1
+    assert len(res.history) == 40
+    theta = min(1.0, driver_module.THETA_INIT + driver_module.OMEGA0)   # theta_{0,-1}
+    for i, rec in enumerate(res.history):
+        a, b = rec.L_s - rec.L_v, rec.normC_s - rec.normC_z
+        assert b < 0.0
+        assert np.isnan(rec.ared) and rec.accepted is False
+        assert rec.theta == theta
+        assert rec.pred == theta * a + (1.0 - theta) * b
+        assert rec.delta == driver_module.DELTA0 * driver_module.SHRINK ** i
 
 
 _RUN_HASH = """

@@ -27,6 +27,7 @@ from odadjust import (
     eval_L_grad,
     parse_network,
     recover_multipliers,
+    solve_tap,
     tangent_space,
 )
 from odadjust.errors import DimensionMismatch, ResidualTooLarge
@@ -346,6 +347,13 @@ def test_eval_L_grad_matches_finite_differences(net):
 
 # -- multiplier recovery ------------------------------------------------------------
 
+def _cost_scaled(doc, kappa):
+    """doc with every cost coefficient multiplied by kappa."""
+    for link in doc["links"]:
+        link["coeffs"] = [kappa * c for c in link["coeffs"]]
+    return doc
+
+
 def test_recover_multipliers_at_equilibrium(net):
     t = net.link_times(TOY_V)
     alpha, beta = recover_multipliers(net, TOY_X, t)
@@ -358,14 +366,33 @@ def test_recover_multipliers_at_equilibrium(net):
     assert np.abs(eval_C(net, s)).max() <= 1e-12
 
 
-def test_recover_multipliers_rejects_non_equilibrium(net):
-    # commodity 1 forced onto its long route, commodity 2 onto the congested
-    # direct link: far from equilibrium, so complementarity cannot close
-    X_bad = np.array([0.0, 1.5, 0.0, 1.5,
-                      0.0, 1.75, 0.0, 0.0])
-    t = net.link_times(np.array([0.0, 3.25, 0.0, 1.5]))
-    with pytest.raises(ResidualTooLarge):
-        recover_multipliers(net, X_bad, t)
+@pytest.mark.parametrize("kappa", [1e-6, 1.0, 1e4])
+def test_recover_multipliers_rejects_non_equilibrium(kappa):
+    # every cost times kappa.  Commodity 1 forced onto its long route and
+    # commodity 2 onto the congested direct link, or all demand on the direct
+    # links (relative gap 7/85): far from equilibrium, so complementarity
+    # cannot close.  The slip is measured against t . |X|, so it is refused
+    # at every scale, also where the slip itself is tiny
+    net = parse_network(json.dumps(_cost_scaled(toy_document(), kappa)))
+    for X in (np.array([0.0, 1.5, 0.0, 1.5, 0.0, 1.75, 0.0, 0.0]),
+              np.array([1.5, 0.0, 0.0, 0.0, 0.0, 1.75, 0.0, 0.0])):
+        with pytest.raises(ResidualTooLarge, match="slip"):
+            recover_multipliers(net, X, net.link_times(aggregate_flows(net, X)))
+
+
+def test_recover_multipliers_certifies_large_constant_costs():
+    # constant terms of 1e8-3e8 put the potentials of the 4x4 grid near 1e9,
+    # where one rounding is 6e-8: the reduced costs may dip by that much
+    doc = json.loads((DATA / "grid4x4_0.json").read_text(encoding="utf-8"))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        for link in doc["links"]:
+            link["coeffs"][0] = float(rng.uniform(1e8, 3e8))
+        net = parse_network(json.dumps(doc))
+        sol = solve_tap(net, net.target_demands, tol=1e-8)
+        alpha, beta = recover_multipliers(net, sol.X, net.link_times(sol.v))
+        assert np.abs(alpha).max() > 1e8
+        assert beta.min() >= 0.0
 
 
 def test_recover_multipliers_validation(net):
@@ -416,8 +443,15 @@ def _used(paths):
 def _sensitivity_cases():
     grid = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
     toy = parse_network(json.dumps(toy_document()))
+    # the toy with a node 4 that origin 1 cannot reach: its potential follows
+    # the farthest reachable node
+    doc = toy_document()
+    doc["nodes"].append(4)
+    doc["links"].append({"id": 5, "from": 4, "to": 1, "coeffs": [1.0, 1.0]})
+    toy4 = parse_network(json.dumps(doc))
     return [(toy, [1.0, 2.0]), (toy, TOY_TARGETS * 0.9),
-            (grid, grid.target_demands), (grid, grid.target_demands * 0.8)]
+            (grid, grid.target_demands), (grid, grid.target_demands * 0.8),
+            (toy4, [1.0, 2.0])]
 
 
 def test_equilibrium_sensitivity_matches_central_differences():

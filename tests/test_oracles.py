@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import (TOY_TARGETS, TOY_V, random_network, scipy_modules_after,
                       toy_document)
 from odadjust import parse_network
-from odadjust.errors import TooLarge
+from odadjust.errors import DimensionMismatch, TooLarge
 from odadjust.oracles import (
     _project_simplex,
     enumerate_paths,
@@ -62,6 +62,13 @@ def test_oracle_tap_reference_equilibrium(net):
     v = oracle_tap(net, TOY_TARGETS)
     assert_allclose(v, TOY_V, atol=1e-7)
     assert_allclose(oracle_tap(net, np.zeros(2)), np.zeros(4), atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [[1.0], [1.0, 2.0, 3.0]])
+def test_oracle_tap_checks_the_demand_length(net, d):
+    # one demand per commodity of the two-commodity toy
+    with pytest.raises(DimensionMismatch, match="expected 2 demands"):
+        oracle_tap(net, d)
 
 
 def test_oracle_path_costs_equalize_used_routes(net):
