@@ -18,12 +18,12 @@ Each outer iteration k:
      the used paths stay used; the reduced gradient is g_d = Z' grad F(z^k),
      and the projected-gradient step in d is r_tan = max(d - g_d, 0) - d.
      Stop if z^k is close to s^k and r_tan vanishes
-  4. optimization phase, in d: find a demand step in the trust box, lifted to
-     v = max(z^k + Z dd, lower), that matches at least the decrease of F
-     at the broken Cauchy point; the first trial is the spectral step
-     clip(d - sigma_k g_d) - d, with the Barzilai-Borwein factor
-     sigma_k = s's / s'y, s = d^k - d^{k-1} and y = g_d^k - g_d^{k-1}
-     (sigma_0 = 1)
+  4. optimization phase, in d, at every attempt: find a demand step in the
+     trust box, lifted to v = max(z^k + Z dd, lower), that matches at least
+     the decrease of F at the broken Cauchy point, which is z if r_tan = 0;
+     the first trial is the spectral step clip(d - sigma_k g_d) - d, with
+     the Barzilai-Borwein factor sigma_k = s's / s'y, s = d^k - d^{k-1} and
+     y = g_d^k - g_d^{k-1} (sigma_0 = 1)
   5. merit_test: the largest penalty weight theta keeping the predicted
      reduction of the merit theta F + (1 - theta) |C| at half the feasibility
      gain |C(s)| - |C(z)|; where none does, the attempt keeps theta and fails
@@ -296,12 +296,13 @@ def find_candidate(net, z, Z, r_tan, delta, at_z, sigma):
     max(F(cauchy), F(z) - TAU1 delta, F(z) - TAU2), down to the length of
     the Cauchy step, which is the fallback and always passes.  The broken
     Cauchy point (Martinez, J. Optim. Theory Appl. 111, 2001) steps t r_tan
-    from t = min(1, delta / |r_tan|_inf), halving t until F has fallen by
-    CAUCHY_ARMIJO t g_d'r_tan; it is evaluated only when a trial misses the
-    last two terms of the bound.  r_tan, the projected-gradient step in d,
-    must be nonzero.  at_z holds F(z) and the reduced gradient g_d at z,
-    and sigma is the spectral factor; every attempt of an outer step
-    shares them.
+    from t = delta / max(delta, |r_tan|_inf), halving t until F has fallen
+    by CAUCHY_ARMIJO t g_d'r_tan; it is evaluated only when a trial misses
+    the last two terms of the bound.  r_tan, the projected-gradient step in
+    d, may be zero: the Cauchy point is then z, returned with F(z) and
+    |C(z)| unless a spectral trial does as well.  at_z holds F(z) and the
+    reduced gradient g_d at z, and sigma is the spectral factor; every
+    attempt of an outer step shares them.
     """
     sl_d, sl_x, _, _ = net.slices
     d = z[sl_d]
@@ -323,9 +324,9 @@ def find_candidate(net, z, Z, r_tan, delta, at_z, sigma):
 
     def cauchy():
         """The broken Cauchy step t r_tan and its at() values: t starts at
-        min(1, delta / |r_tan|_inf) and halves until F falls by at least
-        CAUCHY_ARMIJO t g_d'r_tan, or t is 1e-12 of its start."""
-        t = min(1.0, delta / float(np.abs(r_tan).max()))
+        delta / max(delta, |r_tan|_inf) and halves until F falls by at
+        least CAUCHY_ARMIJO t g_d'r_tan, or t is 1e-12 of its start."""
+        t = delta / max(delta, float(np.abs(r_tan).max()))
         slope, t_min = float(g_d @ r_tan), 1e-12 * t
         while True:
             out = at(t * r_tan)
@@ -400,13 +401,9 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
         rt_norm = _norm(r_tan)
         delta = max(DELTA_MIN, delta_prev)
 
-        accepted = False
         for i in itertools.count():
-            if rt_norm <= 1e-14 * (1.0 + _norm(d)):
-                v, F_v, normC_v = z, F_z, normC_z
-            else:
-                v, F_v, normC_v = find_candidate(net, z, Z, r_tan, delta,
-                                                 (F_z, g_d), sigma)
+            v, F_v, normC_v = find_candidate(net, z, Z, r_tan, delta,
+                                             (F_z, g_d), sigma)
 
             theta_cur, pred, ared, ok = merit_test(
                 F_s - F_v, normC_s - normC_z, normC_s - normC_v, theta_cur)
@@ -425,14 +422,12 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
                 normC_s, F_s = normC_v, F_v
                 theta_min = min(theta_min, theta_cur)
                 delta_prev = delta
-                accepted = True
                 break
             delta *= SHRINK
             if delta < 1e-12 * DELTA0:
+                status = STATUS_STALLED
                 break
-
-        if not accepted:
-            status = STATUS_STALLED
+        if status == STATUS_STALLED:
             break
 
     # max_outer >= 1, so z is the last restored point and k the last outer step

@@ -27,7 +27,8 @@ import math
 import numpy as np
 
 from .errors import NonFiniteObjective, ResidualTooLarge
-from .network import _origin_trees, _path_links, _vector, aggregate_flows
+from .network import (_check_paths, _origin_trees, _path_links, _path_system,
+                      _vector, aggregate_flows)
 from .projection import TangentSpace
 
 
@@ -210,9 +211,10 @@ def equilibrium_sensitivity(net, z, paths):
     each commodity's used paths stay used and its other paths unused
     (Tobin & Friesz, Transp. Sci. 22, 1988).  paths maps a commodity to its
     path flows, as solve_tap returns them; the used paths are those with
-    positive flow, and a commodity with none takes its shortest path.  With
-    Delta the link-path and E the commodity-path incidence of the used
-    paths, and D = diag t'(v), the path-flow derivatives H solve
+    positive flow, in dict order, and a commodity with none takes its
+    shortest path.  network's _path_system assembles Delta and E, the
+    link-path and commodity-path incidences of the used paths, and with
+    D = diag t'(v) the system that the path-flow derivatives H solve,
 
         [[Delta' D Delta, -E'], [E, 0]] [H; Pi] = [0; I_c]
 
@@ -221,10 +223,12 @@ def equilibrium_sensitivity(net, z, paths):
     its minimum-norm solution.  Then dX_i = Delta_i H_i and dv = Delta H.
     The potentials follow recover_multipliers' trees, dalpha_i = -dpi_i,
     and dbeta_i = t' dv + dalpha_i[head] - dalpha_i[tail].  Raises
-    NonFiniteObjective, without a NumPy warning, when t'(v) is not finite.
+    DimensionMismatch or ValueError where solve_tap would for such a start,
+    and NonFiniteObjective, without a NumPy warning, when t'(v) is not finite.
     """
     _, X, _, _ = _blocks(net, z)
-    c, a, n = net.n_commodities, net.n_links, net.n_nodes
+    _check_paths(net, paths, "sensitivity")
+    c = net.n_commodities
     if not c:
         return np.zeros((net.state_dim, 0))   # no demand to move z with
     v = aggregate_flows(net, X)
@@ -237,27 +241,16 @@ def equilibrium_sensitivity(net, z, paths):
                                  "along the equilibrium set has no value")
     trees = _origin_trees(net, t, range(c))
 
-    owner, cols = [], []
+    used = []
     for i in range(c):
-        used = [p for p, h in paths.get(i, {}).items() if h > 0.0]
-        if not used:
+        cols = [p for p, h in paths.get(i, {}).items() if h > 0.0]
+        if not cols:
             o = int(net.origin_idx[i])
-            used = [_path_links(net, trees[o], o, int(net.destination_idx[i]))]
-        owner += [i] * len(used)
-        cols += used
-    P = len(cols)
-    Delta = np.zeros((a, P))
-    for j, p in enumerate(cols):
-        Delta[list(p), j] = 1.0
-    E = np.zeros((c, P))
-    E[owner, np.arange(P)] = 1.0
-    A = np.zeros((P + c, P + c))
-    A[:P, :P] = Delta.T @ (t_prime[:, None] * Delta)
-    A[:P, P:] = -E.T
-    A[P:, :P] = E
-    rhs = np.zeros((P + c, c))
-    rhs[P:] = np.eye(c)
-    H = np.linalg.lstsq(A, rhs, rcond=None)[0][:P]
+            cols = [_path_links(net, trees[o], o, int(net.destination_idx[i]))]
+        used += [(i, p) for p in cols]
+    Delta, E, A = _path_system(net, used, t_prime)
+    rhs = np.vstack([np.zeros((len(used), c)), np.eye(c)])
+    H = np.linalg.lstsq(A, rhs, rcond=None)[0][:len(used)]
 
     dX = np.stack([Delta @ (E[i][:, None] * H) for i in range(c)])
     dv = dX.sum(axis=0)
@@ -266,10 +259,8 @@ def equilibrium_sensitivity(net, z, paths):
     dalpha = np.stack([-dpi[int(net.origin_idx[i])] for i in range(c)])
     dbeta = link_dv + dalpha[:, net.heads] - dalpha[:, net.tails]
 
-    Z = np.empty((net.state_dim, c))
-    for sl, block in zip(net.slices, (np.eye(c), dX, dalpha, dbeta)):
-        Z[sl] = block.reshape(-1, c)
-    return Z
+    # net.slices lays the blocks out one after another, in this order
+    return np.vstack([b.reshape(-1, c) for b in (np.eye(c), dX, dalpha, dbeta)])
 
 
 def tangent_space(net, z):

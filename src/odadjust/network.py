@@ -8,8 +8,9 @@ incidence and origin-destination incidence.  A Network carries its lifted
 layout (state and residual slices, the entries of M, M' and Gamma), so every
 function of the lifted system takes the network alone.  The module also
 holds what its siblings share, and imports none of them but errors:
-_dijkstra, the one loop of every graph search, and _vector, the one check of
-a vector's length.
+_dijkstra, the one loop of every graph search, _vector, the one check of a
+vector's length, _check_paths, the one check of path flows, and
+_path_system, the one assembly of the used-path system.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import heapq
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -496,6 +498,45 @@ def _path_links(net, sp_res, origin_idx, dest_idx):
         u = net.tails[a]
     path.reverse()
     return tuple(path)
+
+
+def _check_paths(net, paths, what):
+    """Check path flows shaped like TapSolution.paths, named what in the
+    messages.  Raises DimensionMismatch for a key that is no commodity of
+    the network or a path with a link index out of range, and ValueError
+    for a path that does not lead from its commodity's origin to its
+    destination or a flow that is not a finite, nonnegative real number."""
+    for i, flows in paths.items():
+        if not (isinstance(i, numbers.Integral) and 0 <= i < net.n_commodities):
+            raise DimensionMismatch("%s has paths for %r, which is not a "
+                                    "commodity of the network" % (what, i))
+        for p, h in flows.items():
+            if not all(isinstance(a, numbers.Integral) and 0 <= a < net.n_links for a in p):
+                raise DimensionMismatch("%s path %r of commodity %d has a link "
+                                        "index out of range" % (what, p, i))
+            node = net.origin_idx[i]
+            for a in p:
+                node = net.heads[a] if net.tails[a] == node else -1
+            if node != net.destination_idx[i]:
+                raise ValueError("%s path %r of commodity %d does not lead from "
+                                 "its origin to its destination" % (what, p, i))
+            if not (_is(h, _REAL) and 0.0 <= h < math.inf):
+                raise ValueError("%s path %r of commodity %d has flow %r, which "
+                                 "is not finite and nonnegative" % (what, p, i, h))
+
+
+def _path_system(net, used, t_prime):
+    """Link-path and commodity-path incidences Delta and E of the used
+    (commodity, link tuple) pairs, one column each, and the used-path
+    system A = [[Delta' D Delta, -E'], [E, 0]], D = diag t_prime."""
+    c = net.n_commodities
+    Delta, E = np.zeros((net.n_links, len(used))), np.zeros((c, len(used)))
+    for j, (i, p) in enumerate(used):
+        Delta[list(p), j] = 1.0
+        E[i, j] = 1.0
+    A = np.block([[Delta.T @ (t_prime[:, None] * Delta), -E.T],
+                  [E, np.zeros((c, c))]])
+    return Delta, E, A
 
 
 # -- JSON input --------------------------------------------------------------

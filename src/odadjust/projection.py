@@ -142,13 +142,14 @@ def project(T, b, radius=None):
     """Projection of b onto a TangentSpace, boxed when radius is given.
 
     Returns the unique minimizer w of |w - b|^2 subject to J(w-z) = 0, the
-    lower bounds and, unless radius is None, |w - z|_inf <= radius.  Raises
-    SolverStalled if the active-set loop exceeds 50 * dimension iterations,
-    which signals a cycling pathology rather than an infeasible problem (z is
-    always feasible), and at once, without a NumPy warning, when a bound
-    multiplier or the step it gives is not finite.  The final point takes
-    one refinement step toward J(w - z) = 0, from the same factors, before
-    it is clipped to the bounds.
+    lower bounds and, unless radius is None, |w - z|_inf <= radius; an
+    infinite radius binds nothing.  Raises ValueError unless radius is None
+    or a number >= 0, and SolverStalled if the active-set loop exceeds 50 *
+    dimension iterations, which signals a cycling pathology rather than an
+    infeasible problem (z is always feasible), and at once, without a NumPy
+    warning, when a bound multiplier or the step it gives is not finite.
+    The final point takes one refinement step toward J(w - z) = 0, from the
+    same factors, before it is clipped to the bounds.
     """
     from scipy.linalg.blas import dtrsv   # scipy.linalg came with T's splu
     z, free, lu = T.z, T.free, T.lu
@@ -161,6 +162,8 @@ def project(T, b, radius=None):
     hi = np.full(n, np.inf)
     if radius is not None:
         delta = float(radius)
+        if not delta >= 0.0:
+            raise ValueError("radius must be None or a number >= 0, got %r" % (radius,))
         lo = np.maximum(lo, -delta)
         hi = np.full(n, delta)
     lo = np.minimum(lo, 0.0)      # z is feasible; clip roundoff so y=0 stays valid

@@ -54,14 +54,13 @@ stops on a bound takes the exact gap once at the end.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Unreachable
-from .network import (_demands, _dijkstra, _origin_trees, _path_links, _vector,
-                      aggregate_flows)
+from .errors import Unreachable
+from .network import (_check_paths, _demands, _dijkstra, _origin_trees, _path_links,
+                      _vector, aggregate_flows)
 
 _EPS_DEN = 1e-30  # guards relative-gap denominators on zero-cost networks
 _EPS_SHIFT = 1e-15  # excess costs below this share of the compared times are roundoff
@@ -100,30 +99,6 @@ def _link_times(net, v):
     if not t.max(initial=0.0) < np.inf:     # NaN fails as well
         raise Unreachable(_NOT_FINITE)
     return t
-
-
-def _check_start(net, start):
-    """Raise DimensionMismatch for a key of start that is no commodity of
-    the network or a path with a link index out of range, and ValueError
-    for a path that does not lead from its commodity's origin to its
-    destination or a flow that is negative or not finite."""
-    for i, paths in start.items():
-        if not (isinstance(i, numbers.Integral) and 0 <= i < net.n_commodities):
-            raise DimensionMismatch("start has paths for %r, which is not a "
-                                    "commodity of the network" % (i,))
-        for p, h in paths.items():
-            if not all(isinstance(a, numbers.Integral) and 0 <= a < net.n_links for a in p):
-                raise DimensionMismatch("start path %r of commodity %d has a link "
-                                        "index out of range" % (p, i))
-            node = net.origin_idx[i]
-            for a in p:
-                node = net.heads[a] if net.tails[a] == node else -1
-            if node != net.destination_idx[i]:
-                raise ValueError("start path %r of commodity %d does not lead from "
-                                 "its origin to its destination" % (p, i))
-            if not 0.0 <= h < math.inf:
-                raise ValueError("start path %r of commodity %d has flow %r, which "
-                                 "is not finite and nonnegative" % (p, i, h))
 
 
 def beckmann_objective(net, v):
@@ -287,7 +262,8 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         from those paths, their flows scaled by d_i / total, and the others,
         and those whose d_i / total overflows, start cold, all their demand
         on the shortest path under the zero-flow link times, which are
-        evaluated only then.  Every entry is checked by _check_start
+        evaluated only then.  Every entry is checked by network's
+        _check_paths
 
     Returns a TapSolution; `converged` is False when the budget ran out, in
     which case the best iterate found is returned rather than raising.
@@ -310,7 +286,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     """
     d = _demands(net, d)
     start = start or {}
-    _check_start(net, start)
+    _check_paths(net, start, "start")
     n_links = net.n_links
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]
     evals = net.link_evals

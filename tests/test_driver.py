@@ -286,6 +286,22 @@ def _check_candidate(net, z, Z, delta, sigma):
     assert normC_v <= 10.0 * np.abs(dd).max() ** 2
 
 
+def test_find_candidate_without_a_step_returns_z(net):
+    # g_d = 0 makes r_tan = max(d - g_d, 0) - d zero, so the spectral trial
+    # and the Cauchy step are both zero, and the search returns z's lift,
+    # which equals z; z + Z 0 turns alpha's -0.0 at each origin into +0.0
+    z, Z = _piece(net, TOY_TARGETS)
+    g_d = np.zeros(net.n_commodities)
+    d = z[net.slices[0]]
+    r_tan = np.maximum(d - g_d, 0.0) - d
+    assert not r_tan.any()
+    F_z = _F(net, z)
+    v, F_v, normC_v = find_candidate(net, z, Z, r_tan, 0.5, (F_z, g_d), 1.0)
+    assert_array_equal(v, z)
+    assert F_v == F_z
+    assert normC_v == np.linalg.norm(eval_C(net, z))
+
+
 def test_find_candidate_backtracks_the_cauchy_step():
     # at the prior of 2x2 instance 1 the unit Cauchy step overshoots: its
     # lifted point has L near 2.4 against 0.59 at z, and the spectral trial
@@ -546,6 +562,19 @@ def test_solve_dap_outer_budget(net):
     z = np.zeros(net.state_dim)
     z[net.slices[0]], z[net.slices[1]] = res.d_final, res.X_final
     assert np.abs(eval_C(net, z)[net.residual_slices[1]]).max() <= 1e-10
+
+
+def test_first_step_without_a_gradient_is_accepted_at_z():
+    # 2x2 instance 5 fits its observations exactly at the prior's restored
+    # point, F = 0, so r_tan = 0 there; z is far from s = (d0, 0, 0, 0), so
+    # the run does not stop, and its one attempt takes v = z and passes
+    net = parse_network((DATA / "grid2x2_5.json").read_text(encoding="utf-8"))
+    res = solve_dap(net)
+    step0 = [rec for rec in res.history if rec.k == 0]
+    assert len(step0) == 1
+    assert step0[0].rtan_norm == 0.0 and step0[0].accepted
+    assert step0[0].F_value == 0.0 and step0[0].normC_z == 0.0
+    assert res.status == STATUS_CONVERGED
 
 
 def test_solve_dap_stalls_when_nothing_accepted(net, monkeypatch):

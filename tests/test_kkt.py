@@ -33,7 +33,8 @@ from odadjust import (
 from odadjust.errors import DimensionMismatch, ResidualTooLarge
 from odadjust.driver import IRConfig, restore
 from odadjust.kkt import equilibrium_sensitivity, grad_F_state
-from odadjust.network import Commodity, CostFunction, Link, Network, aggregate_flows
+from odadjust.network import (Commodity, CostFunction, Link, Network, _path_system,
+                              aggregate_flows)
 from odadjust.oracles import fd_gradient
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -509,6 +510,47 @@ def test_equilibrium_sensitivity_at_zero_demand(net):
                     rtol=0.0, atol=1e-5)
     assert_allclose(col[sl_a], fd[sl_a], rtol=0.0, atol=1e-5)
     assert_allclose(col[sl_b], fd[sl_b], rtol=0.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("flows, error", [
+    ({0: {(-1,): 1.5}}, DimensionMismatch),   # would wrap to link 3 -> 2
+    ({0: {(99,): 1.0}}, DimensionMismatch),
+    ({0: {(2,): 1.5}}, ValueError),           # link 2 -> 3 does not leave node 1
+    ({5: {(0,): 1.0}}, DimensionMismatch),    # the toy has commodities 0 and 1
+    ({0: {(0,): -1.5}}, ValueError),
+    ({0: {(0,): np.nan}}, ValueError),
+])
+def test_equilibrium_sensitivity_checks_its_paths(net, flows, error):
+    # commodity 1 keeps its own paths; each entry is checked as solve_tap
+    # checks its start
+    z, paths = _restored(net, TOY_TARGETS)
+    with pytest.raises(error, match="^sensitivity "):
+        equilibrium_sensitivity(net, z, {**paths, **flows})
+
+
+def test_path_system_matches_a_loop_built_system(net):
+    grid = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
+    for net_, d in ((net, TOY_TARGETS), (grid, grid.target_demands)):
+        z, paths = _restored(net_, d)
+        used = [(i, p) for i in sorted(paths) for p in paths[i]]
+        t_prime = net_.link_time_derivs(aggregate_flows(net_, z[net_.slices[1]]))
+        P, c = len(used), net_.n_commodities
+        Delta, E = np.zeros((net_.n_links, P)), np.zeros((c, P))
+        A = np.zeros((P + c, P + c))
+        for j, (i, p) in enumerate(used):
+            for link in p:
+                Delta[link, j] = 1.0
+            E[i, j] = 1.0
+            A[P + i, j] = 1.0
+            A[j, P + i] = -1.0
+            for k, (_, q) in enumerate(used):
+                for link in sorted(set(p) & set(q)):
+                    A[j, k] += t_prime[link]
+        A[:P, P:][A[:P, P:] == 0.0] = -0.0    # -E' negates E's zeros too
+        for got, want in zip(_path_system(net_, used, t_prime),
+                             (Delta, E, A)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_tangent_space_layout(net):

@@ -1,7 +1,8 @@
 """The package's import layering, read from its source without importing it.
 
 network holds the helpers the other modules share: the graph search, the
-length check and the demand check.  A module reaches a sibling's private
+length check, the demand check, the path-flow check and the assembly of the
+used-path system.  A module reaches a sibling's private
 name only through network, and network builds on errors alone, so every
 module can import it.
 """

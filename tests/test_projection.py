@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from conftest import random_tangent_instance
+from conftest import random_tangent_instance, toy_document
 from scipy.optimize import nnls
 
 from odadjust import (IRConfig, parse_network, solve_dap,
@@ -65,6 +65,31 @@ def test_tangent_space_validation():
         TangentSpace(z=np.zeros(3), J=np.zeros((1, 3)), lower=np.zeros(2))
     with pytest.raises(DimensionMismatch):
         TangentSpace(z=np.zeros(3), J=np.zeros((1, 2)), lower=np.zeros(3))
+
+
+def _restored_space(net):
+    """The tangent space at net's first restored point and b = z - grad F(z)."""
+    z, _ = restore(net, net.target_demands, IRConfig())
+    return tangent_space(net, z), z - grad_F_state(net, z)
+
+
+def _toy_and_grid():
+    return [parse_network(json.dumps(toy_document())),
+            parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))]
+
+
+@pytest.mark.parametrize("radius", [-1.0, np.nan])
+def test_project_rejects_a_radius_it_cannot_honour(radius):
+    for net in _toy_and_grid():
+        T, b = _restored_space(net)
+        with pytest.raises(ValueError, match="radius"):
+            project(T, b, radius)
+
+
+def test_project_infinite_radius_binds_nothing():
+    for net in _toy_and_grid():
+        T, b = _restored_space(net)
+        assert project(T, b, np.inf).tobytes() == project(T, b).tobytes()
 
 
 def test_project_bounds_only():

@@ -498,6 +498,12 @@ def test_start_flow_must_be_finite_and_nonnegative(net):
             solve_tap(net, TOY_TARGETS, start={0: {(0,): h}})
 
 
+def test_start_flow_must_be_a_real_number(net):
+    for h in ("1", None):
+        with pytest.raises(ValueError, match=r"\(0,\) of commodity 0"):
+            solve_tap(net, TOY_TARGETS, start={0: {(0,): h}})
+
+
 def test_warm_solve_evaluates_no_zero_flow_times(monkeypatch):
     # the zero-flow link times are taken only where a commodity starts cold
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))

@@ -24,7 +24,11 @@ OUT_DIR receives:
   solver's lifted code no longer reads, one `<name> <dtype> sha256 <hex>`
   line each for the `data`, `indices` and `indptr` of `eval_C_jacobian`,
   for `trial_multipliers`' mu, and for `project(tangent_space(z), b)`
-  without and with a box of radius 0.01, b = z - grad F(z); the box binds.
+  without and with a box of radius 0.01, b = z - grad F(z); the box binds;
+- `sensitivity.txt`: one `<name> <dtype> sha256 <hex>` line each for the
+  `equilibrium_sensitivity` Z at that same z (`dap-grid`) and at a restore
+  of the 6x6 grid with 10 OD pairs (instance 0) at 0.9 times its target
+  demands (`grid6x6-od10-s0@0.9`).
 
 Run it on two checkouts; `diff -r OUT_A OUT_B` is then the check that a
 change leaves every recorded number as it was.
@@ -156,6 +160,27 @@ def lifted_lines():
             for name, arr in named]
 
 
+def sensitivity_lines():
+    """The sensitivity.txt lines: hashes of Z at the dap-grid run's first
+    restored point and at a restore of the 6x6 grid at 0.9 times its
+    targets."""
+    from odadjust import IRConfig, parse_network
+    from odadjust.driver import restore
+    from odadjust.kkt import equilibrium_sensitivity
+
+    inst, = WORKLOADS["dap-grid"].instances(np.random.default_rng(SEED))
+    large = grid_instance(6, 10, 0)
+    lines = []
+    for name, text, scale in (("dap-grid", inst.text, 1.0),
+                              (large.name + "@0.9", large.text, 0.9)):
+        net = parse_network(text)
+        z, paths = restore(net, scale * net.target_demands, IRConfig())
+        Z = equilibrium_sensitivity(net, z, paths)
+        lines.append("%s %s sha256 %s\n" % (name, Z.dtype,
+                                             hashlib.sha256(Z.tobytes()).hexdigest()))
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory to write into; created if missing")
@@ -173,6 +198,8 @@ def main():
         fh.writelines(lines)
     with open(os.path.join(args.out_dir, "lifted.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(lifted_lines())
+    with open(os.path.join(args.out_dir, "sensitivity.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(sensitivity_lines())
     return 0
 
 
