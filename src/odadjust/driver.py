@@ -46,8 +46,8 @@ The method's own constants; IRConfig holds only what a caller chooses:
   SHRINK               radius factor after a rejected candidate; an outer step
                        stalls once the radius falls below 1e-12 * DELTA0,
                        within 40 rejections since it starts at most 1
-  TAU1, TAU2           radius-proportional and absolute sufficient-decrease
-                       margins of the optimization phase
+  TAU1                 radius-proportional sufficient-decrease margin of the
+                       optimization phase
   M_BOUND              clip bound of trial_multipliers, which the solver no
                        longer calls
   SIGMA_MIN, SIGMA_MAX clip range of the spectral factor sigma_k
@@ -84,7 +84,6 @@ DELTA0 = 1.0
 DELTA_MIN = 0.1
 SHRINK = 0.5
 TAU1 = 1e-4
-TAU2 = 1e-4
 M_BOUND = 1e6
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 1e3
@@ -165,10 +164,8 @@ def restore(net, d, cfg, start=None):
         raise MaxIterations(
             "restoration assignment stalled at relative gap %.3e" % sol.rgap)
     alpha, beta = recover_multipliers(net, sol.X, net.link_times(sol.v))
-    z = np.empty(net.state_dim)
-    for sl, block in zip(net.slices, (d, sol.X, alpha, beta)):
-        z[sl] = block
-    return z, sol.paths
+    # net.slices lays the state out as [d | X | alpha | beta]
+    return np.concatenate([d, sol.X, alpha, beta]), sol.paths
 
 
 def _restore_closer(net, d, cfg, paths, normC_s):
@@ -293,12 +290,12 @@ def find_candidate(net, z, Z, r_tan, delta, at_z, sigma):
     A demand step dd is lifted to max(z + Z dd, lower), Z = dz/dd.  The
     first trial is the spectral step dd = clip(d - sigma g_d) - d, clipped
     to the box and to d >= 0.  It is halved while its F is above
-    max(F(cauchy), F(z) - TAU1 delta, F(z) - TAU2), down to the length of
-    the Cauchy step, which is the fallback and always passes.  The broken
-    Cauchy point (Martinez, J. Optim. Theory Appl. 111, 2001) steps t r_tan
-    from t = delta / max(delta, |r_tan|_inf), halving t until F has fallen
-    by CAUCHY_ARMIJO t g_d'r_tan; it is evaluated only when a trial misses
-    the last two terms of the bound.  r_tan, the projected-gradient step in
+    max(F(cauchy), F(z) - TAU1 delta), down to the length of the Cauchy
+    step, which is the fallback and always passes.  The broken Cauchy point
+    (Martinez, J. Optim. Theory Appl. 111, 2001) steps t r_tan from
+    t = delta / max(delta, |r_tan|_inf), halving t until F has fallen by
+    CAUCHY_ARMIJO t g_d'r_tan; it is evaluated only when a trial's F is
+    above F(z) - TAU1 delta.  r_tan, the projected-gradient step in
     d, may be zero: the Cauchy point is then z, returned with F(z) and
     |C(z)| unless a spectral trial does as well.  at_z holds F(z) and the
     reduced gradient g_d at z, and sigma is the spectral factor; every
@@ -319,7 +316,7 @@ def find_candidate(net, z, Z, r_tan, delta, at_z, sigma):
                          _norm(eval_C(net, vec)))
         return seen[key]
 
-    floor = max(F_z - TAU1 * delta, F_z - TAU2)
+    floor = F_z - TAU1 * delta
     dd = np.clip(d - sigma * g_d, np.maximum(d - delta, 0.0), d + delta) - d
 
     def cauchy():

@@ -20,7 +20,6 @@ import heapq
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,9 @@ from .errors import (
 )
 
 
-# real numbers, tested faster than by numbers.Real; a document's are int or float
+# real numbers and integers, tested faster than by the numbers ABCs
 _REAL = (int, float, np.integer, np.floating)
+_INT = (int, np.integer)
 
 
 def _real(val):
@@ -502,22 +502,35 @@ def _path_links(net, sp_res, origin_idx, dest_idx):
 
 def _check_paths(net, paths, what):
     """Check path flows shaped like TapSolution.paths, named what in the
-    messages.  Raises DimensionMismatch for a key that is no commodity of
-    the network or a path with a link index out of range, and ValueError
-    for a path that does not lead from its commodity's origin to its
-    destination or a flow that is not a finite, nonnegative real number."""
+    messages; keys and link indices are Python or NumPy ints, not bools.
+    Raises DimensionMismatch for a key that is no commodity of the network
+    or a path with a link index out of range, and ValueError where paths
+    or a commodity's flows are not a dict, a path is not a tuple or does
+    not lead from its commodity's origin to its destination, or a flow is
+    not a finite, nonnegative real number.  Each path is walked once."""
+    if not isinstance(paths, dict):
+        raise ValueError("%s is a %s, not a dict of path flows per commodity"
+                         % (what, type(paths).__name__))
+    tails, heads, n_links = net.tails.tolist(), net.heads.tolist(), net.n_links
     for i, flows in paths.items():
-        if not (isinstance(i, numbers.Integral) and 0 <= i < net.n_commodities):
+        if not (_is(i, _INT) and 0 <= i < net.n_commodities):
             raise DimensionMismatch("%s has paths for %r, which is not a "
                                     "commodity of the network" % (what, i))
+        if not isinstance(flows, dict):
+            raise ValueError("%s flows of commodity %d are a %s, not a dict of "
+                             "flows per path" % (what, i, type(flows).__name__))
+        origin, dest = int(net.origin_idx[i]), int(net.destination_idx[i])
         for p, h in flows.items():
-            if not all(isinstance(a, numbers.Integral) and 0 <= a < net.n_links for a in p):
-                raise DimensionMismatch("%s path %r of commodity %d has a link "
-                                        "index out of range" % (what, p, i))
-            node = net.origin_idx[i]
+            if not isinstance(p, tuple):
+                raise ValueError("%s path %r of commodity %d is not a tuple of "
+                                 "link indices" % (what, p, i))
+            node = origin
             for a in p:
-                node = net.heads[a] if net.tails[a] == node else -1
-            if node != net.destination_idx[i]:
+                if not (_is(a, _INT) and 0 <= a < n_links):
+                    raise DimensionMismatch("%s path %r of commodity %d has a link "
+                                            "index out of range" % (what, p, i))
+                node = heads[a] if tails[a] == node else -1
+            if node != dest:
                 raise ValueError("%s path %r of commodity %d does not lead from "
                                  "its origin to its destination" % (what, p, i))
             if not (_is(h, _REAL) and 0.0 <= h < math.inf):
@@ -529,13 +542,15 @@ def _path_system(net, used, t_prime):
     """Link-path and commodity-path incidences Delta and E of the used
     (commodity, link tuple) pairs, one column each, and the used-path
     system A = [[Delta' D Delta, -E'], [E, 0]], D = diag t_prime."""
-    c = net.n_commodities
-    Delta, E = np.zeros((net.n_links, len(used))), np.zeros((c, len(used)))
+    c, P = net.n_commodities, len(used)
+    Delta, E = np.zeros((net.n_links, P)), np.zeros((c, P))
     for j, (i, p) in enumerate(used):
         Delta[list(p), j] = 1.0
         E[i, j] = 1.0
-    A = np.block([[Delta.T @ (t_prime[:, None] * Delta), -E.T],
-                  [E, np.zeros((c, c))]])
+    A = np.zeros((P + c, P + c))
+    A[:P, :P] = Delta.T @ (t_prime[:, None] * Delta)
+    A[:P, P:] = -E.T
+    A[P:, :P] = E
     return Delta, E, A
 
 

@@ -48,7 +48,9 @@ The convergence test first bounds the relative gap from below by the used
 paths alone, with no search: each commodity's cheapest used path stands in
 for its shortest path.  Only where that bound is within the tolerance does
 relative_gap search, so in most sweeps no gap search runs; a solve that
-stops on a bound takes the exact gap once at the end.
+stops on a bound takes the exact gap once at the end.  The test runs before
+every sweep at the loop's one exit, where a solve also stops, unconverged,
+once a sweep moves no flow or the budget of sweeps, maybe 0, is spent.
 """
 
 from __future__ import annotations
@@ -256,19 +258,19 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     net : Network
     d : array of per-commodity demands, nonnegative
     tol : target relative gap
-    max_iter : cap on sweeps over all commodities
+    max_iter : cap on sweeps over all commodities; 0 or less makes none
     start : path flows shaped like TapSolution.paths, of this network, or
         None; an active commodity with a positive total in start starts
         from those paths, their flows scaled by d_i / total, and the others,
         and those whose d_i / total overflows, start cold, all their demand
         on the shortest path under the zero-flow link times, which are
-        evaluated only then.  Every entry is checked by network's
-        _check_paths
+        evaluated only then.  It and every entry are checked by
+        network's _check_paths
 
-    Returns a TapSolution; `converged` is False when the budget ran out, in
-    which case the best iterate found is returned rather than raising.
-    Its `paths` are the path flows X is assembled from, and its `rgap` is
-    relative_gap at its v.
+    Returns a TapSolution, `converged` when the gap is within tol; a solve
+    that stops because a sweep moved no flow or max_iter sweeps ran returns
+    its last iterate rather than raising.  Its `paths` are the path flows X
+    is assembled from, and its `rgap` is relative_gap at its v.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
     through its path shifts, one link at a time by net.link_evals; each
     commodity's _dijkstra search stops once its destination settles.  After the
@@ -276,16 +278,16 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     cheapest of them, their times summed in path order, the first in the dict
     winning a tie.  Paths are numbered once per solve, and the links where two
     paths differ are found once per (p, q) pair of numbers and kept for the
-    rest of the solve.  At the start and after every sweep, _gap_bound bounds
-    the gap from the used paths; relative_gap runs only where the bound is at
-    most tol, as only there can the solve have converged, and once at the end
-    if the last bound was above tol.  The bound never exceeds the gap, so the
+    rest of the solve.  Before every sweep, at the loop's one exit,
+    _gap_bound bounds the gap from the used paths; relative_gap runs only
+    where the bound is at most tol, as only there can the solve have
+    converged, and once at the end if the last bound was above tol.  The bound never exceeds the gap, so the
     sweeps are those that a test of the exact gap after every sweep would make.
     Every link time is checked just before a path search or the bound reads it:
     Unreachable is raised on the first that is not finite.
     """
     d = _demands(net, d)
-    start = start or {}
+    start = {} if start is None else start
     _check_paths(net, start, "start")
     n_links = net.n_links
     active = [i for i in range(net.n_commodities) if d[i] > 0.0]
@@ -331,14 +333,16 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         else:
             t0 = t0 or net.link_times(np.zeros(n_links)).tolist()
             flows[i] = {shortest(i, t0): float(d[i])}
-    X, v = assemble()
-    bound, t = _gap_bound(net, d, v, flows, links)
-    # the exact gap only where the bound cannot rule convergence out
-    rgap = None if bound > tol else relative_gap(net, d, v)
-    iterations = 0
-    converged = rgap is not None and rgap <= tol
-
-    while not converged and iterations < max_iter:
+    iterations, moved = 0, True
+    while True:
+        X, v = assemble()
+        bound, t = _gap_bound(net, d, v, flows, links)
+        # the exact gap only where the bound cannot rule convergence out
+        rgap = None if bound > tol else relative_gap(net, d, v)
+        converged = rgap is not None and rgap <= tol
+        # after a sweep that moved no flow, no commodity can improve
+        if converged or not moved or iterations >= max_iter:
+            break
         iterations += 1
         moved = False
         # the running flows and their link times and derivatives, as lists;
@@ -362,15 +366,6 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
                 shifted, flows[i] = _shift_onto(evals, run_v, t, dt, paths, q, links,
                                                 diffs[q])
                 moved = moved or shifted
-
-        X, v = assemble()
-        bound, t = _gap_bound(net, d, v, flows, links)
-        rgap = None if bound > tol else relative_gap(net, d, v)
-        if rgap is not None and rgap <= tol:
-            converged = True
-        elif not moved:
-            # no commodity can improve; stuck at the attainable accuracy
-            break
     if rgap is None:
         rgap = relative_gap(net, d, v)
 

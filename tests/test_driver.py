@@ -277,8 +277,7 @@ def _check_candidate(net, z, Z, delta, sigma):
         if F_cauchy <= F_z + driver_module.CAUCHY_ARMIJO * t * float(g_d @ r_tan):
             break
         t *= 0.5
-    bound = max(F_cauchy, F_z - driver_module.TAU1 * delta,
-                F_z - driver_module.TAU2)
+    bound = max(F_cauchy, F_z - driver_module.TAU1 * delta)
     assert F_v <= bound + 1e-12
     assert F_v < F_z
     # the linearized residual vanishes along the piece, so C(v) is of

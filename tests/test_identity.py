@@ -22,7 +22,7 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
     assert all(line.rsplit(" ", 1)[1] in ("0", "2") for line in codes)
     assert sum(label.startswith("toy@") for label in labels) == 3
     expected = {"exit_codes.txt", "dap-grid.txt", "tap-grid.txt", "lifted.txt",
-                "sensitivity.txt"}
+                "sensitivity.txt", "ladder.txt"}
     expected |= {label + ext for label in labels for ext in (".log", ".report.json")}
     assert {p.name for p in out.iterdir()} == expected
     for label in labels:
@@ -46,3 +46,11 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
     sensitivity = (out / "sensitivity.txt").read_text(encoding="utf-8")
     assert re.fullmatch(r"dap-grid float64 sha256 [0-9a-f]{64}\n"
                         r"grid6x6-od10-s0@0\.9 float64 sha256 [0-9a-f]{64}\n", sensitivity)
+    ladder = (out / "ladder.txt").read_text(encoding="utf-8").splitlines()
+    names = ["toy@1,2", "toy@1,1.5", "toy@1.8,2"]
+    names += ["%dx%d-i%d" % (k, k, i) for k, n in ((2, 6), (3, 3), (4, 3)) for i in range(n)]
+    assert [line.split(" ", 1)[0] for line in ladder] == names
+    for line in ladder:
+        assert re.fullmatch(r"\S+ \w+ (\d+ \S+|None None)", line), line
+        if " None" not in line:
+            float(line.rsplit(" ", 1)[1])

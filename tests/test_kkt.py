@@ -528,6 +528,21 @@ def test_equilibrium_sensitivity_checks_its_paths(net, flows, error):
         equilibrium_sensitivity(net, z, {**paths, **flows})
 
 
+@pytest.mark.parametrize("paths", [
+    [1, 2],                 # not a dict per commodity
+    {1: [(1,)]},            # commodity 1's flows are not a dict per path
+    {1: {1: 1.0}},          # the path is not a tuple of link indices
+])
+def test_path_flow_containers_are_checked(net, paths):
+    # solve_tap's start and the sensitivity's paths share one check
+    with pytest.raises(ValueError, match="^start "):
+        solve_tap(net, TOY_TARGETS, start=paths)
+    z, _ = _restored(net, TOY_TARGETS)
+    for given in (paths, None):
+        with pytest.raises(ValueError, match="^sensitivity "):
+            equilibrium_sensitivity(net, z, given)
+
+
 def test_path_system_matches_a_loop_built_system(net):
     grid = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
     for net_, d in ((net, TOY_TARGETS), (grid, grid.target_demands)):

@@ -302,6 +302,40 @@ def test_solve_tap_budget_exhaustion():
     assert sol.iterations <= 1
 
 
+def _cold_start(net, d):
+    """X with each commodity's demand on its shortest path under the
+    zero-flow link times."""
+    t0 = net.link_times(np.zeros(net.n_links)).tolist()
+    X = np.zeros(net.n_commodities * net.n_links)
+    for i in range(net.n_commodities):
+        o, dest = int(net.origin_idx[i]), int(net.destination_idx[i])
+        for a in _path_links(net, _dijkstra(net, t0, o, dest), o, dest):
+            X[i * net.n_links + a] += d[i]
+    return X
+
+
+@pytest.mark.parametrize("max_iter", [0, -1, -50000])
+def test_solve_tap_without_a_budget_makes_no_sweep(max_iter):
+    # the budget is tested before every sweep, the first included
+    gnet = parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    sol = solve_tap(gnet, d, max_iter=max_iter)
+    assert sol.iterations == 0 and not sol.converged
+    assert sol.X.tobytes() == _cold_start(gnet, d).tobytes()
+    assert sol.rgap == pytest.approx(0.334022, rel=0, abs=5e-7)
+
+
+def test_solve_tap_stops_once_a_sweep_moves_no_flow():
+    # at tol 1e-30 the benchmark generator's 3x3 grid, instance 2, does not
+    # converge: its 20th sweep moves no flow, and the solve stops there, far
+    # below the budget, where a budget of 19 sweeps ends at the same flows
+    gnet = parse_network((DATA / "grid3x3_2.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    sol = solve_tap(gnet, d, tol=1e-30)
+    assert sol.iterations == 20 and not sol.converged
+    assert solve_tap(gnet, d, tol=1e-30, max_iter=19).X.tobytes() == sol.X.tobytes()
+
+
 def test_solve_tap_deterministic():
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     first = solve_tap(gnet, gnet.target_demands, tol=1e-8)
@@ -485,9 +519,11 @@ def test_start_path_off_its_commodity_is_rejected(net):
 
 
 def test_start_outside_the_network_is_rejected(net):
-    with pytest.raises(DimensionMismatch, match=r"\(99,\) of commodity 0"):
-        solve_tap(net, TOY_TARGETS, start={0: {(99,): 1.0}})
-    for key in (2, -1, "0"):
+    # a bool is no commodity key or link index, though True == 1
+    for path in ((99,), (True,)):
+        with pytest.raises(DimensionMismatch, match=r"\(%s,\) of commodity 0" % (path[0],)):
+            solve_tap(net, TOY_TARGETS, start={0: {path: 1.0}})
+    for key in (2, -1, "0", True):
         with pytest.raises(DimensionMismatch, match="not a commodity"):
             solve_tap(net, TOY_TARGETS, start={key: {(0,): 1.0}})
 

@@ -4,9 +4,9 @@
 
 Runs, at seed 0 and with one BLAS thread, the 9 `odadjust solve` operations
 of the benchmark's dap-small workload, the dap-grid `solve_dap` run, the
-4 tap-grid `solve_tap` calls and a cold `solve_tap` on the 6x6 grid with 10
-OD pairs (instance 0, not relabelled), all on the package in this
-checkout's src.
+4 tap-grid `solve_tap` calls, a cold `solve_tap` on the 6x6 grid with 10
+OD pairs (instance 0, not relabelled) and the small `tools/ladder.py` rows,
+all on the package in this checkout's src.
 OUT_DIR receives:
 
 - `<op>.log` and `<op>.report.json` for each dap-small operation, the
@@ -28,7 +28,11 @@ OUT_DIR receives:
 - `sensitivity.txt`: one `<name> <dtype> sha256 <hex>` line each for the
   `equilibrium_sensitivity` Z at that same z (`dap-grid`) and at a restore
   of the 6x6 grid with 10 OD pairs (instance 0) at 0.9 times its target
-  demands (`grid6x6-od10-s0@0.9`).
+  demands (`grid6x6-od10-s0@0.9`);
+- `ladder.txt`: one `<name> <status> <steps> <repr(F)>` line for each
+  `tools/ladder.py` row up to 4x4 (the toy from its three starts, 2x2
+  i0-i5, 3x3 i0-i2 and 4x4 i0-i2), without its seconds; the larger rows,
+  which take most of the ladder's time, stay with `tools/ladder.py`.
 
 Run it on two checkouts; `diff -r OUT_A OUT_B` is then the check that a
 change leaves every recorded number as it was.
@@ -59,6 +63,8 @@ from workloads import DAP_GRID_OUTER, TAP_TOL, WORKLOADS  # noqa: E402
 
 SEED = 0
 VOLATILE = ("wall_time_s", "input")
+# the tools/ladder.py rows that ladder.txt records
+SMALL_RUNGS = ("toy@", "2x2-", "3x3-", "4x4-")
 
 
 def dap_small(out_dir):
@@ -181,6 +187,19 @@ def sensitivity_lines():
     return lines
 
 
+def ladder_lines():
+    """The ladder.txt lines: status, outer steps and F of the ladder's rows
+    up to 4x4."""
+    import ladder
+
+    lines = []
+    for name, make, d0 in ladder.runs():
+        if name.startswith(SMALL_RUNGS):
+            status, steps, F, _ = ladder.solve(make(), d0)
+            lines.append("%s %s %s %r\n" % (name, status, steps, F))
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory to write into; created if missing")
@@ -200,6 +219,8 @@ def main():
         fh.writelines(lifted_lines())
     with open(os.path.join(args.out_dir, "sensitivity.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(sensitivity_lines())
+    with open(os.path.join(args.out_dir, "ladder.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(ladder_lines())
     return 0
 
 
