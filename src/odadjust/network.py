@@ -182,7 +182,8 @@ def _link_evaluator(cs):
 class Network:
     """Validated road network with demands and (possibly partial) flow observations.
 
-    Instances are treated as immutable after construction; every derived array
+    Instances are treated as immutable after construction, but for the
+    trees that _origin_trees keeps of the last link times; every derived array
     (incidence maps, padded coefficient tables, the lifted layout) and the
     per-link evaluators link_evals are built once here, with NumPy alone.
     Each destination must be reachable from its origin: finite in its
@@ -289,6 +290,9 @@ class Network:
         # bit for bit as link_times and link_time_derivs give them
         self.link_evals = tuple(_link_evaluator(lk.cost.coeffs) for lk in self.links)
 
+        # the bytes of the last link times _origin_trees searched under, and
+        # its trees per origin
+        self._trees = None, {}
         self._check_reachability()
 
         # the lifted layout: A's entries, then one shifted copy per
@@ -411,7 +415,8 @@ def _demands(net, d):
     demand per commodity, and ValueError unless they are finite and
     nonnegative."""
     d = _vector(d, net.n_commodities, "demands")
-    if np.any(d < 0.0) or not np.all(np.isfinite(d)):
+    # a NaN fails the first test, as it is the minimum
+    if not (d.min(initial=0.0) >= 0.0 and d.max(initial=0.0) < math.inf):
         raise ValueError("demands must be finite and nonnegative")
     return d
 
@@ -472,14 +477,26 @@ def _dijkstra(net, costs, origin_idx, dest_idx=-1):
 def _origin_trees(net, t, commodities):
     """Full shortest-path trees under t, a NumPy array of link times, one
     per distinct origin of the given commodities, keyed by origin index.
-    Raises ValueError when a time is negative or NaN, as a settled label is
-    then not final and a cycle of negative cost would never end a search.
+
+    The network keeps the trees of the last t, by its bytes, so the three
+    reads of a restored point's times (the assignment's last exact gap, the
+    multipliers and the sensitivity) search once per origin; callers do not
+    change the trees.  Raises ValueError when a time is negative or NaN, as
+    a settled label is then not final and a cycle of negative cost would
+    never end a search.
     """
     if not t.min(initial=0.0) >= 0.0:
         raise ValueError("link travel times must be nonnegative")
-    costs = t.tolist()
-    origins = dict.fromkeys(int(net.origin_idx[i]) for i in commodities)
-    return {o: _dijkstra(net, costs, o) for o in origins}
+    key = t.tobytes()
+    if net._trees[0] != key:
+        net._trees = key, {}
+    kept, costs, out = net._trees[1], None, {}
+    for o in dict.fromkeys(int(net.origin_idx[i]) for i in commodities):
+        if o not in kept:
+            costs = t.tolist() if costs is None else costs
+            kept[o] = _dijkstra(net, costs, o)
+        out[o] = kept[o]
+    return out
 
 
 def _path_links(net, sp_res, origin_idx, dest_idx):
@@ -544,9 +561,8 @@ def _path_system(net, used, t_prime):
     system A = [[Delta' D Delta, -E'], [E, 0]], D = diag t_prime."""
     c, P = net.n_commodities, len(used)
     Delta, E = np.zeros((net.n_links, P)), np.zeros((c, P))
-    for j, (i, p) in enumerate(used):
-        Delta[list(p), j] = 1.0
-        E[i, j] = 1.0
+    Delta[[a for _, p in used for a in p], [j for j, (_, p) in enumerate(used) for _ in p]] = 1.0
+    E[[i for i, _ in used], range(P)] = 1.0
     A = np.zeros((P + c, P + c))
     A[:P, :P] = Delta.T @ (t_prime[:, None] * Delta)
     A[:P, P:] = -E.T

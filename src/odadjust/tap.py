@@ -49,8 +49,24 @@ paths alone, with no search: each commodity's cheapest used path stands in
 for its shortest path.  Only where that bound is within the tolerance does
 relative_gap search, so in most sweeps no gap search runs; a solve that
 stops on a bound takes the exact gap once at the end.  The test runs before
-every sweep at the loop's one exit, where a solve also stops, unconverged,
-once a sweep moves no flow or the budget of sweeps, maybe 0, is spent.
+every iteration at the loop's one exit, where a solve also stops,
+unconverged, once a sweep moves no flow or the budget of iterations, maybe
+0, is spent.
+
+A solve where every commodity starts warm, as the restorations of the
+demand adjustment do, first takes Newton steps on the used-path system
+[[Delta' D Delta, -E'], [E, 0]] at D = diag t'(v), network's _path_system,
+which equalize the costs of each commodity's used paths at once and
+converge quadratically while the used paths hold (Bertsekas & Gafni, Math.
+Program. Study 17, 1982).  It does so only where the shifts couple: a
+commodity uses three or more paths, or two commodities with two each
+differ between their paths on a common link.  Otherwise a step is the
+shift that a sweep makes twice, with no linear solve.  A step searches no
+path, so it neither adds nor drops one; the loop turns to sweeps, for the
+rest of the solve, once a step would empty a path, does not lower the
+bound, or leaves a bound within the tolerance with an exact gap above it.
+A cold solve takes no Newton step, so its sweeps are as described above,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -62,7 +78,7 @@ import numpy as np
 
 from .errors import Unreachable
 from .network import (_check_paths, _demands, _dijkstra, _origin_trees, _path_links,
-                      _vector, aggregate_flows)
+                      _path_system, _vector, aggregate_flows)
 
 _EPS_DEN = 1e-30  # guards relative-gap denominators on zero-cost networks
 _EPS_SHIFT = 1e-15  # excess costs below this share of the compared times are roundoff
@@ -250,6 +266,91 @@ def _shift_onto(evals, v, t, dt, flows, q, links, diffs):
     return moved, out
 
 
+def _coupled(flows, links):
+    """Whether a Newton step on the used paths differs from the shifts of a
+    sweep: a commodity uses three or more paths, or two commodities with
+    two each differ between their paths on a common link.
+
+    flows maps each active commodity to its path numbers, and links[p] is
+    path p's links.  Otherwise the step moves each split commodity's flow
+    by the shift that a sweep makes twice with no linear solve: the excess
+    cost over the summed derivatives where its two paths differ.
+    """
+    seen = set()
+    for paths in flows.values():
+        if len(paths) > 2:
+            return True
+        if len(paths) == 2:
+            p, q = (set(links[x]) for x in paths)
+            differ = p ^ q
+            if not seen.isdisjoint(differ):
+                return True
+            seen |= differ
+    return False
+
+
+def _newton_flows(net, d, v, flows, links, t):
+    """The path flows after one Newton step on the used-path system at the
+    link flows v, or None where the step would empty a used path or the
+    system is not finite.
+
+    flows maps each active commodity, in index order, to its path numbers
+    and their flows, links[p] is path p's links and t the list t(v).  The
+    step dh, with the commodities' potentials pi, solves network's
+    _path_system of the used paths, in dict order, at t'(v), with one row
+    and column per active commodity:
+
+        [[Delta' D Delta / s, -E'], [E, 0]] [dh; pi / s] = [-costs / s; 0]
+
+    each cost summed in path order from 0.0.  s, the largest diagonal entry
+    of Delta' D Delta, divides the path rows and multiplies the potentials,
+    so that the system does not depend on the cost units.  It is solved by
+    np.linalg.solve, or by the minimum-norm np.linalg.lstsq where it is
+    singular or the solve's step empties a path (Bertsekas & Gafni, Math.
+    Program. Study 17, 1982).  Each commodity's new flows are scaled to d_i,
+    as a warm start scales them.
+    """
+    # the k-th active commodity's paths are listed as commodity k, so the
+    # rows and columns past the active ones are those of no commodity
+    used = [(k, links[p]) for k, paths in enumerate(flows.values()) for p in paths]
+    h = [x for paths in flows.values() for x in paths.values()]
+    n, costs = len(used), []
+    for _, path in used:
+        cost = 0.0
+        for a in path:
+            cost += t[a]
+        costs.append(cost)
+    # a t' that overflows, or one that is infinite on no used path, leaves
+    # s infinite or NaN; a finite s bounds every entry of Delta' D Delta
+    with np.errstate(all="ignore"):
+        A = _path_system(net, used, net.link_time_derivs(v))[2][:n + len(flows), :n + len(flows)]
+        s = float(A.diagonal()[:n].max())
+    if not 0.0 < s < math.inf:
+        return None
+    A[:n, :n] /= s
+    b = [cost / -s for cost in costs] + [0.0] * len(flows)
+    if not all(map(math.isfinite, b)):
+        return None
+    try:
+        step = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        step = None
+    if step is None or not all(x + dx > 0.0 for x, dx in zip(h, step[:n].tolist())):
+        step = np.linalg.lstsq(A, b, rcond=None)[0]
+    new = [x + dx for x, dx in zip(h, step[:n].tolist())]
+    if not all(x > 0.0 for x in new):
+        return None
+    out, new = {}, iter(new)
+    for i, paths in flows.items():
+        hs = [next(new) for _ in paths]
+        total = 0.0
+        for x in hs:
+            total += x
+        scale = float(d[i]) / total
+        out[i] = {p: x * scale for p, x in zip(paths, hs)}
+    return out
+
+
 def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     """Solve the user-equilibrium assignment for fixed demand d.
 
@@ -258,7 +359,8 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     net : Network
     d : array of per-commodity demands, nonnegative
     tol : target relative gap
-    max_iter : cap on sweeps over all commodities; 0 or less makes none
+    max_iter : cap on iterations, Newton steps and sweeps over all
+        commodities together; 0 or less makes none
     start : path flows shaped like TapSolution.paths, of this network, or
         None; an active commodity with a positive total in start starts
         from those paths, their flows scaled by d_i / total, and the others,
@@ -268,9 +370,20 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         network's _check_paths
 
     Returns a TapSolution, `converged` when the gap is within tol; a solve
-    that stops because a sweep moved no flow or max_iter sweeps ran returns
-    its last iterate rather than raising.  Its `paths` are the path flows X
-    is assembled from, and its `rgap` is relative_gap at its v.
+    that stops because a sweep moved no flow or max_iter iterations ran
+    returns its last iterate rather than raising.  Its `paths` are the path
+    flows X is assembled from, its `rgap` is relative_gap at its v, and its
+    `iterations` counts Newton steps and sweeps alike.
+
+    Where every active commodity starts warm and the shifts couple
+    (_coupled), the iterations are Newton steps on the used-path system
+    (_newton_flows), which keep the paths and converge quadratically while
+    no unused path is cheaper.  The solve turns to sweeps, for good, when a
+    step would empty a path, when the bound after a step is not below the
+    bound before it, which restores the iterate before the step, or when
+    the bound is within tol but the exact gap is not: an unused path is
+    then cheaper, and only a sweep's search finds it.  A cold solve, or one
+    where any commodity starts cold, sweeps from the start.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
     through its path shifts, one link at a time by net.link_evals; each
     commodity's _dijkstra search stops once its destination settles.  After the
@@ -278,11 +391,12 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     cheapest of them, their times summed in path order, the first in the dict
     winning a tie.  Paths are numbered once per solve, and the links where two
     paths differ are found once per (p, q) pair of numbers and kept for the
-    rest of the solve.  Before every sweep, at the loop's one exit,
+    rest of the solve.  Before every iteration, at the loop's one exit,
     _gap_bound bounds the gap from the used paths; relative_gap runs only
     where the bound is at most tol, as only there can the solve have
-    converged, and once at the end if the last bound was above tol.  The bound never exceeds the gap, so the
-    sweeps are those that a test of the exact gap after every sweep would make.
+    converged, and once at the end if the last bound was above tol.  The
+    bound never exceeds the gap, so a cold solve's sweeps are those that a
+    test of the exact gap after every sweep would make.
     Every link time is checked just before a path search or the bound reads it:
     Unreachable is raised on the first that is not finite.
     """
@@ -333,10 +447,18 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         else:
             t0 = t0 or net.link_times(np.zeros(n_links)).tolist()
             flows[i] = {shortest(i, t0): float(d[i])}
+    # Newton steps while every commodity starts warm and its shifts couple
+    newton = t0 is None and _coupled(flows, links)
+    before = None   # flows, X, v, bound and t before the last Newton step
     iterations, moved = 0, True
     while True:
         X, v = assemble()
         bound, t = _gap_bound(net, d, v, flows, links)
+        if before is not None and not bound < before[3]:
+            # the Newton step did not lower the bound: undo it, and sweep
+            flows, X, v, bound, t = before
+            newton = False
+        before = None
         # the exact gap only where the bound cannot rule convergence out
         rgap = None if bound > tol else relative_gap(net, d, v)
         converged = rgap is not None and rgap <= tol
@@ -344,6 +466,14 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         if converged or not moved or iterations >= max_iter:
             break
         iterations += 1
+        # a gap above a bound within tol means an unused path is cheaper,
+        # which only a sweep's search finds
+        if newton and rgap is None:
+            step = _newton_flows(net, d, v, flows, links, t)
+            if step is not None:
+                before, flows = (flows, X, v, bound, t), step
+                continue
+        newton = False
         moved = False
         # the running flows and their link times and derivatives, as lists;
         # the times are the bound's

@@ -32,7 +32,8 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
         log = (out / (label + ".log")).read_text(encoding="utf-8").splitlines()
         assert log[0].startswith("k\ti\t") and len(log) == 1 + report["inner_attempts"]
     grid = (out / "dap-grid.txt").read_text(encoding="utf-8")
-    assert re.fullmatch(r"sha256 [0-9a-f]{64}\nF_final \S+\nstatus \w+\n", grid)
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}\nF_final \S+\nstatus \w+\nrestorations( \d+)+\n",
+                        grid)
     tap = (out / "tap-grid.txt").read_text(encoding="utf-8")
     assert re.fullmatch(r"sha256 [0-9a-f]{64}\npaths sha256 [0-9a-f]{64}\n"
                         r"(\S+ iterations \d+ rgap \S+\n){4}"

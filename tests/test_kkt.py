@@ -33,6 +33,7 @@ from odadjust import (
 from odadjust.errors import DimensionMismatch, ResidualTooLarge
 from odadjust.driver import IRConfig, restore
 from odadjust.kkt import equilibrium_sensitivity, grad_F_state
+from odadjust import network
 from odadjust.network import (Commodity, CostFunction, Link, Network, _path_system,
                               aggregate_flows)
 from odadjust.oracles import fd_gradient
@@ -510,6 +511,37 @@ def test_equilibrium_sensitivity_at_zero_demand(net):
                     rtol=0.0, atol=1e-5)
     assert_allclose(col[sl_a], fd[sl_a], rtol=0.0, atol=1e-5)
     assert_allclose(col[sl_b], fd[sl_b], rtol=0.0, atol=1e-5)
+
+
+def test_restored_point_searches_each_origin_once(monkeypatch):
+    # the assignment's last exact gap, the multipliers and the sensitivity
+    # read the same link times at a restored point, so only the first of
+    # them builds the full trees; other times build them anew, bit for bit
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    origins = len(set(gnet.origin_idx.tolist()))
+    trees = []
+    dijkstra = network._dijkstra
+
+    def spy(net_, costs, o, dest=-1):
+        if dest < 0:
+            trees.append(o)
+        return dijkstra(net_, costs, o, dest)
+
+    monkeypatch.setattr(network, "_dijkstra", spy)
+    z, paths = restore(gnet, gnet.target_demands, IRConfig())
+    assert 0 < len(trees) and len(trees) % origins == 0
+    del trees[:]
+    v = aggregate_flows(gnet, z[gnet.slices[1]])
+    alpha, beta = recover_multipliers(gnet, z[gnet.slices[1]], gnet.link_times(v))
+    Z = equilibrium_sensitivity(gnet, z, paths)
+    assert trees == []
+    assert alpha.tobytes() == z[gnet.slices[2]].tobytes()
+    restore(gnet, 0.9 * gnet.target_demands, IRConfig(), paths)
+    assert len(trees) == origins
+    fresh = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    assert equilibrium_sensitivity(fresh, z, paths).tobytes() == Z.tobytes()
+    assert recover_multipliers(fresh, z[gnet.slices[1]], gnet.link_times(v))[1].tobytes() \
+        == beta.tobytes()
 
 
 @pytest.mark.parametrize("flows, error", [

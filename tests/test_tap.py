@@ -26,7 +26,7 @@ from odadjust import (
     solve_tap,
 )
 from odadjust.errors import DimensionMismatch, Unreachable
-from odadjust import network, tap
+from odadjust import network, oracles, tap
 from odadjust.network import _dijkstra, _path_links
 from odadjust.tap import _gap_bound, _shift_onto
 
@@ -474,18 +474,22 @@ def test_solve_tap_grid_sweeps():
 
 def test_every_sweep_conserves_flow_cold_and_warm():
     # after every sweep, cold or warm-started from the paths of other
-    # demands (one commodity then starts cold), each commodity's path flows
-    # sum to its demand and are positive, and X and v are assembled from
-    # them: X bit for bit as np.add.at sums them, path by path in dict order
+    # demands (one commodity then starts cold), and after every Newton step
+    # of a start where every commodity starts warm, each commodity's path
+    # flows sum to its demand and are positive, and X and v are assembled
+    # from them: X bit for bit as np.add.at sums them, path by path in dict
+    # order.  The Newton steps reach the gap's roundoff within the budget,
+    # where a sweep that moves no flow ends the solve
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     d = gnet.target_demands
     other = 0.8 * d
     other[1] = 0.0
     warm = solve_tap(gnet, other, tol=1e-8).paths
-    for start in (None, warm):
+    newton = solve_tap(gnet, 0.9 * d, tol=1e-8).paths
+    for start in (None, warm, newton):
         for sweeps in range(12):
             sol = solve_tap(gnet, d, tol=0.0, max_iter=sweeps, start=start)
-            assert sol.iterations == sweeps
+            assert sol.iterations == sweeps or (start is newton and sol.iterations < sweeps)
             assert_allclose(gnet.M_dot(sol.X), gnet.Gamma_dot(d), rtol=0, atol=1e-10)
             assert np.all(sol.X >= 0.0)
             assert_array_equal(sol.v, aggregate_flows(gnet, sol.X))
@@ -496,6 +500,156 @@ def test_every_sweep_conserves_flow_cold_and_warm():
                 for p, h in flows.items():
                     np.add.at(X, [i * gnet.n_links + a for a in p], h)
             assert sol.X.tobytes() == X.tobytes()
+
+
+def _spy_newton(monkeypatch, steps=True):
+    """Record each used-path system solve_tap assembles; with steps False,
+    every Newton step is refused, so a solve makes sweeps alone."""
+    systems = []
+    path_system, newton_flows = tap._path_system, tap._newton_flows
+    monkeypatch.setattr(tap, "_path_system", lambda *args: systems.append(args[1])
+                        or path_system(*args))
+    monkeypatch.setattr(tap, "_newton_flows", lambda *args: newton_flows(*args)
+                        if steps else None)
+    return systems
+
+
+def test_cold_solve_takes_no_newton_step(monkeypatch):
+    # a cold start, and a warm one where a commodity starts cold, sweeps
+    # from the first iteration on
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    other = 0.8 * d
+    other[1] = 0.0
+    warm = solve_tap(gnet, other, tol=1e-8).paths
+    systems = _spy_newton(monkeypatch)
+    for start in (None, warm):
+        sol = solve_tap(gnet, d, tol=1e-8, start=start)
+        assert sol.converged and sol.iterations > 5
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        rnet = random_network(rng)
+        assert solve_tap(rnet, rnet.target_demands, tol=1e-8).converged
+    assert systems == []
+
+
+def _oracle_flows(monkeypatch, net, d):
+    """oracle_tap's link flows; the 3x3 grids have 9 nodes, one more than
+    its path enumeration allows by default, and few enough simple paths."""
+    monkeypatch.setattr(oracles, "_MAX_ORACLE_NODES", 9)
+    return oracles.oracle_tap(net, d)
+
+
+def test_warm_newton_solve_beats_sweeps_and_matches_the_oracle(monkeypatch):
+    # from the paths of an equilibrium at its targets, the 3x3 grid at 0.9
+    # times them converges by Newton steps on the used paths in 3
+    # iterations, against 39 sweeps alone, to the oracle's equilibrium
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = 0.9 * gnet.target_demands
+    start = solve_tap(gnet, gnet.target_demands, tol=1e-8).paths
+    systems = _spy_newton(monkeypatch)
+    sol = solve_tap(gnet, d, tol=1e-8, start=start)
+    assert sol.converged and 0 < sol.iterations == len(systems) <= 3
+    assert all(used == [(i, p) for i, flows in start.items() for p in flows]
+               for used in systems)
+    _spy_newton(monkeypatch, steps=False)
+    sweeps = solve_tap(gnet, d, tol=1e-8, start=start)
+    assert sweeps.converged and sweeps.iterations > 10 * sol.iterations
+    assert_allclose(sol.v, _oracle_flows(monkeypatch, gnet, d), rtol=0, atol=1e-6)
+
+
+def test_warm_start_that_needs_a_new_path_still_converges(monkeypatch):
+    # from the paths of an equilibrium at half its targets, the 3x3 grid
+    # takes Newton steps until the bound from its used paths is within the
+    # tolerance; the exact gap is then above it, and sweeps find the paths
+    # the start lacks
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    start = solve_tap(gnet, 0.5 * d, tol=1e-8).paths
+    events = _spy_newton(monkeypatch)
+    gap = tap.relative_gap
+    monkeypatch.setattr(tap, "relative_gap", lambda *args: events.append("gap") or gap(*args))
+    sol = solve_tap(gnet, d, tol=1e-8, start=start)
+    systems = [e for e in events if e != "gap"]
+    assert sol.converged and sol.iterations > len(systems) > 0
+    # no Newton step follows the first exact gap
+    assert set(events[events.index("gap"):]) == {"gap"}
+    assert any(p not in start[i] for i, flows in sol.paths.items() for p in flows)
+    assert_allclose(sol.v, _oracle_flows(monkeypatch, gnet, d), rtol=0, atol=1e-6)
+
+
+def test_newton_step_that_does_not_lower_the_bound_is_undone(monkeypatch):
+    # at tol 0 the 3x3 grid's fifth Newton step, at the gap's roundoff,
+    # raises the bound: it is undone, so a budget of 5 ends at the flows of
+    # a budget of 4, bit for bit, and the next iteration is a sweep
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    start = solve_tap(gnet, 0.9 * d, tol=1e-8).paths
+    systems = _spy_newton(monkeypatch)
+    four = solve_tap(gnet, d, tol=0.0, max_iter=4, start=start)
+    assert len(systems) == four.iterations == 4
+    del systems[:]
+    five = solve_tap(gnet, d, tol=0.0, max_iter=5, start=start)
+    assert len(systems) == five.iterations == 5
+    assert five.X.tobytes() == four.X.tobytes() and five.paths == four.paths
+    del systems[:]
+    assert solve_tap(gnet, d, tol=0.0, max_iter=6, start=start).iterations == 6
+    assert len(systems) == 5
+
+
+def test_warm_start_with_one_path_per_commodity_takes_no_newton_step(monkeypatch):
+    # at a fifth of its targets each commodity of the 3x3 grid uses one
+    # path, so no commodity can split its flow: the solve sweeps
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    start = solve_tap(gnet, 0.2 * d, tol=1e-8).paths
+    assert all(len(flows) == 1 for flows in start.values())
+    systems = _spy_newton(monkeypatch)
+    sol = solve_tap(gnet, d, tol=1e-8, start=start)
+    assert sol.converged and sol.iterations > 5 and systems == []
+
+
+def test_newton_steps_only_where_the_shifts_couple(net, monkeypatch):
+    # a Newton step on one split commodity's two paths, or on split
+    # commodities whose paths differ on no common link, makes each the
+    # shift that a sweep makes twice: the toy and a 2x2 grid, with one
+    # split commodity each, warm-start by sweeps alone
+    links = [(0,), (1, 2), (3,), (4, 5), (0, 6), (0, 7), (2, 8), (9,), (10,)]
+    assert not tap._coupled({0: {0: 1.0}, 1: {2: 1.0}}, links)
+    # link 0 is on both paths of the third commodity, so no shift moves it
+    assert not tap._coupled({0: {0: 1.0, 1: 1.0}, 1: {2: 1.0, 3: 1.0},
+                             2: {4: 1.0, 5: 1.0}}, links)
+    assert tap._coupled({0: {0: 1.0, 1: 1.0}, 1: {6: 1.0, 7: 1.0}}, links)
+    assert tap._coupled({0: {0: 1.0, 1: 1.0, 8: 1.0}}, links)
+    systems = _spy_newton(monkeypatch)
+    for gnet in (net, parse_network((DATA / "grid2x2_1.json").read_text(encoding="utf-8"))):
+        start = solve_tap(gnet, gnet.target_demands, tol=1e-8).paths
+        assert sum(len(flows) > 1 for flows in start.values()) == 1
+        d = gnet.target_demands.copy()
+        d[0] *= 1.2
+        sol = solve_tap(gnet, d, tol=1e-8, start=start)
+        assert sol.converged and sol.iterations > 0
+    assert systems == []
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e4, 1e8])
+def test_newton_steps_independent_of_cost_units(kappa, monkeypatch):
+    # every cost times kappa leaves the equilibrium as it was, and the
+    # scaled used-path system takes the same steps to it
+    doc = json.loads((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    gnet = parse_network(doc)
+    for link in doc["links"]:
+        link["coeffs"] = [kappa * c for c in link["coeffs"]]
+    knet = parse_network(doc)
+    d = 0.9 * gnet.target_demands
+    start = solve_tap(gnet, gnet.target_demands, tol=1e-8).paths
+    systems = _spy_newton(monkeypatch)
+    sol = solve_tap(gnet, d, tol=1e-8, start=start)
+    steps = len(systems)
+    scaled = solve_tap(knet, d, tol=1e-8, start=start)
+    assert sol.converged and scaled.converged and steps > 0
+    assert scaled.iterations == sol.iterations == len(systems) - steps
+    assert_allclose(scaled.v, sol.v, rtol=1e-10, atol=0)
 
 
 def test_warm_start_at_its_own_demands_takes_no_sweep():

@@ -13,7 +13,8 @@ OUT_DIR receives:
   report without `wall_time_s` and `input` (a time and a temporary path);
 - `exit_codes.txt`: one `<op> <code>` line per operation, in run order;
 - `dap-grid.txt`: the SHA-256 of d, X, F, status and history of the
-  dap-grid run, then its F and status; the solver keeps no multiplier
+  dap-grid run, then its F and status, then the iterations of each of its
+  restoration assignments, in call order; the solver keeps no multiplier
   estimate, so no mu enters the hash;
 - `tap-grid.txt`: the SHA-256 of X, v, relative gap and sweep count of the
   4 tap-grid `solve_tap` calls, then the SHA-256 of their `paths`
@@ -101,11 +102,23 @@ def dap_small(out_dir):
 
 
 def dap_grid_digest():
-    """SHA-256 of the dap-grid result, its F and its status."""
-    from odadjust import IRConfig, parse_network, solve_dap
+    """SHA-256 of the dap-grid result, its F, its status and the iterations
+    of each restoration assignment."""
+    from odadjust import IRConfig, driver, parse_network, solve_dap
 
     inst, = WORKLOADS["dap-grid"].instances(np.random.default_rng(SEED))
-    res = solve_dap(parse_network(inst.text), IRConfig(max_outer=DAP_GRID_OUTER))
+    iterations, solve_tap = [], driver.solve_tap
+
+    def counted(*args, **kwargs):
+        sol = solve_tap(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    driver.solve_tap = counted
+    try:
+        res = solve_dap(parse_network(inst.text), IRConfig(max_outer=DAP_GRID_OUTER))
+    finally:
+        driver.solve_tap = solve_tap
     h = hashlib.sha256()
     for arr in (res.d_final, res.X_final):
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
@@ -113,7 +126,7 @@ def dap_grid_digest():
     h.update(res.status.encode())
     for rec in res.history:
         h.update(repr(dataclasses.astuple(rec)).encode())
-    return h.hexdigest(), res.F_final, res.status
+    return h.hexdigest(), res.F_final, res.status, iterations
 
 
 def _tap_digest(h, hp, inst):
@@ -208,9 +221,10 @@ def main():
     codes = dap_small(args.out_dir)
     with open(os.path.join(args.out_dir, "exit_codes.txt"), "w", encoding="utf-8") as fh:
         fh.writelines("%s %d\n" % pair for pair in codes)
-    digest, F, status = dap_grid_digest()
+    digest, F, status, iterations = dap_grid_digest()
     with open(os.path.join(args.out_dir, "dap-grid.txt"), "w", encoding="utf-8") as fh:
-        fh.write("sha256 %s\nF_final %r\nstatus %s\n" % (digest, F, status))
+        fh.write("sha256 %s\nF_final %r\nstatus %s\nrestorations %s\n"
+                 % (digest, F, status, " ".join(map(str, iterations))))
     digest, paths_digest, lines = tap_grid_digest()
     with open(os.path.join(args.out_dir, "tap-grid.txt"), "w", encoding="utf-8") as fh:
         fh.write("sha256 %s\npaths sha256 %s\n" % (digest, paths_digest))
