@@ -13,7 +13,8 @@ Each outer iteration k:
      keep their split.  At k = 0, s^0 = (d^0, 0, 0, 0), whose residual
      holds the free-flow times and Gamma d^0, so the first restoration
      is nearly always closer at once
-  3. the equilibrium sensitivity Z = dz/dd at z^k (kkt.equilibrium_sensitivity)
+  3. the equilibrium sensitivity Z = dz/dd at z^k (kkt.equilibrium_sensitivity,
+     by network's _sensitivity, with no second check of solve_tap's paths)
      parametrizes by the demands d the piece of the equilibrium set on which
      the used paths stay used; the reduced gradient is g_d = Z' grad F(z^k),
      and the projected-gradient step in d is r_tan = max(d - g_d, 0) - d.
@@ -67,9 +68,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import MaxIterations
-from .kkt import (eval_C, eval_C_jacobian, eval_F, equilibrium_sensitivity,
-                  grad_F_state, recover_multipliers)
-from .network import _demands
+from .kkt import eval_C, eval_C_jacobian, eval_F, grad_F_state, recover_multipliers
+from .network import _demands, _sensitivity
 from .projection import min_norm_solve
 from .tap import solve_tap
 
@@ -384,7 +384,8 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
         theta_cur = init_penalty(k, theta_min)
         z, normC_z, paths = _restore_closer(net, s[sl_d], cfg, paths, normC_s)
 
-        Z = equilibrium_sensitivity(net, z, paths)
+        # solve_tap checked the start these paths grew from and made the rest
+        Z = _sensitivity(net, z[sl_x], paths)
         r_tan, g_d = cauchy_direction(net, z, Z)
         if check_stop(s, z, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED

@@ -27,8 +27,7 @@ import math
 import numpy as np
 
 from .errors import NonFiniteObjective, ResidualTooLarge
-from .network import (_check_paths, _origin_trees, _path_links, _path_system,
-                      _vector, aggregate_flows)
+from .network import _check_paths, _origin_trees, _sensitivity, _vector, aggregate_flows
 from .projection import TangentSpace
 
 
@@ -178,32 +177,6 @@ def recover_multipliers(net, X, link_times):
     return alpha, beta
 
 
-def _potential_derivs(net, tree, origin, link_dv):
-    """d pi / dd of the shortest-path distances of one origin's tree.
-
-    link_dv holds t'_a dv_a / dd, one row per link.  Along the tree,
-    dpi(head) = dpi(tail) + link_dv[a] for the tree link a entering head,
-    taken from the origin outward; an unreachable node follows the farthest
-    reachable one, whose distance plus one recover_multipliers gives it.
-    """
-    n = net.n_nodes
-    dpi = np.zeros((n, link_dv.shape[1]))
-    children = [[] for _ in range(n)]
-    for w, a in enumerate(tree.pred):
-        if a >= 0:
-            children[net.tails[a]].append(w)
-    order = [origin]
-    for u in order:
-        for w in children[u]:
-            dpi[w] = dpi[u] + link_dv[tree.pred[w]]
-            order.append(w)
-    dist = np.array(tree.dist)
-    finite = np.isfinite(dist)
-    if not finite.all():
-        dpi[~finite] = dpi[np.flatnonzero(finite)[np.argmax(dist[finite])]]
-    return dpi
-
-
 def equilibrium_sensitivity(net, z, paths):
     """Z = dz/dd at a restored point z, of shape state_dim x c.
 
@@ -228,47 +201,16 @@ def equilibrium_sensitivity(net, z, paths):
     """
     _, X, _, _ = _blocks(net, z)
     _check_paths(net, paths, "sensitivity")
-    c = net.n_commodities
-    if not c:
-        return np.zeros((net.state_dim, 0))   # no demand to move z with
-    v = aggregate_flows(net, X)
-    t = net.link_times(v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_prime = net.link_time_derivs(v)
-    if not np.isfinite(t_prime).all():
-        raise NonFiniteObjective("a link's travel time derivative is not finite "
-                                 "at the restored flows, so the gradient of F "
-                                 "along the equilibrium set has no value")
-    trees = _origin_trees(net, t, range(c))
-
-    used = []
-    for i in range(c):
-        cols = [p for p, h in paths.get(i, {}).items() if h > 0.0]
-        if not cols:
-            o = int(net.origin_idx[i])
-            cols = [_path_links(net, trees[o], o, int(net.destination_idx[i]))]
-        used += [(i, p) for p in cols]
-    Delta, E, A = _path_system(net, used, t_prime)
-    rhs = np.vstack([np.zeros((len(used), c)), np.eye(c)])
-    H = np.linalg.lstsq(A, rhs, rcond=None)[0][:len(used)]
-
-    dX = np.stack([Delta @ (E[i][:, None] * H) for i in range(c)])
-    dv = dX.sum(axis=0)
-    link_dv = t_prime[:, None] * dv
-    dpi = {o: _potential_derivs(net, tree, o, link_dv) for o, tree in trees.items()}
-    dalpha = np.stack([-dpi[int(net.origin_idx[i])] for i in range(c)])
-    dbeta = link_dv + dalpha[:, net.heads] - dalpha[:, net.tails]
-
-    # net.slices lays the blocks out one after another, in this order
-    return np.vstack([b.reshape(-1, c) for b in (np.eye(c), dX, dalpha, dbeta)])
+    return _sensitivity(net, X, paths)
 
 
 def tangent_space(net, z):
     """Linearized feasible set at z: J(w-z)=0 and the sign constraints, no box.
 
-    Building it finds the coordinates that single-entry rows of J pin and takes
-    one sparse LU of the KKT matrix of the rest, assembled from J's nonzero
-    entries (see projection).  project(space, b, radius) reuses the Jacobian
+    Building it finds the coordinates that rows of J with one entry above
+    roundoff pin (projection's PIN) and takes one sparse LU of the KKT
+    matrix of the rest, assembled from J's nonzero entries (see
+    projection).  project(space, b, radius) reuses the Jacobian
     and that factorization for every point and radius; the solver itself
     steps in reduced coordinates and builds no tangent space.
     """

@@ -9,8 +9,10 @@ layout (state and residual slices, the entries of M, M' and Gamma), so every
 function of the lifted system takes the network alone.  The module also
 holds what its siblings share, and imports none of them but errors:
 _dijkstra, the one loop of every graph search, _vector, the one check of a
-vector's length, _check_paths, the one check of path flows, and
-_path_system, the one assembly of the used-path system.
+vector's length, _check_paths, the one check of path flows, _path_system,
+the one assembly of the used-path system, and _sensitivity, the equilibrium
+sensitivity on path flows already checked, which kkt's public function
+wraps and the driver calls on its assignments' own paths.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     DuplicateId,
     MalformedInput,
     NegativeCoefficient,
+    NonFiniteObjective,
     Unreachable,
     UnreachableDestination,
 )
@@ -568,6 +571,70 @@ def _path_system(net, used, t_prime):
     A[:P, P:] = -E.T
     A[P:, :P] = E
     return Delta, E, A
+
+
+def _potential_derivs(net, tree, origin, link_dv):
+    """d pi / dd of the shortest-path distances of one origin's tree.
+
+    link_dv holds t'_a dv_a / dd, one row per link.  Along the tree,
+    dpi(head) = dpi(tail) + link_dv[a] for the tree link a entering head,
+    taken from the origin outward; an unreachable node follows the farthest
+    reachable one, whose distance plus one recover_multipliers gives it.
+    """
+    n = net.n_nodes
+    dpi = np.zeros((n, link_dv.shape[1]))
+    children = [[] for _ in range(n)]
+    for w, a in enumerate(tree.pred):
+        if a >= 0:
+            children[net.tails[a]].append(w)
+    order = [origin]
+    for u in order:
+        for w in children[u]:
+            dpi[w] = dpi[u] + link_dv[tree.pred[w]]
+            order.append(w)
+    dist = np.array(tree.dist)
+    finite = np.isfinite(dist)
+    if not finite.all():
+        dpi[~finite] = dpi[np.flatnonzero(finite)[np.argmax(dist[finite])]]
+    return dpi
+
+
+def _sensitivity(net, X, paths):
+    """kkt.equilibrium_sensitivity's Z at the restored flows X, on path
+    flows that were checked already, as solve_tap's own are."""
+    c = net.n_commodities
+    if not c:
+        return np.zeros((net.state_dim, 0))   # no demand to move z with
+    v = aggregate_flows(net, X)
+    t = net.link_times(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_prime = net.link_time_derivs(v)
+    if not np.isfinite(t_prime).all():
+        raise NonFiniteObjective("a link's travel time derivative is not finite "
+                                 "at the restored flows, so the gradient of F "
+                                 "along the equilibrium set has no value")
+    trees = _origin_trees(net, t, range(c))
+
+    used = []
+    for i in range(c):
+        cols = [p for p, h in paths.get(i, {}).items() if h > 0.0]
+        if not cols:
+            o = int(net.origin_idx[i])
+            cols = [_path_links(net, trees[o], o, int(net.destination_idx[i]))]
+        used += [(i, p) for p in cols]
+    Delta, E, A = _path_system(net, used, t_prime)
+    rhs = np.vstack([np.zeros((len(used), c)), np.eye(c)])
+    H = np.linalg.lstsq(A, rhs, rcond=None)[0][:len(used)]
+
+    dX = np.stack([Delta @ (E[i][:, None] * H) for i in range(c)])
+    dv = dX.sum(axis=0)
+    link_dv = t_prime[:, None] * dv
+    dpi = {o: _potential_derivs(net, tree, o, link_dv) for o, tree in trees.items()}
+    dalpha = np.stack([-dpi[int(net.origin_idx[i])] for i in range(c)])
+    dbeta = link_dv + dalpha[:, net.heads] - dalpha[:, net.tails]
+
+    # net.slices lays the blocks out one after another, in this order
+    return np.vstack([b.reshape(-1, c) for b in (np.eye(c), dX, dalpha, dbeta)])
 
 
 # -- JSON input --------------------------------------------------------------

@@ -2,14 +2,23 @@
 
 A TangentSpace is the affine subspace J(w - z) = 0 intersected with lower
 bounds on part of the coordinates; project() may also intersect it with an
-infinity-norm box of a given radius around z.  A row of J with one nonzero
-value pins its coordinate at z.  The other, free coordinates share one sparse
-LU (splu) per TangentSpace, whatever the radius, of the quasi-definite KKT
-matrix (Vanderbei, SIAM J. Optim. 5, 1995)
+infinity-norm box of a given radius around z.  A row of J with one entry
+above roundoff, |entry| > PIN max|J|, pins that entry's coordinate at z.
+The other, free coordinates share one sparse LU (splu) per TangentSpace,
+whatever the radius, of the quasi-definite KKT matrix (Vanderbei, SIAM J.
+Optim. 5, 1995)
 
     K = [[I, J_F'], [J_F, -REG I]],
 
-J_F being J on the free columns with its pinning rows emptied.
+J_F being J on the free columns, where a pinning row keeps at most
+roundoff.
+
+PIN = 1e-14 is relative to J's largest entry.  An equilibrium solved to
+roundoff leaves beta at about 1e-16 on unused links as cheap as the used
+ones, where X is 0; beta_i X_i's row then has that beta entry alone.
+Counted as a pin, it would fix X_i at 0 along a direction that J, cut at
+roundoff, leaves free, and the tangent set would change with beta's last
+bit.  Below PIN, the entry stays in J_F, where REG absorbs it.
 
 REG = 1e-14 is absolute, as the identity block sets the scale.  It lets K
 absorb dependent rows of J and costs REG times a row's multiplier in
@@ -65,6 +74,7 @@ from .network import _vector
 
 REG = 1e-14
 DEPENDENT = 1e-9
+PIN = 1e-14
 
 
 class TangentSpace:
@@ -73,8 +83,9 @@ class TangentSpace:
     lower may contain -inf for unconstrained coordinates.  z itself must be
     feasible, which holds by construction whenever z comes out of the
     restoration phase.  Building the space finds free, the coordinates no row
-    of J pins, and takes the sparse LU of K once; every project() onto the
-    space, with or without a box, reuses them.
+    of J pins, a row pinning where it has one entry above PIN max|J|, and
+    takes the sparse LU of K once; every project() onto the space, with or
+    without a box, reuses them.
     """
 
     def __init__(self, z, J, lower):
@@ -89,10 +100,11 @@ class TangentSpace:
         self.z, self.J, self.lower = z, J, lower
         m, n = J.shape
         r, c, v = _entries(J)
-        # a row with one nonzero pins its column; dropping the pinned columns
-        # empties those rows
+        # a row with one entry above roundoff pins that entry's column;
+        # dropping the pinned columns leaves those rows only such roundoff
+        big = np.abs(v) > PIN * np.abs(v).max(initial=0.0)
         pinned = np.zeros(n, dtype=bool)
-        pinned[c[np.bincount(r, minlength=m)[r] == 1]] = True
+        pinned[c[big & (np.bincount(r[big], minlength=m)[r] == 1)]] = True
         at = np.cumsum(~pinned) - 1               # position of a free column in K
         keep = ~pinned[c]
         self.free = np.flatnonzero(~pinned)

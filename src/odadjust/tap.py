@@ -53,20 +53,24 @@ every iteration at the loop's one exit, where a solve also stops,
 unconverged, once a sweep moves no flow or the budget of iterations, maybe
 0, is spent.
 
-A solve where every commodity starts warm, as the restorations of the
-demand adjustment do, first takes Newton steps on the used-path system
-[[Delta' D Delta, -E'], [E, 0]] at D = diag t'(v), network's _path_system,
-which equalize the costs of each commodity's used paths at once and
-converge quadratically while the used paths hold (Bertsekas & Gafni, Math.
-Program. Study 17, 1982).  It does so only where the shifts couple: a
-commodity uses three or more paths, or two commodities with two each
-differ between their paths on a common link.  Otherwise a step is the
-shift that a sweep makes twice, with no linear solve.  A step searches no
-path, so it neither adds nor drops one; the loop turns to sweeps, for the
-rest of the solve, once a step would empty a path, does not lower the
-bound, or leaves a bound within the tolerance with an exact gap above it.
-A cold solve takes no Newton step, so its sweeps are as described above,
-bit for bit.
+Newton steps on the used-path system [[Delta' D Delta, -E'], [E, 0]] at
+D = diag t'(v), network's _path_system, equalize the costs of each
+commodity's used paths at once and converge quadratically while the used
+paths hold (Bertsekas & Gafni, Math. Program. Study 17, 1982).  A solve
+takes them only where the shifts couple: a commodity uses three or more
+paths, or two commodities with two each differ between their paths on a
+common link.  Otherwise a step is the shift that a sweep makes twice, with
+no linear solve.  A step searches no path, so it adds none.  A solve where
+every commodity starts warm, as the restorations of the demand adjustment
+do, steps from the start, and turns to sweeps for the rest of the solve
+once a step would empty a path, does not lower the bound, or leaves a bound
+within the tolerance with an exact gap above it.  A solve where some
+commodity starts cold only sweeps until a sweep's searches add no path.
+It then steps until a step does not lower the bound, or leaves a bound
+within the tolerance with an exact gap above it, and the next sweep that
+adds no path starts the steps again.  There a step that would empty a path
+is cut where the first path empties, and the paths that empty leave the
+set.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ class TapSolution:
     beckmann: float
     rgap: float
     iterations: int
+    newton_steps: int      # of the iterations, those that were Newton steps
     converged: bool
     # per commodity with nonzero demand, its used paths (tuples of link
     # indices, in travel order) and their flows
@@ -289,10 +294,10 @@ def _coupled(flows, links):
     return False
 
 
-def _newton_flows(net, d, v, flows, links, t):
+def _newton_flows(net, d, v, flows, links, t, cut):
     """The path flows after one Newton step on the used-path system at the
-    link flows v, or None where the step would empty a used path or the
-    system is not finite.
+    link flows v, or None where the system is not finite, or where the step
+    would empty a used path and cut is false.
 
     flows maps each active commodity, in index order, to its path numbers
     and their flows, links[p] is path p's links and t the list t(v).  The
@@ -307,8 +312,12 @@ def _newton_flows(net, d, v, flows, links, t):
     so that the system does not depend on the cost units.  It is solved by
     np.linalg.solve, or by the minimum-norm np.linalg.lstsq where it is
     singular or the solve's step empties a path (Bertsekas & Gafni, Math.
-    Program. Study 17, 1982).  Each commodity's new flows are scaled to d_i,
-    as a warm start scales them.
+    Program. Study 17, 1982).  Where cut is true and that step still empties
+    a path, it is cut by the ratio test: it stops at alpha, the least
+    h_p / -dh_p over the paths it empties, those that reach 0 there leave
+    the set at exactly 0, and the others move to h + alpha dh.  Each
+    commodity's new flows are scaled to d_i, as a warm start scales them;
+    a commodity left with no path gives None.
     """
     # the k-th active commodity's paths are listed as commodity k, so the
     # rows and columns past the active ones are those of no commodity
@@ -337,17 +346,27 @@ def _newton_flows(net, d, v, flows, links, t):
         step = None
     if step is None or not all(x + dx > 0.0 for x, dx in zip(h, step[:n].tolist())):
         step = np.linalg.lstsq(A, b, rcond=None)[0]
-    new = [x + dx for x, dx in zip(h, step[:n].tolist())]
+    dh = step[:n].tolist()
+    new = [x + dx for x, dx in zip(h, dh)]
     if not all(x > 0.0 for x in new):
-        return None
+        if not cut or not all(map(math.isfinite, dh)):
+            return None
+        # the ratio test: the step stops where its first path empties, and
+        # the paths that empty there leave the set
+        ratios = [x / -dx if dx < 0.0 and x + dx <= 0.0 else math.inf
+                  for x, dx in zip(h, dh)]
+        alpha = min(ratios)
+        new = [0.0 if r <= alpha else x + alpha * dx for x, dx, r in zip(h, dh, ratios)]
     out, new = {}, iter(new)
     for i, paths in flows.items():
-        hs = [next(new) for _ in paths]
+        kept = {p: x for p, x in zip(paths, new) if x > 0.0}
+        if not kept:
+            return None
         total = 0.0
-        for x in hs:
+        for x in kept.values():
             total += x
         scale = float(d[i]) / total
-        out[i] = {p: x * scale for p, x in zip(paths, hs)}
+        out[i] = {p: x * scale for p, x in kept.items()}
     return out
 
 
@@ -372,18 +391,23 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     Returns a TapSolution, `converged` when the gap is within tol; a solve
     that stops because a sweep moved no flow or max_iter iterations ran
     returns its last iterate rather than raising.  Its `paths` are the path
-    flows X is assembled from, its `rgap` is relative_gap at its v, and its
-    `iterations` counts Newton steps and sweeps alike.
+    flows X is assembled from, its `rgap` is relative_gap at its v, its
+    `iterations` counts Newton steps and sweeps alike, and `newton_steps`
+    the steps among them, an undone one included.
 
-    Where every active commodity starts warm and the shifts couple
-    (_coupled), the iterations are Newton steps on the used-path system
-    (_newton_flows), which keep the paths and converge quadratically while
-    no unused path is cheaper.  The solve turns to sweeps, for good, when a
-    step would empty a path, when the bound after a step is not below the
-    bound before it, which restores the iterate before the step, or when
-    the bound is within tol but the exact gap is not: an unused path is
-    then cheaper, and only a sweep's search finds it.  A cold solve, or one
-    where any commodity starts cold, sweeps from the start.
+    Where the shifts couple (_coupled), iterations can be Newton steps on
+    the used-path system (_newton_flows), which converge quadratically
+    while no unused path is cheaper.  Where every active commodity starts
+    warm, the solve steps from the start and turns to sweeps, for good,
+    when a step would empty a path, when the bound after a step is not
+    below the bound before it, which restores the iterate before the step,
+    or when the bound is within tol but the exact gap is not: an unused
+    path is then cheaper, and only a sweep's search finds it.  A solve
+    where any commodity starts cold sweeps from the start, and steps after
+    each sweep whose searches return no path outside the commodities' used
+    sets; it leaves the steps by the last two exits only, as it cuts a step
+    that would empty a path where the first path empties and drops the
+    paths that empty there.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
     through its path shifts, one link at a time by net.link_evals; each
     commodity's _dijkstra search stops once its destination settles.  After the
@@ -395,8 +419,8 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
     _gap_bound bounds the gap from the used paths; relative_gap runs only
     where the bound is at most tol, as only there can the solve have
     converged, and once at the end if the last bound was above tol.  The
-    bound never exceeds the gap, so a cold solve's sweeps are those that a
-    test of the exact gap after every sweep would make.
+    bound never exceeds the gap, so a solve stops where a test of the
+    exact gap after every iteration would stop it.
     Every link time is checked just before a path search or the bound reads it:
     Unreachable is raised on the first that is not finite.
     """
@@ -447,10 +471,12 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         else:
             t0 = t0 or net.link_times(np.zeros(n_links)).tolist()
             flows[i] = {shortest(i, t0): float(d[i])}
-    # Newton steps while every commodity starts warm and its shifts couple
-    newton = t0 is None and _coupled(flows, links)
+    # a warm solve takes Newton steps from the start where the shifts couple;
+    # a cold one after each sweep whose searches add no path
+    cold = t0 is not None
+    newton = not cold and _coupled(flows, links)
     before = None   # flows, X, v, bound and t before the last Newton step
-    iterations, moved = 0, True
+    iterations, steps, moved = 0, 0, True
     while True:
         X, v = assemble()
         bound, t = _gap_bound(net, d, v, flows, links)
@@ -469,12 +495,12 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         # a gap above a bound within tol means an unused path is cheaper,
         # which only a sweep's search finds
         if newton and rgap is None:
-            step = _newton_flows(net, d, v, flows, links, t)
+            step = _newton_flows(net, d, v, flows, links, t, cold)
             if step is not None:
                 before, flows = (flows, X, v, bound, t), step
+                steps += 1
                 continue
-        newton = False
-        moved = False
+        newton = added = moved = False
         # the running flows and their link times and derivatives, as lists;
         # the times are the bound's
         with np.errstate(over="ignore"):
@@ -484,7 +510,9 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
             _check_times(t)
             q = shortest(i, t)
             paths = flows[i]
-            paths.setdefault(q, 0.0)
+            if q not in paths:
+                added = True
+                paths[q] = 0.0
             shifted, flows[i] = _shift_onto(evals, run_v, t, dt, paths, q, links, diffs[q])
             moved = moved or shifted
         # the restricted pass: each commodity's used paths shift onto the
@@ -496,10 +524,12 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
                 shifted, flows[i] = _shift_onto(evals, run_v, t, dt, paths, q, links,
                                                 diffs[q])
                 moved = moved or shifted
+        if cold and not added:
+            newton = _coupled(flows, links)
     if rgap is None:
         rgap = relative_gap(net, d, v)
 
     paths = {i: {links[p]: h for p, h in flows[i].items()} for i in active}
     return TapSolution(X=X, v=v, beckmann=beckmann_objective(net, v),
-                       rgap=rgap, iterations=iterations, converged=converged,
-                       paths=paths)
+                       rgap=rgap, iterations=iterations, newton_steps=steps,
+                       converged=converged, paths=paths)

@@ -544,6 +544,43 @@ def test_restorations_start_from_the_last_path_flows(monkeypatch):
                in zip(assignments[1:], assignments))
 
 
+def test_outer_step_checks_its_paths_once(monkeypatch):
+    # solve_tap checks the start of each assignment; the sensitivity of the
+    # restored point reads the paths the last assignment made, unchecked,
+    # and gives Z as the public function does
+    from odadjust import kkt, network, tap
+
+    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    checks, assignments, Zs = [], [], []
+    check_paths, sensitivity = network._check_paths, driver_module._sensitivity
+
+    def spy(net_, paths, what):
+        checks.append(what)
+        return check_paths(net_, paths, what)
+
+    def counted(*args, **kwargs):
+        sol = solve_tap(*args, **kwargs)
+        assignments.append(sol)
+        return sol
+
+    def sens(net_, X, paths):
+        Z = sensitivity(net_, X, paths)
+        Zs.append((X.copy(), paths, Z))
+        return Z
+
+    for module in (tap, kkt):
+        monkeypatch.setattr(module, "_check_paths", spy)
+    monkeypatch.setattr(driver_module, "solve_tap", counted)
+    monkeypatch.setattr(driver_module, "_sensitivity", sens)
+    res = solve_dap(net, IRConfig(max_outer=3))
+    assert checks == ["start"] * len(assignments) and len(Zs) == res.outer_iterations
+    monkeypatch.undo()
+    for X, paths, Z in Zs:
+        z = np.concatenate([np.zeros(net.n_commodities), X,
+                            np.zeros(net.state_dim - net.n_commodities - X.size)])
+        assert equilibrium_sensitivity(net, z, paths).tobytes() == Z.tobytes()
+
+
 def test_solve_dap_rejects_infeasible_start(net):
     for d0 in ([-1.0, 2.0], [np.nan, 2.0]):
         with pytest.raises(ValueError):

@@ -32,13 +32,15 @@ def test_identity_tool_writes_the_recorded_numbers(tmp_path):
         log = (out / (label + ".log")).read_text(encoding="utf-8").splitlines()
         assert log[0].startswith("k\ti\t") and len(log) == 1 + report["inner_attempts"]
     grid = (out / "dap-grid.txt").read_text(encoding="utf-8")
-    assert re.fullmatch(r"sha256 [0-9a-f]{64}\nF_final \S+\nstatus \w+\nrestorations( \d+)+\n",
-                        grid)
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}\nF_final \S+\nstatus \w+\nrestorations( \d+)+\n"
+                        r"newton_steps( \d+)+\n", grid)
+    lines = grid.splitlines()
+    assert len(lines[3].split()) == len(lines[4].split())
     tap = (out / "tap-grid.txt").read_text(encoding="utf-8")
     assert re.fullmatch(r"sha256 [0-9a-f]{64}\npaths sha256 [0-9a-f]{64}\n"
-                        r"(\S+ iterations \d+ rgap \S+\n){4}"
+                        r"(\S+ iterations \d+ newton_steps \d+ rgap \S+\n){4}"
                         r"grid6x6-od10-s0 sha256 [0-9a-f]{64} paths [0-9a-f]{64} "
-                        r"iterations \d+ rgap \S+\n", tap)
+                        r"iterations \d+ newton_steps \d+ rgap \S+\n", tap)
     lifted = (out / "lifted.txt").read_text(encoding="utf-8")
     names = ["jacobian.data float64", "jacobian.indices int32", "jacobian.indptr int32",
              "trial_multipliers float64", "project float64", "project.box float64"]

@@ -19,7 +19,7 @@ from odadjust.errors import DimensionMismatch, SolverStalled
 from odadjust.kkt import eval_C_jacobian, grad_F_state
 from odadjust.oracles import oracle_project
 from odadjust import projection
-from odadjust.projection import REG, TangentSpace, min_norm_solve, project
+from odadjust.projection import PIN, REG, TangentSpace, min_norm_solve, project
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -342,12 +342,14 @@ def _lexsort_quasi_definite(n, m, r, c, v):
 
 def _reference_tangent(J):
     """Free columns and K = [[I, J_F'], [J_F, -REG I]] by the rule of the
-    sorted assembly: a row with one nonzero pins its column, which leaves K
-    with that row's and column's entries; K is then sorted by lexsort."""
+    sorted assembly: a row with one entry above PIN times J's largest pins
+    that entry's column, whose entries then leave K; K is then sorted by
+    lexsort."""
     m, n = J.shape
     r, c = np.nonzero(J)                           # row-major order
     v = J[r, c]
-    pins = np.bincount(r, minlength=m)[r] == 1
+    big = np.abs(v) > PIN * np.abs(v).max(initial=0.0)
+    pins = big & (np.bincount(r[big], minlength=m)[r] == 1)
     pinned = np.zeros(n, dtype=bool)
     pinned[c[pins]] = True
     at = np.cumsum(~pinned) - 1
@@ -456,6 +458,23 @@ def test_tangent_space_matches_sorted_assembly_on_grid_states(factored):
         space = tangent_space(net, z)
         assert np.array_equal(space.free, free_ref)
         _assert_same_csc(factored.pop(), ref)
+
+
+@pytest.mark.parametrize("name", ["grid3x3_0.json", "grid4x4_1.json"])
+def test_tangent_set_ignores_roundoff_in_beta(name):
+    # beta_i X_i's row has one entry where X_i = 0, beta_i; a beta_i of
+    # roundoff pins no X_i, so perturbing every beta by 1e-15 at a restored
+    # point, where many beta and X are 0 together, leaves the free
+    # coordinates as they were
+    net = parse_network((DATA / name).read_text(encoding="utf-8"))
+    z, _ = restore(net, net.target_demands, IRConfig())
+    _, sl_x, _, sl_beta = net.slices
+    assert np.count_nonzero((z[sl_beta] == 0.0) & (z[sl_x] == 0.0)) > 0
+    free = tangent_space(net, z).free
+    for sign in (1.0, -1.0):
+        moved = z.copy()
+        moved[sl_beta] += sign * 1e-15
+        assert np.array_equal(tangent_space(net, moved).free, free)
 
 
 def test_dependent_bound_is_tested_once_between_releases(monkeypatch):

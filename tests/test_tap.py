@@ -282,7 +282,8 @@ def test_infinite_derivative_ends_the_sweeps():
 
 
 def test_solve_tap_beckmann_descends_across_budgets():
-    # the 3x3 grid takes 86 sweeps to 1e-10; the last budget converges
+    # the 3x3 grid takes 8 iterations to 1e-10, 4 of them Newton steps (86
+    # sweeps alone); the last budget converges
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     beck = []
     for budget in [*range(25), 50, 100, 50000]:
@@ -326,14 +327,16 @@ def test_solve_tap_without_a_budget_makes_no_sweep(max_iter):
 
 
 def test_solve_tap_stops_once_a_sweep_moves_no_flow():
-    # at tol 1e-30 the benchmark generator's 3x3 grid, instance 2, does not
-    # converge: its 20th sweep moves no flow, and the solve stops there, far
-    # below the budget, where a budget of 19 sweeps ends at the same flows
-    gnet = parse_network((DATA / "grid3x3_2.json").read_text(encoding="utf-8"))
+    # at tol 1e-30 the benchmark generator's 3x3 grid, instance 0, does not
+    # converge: its Newton steps take the gap to roundoff, the sixth does
+    # not lower the bound and is undone, and the sweep after it, the 11th
+    # iteration, moves no flow; the solve stops there, far below the budget,
+    # where a budget of 10 iterations ends at the same flows
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     d = gnet.target_demands
     sol = solve_tap(gnet, d, tol=1e-30)
-    assert sol.iterations == 20 and not sol.converged
-    assert solve_tap(gnet, d, tol=1e-30, max_iter=19).X.tobytes() == sol.X.tobytes()
+    assert sol.iterations == 11 and sol.newton_steps == 6 and not sol.converged
+    assert solve_tap(gnet, d, tol=1e-30, max_iter=10).X.tobytes() == sol.X.tobytes()
 
 
 def test_solve_tap_deterministic():
@@ -347,10 +350,10 @@ def test_solve_tap_deterministic():
 
 def test_sweep_searches_once_per_commodity(monkeypatch):
     # one search per commodity for the starting paths and one per commodity
-    # in every sweep, each stopping at the commodity's destination; the
-    # exact gap builds one full tree per origin and runs twice: at the cold
-    # start, where each commodity has one path and the bound is 0 up to
-    # roundoff, and at the sweep that converges
+    # in every sweep, each stopping at the commodity's destination, and none
+    # in a Newton step; the exact gap builds one full tree per origin and
+    # runs twice: at the cold start, where each commodity has one path and
+    # the bound is 0 up to roundoff, and at the Newton step that converges
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     searches = []
 
@@ -364,10 +367,11 @@ def test_sweep_searches_once_per_commodity(monkeypatch):
     sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
     active = gnet.n_commodities
     origins = len(set(gnet.origin_idx.tolist()))
-    assert active >= 2 and sol.converged and sol.iterations > 0
-    assert sum(dest >= 0 for dest in searches) == active + sol.iterations * active
+    sweeps = sol.iterations - sol.newton_steps
+    assert active >= 2 and sol.converged and sweeps > 0 and sol.newton_steps > 0
+    assert sum(dest >= 0 for dest in searches) == active + sweeps * active
     assert searches.count(-1) == 2 * origins
-    assert len(searches) == active + sol.iterations * active + 2 * origins
+    assert len(searches) == active + sweeps * active + 2 * origins
 
 
 def _spy_gap_tests(monkeypatch):
@@ -391,16 +395,21 @@ def _spy_gap_tests(monkeypatch):
 
 @pytest.mark.parametrize("name", ["grid3x3_0.json", "grid5x5_0.json"])
 def test_gap_bound_never_exceeds_the_gap(name, monkeypatch):
-    # after every sweep, cold and warm-started from the paths of other
+    # after every iteration, cold and warm-started from the paths of other
     # demands (one commodity then starts cold), the bound from the used
     # paths is at most the exact gap, bit for bit; it is a usable bound,
-    # above the tolerance in most sweeps
+    # above the tolerance after most sweeps.  After a Newton step it can
+    # fall within the tolerance while the gap does not: the step equalizes
+    # the used paths, and a cheaper unused one is left to the next sweep
     gnet = parse_network((DATA / name).read_text(encoding="utf-8"))
     d = gnet.target_demands
     other = 0.8 * d
     other[1] = 0.0
     warm = solve_tap(gnet, other, tol=1e-8).paths
     events = _spy_gap_tests(monkeypatch)
+    newton_flows = tap._newton_flows
+    monkeypatch.setattr(tap, "_newton_flows", lambda *args: (
+        lambda step: events.append(("step", step is not None)) or step)(newton_flows(*args)))
     for start in (None, warm):
         del events[:]
         sol = solve_tap(gnet, d, tol=1e-10, start=start)
@@ -408,7 +417,11 @@ def test_gap_bound_never_exceeds_the_gap(name, monkeypatch):
         bounds = [e for e in events if e[0] == "bound"]
         assert len(bounds) == sol.iterations + 1
         assert all(b <= g for _, b, g in bounds)
-        assert sum(b > 1e-10 for _, b, _ in bounds) >= sol.iterations - 2
+        # the bounds after sweeps: those not right after a step taken
+        after_sweeps = [e[1] for k, e in enumerate(events[1:], 1) if e[0] == "bound"
+                        and events[k - 1] != ("step", True)]
+        assert len(after_sweeps) == sol.iterations - sol.newton_steps
+        assert sum(b > 1e-10 for b in after_sweeps) >= len(after_sweeps) - 1
 
 
 def test_exact_gap_runs_only_where_the_bound_allows(monkeypatch):
@@ -460,9 +473,10 @@ def test_path_pair_differences_once_per_solve(monkeypatch):
 
 
 def test_solve_tap_grid_sweeps():
-    # the benchmark generator's 3x3 grid, instance 0, takes 65 sweeps, and
-    # 112 without the restricted pass; a sweep count well above that means
-    # the path shifts lost their step or the pass its moves
+    # the benchmark generator's 3x3 grid, instance 0, takes 8 iterations, 4
+    # of them Newton steps; sweeps alone take 65, and 112 without the
+    # restricted pass; a count well above that means the path shifts lost
+    # their step or the pass its moves
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     sol = solve_tap(gnet, gnet.target_demands, tol=1e-8)
     assert sol.converged and sol.rgap <= 1e-8
@@ -473,9 +487,9 @@ def test_solve_tap_grid_sweeps():
 
 
 def test_every_sweep_conserves_flow_cold_and_warm():
-    # after every sweep, cold or warm-started from the paths of other
-    # demands (one commodity then starts cold), and after every Newton step
-    # of a start where every commodity starts warm, each commodity's path
+    # after every sweep and every Newton step, cold, warm-started from the
+    # paths of other demands (one commodity then starts cold), and from a
+    # start where every commodity starts warm, each commodity's path
     # flows sum to its demand and are positive, and X and v are assembled
     # from them: X bit for bit as np.add.at sums them, path by path in dict
     # order.  The Newton steps reach the gap's roundoff within the budget,
@@ -514,23 +528,91 @@ def _spy_newton(monkeypatch, steps=True):
     return systems
 
 
+def _spy_iterations(monkeypatch):
+    """Record, in call order, each bound solve_tap computes, ("bound",), each
+    path shift, ("shift", whether its target path is new to the commodity),
+    and each used-path system it assembles, ("system",)."""
+    events = []
+    gap_bound, shift_onto, path_system = tap._gap_bound, tap._shift_onto, tap._path_system
+
+    def shift(evals, v, t, dt, flows, q, links, diffs):
+        events.append(("shift", flows[q] == 0.0))
+        return shift_onto(evals, v, t, dt, flows, q, links, diffs)
+
+    monkeypatch.setattr(tap, "_gap_bound", lambda *args: events.append(("bound",))
+                        or gap_bound(*args))
+    monkeypatch.setattr(tap, "_shift_onto", shift)
+    monkeypatch.setattr(tap, "_path_system", lambda *args: events.append(("system",))
+                        or path_system(*args))
+    return events
+
+
+def _steps_follow_sweeps_that_add_no_path(events):
+    """Whether every used-path system in events comes after a sweep, and the
+    last sweep before it added no path; and how many systems there are."""
+    added, sweep = None, []     # None until the first sweep ends
+    for e in events:
+        if e[0] == "shift":
+            sweep.append(e[1])
+        elif e[0] == "bound" and sweep:
+            added, sweep = any(sweep), []
+        elif e[0] == "system" and added is not False:
+            return False, None
+    return True, events.count(("system",))
+
+
 def test_cold_solve_takes_no_newton_step(monkeypatch):
     # a cold start, and a warm one where a commodity starts cold, sweeps
-    # from the first iteration on
+    # from the first iteration on, and takes no Newton step before a sweep
+    # whose searches add no path; on the 3x3 grid both then step, and 5
+    # random networks converge in at most two sweeps
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     d = gnet.target_demands
     other = 0.8 * d
     other[1] = 0.0
     warm = solve_tap(gnet, other, tol=1e-8).paths
-    systems = _spy_newton(monkeypatch)
+    events = _spy_iterations(monkeypatch)
     for start in (None, warm):
+        del events[:]
         sol = solve_tap(gnet, d, tol=1e-8, start=start)
         assert sol.converged and sol.iterations > 5
+        assert _steps_follow_sweeps_that_add_no_path(events) == (True, sol.newton_steps)
+        assert sol.newton_steps > 0
     rng = np.random.default_rng(3)
     for _ in range(5):
         rnet = random_network(rng)
-        assert solve_tap(rnet, rnet.target_demands, tol=1e-8).converged
-    assert systems == []
+        del events[:]
+        sol = solve_tap(rnet, rnet.target_demands, tol=1e-8)
+        assert sol.converged
+        assert _steps_follow_sweeps_that_add_no_path(events) == (True, sol.newton_steps)
+
+
+def test_cold_steps_start_after_the_first_sweep_that_adds_no_path(monkeypatch):
+    # the 3x3 grid's cold solve adds a path in each of its first sweeps; up
+    # to the first sweep that adds none, its iterations are the sweeps of a
+    # solve that never steps, bit for bit, and the next iteration is a
+    # Newton step
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    events = _spy_iterations(monkeypatch)
+    solve_tap(gnet, d, tol=1e-8)
+    added, bounds = {}, 0       # per sweep k, after k bounds: whether it added a path
+    for e in events:
+        if e[0] == "bound":
+            bounds += 1
+        elif e[0] == "shift":
+            added[bounds] = added.get(bounds, False) or e[1]
+        else:
+            break
+    first = min(k for k, new in added.items() if not new)
+    assert first > 1 and all(added[k] for k in range(1, first))
+    sol = solve_tap(gnet, d, tol=1e-8, max_iter=first)
+    assert sol.newton_steps == 0
+    _spy_newton(monkeypatch, steps=False)
+    alone = solve_tap(gnet, d, tol=1e-8, max_iter=first)
+    assert alone.X.tobytes() == sol.X.tobytes() and alone.paths == sol.paths
+    monkeypatch.undo()
+    assert solve_tap(gnet, d, tol=1e-8, max_iter=first + 1).newton_steps == 1
 
 
 def _oracle_flows(monkeypatch, net, d):
@@ -650,6 +732,82 @@ def test_newton_steps_independent_of_cost_units(kappa, monkeypatch):
     assert sol.converged and scaled.converged and steps > 0
     assert scaled.iterations == sol.iterations == len(systems) - steps
     assert_allclose(scaled.v, sol.v, rtol=1e-10, atol=0)
+
+
+def test_cold_newton_solve_beats_sweeps_and_matches_the_oracle(monkeypatch):
+    # the 3x3 grid, cold at its targets, converges in at most 10 iterations
+    # with Newton steps, against 65 sweeps alone, to the oracle's equilibrium
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    sol = solve_tap(gnet, d, tol=1e-8)
+    assert sol.converged and 0 < sol.newton_steps < sol.iterations <= 10
+    _spy_newton(monkeypatch, steps=False)
+    sweeps = solve_tap(gnet, d, tol=1e-8)
+    assert sweeps.converged and sweeps.iterations == 65 and sweeps.newton_steps == 0
+    monkeypatch.undo()
+    assert_allclose(sol.v, _oracle_flows(monkeypatch, gnet, d), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("name, scale", [("grid4x4_0.json", 1.0), ("grid5x5_0.json", 1.0),
+                                         ("grid5x5_0.json", 1.5), ("grid6x6_2.json", 1.5)])
+def test_cut_step_leaves_no_dust(name, scale, monkeypatch):
+    # a cold solve's step that would empty a path stops where the first
+    # path empties: that path leaves at exactly 0, and after every step
+    # each path kept carries a flow far above roundoff of its demand
+    gnet = parse_network((DATA / name).read_text(encoding="utf-8"))
+    d = scale * gnet.target_demands
+    steps, cuts = [], 0
+    newton_flows = tap._newton_flows
+
+    def spy(net_, d_, v, flows, links, t, cut):
+        nonlocal cuts
+        out = newton_flows(net_, d_, v, flows, links, t, cut)
+        if out is not None:
+            steps.append(out)
+            cuts += any(len(out[i]) < len(flows[i]) for i in flows)
+        return out
+
+    monkeypatch.setattr(tap, "_newton_flows", spy)
+    sol = solve_tap(gnet, d, tol=1e-10)
+    assert sol.converged and cuts > 0
+    for out in steps + [sol.paths]:
+        for i, flows in out.items():
+            assert min(flows.values()) > 1e-8 * d[i]
+            assert_allclose(sum(flows.values()), d[i], rtol=1e-14)
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e4, 1e8])
+def test_cold_solve_independent_of_cost_units(kappa):
+    # every cost times kappa leaves the equilibrium as it was, and a cold
+    # solve of the 5x5 grid, whose Newton steps cut at emptied paths, takes
+    # the same sweeps and steps to it
+    doc = json.loads((DATA / "grid5x5_0.json").read_text(encoding="utf-8"))
+    gnet = parse_network(doc)
+    for link in doc["links"]:
+        link["coeffs"] = [kappa * c for c in link["coeffs"]]
+    knet = parse_network(doc)
+    d = gnet.target_demands
+    sol, scaled = solve_tap(gnet, d, tol=1e-8), solve_tap(knet, d, tol=1e-8)
+    assert sol.converged and scaled.converged and sol.newton_steps > 0
+    assert (scaled.iterations, scaled.newton_steps) == (sol.iterations, sol.newton_steps)
+    assert [list(f) for f in scaled.paths.values()] == [list(f) for f in sol.paths.values()]
+    assert_allclose(scaled.v, sol.v, rtol=1e-12, atol=0)
+
+
+def test_small_demand_adjustments_build_no_path_system(net, monkeypatch):
+    # the toy and the 2x2 grids, the benchmark's small runs, never couple:
+    # their cold and warm restorations sweep, and so assemble no used-path
+    # system, bit for bit as before cold solves stepped
+    from odadjust import IRConfig, solve_dap
+
+    systems = _spy_newton(monkeypatch)
+    runs = [(net, d0) for d0 in ([1.0, 2.0], [1.0, 1.5], [1.8, 2.0])]
+    runs += [(parse_network((DATA / name).read_text(encoding="utf-8")), None)
+             for name in ("grid2x2_1.json", "grid2x2_4.json", "grid2x2_5.json")]
+    for gnet, d0 in runs:
+        res = solve_dap(gnet, IRConfig(max_outer=30), d0=d0)
+        assert res.outer_iterations > 1
+    assert systems == []
 
 
 def test_warm_start_at_its_own_demands_takes_no_sweep():

@@ -14,13 +14,15 @@ OUT_DIR receives:
 - `exit_codes.txt`: one `<op> <code>` line per operation, in run order;
 - `dap-grid.txt`: the SHA-256 of d, X, F, status and history of the
   dap-grid run, then its F and status, then the iterations of each of its
-  restoration assignments, in call order; the solver keeps no multiplier
-  estimate, so no mu enters the hash;
-- `tap-grid.txt`: the SHA-256 of X, v, relative gap and sweep count of the
-  4 tap-grid `solve_tap` calls, then the SHA-256 of their `paths`
+  restoration assignments, in call order, then how many of each one's
+  iterations were Newton steps; the solver keeps no multiplier estimate,
+  so no mu enters the hash;
+- `tap-grid.txt`: the SHA-256 of X, v, relative gap and iteration count of
+  the 4 tap-grid `solve_tap` calls, then the SHA-256 of their `paths`
   (commodities, path tuples and flows, in dict order), then each call's
-  sweeps and gap, then one line with the 6x6 call's own two SHA-256s of
-  the same, its sweeps and gap;
+  iterations, Newton steps among them and gap, then one line with the 6x6
+  call's own two SHA-256s of the same, its iterations, Newton steps and
+  gap;
 - `lifted.txt`: at the dap-grid run's first restored point z, which the
   solver's lifted code no longer reads, one `<name> <dtype> sha256 <hex>`
   line each for the `data`, `indices` and `indptr` of `eval_C_jacobian`,
@@ -102,8 +104,8 @@ def dap_small(out_dir):
 
 
 def dap_grid_digest():
-    """SHA-256 of the dap-grid result, its F, its status and the iterations
-    of each restoration assignment."""
+    """SHA-256 of the dap-grid result, its F, its status, and the iterations
+    and Newton steps of each restoration assignment."""
     from odadjust import IRConfig, driver, parse_network, solve_dap
 
     inst, = WORKLOADS["dap-grid"].instances(np.random.default_rng(SEED))
@@ -111,7 +113,7 @@ def dap_grid_digest():
 
     def counted(*args, **kwargs):
         sol = solve_tap(*args, **kwargs)
-        iterations.append(sol.iterations)
+        iterations.append((sol.iterations, sol.newton_steps))
         return sol
 
     driver.solve_tap = counted
@@ -131,7 +133,8 @@ def dap_grid_digest():
 
 def _tap_digest(h, hp, inst):
     """Solve inst cold at the benchmark's tolerance into the hash h, and its
-    path flows into hp; returns the call's sweeps and gap as a line tail."""
+    path flows into hp; returns the call's iterations, Newton steps and gap
+    as a line tail."""
     from odadjust import parse_network, solve_tap
 
     net = parse_network(inst.text)
@@ -140,7 +143,8 @@ def _tap_digest(h, hp, inst):
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
     h.update(repr((float(sol.rgap), sol.iterations)).encode())
     hp.update(repr([(i, list(flows.items())) for i, flows in sol.paths.items()]).encode())
-    return "iterations %d rgap %r\n" % (sol.iterations, float(sol.rgap))
+    return "iterations %d newton_steps %d rgap %r\n" % (sol.iterations, sol.newton_steps,
+                                                        float(sol.rgap))
 
 
 def tap_grid_digest():
@@ -223,8 +227,9 @@ def main():
         fh.writelines("%s %d\n" % pair for pair in codes)
     digest, F, status, iterations = dap_grid_digest()
     with open(os.path.join(args.out_dir, "dap-grid.txt"), "w", encoding="utf-8") as fh:
-        fh.write("sha256 %s\nF_final %r\nstatus %s\nrestorations %s\n"
-                 % (digest, F, status, " ".join(map(str, iterations))))
+        fh.write("sha256 %s\nF_final %r\nstatus %s\nrestorations %s\nnewton_steps %s\n"
+                 % (digest, F, status, " ".join(str(n) for n, _ in iterations),
+                    " ".join(str(k) for _, k in iterations)))
     digest, paths_digest, lines = tap_grid_digest()
     with open(os.path.join(args.out_dir, "tap-grid.txt"), "w", encoding="utf-8") as fh:
         fh.write("sha256 %s\npaths sha256 %s\n" % (digest, paths_digest))
