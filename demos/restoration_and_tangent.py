@@ -55,7 +55,7 @@ def main():
     # equilibrium flows for the current demands, then multipliers that make
     # the stationarity rows vanish: alpha from shortest-path potentials,
     # beta as the resulting nonnegative slack
-    z, paths = restore(net, s[sl_d], cfg)
+    z, paths, _ = restore(net, s[sl_d], cfg)
     rz = eval_C(net, z)
     print("\nafter restoration:")
     print("  |C(z)| = %.3e  (max over %d rows)" % (np.abs(rz).max(), rz.size))

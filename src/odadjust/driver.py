@@ -6,15 +6,21 @@ Each outer iteration k:
      the assignment for the current demand block and recover multipliers,
      giving a feasible point z^k of the lifted system; while
      |C(z^k)| > RESTORE_RATIO |C(s^k)|, restore again with a tighter
-     assignment tolerance, at most RESTORE_TIGHTENINGS times.  The run's
-     first assignment starts cold; every later one starts from the path
-     flows the one before it returned, so z^k stays close to s^k
-     (Martinez's inexact restoration asks for that) and equal-cost paths
-     keep their split.  At k = 0, s^0 = (d^0, 0, 0, 0), whose residual
-     holds the free-flow times and Gamma d^0, so the first restoration
-     is nearly always closer at once
+     assignment tolerance, at most RESTORE_TIGHTENINGS times, and only
+     where the last assignment's relative gap is above it.  The run's
+     first assignment starts cold.  At k >= 1 the first one starts from
+     the predictor h + H dd of the step dd = s^k_d - z^{k-1}_d accepted
+     at k - 1: s^k's own X block written in path space, H = dh/dd being
+     the path-flow derivatives of the sensitivity at z^{k-1}, without the
+     paths it empties.  So the feasibility phase starts from s^k, as in
+     Martinez's inexact restoration, and equal-cost paths keep their
+     split.  A tightened assignment starts from the path flows of the one
+     before it.  At k = 0, s^0 = (d^0, 0, 0, 0), whose residual holds the
+     free-flow times and Gamma d^0, so the first restoration is nearly
+     always closer at once
   3. the equilibrium sensitivity Z = dz/dd at z^k (kkt.equilibrium_sensitivity,
-     by network's _sensitivity, with no second check of solve_tap's paths)
+     by network's _sensitivity, with no second check of solve_tap's paths,
+     which also returns H for the next start)
      parametrizes by the demands d the piece of the equilibrium set on which
      the used paths stay used; the reduced gradient is g_d = Z' grad F(z^k),
      and the projected-gradient step in d is r_tan = max(d - g_d, 0) - d.
@@ -153,10 +159,10 @@ def init_penalty(k, theta_min):
 
 def restore(net, d, cfg, start=None):
     """Feasibility phase: equilibrium flows for demands d plus certifying
-    multipliers; returns the restored point z and the assignment's path
-    flows, as TapSolution.paths holds them.
+    multipliers; returns the restored point z, the assignment's path flows,
+    as TapSolution.paths holds them, and its relative gap.
 
-    start is the path flows of an earlier assignment, or None; the
+    start is path flows shaped like TapSolution.paths, or None; the
     assignment starts from them (solve_tap's start), warm, or else cold.
     """
     sol = solve_tap(net, d, tol=cfg.tap_tol, max_iter=cfg.tap_max_iter, start=start)
@@ -165,34 +171,56 @@ def restore(net, d, cfg, start=None):
             "restoration assignment stalled at relative gap %.3e" % sol.rgap)
     alpha, beta = recover_multipliers(net, sol.X, net.link_times(sol.v))
     # net.slices lays the state out as [d | X | alpha | beta]
-    return np.concatenate([d, sol.X, alpha, beta]), sol.paths
+    return np.concatenate([d, sol.X, alpha, beta]), sol.paths, sol.rgap
 
 
-def _restore_closer(net, d, cfg, paths, normC_s):
+def _restore_closer(net, d, cfg, start, normC_s):
     """restore(d), then restore again while |C(z)| > RESTORE_RATIO |C(s)|,
     each time with the assignment tolerance RESTORE_TIGHTEN times smaller,
     at most RESTORE_TIGHTENINGS times; returns z, |C(z)| and z's path flows.
 
     normC_s is |C(s)| at the current point s.  A restored point no closer
     to feasibility than s leaves the predicted reduction to roundoff.  A
-    tightened assignment that cannot reach its tolerance keeps the last
-    restored point.  The first restoration starts from paths, the path
-    flows of the last assignment that converged (None: cold), and each
-    tightened one from those of the restoration before it.
+    tightened tolerance that the last assignment's relative gap already
+    meets keeps its point, as a solve from its flows would stop at once
+    and only rescale them; a tightened assignment that cannot reach its
+    tolerance keeps the last restored point too.  The first restoration
+    starts from start (None: cold), and each tightened one from the path
+    flows of the restoration before it.
     """
-    z, paths = restore(net, d, cfg, paths)
+    z, paths, rgap = restore(net, d, cfg, start)
     normC_z = _norm(eval_C(net, z))
     tol = cfg.tap_tol
     for _ in range(RESTORE_TIGHTENINGS):
         if normC_z <= RESTORE_RATIO * normC_s:
             break
         tol *= RESTORE_TIGHTEN
+        if rgap <= tol:
+            continue
         try:
-            z, paths = restore(net, d, replace(cfg, tap_tol=tol), paths)
+            z, paths, rgap = restore(net, d, replace(cfg, tap_tol=tol), paths)
         except MaxIterations:
             break
         normC_z = _norm(eval_C(net, z))
     return z, normC_z, paths
+
+
+def _predictor(paths, used, H, dd):
+    """The next restoration's start after a demand step dd from the
+    restored point whose path flows are paths: h_p + (H dd)_p on each used
+    (commodity, path) pair, H = dh/dd in the order of used, as network's
+    _sensitivity returns them.
+
+    Assembled, these flows are the X block of z + Z dd.  A path whose
+    predicted flow is not positive is left out, as the lift's clip empties
+    it; a commodity left with none starts cold.
+    """
+    start = {}
+    for (i, p), dh in zip(used, (H @ dd).tolist()):
+        h = paths.get(i, {}).get(p, 0.0) + dh
+        if h > 0.0:
+            start.setdefault(i, {})[p] = h
+    return start
 
 
 def _norm(x):
@@ -378,14 +406,14 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
     prev = None          # the last restored demands and their reduced gradient
     history = []
     status = STATUS_MAX_OUTER
-    paths = None         # the path flows of the last restoration
+    start = None         # the next restoration's start: cold at k = 0
 
     for k in range(cfg.max_outer):
         theta_cur = init_penalty(k, theta_min)
-        z, normC_z, paths = _restore_closer(net, s[sl_d], cfg, paths, normC_s)
+        z, normC_z, paths = _restore_closer(net, s[sl_d], cfg, start, normC_s)
 
         # solve_tap checked the start these paths grew from and made the rest
-        Z = _sensitivity(net, z[sl_x], paths)
+        Z, used, H = _sensitivity(net, z[sl_x], paths)
         r_tan, g_d = cauchy_direction(net, z, Z)
         if check_stop(s, z, r_tan, cfg.eps1, cfg.eps2):
             status = STATUS_CONVERGED
@@ -417,6 +445,7 @@ def solve_dap(net, cfg=None, d0=None, sink=None):
 
             if ok:
                 s = v
+                start = _predictor(paths, used, H, v[sl_d] - d)
                 normC_s, F_s = normC_v, F_v
                 theta_min = min(theta_min, theta_cur)
                 delta_prev = delta

@@ -201,7 +201,7 @@ def equilibrium_sensitivity(net, z, paths):
     """
     _, X, _, _ = _blocks(net, z)
     _check_paths(net, paths, "sensitivity")
-    return _sensitivity(net, X, paths)
+    return _sensitivity(net, X, paths)[0]
 
 
 def tangent_space(net, z):

@@ -12,7 +12,8 @@ _dijkstra, the one loop of every graph search, _vector, the one check of a
 vector's length, _check_paths, the one check of path flows, _path_system,
 the one assembly of the used-path system, and _sensitivity, the equilibrium
 sensitivity on path flows already checked, which kkt's public function
-wraps and the driver calls on its assignments' own paths.
+wraps and the driver calls on its assignments' own paths, whose path-flow
+derivatives also give the driver's next restoration its start.
 """
 
 from __future__ import annotations
@@ -601,10 +602,16 @@ def _potential_derivs(net, tree, origin, link_dv):
 
 def _sensitivity(net, X, paths):
     """kkt.equilibrium_sensitivity's Z at the restored flows X, on path
-    flows that were checked already, as solve_tap's own are."""
+    flows that were checked already, as solve_tap's own are; returned with
+    the used (commodity, path) pairs, in the order of the _path_system
+    call, and the path-flow derivatives H = dh/dd, one row per pair.
+
+    Z is filled in place by net.slices, one block after another.
+    """
     c = net.n_commodities
     if not c:
-        return np.zeros((net.state_dim, 0))   # no demand to move z with
+        # no demand to move z with
+        return np.zeros((net.state_dim, 0)), [], np.zeros((0, 0))
     v = aggregate_flows(net, X)
     t = net.link_times(v)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -623,18 +630,26 @@ def _sensitivity(net, X, paths):
             cols = [_path_links(net, trees[o], o, int(net.destination_idx[i]))]
         used += [(i, p) for p in cols]
     Delta, E, A = _path_system(net, used, t_prime)
-    rhs = np.vstack([np.zeros((len(used), c)), np.eye(c)])
-    H = np.linalg.lstsq(A, rhs, rcond=None)[0][:len(used)]
+    P = len(used)
+    rhs = np.zeros((P + c, c))
+    rhs[P:] = np.eye(c)
+    H = np.linalg.lstsq(A, rhs, rcond=None)[0][:P]
 
-    dX = np.stack([Delta @ (E[i][:, None] * H) for i in range(c)])
+    Z = np.empty((net.state_dim, c))
+    sl_d, sl_x, sl_alpha, sl_beta = net.slices
+    n, m = net.n_nodes, net.n_links
+    dX, dalpha, dbeta = (Z[sl_x].reshape(c, m, c), Z[sl_alpha].reshape(c, n, c),
+                         Z[sl_beta].reshape(c, m, c))
+    Z[sl_d] = np.eye(c)
+    for i in range(c):
+        dX[i] = Delta @ (E[i][:, None] * H)
     dv = dX.sum(axis=0)
     link_dv = t_prime[:, None] * dv
     dpi = {o: _potential_derivs(net, tree, o, link_dv) for o, tree in trees.items()}
-    dalpha = np.stack([-dpi[int(net.origin_idx[i])] for i in range(c)])
-    dbeta = link_dv + dalpha[:, net.heads] - dalpha[:, net.tails]
-
-    # net.slices lays the blocks out one after another, in this order
-    return np.vstack([b.reshape(-1, c) for b in (np.eye(c), dX, dalpha, dbeta)])
+    for i in range(c):
+        dalpha[i] = -dpi[int(net.origin_idx[i])]
+    dbeta[:] = link_dv + dalpha[:, net.heads] - dalpha[:, net.tails]
+    return Z, used, H
 
 
 # -- JSON input --------------------------------------------------------------

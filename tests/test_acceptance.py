@@ -103,7 +103,7 @@ def test_04_restoration_quality():
     beta_ok = True
     for _ in range(20):
         d = rng.uniform(0.5, 3.0, size=2)
-        z, _ = restore(net, d, cfg)
+        z, _, _ = restore(net, d, cfg)
         worst_c = max(worst_c, float(np.abs(eval_C(net, z)).max()))
         X, beta = z[net.slices[1]], z[net.slices[3]]
         beta_ok = beta_ok and bool(np.all(beta >= 0.0))

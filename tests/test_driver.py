@@ -54,7 +54,7 @@ def net():
 
 def _piece(net, d, cfg=None):
     """The restored point at demands d and its sensitivity Z = dz/dd."""
-    z, paths = restore(net, np.asarray(d, dtype=float), cfg or IRConfig())
+    z, paths, _ = restore(net, np.asarray(d, dtype=float), cfg or IRConfig())
     return z, equilibrium_sensitivity(net, z, paths)
 
 
@@ -137,7 +137,7 @@ def test_merit_test_acceptance_threshold(b, b_v, accepted):
 
 def test_restore_reaches_feasibility(net):
     cfg = IRConfig()
-    z, _ = restore(net, TOY_TARGETS, cfg)
+    z, _, _ = restore(net, TOY_TARGETS, cfg)
     assert np.abs(eval_C(net, z)).max() <= 1e-8
     assert_array_equal(z[net.slices[0]], TOY_TARGETS)
     assert_allclose(z[net.slices[1]], TOY_X, atol=1e-6)
@@ -149,7 +149,7 @@ def test_restore_random_demands(net):
     rng = np.random.default_rng(31)
     for _ in range(5):
         d = rng.uniform(0.5, 3.0, size=2)
-        z, _ = restore(net, d, cfg)
+        z, _, _ = restore(net, d, cfg)
         assert np.abs(eval_C(net, z)).max() <= 1e-6
         assert_array_equal(z[net.slices[0]], d)
 
@@ -194,7 +194,7 @@ def test_cauchy_direction_descends_away_from_optimum(net):
 
 def test_trial_multipliers_bounded(net):
     cfg = IRConfig()
-    z, _ = restore(net, np.array([1.0, 2.0]), cfg)
+    z, _, _ = restore(net, np.array([1.0, 2.0]), cfg)
     mu = trial_multipliers(net, z)
     assert mu.shape == (net.n_constraints,)
     assert np.all(np.isfinite(mu))
@@ -466,12 +466,12 @@ def test_restoration_tightens_until_closer_than_the_last_point(monkeypatch):
         return found[-1]
 
     def spy(net_, d, cfg_, start=None):
-        z, paths = restore(net_, d, cfg_, start)
+        z, paths, rgap = restore(net_, d, cfg_, start)
         if found:
             if cfg_.tap_tol == cfg.tap_tol:
                 steps.append((np.linalg.norm(eval_C(net_, found[-1][0])), []))
             steps[-1][1].append((cfg_.tap_tol, np.linalg.norm(eval_C(net_, z))))
-        return z, paths
+        return z, paths, rgap
 
     monkeypatch.setattr(driver_module, "find_candidate", candidate)
     monkeypatch.setattr(driver_module, "restore", spy)
@@ -512,36 +512,128 @@ def test_restoration_keeps_its_point_when_a_tightening_fails(monkeypatch):
     assert res.F_final <= 0.787177 * (1.0 + 1e-3)
 
 
-def test_restorations_start_from_the_last_path_flows(monkeypatch):
-    # every outer step, k = 0 included, restores by one _restore_closer
-    # call: cold at k = 0, then from the path flows the step before
-    # returned.  Every assignment but the first, tightened ones included,
-    # starts from the path flows of the one before it
-    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
-    restore_closer = driver_module._restore_closer
-    steps, assignments = [], []
+def _spied_run(monkeypatch, net, cfg=None, d0=None):
+    """solve_dap on net with spies: per _restore_closer call its demands,
+    start and result; per _sensitivity call its paths and (Z, used, H);
+    per solve_tap call its start, tolerance and solution; and the last
+    candidate find_candidate returned before each restoration."""
+    closer, sens = driver_module._restore_closer, driver_module._sensitivity
+    steps, pieces, assignments, found = [], [], [], []
 
-    def closer(net_, d, cfg_, paths, normC_s):
-        out = restore_closer(net_, d, cfg_, paths, normC_s)
-        steps.append((paths, out[2]))
+    def spy_closer(net_, d, cfg_, start, normC_s):
+        out = closer(net_, d, cfg_, start, normC_s)
+        steps.append((d, start, out, found[-1][0] if found else None))
         return out
 
-    def tap(*args, start=None, **kwargs):
-        sol = solve_tap(*args, start=start, **kwargs)
-        assignments.append((start, sol.paths))
+    def spy_sens(net_, X, paths):
+        out = sens(net_, X, paths)
+        pieces.append((paths, out))
+        return out
+
+    def spy_tap(*args, start=None, tol, **kwargs):
+        sol = solve_tap(*args, start=start, tol=tol, **kwargs)
+        assignments.append((start, tol, sol))
         return sol
 
-    monkeypatch.setattr(driver_module, "_restore_closer", closer)
-    monkeypatch.setattr(driver_module, "solve_tap", tap)
-    res = solve_dap(net)
+    def spy_candidate(*args):
+        found.append(find_candidate(*args))
+        return found[-1]
+
+    monkeypatch.setattr(driver_module, "_restore_closer", spy_closer)
+    monkeypatch.setattr(driver_module, "_sensitivity", spy_sens)
+    monkeypatch.setattr(driver_module, "solve_tap", spy_tap)
+    monkeypatch.setattr(driver_module, "find_candidate", spy_candidate)
+    res = solve_dap(net, cfg, d0=d0)
+    monkeypatch.undo()
+    return res, steps, pieces, assignments
+
+
+def test_restorations_start_from_the_predictor(monkeypatch):
+    # every outer step, k = 0 included, restores by one _restore_closer
+    # call: cold at k = 0, then from the predictor h + H dd of the step
+    # accepted before it, dd = v_d - z_d, on the used paths of the
+    # sensitivity at z (the next test checks its flows).  A tightened
+    # restoration starts from the path flows of the one before it
+    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    res, steps, pieces, assignments = _spied_run(monkeypatch, net)
     assert res.status == STATUS_CONVERGED
-    assert len(steps) == res.outer_iterations >= 2
-    assert steps[0][0] is None
-    assert all(start is paths for (start, _), (_, paths) in zip(steps[1:], steps))
+    assert len(steps) == len(pieces) == res.outer_iterations >= 2
+    assert steps[0][1] is None
+    sl_d = net.slices[0]
+    for (d, start, _, _), (_, _, (z, _, paths), _), (paths_, (_, used, H)) in zip(
+            steps[1:], steps, pieces):
+        assert paths_ is paths
+        assert start == driver_module._predictor(paths, used, H, d - z[sl_d])
     assert len(assignments) > len(steps)
-    assert assignments[0][0] is None
-    assert all(start is paths for (start, _), (_, paths)
-               in zip(assignments[1:], assignments))
+    closer_starts = [start for _, start, _, _ in steps]
+    j = 0
+    for k, (start, tol, _) in enumerate(assignments):
+        if tol == IRConfig().tap_tol:
+            assert start is closer_starts[j]
+            j += 1
+        else:
+            assert start is assignments[k - 1][2].paths
+    assert j == len(steps)
+
+
+def _check_predictor(net, paths, used, H, dd, v, start):
+    """Check start, the predictor of the step dd from z, against the point
+    v it led to; returns how many commodities lost a path."""
+    m = net.n_links
+    clipped = set()
+    for (i, p), dh in zip(used, (H @ dd).tolist()):
+        h = paths.get(i, {}).get(p, 0.0) + dh
+        if h > 0.0:
+            assert start[i][p] == h
+        else:
+            assert p not in start.get(i, {})
+            clipped.add(i)
+    X = np.zeros(net.n_commodities * m)
+    for i, kept in start.items():
+        for p, h in kept.items():
+            X[i * m + np.array(p)] += h
+    for i in set(start) - clipped:
+        block, want = X[i * m:(i + 1) * m], v[net.slices[1]][i * m:(i + 1) * m]
+        assert_allclose(block, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    return len(clipped)
+
+
+def test_predictor_start_assembles_to_the_accepted_point(monkeypatch):
+    # the predictor is the accepted point's X block written in path space:
+    # on every commodity where no predicted flow is <= 0 it assembles to
+    # that block to roundoff, and no path with predicted flow <= 0 enters
+    # the start
+    net = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    _, steps, pieces, _ = _spied_run(monkeypatch, net)
+    sl_d = net.slices[0]
+    for (d, start, _, v), (_, _, (z, _, paths), _), (_, (Z, used, H)) in zip(
+            steps[1:], steps, pieces):
+        assert_array_equal(v[sl_d], d)
+        _check_predictor(net, paths, used, H, d - z[sl_d], v, start)
+    # long steps toward zero demand, lifted as find_candidate lifts them,
+    # empty paths that the start then leaves out
+    dropped = 0
+    for f in (0.5, 0.9, 0.99):
+        dd = -f * z[sl_d]
+        v = np.maximum(z + Z @ dd, net.lower)
+        dropped += _check_predictor(net, paths, used, H, dd, v,
+                                    driver_module._predictor(paths, used, H, dd))
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("doc, d0", [("toy", d0) for d0 in
+                                     ((1.0, 2.0), (1.0, 1.5), (1.8, 2.0))]
+                         + [("grid2x2_1.json", None), ("grid2x2_4.json", None)])
+def test_no_tightened_restoration_returns_at_once(monkeypatch, doc, d0):
+    # a tightened restoration runs only where the last assignment's gap is
+    # above its tolerance, so none of them stops before its first iteration
+    text = (json.dumps(toy_document()) if doc == "toy"
+            else (DATA / doc).read_text(encoding="utf-8"))
+    cfg = IRConfig()
+    res, _, _, assignments = _spied_run(monkeypatch, parse_network(text), cfg, d0)
+    assert res.status == STATUS_CONVERGED
+    assert [sol.iterations for _, tol, sol in assignments
+            if tol < cfg.tap_tol and sol.iterations == 0] == []
 
 
 def test_outer_step_checks_its_paths_once(monkeypatch):
@@ -564,9 +656,9 @@ def test_outer_step_checks_its_paths_once(monkeypatch):
         return sol
 
     def sens(net_, X, paths):
-        Z = sensitivity(net_, X, paths)
-        Zs.append((X.copy(), paths, Z))
-        return Z
+        out = sensitivity(net_, X, paths)
+        Zs.append((X.copy(), paths, out[0]))
+        return out
 
     for module in (tap, kkt):
         monkeypatch.setattr(module, "_check_paths", spy)
@@ -636,9 +728,9 @@ def test_attempt_without_admissible_theta_fails(net, monkeypatch):
     # logged with ared NaN, rejected with theta unchanged, and the trust
     # radius halves, until the outer step stalls
     def far(net_, d, cfg_, start=None):
-        z, paths = restore(net_, d, cfg_, start)
+        z, paths, rgap = restore(net_, d, cfg_, start)
         z[net_.slices[3]] += 10.0
-        return z, paths
+        return z, paths, rgap
 
     monkeypatch.setattr(driver_module, "restore", far)
     res = solve_dap(net, IRConfig(max_outer=3), d0=10.0 * TOY_TARGETS)

@@ -435,7 +435,7 @@ _TIGHT = IRConfig(tap_tol=1e-12)
 
 def _restored(net, d):
     """The restored point at d, tap tolerance 1e-12, and its path flows."""
-    return restore(net, np.asarray(d, dtype=float), _TIGHT)
+    return restore(net, np.asarray(d, dtype=float), _TIGHT)[:2]
 
 
 def _used(paths):
@@ -528,7 +528,7 @@ def test_restored_point_searches_each_origin_once(monkeypatch):
         return dijkstra(net_, costs, o, dest)
 
     monkeypatch.setattr(network, "_dijkstra", spy)
-    z, paths = restore(gnet, gnet.target_demands, IRConfig())
+    z, paths, _ = restore(gnet, gnet.target_demands, IRConfig())
     assert 0 < len(trees) and len(trees) % origins == 0
     del trees[:]
     v = aggregate_flows(gnet, z[gnet.slices[1]])

@@ -69,7 +69,7 @@ def test_tangent_space_validation():
 
 def _restored_space(net):
     """The tangent space at net's first restored point and b = z - grad F(z)."""
-    z, _ = restore(net, net.target_demands, IRConfig())
+    z, _, _ = restore(net, net.target_demands, IRConfig())
     return tangent_space(net, z), z - grad_F_state(net, z)
 
 
@@ -269,7 +269,7 @@ def test_grid_projection_does_not_stall(name):
     assert res.outer_iterations == 1 and res.history
 
     # certify that projection
-    z, _ = restore(net, net.target_demands, cfg)
+    z, _, _ = restore(net, net.target_demands, cfg)
     space = tangent_space(net, z)
     b = z - grad_F_state(net, z)
     _certify(space, b, None, project(space, b))
@@ -279,7 +279,7 @@ def test_projection_refines_the_linear_residual():
     # the projection at the first restored point of the 5x5 grid, as above,
     # leaves J(w - z) at 1.4e-10 after its refinement solve, 3.6e-8 without
     net = parse_network((DATA / "grid5x5_0.json").read_text(encoding="utf-8"))
-    z, _ = restore(net, net.target_demands, IRConfig())
+    z, _, _ = restore(net, net.target_demands, IRConfig())
     space = tangent_space(net, z)
     b = z - grad_F_state(net, z)
     w = project(space, b)
@@ -450,7 +450,7 @@ def test_tangent_space_matches_sorted_assembly_on_grid_states(factored):
     rng = np.random.default_rng(507)
     for scale in (1.0, 0.5, 1.7):
         d = net.target_demands * scale * rng.uniform(0.8, 1.2, size=net.n_commodities)
-        z, _ = restore(net, d, IRConfig())
+        z, _, _ = restore(net, d, IRConfig())
         J = eval_C_jacobian(net, z)
         assert np.count_nonzero(J.data == 0.0) > 0
         free_ref, ref = _reference_tangent(J.toarray())
@@ -467,7 +467,7 @@ def test_tangent_set_ignores_roundoff_in_beta(name):
     # point, where many beta and X are 0 together, leaves the free
     # coordinates as they were
     net = parse_network((DATA / name).read_text(encoding="utf-8"))
-    z, _ = restore(net, net.target_demands, IRConfig())
+    z, _, _ = restore(net, net.target_demands, IRConfig())
     _, sl_x, _, sl_beta = net.slices
     assert np.count_nonzero((z[sl_beta] == 0.0) & (z[sl_x] == 0.0)) > 0
     free = tangent_space(net, z).free
@@ -482,7 +482,7 @@ def test_dependent_bound_is_tested_once_between_releases(monkeypatch):
     # the working set; with the working set only growing they stay dependent,
     # so no bound's Schur pivot is tested twice between two releases
     net = parse_network((DATA / "grid4x4_1.json").read_text(encoding="utf-8"))
-    z, _ = restore(net, net.target_demands, IRConfig())
+    z, _, _ = restore(net, net.target_demands, IRConfig())
     space = tangent_space(net, z)
     b = z - grad_F_state(net, z)
     expected = project(space, b)

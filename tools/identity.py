@@ -171,7 +171,7 @@ def lifted_lines():
 
     inst, = WORKLOADS["dap-grid"].instances(np.random.default_rng(SEED))
     net = parse_network(inst.text)
-    z, _ = restore(net, net.target_demands, IRConfig())
+    z, _, _ = restore(net, net.target_demands, IRConfig())
     J = eval_C_jacobian(net, z)
     space = tangent_space(net, z)
     b = z - grad_F_state(net, z)
@@ -197,7 +197,7 @@ def sensitivity_lines():
     for name, text, scale in (("dap-grid", inst.text, 1.0),
                               (large.name + "@0.9", large.text, 0.9)):
         net = parse_network(text)
-        z, paths = restore(net, scale * net.target_demands, IRConfig())
+        z, paths, _ = restore(net, scale * net.target_demands, IRConfig())
         Z = equilibrium_sensitivity(net, z, paths)
         lines.append("%s %s sha256 %s\n" % (name, Z.dtype,
                                              hashlib.sha256(Z.tobytes()).hexdigest()))
