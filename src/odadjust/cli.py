@@ -120,6 +120,7 @@ def run_tap(args):
     print("beckmann: %s" % _fmt(sol.beckmann))
     print("relative_gap: %s" % _fmt(sol.rgap))
     print("iterations: %d" % sol.iterations)
+    print("newton_steps: %d" % sol.newton_steps)
     return 0 if sol.converged else 2
 
 

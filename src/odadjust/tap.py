@@ -60,17 +60,14 @@ paths hold (Bertsekas & Gafni, Math. Program. Study 17, 1982).  A solve
 takes them only where the shifts couple: a commodity uses three or more
 paths, or two commodities with two each differ between their paths on a
 common link.  Otherwise a step is the shift that a sweep makes twice, with
-no linear solve.  A step searches no path, so it adds none.  A solve where
-every commodity starts warm, as the restorations of the demand adjustment
-do, steps from the start, and turns to sweeps for the rest of the solve
-once a step would empty a path, does not lower the bound, or leaves a bound
-within the tolerance with an exact gap above it.  A solve where some
-commodity starts cold only sweeps until a sweep's searches add no path.
-It then steps until a step does not lower the bound, or leaves a bound
-within the tolerance with an exact gap above it, and the next sweep that
-adds no path starts the steps again.  There a step that would empty a path
-is cut where the first path empties, and the paths that empty leave the
-set.
+no linear solve.  A step searches no path, so it adds none.  A solve steps
+after each sweep whose searches add no path, and from the start where every
+commodity starts warm, as the restorations of the demand adjustment do.  It
+sweeps once a step would empty a path, does not lower the bound, or leaves
+a bound within the tolerance with an exact gap above it, and the next sweep
+that adds no path starts the steps again.  Where some commodity starts
+cold, a step that would empty a path is cut where the first path empties
+instead, and the paths that empty leave the set.
 """
 
 from __future__ import annotations
@@ -397,17 +394,16 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
 
     Where the shifts couple (_coupled), iterations can be Newton steps on
     the used-path system (_newton_flows), which converge quadratically
-    while no unused path is cheaper.  Where every active commodity starts
-    warm, the solve steps from the start and turns to sweeps, for good,
-    when a step would empty a path, when the bound after a step is not
-    below the bound before it, which restores the iterate before the step,
-    or when the bound is within tol but the exact gap is not: an unused
-    path is then cheaper, and only a sweep's search finds it.  A solve
-    where any commodity starts cold sweeps from the start, and steps after
-    each sweep whose searches return no path outside the commodities' used
-    sets; it leaves the steps by the last two exits only, as it cuts a step
-    that would empty a path where the first path empties and drops the
-    paths that empty there.
+    while no unused path is cheaper.  The solve steps after each sweep whose
+    searches return no path outside the commodities' used sets, and from the
+    start where every active commodity starts warm.  It sweeps when a step
+    would empty a path, when the bound after a step is not below the bound
+    before it, which restores the iterate before the step, or when the
+    bound is within tol but the exact gap is not: an unused path is then
+    cheaper, and only a sweep's search finds it.  A solve where any
+    commodity starts cold leaves the steps by the last two exits only, as
+    it cuts a step that would empty a path where the first path empties and
+    drops the paths that empty there.
     Each sweep takes t(v) and t'(v) once as lists and keeps them current
     through its path shifts, one link at a time by net.link_evals; each
     commodity's _dijkstra search stops once its destination settles.  After the
@@ -471,8 +467,8 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         else:
             t0 = t0 or net.link_times(np.zeros(n_links)).tolist()
             flows[i] = {shortest(i, t0): float(d[i])}
-    # a warm solve takes Newton steps from the start where the shifts couple;
-    # a cold one after each sweep whose searches add no path
+    # Newton steps where the shifts couple, after each sweep whose searches
+    # add no path; a start where no commodity starts cold counts as one
     cold = t0 is not None
     newton = not cold and _coupled(flows, links)
     before = None   # flows, X, v, bound and t before the last Newton step
@@ -495,12 +491,15 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
         # a gap above a bound within tol means an unused path is cheaper,
         # which only a sweep's search finds
         if newton and rgap is None:
+            # only a cold solve cuts a step that would empty a path: cutting
+            # the warm steps of the restorations as well left tools/ladder.py's
+            # 8x8-i0 and 8x8-i1 stalled, at F 5.543555 and 5.293529
             step = _newton_flows(net, d, v, flows, links, t, cold)
             if step is not None:
                 before, flows = (flows, X, v, bound, t), step
                 steps += 1
                 continue
-        newton = added = moved = False
+        added = moved = False
         # the running flows and their link times and derivatives, as lists;
         # the times are the bound's
         with np.errstate(over="ignore"):
@@ -524,8 +523,7 @@ def solve_tap(net, d, tol=1e-8, max_iter=50000, start=None):
                 shifted, flows[i] = _shift_onto(evals, run_v, t, dt, paths, q, links,
                                                 diffs[q])
                 moved = moved or shifted
-        if cold and not added:
-            newton = _coupled(flows, links)
+        newton = not added and _coupled(flows, links)
     if rgap is None:
         rgap = relative_gap(net, d, v)
 

@@ -153,6 +153,21 @@ def test_tap_prints_equilibrium(toy_file, capsys):
     assert int(meta["iterations"]) >= 0
 
 
+def test_tap_prints_newton_steps_after_iterations(capsys):
+    # the 3x3 grid's cold solve takes Newton steps after its first sweep
+    # that adds no path; the last two lines give solve_tap's counts
+    from odadjust import parse_network, solve_tap
+
+    path = DATA / "grid3x3_0.json"
+    assert main(["tap", "--input", str(path)]) == 0
+    *_, iterations, steps = capsys.readouterr().out.strip().splitlines()
+    net = parse_network(path.read_text(encoding="utf-8"))
+    sol = solve_tap(net, net.target_demands, tol=1e-8)
+    assert iterations == "iterations: %d" % sol.iterations
+    assert steps == "newton_steps: %d" % sol.newton_steps
+    assert 0 < sol.newton_steps < sol.iterations
+
+
 def test_tap_demand_override(toy_file, capsys):
     assert main(["tap", "--input", toy_file, "--demand", "1,1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -39,3 +39,13 @@ def test_ladder_rejects_an_unknown_row():
     proc = _ladder("2x2-i9")
     assert proc.returncode == 2
     assert "no ladder row named 2x2-i9" in proc.stderr
+
+
+def test_ladder_converges_on_8x8_i0():
+    # the restorations' warm Newton steps resume after each sweep that adds
+    # no path, so the run reaches the reference local minimum F*
+    proc = _ladder("8x8-i0")
+    assert proc.returncode == 0, proc.stderr
+    name, status, steps, F, seconds, ref = proc.stdout.splitlines()[1].split()
+    assert (name, status, ref) == ("8x8-i0", "converged", "5.539737")
+    assert abs(float(F) - 5.539737) <= 1e-6 * 5.539737

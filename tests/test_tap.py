@@ -547,10 +547,13 @@ def _spy_iterations(monkeypatch):
     return events
 
 
-def _steps_follow_sweeps_that_add_no_path(events):
+def _steps_follow_sweeps_that_add_no_path(events, warm=False):
     """Whether every used-path system in events comes after a sweep, and the
-    last sweep before it added no path; and how many systems there are."""
-    added, sweep = None, []     # None until the first sweep ends
+    last sweep before it added no path, a start where every commodity
+    starts warm (warm true) counting as such a sweep; and how many systems
+    there are."""
+    # added is None until the first sweep ends, unless the start counts as one
+    added, sweep = (False if warm else None), []
     for e in events:
         if e[0] == "shift":
             sweep.append(e[1])
@@ -564,20 +567,24 @@ def _steps_follow_sweeps_that_add_no_path(events):
 def test_cold_solve_takes_no_newton_step(monkeypatch):
     # a cold start, and a warm one where a commodity starts cold, sweeps
     # from the first iteration on, and takes no Newton step before a sweep
-    # whose searches add no path; on the 3x3 grid both then step, and 5
-    # random networks converge in at most two sweeps
+    # whose searches add no path; a start where every commodity starts warm
+    # counts as such a sweep.  On the 3x3 grid all three step, and 5 random
+    # networks converge in at most two sweeps
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     d = gnet.target_demands
     other = 0.8 * d
     other[1] = 0.0
-    warm = solve_tap(gnet, other, tol=1e-8).paths
+    partly = solve_tap(gnet, other, tol=1e-8).paths
+    warm = solve_tap(gnet, 0.5 * d, tol=1e-8).paths
     events = _spy_iterations(monkeypatch)
-    for start in (None, warm):
+    for start in (None, partly, warm):
         del events[:]
         sol = solve_tap(gnet, d, tol=1e-8, start=start)
         assert sol.converged and sol.iterations > 5
-        assert _steps_follow_sweeps_that_add_no_path(events) == (True, sol.newton_steps)
-        assert sol.newton_steps > 0
+        ok, systems = _steps_follow_sweeps_that_add_no_path(events, warm=start is warm)
+        # a warm step that would empty a path is refused once its system is built
+        assert ok and systems >= sol.newton_steps > 0
+        assert systems == sol.newton_steps or start is warm
     rng = np.random.default_rng(3)
     for _ in range(5):
         rnet = random_network(rng)
@@ -643,20 +650,41 @@ def test_warm_newton_solve_beats_sweeps_and_matches_the_oracle(monkeypatch):
 def test_warm_start_that_needs_a_new_path_still_converges(monkeypatch):
     # from the paths of an equilibrium at half its targets, the 3x3 grid
     # takes Newton steps until the bound from its used paths is within the
-    # tolerance; the exact gap is then above it, and sweeps find the paths
-    # the start lacks
+    # tolerance while the exact gap is not; sweeps then add the paths the
+    # start lacks, and each sweep that adds none starts the steps again
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     d = gnet.target_demands
     start = solve_tap(gnet, 0.5 * d, tol=1e-8).paths
+    events = _spy_iterations(monkeypatch)
+    sol = solve_tap(gnet, d, tol=1e-8, start=start)
+    ok, systems = _steps_follow_sweeps_that_add_no_path(events, warm=True)
+    assert sol.converged and ok and systems >= sol.newton_steps > 0
+    # steps before the first sweep that adds a path, and after the last one
+    first = events.index(("shift", True))
+    last = len(events) - events[::-1].index(("shift", True))
+    assert ("system",) in events[:first] and ("system",) in events[last:]
+    assert any(p not in start[i] for i, flows in sol.paths.items() for p in flows)
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.7])
+def test_warm_steps_resume_after_the_first_exact_gap(scale, monkeypatch):
+    # far from the new demands, the 3x3 grid's warm start leaves the Newton
+    # steps at a bound within the tolerance whose exact gap is above it; a
+    # used-path system follows that exact gap, and the solve takes fewer
+    # iterations than sweeps alone to the oracle's equilibrium
+    gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
+    d = gnet.target_demands
+    start = solve_tap(gnet, scale * d, tol=1e-8).paths
     events = _spy_newton(monkeypatch)
     gap = tap.relative_gap
     monkeypatch.setattr(tap, "relative_gap", lambda *args: events.append("gap") or gap(*args))
     sol = solve_tap(gnet, d, tol=1e-8, start=start)
-    systems = [e for e in events if e != "gap"]
-    assert sol.converged and sol.iterations > len(systems) > 0
-    # no Newton step follows the first exact gap
-    assert set(events[events.index("gap"):]) == {"gap"}
-    assert any(p not in start[i] for i, flows in sol.paths.items() for p in flows)
+    assert sol.converged and sol.iterations > sol.newton_steps > 0
+    assert any(e != "gap" for e in events[events.index("gap"):])
+    monkeypatch.setattr(tap, "_coupled", lambda flows, links: False)
+    sweeps = solve_tap(gnet, d, tol=1e-8, start=start)
+    assert sweeps.converged and sweeps.newton_steps == 0
+    assert sol.iterations < sweeps.iterations
     assert_allclose(sol.v, _oracle_flows(monkeypatch, gnet, d), rtol=0, atol=1e-6)
 
 
@@ -679,16 +707,20 @@ def test_newton_step_that_does_not_lower_the_bound_is_undone(monkeypatch):
     assert len(systems) == 5
 
 
-def test_warm_start_with_one_path_per_commodity_takes_no_newton_step(monkeypatch):
+def test_warm_start_with_one_path_per_commodity_sweeps_before_stepping(monkeypatch):
     # at a fifth of its targets each commodity of the 3x3 grid uses one
-    # path, so no commodity can split its flow: the solve sweeps
+    # path, so no commodity can split its flow: the solve sweeps from the
+    # start, and steps only after a sweep whose searches add no path
     gnet = parse_network((DATA / "grid3x3_0.json").read_text(encoding="utf-8"))
     d = gnet.target_demands
     start = solve_tap(gnet, 0.2 * d, tol=1e-8).paths
     assert all(len(flows) == 1 for flows in start.values())
-    systems = _spy_newton(monkeypatch)
+    events = _spy_iterations(monkeypatch)
     sol = solve_tap(gnet, d, tol=1e-8, start=start)
-    assert sol.converged and sol.iterations > 5 and systems == []
+    assert sol.converged and sol.iterations > 5
+    assert events[:2] == [("bound",), ("shift", True)]
+    assert _steps_follow_sweeps_that_add_no_path(events, warm=True) == (True, sol.newton_steps)
+    assert sol.newton_steps > 0
 
 
 def test_newton_steps_only_where_the_shifts_couple(net, monkeypatch):

@@ -11,11 +11,14 @@ one BLAS thread, on:
   pairs), `6x6-i0` ... `6x6-i5` (10 OD pairs) and `8x8-i0` ... `8x8-i2`
   (20 OD pairs), each from its prior, as
   `bench/instances.grid_instance(k, n_od, i)` generates it, not
-  relabelled.  The whole ladder takes about 16 s on a shared 2-CPU host,
-  most of it in the `8x8` rows.
+  relabelled.  The whole ladder takes 31 to 36 s on a shared 2-CPU host,
+  about 24 s of it generating the instances (20 s for the `8x8` rows,
+  whose counts come from `bench/instances.equilibrium`) and about 4 s in
+  the solves.
 
 Each row gives the name, the status (or the name of the exception a run
-raised), the outer steps, the final F, the seconds and the reference F*, a
+raised), the outer steps, the final F to 10 significant digits, the
+seconds of the solve and the reference F* to 6 decimals, a
 local minimum of F(d, v_eq(d)) over d >= 0 ("-" where none is recorded):
 Nelder-Mead on `bench/instances.equilibrium` for the 2x2 rows, ROADMAP's
 Baseline table for the larger ones.  NAME arguments run only those rows.
@@ -80,14 +83,14 @@ def main(argv=None):
     unknown = set(args.names) - {name for name, _, _ in chosen}
     if unknown:
         parser.error("no ladder row named %s" % ", ".join(sorted(unknown)))
-    print("%-10s %-14s %5s %10s %8s %10s"
+    print("%-10s %-14s %5s %12s %8s %10s"
           % ("instance", "status", "steps", "F", "seconds", "F*"))
     for name, make, d0 in chosen:
         status, steps, F, secs = solve(make(), d0)
         ref = REFERENCE_F.get(name)
-        print("%-10s %-14s %5s %10s %8.2f %10s"
+        print("%-10s %-14s %5s %12s %8.2f %10s"
               % (name, status, "-" if steps is None else steps,
-                 "-" if F is None else "%.6f" % F, secs,
+                 "-" if F is None else "%.10g" % F, secs,
                  "-" if ref is None else "%.6f" % ref), flush=True)
     return 0
 
